@@ -11,8 +11,9 @@ Subcommands:
 
 `--out DIR` names a run directory. It is created if missing, a
 `manifest.json` is written into it before any trial starts and finalized
-afterwards, so interrupted runs leave a record of what was attempted.
-Without `--out` results go to stdout and no manifest is written.
+when the command ends, with status "ok" or "failed" and the error, so
+interrupted runs leave a record of what was attempted. Without `--out`
+results go to stdout and no manifest is written.
 
 Exit codes: 0 on success, 2 for configuration problems (bad config file,
 bad flags, violated model assumptions), 3 for runtime failures (including
@@ -23,9 +24,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,7 +37,10 @@ from .dynamics import EventProbabilities
 from .errors import BadParameterError, ConfigError, RuntimeFailure
 from .graph import validate
 from .montecarlo import (
+    AGG_COLUMNS,
+    INTEGER_KEYS,
     ExperimentConfig,
+    aggregate_csv_rows,
     aggregate_json_dict,
     config_from_dict,
     config_hash,
@@ -45,6 +49,7 @@ from .montecarlo import (
     run_trial,
     set_by_path,
     sweep,
+    sweep_values,
     write_aggregate_csv,
     write_trajectory_csv,
 )
@@ -93,15 +98,15 @@ def _load_config(args) -> tuple[ExperimentConfig, Path]:
 
 
 def _prepare_run_dir(args, command: str, cfg: ExperimentConfig, cfg_path: Path,
-                     outputs: list[str]) -> tuple[Path | None, Path | None]:
+                     outputs: list[str]) -> Path | None:
     """Create the run directory and write its manifest before any trial runs.
 
     `outputs` lists the file names (relative to the run directory) the
-    command intends to produce. Returns (run_dir, manifest_path), both None
-    when the command writes to stdout.
+    command intends to produce. Returns the run directory, None when the
+    command writes to stdout. `main` finalizes the manifest.
     """
     if not getattr(args, "out", None):
-        return None, None
+        return None
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest = run_dir / "manifest.json"
@@ -115,48 +120,49 @@ def _prepare_run_dir(args, command: str, cfg: ExperimentConfig, cfg_path: Path,
         "outputs": outputs,
         "startedAt": _now(),
         "finishedAt": None,
+        "status": "running",
     }
     manifest.write_text(json.dumps(doc, indent=2) + "\n")
-    return run_dir, manifest
+    args.manifest = manifest
+    return run_dir
 
 
-def _finish_manifest(manifest: Path | None) -> None:
+def _finish_manifest(manifest: Path | None, error: str | None) -> None:
+    """Record the end of the run. The manifest is read back from disk, so the
+    resolved config is not held in memory while trials run."""
     if manifest is None:
         return
     doc = json.loads(manifest.read_text())
     doc["finishedAt"] = _now()
+    doc["status"] = "ok" if error is None else "failed"
+    doc["error"] = error
     manifest.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _emit(text: str, path: Path | None) -> None:
+@contextmanager
+def _output(path: Path | None):
+    """A text handle on `path`, or on stdout when there is no path."""
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
     else:
-        path.write_text(text if text.endswith("\n") else text + "\n")
+        with open(path, "w", newline="") as fh:
+            yield fh
+
+
+def _emit_json(doc, path: Path | None) -> None:
+    with _output(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _cmd_simulate(args) -> int:
     cfg, cfg_path = _load_config(args)
     data_name = f"trajectory.{args.format}"
-    run_dir, manifest = _prepare_run_dir(args, "simulate", cfg, cfg_path, [data_name])
+    run_dir = _prepare_run_dir(args, "simulate", cfg, cfg_path, [data_name])
     trials = [run_trial(cfg, t) for t in range(cfg.trials)]
     target = None if run_dir is None else run_dir / data_name
     if args.format == "csv":
-        if target is None:
-            buf = io.StringIO()
-            w = csv.writer(buf)
-            w.writerow(["trial", "k"] + [f"x_{i + 1}" for i in range(cfg.matrix.n)]
-                       + ["H", "h", "spread", "L"])
-            for tr in trials:
-                for state, sample in zip(tr.states, tr.samples):
-                    w.writerow([tr.trial, state.k] + [float(v) for v in state.x]
-                               + [sample.x_max, sample.x_min, sample.spread,
-                                  sample.dispersion])
-            sys.stdout.write(buf.getvalue())
-        else:
-            write_trajectory_csv(trials, cfg.matrix.n, target)
+        with _output(target) as fh:
+            write_trajectory_csv(trials, cfg.matrix.n, fh)
     else:
         doc = {
             "configHash": config_hash(cfg),
@@ -175,55 +181,49 @@ def _cmd_simulate(args) -> int:
                 for tr in trials
             ],
         }
-        _emit(json.dumps(_json_safe(doc), indent=2), target)
-    _finish_manifest(manifest)
+        _emit_json(_json_safe(doc), target)
     return 0
-
-
-def _write_aggregate_rows(fh, result) -> None:
-    w = csv.writer(fh)
-    w.writerow(["k", "meanL", "varL", "ciL", "meanSpread", "varSpread",
-                "ciSpread", "nAgreed", "nDiverged", "nUndecided"])
-    for idx, k in enumerate(result.checkpoints):
-        w.writerow([k, result.mean_l[idx], result.var_l[idx], result.ci_l[idx],
-                    result.mean_spread[idx], result.var_spread[idx],
-                    result.ci_spread[idx], result.counts["nAgreed"],
-                    result.counts["nDiverged"], result.counts["nUndecided"]])
 
 
 def _cmd_experiment(args) -> int:
     cfg, cfg_path = _load_config(args)
     data_name = f"aggregate.{args.format}"
-    run_dir, manifest = _prepare_run_dir(args, "experiment", cfg, cfg_path, [data_name])
+    run_dir = _prepare_run_dir(args, "experiment", cfg, cfg_path, [data_name])
     result = run_experiment(cfg)
+    target = None if run_dir is None else run_dir / data_name
     if args.format == "csv":
-        if run_dir is None:
-            buf = io.StringIO()
-            _write_aggregate_rows(buf, result)
-            sys.stdout.write(buf.getvalue())
-        else:
-            write_aggregate_csv(result, run_dir / data_name)
+        with _output(target) as fh:
+            write_aggregate_csv(result, fh)
     else:
-        _emit(json.dumps(aggregate_json_dict(result), indent=2),
-              None if run_dir is None else run_dir / data_name)
-    _finish_manifest(manifest)
+        _emit_json(aggregate_json_dict(result), target)
     return 0
+
+
+def _parse_axis_value(axis: str, text: str):
+    """Integer config keys keep exact integers; everything else is a float."""
+    if axis in INTEGER_KEYS:
+        try:
+            return int(text)
+        except ValueError:
+            pass  # still a number if integral, e.g. 1e3; sweep checks that
+    return float(text)
 
 
 def _cmd_sweep(args) -> int:
     cfg, cfg_path = _load_config(args)
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = [_parse_axis_value(args.axis, v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise BadParameterError(f"--values must be comma-separated numbers, got {args.values!r}")
     if not values:
         raise BadParameterError("--values is empty")
+    values = sweep_values(args.axis, values)
     summary_name = f"sweep.{args.format}"
     point_dirs = [f"{args.axis}={v!r}" for v in values]
     outputs = [summary_name]
     for d in point_dirs:
         outputs += [f"{d}/aggregate.{args.format}", f"{d}/theory.json"]
-    run_dir, manifest = _prepare_run_dir(args, "sweep", cfg, cfg_path, outputs)
+    run_dir = _prepare_run_dir(args, "sweep", cfg, cfg_path, outputs)
     points = sweep(args.raw_config, args.axis, values, base_dir=cfg_path.parent)
 
     if run_dir is not None:
@@ -231,26 +231,19 @@ def _cmd_sweep(args) -> int:
             sub = run_dir / d
             sub.mkdir(exist_ok=True)
             if args.format == "csv":
-                write_aggregate_csv(pt.result, sub / "aggregate.csv")
+                with _output(sub / "aggregate.csv") as fh:
+                    write_aggregate_csv(pt.result, fh)
             else:
-                (sub / "aggregate.json").write_text(
-                    json.dumps(aggregate_json_dict(pt.result), indent=2) + "\n")
-            (sub / "theory.json").write_text(
-                json.dumps(_json_safe(pt.report.to_json_dict()), indent=2) + "\n")
+                _emit_json(aggregate_json_dict(pt.result), sub / "aggregate.json")
+            _emit_json(_json_safe(pt.report.to_json_dict()), sub / "theory.json")
 
+    target = None if run_dir is None else run_dir / summary_name
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["value", "k", "meanL", "varL", "ciL", "meanSpread",
-                    "varSpread", "ciSpread", "nAgreed", "nDiverged", "nUndecided"])
-        for pt in points:
-            r = pt.result
-            idx = len(r.checkpoints) - 1
-            w.writerow([pt.value, r.checkpoints[idx], r.mean_l[idx], r.var_l[idx],
-                        r.ci_l[idx], r.mean_spread[idx], r.var_spread[idx],
-                        r.ci_spread[idx], r.counts["nAgreed"],
-                        r.counts["nDiverged"], r.counts["nUndecided"]])
-        _emit(buf.getvalue(), None if run_dir is None else run_dir / summary_name)
+        with _output(target) as fh:
+            w = csv.writer(fh)
+            w.writerow(["value", *AGG_COLUMNS])
+            for pt in points:
+                w.writerow([pt.value, *aggregate_csv_rows(pt.result)[-1]])
     else:
         doc = {
             "axis": args.axis,
@@ -269,28 +262,24 @@ def _cmd_sweep(args) -> int:
                 for pt in points
             ],
         }
-        _emit(json.dumps(_json_safe(doc), indent=2),
-              None if run_dir is None else run_dir / summary_name)
-    _finish_manifest(manifest)
+        _emit_json(_json_safe(doc), target)
     return 0
 
 
 def _cmd_check(args) -> int:
     cfg, cfg_path = _load_config(args)
     data_name = f"theory.{args.format}"
-    run_dir, manifest = _prepare_run_dir(args, "check", cfg, cfg_path, [data_name])
+    run_dir = _prepare_run_dir(args, "check", cfg, cfg_path, [data_name])
     report = theory_report(cfg, horizon=args.horizon)
     target = None if run_dir is None else run_dir / data_name
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["id", "status", "claim", "caveats"])
-        for cid, v in report.conditions:
-            w.writerow([cid.value, v.status, v.detail.get("claim", ""), v.caveats])
-        _emit(buf.getvalue(), target)
+        with _output(target) as fh:
+            w = csv.writer(fh)
+            w.writerow(["id", "status", "claim", "caveats"])
+            for cid, v in report.conditions:
+                w.writerow([cid.value, v.status, v.detail.get("claim", ""), v.caveats])
     else:
-        _emit(json.dumps(report.to_json_dict(), indent=2), target)
-    _finish_manifest(manifest)
+        _emit_json(report.to_json_dict(), target)
     return 0
 
 
@@ -324,8 +313,8 @@ def _cmd_oracle(args) -> int:
             raise BadParameterError(
                 "the closed form under test describes coupled updates; "
                 "use a symmetric config")
-        t = cfg.schedule_t.applied(cfg.k0)
-        s = cfg.schedule_s.applied(cfg.k0)
+        t = float(cfg.schedule_t.applied(cfg.k0, cfg.k0 + 1)[0])
+        s = float(cfg.schedule_s.applied(cfg.k0, cfg.k0 + 1)[0])
         cases.append((cfg.matrix, cfg.probabilities, t, s))
     else:
         for _ in range(args.draws):
@@ -414,17 +403,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.manifest = None  # set once a run directory's manifest is written
     try:
-        return args.func(args)
+        code, error = args.func(args), None
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, f"error: {exc}"
     except RuntimeFailure as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, f"failure: {exc}"
     except Exception as exc:  # noqa: BLE001 - last-resort CLI boundary
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, f"internal error: {type(exc).__name__}: {exc}"
+    if error is not None:
+        print(error, file=sys.stderr)
+    _finish_manifest(args.manifest, error)
+    return code
 
 
 if __name__ == "__main__":

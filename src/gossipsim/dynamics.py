@@ -110,11 +110,12 @@ class Schedule:
     """Weight sequence T_k or S_k.
 
     Kinds: constant value; explicit list with a tail value for slots past the
-    list; power law c*(k+1)^(-p); geometric c*r^k. Values are clipped to
-    (lo, hi) before use because the update law needs strictly positive
-    weights; `clips_at` reports when the clip bites. `ideal` clips only to
-    the mathematically legal range [0, hi] and is what the analytic condition
-    evaluators consume.
+    list; power law c*(k+1)^(-p); geometric c*r^k. `raw` evaluates the
+    sequence over a slot range; overflow saturates to inf. Two clips sit on
+    top of it: `applied` clips to [lo, hi] because the update law needs
+    strictly positive weights and is what the simulators use; `ideal` clips
+    only to the mathematically legal range [0, hi] and is what the analytic
+    condition evaluators consume.
     """
 
     kind: str
@@ -171,68 +172,71 @@ class Schedule:
 
     # -- evaluation ----------------------------------------------------------
 
-    def raw(self, k: int) -> float:
+    def raw(self, k_lo: int, k_hi: int) -> np.ndarray:
+        """The unclipped sequence at slots k_lo .. k_hi - 1 (k_lo >= 0)."""
+        k = np.arange(k_lo, k_hi, dtype=float)
+        with np.errstate(over="ignore", under="ignore"):
+            if self.kind == "power":
+                return self.c * (k + 1.0) ** (-self.p)
+            if self.kind == "geometric":
+                return self.c * np.power(self.r, k)
         if self.kind == "constant":
-            return float(self.value)
-        if self.kind == "explicit":
-            return self.values[k] if k < len(self.values) else float(self.tail_value)
-        if self.kind == "power":
-            return self.c * float(k + 1) ** (-self.p)
-        return self.c * self.r ** k  # geometric
+            return np.full(k.shape, float(self.value))
+        v = np.full(k.shape, float(self.tail_value))  # explicit: the list, then its tail
+        head = self.values[k_lo:k_hi]
+        v[:len(head)] = head
+        return v
 
-    def applied(self, k: int) -> float:
-        """The weight the simulator uses at slot k (numeric clip applied)."""
-        return min(max(self.raw(k), self.lo), self.hi)
+    def applied(self, k_lo: int, k_hi: int) -> np.ndarray:
+        """The weights the simulators use (numeric clip [lo, hi])."""
+        return np.clip(self.raw(k_lo, k_hi), self.lo, self.hi)
 
-    def ideal(self, k: int) -> float:
-        """The weight with only the legal-range clip [0, hi] applied."""
-        return min(max(self.raw(k), 0.0), self.hi)
-
-    def clips_at(self, k: int) -> bool:
-        return self.applied(k) != self.raw(k)
+    def ideal(self, k_lo: int, k_hi: int) -> np.ndarray:
+        """The weights with only the legal-range clip [0, hi] applied."""
+        return np.clip(self.raw(k_lo, k_hi), 0.0, self.hi)
 
     # -- structure queries used by the condition evaluators ------------------
 
-    def constant_value(self) -> float | None:
-        """The applied constant when the sequence provably never varies."""
-        if self.kind == "constant":
-            return self.applied(0)
-        if self.kind == "power" and self.p == 0:
-            return self.applied(0)
-        if self.kind == "geometric" and self.r == 1.0:
-            return self.applied(0)
-        if self.kind == "explicit":
-            vals = set(self.values) | {self.tail_value}
-            if len(vals) == 1:
-                return self.applied(0)
-        return None
+    def constant_value(self, ideal: bool = False) -> float | None:
+        """The clipped constant when the sequence provably never varies:
+        the applied clip by default, the legal-range clip with `ideal`."""
+        if not (self.kind == "constant"
+                or (self.kind == "power" and self.p == 0)
+                or (self.kind == "geometric" and self.r == 1.0)
+                or (self.kind == "explicit" and len({*self.values, self.tail_value}) == 1)):
+            return None
+        return float((self.ideal if ideal else self.applied)(0, 1)[0])
+
+    def _trend(self) -> int:
+        """-1 for a decaying closed form, +1 for a growing one, else 0."""
+        if self.kind == "power":
+            return (self.p < 0) - (self.p > 0)
+        if self.kind == "geometric":
+            return (self.r > 1.0) - (self.r < 1.0)
+        return 0
 
     def limit(self) -> float:
         """lim_k of the ideal sequence."""
-        if self.kind == "constant":
-            return self.ideal(0)
         if self.kind == "explicit":
-            return min(max(float(self.tail_value), 0.0), self.hi)
-        if self.kind == "power":
-            if self.p > 0:
-                return 0.0
-            if self.p == 0:
-                return self.ideal(0)
-            return self.hi
-        # geometric
-        if self.r < 1.0:
-            return 0.0
-        if self.r == 1.0:
-            return self.ideal(0)
-        return self.hi
+            return float(self.ideal(len(self.values), len(self.values) + 1)[0])
+        trend = self._trend()
+        if trend:
+            return self.hi if trend > 0 else 0.0
+        return float(self.ideal(0, 1)[0])
+
+    def decay_exponent(self) -> float | None:
+        """p when the ideal sequence falls to zero like k^(-p). None for every
+        other tail: constants and explicit tails hold their limit from some
+        slot on, growing sequences reach the ceiling (or grow without bound
+        when there is none), and geometric decay beats every power."""
+        return self.p if self.kind == "power" and self.p > 0 else None
 
     def ideal_range(self) -> tuple[float, float]:
         """(inf, sup) of the ideal sequence over all k >= 0."""
         if self.kind == "explicit":
-            vals = [min(max(float(v), 0.0), self.hi) for v in self.values]
-            vals.append(min(max(float(self.tail_value), 0.0), self.hi))
-            return min(vals), max(vals)
-        first = self.ideal(0)
+            vals = self.ideal(0, len(self.values) + 1)  # the list, then the tail
+            return float(vals.min()), float(vals.max())
+        first = float(self.ideal(0, 1)[0])
         lim = self.limit()
         return min(first, lim), max(first, lim)
 
@@ -240,15 +244,12 @@ class Schedule:
         """"constant", "nonincreasing", "nondecreasing", or None."""
         if self.constant_value() is not None:
             return "constant"
-        if self.kind == "power":
-            return "nonincreasing" if self.p > 0 else "nondecreasing"
-        if self.kind == "geometric":
-            return "nonincreasing" if self.r < 1.0 else "nondecreasing"
+        if self.kind != "explicit":
+            return "nonincreasing" if self._trend() < 0 else "nondecreasing"
         # explicit: inspect the clipped sequence including the tail
-        seq = [min(max(float(v), 0.0), self.hi) for v in self.values]
-        seq.append(min(max(float(self.tail_value), 0.0), self.hi))
-        noninc = all(a >= b for a, b in zip(seq, seq[1:]))
-        nondec = all(a <= b for a, b in zip(seq, seq[1:]))
+        step = np.diff(self.ideal(0, len(self.values) + 1))
+        noninc = bool((step <= 0.0).all())
+        nondec = bool((step >= 0.0).all())
         if noninc and nondec:
             return "constant"
         if noninc:
@@ -390,6 +391,8 @@ def run_trajectory(matrix: SelectionMatrix, mode: UpdateMode,
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise BadHorizonError(f"steps must be a nonnegative integer, got {steps}")
+    if not isinstance(k0, (int, np.integer)) or k0 < 0:
+        raise BadHorizonError(f"k0 must be a nonnegative integer, got {k0}")
     wanted = set(int(c) for c in (checkpoints or []))
     for c in wanted:
         if not k0 <= c <= k0 + steps:
@@ -416,15 +419,17 @@ def run_trajectory(matrix: SelectionMatrix, mode: UpdateMode,
         record(k0, state.x)
         next_cp = next(cp_iter, None)
 
+    t_vals = schedule_t.applied(k0, k0 + steps)
+    s_vals = schedule_s.applied(k0, k0 + steps)
+    clipped = (t_vals != schedule_t.raw(k0, k0 + steps)) \
+        | (s_vals != schedule_s.raw(k0, k0 + steps))
+    t_vals, s_vals = t_vals.tolist(), s_vals.tolist()
     for k in range(k0, k0 + steps):
         if not result.diverged:
             i, j = sample_pair(matrix, rng, cdfs)
             ev_i, ev_j = sample_events(mode, probs, rng)
-            t_k = schedule_t.applied(k)
-            s_k = schedule_s.applied(k)
-            if schedule_t.clips_at(k) or schedule_s.clips_at(k):
-                result.clipped_slots += 1
-            outcome = StepOutcome(i=i, j=j, event_i=ev_i, event_j=ev_j, t_k=t_k, s_k=s_k)
+            outcome = StepOutcome(i=i, j=j, event_i=ev_i, event_j=ev_j,
+                                  t_k=t_vals[k - k0], s_k=s_vals[k - k0])
             try:
                 state = apply_step(state, outcome)
             except NonFiniteStateError:
@@ -437,4 +442,7 @@ def run_trajectory(matrix: SelectionMatrix, mode: UpdateMode,
             record(state.k, state.x)
             next_cp = next(cp_iter, None)
 
+    # clipping is counted over the slots that ran, i.e. up to a freeze
+    live = steps if result.diverged_at is None else result.diverged_at - k0
+    result.clipped_slots = int(clipped[:live].sum())
     return result

@@ -7,7 +7,7 @@ slot). The scalar path (`run_trial`) and the vectorized engine
 (`run_trials`) follow the same consumption order and use the same arithmetic
 expressions, so their trajectories and measures agree bit for bit; the
 vectorized engine is what `run_experiment` uses. Per-trial streams also make
-results independent of chunking and of the GOSSIP_THREADS thread count.
+results independent of how trials are chunked.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -53,14 +52,15 @@ __all__ = [
     "run_trials",
     "run_experiment",
     "sweep",
+    "sweep_values",
     "set_by_path",
+    "AGG_COLUMNS",
+    "aggregate_csv_rows",
     "write_aggregate_csv",
     "aggregate_json_dict",
     "write_trajectory_csv",
-    "THREADS_ENV",
 ]
 
-THREADS_ENV = "GOSSIP_THREADS"
 CHUNK_TRIALS = 256
 STEP_BLOCK = 1024
 HEAVY_TAIL_KURTOSIS = 10.0
@@ -158,8 +158,8 @@ class ExperimentConfig:
             raise BadParameterError(f"steps must be a nonnegative integer, got {self.steps}")
         if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
             raise BadParameterError(f"trials must be a positive integer, got {self.trials}")
-        if not isinstance(self.k0, (int, np.integer)):
-            raise BadParameterError(f"k0 must be an integer, got {self.k0}")
+        if not isinstance(self.k0, (int, np.integer)) or self.k0 < 0:
+            raise BadParameterError(f"k0 must be a nonnegative integer, got {self.k0}")
         if not isinstance(self.base_seed, (int, np.integer)) \
                 or not 0 <= self.base_seed < 2 ** 64:
             raise BadParameterError("seed must be an integer in [0, 2^64)")
@@ -430,8 +430,8 @@ def _simulate_chunk(cfg: ExperimentConfig, lo: int, hi: int,
         u = np.empty((m, b, d))
         for r in alive_idx:
             u[r] = rngs[r].random((b, d))
-        t_vals = [cfg.schedule_t.applied(kk) for kk in range(k, k + b)]
-        s_vals = [cfg.schedule_s.applied(kk) for kk in range(k, k + b)]
+        t_vals = cfg.schedule_t.applied(k, k + b).tolist()
+        s_vals = cfg.schedule_s.applied(k, k + b).tolist()
         for step in range(b):
             kk = k + step
             if alive_idx.size:
@@ -483,41 +483,19 @@ def _simulate_chunk(cfg: ExperimentConfig, lo: int, hi: int,
     div_out[lo:hi] = diverged_at
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None or raw == "":
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise BadParameterError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise BadParameterError(f"{THREADS_ENV} must be >= 1, got {count}")
-    return count
-
-
 def run_trials(config: ExperimentConfig) -> TrialMatrices:
     """Run every trial on the vectorized engine.
 
     Trials are split into fixed chunks; each chunk writes disjoint row slices
-    of preallocated result arrays, so the outcome is identical whether chunks
-    run sequentially or on the GOSSIP_THREADS thread pool.
+    of preallocated result arrays.
     """
     trials = config.trials
     ncp = len(config.checkpoints)
     l_mat = np.empty((trials, ncp))
     s_mat = np.empty((trials, ncp))
     div = np.empty(trials, dtype=np.int64)
-    bounds = [(lo, min(lo + CHUNK_TRIALS, trials))
-              for lo in range(0, trials, CHUNK_TRIALS)]
-    threads = _thread_count()
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda be: _simulate_chunk(config, be[0], be[1],
-                                                     l_mat, s_mat, div), bounds))
-    else:
-        for lo, hi in bounds:
-            _simulate_chunk(config, lo, hi, l_mat, s_mat, div)
+    for lo in range(0, trials, CHUNK_TRIALS):
+        _simulate_chunk(config, lo, min(lo + CHUNK_TRIALS, trials), l_mat, s_mat, div)
     return TrialMatrices(checkpoints=config.checkpoints, dispersion=l_mat,
                          spread=s_mat, diverged_at=div)
 
@@ -609,9 +587,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # sweeps
 # ---------------------------------------------------------------------------
 
+# Config entries that hold integers; a sweep along one of them takes
+# integral values and passes them on as ints.
+INTEGER_KEYS = frozenset({"steps", "trials", "seed", "k0", "matrix.n"})
+
+
 @dataclass
 class SweepPoint:
-    value: float
+    value: float  # an int along an integer key
     result: ExperimentResult
     report: object  # TheoryReport
 
@@ -635,6 +618,21 @@ def set_by_path(d: dict, path: str, value) -> None:
     cur[parts[-1]] = value
 
 
+def sweep_values(axis: str, values) -> list:
+    """Check sweep values: finite numbers, integral along INTEGER_KEYS.
+    Values along an integer key come back as ints, the others unchanged."""
+    out = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise BadAxisError(f"sweep values must be finite numbers, got {v!r}")
+        if axis in INTEGER_KEYS:
+            if v != int(v):
+                raise BadAxisError(f"{axis} takes integer values, got {v!r}")
+            v = int(v)
+        out.append(v)
+    return out
+
+
 def sweep(config_dict: dict, axis: str, values, horizon: int | None = None,
           base_dir: str | Path | None = None) -> list[SweepPoint]:
     """Re-run an experiment for each value of one numeric config entry.
@@ -644,15 +642,14 @@ def sweep(config_dict: dict, axis: str, values, horizon: int | None = None,
     also carries the analytic report for its config.
     """
     points = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise BadAxisError(f"sweep values must be finite numbers, got {v!r}")
+    for v in sweep_values(axis, values):
         d = deepcopy(config_dict)
         set_by_path(d, axis, v)
         cfg = config_from_dict(d, base_dir=base_dir)
         result = run_experiment(cfg)
         report = theory_report(cfg) if horizon is None else theory_report(cfg, horizon)
-        points.append(SweepPoint(value=float(v), result=result, report=report))
+        value = v if axis in INTEGER_KEYS else float(v)
+        points.append(SweepPoint(value=value, result=result, report=report))
     return points
 
 
@@ -660,22 +657,25 @@ def sweep(config_dict: dict, axis: str, values, horizon: int | None = None,
 # output writers
 # ---------------------------------------------------------------------------
 
-_AGG_COLUMNS = ["k", "meanL", "varL", "ciL", "meanSpread", "varSpread",
-                "ciSpread", "nAgreed", "nDiverged", "nUndecided"]
+AGG_COLUMNS = ["k", "meanL", "varL", "ciL", "meanSpread", "varSpread",
+               "ciSpread", "nAgreed", "nDiverged", "nUndecided"]
 
 
-def write_aggregate_csv(result: ExperimentResult, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_AGG_COLUMNS)
-        for idx, k in enumerate(result.checkpoints):
-            w.writerow([
-                k,
-                result.mean_l[idx], result.var_l[idx], result.ci_l[idx],
-                result.mean_spread[idx], result.var_spread[idx], result.ci_spread[idx],
-                result.counts["nAgreed"], result.counts["nDiverged"],
-                result.counts["nUndecided"],
-            ])
+def aggregate_csv_rows(result: ExperimentResult) -> list[list]:
+    """One row per checkpoint, in AGG_COLUMNS order."""
+    counts = result.counts
+    return [[k, result.mean_l[idx], result.var_l[idx], result.ci_l[idx],
+             result.mean_spread[idx], result.var_spread[idx], result.ci_spread[idx],
+             counts["nAgreed"], counts["nDiverged"], counts["nUndecided"]]
+            for idx, k in enumerate(result.checkpoints)]
+
+
+def write_aggregate_csv(result: ExperimentResult, fh: TextIO) -> None:
+    """Write the per-checkpoint aggregate to an open text handle (a file
+    opened with newline="", or stdout)."""
+    w = csv.writer(fh)
+    w.writerow(AGG_COLUMNS)
+    w.writerows(aggregate_csv_rows(result))
 
 
 def aggregate_json_dict(result: ExperimentResult) -> dict:
@@ -699,14 +699,11 @@ def aggregate_json_dict(result: ExperimentResult) -> dict:
     })
 
 
-def write_trajectory_csv(trials: list[TrialResult], n: int, path: str | Path) -> None:
-    header = ["trial", "k"] + [f"x_{i + 1}" for i in range(n)] \
-        + ["H", "h", "spread", "L"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for tr in trials:
-            for state, sample in zip(tr.states, tr.samples):
-                w.writerow([tr.trial, state.k] + [float(v) for v in state.x]
-                           + [sample.x_max, sample.x_min, sample.spread,
-                              sample.dispersion])
+def write_trajectory_csv(trials: list[TrialResult], n: int, fh: TextIO) -> None:
+    """Write every trial's checkpoint states to an open text handle."""
+    w = csv.writer(fh)
+    w.writerow(["trial", "k"] + [f"x_{i + 1}" for i in range(n)] + ["H", "h", "spread", "L"])
+    for tr in trials:
+        for state, sample in zip(tr.states, tr.samples):
+            w.writerow([tr.trial, state.k] + [float(v) for v in state.x]
+                       + [sample.x_max, sample.x_min, sample.spread, sample.dispersion])

@@ -24,7 +24,7 @@ the configured sequences, not about their floored counterparts.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -230,8 +230,8 @@ def contraction(sp: SpectralData, probs: EventProbabilities,
                 schedule_t: Schedule, schedule_s: Schedule,
                 k: int) -> ContractionCoefficients:
     """Envelope coefficients at slot k (uses the weights the simulator applies)."""
-    t = schedule_t.applied(k)
-    s = schedule_s.applied(k)
+    t = float(schedule_t.applied(k, k + 1)[0])
+    s = float(schedule_s.applied(k, k + 1)[0])
     n = len(sp.degrees)
     c = t * (1.0 - t) * probs.alpha - s * (1.0 + s) * probs.gamma
     if c >= 0.0:
@@ -247,93 +247,41 @@ def contraction(sp: SpectralData, probs: EventProbabilities,
 # series decisions (ideal schedule values: legal clip only, no numeric floor)
 # ---------------------------------------------------------------------------
 
-def _const_ideal(s: Schedule) -> float | None:
-    """The (legal-clipped) constant when the sequence provably never varies."""
-    if s.kind == "constant":
-        return s.ideal(0)
-    if s.kind == "power" and s.p == 0:
-        return s.ideal(0)
-    if s.kind == "geometric" and s.r == 1.0:
-        return s.ideal(0)
-    if s.kind == "explicit" and len({*s.values, s.tail_value}) == 1:
-        return s.ideal(0)
-    return None
+def _weight(v: float) -> float:
+    return v
 
 
-def _ideal_array(s: Schedule, horizon: int) -> np.ndarray:
-    k = np.arange(horizon, dtype=float)
-    with np.errstate(over="ignore", under="ignore"):
-        if s.kind == "constant":
-            v = np.full(horizon, float(s.value))
-        elif s.kind == "power":
-            v = s.c * (k + 1.0) ** (-s.p)
-        elif s.kind == "geometric":
-            v = s.c * np.power(s.r, k)
-        else:
-            v = np.full(horizon, float(s.tail_value))
-            m = min(len(s.values), horizon)
-            v[:m] = s.values[:m]
-    return np.clip(v, 0.0, s.hi)
+def _complement(v: float) -> float:
+    return 1.0 - v
 
 
-def _series_t_diverges(s: Schedule) -> bool:
-    """sum_k T_k = infinity?"""
-    c = _const_ideal(s)
-    if c is not None:
-        return c > 0.0
-    if s.kind == "explicit":
-        return min(max(float(s.tail_value), 0.0), s.hi) > 0.0
-    if s.kind == "power":
-        return s.p <= 1.0
-    return s.r >= 1.0  # geometric
+def _weight_complement(v: float) -> float:
+    return v * (1.0 - v)
 
 
-def _series_one_minus_t_diverges(s: Schedule) -> bool:
-    """sum_k (1 - T_k) = infinity? Assumes a weight schedule with hi == 1."""
-    c = _const_ideal(s)
-    if c is not None:
-        return c < 1.0
-    if s.kind == "explicit":
-        return min(max(float(s.tail_value), 0.0), 1.0) < 1.0
-    if s.kind == "power":
-        # p > 0 decays to 0 so terms tend to 1; p < 0 hits the ceiling after
-        # finitely many slots and the terms vanish exactly.
-        return s.p > 0.0
-    return s.r < 1.0  # geometric
+def _series_diverges(s: Schedule, f, power: int = 1) -> bool:
+    """sum_k f(v_k)^power = infinity, for f one of v, 1 - v and v(1 - v)?
 
-
-def _series_t1mt_pow_diverges(s: Schedule, power: int) -> bool:
-    """sum_k (T_k (1 - T_k))^power = infinity?"""
-    c = _const_ideal(s)
-    if c is not None:
-        return 0.0 < c < 1.0
-    if s.kind == "explicit":
-        t = min(max(float(s.tail_value), 0.0), 1.0)
-        return 0.0 < t < 1.0
-    if s.kind == "power":
-        return s.p > 0.0 and s.p * power <= 1.0
-    return False  # geometric, r != 1: decays too fast or hits the ceiling
-
-
-def _series_s_diverges(s: Schedule) -> bool:
-    """sum_k S_k = infinity?"""
-    c = _const_ideal(s)
-    if c is not None:
-        return c > 0.0
-    if s.kind == "explicit":
-        return max(float(s.tail_value), 0.0) > 0.0
-    if s.kind == "power":
-        return s.p <= 1.0
-    return s.r >= 1.0
+    Terms whose limit is positive sum to infinity. Terms that vanish at a
+    limit of zero fall like k^(-p * power) under a power law with exponent
+    p, so they diverge exactly when p * power <= 1, and faster under
+    geometric decay. Every other vanishing tail reaches its limit after
+    finitely many slots (explicit tails, ceiling hits, constants), so the
+    sum is finite.
+    """
+    if f(s.limit()) > 0.0:
+        return True
+    p = s.decay_exponent()
+    return p is not None and p * power <= 1.0
 
 
 def _coefficient_array(st: Schedule, ss: Schedule, probs: EventProbabilities,
                        horizon: int) -> np.ndarray:
     """c_k = T_k(1-T_k)*alpha - S_k(1+S_k)*gamma over the horizon."""
-    t = _ideal_array(st, horizon)
+    t = st.ideal(0, horizon)
     a_term = probs.alpha * t * (1.0 - t) if probs.alpha > 0.0 else np.zeros(horizon)
     if probs.gamma > 0.0:
-        s = _ideal_array(ss, horizon)
+        s = ss.ideal(0, horizon)
         with np.errstate(over="ignore", invalid="ignore"):
             g_term = probs.gamma * s * (1.0 + s)
     else:
@@ -355,7 +303,7 @@ def _coefficient_limit(st: Schedule, ss: Schedule, probs: EventProbabilities) ->
 def _floor_caveat(st: Schedule, ss: Schedule, horizon: int) -> str:
     bits = []
     for name, s in (("T", st), ("S", ss)):
-        if s.limit() < s.lo or (_ideal_array(s, min(horizon, 1024)) < s.lo).any():
+        if s.limit() < s.lo or (s.ideal(0, min(horizon, 1024)) < s.lo).any():
             bits.append(
                 f"simulated {name} weights are floored at {s.lo:g}; "
                 "analysis uses the unfloored sequence"
@@ -371,17 +319,16 @@ def _join_caveats(*parts: str) -> str:
 # condition evaluators
 # ---------------------------------------------------------------------------
 
-def _eval_thm1_nec(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
+def _eval_thm1_nec(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
     st = cfg.schedule_t
-    detail: dict = {"claim": "agreement"}
     if cfg.probabilities.alpha == 0.0:
         detail["reason"] = "attraction probability is zero; spread can never shrink"
         return Verdict(IMPOSSIBLE, detail)
-    t_div = _series_t_diverges(st)
-    one_minus_div = _series_one_minus_t_diverges(st)
+    t_div = _series_diverges(st, _weight)
+    one_minus_div = _series_diverges(st, _complement)
     detail["sum_T_diverges"] = t_div
     detail["sum_one_minus_T_diverges"] = one_minus_div
-    vals = _ideal_array(st, horizon)
+    vals = st.ideal(0, horizon)
     detail["partial_sum_T"] = float(vals.sum())
     detail["partial_sum_one_minus_T"] = float((1.0 - vals).sum())
     if not t_div or not one_minus_div:
@@ -392,15 +339,14 @@ def _eval_thm1_nec(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
                    caveats="necessary condition met; says nothing by itself")
 
 
-def _eval_thm2_nec(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
-    detail: dict = {"claim": "divergence"}
+def _eval_thm2_nec(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
     if cfg.probabilities.gamma == 0.0:
         detail["reason"] = "repulsion probability is zero; spread is non-increasing"
         return Verdict(IMPOSSIBLE, detail)
     ss = cfg.schedule_s
-    s_div = _series_s_diverges(ss)
+    s_div = _series_diverges(ss, _weight)
     detail["product_one_plus_2S_diverges"] = s_div
-    vals = _ideal_array(ss, horizon)
+    vals = ss.ideal(0, horizon)
     with np.errstate(over="ignore"):
         detail["partial_log_product"] = float(np.log1p(2.0 * vals).sum())
     if not s_div:
@@ -410,18 +356,10 @@ def _eval_thm2_nec(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
                    caveats="necessary condition met; says nothing by itself")
 
 
-def _eval_sym_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
-    detail: dict = {"claim": "agreement"}
-    if cfg.mode.variant != "symmetric":
-        return Verdict(INCONCLUSIVE, detail, caveats="applies to coupled updates only")
-    if cfg.probabilities.gamma > 0.0:
-        return Verdict(INCONCLUSIVE, detail,
-                       caveats="applies to repulsion-free dynamics only")
-    if cfg.probabilities.alpha == 0.0:
-        return Verdict(INCONCLUSIVE, detail, caveats="attraction probability is zero")
+def _eval_sym_agree(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
     st = cfg.schedule_t
-    diverges = _series_t1mt_pow_diverges(st, 1)
-    vals = _ideal_array(st, horizon)
+    diverges = _series_diverges(st, _weight_complement)
+    vals = st.ideal(0, horizon)
     detail["series_diverges"] = diverges
     detail["partial_sum"] = float((vals * (1.0 - vals)).sum())
     caveat = _floor_caveat(st, cfg.schedule_s, horizon)
@@ -431,22 +369,14 @@ def _eval_sym_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
                    caveats=_join_caveats("sum of T_k(1-T_k) is finite; sufficiency lost", caveat))
 
 
-def _eval_sym_threshold(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
-    detail: dict = {"claim": "agreement"}
-    if cfg.mode.variant != "symmetric":
-        return Verdict(INCONCLUSIVE, detail, caveats="applies to coupled updates only")
-    if cfg.probabilities.gamma > 0.0:
-        return Verdict(INCONCLUSIVE, detail,
-                       caveats="applies to repulsion-free dynamics only")
-    if cfg.probabilities.alpha == 0.0:
-        return Verdict(INCONCLUSIVE, detail, caveats="attraction probability is zero")
+def _eval_sym_threshold(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
     st = cfg.schedule_t
     direction = st.monotone_direction()
     detail["monotone"] = direction
     if direction is None:
         return Verdict(INCONCLUSIVE, detail,
                        caveats="threshold form needs a monotone attraction schedule")
-    diverges = _series_t1mt_pow_diverges(st, 1)
+    diverges = _series_diverges(st, _weight_complement)
     detail["series_diverges"] = diverges
     caveat = _floor_caveat(st, cfg.schedule_s, horizon)
     if diverges:
@@ -455,15 +385,7 @@ def _eval_sym_threshold(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
     return Verdict(IMPOSSIBLE, detail, caveats=caveat)
 
 
-def _eval_asym_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
-    detail: dict = {"claim": "agreement"}
-    if cfg.mode.variant != "asymmetric":
-        return Verdict(INCONCLUSIVE, detail, caveats="applies to one-sided updates only")
-    if cfg.probabilities.gamma > 0.0:
-        return Verdict(INCONCLUSIVE, detail,
-                       caveats="applies to repulsion-free dynamics only")
-    if cfg.probabilities.alpha == 0.0:
-        return Verdict(INCONCLUSIVE, detail, caveats="attraction probability is zero")
+def _eval_asym_agree(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
     st = cfg.schedule_t
     n = cfg.matrix.n
     width = n - 1
@@ -471,10 +393,10 @@ def _eval_asym_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
     # for every supported closed form this diverges exactly when
     # sum (T_k(1-T_k))^(n-1) does, and explicit schedules are decided by
     # their constant tail.
-    diverges = _series_t1mt_pow_diverges(st, width)
+    diverges = _series_diverges(st, _weight_complement, width)
     detail["block_width"] = width
     detail["series_diverges"] = diverges
-    vals = _ideal_array(st, horizon)
+    vals = st.ideal(0, horizon)
     nb = horizon // width
     prod_terms = (vals[: nb * width] * (1.0 - vals[: nb * width])).reshape(nb, width)
     detail["partial_sum"] = float(np.prod(prod_terms, axis=1).sum())
@@ -485,15 +407,7 @@ def _eval_asym_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
                    caveats=_join_caveats("block series is finite; sufficiency lost", caveat))
 
 
-def _eval_asym_agree_mono(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
-    detail: dict = {"claim": "agreement"}
-    if cfg.mode.variant != "asymmetric":
-        return Verdict(INCONCLUSIVE, detail, caveats="applies to one-sided updates only")
-    if cfg.probabilities.gamma > 0.0:
-        return Verdict(INCONCLUSIVE, detail,
-                       caveats="applies to repulsion-free dynamics only")
-    if cfg.probabilities.alpha == 0.0:
-        return Verdict(INCONCLUSIVE, detail, caveats="attraction probability is zero")
+def _eval_asym_agree_mono(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
     st = cfg.schedule_t
     direction = st.monotone_direction()
     detail["monotone"] = direction
@@ -502,9 +416,9 @@ def _eval_asym_agree_mono(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
         return Verdict(INCONCLUSIVE, detail,
                        caveats="needs a monotone attraction schedule")
     n = cfg.matrix.n
-    diverges = _series_t1mt_pow_diverges(st, n - 1)
+    diverges = _series_diverges(st, _weight_complement, n - 1)
     detail["series_diverges"] = diverges
-    vals = _ideal_array(st, horizon)
+    vals = st.ideal(0, horizon)
     detail["partial_sum"] = float(((vals * (1.0 - vals)) ** (n - 1)).sum())
     caveat = _join_caveats(scope_note, _floor_caveat(st, cfg.schedule_s, horizon))
     if diverges:
@@ -524,10 +438,7 @@ def _sym_rep_terms(cfg, sp, horizon, hat: bool) -> np.ndarray:
     return 1.0 - (2.0 / n) * coef
 
 
-def _eval_sym_rep_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
-    detail: dict = {"claim": "agreement"}
-    if cfg.mode.variant != "symmetric":
-        return Verdict(INCONCLUSIVE, detail, caveats="applies to coupled updates only")
+def _eval_sym_rep_agree(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
     st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
     terms = _sym_rep_terms(cfg, sp, horizon, hat=False)
     with np.errstate(divide="ignore", over="ignore"):
@@ -535,7 +446,7 @@ def _eval_sym_rep_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
             if (terms > 0.0).all() else 0.0
     caveat = _floor_caveat(st, ss, horizon)
 
-    ct, cs = _const_ideal(st), _const_ideal(ss)
+    ct, cs = st.constant_value(ideal=True), ss.constant_value(ideal=True)
     if ct is not None and cs is not None:
         # Same expression and association as critical_measure, so the two
         # evaluators agree bit for bit on knife-edge inputs.
@@ -562,7 +473,7 @@ def _eval_sym_rep_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
         return Verdict(INCONCLUSIVE, detail,
                        caveats=_join_caveats("tail coefficient is negative", caveat))
     if pr.gamma == 0.0 and pr.alpha > 0.0:
-        diverges = _series_t1mt_pow_diverges(st, 1)
+        diverges = _series_diverges(st, _weight_complement)
         detail["series_diverges"] = diverges
         if diverges:
             return Verdict(GUARANTEED, detail, caveats=caveat)
@@ -572,10 +483,7 @@ def _eval_sym_rep_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
                    caveats=_join_caveats("tail coefficient limit is zero; not decided analytically", caveat))
 
 
-def _eval_sym_rep_expect_div(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
-    detail: dict = {"claim": "divergence"}
-    if cfg.mode.variant != "symmetric":
-        return Verdict(INCONCLUSIVE, detail, caveats="applies to coupled updates only")
+def _eval_sym_rep_expect_div(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
     st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
     n = cfg.matrix.n
     terms = _sym_rep_terms(cfg, sp, horizon, hat=True)
@@ -584,7 +492,7 @@ def _eval_sym_rep_expect_div(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
         detail["partial_log_product"] = float(logs.sum())
     caveat = _floor_caveat(st, ss, horizon)
 
-    ct, cs = _const_ideal(st), _const_ideal(ss)
+    ct, cs = st.constant_value(ideal=True), ss.constant_value(ideal=True)
     if ct is not None and cs is not None:
         c = ct * (1.0 - ct) * pr.alpha - cs * (1.0 + cs) * pr.gamma
         detail["coefficient"] = c
@@ -609,7 +517,7 @@ def _eval_sym_rep_expect_div(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
         return Verdict(INCONCLUSIVE, detail,
                        caveats=_join_caveats("tail coefficient is positive", caveat))
     if pr.alpha == 0.0 and pr.gamma > 0.0:
-        diverges = _series_s_diverges(ss)
+        diverges = _series_diverges(ss, _weight)
         detail["series_diverges"] = diverges
         if diverges:
             return Verdict(EXPECTED_DIVERGENCE, detail, caveats=caveat)
@@ -619,10 +527,7 @@ def _eval_sym_rep_expect_div(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
                    caveats=_join_caveats("tail coefficient limit is zero; not decided analytically", caveat))
 
 
-def _eval_sym_rep_as_div(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
-    detail: dict = {"claim": "divergence"}
-    if cfg.mode.variant != "symmetric":
-        return Verdict(INCONCLUSIVE, detail, caveats="applies to coupled updates only")
+def _eval_sym_rep_as_div(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
     st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
     if pr.gamma == 0.0:
         return Verdict(INCONCLUSIVE, detail,
@@ -636,8 +541,8 @@ def _eval_sym_rep_as_div(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
         return Verdict(INCONCLUSIVE, detail,
                        caveats="attraction weights are not bounded away from 1/2")
     n = cfg.matrix.n
-    t = _ideal_array(st, horizon)
-    s = _ideal_array(ss, horizon)
+    t = st.ideal(0, horizon)
+    s = ss.ideal(0, horizon)
     if (s <= 0.0).any():
         return Verdict(INCONCLUSIVE, detail,
                        caveats="a repulsion gain of zero appears within the horizon")
@@ -665,10 +570,7 @@ def _eval_sym_rep_as_div(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
                        _floor_caveat(st, ss, horizon)))
 
 
-def _eval_beer_classify(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
-    detail: dict = {}
-    if cfg.mode.variant != "symmetric":
-        return Verdict(INCONCLUSIVE, detail, caveats="applies to coupled updates only")
+def _eval_beer_classify(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
     try:
         d0 = critical_measure(cfg.schedule_t, cfg.schedule_s, cfg.probabilities)
     except UnsupportedScheduleError:
@@ -718,10 +620,7 @@ def _effective_gamma(cfg) -> float:
     return cfg.probabilities.gamma
 
 
-def _eval_asym_rep_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
-    detail: dict = {"claim": "agreement"}
-    if cfg.mode.variant != "asymmetric":
-        return Verdict(INCONCLUSIVE, detail, caveats="applies to one-sided updates only")
+def _eval_asym_rep_agree(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
     st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
     _, s_sup = ss.ideal_range()
     if not math.isfinite(s_sup):
@@ -734,8 +633,8 @@ def _eval_asym_rep_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
     detail["attraction_chain_weight"] = chain
     detail["any_repulsion_weight"] = any_rep
 
-    t = _ideal_array(st, horizon)
-    s = _ideal_array(ss, horizon)
+    t = st.ideal(0, horizon)
+    s = ss.ideal(0, horizon)
     nb = horizon // width
     t_hat = np.prod((t[: nb * width] * (1.0 - t[: nb * width])).reshape(nb, width), axis=1)
     s_hat = np.prod((1.0 + s[: nb * width]).reshape(nb, width), axis=1)
@@ -745,14 +644,14 @@ def _eval_asym_rep_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
             if (terms > 0.0).all() else 0.0
     caveat = _floor_caveat(st, ss, horizon)
 
-    ct, cs = _const_ideal(st), _const_ideal(ss)
+    ct, cs = st.constant_value(ideal=True), ss.constant_value(ideal=True)
     if ct is not None and cs is not None:
         e = 1.0 - chain * (ct * (1.0 - ct)) ** width \
             + any_rep * ((1.0 + cs) ** width - 1.0)
         detail["block_factor"] = e
         if e < 1.0:
             return Verdict(GUARANTEED, detail, caveats=caveat)
-        if pr.gamma == 0.0 and a_eff > 0.0 and _series_t1mt_pow_diverges(st, width):
+        if pr.gamma == 0.0 and a_eff > 0.0 and _series_diverges(st, _weight_complement, width):
             return Verdict(GUARANTEED, detail, caveats=caveat)
         return Verdict(INCONCLUSIVE, detail,
                        caveats=_join_caveats("block factor is not below one", caveat))
@@ -764,7 +663,7 @@ def _eval_asym_rep_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
     if e_inf < 1.0:
         return Verdict(GUARANTEED, detail, caveats=caveat)
     if e_inf == 1.0 and pr.gamma == 0.0 and a_eff > 0.0:
-        diverges = _series_t1mt_pow_diverges(st, width)
+        diverges = _series_diverges(st, _weight_complement, width)
         detail["series_diverges"] = diverges
         if diverges:
             return Verdict(GUARANTEED, detail, caveats=caveat)
@@ -772,10 +671,7 @@ def _eval_asym_rep_agree(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
                    caveats=_join_caveats("tail block factor is not below one", caveat))
 
 
-def _eval_asym_rep_as_div(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
-    detail: dict = {"claim": "divergence"}
-    if cfg.mode.variant != "asymmetric":
-        return Verdict(INCONCLUSIVE, detail, caveats="applies to one-sided updates only")
+def _eval_asym_rep_as_div(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
     st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
     if pr.gamma == 0.0:
         return Verdict(INCONCLUSIVE, detail,
@@ -789,8 +685,8 @@ def _eval_asym_rep_as_div(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
                        caveats="attraction weights reach one; the shrink term is unbounded")
     n = cfg.matrix.n
     g_eff = _effective_gamma(cfg)
-    t = _ideal_array(st, horizon)
-    s = _ideal_array(ss, horizon)
+    t = st.ideal(0, horizon)
+    s = ss.ideal(0, horizon)
     log1p_s = np.log1p(s)
     log1m_t = np.log1p(-t)
     best = (-math.inf, None)
@@ -819,13 +715,10 @@ def _eval_asym_rep_as_div(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
                        _floor_caveat(st, ss, horizon)))
 
 
-def _eval_asym_const(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
-    detail: dict = {}
-    if cfg.mode.variant != "asymmetric":
-        return Verdict(INCONCLUSIVE, detail, caveats="applies to one-sided updates only")
+def _eval_asym_const(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
     st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
-    t = _const_ideal(st)
-    s = _const_ideal(ss)
+    t = st.constant_value(ideal=True)
+    s = ss.constant_value(ideal=True)
     if t is None or s is None:
         return Verdict(INCONCLUSIVE, detail,
                        caveats="applies to time-invariant schedules only")
@@ -873,42 +766,55 @@ def _eval_asym_const(cfg, sp, horizon, tau_grid, z_max) -> Verdict:
     return Verdict(INCONCLUSIVE, detail, caveats=caveats)
 
 
-_EVALUATORS = {
-    ConditionId.THM1_NEC: _eval_thm1_nec,
-    ConditionId.THM2_NEC: _eval_thm2_nec,
-    ConditionId.SYM_AGREE: _eval_sym_agree,
-    ConditionId.SYM_THRESHOLD: _eval_sym_threshold,
-    ConditionId.ASYM_AGREE: _eval_asym_agree,
-    ConditionId.ASYM_AGREE_MONO: _eval_asym_agree_mono,
-    ConditionId.SYM_REP_AGREE: _eval_sym_rep_agree,
-    ConditionId.SYM_REP_EXPECT_DIV: _eval_sym_rep_expect_div,
-    ConditionId.SYM_REP_AS_DIV: _eval_sym_rep_as_div,
-    ConditionId.BEER_CLASSIFY: _eval_beer_classify,
-    ConditionId.ASYM_REP_AGREE: _eval_asym_rep_agree,
-    ConditionId.ASYM_REP_AS_DIV: _eval_asym_rep_as_div,
-    ConditionId.ASYM_CONST: _eval_asym_const,
+@dataclass(frozen=True)
+class _Condition:
+    """A condition's scope and its evaluator. `variant` None covers both
+    update modes; `claim` None means the claim depends on the verdict."""
+
+    variant: str | None
+    claim: str | None
+    evaluate: Callable[..., Verdict]
+    repulsion_free: bool = False
+    needs_attraction: bool = False
+
+
+_CONDITIONS = {
+    ConditionId.THM1_NEC: _Condition(None, "agreement", _eval_thm1_nec),
+    ConditionId.THM2_NEC: _Condition(None, "divergence", _eval_thm2_nec),
+    ConditionId.SYM_AGREE: _Condition("symmetric", "agreement", _eval_sym_agree, True, True),
+    ConditionId.SYM_THRESHOLD: _Condition("symmetric", "agreement", _eval_sym_threshold,
+                                          True, True),
+    ConditionId.ASYM_AGREE: _Condition("asymmetric", "agreement", _eval_asym_agree, True, True),
+    ConditionId.ASYM_AGREE_MONO: _Condition("asymmetric", "agreement", _eval_asym_agree_mono,
+                                            True, True),
+    ConditionId.SYM_REP_AGREE: _Condition("symmetric", "agreement", _eval_sym_rep_agree),
+    ConditionId.SYM_REP_EXPECT_DIV: _Condition("symmetric", "divergence",
+                                               _eval_sym_rep_expect_div),
+    ConditionId.SYM_REP_AS_DIV: _Condition("symmetric", "divergence", _eval_sym_rep_as_div),
+    ConditionId.BEER_CLASSIFY: _Condition("symmetric", None, _eval_beer_classify),
+    ConditionId.ASYM_REP_AGREE: _Condition("asymmetric", "agreement", _eval_asym_rep_agree),
+    ConditionId.ASYM_REP_AS_DIV: _Condition("asymmetric", "divergence", _eval_asym_rep_as_div),
+    ConditionId.ASYM_CONST: _Condition("asymmetric", None, _eval_asym_const),
 }
 
-_SYMMETRIC_CONDITIONS = (
-    ConditionId.THM1_NEC,
-    ConditionId.THM2_NEC,
-    ConditionId.SYM_AGREE,
-    ConditionId.SYM_THRESHOLD,
-    ConditionId.SYM_REP_AGREE,
-    ConditionId.SYM_REP_EXPECT_DIV,
-    ConditionId.SYM_REP_AS_DIV,
-    ConditionId.BEER_CLASSIFY,
-)
+_VARIANT_CAVEATS = {"symmetric": "applies to coupled updates only",
+                    "asymmetric": "applies to one-sided updates only"}
 
-_ASYMMETRIC_CONDITIONS = (
-    ConditionId.THM1_NEC,
-    ConditionId.THM2_NEC,
-    ConditionId.ASYM_AGREE,
-    ConditionId.ASYM_AGREE_MONO,
-    ConditionId.ASYM_REP_AGREE,
-    ConditionId.ASYM_REP_AS_DIV,
-    ConditionId.ASYM_CONST,
-)
+
+def _evaluate(cid: ConditionId, cfg, sp, horizon, tau_grid, z_max) -> Verdict:
+    """Check the condition's declared scope (update mode, then repulsion,
+    then attraction), and run its evaluator when the config is in scope."""
+    cond = _CONDITIONS[cid]
+    detail: dict = {} if cond.claim is None else {"claim": cond.claim}
+    if cond.variant is not None and cfg.mode.variant != cond.variant:
+        caveat = _VARIANT_CAVEATS[cond.variant]
+    elif cond.repulsion_free and cfg.probabilities.gamma > 0.0:
+        caveat = "applies to repulsion-free dynamics only"
+    elif cond.needs_attraction and cfg.probabilities.alpha == 0.0:
+        caveat = "attraction probability is zero"
+    else:
+        return cond.evaluate(cfg, sp, detail, horizon, tau_grid, z_max)
+    return Verdict(INCONCLUSIVE, detail, caveats=caveat)
 
 
 def _check_search_params(config, horizon, tau_grid, z_max) -> tuple[float, ...]:
@@ -937,7 +843,7 @@ def evaluate_condition(config: "ExperimentConfig", condition: ConditionId | str,
         condition = ConditionId(condition)
     grid = _check_search_params(config, horizon, tau_grid, z_max)
     sp = spectral(config.matrix)
-    return _EVALUATORS[condition](config, sp, int(horizon), grid, int(z_max))
+    return _evaluate(condition, config, sp, int(horizon), grid, int(z_max))
 
 
 def theory_report(config: "ExperimentConfig",
@@ -952,10 +858,9 @@ def theory_report(config: "ExperimentConfig",
     """
     grid = _check_search_params(config, horizon, tau_grid, z_max)
     sp = spectral(config.matrix)
-    ids = _SYMMETRIC_CONDITIONS if config.mode.variant == "symmetric" \
-        else _ASYMMETRIC_CONDITIONS
-    conditions = [(cid, _EVALUATORS[cid](config, sp, int(horizon), grid, int(z_max)))
-                  for cid in ids]
+    conditions = [(cid, _evaluate(cid, config, sp, int(horizon), grid, int(z_max)))
+                  for cid in ConditionId
+                  if _CONDITIONS[cid].variant in (None, config.mode.variant)]
 
     d0: float | None = None
     if config.mode.variant == "symmetric":

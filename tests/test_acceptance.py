@@ -195,7 +195,7 @@ def test_criterion_3():
         f"worst ratio {float((mats.spread / h0).min()):.12f} vs rho {rho:.12f}"
 
     # sharper per-slot form: the prefix product of the applied weights
-    applied = np.array([cfg.schedule_t.applied(k) for k in range(steps)])
+    applied = cfg.schedule_t.applied(0, steps)
     prefix = np.concatenate(([1.0], np.cumprod(1.0 - 2.0 * applied)))
     assert (mats.spread >= prefix[None, :] * h0 - 1e-9).all()
     elapsed = time.perf_counter() - start
@@ -242,7 +242,7 @@ def test_criterion_4():
                               x0, 0, steps, np.random.default_rng(rng.integers(2**32)),
                               checkpoints=tuple(range(steps + 1)))
         spreads = np.array([np.ptp(st.x) for st in traj.states])
-        s_applied = np.array([schedule_s.applied(k) for k in range(steps)])
+        s_applied = schedule_s.applied(0, steps)
         cap = (1.0 + 2.0 * s_applied) * spreads[:-1] + 1e-9
         assert (spreads[1:] <= cap).all(), f"case {case}"
         if repulsion_free:

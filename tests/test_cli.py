@@ -43,6 +43,7 @@ def test_experiment_run_directory(tmp_path):
     assert manifest["command"] == "experiment"
     assert manifest["outputs"] == ["aggregate.csv"]
     assert manifest["finishedAt"] is not None
+    assert manifest["status"] == "ok" and manifest["error"] is None
     assert len(manifest["configHash"]) == 16
     assert manifest["seed"] == 1
     assert manifest["config"]["steps"] == 30
@@ -85,13 +86,52 @@ def test_experiment_stdout_when_no_out(tmp_path, capsys):
 
 
 def test_manifest_written_before_trials(tmp_path):
-    # a config that passes validation but fails during classification leaves
-    # a manifest with finishedAt unset
+    # a config that passes validation but fails during classification still
+    # leaves its manifest, finalized as a failure with the error
     cfg = write_config(tmp_path, bigM=1.0)
     out = tmp_path / "run"
     assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["finishedAt"] is None
+    assert manifest["config"]["bigM"] == 1.0
+    assert manifest["status"] == "failed"
+    assert manifest["finishedAt"] is not None
+    assert "initial spread" in manifest["error"]
+
+
+@pytest.mark.parametrize("command", ["experiment", "simulate", "sweep", "check"])
+def test_csv_stdout_matches_run_directory(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, trials=3, steps=10)
+    extra = ["--axis", "schedules.S.value", "--values", "0.02,0.2"] \
+        if command == "sweep" else []
+    argv = [command, "--config", str(cfg), "--format", "csv", *extra]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 0
+    name = {"experiment": "aggregate", "simulate": "trajectory",
+            "sweep": "sweep", "check": "theory"}[command]
+    assert (tmp_path / "run" / f"{name}.csv").read_bytes() == printed.encode()
+
+
+def test_negative_k0_is_a_config_error(tmp_path, capsys):
+    explicit = write_config(tmp_path, name="explicit.json", k0=-3,
+                            schedules={"T": {"kind": "explicit", "values": [0.5, 0.3],
+                                             "tail": 0.25},
+                                       "S": {"kind": "constant", "value": 0.05}})
+    power = write_config(tmp_path, name="power.json", k0=-3,
+                         schedules={"T": {"kind": "power", "c": 0.5, "p": 0.5},
+                                    "S": {"kind": "constant", "value": 0.05}})
+    for cfg in (explicit, power):
+        assert cli.main(["experiment", "--config", str(cfg)]) == 2
+        assert "k0 must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_experiment_survives_overflowing_geometric_schedule(tmp_path, capsys):
+    # 1.5 ** k overflows past slot 1750; the weight saturates at T's ceiling
+    cfg = write_config(tmp_path, trials=2, steps=3000,
+                       schedules={"T": {"kind": "geometric", "c": 0.1, "r": 1.5},
+                                  "S": {"kind": "constant", "value": 0.05}})
+    assert cli.main(["experiment", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("k,meanL")
 
 
 def test_simulate_stdout_csv(tmp_path, capsys):
@@ -170,6 +210,22 @@ def test_sweep_run_directory(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "sweep.csv" in manifest["outputs"]
     assert "schedules.S.value=0.02/theory.json" in manifest["outputs"]
+
+
+def test_sweep_integer_axis(tmp_path, capsys):
+    cfg = write_config(tmp_path, trials=2)
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--config", str(cfg), "--axis", "steps",
+                     "--values", "10,20", "--out", str(out)]) == 0
+    summary = (out / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in summary[1:]] == [["10", "10"], ["20", "20"]]
+    assert (out / "steps=10" / "aggregate.csv").exists()
+    assert cli.main(["sweep", "--config", str(cfg), "--axis", "trials",
+                     "--values", "1e1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["points"][0]["value"] == 10
+    assert cli.main(["sweep", "--config", str(cfg), "--axis", "steps",
+                     "--values", "10.5"]) == 2
+    assert "integer" in capsys.readouterr().err
 
 
 def test_sweep_value_and_axis_errors(tmp_path, capsys):

@@ -57,32 +57,37 @@ def test_update_mode_validation():
 
 def test_schedule_constant():
     s = Schedule.constant(0.25, clip=T_CLIP)
-    assert s.applied(0) == 0.25
-    assert s.applied(10**6) == 0.25
+    assert s.applied(0, 1)[0] == 0.25
+    assert s.applied(10**6, 10**6 + 1)[0] == 0.25
     assert s.constant_value() == 0.25
     assert s.limit() == 0.25
 
 
 def test_schedule_power_and_geometric():
     pw = Schedule.power(0.5, 1.0, clip=T_CLIP)
-    assert pw.raw(0) == 0.5
-    assert pw.raw(3) == 0.125
+    assert pw.raw(0, 4)[0] == 0.5
+    assert pw.raw(0, 4)[3] == 0.125
     assert pw.limit() == 0.0
+    assert pw.decay_exponent() == 1.0
     assert pw.monotone_direction() == "nonincreasing"
 
     geo = Schedule.geometric(0.25, 0.25, clip=T_CLIP)
-    assert geo.raw(1) == 0.0625
+    assert geo.raw(1, 2)[0] == 0.0625
+    assert geo.decay_exponent() is None
     # deep tail clips to the floor in the simulator but not in the ideal view
     k_deep = 200
-    assert geo.applied(k_deep) == T_CLIP[0]
-    assert geo.ideal(k_deep) == pytest.approx(0.25 ** (k_deep + 1), rel=1e-12)
-    assert geo.clips_at(k_deep)
-    assert not geo.clips_at(0)
+    assert geo.applied(k_deep, k_deep + 1)[0] == T_CLIP[0]
+    assert geo.ideal(k_deep, k_deep + 1)[0] == pytest.approx(0.25 ** (k_deep + 1), rel=1e-12)
+    clipped = geo.applied(0, k_deep + 1) != geo.raw(0, k_deep + 1)
+    assert clipped[k_deep]
+    assert not clipped[0]
 
 
 def test_schedule_explicit_tail():
     e = Schedule.explicit([0.5, 0.4], 0.125, clip=T_CLIP)
-    assert [e.applied(k) for k in range(4)] == [0.5, 0.4, 0.125, 0.125]
+    assert e.applied(0, 4).tolist() == [0.5, 0.4, 0.125, 0.125]
+    assert e.applied(1, 3).tolist() == [0.4, 0.125]
+    assert e.applied(5, 7).tolist() == [0.125, 0.125]
     assert e.constant_value() is None
     assert e.limit() == 0.125
 
@@ -95,8 +100,38 @@ def test_schedule_validation_and_clipping():
     with pytest.raises(BadParameterError):
         Schedule.geometric(0.5, -0.25, clip=T_CLIP)
     # out-of-range values clip rather than raise
-    assert Schedule.constant(1.5, clip=T_CLIP).applied(0) == 1.0
-    assert Schedule.constant(-0.5, clip=S_CLIP).applied(0) == S_CLIP[0]
+    assert Schedule.constant(1.5, clip=T_CLIP).applied(0, 1)[0] == 1.0
+    assert Schedule.constant(-0.5, clip=S_CLIP).applied(0, 1)[0] == S_CLIP[0]
+    # the ideal view keeps the legal range only
+    assert Schedule.constant(-0.5, clip=S_CLIP).ideal(0, 1)[0] == 0.0
+    assert Schedule.constant(-0.5, clip=S_CLIP).constant_value(ideal=True) == 0.0
+
+
+def test_schedule_overflow_saturates_and_clips():
+    """r ** k overflows past slot 1750 for r = 1.5; the evaluator saturates
+    to inf, which T clips to its ceiling and S keeps as an unbounded gain."""
+    t = Schedule.geometric(0.1, 1.5, clip=T_CLIP)
+    s = Schedule.geometric(0.1, 1.5, clip=S_CLIP)
+    assert np.isinf(t.raw(1740, 1760)).any()
+    assert (t.applied(1740, 1760) == 1.0).all()
+    assert np.isinf(s.applied(3000, 3001)).all()
+    assert t.limit() == 1.0 and s.limit() == math.inf
+    assert t.monotone_direction() == "nondecreasing"
+
+
+@pytest.mark.parametrize("schedule", [
+    Schedule.power(0.5, 0.6, clip=T_CLIP),
+    Schedule.power(0.3, -0.4, clip=S_CLIP),
+    Schedule.geometric(0.9, 0.99, clip=T_CLIP),
+    Schedule.geometric(0.1, 1.5, clip=S_CLIP),
+    Schedule.explicit([0.5, 0.0, 2.0], 0.25, clip=T_CLIP),
+])
+def test_schedule_blocks_match_one_range(schedule):
+    """Evaluating slot blocks gives the same bits as one pass over the run,
+    which is what lets the engine (per step block) match the scalar path."""
+    whole = schedule.applied(0, 3000)
+    for lo, hi in ((0, 1), (2, 1026), (1024, 2048), (1750, 1751), (2999, 3000)):
+        np.testing.assert_array_equal(schedule.applied(lo, hi), whole[lo:hi])
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +289,8 @@ def test_run_trajectory_checkpoints(ref_matrix):
 def test_run_trajectory_k0_offset(ref_matrix):
     res = run_ref(ref_matrix, k0=5, steps=10, checkpoints=[7])
     assert [st.k for st in res.states] == [5, 7, 15]
+    with pytest.raises(BadHorizonError, match="k0"):
+        run_ref(ref_matrix, k0=-3, steps=10)
 
 
 def test_run_trajectory_freeze_on_overflow(ref_matrix):
@@ -284,6 +321,18 @@ def test_run_trajectory_counts_clipped_slots(ref_matrix):
         np.array([1.0, 2.0, 3.0, 4.0]), 0, 40, rng_for(0))
     # 4^{-(k+1)} < 1e-12 from k=19 on: 21 of 40 slots are floored
     assert res.clipped_slots == 21
+
+
+def test_run_trajectory_counts_clipped_slots_until_freeze(ref_matrix):
+    """T is floored from slot 19 on; only the slots before the freeze count."""
+    res = run_trajectory(
+        ref_matrix, UpdateMode(variant="symmetric"),
+        EventProbabilities(alpha=0.5, beta=0.0, gamma=0.5),
+        Schedule.geometric(0.25, 0.25, clip=T_CLIP),
+        Schedule.geometric(1e-6, 2.0, clip=S_CLIP),
+        np.array([1.0, 2.0, 3.0, 4.0]), 0, 400, rng_for(0))
+    assert res.diverged and 19 < res.diverged_at < 400
+    assert res.clipped_slots == res.diverged_at - 19
 
 
 def test_run_trajectory_rejects_bad_x0(ref_matrix):

@@ -17,7 +17,7 @@ from gossipsim.dynamics import Schedule, S_CLIP, T_CLIP
 from gossipsim.errors import BadAxisError, BadParameterError
 from gossipsim.metrics import Classification
 from gossipsim.montecarlo import (
-    THREADS_ENV,
+    STEP_BLOCK,
     InitialState,
     aggregate_json_dict,
     config_from_dict,
@@ -108,6 +108,8 @@ def test_config_parameter_validation(ref_matrix):
         make_config(ref_matrix, seed=-1)
     with pytest.raises(BadParameterError):
         make_config(ref_matrix, seed=2**64)
+    with pytest.raises(BadParameterError, match="k0"):
+        make_config(ref_matrix, k0=-3)
     with pytest.raises(BadParameterError):
         make_config(ref_matrix, eps_agree=0.0)
     with pytest.raises(BadParameterError):
@@ -192,7 +194,31 @@ def test_config_hash_ignores_key_order_and_tracks_values():
 def parity_cases(ref_matrix):
     uniform_init = InitialState(kind="uniform", low=-1.0, high=2.0)
     freeze_s = Schedule.constant(1e120, clip=S_CLIP)
+    power_t = Schedule.power(0.5, 0.6, clip=T_CLIP)
+    power_s = Schedule.power(0.1, 0.3, clip=S_CLIP)
     return [
+        # time-varying schedules; the engine evaluates them per step block,
+        # the scalar path over the whole run
+        make_config(ref_matrix, trials=6, steps=40, seed=11, schedule_t=power_t,
+                    schedule_s=power_s, checkpoints=(0, 7, 40)),
+        make_config(ref_matrix, trials=6, steps=40, seed=12,
+                    schedule_t=Schedule.explicit([0.9, 0.1, 0.5, 0.3], 0.25, clip=T_CLIP),
+                    schedule_s=Schedule.explicit([0.0, 0.3], 0.05, clip=S_CLIP),
+                    checkpoints=(0, 3, 40)),
+        # r ** k overflows past slot 1750: a growing T sits at its ceiling,
+        # a growing S freezes every trial
+        make_config(ref_matrix, trials=6, steps=30, seed=13, k0=1740,
+                    schedule_t=Schedule.geometric(0.1, 1.5, clip=T_CLIP),
+                    schedule_s=Schedule.geometric(0.2, 0.99, clip=S_CLIP)),
+        make_config(ref_matrix, trials=6, steps=60, seed=14, k0=1700,
+                    alpha=0.2, beta=0.2, gamma=0.6,
+                    schedule_s=Schedule.geometric(1.0, 1.5, clip=S_CLIP)),
+        # k0 > 0 across a step-block boundary of the engine
+        make_config(ref_matrix, variant="asymmetric", active_rule="uniform",
+                    trials=3, steps=STEP_BLOCK + 100, seed=15, k0=1000,
+                    schedule_t=power_t, schedule_s=power_s,
+                    checkpoints=(1000, 1000 + STEP_BLOCK - 1, 1000 + STEP_BLOCK,
+                                 1000 + STEP_BLOCK + 1, 1000 + STEP_BLOCK + 100)),
         make_config(ref_matrix, trials=6, steps=40, seed=5,
                     checkpoints=(0, 7, 40)),
         make_config(ref_matrix, trials=6, steps=40, seed=6, s=0.5,
@@ -245,25 +271,16 @@ def test_run_experiment_is_deterministic(ref_matrix):
     assert a.config_hash == b.config_hash
 
 
-def test_thread_pool_matches_sequential(ref_matrix, monkeypatch):
+def test_results_do_not_depend_on_chunking(ref_matrix):
+    """Rows on both sides of a trial-chunk boundary and in the last, partial
+    chunk equal the scalar path for that trial alone."""
     cfg = make_config(ref_matrix, trials=600, steps=30, seed=77)
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    seq = run_experiment(cfg)
-    monkeypatch.setenv(THREADS_ENV, "4")
-    par = run_experiment(cfg)
-    np.testing.assert_array_equal(seq.mean_l, par.mean_l)
-    np.testing.assert_array_equal(seq.mean_spread, par.mean_spread)
-    np.testing.assert_array_equal(seq.diverged_at, par.diverged_at)
-
-
-def test_thread_env_validation(ref_matrix, monkeypatch):
-    cfg = make_config(ref_matrix, trials=2, steps=5)
-    monkeypatch.setenv(THREADS_ENV, "abc")
-    with pytest.raises(BadParameterError):
-        run_trials(cfg)
-    monkeypatch.setenv(THREADS_ENV, "0")
-    with pytest.raises(BadParameterError):
-        run_trials(cfg)
+    mats = run_trials(cfg)
+    for t in (0, 255, 256, 599):
+        ref = run_trial(cfg, t)
+        np.testing.assert_array_equal(mats.dispersion[t],
+                                      [s.dispersion for s in ref.samples])
+        np.testing.assert_array_equal(mats.spread[t], [s.spread for s in ref.samples])
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +362,15 @@ def test_sweep_value_validation():
     for bad in (True, float("inf"), float("nan"), "0.3"):
         with pytest.raises(BadAxisError):
             sweep(d, "schedules.S.value", [bad])
+    with pytest.raises(BadAxisError, match="integer"):
+        sweep(d, "steps", [10.5])
+
+
+def test_sweep_integer_axis_takes_ints():
+    points = sweep(base_dict(trials=2), "steps", [10.0, 20])
+    assert [p.value for p in points] == [10, 20]
+    assert all(type(p.value) is int for p in points)
+    assert [p.result.checkpoints[-1] for p in points] == [10, 20]
 
 
 def test_sweep_points_match_direct_runs():
@@ -379,7 +405,8 @@ def test_sweep_attraction_weights_all_reach_agreement():
 def test_aggregate_csv_layout(ref_matrix, tmp_path):
     res = run_experiment(make_config(ref_matrix, trials=5, steps=20))
     out = tmp_path / "agg.csv"
-    write_aggregate_csv(res, out)
+    with out.open("w", newline="") as fh:
+        write_aggregate_csv(res, fh)
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["k", "meanL", "varL", "ciL", "meanSpread", "varSpread",
                        "ciSpread", "nAgreed", "nDiverged", "nUndecided"]
@@ -403,7 +430,8 @@ def test_trajectory_csv_layout(ref_matrix, tmp_path):
     cfg = make_config(ref_matrix, trials=3, steps=10, checkpoints=(0, 5, 10))
     trials = [run_trial(cfg, t) for t in range(cfg.trials)]
     out = tmp_path / "traj.csv"
-    write_trajectory_csv(trials, cfg.matrix.n, out)
+    with out.open("w", newline="") as fh:
+        write_trajectory_csv(trials, cfg.matrix.n, fh)
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["trial", "k", "x_1", "x_2", "x_3", "x_4",
                        "H", "h", "spread", "L"]
