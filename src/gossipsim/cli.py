@@ -55,8 +55,8 @@ from .montecarlo import (
 )
 from .theory import (
     DEFAULT_HORIZON,
-    _json_safe,
     expected_second_moment_matrix,
+    json_safe,
     one_slot_expectation_enumerated,
     theory_report,
 )
@@ -150,8 +150,9 @@ def _output(path: Path | None):
 
 
 def _emit_json(doc, path: Path | None) -> None:
+    """Write `doc` as JSON, with non-finite floats as strings."""
     with _output(path) as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(json.dumps(json_safe(doc), indent=2) + "\n")
 
 
 def _cmd_simulate(args) -> int:
@@ -181,7 +182,7 @@ def _cmd_simulate(args) -> int:
                 for tr in trials
             ],
         }
-        _emit_json(_json_safe(doc), target)
+        _emit_json(doc, target)
     return 0
 
 
@@ -235,7 +236,7 @@ def _cmd_sweep(args) -> int:
                     write_aggregate_csv(pt.result, fh)
             else:
                 _emit_json(aggregate_json_dict(pt.result), sub / "aggregate.json")
-            _emit_json(_json_safe(pt.report.to_json_dict()), sub / "theory.json")
+            _emit_json(pt.report.to_json_dict(), sub / "theory.json")
 
     target = None if run_dir is None else run_dir / summary_name
     if args.format == "csv":
@@ -262,7 +263,7 @@ def _cmd_sweep(args) -> int:
                 for pt in points
             ],
         }
-        _emit_json(_json_safe(doc), target)
+        _emit_json(doc, target)
     return 0
 
 

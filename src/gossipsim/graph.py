@@ -149,7 +149,10 @@ def validate(entries: np.ndarray | list[list[float]]) -> SelectionMatrix:
         A row sum farther than 1e-9 from one. Rows are never silently
         renormalized; fixing the input is the caller's job.
     """
-    a = np.array(entries, dtype=float)
+    try:
+        a = np.array(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadParameterError(f"matrix entries must be an array of numbers: {exc}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MatrixTooSmallError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from copy import deepcopy
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +36,7 @@ from .errors import BadAxisError, BadParameterError
 from .graph import SelectionMatrix, generate, import_matrix_csv, import_matrix_json, \
     induced_graph, is_weakly_connected, validate
 from .metrics import Classification, classify, measure
-from .theory import _json_safe, theory_report
+from .theory import json_safe, theory_report
 
 __all__ = [
     "InitialState",
@@ -196,43 +197,81 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 _GENERATOR_KEYS = {"p": "p", "m": "m", "kNn": "k_nn", "pRewire": "p_rewire"}
+_SCHEDULE_KEYS = {"constant": (("value",), ()), "explicit": (("tail",), ("values",)),
+                  "power": (("c", "p"), ()), "geometric": (("c", "r"), ())}
+_INITIAL_KEYS = {"ramp": ((), ()), "explicit": (("values",), ()),
+                 "uniform": ((), ("low", "high"))}
 
 
-def _matrix_from_dict(d: dict, base_dir: Path | None) -> SelectionMatrix:
-    kind = d.get("kind", "explicit")
+def _keys(name: str, d, required=(), optional=()) -> dict:
+    """`d` itself once it is an object with every required key and no key
+    outside `required` and `optional`."""
+    if not isinstance(d, dict):
+        raise BadParameterError(f"{name} must be an object, got {d!r}")
+    missing = sorted(set(required) - set(d))
+    if missing:
+        raise BadParameterError(f"{name} is missing {missing}")
+    unknown = sorted(set(d) - set(required) - set(optional))
+    if unknown:
+        raise BadParameterError(f"unknown {name} keys: {unknown}")
+    return d
+
+
+def _kind(name: str, d, default: str, kinds: dict) -> str:
+    """The kind of an object whose keys, (required, optional), depend on it."""
+    kind = d.get("kind", default) if isinstance(d, dict) else default
+    if kind not in kinds:
+        raise BadParameterError(f"unknown {name} kind {kind!r}")
+    required, optional = kinds[kind]
+    _keys(name, d, required, ("kind", *optional))
+    return kind
+
+
+def _num(name: str, v, integer: bool = False):
+    """`v` itself when it is a number, an integer if asked; strings and
+    bools are refused."""
+    if isinstance(v, (bool, np.bool_)) \
+            or not isinstance(v, numbers.Integral if integer else numbers.Real):
+        raise BadParameterError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                                f"got {v!r}")
+    return v
+
+
+def _nums(name: str, v, integer: bool = False) -> list:
+    if not isinstance(v, (list, tuple)):
+        raise BadParameterError(f"{name} must be a list of numbers, got {v!r}")
+    return [_num(name, x, integer) for x in v]
+
+
+def _matrix_from_dict(d, base_dir: Path | None) -> SelectionMatrix:
+    kind = d.get("kind", "explicit") if isinstance(d, dict) else "explicit"
     if kind == "explicit":
-        if "rows" not in d:
-            raise BadParameterError("matrix kind 'explicit' needs 'rows'")
-        return validate(d["rows"])
+        return validate(_keys("matrix", d, ("rows",), ("kind",))["rows"])
     if kind == "file":
-        path = Path(d["path"])
+        path = Path(_keys("matrix", d, ("path",), ("kind",))["path"])
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        if path.suffix.lower() == ".json":
-            return import_matrix_json(path)
-        return import_matrix_csv(path)
-    params = {}
-    for key, kwarg in _GENERATOR_KEYS.items():
-        if key in d:
-            params[kwarg] = d[key]
-    known = {"kind", "n", "seed"} | set(_GENERATOR_KEYS)
-    unknown = set(d) - known
-    if unknown:
-        raise BadParameterError(f"unknown matrix keys: {sorted(unknown)}")
-    return generate(kind, d["n"], seed=d.get("seed"), **params)
+        read = import_matrix_json if path.suffix.lower() == ".json" else import_matrix_csv
+        try:
+            return read(path)
+        except OSError as exc:
+            raise BadParameterError(f"cannot read matrix file {path}: {exc}") from None
+    _keys("matrix", d, ("n",), ("kind", "seed", *_GENERATOR_KEYS))
+    params = {kwarg: _num(f"matrix.{key}", d[key], key in ("m", "kNn"))
+              for key, kwarg in _GENERATOR_KEYS.items() if key in d}
+    seed = d.get("seed")
+    return generate(kind, _num("matrix.n", d["n"], True),
+                    seed=None if seed is None else _num("matrix.seed", seed, True), **params)
 
 
-def _schedule_from_dict(d: dict, clip: tuple[float, float]) -> Schedule:
-    kind = d.get("kind", "constant")
-    if kind == "constant":
-        return Schedule.constant(d["value"], clip=clip)
-    if kind == "explicit":
-        return Schedule.explicit(d.get("values", ()), d["tail"], clip=clip)
-    if kind == "power":
-        return Schedule.power(d["c"], d["p"], clip=clip)
-    if kind == "geometric":
-        return Schedule.geometric(d["c"], d["r"], clip=clip)
-    raise BadParameterError(f"unknown schedule kind {kind!r}")
+def _schedule_from_dict(name: str, d, clip: tuple[float, float]) -> Schedule:
+    """Build a schedule from its JSON keys, which name the Schedule fields
+    except for `tail` (`tail_value`)."""
+    kind = _kind(name, d, "constant", _SCHEDULE_KEYS)
+    fields = {("tail_value" if key == "tail" else key): _num(f"{name}.{key}", v)
+              for key, v in d.items() if key not in ("kind", "values")}
+    return Schedule(kind=kind, values=tuple(_nums(f"{name}.values", d.get("values", ()))),
+                    lo=clip[0], hi=clip[1], **fields)
 
 
 def _schedule_to_dict(s: Schedule) -> dict:
@@ -245,13 +284,11 @@ def _schedule_to_dict(s: Schedule) -> dict:
     return {"kind": "geometric", "c": s.c, "r": s.r}
 
 
-def _initial_from_dict(d: dict) -> InitialState:
-    kind = d.get("kind", "ramp")
-    if kind == "explicit":
-        return InitialState(kind="explicit", values=tuple(d["values"]))
-    if kind == "uniform":
-        return InitialState(kind="uniform", low=d.get("low", 0.0), high=d.get("high", 1.0))
-    return InitialState(kind=kind)
+def _initial_from_dict(d) -> InitialState:
+    kind = _kind("initial", d, "ramp", _INITIAL_KEYS)
+    return InitialState(kind=kind, low=_num("initial.low", d.get("low", 0.0)),
+                        high=_num("initial.high", d.get("high", 1.0)),
+                        values=tuple(_nums("initial.values", d.get("values", ()))))
 
 
 _CONFIG_KEYS = {
@@ -261,40 +298,37 @@ _CONFIG_KEYS = {
 
 
 def config_from_dict(d: dict, base_dir: str | Path | None = None) -> ExperimentConfig:
-    """Build a config from its JSON form. Unknown keys are rejected so typos
-    fail loudly instead of silently running the defaults."""
-    unknown = set(d) - _CONFIG_KEYS
-    if unknown:
-        raise BadParameterError(f"unknown config keys: {sorted(unknown)}")
-    for required in ("matrix", "probabilities", "schedules", "steps"):
-        if required not in d:
-            raise BadParameterError(f"config is missing {required!r}")
+    """Build a config from its JSON form. Every object is checked for
+    missing and unknown keys and every number for its type, so typos fail
+    loudly instead of silently running the defaults."""
+    _keys("config", d, ("matrix", "probabilities", "schedules", "steps"), _CONFIG_KEYS)
     sched_d = d["schedules"]
     if not isinstance(sched_d, dict) or "T" not in sched_d or "S" not in sched_d:
         raise BadParameterError("config 'schedules' needs both 'T' and 'S' entries")
+    _keys("schedules", sched_d, ("T", "S"))
     base = Path(base_dir) if base_dir is not None else None
-    mode_d = d.get("mode", {})
+    mode_d = _keys("mode", d.get("mode", {}), (), ("variant", "activeRule"))
     mode = UpdateMode(variant=mode_d.get("variant", "symmetric"),
                       active_rule=mode_d.get("activeRule", "uniform"))
-    probs_d = d["probabilities"]
-    probs = EventProbabilities(alpha=probs_d.get("alpha", 0.0),
-                               beta=probs_d.get("beta", 0.0),
-                               gamma=probs_d.get("gamma", 0.0))
+    probs_d = _keys("probabilities", d["probabilities"], (), ("alpha", "beta", "gamma"))
+    probs = EventProbabilities(**{key: _num(f"probabilities.{key}", probs_d.get(key, 0.0))
+                                  for key in ("alpha", "beta", "gamma")})
     cps = d.get("checkpoints")
+    big_m = d.get("bigM")
     return ExperimentConfig(
         matrix=_matrix_from_dict(d["matrix"], base),
         mode=mode,
         probabilities=probs,
-        schedule_t=_schedule_from_dict(sched_d["T"], T_CLIP),
-        schedule_s=_schedule_from_dict(sched_d["S"], S_CLIP),
+        schedule_t=_schedule_from_dict("schedules.T", sched_d["T"], T_CLIP),
+        schedule_s=_schedule_from_dict("schedules.S", sched_d["S"], S_CLIP),
         initial=_initial_from_dict(d.get("initial", {"kind": "ramp"})),
-        steps=d["steps"],
-        trials=d.get("trials", 1),
-        k0=d.get("k0", 0),
-        base_seed=d.get("seed", 0),
-        checkpoints=None if cps is None else tuple(cps),
-        eps_agree=d.get("epsAgree", DEFAULT_EPS_AGREE),
-        big_m=d.get("bigM"),
+        steps=_num("steps", d["steps"], True),
+        trials=_num("trials", d.get("trials", 1), True),
+        k0=_num("k0", d.get("k0", 0), True),
+        base_seed=_num("seed", d.get("seed", 0), True),
+        checkpoints=None if cps is None else tuple(_nums("checkpoints", cps, True)),
+        eps_agree=_num("epsAgree", d.get("epsAgree", DEFAULT_EPS_AGREE)),
+        big_m=None if big_m is None else _num("bigM", big_m),
     )
 
 
@@ -589,7 +623,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 # Config entries that hold integers; a sweep along one of them takes
 # integral values and passes them on as ints.
-INTEGER_KEYS = frozenset({"steps", "trials", "seed", "k0", "matrix.n"})
+INTEGER_KEYS = frozenset({"steps", "trials", "seed", "k0", "matrix.n", "matrix.seed",
+                          "matrix.m", "matrix.kNn"})
 
 
 @dataclass
@@ -690,7 +725,7 @@ def aggregate_json_dict(result: ExperimentResult) -> dict:
             "varSpread": result.var_spread[idx],
             "ciSpread": result.ci_spread[idx],
         })
-    return _json_safe({
+    return json_safe({
         "configHash": result.config_hash,
         "trials": result.trials,
         "counts": result.counts,

@@ -5,7 +5,9 @@ simulating. The central objects are:
 
 * the critical measure d0 = S(1+S)*gamma - T(1-T)*alpha for time-invariant
   coupled updates: negative means almost-sure agreement, positive means the
-  dispersion diverges in expectation, zero keeps its expectation constant;
+  dispersion diverges in expectation, zero keeps its expectation constant.
+  |d0| <= OSCILLATION_TOL (1e-12) counts as zero; time-varying schedules are
+  judged by the same band on the coefficient at their tail;
 * the expected squared update matrix
   E = I - 2*(T(1-T)*alpha - S(1+S)*gamma)*(1/n)*(D - (A + A^T)),
   whose extreme eigenvalues on the disagreement subspace give per-slot
@@ -54,6 +56,7 @@ __all__ = [
     "contraction",
     "evaluate_condition",
     "theory_report",
+    "json_safe",
     "DEFAULT_HORIZON",
     "TAU_GRID",
     "Z_MAX",
@@ -121,34 +124,34 @@ class TheoryReport:
     conditions: list[tuple[ConditionId, Verdict]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "D0": _json_safe(self.d0),
-            "lambda2": _json_safe(self.spectral.lambda2),
-            "lambdaN": _json_safe(self.spectral.lambda_n),
-            "aStar": _json_safe(self.spectral.a_star),
+        return json_safe({
+            "D0": self.d0,
+            "lambda2": self.spectral.lambda2,
+            "lambdaN": self.spectral.lambda_n,
+            "aStar": self.spectral.a_star,
             "contraction": {
-                "iK": _json_safe(self.contraction0.i_k),
-                "iHatK": _json_safe(self.contraction0.i_hat_k),
-                "zK": _json_safe(self.contraction0.z_k),
+                "iK": self.contraction0.i_k,
+                "iHatK": self.contraction0.i_hat_k,
+                "zK": self.contraction0.z_k,
             },
             "conditions": [
                 {
                     "id": cid.value,
                     "status": v.status,
-                    "detail": _json_safe(v.detail),
+                    "detail": v.detail,
                     "caveats": v.caveats,
                 }
                 for cid, v in self.conditions
             ],
-        }
+        })
 
 
-def _json_safe(value):
+def json_safe(value):
     """Recursively convert to plain JSON types; non-finite floats to strings."""
     if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
+        return {k: json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+        return [json_safe(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -163,6 +166,35 @@ def _json_safe(value):
 # closed forms
 # ---------------------------------------------------------------------------
 
+def _coefficient(t, s, alpha: float, gamma: float):
+    """c = T(1-T)*alpha - S(1+S)*gamma for float or array weights.
+
+    The repulsion term is left out when gamma is zero, so an unbounded S
+    never meets a zero probability (0 * inf).
+    """
+    c = t * (1.0 - t) * alpha
+    if gamma == 0.0:
+        return c
+    with np.errstate(over="ignore"):
+        return c - s * (1.0 + s) * gamma
+
+
+def _sign(c: float) -> int:
+    """-1, 0 or +1; a coefficient within OSCILLATION_TOL of zero is critical."""
+    return (c > OSCILLATION_TOL) - (c < -OSCILLATION_TOL)
+
+
+def _envelope(c, sp: SpectralData, hat: bool):
+    """The envelope coefficient c * lambda for float or array c.
+
+    The slow envelope (`hat` False) takes lambda2 where c >= 0 and lambda_n
+    where c < 0; the fast one (`hat` True) swaps them.
+    """
+    where_pos, where_neg = (sp.lambda_n, sp.lambda2) if hat else (sp.lambda2, sp.lambda_n)
+    with np.errstate(over="ignore"):
+        return np.where(c >= 0.0, c * where_pos, c * where_neg)
+
+
 def critical_measure(schedule_t: Schedule, schedule_s: Schedule,
                      probs: EventProbabilities) -> float:
     """d0 = S(1+S)*gamma - T(1-T)*alpha for time-invariant schedules.
@@ -175,7 +207,8 @@ def critical_measure(schedule_t: Schedule, schedule_s: Schedule,
     s = schedule_s.constant_value()
     if t is None or s is None:
         raise UnsupportedScheduleError("critical measure needs constant schedules")
-    return s * (1.0 + s) * probs.gamma - t * (1.0 - t) * probs.alpha
+    # 0.0 - c, not -c: the critical value stays +0.0
+    return 0.0 - _coefficient(t, s, probs.alpha, probs.gamma)
 
 
 def expected_second_moment_matrix(matrix: SelectionMatrix, probs: EventProbabilities,
@@ -189,7 +222,7 @@ def expected_second_moment_matrix(matrix: SelectionMatrix, probs: EventProbabili
     a = matrix.entries
     sym = a + a.T
     lap = np.diag(sym.sum(axis=1)) - sym
-    coeff = t_k * (1.0 - t_k) * probs.alpha - s_k * (1.0 + s_k) * probs.gamma
+    coeff = _coefficient(t_k, s_k, probs.alpha, probs.gamma)
     return np.eye(matrix.n) - 2.0 * coeff / matrix.n * lap
 
 
@@ -232,15 +265,11 @@ def contraction(sp: SpectralData, probs: EventProbabilities,
     """Envelope coefficients at slot k (uses the weights the simulator applies)."""
     t = float(schedule_t.applied(k, k + 1)[0])
     s = float(schedule_s.applied(k, k + 1)[0])
-    n = len(sp.degrees)
-    c = t * (1.0 - t) * probs.alpha - s * (1.0 + s) * probs.gamma
-    if c >= 0.0:
-        i_k = c * sp.lambda2
-        i_hat = c * sp.lambda_n
-    else:
-        i_k = c * sp.lambda_n
-        i_hat = c * sp.lambda2
-    return ContractionCoefficients(i_k=i_k, i_hat_k=i_hat, z_k=1.0 - (2.0 / n) * i_hat)
+    c = _coefficient(t, s, probs.alpha, probs.gamma)
+    i_k = float(_envelope(c, sp, hat=False))
+    i_hat = float(_envelope(c, sp, hat=True))
+    return ContractionCoefficients(i_k=i_k, i_hat_k=i_hat,
+                                   z_k=1.0 - (2.0 / len(sp.degrees)) * i_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -275,62 +304,137 @@ def _series_diverges(s: Schedule, f, power: int = 1) -> bool:
     return p is not None and p * power <= 1.0
 
 
-def _coefficient_array(st: Schedule, ss: Schedule, probs: EventProbabilities,
-                       horizon: int) -> np.ndarray:
-    """c_k = T_k(1-T_k)*alpha - S_k(1+S_k)*gamma over the horizon."""
-    t = st.ideal(0, horizon)
-    a_term = probs.alpha * t * (1.0 - t) if probs.alpha > 0.0 else np.zeros(horizon)
-    if probs.gamma > 0.0:
-        s = ss.ideal(0, horizon)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g_term = probs.gamma * s * (1.0 + s)
-    else:
-        g_term = np.zeros(horizon)
-    return a_term - g_term
-
-
-def _coefficient_limit(st: Schedule, ss: Schedule, probs: EventProbabilities) -> float:
-    tl = st.limit()
-    a_term = probs.alpha * tl * (1.0 - tl) if probs.alpha > 0.0 else 0.0
-    if probs.gamma > 0.0:
-        sl = ss.limit()
-        g_term = math.inf if math.isinf(sl) else probs.gamma * sl * (1.0 + sl)
-    else:
-        g_term = 0.0
-    return a_term - g_term
-
-
-def _floor_caveat(st: Schedule, ss: Schedule, horizon: int) -> str:
-    bits = []
-    for name, s in (("T", st), ("S", ss)):
-        if s.limit() < s.lo or (s.ideal(0, min(horizon, 1024)) < s.lo).any():
-            bits.append(
-                f"simulated {name} weights are floored at {s.lo:g}; "
-                "analysis uses the unfloored sequence"
-            )
-    return "; ".join(bits)
-
-
 def _join_caveats(*parts: str) -> str:
     return "; ".join(p for p in parts if p)
+
+
+@dataclass(frozen=True)
+class _Inputs:
+    """What the evaluators read, built once per report: the config, its
+    spectrum and the search bounds; the share of a pair's events that falls
+    on one given endpoint (one half when a fair coin picks the active end of
+    a one-sided update); whether both schedules are time invariant; the
+    ideal weights over the horizon and their coefficients c_k; the
+    coefficient at the schedules' limits, which for constants is the
+    constant coefficient; and the floor caveat."""
+
+    cfg: "ExperimentConfig"
+    sp: SpectralData
+    share: float
+    tau_grid: tuple[float, ...]
+    z_max: int
+    constant: bool
+    t: np.ndarray
+    s: np.ndarray
+    c: np.ndarray
+    c_tail: float
+    floor: str
+
+
+def _inputs(cfg, horizon, tau_grid, z_max) -> _Inputs:
+    """Check the search bounds and evaluate the schedules over the horizon."""
+    if not isinstance(horizon, (int, np.integer)) or horizon < max(cfg.matrix.n, 2):
+        raise BadHorizonError(f"horizon must be an integer >= {max(cfg.matrix.n, 2)}")
+    grid = tuple(float(tau) for tau in tau_grid)
+    if not grid or any(not 0.0 < tau < 1.0 for tau in grid):
+        raise BadHorizonError("tau_grid must be a nonempty sequence of values in (0, 1)")
+    if not isinstance(z_max, (int, np.integer)) or z_max < 0:
+        raise BadHorizonError(f"z_max must be a nonnegative integer, got {z_max}")
+    st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
+    t, s = st.ideal(0, int(horizon)), ss.ideal(0, int(horizon))
+    floor = "; ".join(
+        f"simulated {name} weights are floored at {sched.lo:g}; "
+        "analysis uses the unfloored sequence"
+        for name, sched, vals in (("T", st, t), ("S", ss, s))
+        if sched.limit() < sched.lo or (vals[:1024] < sched.lo).any())
+    mode = cfg.mode
+    share = 0.5 if mode.variant == "asymmetric" and mode.active_rule == "uniform" else 1.0
+    constant = st.constant_value() is not None and ss.constant_value() is not None
+    return _Inputs(cfg, spectral(cfg.matrix), share, grid, int(z_max), constant, t, s,
+                   _coefficient(t, s, pr.alpha, pr.gamma),
+                   _coefficient(st.limit(), ss.limit(), pr.alpha, pr.gamma), floor)
+
+
+# ---------------------------------------------------------------------------
+# certificate searches (one per update mode)
+# ---------------------------------------------------------------------------
+
+def _tau_search(inp: _Inputs, t: np.ndarray, s: np.ndarray, c: np.ndarray,
+                margin: float = TAIL_MEAN_MARGIN):
+    """Almost-sure divergence certificate for coupled updates.
+
+    For each tau of the grid the growth exponent of slot k is
+    J_k = p_k log(q_k) + 2 alpha log|2 T_k - 1| with q_k = 1 + 4 tau S_k(1+S_k).
+    Returns (True, tail mean, tau, p) for the first tau whose mean of J over
+    the second half of the slots exceeds `margin`, else (False, best tail
+    mean, its tau, its p). A constant sequence is decided exactly (margin 0);
+    the margin absorbs rounding in tail means of time-varying ones.
+    """
+    n, pr = inp.cfg.matrix.n, inp.cfg.probabilities
+    i_hat = _envelope(c, inp.sp, hat=True)
+    s_poly = s * s + s
+    best = (-math.inf, None, None)
+    for tau in inp.tau_grid:
+        q = 1.0 + 4.0 * tau * s_poly
+        p = -((2.0 / n) * i_hat + pr.gamma * q) / (4.0 * (1.0 - tau) * s_poly)
+        j = p * np.log(q) + 2.0 * pr.alpha * np.log(np.abs(2.0 * t - 1.0))
+        tail_mean = float(j[len(j) // 2:].mean())
+        if tail_mean > margin:
+            return True, tail_mean, tau, p
+        if tail_mean > best[0]:
+            best = (tail_mean, tau, p)
+    return (False, *best)
+
+
+def _block_search(inp: _Inputs, log_gain: np.ndarray, t: np.ndarray,
+                  margin: float = TAIL_MEAN_MARGIN):
+    """Almost-sure divergence certificate for one-sided updates.
+
+    For blocks of z + 1 slots (z <= z_max, at least two blocks) the growth
+    exponent adds the repulsion chain's weight times the block's summed log
+    gain, less log(n - 1), to the chance of an attraction event in the
+    block times its summed log(1 - T). Returns (True, tail mean, z) for the first z whose mean over
+    the second half of the blocks exceeds `margin`, else (False, best tail
+    mean, its z); margins as in `_tau_search`.
+    """
+    n, pr = inp.cfg.matrix.n, inp.cfg.probabilities
+    chain = pr.gamma * inp.share * inp.sp.a_star / n
+    best = (-math.inf, None)
+    # log 0 = -inf and 0 * inf = nan both leave a block length uncertified
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log1m_t = np.log1p(-t)
+        for z in range(inp.z_max + 1):
+            w = z + 1
+            nb = len(t) // w
+            if nb < 2:
+                break
+            j = chain ** w * (log_gain[: nb * w].reshape(nb, w).sum(axis=1) - math.log(n - 1))
+            frac = 1.0 - (1.0 - pr.alpha) ** w
+            if frac > 0.0:  # without attraction events nothing shrinks
+                j = j + frac * log1m_t[: nb * w].reshape(nb, w).sum(axis=1)
+            tail_mean = float(j[nb // 2:].mean())
+            if tail_mean > margin:
+                return True, tail_mean, z
+            if tail_mean > best[0]:
+                best = (tail_mean, z)
+    return (False, *best)
 
 
 # ---------------------------------------------------------------------------
 # condition evaluators
 # ---------------------------------------------------------------------------
 
-def _eval_thm1_nec(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
-    st = cfg.schedule_t
-    if cfg.probabilities.alpha == 0.0:
+def _eval_thm1_nec(inp: _Inputs, detail: dict) -> Verdict:
+    st = inp.cfg.schedule_t
+    if inp.cfg.probabilities.alpha == 0.0:
         detail["reason"] = "attraction probability is zero; spread can never shrink"
         return Verdict(IMPOSSIBLE, detail)
     t_div = _series_diverges(st, _weight)
     one_minus_div = _series_diverges(st, _complement)
     detail["sum_T_diverges"] = t_div
     detail["sum_one_minus_T_diverges"] = one_minus_div
-    vals = st.ideal(0, horizon)
-    detail["partial_sum_T"] = float(vals.sum())
-    detail["partial_sum_one_minus_T"] = float((1.0 - vals).sum())
+    detail["partial_sum_T"] = float(inp.t.sum())
+    detail["partial_sum_one_minus_T"] = float((1.0 - inp.t).sum())
     if not t_div or not one_minus_div:
         which = "sum of T_k" if not t_div else "sum of (1 - T_k)"
         detail["reason"] = f"{which} is finite, so agreement has probability zero"
@@ -339,16 +443,14 @@ def _eval_thm1_nec(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
                    caveats="necessary condition met; says nothing by itself")
 
 
-def _eval_thm2_nec(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
-    if cfg.probabilities.gamma == 0.0:
+def _eval_thm2_nec(inp: _Inputs, detail: dict) -> Verdict:
+    if inp.cfg.probabilities.gamma == 0.0:
         detail["reason"] = "repulsion probability is zero; spread is non-increasing"
         return Verdict(IMPOSSIBLE, detail)
-    ss = cfg.schedule_s
-    s_div = _series_diverges(ss, _weight)
+    s_div = _series_diverges(inp.cfg.schedule_s, _weight)
     detail["product_one_plus_2S_diverges"] = s_div
-    vals = ss.ideal(0, horizon)
     with np.errstate(over="ignore"):
-        detail["partial_log_product"] = float(np.log1p(2.0 * vals).sum())
+        detail["partial_log_product"] = float(np.log1p(2.0 * inp.s).sum())
     if not s_div:
         detail["reason"] = "product of (1 + 2 S_k) is finite, so spread stays bounded"
         return Verdict(IMPOSSIBLE, detail)
@@ -356,21 +458,18 @@ def _eval_thm2_nec(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
                    caveats="necessary condition met; says nothing by itself")
 
 
-def _eval_sym_agree(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
-    st = cfg.schedule_t
-    diverges = _series_diverges(st, _weight_complement)
-    vals = st.ideal(0, horizon)
+def _eval_sym_agree(inp: _Inputs, detail: dict) -> Verdict:
+    diverges = _series_diverges(inp.cfg.schedule_t, _weight_complement)
     detail["series_diverges"] = diverges
-    detail["partial_sum"] = float((vals * (1.0 - vals)).sum())
-    caveat = _floor_caveat(st, cfg.schedule_s, horizon)
+    detail["partial_sum"] = float((inp.t * (1.0 - inp.t)).sum())
     if diverges:
-        return Verdict(GUARANTEED, detail, caveats=caveat)
-    return Verdict(INCONCLUSIVE, detail,
-                   caveats=_join_caveats("sum of T_k(1-T_k) is finite; sufficiency lost", caveat))
+        return Verdict(GUARANTEED, detail, caveats=inp.floor)
+    return Verdict(INCONCLUSIVE, detail, caveats=_join_caveats(
+        "sum of T_k(1-T_k) is finite; sufficiency lost", inp.floor))
 
 
-def _eval_sym_threshold(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
-    st = cfg.schedule_t
+def _eval_sym_threshold(inp: _Inputs, detail: dict) -> Verdict:
+    st = inp.cfg.schedule_t
     direction = st.monotone_direction()
     detail["monotone"] = direction
     if direction is None:
@@ -378,199 +477,151 @@ def _eval_sym_threshold(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
                        caveats="threshold form needs a monotone attraction schedule")
     diverges = _series_diverges(st, _weight_complement)
     detail["series_diverges"] = diverges
-    caveat = _floor_caveat(st, cfg.schedule_s, horizon)
     if diverges:
-        return Verdict(GUARANTEED, detail, caveats=caveat)
+        return Verdict(GUARANTEED, detail, caveats=inp.floor)
     detail["reason"] = "sum of T_k(1-T_k) is finite; under monotone weights agreement has probability zero"
-    return Verdict(IMPOSSIBLE, detail, caveats=caveat)
+    return Verdict(IMPOSSIBLE, detail, caveats=inp.floor)
 
 
-def _eval_asym_agree(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
-    st = cfg.schedule_t
-    n = cfg.matrix.n
-    width = n - 1
+def _eval_asym_agree(inp: _Inputs, detail: dict) -> Verdict:
+    width = inp.cfg.matrix.n - 1
     # Sum over blocks of n-1 consecutive slots of the product of T(1-T):
     # for every supported closed form this diverges exactly when
     # sum (T_k(1-T_k))^(n-1) does, and explicit schedules are decided by
     # their constant tail.
-    diverges = _series_diverges(st, _weight_complement, width)
+    diverges = _series_diverges(inp.cfg.schedule_t, _weight_complement, width)
     detail["block_width"] = width
     detail["series_diverges"] = diverges
-    vals = st.ideal(0, horizon)
-    nb = horizon // width
-    prod_terms = (vals[: nb * width] * (1.0 - vals[: nb * width])).reshape(nb, width)
-    detail["partial_sum"] = float(np.prod(prod_terms, axis=1).sum())
-    caveat = _floor_caveat(st, cfg.schedule_s, horizon)
+    nb = len(inp.t) // width
+    vals = inp.t[: nb * width]
+    detail["partial_sum"] = float(np.prod((vals * (1.0 - vals)).reshape(nb, width), axis=1).sum())
     if diverges:
-        return Verdict(GUARANTEED, detail, caveats=caveat)
-    return Verdict(INCONCLUSIVE, detail,
-                   caveats=_join_caveats("block series is finite; sufficiency lost", caveat))
+        return Verdict(GUARANTEED, detail, caveats=inp.floor)
+    return Verdict(INCONCLUSIVE, detail, caveats=_join_caveats(
+        "block series is finite; sufficiency lost", inp.floor))
 
 
-def _eval_asym_agree_mono(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
-    st = cfg.schedule_t
+def _eval_asym_agree_mono(inp: _Inputs, detail: dict) -> Verdict:
+    st = inp.cfg.schedule_t
     direction = st.monotone_direction()
     detail["monotone"] = direction
-    scope_note = "evaluated for one-sided updates with a monotone attraction schedule"
     if direction is None:
         return Verdict(INCONCLUSIVE, detail,
                        caveats="needs a monotone attraction schedule")
-    n = cfg.matrix.n
-    diverges = _series_diverges(st, _weight_complement, n - 1)
+    width = inp.cfg.matrix.n - 1
+    diverges = _series_diverges(st, _weight_complement, width)
     detail["series_diverges"] = diverges
-    vals = st.ideal(0, horizon)
-    detail["partial_sum"] = float(((vals * (1.0 - vals)) ** (n - 1)).sum())
-    caveat = _join_caveats(scope_note, _floor_caveat(st, cfg.schedule_s, horizon))
+    detail["partial_sum"] = float(((inp.t * (1.0 - inp.t)) ** width).sum())
+    caveat = _join_caveats(
+        "evaluated for one-sided updates with a monotone attraction schedule", inp.floor)
     if diverges:
         return Verdict(GUARANTEED, detail, caveats=caveat)
     return Verdict(INCONCLUSIVE, detail,
                    caveats=_join_caveats("series is finite; sufficiency lost", caveat))
 
 
-def _sym_rep_terms(cfg, sp, horizon, hat: bool) -> np.ndarray:
-    """1 - (2/n) * (envelope coefficient at each slot), over the horizon."""
-    n = cfg.matrix.n
-    c = _coefficient_array(cfg.schedule_t, cfg.schedule_s, cfg.probabilities, horizon)
-    if hat:
-        coef = np.where(c >= 0.0, c * sp.lambda_n, c * sp.lambda2)
-    else:
-        coef = np.where(c >= 0.0, c * sp.lambda2, c * sp.lambda_n)
-    return 1.0 - (2.0 / n) * coef
-
-
-def _eval_sym_rep_agree(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
-    st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
-    terms = _sym_rep_terms(cfg, sp, horizon, hat=False)
+def _eval_sym_rep_agree(inp: _Inputs, detail: dict) -> Verdict:
+    pr, n = inp.cfg.probabilities, inp.cfg.matrix.n
+    terms = 1.0 - (2.0 / n) * _envelope(inp.c, inp.sp, hat=False)
     with np.errstate(divide="ignore", over="ignore"):
         detail["partial_product"] = float(np.exp(np.log(np.maximum(terms, 0.0)).sum())) \
             if (terms > 0.0).all() else 0.0
-    caveat = _floor_caveat(st, ss, horizon)
+    sign = _sign(inp.c_tail)
 
-    ct, cs = st.constant_value(ideal=True), ss.constant_value(ideal=True)
-    if ct is not None and cs is not None:
-        # Same expression and association as critical_measure, so the two
-        # evaluators agree bit for bit on knife-edge inputs.
-        c = ct * (1.0 - ct) * pr.alpha - cs * (1.0 + cs) * pr.gamma
-        detail["coefficient"] = c
-        if c > OSCILLATION_TOL or (terms == 0.0).any():
-            detail["slow_factor"] = float(1.0 - (2.0 / cfg.matrix.n) * c * sp.lambda2)
-            return Verdict(GUARANTEED, detail, caveats=caveat)
-        if abs(c) <= OSCILLATION_TOL:
-            return Verdict(INCONCLUSIVE, detail,
-                           caveats=_join_caveats(
-                               "per-slot coefficient is zero within tolerance", caveat))
-        return Verdict(INCONCLUSIVE, detail,
-                       caveats=_join_caveats("per-slot coefficient is not positive", caveat))
+    if inp.constant:
+        detail["coefficient"] = inp.c_tail
+        if sign > 0 or (terms == 0.0).any():
+            detail["slow_factor"] = float(1.0 - (2.0 / n) * inp.c_tail * inp.sp.lambda2)
+            return Verdict(GUARANTEED, detail, caveats=inp.floor)
+        return Verdict(INCONCLUSIVE, detail, caveats=_join_caveats(
+            "per-slot coefficient is zero within tolerance" if sign == 0
+            else "per-slot coefficient is not positive", inp.floor))
 
     if (terms == 0.0).any():
         detail["reason"] = "a slot contracts the expected dispersion to zero exactly"
-        return Verdict(GUARANTEED, detail, caveats=caveat)
-    c_inf = _coefficient_limit(st, ss, pr)
-    detail["coefficient_limit"] = c_inf
-    if c_inf > 0.0:
-        return Verdict(GUARANTEED, detail, caveats=caveat)
-    if c_inf < 0.0:
+        return Verdict(GUARANTEED, detail, caveats=inp.floor)
+    detail["coefficient_limit"] = inp.c_tail
+    if sign > 0:
+        return Verdict(GUARANTEED, detail, caveats=inp.floor)
+    if sign < 0:
         return Verdict(INCONCLUSIVE, detail,
-                       caveats=_join_caveats("tail coefficient is negative", caveat))
+                       caveats=_join_caveats("tail coefficient is negative", inp.floor))
     if pr.gamma == 0.0 and pr.alpha > 0.0:
-        diverges = _series_diverges(st, _weight_complement)
+        diverges = _series_diverges(inp.cfg.schedule_t, _weight_complement)
         detail["series_diverges"] = diverges
         if diverges:
-            return Verdict(GUARANTEED, detail, caveats=caveat)
+            return Verdict(GUARANTEED, detail, caveats=inp.floor)
         return Verdict(INCONCLUSIVE, detail,
-                       caveats=_join_caveats("sum of T_k(1-T_k) is finite", caveat))
+                       caveats=_join_caveats("sum of T_k(1-T_k) is finite", inp.floor))
     return Verdict(INCONCLUSIVE, detail,
-                   caveats=_join_caveats("tail coefficient limit is zero; not decided analytically", caveat))
+                   caveats=_join_caveats("tail coefficient limit is zero; not decided analytically", inp.floor))
 
 
-def _eval_sym_rep_expect_div(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
-    st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
-    n = cfg.matrix.n
-    terms = _sym_rep_terms(cfg, sp, horizon, hat=True)
+def _eval_sym_rep_expect_div(inp: _Inputs, detail: dict) -> Verdict:
+    pr, n = inp.cfg.probabilities, inp.cfg.matrix.n
+    terms = 1.0 - (2.0 / n) * _envelope(inp.c, inp.sp, hat=True)
     with np.errstate(divide="ignore", over="ignore"):
         logs = np.log(np.maximum(terms, 1e-300))
         detail["partial_log_product"] = float(logs.sum())
-    caveat = _floor_caveat(st, ss, horizon)
+    sign = _sign(inp.c_tail)
 
-    ct, cs = st.constant_value(ideal=True), ss.constant_value(ideal=True)
-    if ct is not None and cs is not None:
-        c = ct * (1.0 - ct) * pr.alpha - cs * (1.0 + cs) * pr.gamma
-        detail["coefficient"] = c
-        if c < -OSCILLATION_TOL:
-            detail["growth_factor"] = float(1.0 - (2.0 / n) * c * sp.lambda2)
-            return Verdict(EXPECTED_DIVERGENCE, detail, caveats=caveat)
-        if abs(c) <= OSCILLATION_TOL:
-            return Verdict(INCONCLUSIVE, detail,
-                           caveats=_join_caveats(
-                               "per-slot coefficient is zero within tolerance", caveat))
-        return Verdict(INCONCLUSIVE, detail,
-                       caveats=_join_caveats("per-slot coefficient is not negative", caveat))
+    if inp.constant:
+        detail["coefficient"] = inp.c_tail
+        if sign < 0:
+            detail["growth_factor"] = float(1.0 - (2.0 / n) * inp.c_tail * inp.sp.lambda2)
+            return Verdict(EXPECTED_DIVERGENCE, detail, caveats=inp.floor)
+        return Verdict(INCONCLUSIVE, detail, caveats=_join_caveats(
+            "per-slot coefficient is zero within tolerance" if sign == 0
+            else "per-slot coefficient is not negative", inp.floor))
 
     if (terms <= 0.0).any():
         return Verdict(INCONCLUSIVE, detail,
-                       caveats=_join_caveats("an early slot zeroes the lower envelope", caveat))
-    c_inf = _coefficient_limit(st, ss, pr)
-    detail["coefficient_limit"] = c_inf
-    if c_inf < 0.0:
-        return Verdict(EXPECTED_DIVERGENCE, detail, caveats=caveat)
-    if c_inf > 0.0:
+                       caveats=_join_caveats("an early slot zeroes the lower envelope", inp.floor))
+    detail["coefficient_limit"] = inp.c_tail
+    if sign < 0:
+        return Verdict(EXPECTED_DIVERGENCE, detail, caveats=inp.floor)
+    if sign > 0:
         return Verdict(INCONCLUSIVE, detail,
-                       caveats=_join_caveats("tail coefficient is positive", caveat))
+                       caveats=_join_caveats("tail coefficient is positive", inp.floor))
     if pr.alpha == 0.0 and pr.gamma > 0.0:
-        diverges = _series_diverges(ss, _weight)
+        diverges = _series_diverges(inp.cfg.schedule_s, _weight)
         detail["series_diverges"] = diverges
         if diverges:
-            return Verdict(EXPECTED_DIVERGENCE, detail, caveats=caveat)
+            return Verdict(EXPECTED_DIVERGENCE, detail, caveats=inp.floor)
         return Verdict(INCONCLUSIVE, detail,
-                       caveats=_join_caveats("sum of S_k is finite", caveat))
+                       caveats=_join_caveats("sum of S_k is finite", inp.floor))
     return Verdict(INCONCLUSIVE, detail,
-                   caveats=_join_caveats("tail coefficient limit is zero; not decided analytically", caveat))
+                   caveats=_join_caveats("tail coefficient limit is zero; not decided analytically", inp.floor))
 
 
-def _eval_sym_rep_as_div(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
-    st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
-    if pr.gamma == 0.0:
+def _eval_sym_rep_as_div(inp: _Inputs, detail: dict) -> Verdict:
+    st, ss = inp.cfg.schedule_t, inp.cfg.schedule_s
+    if inp.cfg.probabilities.gamma == 0.0:
         return Verdict(INCONCLUSIVE, detail,
                        caveats="no repulsion events; the growth exponent cannot be positive")
-    s_inf, s_sup = ss.ideal_range()
-    if not math.isfinite(s_sup):
+    if not math.isfinite(ss.ideal_range()[1]):
         return Verdict(INCONCLUSIVE, detail, caveats="repulsion gains are unbounded")
     t_inf, t_sup = st.ideal_range()
     detail["t_range"] = [t_inf, t_sup]
     if not (t_sup < 0.5 or t_inf > 0.5):
         return Verdict(INCONCLUSIVE, detail,
                        caveats="attraction weights are not bounded away from 1/2")
-    n = cfg.matrix.n
-    t = st.ideal(0, horizon)
-    s = ss.ideal(0, horizon)
-    if (s <= 0.0).any():
+    if (inp.s <= 0.0).any():
         return Verdict(INCONCLUSIVE, detail,
                        caveats="a repulsion gain of zero appears within the horizon")
-    c = _coefficient_array(st, ss, pr, horizon)
-    i_hat = np.where(c >= 0.0, c * sp.lambda_n, c * sp.lambda2)
-    s_poly = s * s + s
-    best = (-math.inf, None)
-    for tau in tau_grid:
-        q = 1.0 + 4.0 * tau * s_poly
-        p_k = -((2.0 / n) * i_hat + pr.gamma * q) / (4.0 * (1.0 - tau) * s_poly)
-        j = p_k * np.log(q) + 2.0 * pr.alpha * np.log(np.abs(2.0 * t - 1.0))
-        tail_mean = float(j[horizon // 2:].mean())
-        if tail_mean > best[0]:
-            best = (tail_mean, tau)
-        if tail_mean > TAIL_MEAN_MARGIN:
-            detail["tau"] = tau
-            detail["tail_mean"] = tail_mean
-            return Verdict(GUARANTEED, detail,
-                           caveats=_floor_caveat(st, ss, horizon))
-    detail["best_tail_mean"] = best[0]
-    detail["best_tau"] = best[1]
-    return Verdict(INCONCLUSIVE, detail,
-                   caveats=_join_caveats(
-                       "no grid point certifies a positive growth exponent",
-                       _floor_caveat(st, ss, horizon)))
+    certified, tail_mean, tau, _ = _tau_search(inp, inp.t, inp.s, inp.c)
+    if certified:
+        detail["tau"] = tau
+        detail["tail_mean"] = tail_mean
+        return Verdict(GUARANTEED, detail, caveats=inp.floor)
+    detail["best_tail_mean"] = tail_mean
+    detail["best_tau"] = tau
+    return Verdict(INCONCLUSIVE, detail, caveats=_join_caveats(
+        "no grid point certifies a positive growth exponent", inp.floor))
 
 
-def _eval_beer_classify(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
+def _eval_beer_classify(inp: _Inputs, detail: dict) -> Verdict:
+    cfg = inp.cfg
     try:
         d0 = critical_measure(cfg.schedule_t, cfg.schedule_s, cfg.probabilities)
     except UnsupportedScheduleError:
@@ -578,192 +629,118 @@ def _eval_beer_classify(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
                        caveats="classification needs time-invariant schedules")
     detail["d0"] = d0
     detail["topology_independent"] = True
-    if abs(d0) <= OSCILLATION_TOL:
+    sign = _sign(d0)
+    if sign == 0:
         detail["claim"] = "oscillation"
         detail["reason"] = "expected dispersion stays exactly at its initial value"
         return Verdict(EXPECTED_OSCILLATION, detail)
-    if d0 < 0.0:
+    if sign < 0:
         detail["claim"] = "agreement"
         return Verdict(GUARANTEED, detail)
     detail["claim"] = "divergence"
-    t = cfg.schedule_t.constant_value()
-    s = cfg.schedule_s.constant_value()
-    n = cfg.matrix.n
-    certified = False
     cert: dict = {"certified": False, "tau": None, "p_star": None}
-    if t != 0.5 and s > 0.0:
-        s_poly = s * s + s
-        for tau in tau_grid:
-            q = 1.0 + 4.0 * tau * s_poly
-            p_star = (2.0 * d0 * sp.lambda2 - n * cfg.probabilities.gamma * q) / (
-                4.0 * n * (1.0 - tau) * s_poly)
-            val = p_star * math.log(q) + 2.0 * cfg.probabilities.alpha * math.log(abs(2.0 * t - 1.0))
-            if val > 0.0:
-                certified = True
-                cert = {"certified": True, "tau": tau, "p_star": p_star}
-                break
+    # the first slot is the whole constant sequence
+    if inp.t[0] != 0.5 and inp.s[0] > 0.0:
+        certified, _, tau, p = _tau_search(inp, inp.t[:1], inp.s[:1], inp.c[:1], 0.0)
+        if certified:
+            cert = {"certified": True, "tau": tau, "p_star": float(p[0])}
     detail["as_divergence"] = cert
-    caveat = "" if certified else "divergence holds in expectation; no almost-sure certificate found"
+    caveat = "" if cert["certified"] else "divergence holds in expectation; no almost-sure certificate found"
     return Verdict(EXPECTED_DIVERGENCE, detail, caveats=caveat)
 
 
-def _effective_alpha(cfg) -> float:
-    """Probability that a *specific* endpoint of the pair applies attraction."""
-    if cfg.mode.variant == "asymmetric" and cfg.mode.active_rule == "uniform":
-        return cfg.probabilities.alpha / 2.0
-    return cfg.probabilities.alpha
-
-
-def _effective_gamma(cfg) -> float:
-    if cfg.mode.variant == "asymmetric" and cfg.mode.active_rule == "uniform":
-        return cfg.probabilities.gamma / 2.0
-    return cfg.probabilities.gamma
-
-
-def _eval_asym_rep_agree(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
-    st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
-    _, s_sup = ss.ideal_range()
-    if not math.isfinite(s_sup):
+def _eval_asym_rep_agree(inp: _Inputs, detail: dict) -> Verdict:
+    cfg, pr = inp.cfg, inp.cfg.probabilities
+    if not math.isfinite(cfg.schedule_s.ideal_range()[1]):
         return Verdict(INCONCLUSIVE, detail, caveats="repulsion gains are unbounded")
     n = cfg.matrix.n
     width = n - 1
-    a_eff = _effective_alpha(cfg)
-    chain = (a_eff * sp.a_star / n) ** width
+    chain = (pr.alpha * inp.share * inp.sp.a_star / n) ** width
     any_rep = 1.0 - (1.0 - pr.gamma) ** width
     detail["attraction_chain_weight"] = chain
     detail["any_repulsion_weight"] = any_rep
 
-    t = st.ideal(0, horizon)
-    s = ss.ideal(0, horizon)
-    nb = horizon // width
-    t_hat = np.prod((t[: nb * width] * (1.0 - t[: nb * width])).reshape(nb, width), axis=1)
-    s_hat = np.prod((1.0 + s[: nb * width]).reshape(nb, width), axis=1)
+    nb = len(inp.t) // width
+    t, s = inp.t[: nb * width], inp.s[: nb * width]
+    t_hat = np.prod((t * (1.0 - t)).reshape(nb, width), axis=1)
+    s_hat = np.prod((1.0 + s).reshape(nb, width), axis=1)
     terms = 1.0 - chain * t_hat + any_rep * (s_hat - 1.0)
     with np.errstate(over="ignore"):
         detail["partial_product"] = float(np.exp(np.log(np.maximum(terms, 1e-300)).sum())) \
             if (terms > 0.0).all() else 0.0
-    caveat = _floor_caveat(st, ss, horizon)
-
-    ct, cs = st.constant_value(ideal=True), ss.constant_value(ideal=True)
-    if ct is not None and cs is not None:
-        e = 1.0 - chain * (ct * (1.0 - ct)) ** width \
-            + any_rep * ((1.0 + cs) ** width - 1.0)
-        detail["block_factor"] = e
-        if e < 1.0:
-            return Verdict(GUARANTEED, detail, caveats=caveat)
-        if pr.gamma == 0.0 and a_eff > 0.0 and _series_diverges(st, _weight_complement, width):
-            return Verdict(GUARANTEED, detail, caveats=caveat)
-        return Verdict(INCONCLUSIVE, detail,
-                       caveats=_join_caveats("block factor is not below one", caveat))
-
-    tl, sl = st.limit(), ss.limit()
-    e_inf = 1.0 - chain * (tl * (1.0 - tl)) ** width \
-        + any_rep * ((1.0 + sl) ** width - 1.0)
-    detail["block_factor_limit"] = e_inf
-    if e_inf < 1.0:
-        return Verdict(GUARANTEED, detail, caveats=caveat)
-    if e_inf == 1.0 and pr.gamma == 0.0 and a_eff > 0.0:
+    # the block factor at the schedules' limits, for constants the constant one
+    st = cfg.schedule_t
+    tl, sl = st.limit(), cfg.schedule_s.limit()
+    e = 1.0 - chain * (tl * (1.0 - tl)) ** width + any_rep * ((1.0 + sl) ** width - 1.0)
+    detail["block_factor" if inp.constant else "block_factor_limit"] = e
+    if e < 1.0:
+        return Verdict(GUARANTEED, detail, caveats=inp.floor)
+    if e == 1.0 and pr.gamma == 0.0 and pr.alpha > 0.0:
         diverges = _series_diverges(st, _weight_complement, width)
         detail["series_diverges"] = diverges
         if diverges:
-            return Verdict(GUARANTEED, detail, caveats=caveat)
-    return Verdict(INCONCLUSIVE, detail,
-                   caveats=_join_caveats("tail block factor is not below one", caveat))
+            return Verdict(GUARANTEED, detail, caveats=inp.floor)
+    return Verdict(INCONCLUSIVE, detail, caveats=_join_caveats(
+        "block factor is not below one" if inp.constant else "tail block factor is not below one",
+        inp.floor))
 
 
-def _eval_asym_rep_as_div(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
-    st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
-    if pr.gamma == 0.0:
+def _eval_asym_rep_as_div(inp: _Inputs, detail: dict) -> Verdict:
+    if inp.cfg.probabilities.gamma == 0.0:
         return Verdict(INCONCLUSIVE, detail,
                        caveats="no repulsion events; the growth term vanishes")
-    _, s_sup = ss.ideal_range()
-    if not math.isfinite(s_sup):
+    if not math.isfinite(inp.cfg.schedule_s.ideal_range()[1]):
         return Verdict(INCONCLUSIVE, detail, caveats="repulsion gains are unbounded")
-    _, t_sup = st.ideal_range()
-    if t_sup >= 1.0:
+    if inp.cfg.schedule_t.ideal_range()[1] >= 1.0:
         return Verdict(INCONCLUSIVE, detail,
                        caveats="attraction weights reach one; the shrink term is unbounded")
-    n = cfg.matrix.n
-    g_eff = _effective_gamma(cfg)
-    t = st.ideal(0, horizon)
-    s = ss.ideal(0, horizon)
-    log1p_s = np.log1p(s)
-    log1m_t = np.log1p(-t)
-    best = (-math.inf, None)
-    for z in range(0, min(z_max, horizon // 2 - 1) + 1):
-        w = z + 1
-        nb = horizon // w
-        if nb < 2:
-            break
-        grow = log1p_s[: nb * w].reshape(nb, w).sum(axis=1) - math.log(n - 1)
-        shrink = log1m_t[: nb * w].reshape(nb, w).sum(axis=1)
-        j = (g_eff * sp.a_star / n) ** w * grow \
-            + (1.0 - (1.0 - pr.alpha) ** w) * shrink
-        tail_mean = float(j[nb // 2:].mean())
-        if tail_mean > best[0]:
-            best = (tail_mean, z)
-        if tail_mean > TAIL_MEAN_MARGIN:
-            detail["z"] = z
-            detail["tail_mean"] = tail_mean
-            return Verdict(GUARANTEED, detail,
-                           caveats=_floor_caveat(st, ss, horizon))
-    detail["best_tail_mean"] = best[0]
-    detail["best_z"] = best[1]
-    return Verdict(INCONCLUSIVE, detail,
-                   caveats=_join_caveats(
-                       "no block length certifies a positive growth exponent",
-                       _floor_caveat(st, ss, horizon)))
+    certified, tail_mean, z = _block_search(inp, np.log1p(inp.s), inp.t)
+    if certified:
+        detail["z"] = z
+        detail["tail_mean"] = tail_mean
+        return Verdict(GUARANTEED, detail, caveats=inp.floor)
+    detail["best_tail_mean"] = tail_mean
+    detail["best_z"] = z
+    return Verdict(INCONCLUSIVE, detail, caveats=_join_caveats(
+        "no block length certifies a positive growth exponent", inp.floor))
 
 
-def _eval_asym_const(cfg, sp, detail, horizon, tau_grid, z_max) -> Verdict:
-    st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
-    t = st.constant_value(ideal=True)
-    s = ss.constant_value(ideal=True)
-    if t is None or s is None:
+def _eval_asym_const(inp: _Inputs, detail: dict) -> Verdict:
+    if not inp.constant:
         return Verdict(INCONCLUSIVE, detail,
                        caveats="applies to time-invariant schedules only")
+    cfg, pr, t, s = inp.cfg, inp.cfg.probabilities, float(inp.t[0]), float(inp.s[0])
     n = cfg.matrix.n
     width = n - 1
-    a_eff = _effective_alpha(cfg)
-    g_eff = _effective_gamma(cfg)
     lhs = (1.0 - (1.0 - pr.gamma) ** width) * ((s + 1.0) ** width - 1.0)
-    rhs = (a_eff * sp.a_star / n) ** width * max(t, 1.0 - t) ** width
+    rhs = (pr.alpha * inp.share * inp.sp.a_star / n) ** width \
+        * max(t, 1.0 - t) ** width
     detail["agreement_lhs"] = lhs
     detail["agreement_rhs"] = rhs
     agree = lhs < rhs
 
-    def z_search(log_gain_per_slot_base: float) -> tuple[bool, int | None]:
-        """Find Z with positive block exponent; gain term uses the given base."""
-        if log_gain_per_slot_base <= 0.0:
-            return False, None
-        shrink_f = math.log1p(-t) if t < 1.0 else -math.inf
-        for z in range(0, z_max + 1):
-            w = z + 1
-            grow = (g_eff * sp.a_star / n) ** w * (w * math.log(log_gain_per_slot_base)
-                                                   - math.log(n - 1))
-            frac = 1.0 - (1.0 - pr.alpha) ** w
-            shrink = 0.0 if frac == 0.0 else frac * w * shrink_f
-            if grow + shrink > 0.0:
-                return True, z
-        return False, None
+    # Both divergence readings run the block search on the constant
+    # sequence, long enough for two blocks of every length up to z_max + 1;
+    # the literal reading gains log S per slot, the one-plus-gain one log(1 + S).
+    seq = np.ones(2 * (inp.z_max + 1))
+    with np.errstate(divide="ignore"):
+        paper_ok, _, paper_z = _block_search(inp, np.log(s * seq), t * seq, 0.0)
+    prop8_ok, _, prop8_z = _block_search(inp, np.log1p(s * seq), t * seq, 0.0)
+    detail["thm6_paper_form"] = {"satisfied": paper_ok, "z": paper_z if paper_ok else None}
+    detail["thm6_prop8_form"] = {"satisfied": prop8_ok, "z": prop8_z if prop8_ok else None}
 
-    paper_ok, paper_z = z_search(s)
-    prop8_ok, prop8_z = z_search(1.0 + s)
-    detail["thm6_paper_form"] = {"satisfied": paper_ok, "z": paper_z}
-    detail["thm6_prop8_form"] = {"satisfied": prop8_ok, "z": prop8_z}
-
-    if agree:
+    if agree and 0.0 < t < 1.0:
         detail["claim"] = "agreement"
         return Verdict(GUARANTEED, detail)
     if paper_ok:
         detail["claim"] = "divergence"
         return Verdict(GUARANTEED, detail,
                        caveats="" if prop8_ok else "the two divergence readings disagree")
-    caveats = "neither threshold is met"
-    if prop8_ok:
-        caveats = ("literal divergence reading not met; the one-plus-gain reading is "
-                   "(see thm6_prop8_form)")
-    return Verdict(INCONCLUSIVE, detail, caveats=caveats)
+    return Verdict(INCONCLUSIVE, detail, caveats=_join_caveats(
+        "agreement threshold is met, but it assumes 0 < T < 1" if agree else "",
+        "literal divergence reading not met; the one-plus-gain reading is "
+        "(see thm6_prop8_form)" if prop8_ok else "",
+    ) or "neither threshold is met")
 
 
 @dataclass(frozen=True)
@@ -773,7 +750,7 @@ class _Condition:
 
     variant: str | None
     claim: str | None
-    evaluate: Callable[..., Verdict]
+    evaluate: Callable[[_Inputs, dict], Verdict]
     repulsion_free: bool = False
     needs_attraction: bool = False
 
@@ -801,10 +778,11 @@ _VARIANT_CAVEATS = {"symmetric": "applies to coupled updates only",
                     "asymmetric": "applies to one-sided updates only"}
 
 
-def _evaluate(cid: ConditionId, cfg, sp, horizon, tau_grid, z_max) -> Verdict:
+def _evaluate(cid: ConditionId, inp: _Inputs) -> Verdict:
     """Check the condition's declared scope (update mode, then repulsion,
     then attraction), and run its evaluator when the config is in scope."""
     cond = _CONDITIONS[cid]
+    cfg = inp.cfg
     detail: dict = {} if cond.claim is None else {"claim": cond.claim}
     if cond.variant is not None and cfg.mode.variant != cond.variant:
         caveat = _VARIANT_CAVEATS[cond.variant]
@@ -813,19 +791,8 @@ def _evaluate(cid: ConditionId, cfg, sp, horizon, tau_grid, z_max) -> Verdict:
     elif cond.needs_attraction and cfg.probabilities.alpha == 0.0:
         caveat = "attraction probability is zero"
     else:
-        return cond.evaluate(cfg, sp, detail, horizon, tau_grid, z_max)
+        return cond.evaluate(inp, detail)
     return Verdict(INCONCLUSIVE, detail, caveats=caveat)
-
-
-def _check_search_params(config, horizon, tau_grid, z_max) -> tuple[float, ...]:
-    if not isinstance(horizon, (int, np.integer)) or horizon < max(config.matrix.n, 2):
-        raise BadHorizonError(f"horizon must be an integer >= {max(config.matrix.n, 2)}")
-    grid = tuple(float(tau) for tau in tau_grid)
-    if not grid or any(not 0.0 < tau < 1.0 for tau in grid):
-        raise BadHorizonError("tau_grid must be a nonempty sequence of values in (0, 1)")
-    if not isinstance(z_max, (int, np.integer)) or z_max < 0:
-        raise BadHorizonError(f"z_max must be a nonnegative integer, got {z_max}")
-    return grid
 
 
 def evaluate_condition(config: "ExperimentConfig", condition: ConditionId | str,
@@ -841,9 +808,7 @@ def evaluate_condition(config: "ExperimentConfig", condition: ConditionId | str,
     """
     if isinstance(condition, str):
         condition = ConditionId(condition)
-    grid = _check_search_params(config, horizon, tau_grid, z_max)
-    sp = spectral(config.matrix)
-    return _evaluate(condition, config, sp, int(horizon), grid, int(z_max))
+    return _evaluate(condition, _inputs(config, horizon, tau_grid, z_max))
 
 
 def theory_report(config: "ExperimentConfig",
@@ -856,21 +821,14 @@ def theory_report(config: "ExperimentConfig",
     other (an agreement guarantee next to any divergence verdict, or a
     guarantee next to the matching impossibility).
     """
-    grid = _check_search_params(config, horizon, tau_grid, z_max)
-    sp = spectral(config.matrix)
-    conditions = [(cid, _evaluate(cid, config, sp, int(horizon), grid, int(z_max)))
-                  for cid in ConditionId
+    inp = _inputs(config, horizon, tau_grid, z_max)
+    conditions = [(cid, _evaluate(cid, inp)) for cid in ConditionId
                   if _CONDITIONS[cid].variant in (None, config.mode.variant)]
 
-    d0: float | None = None
-    if config.mode.variant == "symmetric":
-        try:
-            d0 = critical_measure(config.schedule_t, config.schedule_s,
-                                  config.probabilities)
-        except UnsupportedScheduleError:
-            d0 = None
-
-    c0 = contraction(sp, config.probabilities, config.schedule_t,
+    # d0 is the classifier's: absent for one-sided updates and time-varying schedules
+    beer = dict(conditions).get(ConditionId.BEER_CLASSIFY)
+    d0 = None if beer is None else beer.detail.get("d0")
+    c0 = contraction(inp.sp, config.probabilities, config.schedule_t,
                      config.schedule_s, k=0)
 
     def claimed(status: str, claim: str) -> list[str]:
@@ -895,4 +853,4 @@ def theory_report(config: "ExperimentConfig",
             f"divergence claimed by {div_guaranteed + div_expected} but impossible by "
             f"{div_impossible}")
 
-    return TheoryReport(d0=d0, spectral=sp, contraction0=c0, conditions=conditions)
+    return TheoryReport(d0=d0, spectral=inp.sp, contraction0=c0, conditions=conditions)

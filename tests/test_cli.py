@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour, run in process through main(argv)."""
 
 import json
+import warnings
 
 import pytest
 
@@ -134,6 +135,16 @@ def test_experiment_survives_overflowing_geometric_schedule(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("k,meanL")
 
 
+def test_check_is_silent_on_unbounded_repulsion_gains(tmp_path, capsys):
+    # S = 0.1 * 1.5^k overflows within the horizon; no numpy warning escapes
+    cfg = write_config(tmp_path, schedules={"T": {"kind": "constant", "value": 0.25},
+                                            "S": {"kind": "geometric", "c": 0.1, "r": 1.5}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["check", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_stdout_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, trials=2, steps=10)
     assert cli.main(["simulate", "--config", str(cfg)]) == 0
@@ -245,6 +256,39 @@ def test_config_error_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     assert cli.main(["experiment", "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+MALFORMED = {
+    "epsAgree string": {"epsAgree": "x"},
+    "bigM string": {"bigM": "x"},
+    "ring without n": {"matrix": {"kind": "ring"}},
+    "ring n string": {"matrix": {"kind": "ring", "n": "5"}},
+    "watts-strogatz float kNn": {"matrix": {"kind": "watts_strogatz", "n": 8, "kNn": 4.0,
+                                            "pRewire": 0.1, "seed": 1}},
+    "explicit initial without values": {"initial": {"kind": "explicit"}},
+    "uniform initial string low": {"initial": {"kind": "uniform", "low": "a"}},
+    "T without value": {"schedules": {"T": {"kind": "constant"}, "S": {"value": 0.05}}},
+    "T value string": {"schedules": {"T": {"value": "x"}, "S": {"value": 0.05}}},
+    "T values string": {"schedules": {"T": {"kind": "explicit", "values": "ab", "tail": 0.2},
+                                      "S": {"value": 0.05}}},
+    "T unknown key": {"schedules": {"T": {"value": 0.25, "vlaue": 3}, "S": {"value": 0.05}}},
+    "probabilities not an object": {"probabilities": [1 / 3, 1 / 3, 1 / 3]},
+    "mode not an object": {"mode": "symmetric"},
+    "checkpoint string": {"checkpoints": ["a"]},
+    "trials bool": {"trials": True},
+    "missing matrix file": {"matrix": {"kind": "file", "path": "missing.csv"}},
+    "non-numeric matrix row": {"matrix": {"kind": "explicit", "rows": [["a", "b", "c"]] * 3}},
+    "ragged matrix rows": {"matrix": {"kind": "explicit", "rows": [[0, 1], [1, 0, 0]]}},
+    "unknown schedule role": {"schedules": {"T": {"value": 0.25}, "S": {"value": 0.05},
+                                            "U": {"value": 0.1}}},
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, **MALFORMED[case])
+    assert cli.main(["check", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_oracle_passes(capsys):

@@ -371,6 +371,10 @@ def test_sweep_integer_axis_takes_ints():
     assert [p.value for p in points] == [10, 20]
     assert all(type(p.value) is int for p in points)
     assert [p.result.checkpoints[-1] for p in points] == [10, 20]
+    # generator parameters that count edges or seed a draw are integers too
+    ws = base_dict(trials=2, matrix={"kind": "watts_strogatz", "n": 8, "kNn": 2,
+                                     "pRewire": 0.1, "seed": 3})
+    assert [p.value for p in sweep(ws, "matrix.kNn", [2.0, 4.0])] == [2, 4]
 
 
 def test_sweep_points_match_direct_runs():

@@ -64,6 +64,12 @@ def test_critical_measure_three_regimes():
     assert hi == pytest.approx(0.0229, abs=5e-4)
 
 
+def test_critical_measure_keeps_positive_zero_at_the_critical_gain():
+    # S(1+S)gamma and T(1-T)alpha are equal floats here, so d0 is +0.0
+    d0 = critical_measure(const_t(0.25), const_s(S_CRIT), PROBS_THIRDS)
+    assert d0 == 0.0 and math.copysign(1.0, d0) == 1.0
+
+
 def test_critical_measure_repulsion_free_reduction():
     probs = EventProbabilities(alpha=0.7, beta=0.3, gamma=0.0)
     got = critical_measure(const_t(0.3), const_s(0.2), probs)
@@ -312,6 +318,23 @@ def test_sym_rep_agree_and_expect_div_three_regimes(ref_matrix):
         == EXPECTED_DIVERGENCE
 
 
+CRITICAL_TAILS = [round(0.033 + 0.02 * i, 3) for i in range(39)]
+
+
+@pytest.mark.parametrize("t", CRITICAL_TAILS)
+def test_critical_tail_is_decided_like_a_critical_constant(ref_matrix, t):
+    """At the critical gain S(1+S) = T(1-T) the coefficient is zero up to
+    rounding. A schedule that only reaches T = t in its tail must get the
+    verdicts of the constant t, whatever sign the rounding residue has."""
+    s = (-1.0 + math.sqrt(1.0 + 4.0 * t * (1.0 - t))) / 2.0
+    schedules = [const_t(t), Schedule.explicit([0.5], t, clip=T_CLIP),
+                 Schedule.power(t, 0.0, clip=T_CLIP), Schedule.geometric(t, 1.0, clip=T_CLIP)]
+    for cid in (ConditionId.SYM_REP_AGREE, ConditionId.SYM_REP_EXPECT_DIV):
+        statuses = {evaluate_condition(make_config(ref_matrix, s=s, schedule_t=sched), cid).status
+                    for sched in schedules}
+        assert statuses == {INCONCLUSIVE}, (cid, statuses)
+
+
 def test_sym_rep_as_div_needs_repulsion(ref_matrix):
     cfg = make_config(ref_matrix, gamma=0.0, beta=2 / 3)
     assert evaluate_condition(cfg, ConditionId.SYM_REP_AS_DIV).status == INCONCLUSIVE
@@ -339,6 +362,30 @@ def test_asym_const_divergence_case():
     assert v.detail["claim"] == "divergence"
     assert v.detail["thm6_paper_form"] == {"satisfied": True, "z": 0}
     assert v.detail["thm6_prop8_form"] == {"satisfied": True, "z": 0}
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_asym_const_makes_no_agreement_claim_outside_open_interval(ref_matrix, t):
+    # T(1-T) = 0 lies outside ASYM_CONST's hypothesis 0 < T < 1, and
+    # THM1_NEC rules agreement out there, so ASYM_CONST must not claim it
+    cfg = make_config(ref_matrix, variant="asymmetric", alpha=2 / 3, beta=1 / 3,
+                      gamma=0.0, t=t)
+    rep = theory_report(cfg)
+    verdicts = dict(rep.conditions)
+    assert verdicts[ConditionId.THM1_NEC].status == IMPOSSIBLE
+    assert verdicts[ConditionId.ASYM_CONST].status == INCONCLUSIVE
+    assert "0 < T < 1" in verdicts[ConditionId.ASYM_CONST].caveats
+
+
+def test_beer_certificate_is_the_sym_rep_as_div_search(ref_matrix):
+    # a constant divergent config: the classifier's almost-sure certificate
+    # and SYM_REP_AS_DIV run the same tau search and agree
+    cfg = make_config(ref_matrix, alpha=0.0, beta=1 / 3, gamma=2 / 3, t=0.05, s=1.0)
+    beer = evaluate_condition(cfg, ConditionId.BEER_CLASSIFY)
+    as_div = evaluate_condition(cfg, ConditionId.SYM_REP_AS_DIV)
+    assert beer.status == EXPECTED_DIVERGENCE and as_div.status == GUARANTEED
+    assert beer.detail["as_divergence"]["certified"]
+    assert beer.detail["as_divergence"]["tau"] == as_div.detail["tau"]
 
 
 def test_asym_conditions_out_of_scope_for_symmetric(ref_matrix):

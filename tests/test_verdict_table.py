@@ -7,7 +7,9 @@ ratios of zero, one and above one, explicit lists whose tail sits at zero,
 at one or in between, and the constants zero and one. The expected table in
 `data/verdict_table.json` was recorded before the condition catalogue was
 rewritten around declared scopes and one series rule, and pins that rewrite
-to the old verdicts entry for entry.
+to the old verdicts entry for entry. The two one-sided rows with a constant
+T of 0 or 1 and no repulsion were re-recorded when ASYM_CONST stopped
+claiming agreement outside 0 < T < 1, which THM1_NEC rules out there.
 
 Regenerate it only for an intended change of verdicts:
 `PYTHONPATH=src python tests/test_verdict_table.py > tests/data/verdict_table.json`.
