@@ -122,21 +122,28 @@ def _prepare_run_dir(args, command: str, cfg: ExperimentConfig, cfg_path: Path,
         "finishedAt": None,
         "status": "running",
     }
-    manifest.write_text(json.dumps(doc, indent=2) + "\n")
-    args.manifest = manifest
+    text = json.dumps(doc, indent=2) + "\n"
+    manifest.write_text(text)
+    # json.dumps escapes non-ASCII, so this character offset is a byte offset
+    args.manifest = manifest, text.rindex('"finishedAt"')
     return run_dir
 
 
-def _finish_manifest(manifest: Path | None, error: str | None) -> None:
-    """Record the end of the run. The manifest is read back from disk, so the
-    resolved config is not held in memory while trials run."""
+def _finish_manifest(manifest: tuple[Path, int] | None, error: str | None) -> None:
+    """Record the end of the run by rewriting the manifest from its
+    `finishedAt` key on, at the byte offset `_prepare_run_dir` noted. The
+    file then holds exactly the indented dump of the whole document with
+    `finishedAt`, `status` and `error` set, while the resolved config is
+    neither held in memory during the run nor read back."""
     if manifest is None:
         return
-    doc = json.loads(manifest.read_text())
-    doc["finishedAt"] = _now()
-    doc["status"] = "ok" if error is None else "failed"
-    doc["error"] = error
-    manifest.write_text(json.dumps(doc, indent=2) + "\n")
+    path, offset = manifest
+    tail = json.dumps({"finishedAt": _now(), "status": "ok" if error is None else "failed",
+                       "error": error}, indent=2)
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        fh.write((tail[tail.index('"'):] + "\n").encode("ascii"))
+        fh.truncate()
 
 
 @contextmanager
@@ -404,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.manifest = None  # set once a run directory's manifest is written
+    args.manifest = None  # (path, tail offset) once a run directory's manifest is written
     try:
         code, error = args.func(args), None
     except ConfigError as exc:

@@ -150,9 +150,12 @@ def validate(entries: np.ndarray | list[list[float]]) -> SelectionMatrix:
         renormalized; fixing the input is the caller's job.
     """
     try:
-        a = np.array(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
+        a = np.array(entries)
+    except ValueError as exc:
         raise BadParameterError(f"matrix entries must be an array of numbers: {exc}") from None
+    if a.dtype.kind not in "iuf":  # strings, even numeric ones, and objects
+        raise BadParameterError(f"matrix entries must be numbers, got {a.dtype} entries")
+    a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MatrixTooSmallError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
@@ -344,7 +347,10 @@ def import_matrix_csv(path: str | Path) -> SelectionMatrix:
         for record in csv.reader(fh):
             if not record or record[0].lstrip().startswith("#"):
                 continue
-            rows.append([float(v) for v in record])
+            try:
+                rows.append([float(v) for v in record])
+            except ValueError as exc:
+                raise BadParameterError(f"matrix file {path}: {exc}") from None
     return validate(rows)
 
 
@@ -354,7 +360,10 @@ def export_matrix_json(matrix: SelectionMatrix, path: str | Path) -> None:
 
 
 def import_matrix_json(path: str | Path) -> SelectionMatrix:
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise BadParameterError(f"matrix file {path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "rows" not in payload:
         raise BadParameterError("matrix JSON must be an object with a 'rows' key")
     m = validate(payload["rows"])

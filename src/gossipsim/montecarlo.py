@@ -8,6 +8,12 @@ slot). The scalar path (`run_trial`) and the vectorized engine
 expressions, so their trajectories and measures agree bit for bit; the
 vectorized engine is what `run_experiment` uses. Per-trial streams also make
 results independent of how trials are chunked.
+
+The engine draws each trial's uniforms one step block at a time and
+presamples the block right after: pairs (the partner by a bisection over the
+flattened row CDFs, O(log n) per slot), events and active endpoints do not
+depend on the state, so each slot is left with a gather, the update
+expressions, the overflow check and a scatter.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ __all__ = [
 
 CHUNK_TRIALS = 256
 STEP_BLOCK = 1024
+PRESAMPLE_STEPS = 64
 HEAVY_TAIL_KURTOSIS = 10.0
 DEFAULT_EPS_AGREE = 1e-6
 BIG_M_FACTOR = 1e6
@@ -150,6 +157,9 @@ class ExperimentConfig:
     checkpoints: tuple[int, ...] | None = None
     eps_agree: float = DEFAULT_EPS_AGREE
     big_m: float | None = None
+    # `config_hash`'s digest, kept once computed; configs are not changed
+    # after construction
+    _hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_weakly_connected(induced_graph(self.matrix)):
@@ -248,7 +258,10 @@ def _matrix_from_dict(d, base_dir: Path | None) -> SelectionMatrix:
     if kind == "explicit":
         return validate(_keys("matrix", d, ("rows",), ("kind",))["rows"])
     if kind == "file":
-        path = Path(_keys("matrix", d, ("path",), ("kind",))["path"])
+        path = _keys("matrix", d, ("path",), ("kind",))["path"]
+        if not isinstance(path, str):
+            raise BadParameterError(f"matrix.path must be a string, got {path!r}")
+        path = Path(path)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         read = import_matrix_json if path.suffix.lower() == ".json" else import_matrix_csv
@@ -363,13 +376,24 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    """64-bit FNV-1a over the canonical JSON form, as 16 hex digits."""
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+def _fnv1a64(data: bytes) -> int:
     h = 0xCBF29CE484222325
-    for byte in blob.encode("utf-8"):
+    for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return f"{h:016x}"
+    return h
+
+
+def config_hash(cfg: ExperimentConfig) -> str:
+    """64-bit FNV-1a over the canonical JSON form, as 16 hex digits.
+
+    The digest is computed on the first call and kept on the config, so a
+    command that hashes its config for the manifest and for the results
+    walks the canonical form once.
+    """
+    if cfg._hash is None:
+        blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+        cfg._hash = f"{_fnv1a64(blob.encode('utf-8')):016x}"
+    return cfg._hash
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +444,78 @@ class TrialMatrices:
     diverged_at: np.ndarray  # (trials,), -1 when the state stayed finite
 
 
+def _index_dtype(size: int) -> type:
+    """The narrowest signed integer type that holds every index below `size`."""
+    return next(dt for dt in (np.int16, np.int32, np.int64) if size <= np.iinfo(dt).max)
+
+
+def _presample(u: np.ndarray, rows: np.ndarray, n: int, cdf: np.ndarray,
+               thr: tuple[float, float], mode: UpdateMode):
+    """Turn one step block's draws into pairs and events, all slots at once.
+
+    `u` holds the draws of the trials live at the start of the block,
+    (trials, steps, draws per slot); `rows[p]` is the flat offset of trial
+    p's state row and `cdf` the flattened row CDFs. Node i comes from the
+    first draw as in `dynamics`; partner j is the number of entries of row
+    i's CDF that are <= the second draw, the index searchsorted(side="right")
+    returns, found by a bisection of fixed length over the flattened rows.
+
+    Returns, per step, the flat state indices of (i, j), shape
+    (steps, 2, trials), and the masks of the endpoints that attract and that
+    repel, shape (steps, 2, trials), or (steps, 1, trials) for coupled
+    updates, where both endpoints share the event. The block is sampled
+    PRESAMPLE_STEPS slots at a time, which keeps the temporaries small.
+    """
+    a, b, _ = u.shape
+    width = 1 if mode.variant == "symmetric" else 2
+    fij = np.empty((b, 2, a), dtype=rows.dtype)
+    att = np.empty((b, width, a), dtype=bool)
+    rep = np.empty((b, width, a), dtype=bool)
+    for s0 in range(0, b, PRESAMPLE_STEPS):
+        us = u[:, s0:s0 + PRESAMPLE_STEPS]
+        i = np.minimum((us[:, :, 0] * n).astype(np.int64), n - 1)
+        base = i * n
+        pos = base.copy()
+        # The count lies in [pos - base, pos - base + length - 1]: the row
+        # ends in 1.0, above every draw, so it is at most n - 1.
+        length = n
+        while length > 1:
+            half = length // 2
+            np.add(pos, half, out=pos, where=cdf[pos + (half - 1)] <= us[:, :, 1])
+            length -= half
+        out = fij[s0:s0 + PRESAMPLE_STEPS]
+        np.add(rows[:, None], i, out=out[:, 0, :].T)
+        np.add(rows[:, None], pos - base, out=out[:, 1, :].T)
+
+        e_att = us[:, :, 2] < thr[0]
+        e_rep = us[:, :, 2] >= thr[1]
+        if width == 1:
+            att[s0:s0 + PRESAMPLE_STEPS, 0, :] = e_att.T
+            rep[s0:s0 + PRESAMPLE_STEPS, 0, :] = e_rep.T
+            continue
+        if mode.active_rule == "uniform":
+            active_i = us[:, :, 3] < 0.5
+        else:
+            active_i = np.full(e_att.shape, mode.active_rule == "initiator")
+        for event, mask in ((e_att, att), (e_rep, rep)):
+            out = mask[s0:s0 + PRESAMPLE_STEPS]
+            np.logical_and(event, active_i, out=out[:, 0, :].T)
+            np.logical_and(event, ~active_i, out=out[:, 1, :].T)
+    return fij, att, rep
+
+
 def _simulate_chunk(cfg: ExperimentConfig, lo: int, hi: int,
                     l_out: np.ndarray, s_out: np.ndarray,
                     div_out: np.ndarray) -> None:
     """Advance trials [lo, hi) together, one slot at a time across the chunk.
 
     Mirrors the scalar path exactly: same per-trial streams, same consumption
-    order, same update expressions, same freeze-on-overflow semantics.
+    order, same update expressions, same freeze-on-overflow semantics. Pairs
+    and events do not depend on the state, so each step block samples them
+    for all its slots right after its draws (`_presample`); a slot then
+    gathers both endpoints of every trial, updates them and scatters them
+    back. A trial that overflows keeps its state from then on: the slot's
+    update is not written, and its remaining slots in the block neglect.
     """
     n = cfg.matrix.n
     m = hi - lo
@@ -436,15 +525,14 @@ def _simulate_chunk(cfg: ExperimentConfig, lo: int, hi: int,
     for r in range(m):
         x[r] = cfg.initial.sample(n, rngs[r])
     refs = x.mean(axis=1)
+    flat = x.reshape(-1)
 
-    cdfs = cfg.matrix.row_cdfs()
+    cdf = cfg.matrix.row_cdfs().reshape(-1)
     thr = cfg.probabilities.thresholds()
     d = cfg.mode.draws_per_slot
-    symmetric = cfg.mode.variant == "symmetric"
-    rule = cfg.mode.active_rule
+    index_dtype = _index_dtype(m * n)
 
     alive = np.ones(m, dtype=bool)
-    alive_idx = np.arange(m)
     diverged_at = np.full(m, -1, dtype=np.int64)
 
     ci = 0
@@ -461,57 +549,38 @@ def _simulate_chunk(cfg: ExperimentConfig, lo: int, hi: int,
     end = cfg.k0 + cfg.steps
     while k < end:
         b = min(STEP_BLOCK, end - k)
-        u = np.empty((m, b, d))
-        for r in alive_idx:
-            u[r] = rngs[r].random((b, d))
+        cols = np.nonzero(alive)[0]
+        u = np.empty((cols.size, b, d))
+        for p, r in enumerate(cols):
+            rngs[r].random(out=u[p])
+        fij, att, rep = _presample(u, (cols * n).astype(index_dtype), n, cdf, thr,
+                                   cfg.mode)
+        del u
         t_vals = cfg.schedule_t.applied(k, k + b).tolist()
         s_vals = cfg.schedule_s.applied(k, k + b).tolist()
-        for step in range(b):
-            kk = k + step
-            if alive_idx.size:
-                ua = u[alive_idx, step, :]
-                t = t_vals[step]
-                s = s_vals[step]
-                i = np.minimum((ua[:, 0] * n).astype(np.int64), n - 1)
-                j = (cdfs[i] <= ua[:, 1, None]).sum(axis=1)
-                e = (ua[:, 2] >= thr[0]).astype(np.int64) \
-                    + (ua[:, 2] >= thr[1]).astype(np.int64)
-                xi = x[alive_idx, i]
-                xj = x[alive_idx, j]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    att_i = (1.0 - t) * xi + t * xj
-                    rep_i = (1.0 + s) * xi - s * xj
-                    att_j = (1.0 - t) * xj + t * xi
-                    rep_j = (1.0 + s) * xj - s * xi
-                if symmetric:
-                    e_i = e
-                    e_j = e
-                else:
-                    if rule == "initiator":
-                        active_i = np.ones(alive_idx.size, dtype=bool)
-                    elif rule == "responder":
-                        active_i = np.zeros(alive_idx.size, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(b):
+                if cols.size:
+                    f = fij[step]
+                    xij = flat[f]
+                    xji = xij[::-1]
+                    t = t_vals[step]
+                    s = s_vals[step]
+                    new = np.where(att[step], (1.0 - t) * xij + t * xji,
+                                   np.where(rep[step], (1.0 + s) * xij - s * xji, xij))
+                    if np.abs(new).max() <= OVERFLOW_LIMIT:  # false on nan too
+                        flat[f] = new
                     else:
-                        active_i = ua[:, 3] < 0.5
-                    e_i = np.where(active_i, e, 1)
-                    e_j = np.where(active_i, 1, e)
-                new_i = np.where(e_i == 0, att_i, np.where(e_i == 2, rep_i, xi))
-                new_j = np.where(e_j == 0, att_j, np.where(e_j == 2, rep_j, xj))
-                ok = (np.abs(new_i) <= OVERFLOW_LIMIT) & (np.abs(new_j) <= OVERFLOW_LIMIT)
-                if ok.all():
-                    x[alive_idx, i] = new_i
-                    x[alive_idx, j] = new_j
-                else:
-                    good = alive_idx[ok]
-                    x[good, i[ok]] = new_i[ok]
-                    x[good, j[ok]] = new_j[ok]
-                    bad = alive_idx[~ok]
-                    diverged_at[bad] = kk + 1
-                    alive[bad] = False
-                    alive_idx = np.nonzero(alive)[0]
-            if ci < len(cps) and kk + 1 == cps[ci]:
-                record()
-                ci += 1
+                        ok = (np.abs(new) <= OVERFLOW_LIMIT).all(axis=0)
+                        flat[f[:, ok]] = new[:, ok]
+                        bad = ~ok
+                        diverged_at[cols[bad]] = k + step + 1
+                        alive[cols[bad]] = False
+                        att[step + 1:, :, bad] = False
+                        rep[step + 1:, :, bad] = False
+                if ci < len(cps) and k + step + 1 == cps[ci]:
+                    record()
+                    ci += 1
         k += b
 
     div_out[lo:hi] = diverged_at

@@ -179,6 +179,22 @@ def _coefficient(t, s, alpha: float, gamma: float):
         return c - s * (1.0 + s) * gamma
 
 
+def _saturating_pow(base: float, width: int) -> float:
+    """base ** width for base >= 0, inf where the float power overflows."""
+    try:
+        return base ** width
+    except OverflowError:
+        return math.inf
+
+
+def _repulsion_growth(any_rep: float, s_product):
+    """any_rep * (P - 1) for a block's product P of (1 + S_k), float or
+    array: what the block's repulsion events can add. Left out when no
+    repulsion can happen, so a product that saturated to inf never meets a
+    zero weight (0 * inf)."""
+    return any_rep * (s_product - 1.0) if any_rep > 0.0 else 0.0
+
+
 def _sign(c: float) -> int:
     """-1, 0 or +1; a coefficient within OSCILLATION_TOL of zero is critical."""
     return (c > OSCILLATION_TOL) - (c < -OSCILLATION_TOL)
@@ -368,21 +384,23 @@ def _tau_search(inp: _Inputs, t: np.ndarray, s: np.ndarray, c: np.ndarray,
     Returns (True, tail mean, tau, p) for the first tau whose mean of J over
     the second half of the slots exceeds `margin`, else (False, best tail
     mean, its tau, its p). A constant sequence is decided exactly (margin 0);
-    the margin absorbs rounding in tail means of time-varying ones.
+    the margin absorbs rounding in tail means of time-varying ones. Where
+    S(1+S) overflows, p is inf/inf and the slot certifies nothing.
     """
     n, pr = inp.cfg.matrix.n, inp.cfg.probabilities
     i_hat = _envelope(c, inp.sp, hat=True)
-    s_poly = s * s + s
     best = (-math.inf, None, None)
-    for tau in inp.tau_grid:
-        q = 1.0 + 4.0 * tau * s_poly
-        p = -((2.0 / n) * i_hat + pr.gamma * q) / (4.0 * (1.0 - tau) * s_poly)
-        j = p * np.log(q) + 2.0 * pr.alpha * np.log(np.abs(2.0 * t - 1.0))
-        tail_mean = float(j[len(j) // 2:].mean())
-        if tail_mean > margin:
-            return True, tail_mean, tau, p
-        if tail_mean > best[0]:
-            best = (tail_mean, tau, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_poly = s * s + s
+        for tau in inp.tau_grid:
+            q = 1.0 + 4.0 * tau * s_poly
+            p = -((2.0 / n) * i_hat + pr.gamma * q) / (4.0 * (1.0 - tau) * s_poly)
+            j = p * np.log(q) + 2.0 * pr.alpha * np.log(np.abs(2.0 * t - 1.0))
+            tail_mean = float(j[len(j) // 2:].mean())
+            if tail_mean > margin:
+                return True, tail_mean, tau, p
+            if tail_mean > best[0]:
+                best = (tail_mean, tau, p)
     return (False, *best)
 
 
@@ -663,15 +681,16 @@ def _eval_asym_rep_agree(inp: _Inputs, detail: dict) -> Verdict:
     nb = len(inp.t) // width
     t, s = inp.t[: nb * width], inp.s[: nb * width]
     t_hat = np.prod((t * (1.0 - t)).reshape(nb, width), axis=1)
-    s_hat = np.prod((1.0 + s).reshape(nb, width), axis=1)
-    terms = 1.0 - chain * t_hat + any_rep * (s_hat - 1.0)
     with np.errstate(over="ignore"):
+        s_hat = np.prod((1.0 + s).reshape(nb, width), axis=1)
+        terms = 1.0 - chain * t_hat + _repulsion_growth(any_rep, s_hat)
         detail["partial_product"] = float(np.exp(np.log(np.maximum(terms, 1e-300)).sum())) \
             if (terms > 0.0).all() else 0.0
     # the block factor at the schedules' limits, for constants the constant one
     st = cfg.schedule_t
     tl, sl = st.limit(), cfg.schedule_s.limit()
-    e = 1.0 - chain * (tl * (1.0 - tl)) ** width + any_rep * ((1.0 + sl) ** width - 1.0)
+    e = 1.0 - chain * (tl * (1.0 - tl)) ** width \
+        + _repulsion_growth(any_rep, _saturating_pow(1.0 + sl, width))
     detail["block_factor" if inp.constant else "block_factor_limit"] = e
     if e < 1.0:
         return Verdict(GUARANTEED, detail, caveats=inp.floor)
@@ -712,7 +731,7 @@ def _eval_asym_const(inp: _Inputs, detail: dict) -> Verdict:
     cfg, pr, t, s = inp.cfg, inp.cfg.probabilities, float(inp.t[0]), float(inp.s[0])
     n = cfg.matrix.n
     width = n - 1
-    lhs = (1.0 - (1.0 - pr.gamma) ** width) * ((s + 1.0) ** width - 1.0)
+    lhs = _repulsion_growth(1.0 - (1.0 - pr.gamma) ** width, _saturating_pow(s + 1.0, width))
     rhs = (pr.alpha * inp.share * inp.sp.a_star / n) ** width \
         * max(t, 1.0 - t) ** width
     detail["agreement_lhs"] = lhs

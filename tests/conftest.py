@@ -10,10 +10,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gossipsim.dynamics import EventProbabilities, Schedule, T_CLIP, S_CLIP, UpdateMode
 from gossipsim.graph import validate
 from gossipsim.montecarlo import ExperimentConfig, InitialState
+
+# One profile for every property test: derandomized, so each run draws the
+# same examples; no deadline, which a loaded machine would trip; and a
+# bounded default number of examples, so the suite's time stays bounded.
+settings.register_profile("gossipsim", derandomize=True, deadline=None, database=None,
+                          max_examples=50)
+settings.load_profile("gossipsim")
 
 # 4-node reference selection matrix used throughout.
 REF_ROWS = [

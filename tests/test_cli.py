@@ -6,7 +6,8 @@ import warnings
 import pytest
 
 from conftest import REF_ROWS
-from gossipsim import cli
+from gossipsim import cli, montecarlo
+from gossipsim.errors import RuntimeFailure
 
 TWO_TRIANGLES = [
     [0.0, 0.5, 0.5, 0.0, 0.0, 0.0],
@@ -99,6 +100,45 @@ def test_manifest_written_before_trials(tmp_path):
     assert "initial spread" in manifest["error"]
 
 
+@pytest.mark.parametrize("error", [None, 'trial "7" left the range: |x| > 1e150 – für'])
+def test_manifest_finalized_in_place_is_the_full_dump(tmp_path, monkeypatch, error):
+    """The tail rewrite leaves exactly the indented dump of the whole
+    document; a non-ASCII config path sits before the tail, an error with
+    quotes and non-ASCII characters inside it."""
+    cfg = write_config(tmp_path, name="cönfig.json")
+    if error is not None:
+        def fail(config):
+            raise RuntimeFailure(error)
+        monkeypatch.setattr(cli, "run_experiment", fail)
+    out = tmp_path / "run"
+    code = cli.main(["experiment", "--config", str(cfg), "--out", str(out)])
+    raw = (out / "manifest.json").read_bytes()
+    doc = json.loads(raw)
+    assert raw == (json.dumps(doc, indent=2) + "\n").encode()
+    assert list(doc) == ["command", "packageVersion", "configPath", "configHash", "seed",
+                         "config", "outputs", "startedAt", "finishedAt", "status", "error"]
+    assert doc["configPath"] == str(cfg)
+    assert doc["finishedAt"] is not None
+    if error is None:
+        assert (code, doc["status"], doc["error"]) == (0, "ok", None)
+    else:
+        assert (code, doc["status"], doc["error"]) == (3, "failed", f"failure: {error}")
+
+
+def test_experiment_hashes_its_config_once(tmp_path, monkeypatch):
+    fnv = montecarlo._fnv1a64
+    calls = []
+    monkeypatch.setattr(montecarlo, "_fnv1a64", lambda data: calls.append(data) or fnv(data))
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["experiment", "--config", str(cfg), "--format", "json",
+                     "--out", str(out)]) == 0
+    assert len(calls) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert json.loads((out / "aggregate.json").read_text())["configHash"] \
+        == manifest["configHash"] == f"{fnv(calls[0]):016x}"
+
+
 @pytest.mark.parametrize("command", ["experiment", "simulate", "sweep", "check"])
 def test_csv_stdout_matches_run_directory(tmp_path, capsys, command):
     cfg = write_config(tmp_path, trials=3, steps=10)
@@ -136,13 +176,22 @@ def test_experiment_survives_overflowing_geometric_schedule(tmp_path, capsys):
 
 
 def test_check_is_silent_on_unbounded_repulsion_gains(tmp_path, capsys):
-    # S = 0.1 * 1.5^k overflows within the horizon; no numpy warning escapes
-    cfg = write_config(tmp_path, schedules={"T": {"kind": "constant", "value": 0.25},
-                                            "S": {"kind": "geometric", "c": 0.1, "r": 1.5}})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["check", "--config", str(cfg)]) == 0
-    assert capsys.readouterr().err == ""
+    # S = 0.1 * 1.5^k overflows within the horizon, and (1 + S)^(n - 1) or
+    # S(1 + S) overflow for a huge constant S, coupled or one-sided; each
+    # saturates to inf, no numpy warning escapes and check gives its verdicts
+    gains = [({"variant": "symmetric"}, {"kind": "geometric", "c": 0.1, "r": 1.5})]
+    gains += [({"variant": variant}, {"kind": "constant", "value": value})
+              for variant in ("symmetric", "asymmetric") for value in (1e160, 1e200)]
+    for mode, gain in gains:
+        cfg = write_config(tmp_path, mode=mode,
+                           schedules={"T": {"kind": "constant", "value": 0.25}, "S": gain})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["check", "--config", str(cfg)]) == 0, (mode, gain)
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert len(json.loads(out.out)["conditions"]) == (7 if mode["variant"] == "asymmetric"
+                                                          else 8)
 
 
 def test_simulate_stdout_csv(tmp_path, capsys):
@@ -281,11 +330,24 @@ MALFORMED = {
     "ragged matrix rows": {"matrix": {"kind": "explicit", "rows": [[0, 1], [1, 0, 0]]}},
     "unknown schedule role": {"schedules": {"T": {"value": 0.25}, "S": {"value": 0.05},
                                             "U": {"value": 0.1}}},
+    "matrix path number": {"matrix": {"kind": "file", "path": 5}},
+    "non-numeric csv matrix file": {"matrix": {"kind": "file", "path": "letters.csv"}},
+    "invalid json matrix file": {"matrix": {"kind": "file", "path": "broken.json"}},
+    "numeric string matrix rows": {"matrix": {"kind": "explicit",
+                                              "rows": [[str(v) for v in row] for row in REF_ROWS]}},
+}
+
+# matrix files next to the config, named by the cases above
+MALFORMED_FILES = {
+    "letters.csv": "0,0.5,0,0.5\n0.5,0,0.25,0.25\n0.5,0,0,x\n0,0.5,0.5,0\n",
+    "broken.json": '{"rows": [[0, 0.5, 0.5],',
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_config_is_a_config_error(tmp_path, capsys, case):
+    for name, text in MALFORMED_FILES.items():
+        (tmp_path / name).write_text(text)
     cfg = write_config(tmp_path, **MALFORMED[case])
     assert cli.main(["check", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")

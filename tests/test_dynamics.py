@@ -350,7 +350,7 @@ def spreads_of(states):
     return [float(st.x.max() - st.x.min()) for st in states]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1),
        t=st.floats(0.01, 0.99),
        s=st.floats(0.0, 1.5),
@@ -372,7 +372,7 @@ def test_spread_growth_cap(seed, t, s, gamma):
         assert h[k + 1] <= cap * (1.0 + 1e-12) + 1e-9
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.01, 0.99))
 def test_spread_never_grows_without_repulsion(seed, t):
     matrix = validate(REF_ROWS)
@@ -387,7 +387,7 @@ def test_spread_never_grows_without_repulsion(seed, t):
         assert h[k + 1] <= h[k] + 1e-12
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.01, 0.49))
 def test_spread_shrink_floor_small_weights(seed, t):
     """With T_k < 1/2 and no repulsion, one slot shrinks the spread by at
@@ -404,7 +404,7 @@ def test_spread_shrink_floor_small_weights(seed, t):
         assert h[k + 1] >= (1.0 - 2.0 * t) * h[k] - 1e-12
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1),
        t=st.floats(0.01, 0.99),
        s=st.floats(0.0, 0.05),

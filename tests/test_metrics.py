@@ -83,7 +83,7 @@ def test_classify_validation():
         classify([sample(0, 3.0)], 1e-6, 3.0)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(data=st.data(),
        n=st.integers(2, 12),
        seed=st.integers(0, 2**32 - 1))

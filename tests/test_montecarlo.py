@@ -11,13 +11,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import REF_ROWS, make_config
-from gossipsim.dynamics import Schedule, S_CLIP, T_CLIP
+from gossipsim import montecarlo
+from gossipsim.dynamics import EventProbabilities, Schedule, S_CLIP, T_CLIP, UpdateMode
 from gossipsim.errors import BadAxisError, BadParameterError
+from gossipsim.graph import validate
 from gossipsim.metrics import Classification
 from gossipsim.montecarlo import (
     STEP_BLOCK,
+    ExperimentConfig,
     InitialState,
     aggregate_json_dict,
     config_from_dict,
@@ -247,6 +251,107 @@ def test_vector_engine_matches_scalar_reference(ref_matrix):
             np.testing.assert_array_equal(mats.spread[t], want_spread)
             want_div = -1 if ref.diverged_at is None else ref.diverged_at
             assert mats.diverged_at[t] == want_div
+
+
+@st.composite
+def schedules(draw, clip, values):
+    """Any of the four kinds; the value ranges reach past both clips."""
+    kind = draw(st.sampled_from(["constant", "explicit", "power", "geometric"]))
+    if kind == "constant":
+        return Schedule.constant(draw(values), clip=clip)
+    if kind == "explicit":
+        return Schedule.explicit(draw(st.lists(values, max_size=12)), draw(values), clip=clip)
+    c = draw(st.floats(0.01, 2.0))
+    if kind == "power":
+        return Schedule.power(c, draw(st.floats(-1.0, 2.0)), clip=clip)
+    return Schedule.geometric(c, draw(st.floats(0.0, 1.6)), clip=clip)
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Configs over every mode, schedule kind and initial kind, on matrices
+    of 17 to 40 nodes whose rows have zero-weight entries (CDF plateaus).
+    A repulsion gain of 1e120, or a geometric one past slot ~1500, freezes
+    trials; T and S values outside [1e-12, 1] and [1e-12, inf) clip."""
+    n = draw(st.integers(17, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = rng.random((n, n))
+    w[rng.random((n, n)) < draw(st.floats(0.0, 0.95))] = 0.0
+    np.fill_diagonal(w, 0.0)
+    w[np.arange(n), (np.arange(n) + 1) % n] += 0.05  # a ring keeps every row positive
+    variant, rule = draw(st.sampled_from([("symmetric", "uniform"), ("asymmetric", "uniform"),
+                                          ("asymmetric", "initiator"),
+                                          ("asymmetric", "responder")]))
+    alpha = draw(st.floats(0.0, 1.0))
+    beta = draw(st.floats(0.0, 1.0 - alpha))
+    initial = draw(st.sampled_from(["ramp", "explicit", "uniform"]))
+    if initial == "explicit":
+        initial = InitialState(kind="explicit", values=tuple(
+            draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))))
+    elif initial == "uniform":
+        low = draw(st.floats(-5.0, 5.0))
+        initial = InitialState(kind="uniform", low=low, high=low + draw(st.floats(0.0, 5.0)))
+    else:
+        initial = InitialState(kind="ramp")
+    k0 = draw(st.integers(0, 1800))
+    steps = draw(st.integers(0, 60))
+    checkpoints = draw(st.none() | st.lists(st.integers(k0, k0 + steps), max_size=5))
+    return ExperimentConfig(
+        matrix=validate(w / w.sum(axis=1, keepdims=True)),
+        mode=UpdateMode(variant=variant, active_rule=rule),
+        probabilities=EventProbabilities(alpha=alpha, beta=beta, gamma=1.0 - alpha - beta),
+        schedule_t=draw(schedules(T_CLIP, st.floats(-0.5, 1.5))),
+        schedule_s=draw(schedules(S_CLIP, st.floats(-0.5, 3.0) | st.just(1e120))),
+        initial=initial, steps=steps, trials=draw(st.integers(1, 7)), k0=k0,
+        base_seed=draw(st.integers(0, 2 ** 64 - 1)),
+        checkpoints=None if checkpoints is None else tuple(checkpoints))
+
+
+@settings(max_examples=200)
+@given(cfg=fuzz_configs(), chunk=st.integers(1, 4), block=st.integers(1, 16),
+       presample=st.integers(1, 8))
+def test_engine_matches_scalar_path_on_generated_configs(cfg, chunk, block, presample):
+    """Small trial chunks, step blocks and presampling slices put their
+    boundaries in the middle of runs; every trial must still equal the
+    scalar path bit for bit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "CHUNK_TRIALS", chunk)
+        mp.setattr(montecarlo, "STEP_BLOCK", block)
+        mp.setattr(montecarlo, "PRESAMPLE_STEPS", presample)
+        mats = run_trials(cfg)
+    for t in range(cfg.trials):
+        ref = run_trial(cfg, t)
+        assert mats.dispersion[t].tobytes() == np.array(
+            [s.dispersion for s in ref.samples]).tobytes(), f"trial {t}"
+        assert mats.spread[t].tobytes() == np.array([s.spread for s in ref.samples]).tobytes()
+        assert mats.diverged_at[t] == (-1 if ref.diverged_at is None else ref.diverged_at)
+
+
+@pytest.mark.parametrize("n", [3, 4, 17, 32, 33])
+def test_presampled_partner_is_searchsorted_right(n):
+    """The bisection returns what the scalar path's searchsorted(side="right")
+    returns, also for draws that equal a CDF entry, sit next to one or fall
+    on a plateau of zero-weight entries."""
+    rng = np.random.default_rng(n)
+    w = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+    np.fill_diagonal(w, 0.0)
+    w[np.arange(n), (np.arange(n) + 1) % n] += 0.25
+    cdfs = validate(w / w.sum(axis=1, keepdims=True)).row_cdfs()
+    rows, draws = [], []
+    for r in range(n):
+        for c in [0.0, *cdfs[r]]:
+            for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)):
+                if 0.0 <= v < 1.0:
+                    rows.append(r)
+                    draws.append(v)
+    u = np.zeros((1, len(draws), 3))
+    u[0, :, 0] = (np.array(rows) + 0.5) / n
+    u[0, :, 1] = draws
+    fij, _, _ = montecarlo._presample(u, np.zeros(1, dtype=np.int32), n, cdfs.reshape(-1),
+                                      (0.5, 0.5), UpdateMode())
+    np.testing.assert_array_equal(fij[:, 0, 0], rows)
+    np.testing.assert_array_equal(
+        fij[:, 1, 0], [np.searchsorted(cdfs[r], v, side="right") for r, v in zip(rows, draws)])
 
 
 def test_freeze_case_actually_freezes(ref_matrix):

@@ -137,7 +137,7 @@ def test_second_moment_rows_sum_to_one(ref_matrix):
     np.testing.assert_allclose(m.sum(axis=1), np.ones(4), atol=1e-12)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(t=st.floats(0.01, 0.99), s=st.floats(0.0, 2.0),
        alpha=st.floats(0.0, 1.0), frac=st.floats(0.0, 1.0))
 def test_second_moment_matches_enumeration_entrywise(t, s, alpha, frac):
@@ -149,7 +149,7 @@ def test_second_moment_matches_enumeration_entrywise(t, s, alpha, frac):
     assert np.abs(closed - brute).max() <= 1e-12
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.01, 0.99),
        s=st.floats(0.0, 1.5), ref=st.floats(-5.0, 5.0))
 def test_one_slot_expectation_matches_quadratic_form(seed, t, s, ref):
@@ -198,7 +198,7 @@ def test_contraction_divergent_regime_swaps_branches(ref_matrix):
     assert co.z_k > 1.0
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.01, 0.99),
        s=st.floats(0.0, 1.0), gamma=st.floats(0.0, 0.5))
 def test_envelope_bounds_quadratic_form(seed, t, s, gamma):
