@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .dynamics import EventProbabilities
 from .errors import BadParameterError, ConfigError, RuntimeFailure
-from .graph import validate
+from .graph import json_with_rows, validate
 from .montecarlo import (
     AGG_COLUMNS,
     INTEGER_KEYS,
@@ -44,7 +44,7 @@ from .montecarlo import (
     aggregate_json_dict,
     config_from_dict,
     config_hash,
-    config_to_dict,
+    config_outline,
     run_experiment,
     run_trial,
     set_by_path,
@@ -116,13 +116,13 @@ def _prepare_run_dir(args, command: str, cfg: ExperimentConfig, cfg_path: Path,
         "configPath": str(cfg_path),
         "configHash": config_hash(cfg),
         "seed": cfg.base_seed,
-        "config": config_to_dict(cfg),
+        "config": config_outline(cfg),
         "outputs": outputs,
         "startedAt": _now(),
         "finishedAt": None,
         "status": "running",
     }
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json_with_rows(doc, cfg.matrix, indent=2) + "\n"
     manifest.write_text(text)
     # json.dumps escapes non-ASCII, so this character offset is a byte offset
     args.manifest = manifest, text.rindex('"finishedAt"')

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +44,16 @@ __all__ = [
     "export_matrix_csv",
     "import_matrix_json",
     "export_matrix_json",
+    "MATRIX_ROWS",
+    "json_with_rows",
 ]
 
 ROW_SUM_TOL = 1e-9
 GENERATOR_MAX_RETRIES = 100
+# Stands for a matrix's rows in a document given to `json_with_rows`. A NUL
+# character is in no path and no command-line argument, the only strings
+# such a document holds besides fixed names.
+MATRIX_ROWS = "\0rows\0"
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +85,22 @@ class SelectionMatrix:
             positive = np.nonzero(self.entries[i] > 0.0)[0]
             cdfs[i, positive[-1]:] = 1.0
         return cdfs
+
+    @cached_property
+    def row_texts(self) -> list[str]:
+        """Each row as compact JSON writes it, without brackets
+        ("0.0,0.5,0.5"). Rendered on first use and kept, so a config hash
+        and a manifest share one rendering.
+
+        `json` writes a finite float with `float.__repr__`, so one rendering
+        per distinct bit pattern (-0.0 is not 0.0) gives every entry's text.
+        """
+        bits = self.entries.view(np.uint64)
+        values = np.sort(bits, axis=None)
+        values = values[np.r_[True, values[1:] != values[:-1]]]
+        texts = json.dumps(values.view(np.float64).tolist(), separators=(",", ":"))
+        tokens = np.array(texts[1:-1].split(","), dtype=object)[np.searchsorted(values, bits)]
+        return [",".join(row) for row in tokens.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +181,9 @@ def validate(entries: np.ndarray | list[list[float]]) -> SelectionMatrix:
     a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MatrixTooSmallError(f"expected a square matrix, got shape {a.shape}")
+    if not isinstance(entries, np.ndarray) and any(
+            not {bool, np.bool_}.isdisjoint(map(type, row)) for row in entries):
+        raise BadParameterError("matrix entries must be numbers, got a boolean entry")
     n = a.shape[0]
     if n < 3:
         raise MatrixTooSmallError(f"need at least 3 nodes, got {n}")
@@ -354,9 +380,34 @@ def import_matrix_csv(path: str | Path) -> SelectionMatrix:
     return validate(rows)
 
 
+def json_with_rows(doc, matrix: SelectionMatrix, indent: int | None = None,
+                   sort_keys: bool = False) -> str:
+    """`json.dumps` of `doc` with `matrix.entries.tolist()` in place of its one
+    `MATRIX_ROWS` value: compact (separators "," and ":") when `indent` is
+    None, else indented by `indent`. The text is json's own; the rows are
+    taken from `matrix.row_texts` instead of json's encoder, whose indented
+    form runs in pure Python.
+    """
+    separators = (",", ":") if indent is None else None
+    text = json.dumps(doc, indent=indent, separators=separators, sort_keys=sort_keys)
+    head, mark, tail = text.partition(json.dumps(MATRIX_ROWS))
+    if not mark:
+        raise ValueError("document holds no MATRIX_ROWS value")
+    rows = matrix.row_texts
+    if indent is None:
+        return f"{head}[[{'],['.join(rows)}]]{tail}"
+    line = head[head.rfind("\n") + 1:]  # the line holding the rows' key
+    pad = "\n" + line[:len(line) - len(line.lstrip(" "))]
+    row_pad = pad + " " * indent
+    item_pad = row_pad + " " * indent
+    body = f",{row_pad}".join(f"[{item_pad}{r.replace(',', ',' + item_pad)}{row_pad}]"
+                              for r in rows)
+    return f"{head}[{row_pad}{body}{pad}]{tail}"
+
+
 def export_matrix_json(matrix: SelectionMatrix, path: str | Path) -> None:
-    payload = {"n": matrix.n, "rows": matrix.entries.tolist()}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    payload = {"n": matrix.n, "rows": MATRIX_ROWS}
+    Path(path).write_text(json_with_rows(payload, matrix, indent=2) + "\n")
 
 
 def import_matrix_json(path: str | Path) -> SelectionMatrix:

@@ -19,7 +19,6 @@ expressions, the overflow check and a scatter.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import numbers
 from copy import deepcopy
@@ -39,8 +38,8 @@ from .dynamics import (
     run_trajectory,
 )
 from .errors import BadAxisError, BadParameterError
-from .graph import SelectionMatrix, generate, import_matrix_csv, import_matrix_json, \
-    induced_graph, is_weakly_connected, validate
+from .graph import MATRIX_ROWS, SelectionMatrix, generate, import_matrix_csv, \
+    import_matrix_json, induced_graph, is_weakly_connected, json_with_rows, validate
 from .metrics import Classification, classify, measure
 from .theory import json_safe, theory_report
 
@@ -54,6 +53,7 @@ __all__ = [
     "default_checkpoints",
     "config_from_dict",
     "config_to_dict",
+    "config_outline",
     "config_hash",
     "run_trial",
     "run_trials",
@@ -348,6 +348,14 @@ def config_from_dict(d: dict, base_dir: str | Path | None = None) -> ExperimentC
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical resolved form: inline matrix rows, resolved checkpoints and
     thresholds. Feeding this back to `config_from_dict` reproduces the run."""
+    doc = config_outline(cfg)
+    doc["matrix"]["rows"] = cfg.matrix.entries.tolist()
+    return doc
+
+
+def config_outline(cfg: ExperimentConfig) -> dict:
+    """`config_to_dict` with `graph.MATRIX_ROWS` for the matrix rows, which
+    `graph.json_with_rows` writes without a Python float per entry."""
     mode: dict = {"variant": cfg.mode.variant}
     if cfg.mode.variant == "asymmetric":
         mode["activeRule"] = cfg.mode.active_rule
@@ -358,7 +366,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         initial["low"] = cfg.initial.low
         initial["high"] = cfg.initial.high
     return {
-        "matrix": {"kind": "explicit", "rows": cfg.matrix.entries.tolist()},
+        "matrix": {"kind": "explicit", "rows": MATRIX_ROWS},
         "mode": mode,
         "probabilities": {"alpha": cfg.probabilities.alpha,
                           "beta": cfg.probabilities.beta,
@@ -376,22 +384,62 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
+FNV_BLOCK = 1 << 16
+_U64 = (1 << 64) - 1
+_BYTES_OF_WORD = 0x0101010101010101
+
+
 def _fnv1a64(data: bytes) -> int:
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    """FNV-1a-64 of `data` (h <- (h ^ b) * P mod 2^64 per byte), in numpy.
+
+    With l the low byte of h, h ^ b = h + d for d = (l ^ b) - l, so over a
+    block h_N = h_0 P^N + sum_k d_k P^(N-k) mod 2^64: one wrapping dot
+    product once the low bytes l_k are known. Those evolve on their own,
+    l_(k+1) = (l_k ^ b_k) * P mod 256, and as P is odd, bit j of
+    x * P mod 256 is x_j ^ bit j of (x mod 2^j) * P. Given the bits below j
+    of every l_k, bit j of l is then a running xor, one layer at a time.
+    Blocks of `FNV_BLOCK` bytes bound the memory.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    h = FNV_OFFSET
+    # powers[i] = P^(i+1) mod 2^64
+    powers = np.multiply.accumulate(np.full(min(FNV_BLOCK, buf.size), FNV_PRIME, np.uint64))
+    for start in range(0, buf.size, FNV_BLOCK):
+        m = min(FNV_BLOCK, buf.size - start)
+        b = np.zeros(-(-m // 8) * 8, dtype=np.uint8)  # whole words for the xor scan
+        b[:m] = buf[start:start + m]
+        low = np.zeros_like(b)
+        low[0] = l0 = h & 0xFF
+        for j in range(8):
+            flips = (((low ^ b) & ((1 << j) - 1)) * (FNV_PRIME & 0xFF) ^ b) >> j & 1
+            # running xor: within each 8-byte word, then across words
+            words = flips.view("<u8")
+            words ^= words << 8
+            words ^= words << 16
+            words ^= words << 32
+            words[1:] ^= np.bitwise_xor.accumulate(words[:-1] >> 56) * _BYTES_OF_WORD
+            low[1:] |= (flips[:-1] ^ (l0 >> j & 1)) << j
+        low, b = low[:m], b[:m]
+        delta = (low ^ b).astype(np.uint64) - low
+        h = (h * int(powers[m - 1]) + int(np.dot(delta, powers[m - 1::-1]))) & _U64
     return h
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """64-bit FNV-1a over the canonical JSON form, as 16 hex digits.
+    """64-bit FNV-1a over the canonical compact JSON form (`config_to_dict`
+    with sorted keys and separators "," and ":"), as 16 hex digits. The
+    hash runs vectorized (`_fnv1a64`) and the matrix rows are rendered once
+    per matrix (`graph.json_with_rows`), for the same digest a per-byte
+    loop over `json.dumps` gives.
 
     The digest is computed on the first call and kept on the config, so a
     command that hashes its config for the manifest and for the results
     walks the canonical form once.
     """
     if cfg._hash is None:
-        blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+        blob = json_with_rows(config_outline(cfg), cfg.matrix, sort_keys=True)
         cfg._hash = f"{_fnv1a64(blob.encode('utf-8')):016x}"
     return cfg._hash
 
@@ -401,7 +449,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def _trial_rng(base_seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[base_seed, trial]))
+    # a uint64 key: a list would pass seeds of 2^63 and above through float64
+    key = np.array([base_seed, trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass

@@ -74,3 +74,31 @@ def ref_config(ref_matrix):
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def fnv1a64_reference(data: bytes) -> int:
+    """FNV-1a-64 one byte at a time, the definition `config_hash`'s
+    vectorized hash must match."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def exponent_rows(n: int, seed: int, distinct: bool) -> list[list[float]]:
+    """A row-stochastic matrix whose entries print with exponents (1e-05,
+    3.0000000000000004e-07, ...), with -0.0 on every third diagonal entry:
+    mostly distinct entries when `distinct`, a few repeated values otherwise.
+    Row i puts its remaining weight on node i + 1."""
+    rng = np.random.default_rng(seed)
+    if distinct:
+        a = rng.random((n, n)) * 10.0 ** -rng.integers(3, 13, (n, n)).astype(float)
+    else:
+        a = rng.choice([0.0, 1e-05, 3.0000000000000004e-07, 2.5e-300, 1e-03], (n, n))
+    a[0, 2:4] = [1e-05, 3.0000000000000004e-07]
+    np.fill_diagonal(a, 0.0)
+    a[np.arange(0, n, 3), np.arange(0, n, 3)] = -0.0
+    nxt = (np.arange(n) + 1) % n
+    a[np.arange(n), nxt] = 0.0
+    a[np.arange(n), nxt] = 1.0 - a.sum(axis=1)
+    return a.tolist()

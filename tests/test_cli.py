@@ -1,13 +1,15 @@
 """End-to-end CLI behaviour, run in process through main(argv)."""
 
+import functools
 import json
 import warnings
 
 import pytest
 
-from conftest import REF_ROWS
+from conftest import REF_ROWS, exponent_rows, fnv1a64_reference
 from gossipsim import cli, montecarlo
 from gossipsim.errors import RuntimeFailure
+from gossipsim.graph import SelectionMatrix
 
 TWO_TRIANGLES = [
     [0.0, 0.5, 0.5, 0.0, 0.0, 0.0],
@@ -126,17 +128,51 @@ def test_manifest_finalized_in_place_is_the_full_dump(tmp_path, monkeypatch, err
 
 
 def test_experiment_hashes_its_config_once(tmp_path, monkeypatch):
+    """One hash per `experiment --out`, over the canonical compact form of
+    the config, giving the digest of the per-byte FNV-1a loop; the hash and
+    the manifest share one rendering of the matrix rows."""
     fnv = montecarlo._fnv1a64
     calls = []
     monkeypatch.setattr(montecarlo, "_fnv1a64", lambda data: calls.append(data) or fnv(data))
+    render = SelectionMatrix.row_texts.func
+    renders = []
+    counted = functools.cached_property(lambda m: renders.append(m) or render(m))
+    counted.__set_name__(SelectionMatrix, "row_texts")
+    monkeypatch.setattr(SelectionMatrix, "row_texts", counted)
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
     assert cli.main(["experiment", "--config", str(cfg), "--format", "json",
                      "--out", str(out)]) == 0
     assert len(calls) == 1
+    assert len(renders) == 1
     manifest = json.loads((out / "manifest.json").read_text())
+    canonical = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
+    assert calls[0] == canonical.encode()
     assert json.loads((out / "aggregate.json").read_text())["configHash"] \
-        == manifest["configHash"] == f"{fnv(calls[0]):016x}"
+        == manifest["configHash"] == f"{fnv1a64_reference(calls[0]):016x}"
+
+
+@pytest.mark.parametrize("matrix", [
+    {"kind": "explicit", "rows": exponent_rows(40, 1, distinct=True)},
+    {"kind": "explicit", "rows": exponent_rows(40, 2, distinct=False)},
+    {"kind": "watts_strogatz", "n": 200, "kNn": 6, "pRewire": 0.1, "seed": 3},
+], ids=["distinct-exponents", "repeated-exponents", "generated-200"])
+def test_manifest_is_the_indented_dump_at_scale(tmp_path, matrix):
+    """With the matrix rows rendered by the package instead of json's
+    encoder, the manifest still holds the bytes of json's indented dump and
+    the digest of the per-byte loop; entries such as 3.0000000000000004e-07
+    and -0.0 keep their text."""
+    cfg = write_config(tmp_path, matrix=matrix, steps=5, trials=2)
+    out = tmp_path / "run"
+    assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    raw = (out / "manifest.json").read_bytes()
+    doc = json.loads(raw)
+    assert raw == (json.dumps(doc, indent=2) + "\n").encode()
+    canonical = json.dumps(doc["config"], sort_keys=True, separators=(",", ":"))
+    assert doc["configHash"] == f"{fnv1a64_reference(canonical.encode()):016x}"
+    if matrix["kind"] == "explicit":
+        assert json.dumps(doc["config"]["matrix"]["rows"]) == json.dumps(matrix["rows"])
+        assert "3.0000000000000004e-07" in canonical and "-0.0," in canonical
 
 
 @pytest.mark.parametrize("command", ["experiment", "simulate", "sweep", "check"])
@@ -335,6 +371,8 @@ MALFORMED = {
     "invalid json matrix file": {"matrix": {"kind": "file", "path": "broken.json"}},
     "numeric string matrix rows": {"matrix": {"kind": "explicit",
                                               "rows": [[str(v) for v in row] for row in REF_ROWS]}},
+    "boolean matrix entries": {"matrix": {"kind": "explicit",
+                                          "rows": [[0, True, False], [True, 0, 0], [1, 0, 0]]}},
 }
 
 # matrix files next to the config, named by the cases above

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gossipsim.errors import (
     NotStochasticError,
 )
 from gossipsim.graph import (
+    MATRIX_ROWS,
     SelectionMatrix,
     export_matrix_csv,
     export_matrix_json,
@@ -17,11 +20,12 @@ from gossipsim.graph import (
     import_matrix_json,
     induced_graph,
     is_weakly_connected,
+    json_with_rows,
     spectral,
     validate,
 )
 
-from conftest import A_STAR, LAMBDA2, LAMBDA_N, REF_ROWS, SPECTRUM
+from conftest import A_STAR, LAMBDA2, LAMBDA_N, REF_ROWS, SPECTRUM, exponent_rows
 
 
 def two_triangles():
@@ -57,6 +61,9 @@ def test_validate_rejects_bad_matrices():
     short[1, 2] = 0.1
     with pytest.raises(NotStochasticError):
         validate(short)
+    booleans = [[0.0, True, 0.0], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]]
+    with pytest.raises(BadParameterError, match="boolean"):
+        validate(booleans)
 
 
 def test_validate_row_sum_tolerance():
@@ -165,6 +172,25 @@ def test_matrix_roundtrip_csv_json(tmp_path, ref_matrix):
     export_matrix_json(ref_matrix, p_json)
     assert np.array_equal(import_matrix_csv(p_csv).entries, ref_matrix.entries)
     assert np.array_equal(import_matrix_json(p_json).entries, ref_matrix.entries)
+
+
+@pytest.mark.parametrize("rows", [
+    REF_ROWS,
+    exponent_rows(30, 1, distinct=True),
+    exponent_rows(30, 2, distinct=False),
+    generate("watts_strogatz", 200, seed=5, k_nn=4, p_rewire=0.2).entries.tolist(),
+], ids=["reference", "distinct-exponents", "repeated-exponents", "generated-200"])
+def test_matrix_text_is_json_text(tmp_path, rows):
+    """The shared row rendering gives json's compact and indented text."""
+    m = validate(rows)
+    p = tmp_path / "m.json"
+    export_matrix_json(m, p)
+    assert p.read_text() == json.dumps({"n": m.n, "rows": rows}, indent=2) + "\n"
+    doc = {"b": [1.5, "x"], "rows": MATRIX_ROWS, "a": {"c": None}}
+    for indent, sort_keys in ((None, True), (None, False), (2, False), (4, True)):
+        separators = (",", ":") if indent is None else None
+        assert json_with_rows(doc, m, indent=indent, sort_keys=sort_keys) == json.dumps(
+            {**doc, "rows": rows}, indent=indent, separators=separators, sort_keys=sort_keys)
 
 
 def test_matrix_json_declared_n_mismatch(tmp_path, ref_matrix):

@@ -8,16 +8,19 @@ for every update mode, including frozen (overflowed) trials.
 import csv
 import json
 import math
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REF_ROWS, make_config
+from conftest import REF_ROWS, fnv1a64_reference, make_config
 from gossipsim import montecarlo
 from gossipsim.dynamics import EventProbabilities, Schedule, S_CLIP, T_CLIP, UpdateMode
 from gossipsim.errors import BadAxisError, BadParameterError
-from gossipsim.graph import validate
+from gossipsim.graph import json_with_rows, validate
 from gossipsim.metrics import Classification
 from gossipsim.montecarlo import (
     STEP_BLOCK,
@@ -98,7 +101,7 @@ def test_default_checkpoints():
 # ---------------------------------------------------------------------------
 
 def test_config_rejects_disconnected_matrix():
-    from gossipsim.graph import validate
+    from gossipsim.graph import json_with_rows, validate
     with pytest.raises(BadParameterError, match="A1"):
         make_config(validate(TWO_TRIANGLES))
 
@@ -189,6 +192,74 @@ def test_config_hash_ignores_key_order_and_tracks_values():
     assert config_hash(config_from_dict(d)) != config_hash(config_from_dict(bumped))
     assert config_hash(config_from_dict(d)) != config_hash(
         config_from_dict(base_dict(seed=12)))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# Digests recorded with a per-byte FNV-1a loop over
+# `json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))`.
+PINNED_HASHES = {
+    "paper_5_3_crit.json": "82665c6d2a63c0ce",
+    "paper_5_3_high.json": "3eefaa0c2ad83d95",
+    "paper_5_3_low.json": "05a8b3b2616caa5b",
+}
+WS1000 = {
+    "matrix": {"kind": "watts_strogatz", "n": 1000, "kNn": 6, "pRewire": 0.1, "seed": 7},
+    "probabilities": {"alpha": 1 / 3, "beta": 1 / 3, "gamma": 1 / 3},
+    "schedules": {"T": {"kind": "constant", "value": 0.25},
+                  "S": {"kind": "constant", "value": 0.05}},
+    "steps": 100,
+    "trials": 4,
+    "seed": 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+def test_config_hash_is_pinned(name):
+    path = CONFIGS / name
+    cfg = config_from_dict(json.loads(path.read_text()), base_dir=path.parent)
+    assert config_hash(cfg) == PINNED_HASHES[name]
+
+
+def test_config_hash_is_pinned_on_a_generated_network():
+    cfg = config_from_dict(WS1000)
+    assert config_hash(cfg) == "28c56404f7e29e72"
+    # the canonical text is json's own, with the matrix rows rendered once
+    assert json_with_rows(montecarlo.config_outline(cfg), cfg.matrix, sort_keys=True) \
+        == json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+
+
+@given(data=st.binary(max_size=300), block=st.sampled_from([1, 8, 9, 61]))
+def test_vectorized_fnv_matches_the_byte_loop(data, block):
+    assert montecarlo._fnv1a64(data) == fnv1a64_reference(data)
+    with mock.patch.object(montecarlo, "FNV_BLOCK", block):
+        assert montecarlo._fnv1a64(data) == fnv1a64_reference(data)
+
+
+@pytest.mark.parametrize("block", [8, 13, montecarlo.FNV_BLOCK])
+def test_vectorized_fnv_matches_the_byte_loop_at_block_boundaries(monkeypatch, block):
+    monkeypatch.setattr(montecarlo, "FNV_BLOCK", block)
+    rng = np.random.default_rng(block)
+    lengths = {0, 1, 2, 7, 8, 9} | {k * block + d for k in (1, 2) for d in (-1, 0, 1)}
+    for n in sorted(lengths):
+        data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+        assert montecarlo._fnv1a64(data) == fnv1a64_reference(data), n
+    high = bytes(range(0x80, 0x100)) * (block // 128 + 2)
+    assert montecarlo._fnv1a64(high) == fnv1a64_reference(high)
+    assert montecarlo._fnv1a64(b"") == 0xCBF29CE484222325
+
+
+def test_seeds_from_2_63_on_give_their_own_streams():
+    seeds = (2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rngs = [montecarlo._trial_rng(s, 3) for s in seeds]
+    for s, rng in zip(seeds, rngs):
+        assert rng.bit_generator.state["state"]["key"].tolist() == [s, 3]
+    assert len({tuple(rng.random(4)) for rng in rngs}) == len(seeds)
+    # below 2^63 the key is the one a list [seed, trial] gives
+    for s in (0, 5, 2 ** 63 - 1):
+        expect = np.random.Generator(np.random.Philox(key=[s, 3])).random(4)
+        np.testing.assert_array_equal(montecarlo._trial_rng(s, 3).random(4), expect)
 
 
 # ---------------------------------------------------------------------------
