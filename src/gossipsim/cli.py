@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* simulate: scalar trajectories with full state snapshots per checkpoint.
-* experiment: many trials on the vectorized engine, aggregated measures.
+* simulate: every trial's state at every checkpoint, with its measures.
+* experiment: many trials, aggregated measures.
 * sweep: repeat an experiment along one numeric config entry, one
   subdirectory per axis value (aggregate plus analytic report each).
 * check: analytic report (critical measure, contraction, named conditions).
@@ -42,14 +42,16 @@ from .montecarlo import (
     ExperimentConfig,
     aggregate_csv_rows,
     aggregate_json_dict,
+    classify_trials,
     config_from_dict,
     config_hash,
     config_outline,
     run_experiment,
-    run_trial,
+    run_trials,
     set_by_path,
     sweep,
     sweep_values,
+    trajectory_rows,
     write_aggregate_csv,
     write_trajectory_csv,
 )
@@ -166,30 +168,20 @@ def _cmd_simulate(args) -> int:
     cfg, cfg_path = _load_config(args)
     data_name = f"trajectory.{args.format}"
     run_dir = _prepare_run_dir(args, "simulate", cfg, cfg_path, [data_name])
-    trials = [run_trial(cfg, t) for t in range(cfg.trials)]
+    mats = run_trials(cfg, states=True)
+    classifications = classify_trials(cfg, mats)
     target = None if run_dir is None else run_dir / data_name
     if args.format == "csv":
         with _output(target) as fh:
-            write_trajectory_csv(trials, cfg.matrix.n, fh)
+            write_trajectory_csv(mats, fh)
     else:
-        doc = {
-            "configHash": config_hash(cfg),
-            "trials": [
-                {
-                    "trial": tr.trial,
-                    "classification": tr.classification.value,
-                    "divergedAt": tr.diverged_at,
-                    "rows": [
-                        {"k": st.k, "x": [float(v) for v in st.x],
-                         "H": sm.x_max, "h": sm.x_min,
-                         "spread": sm.spread, "L": sm.dispersion}
-                        for st, sm in zip(tr.states, tr.samples)
-                    ],
-                }
-                for tr in trials
-            ],
-        }
-        _emit_json(doc, target)
+        trials = [{"trial": t, "classification": c.value,
+                   "divergedAt": None if d < 0 else d, "rows": []}
+                  for t, (c, d) in enumerate(zip(classifications, mats.diverged_at.tolist()))]
+        for t, k, x, high, low, spread, dispersion in trajectory_rows(mats):
+            trials[t]["rows"].append({"k": k, "x": x, "H": high, "h": low,
+                                      "spread": spread, "L": dispersion})
+        _emit_json({"configHash": config_hash(cfg), "trials": trials}, target)
     return 0
 
 
@@ -309,6 +301,10 @@ def _random_oracle_case(rng: np.random.Generator):
 
 
 def _cmd_oracle(args) -> int:
+    for flag, value, least in (("--seed", args.seed, 0), ("--draws", args.draws, 1),
+                               ("--states", args.states, 1)):
+        if value < least:
+            raise BadParameterError(f"{flag} must be at least {least}, got {value}")
     rng = np.random.default_rng(args.seed)
     cases = []
     if args.config:

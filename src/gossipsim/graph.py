@@ -114,10 +114,6 @@ class InducedGraph:
     n: int
     has_arc: np.ndarray
 
-    def arcs(self) -> list[tuple[int, int]]:
-        us, vs = np.nonzero(self.has_arc)
-        return list(zip(us.tolist(), vs.tolist()))
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:

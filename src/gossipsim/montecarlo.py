@@ -3,11 +3,12 @@
 Reproducibility contract: trial t of an experiment with seed s draws from
 `Philox(key=[s, t])`, consuming uniforms in the fixed per-slot order defined
 in `dynamics` (plus one optional vector of initial values before the first
-slot). The scalar path (`run_trial`) and the vectorized engine
-(`run_trials`) follow the same consumption order and use the same arithmetic
-expressions, so their trajectories and measures agree bit for bit; the
-vectorized engine is what `run_experiment` uses. Per-trial streams also make
-results independent of how trials are chunked.
+slot). The vectorized engine (`run_trials`) is the simulation path of every
+command; the scalar path (`run_trial`) is the independent reference it is
+tested against. Both follow the same consumption order and use the same
+arithmetic expressions, so their trajectories and measures agree bit for
+bit. Per-trial streams also make results independent of how trials are
+chunked.
 
 The engine draws each trial's uniforms one step block at a time and
 presamples the block right after: pairs (the partner by a bisection over the
@@ -65,6 +66,8 @@ __all__ = [
     "aggregate_csv_rows",
     "write_aggregate_csv",
     "aggregate_json_dict",
+    "classify_trials",
+    "trajectory_rows",
     "write_trajectory_csv",
 ]
 
@@ -98,6 +101,8 @@ class InitialState:
                     raise BadParameterError(f"initial {name} must be finite, got {v}")
             if self.high < self.low:
                 raise BadParameterError("initial high must be >= low")
+            if not math.isfinite(float(self.high) - float(self.low)):
+                raise BadParameterError("initial high - low must be finite")
         elif self.kind == "explicit":
             if not self.values:
                 raise BadParameterError("explicit initial state needs values")
@@ -461,11 +466,11 @@ class TrialResult:
     samples: list
     classification: Classification
     diverged_at: int | None
-    clipped_slots: int
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
-    """Run one trial on the scalar path, with full state snapshots."""
+    """Run one trial on the scalar path, with full state snapshots: the
+    reference `run_trials` is tested against."""
     rng = _trial_rng(config.base_seed, trial)
     x0 = config.initial.sample(config.matrix.n, rng)
     traj = run_trajectory(config.matrix, config.mode, config.probabilities,
@@ -476,8 +481,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     samples = [measure(st.x, st.k, reference) for st in traj.states]
     cls = classify(samples, config.eps_agree, config.big_m, nonfinite=traj.diverged)
     return TrialResult(trial=trial, states=traj.states, samples=samples,
-                       classification=cls, diverged_at=traj.diverged_at,
-                       clipped_slots=traj.clipped_slots)
+                       classification=cls, diverged_at=traj.diverged_at)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +496,7 @@ class TrialMatrices:
     dispersion: np.ndarray  # (trials, checkpoints)
     spread: np.ndarray      # (trials, checkpoints)
     diverged_at: np.ndarray  # (trials,), -1 when the state stayed finite
+    states: np.ndarray | None = None  # (trials, checkpoints, n) when asked for
 
 
 def _index_dtype(size: int) -> type:
@@ -556,7 +561,7 @@ def _presample(u: np.ndarray, rows: np.ndarray, n: int, cdf: np.ndarray,
 
 def _simulate_chunk(cfg: ExperimentConfig, lo: int, hi: int,
                     l_out: np.ndarray, s_out: np.ndarray,
-                    div_out: np.ndarray) -> None:
+                    div_out: np.ndarray, x_out: np.ndarray | None) -> None:
     """Advance trials [lo, hi) together, one slot at a time across the chunk.
 
     Mirrors the scalar path exactly: same per-trial streams, same consumption
@@ -566,6 +571,7 @@ def _simulate_chunk(cfg: ExperimentConfig, lo: int, hi: int,
     gathers both endpoints of every trial, updates them and scatters them
     back. A trial that overflows keeps its state from then on: the slot's
     update is not written, and its remaining slots in the block neglect.
+    `x_out`, when given, receives the state at every checkpoint.
     """
     n = cfg.matrix.n
     m = hi - lo
@@ -590,6 +596,8 @@ def _simulate_chunk(cfg: ExperimentConfig, lo: int, hi: int,
     def record() -> None:
         l_out[lo:hi, ci] = ((x - refs[:, None]) ** 2).sum(axis=1)
         s_out[lo:hi, ci] = x.max(axis=1) - x.min(axis=1)
+        if x_out is not None:
+            x_out[lo:hi, ci] = x
 
     if cps[ci] == cfg.k0:
         record()
@@ -636,21 +644,23 @@ def _simulate_chunk(cfg: ExperimentConfig, lo: int, hi: int,
     div_out[lo:hi] = diverged_at
 
 
-def run_trials(config: ExperimentConfig) -> TrialMatrices:
+def run_trials(config: ExperimentConfig, states: bool = False) -> TrialMatrices:
     """Run every trial on the vectorized engine.
 
     Trials are split into fixed chunks; each chunk writes disjoint row slices
-    of preallocated result arrays.
+    of preallocated result arrays. With `states`, the result also holds every
+    trial's state at every checkpoint, trials x checkpoints x n floats.
     """
     trials = config.trials
     ncp = len(config.checkpoints)
     l_mat = np.empty((trials, ncp))
     s_mat = np.empty((trials, ncp))
     div = np.empty(trials, dtype=np.int64)
+    x_mat = np.empty((trials, ncp, config.matrix.n)) if states else None
     for lo in range(0, trials, CHUNK_TRIALS):
-        _simulate_chunk(config, lo, min(lo + CHUNK_TRIALS, trials), l_mat, s_mat, div)
+        _simulate_chunk(config, lo, min(lo + CHUNK_TRIALS, trials), l_mat, s_mat, div, x_mat)
     return TrialMatrices(checkpoints=config.checkpoints, dispersion=l_mat,
-                         spread=s_mat, diverged_at=div)
+                         spread=s_mat, diverged_at=div, states=x_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -853,11 +863,23 @@ def aggregate_json_dict(result: ExperimentResult) -> dict:
     })
 
 
-def write_trajectory_csv(trials: list[TrialResult], n: int, fh: TextIO) -> None:
+def trajectory_rows(mats: TrialMatrices):
+    """(trial, k, x, H, h, spread, L) per trial and checkpoint, in that
+    order, from a run with states; x is a list of floats. H and h are the
+    extremes of x, spread and L the engine's measures."""
+    high = mats.states.max(axis=2).tolist()
+    low = mats.states.min(axis=2).tolist()
+    spread = mats.spread.tolist()
+    dispersion = mats.dispersion.tolist()
+    for t, xs in enumerate(mats.states):
+        for c, (k, x) in enumerate(zip(mats.checkpoints, xs.tolist())):
+            yield t, k, x, high[t][c], low[t][c], spread[t][c], dispersion[t][c]
+
+
+def write_trajectory_csv(mats: TrialMatrices, fh: TextIO) -> None:
     """Write every trial's checkpoint states to an open text handle."""
     w = csv.writer(fh)
+    n = mats.states.shape[2]
     w.writerow(["trial", "k"] + [f"x_{i + 1}" for i in range(n)] + ["H", "h", "spread", "L"])
-    for tr in trials:
-        for state, sample in zip(tr.states, tr.samples):
-            w.writerow([tr.trial, state.k] + [float(v) for v in state.x]
-                       + [sample.x_max, sample.x_min, sample.spread, sample.dispersion])
+    for t, k, x, high, low, spread, dispersion in trajectory_rows(mats):
+        w.writerow([t, k, *x, high, low, spread, dispersion])

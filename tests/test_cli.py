@@ -1,8 +1,11 @@
 """End-to-end CLI behaviour, run in process through main(argv)."""
 
+import csv
 import functools
+import io
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,10 @@ from conftest import REF_ROWS, exponent_rows, fnv1a64_reference
 from gossipsim import cli, montecarlo
 from gossipsim.errors import RuntimeFailure
 from gossipsim.graph import SelectionMatrix
+from gossipsim.montecarlo import config_from_dict, config_hash, run_trial
+from gossipsim.theory import json_safe
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TWO_TRIANGLES = [
     [0.0, 0.5, 0.5, 0.0, 0.0, 0.0],
@@ -252,6 +259,79 @@ def test_simulate_json_run_directory(tmp_path):
     assert manifest["outputs"] == ["trajectory.json"]
 
 
+def scalar_simulate_outputs(cfg) -> dict:
+    """What `simulate` wrote, by format, when it ran each trial on the
+    scalar path (`run_trial`), rendered as it did then."""
+    trials = [run_trial(cfg, t) for t in range(cfg.trials)]
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(["trial", "k"] + [f"x_{i + 1}" for i in range(cfg.matrix.n)]
+               + ["H", "h", "spread", "L"])
+    for tr in trials:
+        for state, sample in zip(tr.states, tr.samples):
+            w.writerow([tr.trial, state.k] + [float(v) for v in state.x]
+                       + [sample.x_max, sample.x_min, sample.spread, sample.dispersion])
+    doc = {
+        "configHash": config_hash(cfg),
+        "trials": [
+            {
+                "trial": tr.trial,
+                "classification": tr.classification.value,
+                "divergedAt": tr.diverged_at,
+                "rows": [
+                    {"k": st.k, "x": [float(v) for v in st.x],
+                     "H": sm.x_max, "h": sm.x_min,
+                     "spread": sm.spread, "L": sm.dispersion}
+                    for st, sm in zip(tr.states, tr.samples)
+                ],
+            }
+            for tr in trials
+        ],
+    }
+    return {"csv": fh.getvalue(), "json": json.dumps(json_safe(doc), indent=2) + "\n"}
+
+
+SIMULATE_CASES = {
+    # one-sided updates on a ring with a growing repulsion gain: every trial
+    # freezes, at its own slot
+    "freezing": {"matrix": {"kind": "ring", "n": 6},
+                 "mode": {"variant": "asymmetric", "activeRule": "uniform"},
+                 "probabilities": {"alpha": 0.2, "beta": 0.2, "gamma": 0.6},
+                 "schedules": {"T": {"kind": "constant", "value": 0.3},
+                               "S": {"kind": "geometric", "c": 1.0, "r": 1.5}},
+                 "initial": {"kind": "uniform", "low": -1.0, "high": 2.0},
+                 "steps": 2000, "trials": 40, "seed": 3},
+    # signed zeros: H and h keep the sign numpy's max and min give them
+    "signed zeros": {"matrix": {"kind": "explicit", "rows": REF_ROWS},
+                     "probabilities": {"alpha": 0.5, "beta": 0.5, "gamma": 0.0},
+                     "schedules": {"T": {"kind": "constant", "value": 0.3},
+                                   "S": {"kind": "constant", "value": 0.1}},
+                     "initial": {"kind": "explicit", "values": [0.0, -0.0, -1.0, -0.0]},
+                     "steps": 10, "trials": 3, "seed": 1, "checkpoints": list(range(11))},
+    # 300 trials span two of the engine's trial chunks
+    "paper_5_3_crit": {**json.loads((CONFIGS / "paper_5_3_crit.json").read_text()),
+                       "trials": 300},
+}
+
+
+@pytest.mark.parametrize("case", SIMULATE_CASES)
+def test_simulate_matches_the_scalar_path(tmp_path, capsys, case):
+    """`simulate` runs on the engine; its csv and json, on stdout and in a
+    run directory, are byte for byte what the scalar path rendered."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SIMULATE_CASES[case]))
+    outputs = scalar_simulate_outputs(config_from_dict(SIMULATE_CASES[case]))
+    if case == "freezing":
+        assert all(tr["divergedAt"] is not None for tr in json.loads(outputs["json"])["trials"])
+    for fmt, want in outputs.items():
+        assert cli.main(["simulate", "--config", str(path), "--format", fmt]) == 0
+        assert capsys.readouterr().out == want, fmt
+        out = tmp_path / f"run-{fmt}"
+        assert cli.main(["simulate", "--config", str(path), "--format", fmt,
+                         "--out", str(out)]) == 0
+        assert (out / f"trajectory.{fmt}").read_bytes() == want.encode(), fmt
+
+
 def test_check_stdout_json(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert cli.main(["check", "--config", str(cfg)]) == 0
@@ -352,6 +432,8 @@ MALFORMED = {
                                             "pRewire": 0.1, "seed": 1}},
     "explicit initial without values": {"initial": {"kind": "explicit"}},
     "uniform initial string low": {"initial": {"kind": "uniform", "low": "a"}},
+    "uniform initial range overflows": {"initial": {"kind": "uniform", "low": -1e308,
+                                                    "high": 1e308}},
     "T without value": {"schedules": {"T": {"kind": "constant"}, "S": {"value": 0.05}}},
     "T value string": {"schedules": {"T": {"value": "x"}, "S": {"value": 0.05}}},
     "T values string": {"schedules": {"T": {"kind": "explicit", "values": "ab", "tail": 0.2},
@@ -410,6 +492,19 @@ def test_oracle_rejects_large_or_one_sided_configs(tmp_path, capsys):
                         mode={"variant": "asymmetric", "activeRule": "uniform"})
     assert cli.main(["oracle", "--config", str(asym)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--draws", "0"], ["--draws", "-2"],
+                                   ["--states", "0"], ["--states", "-1"]])
+def test_oracle_rejects_bad_flags(tmp_path, capsys, flags):
+    """A seed below zero, or no draws or states to evaluate, is a bad flag
+    and not a pass; also with a config."""
+    assert cli.main(["oracle", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flags[0] in err
+    cfg = write_config(tmp_path)
+    assert cli.main(["oracle", "--config", str(cfg), *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flags[0]}")
 
 
 def test_oracle_detects_mismatch(monkeypatch, capsys):

@@ -27,6 +27,7 @@ from gossipsim.montecarlo import (
     ExperimentConfig,
     InitialState,
     aggregate_json_dict,
+    classify_trials,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -78,6 +79,8 @@ def test_initial_state_validation():
         InitialState(kind="uniform", low=1.0, high=0.0)
     with pytest.raises(BadParameterError):
         InitialState(kind="uniform", low=float("nan"))
+    with pytest.raises(BadParameterError):  # every draw would be inf or nan
+        InitialState(kind="uniform", low=-1e308, high=1e308)
     with pytest.raises(BadParameterError):
         InitialState(kind="explicit", values=())
     with pytest.raises(BadParameterError):
@@ -304,24 +307,35 @@ def parity_cases(ref_matrix):
                     trials=6, steps=40, seed=8, checkpoints=(0, 7, 40)),
         make_config(ref_matrix, trials=6, steps=40, seed=9,
                     initial=uniform_init, checkpoints=(0, 7, 40)),
+        # every slot neglects, so the final spread stays 3.0 = epsAgree: the
+        # comparison is strict, and the trials are Undecided
+        make_config(ref_matrix, trials=2, steps=5, alpha=0.0, beta=1.0, gamma=0.0,
+                    eps_agree=3.0),
         make_config(ref_matrix, trials=6, steps=10, seed=10,
                     alpha=0.0, beta=0.0, gamma=1.0, schedule_s=freeze_s,
                     checkpoints=tuple(range(11))),
     ]
 
 
+def assert_trial_matches_scalar_path(cfg, mats, classifications, t):
+    """Trial t of an engine run with states equals the scalar path bit for
+    bit: every checkpoint's state, L, spread, freeze slot and class."""
+    ref = run_trial(cfg, t)
+    msg = f"trial {t} seed {cfg.base_seed}"
+    assert mats.states[t].tobytes() == np.array([st.x for st in ref.states]).tobytes(), msg
+    assert mats.dispersion[t].tobytes() == np.array(
+        [s.dispersion for s in ref.samples]).tobytes(), msg
+    assert mats.spread[t].tobytes() == np.array([s.spread for s in ref.samples]).tobytes(), msg
+    assert mats.diverged_at[t] == (-1 if ref.diverged_at is None else ref.diverged_at), msg
+    assert classifications[t] is ref.classification, msg
+
+
 def test_vector_engine_matches_scalar_reference(ref_matrix):
     for cfg in parity_cases(ref_matrix):
-        mats = run_trials(cfg)
+        mats = run_trials(cfg, states=True)
+        classifications = classify_trials(cfg, mats)
         for t in range(cfg.trials):
-            ref = run_trial(cfg, t)
-            want_l = np.array([s.dispersion for s in ref.samples])
-            want_spread = np.array([s.spread for s in ref.samples])
-            np.testing.assert_array_equal(mats.dispersion[t], want_l,
-                                          err_msg=f"trial {t} seed {cfg.base_seed}")
-            np.testing.assert_array_equal(mats.spread[t], want_spread)
-            want_div = -1 if ref.diverged_at is None else ref.diverged_at
-            assert mats.diverged_at[t] == want_div
+            assert_trial_matches_scalar_path(cfg, mats, classifications, t)
 
 
 @st.composite
@@ -389,13 +403,10 @@ def test_engine_matches_scalar_path_on_generated_configs(cfg, chunk, block, pres
         mp.setattr(montecarlo, "CHUNK_TRIALS", chunk)
         mp.setattr(montecarlo, "STEP_BLOCK", block)
         mp.setattr(montecarlo, "PRESAMPLE_STEPS", presample)
-        mats = run_trials(cfg)
+        mats = run_trials(cfg, states=True)
+    classifications = classify_trials(cfg, mats)
     for t in range(cfg.trials):
-        ref = run_trial(cfg, t)
-        assert mats.dispersion[t].tobytes() == np.array(
-            [s.dispersion for s in ref.samples]).tobytes(), f"trial {t}"
-        assert mats.spread[t].tobytes() == np.array([s.spread for s in ref.samples]).tobytes()
-        assert mats.diverged_at[t] == (-1 if ref.diverged_at is None else ref.diverged_at)
+        assert_trial_matches_scalar_path(cfg, mats, classifications, t)
 
 
 @pytest.mark.parametrize("n", [3, 4, 17, 32, 33])
@@ -428,6 +439,7 @@ def test_presampled_partner_is_searchsorted_right(n):
 def test_freeze_case_actually_freezes(ref_matrix):
     cfg = parity_cases(ref_matrix)[-1]
     mats = run_trials(cfg)
+    assert mats.states is None  # kept only when asked for
     assert (mats.diverged_at >= 0).all()
     assert np.isfinite(mats.dispersion).all()
     # every checkpoint after the freeze repeats the frozen value
@@ -451,12 +463,10 @@ def test_results_do_not_depend_on_chunking(ref_matrix):
     """Rows on both sides of a trial-chunk boundary and in the last, partial
     chunk equal the scalar path for that trial alone."""
     cfg = make_config(ref_matrix, trials=600, steps=30, seed=77)
-    mats = run_trials(cfg)
+    mats = run_trials(cfg, states=True)
+    classifications = classify_trials(cfg, mats)
     for t in (0, 255, 256, 599):
-        ref = run_trial(cfg, t)
-        np.testing.assert_array_equal(mats.dispersion[t],
-                                      [s.dispersion for s in ref.samples])
-        np.testing.assert_array_equal(mats.spread[t], [s.spread for s in ref.samples])
+        assert_trial_matches_scalar_path(cfg, mats, classifications, t)
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +618,9 @@ def test_aggregate_json_shape(ref_matrix):
 
 def test_trajectory_csv_layout(ref_matrix, tmp_path):
     cfg = make_config(ref_matrix, trials=3, steps=10, checkpoints=(0, 5, 10))
-    trials = [run_trial(cfg, t) for t in range(cfg.trials)]
     out = tmp_path / "traj.csv"
     with out.open("w", newline="") as fh:
-        write_trajectory_csv(trials, cfg.matrix.n, fh)
+        write_trajectory_csv(run_trials(cfg, states=True), fh)
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["trial", "k", "x_1", "x_2", "x_3", "x_4",
                        "H", "h", "spread", "L"]
