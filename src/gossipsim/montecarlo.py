@@ -15,6 +15,12 @@ presamples the block right after: pairs (the partner by a bisection over the
 flattened row CDFs, O(log n) per slot), events and active endpoints do not
 depend on the state, so each slot is left with a gather, the update
 expressions, the overflow check and a scatter.
+
+Configs that differ only in their schedules, `eps_agree` and `big_m` draw
+the same pairs and events, so `run_shared_trials` runs them through one pass
+of that slot loop, as extra state rows with their own weights and freezes:
+`sweep` groups its points so. `run_trials`, `experiment` and `simulate` run
+the same loop with one config.
 """
 
 from __future__ import annotations
@@ -22,8 +28,11 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import tempfile
+from collections.abc import Iterator
+from contextlib import nullcontext
 from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TextIO
 
@@ -58,7 +67,9 @@ __all__ = [
     "config_hash",
     "run_trial",
     "run_trials",
+    "run_shared_trials",
     "run_experiment",
+    "aggregate_trials",
     "sweep",
     "sweep_values",
     "set_by_path",
@@ -176,6 +187,8 @@ class ExperimentConfig:
             raise BadParameterError(f"trials must be a positive integer, got {self.trials}")
         if not isinstance(self.k0, (int, np.integer)) or self.k0 < 0:
             raise BadParameterError(f"k0 must be a nonnegative integer, got {self.k0}")
+        if self.k0 + self.steps >= 2 ** 63:  # slot indices are int64 (`diverged_at`)
+            raise BadParameterError("k0 + steps must be below 2^63")
         if not isinstance(self.base_seed, (int, np.integer)) \
                 or not 0 <= self.base_seed < 2 ** 64:
             raise BadParameterError("seed must be an integer in [0, 2^64)")
@@ -244,11 +257,19 @@ def _kind(name: str, d, default: str, kinds: dict) -> str:
 
 def _num(name: str, v, integer: bool = False):
     """`v` itself when it is a number, an integer if asked; strings and
-    bools are refused."""
+    bools are refused, and so is a real value no float holds (an integer
+    beyond the float range, inf or nan)."""
     if isinstance(v, (bool, np.bool_)) \
             or not isinstance(v, numbers.Integral if integer else numbers.Real):
         raise BadParameterError(f"{name} must be {'an integer' if integer else 'a number'}, "
                                 f"got {v!r}")
+    if not integer:
+        try:
+            finite = math.isfinite(float(v))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise BadParameterError(f"{name} must be a finite number, got {v!r}")
     return v
 
 
@@ -498,6 +519,22 @@ class TrialMatrices:
     diverged_at: np.ndarray  # (trials,), -1 when the state stayed finite
     states: np.ndarray | None = None  # (trials, checkpoints, n) when asked for
 
+    @classmethod
+    def empty(cls, cfg: ExperimentConfig, trials: int, states: bool) -> TrialMatrices:
+        ncp = len(cfg.checkpoints)
+        return cls(checkpoints=cfg.checkpoints, dispersion=np.empty((trials, ncp)),
+                   spread=np.empty((trials, ncp)), diverged_at=np.empty(trials, dtype=np.int64),
+                   states=np.empty((trials, ncp, cfg.matrix.n)) if states else None)
+
+    def arrays(self) -> list[np.ndarray]:
+        """The per-trial arrays, one row per trial."""
+        return [a for a in (self.dispersion, self.spread, self.diverged_at, self.states)
+                if a is not None]
+
+    def rows(self, lo: int, hi: int) -> TrialMatrices:
+        """Trials [lo, hi), as views."""
+        return TrialMatrices(self.checkpoints, *(a[lo:hi] for a in self.arrays()))
+
 
 def _index_dtype(size: int) -> type:
     """The narrowest signed integer type that holds every index below `size`."""
@@ -559,45 +596,53 @@ def _presample(u: np.ndarray, rows: np.ndarray, n: int, cdf: np.ndarray,
     return fij, att, rep
 
 
-def _simulate_chunk(cfg: ExperimentConfig, lo: int, hi: int,
-                    l_out: np.ndarray, s_out: np.ndarray,
-                    div_out: np.ndarray, x_out: np.ndarray | None) -> None:
-    """Advance trials [lo, hi) together, one slot at a time across the chunk.
+def _simulate_chunk(cfgs: list[ExperimentConfig], lo: int, hi: int,
+                    outs: list[TrialMatrices]) -> None:
+    """Advance trials [lo, hi) of every config in `cfgs` together, one slot
+    at a time across the chunk; the configs share their draws
+    (`_shares_draws`), and `outs[p]` receives config p's hi - lo rows.
 
     Mirrors the scalar path exactly: same per-trial streams, same consumption
     order, same update expressions, same freeze-on-overflow semantics. Pairs
-    and events do not depend on the state, so each step block samples them
-    for all its slots right after its draws (`_presample`); a slot then
-    gathers both endpoints of every trial, updates them and scatters them
-    back. A trial that overflows keeps its state from then on: the slot's
-    update is not written, and its remaining slots in the block neglect.
-    `x_out`, when given, receives the state at every checkpoint.
+    and events do not depend on the state, so each step block draws and
+    samples them once for all its slots and configs (`_presample`); a slot
+    then gathers both endpoints of every trial of every config, updates them
+    with each config's own weights and scatters them back. A trial that
+    overflows keeps its state from then on: its update is not written, for
+    that config only, and its draws stop once it is frozen in every config.
     """
+    cfg = cfgs[0]
     n = cfg.matrix.n
     m = hi - lo
+    npts = len(cfgs)
     cps = cfg.checkpoints
     rngs = [_trial_rng(cfg.base_seed, t) for t in range(lo, hi)]
-    x = np.empty((m, n), dtype=float)
+    x = np.empty((npts, m, n), dtype=float)
     for r in range(m):
-        x[r] = cfg.initial.sample(n, rngs[r])
-    refs = x.mean(axis=1)
+        x[0, r] = cfg.initial.sample(n, rngs[r])
+    x[1:] = x[0]
+    refs = x[0].mean(axis=1)
     flat = x.reshape(-1)
 
     cdf = cfg.matrix.row_cdfs().reshape(-1)
     thr = cfg.probabilities.thresholds()
     d = cfg.mode.draws_per_slot
-    index_dtype = _index_dtype(m * n)
+    index_dtype = _index_dtype(npts * m * n)
+    offsets = (np.arange(npts) * (m * n)).astype(index_dtype)[:, None, None]
 
-    alive = np.ones(m, dtype=bool)
-    diverged_at = np.full(m, -1, dtype=np.int64)
+    alive = np.ones((npts, m), dtype=bool)
+    diverged_at = np.full((npts, m), -1, dtype=np.int64)
 
     ci = 0
 
     def record() -> None:
-        l_out[lo:hi, ci] = ((x - refs[:, None]) ** 2).sum(axis=1)
-        s_out[lo:hi, ci] = x.max(axis=1) - x.min(axis=1)
-        if x_out is not None:
-            x_out[lo:hi, ci] = x
+        dispersion = ((x - refs[:, None]) ** 2).sum(axis=2)
+        spread = x.max(axis=2) - x.min(axis=2)
+        for p, out in enumerate(outs):
+            out.dispersion[:, ci] = dispersion[p]
+            out.spread[:, ci] = spread[p]
+            if out.states is not None:
+                out.states[:, ci] = x[p]
 
     if cps[ci] == cfg.k0:
         record()
@@ -607,60 +652,123 @@ def _simulate_chunk(cfg: ExperimentConfig, lo: int, hi: int,
     end = cfg.k0 + cfg.steps
     while k < end:
         b = min(STEP_BLOCK, end - k)
-        cols = np.nonzero(alive)[0]
+        cols = np.nonzero(alive.any(axis=0))[0]
+        # live[p, c]: column c still runs in config p; frozen columns are
+        # masked only once there is one
+        live = alive[:, cols]
+        keep = None if live.all() else live[:, None, :]
         u = np.empty((cols.size, b, d))
         for p, r in enumerate(cols):
             rngs[r].random(out=u[p])
         fij, att, rep = _presample(u, (cols * n).astype(index_dtype), n, cdf, thr,
                                    cfg.mode)
         del u
-        t_vals = cfg.schedule_t.applied(k, k + b).tolist()
-        s_vals = cfg.schedule_s.applied(k, k + b).tolist()
+        fij = fij[:, None] + offsets  # (b, configs, 2, trials)
+        # (b, configs, 1, 1): each config's weights
+        t_vals = np.stack([c.schedule_t.applied(k, k + b) for c in cfgs], axis=1)[:, :, None, None]
+        s_vals = np.stack([c.schedule_s.applied(k, k + b) for c in cfgs], axis=1)[:, :, None, None]
+        weights = zip(1.0 - t_vals, t_vals, 1.0 + s_vals, s_vals)
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(b):
+            for step, (t_rest, t, s_plus, s) in enumerate(weights):
                 if cols.size:
                     f = fij[step]
                     xij = flat[f]
-                    xji = xij[::-1]
-                    t = t_vals[step]
-                    s = s_vals[step]
-                    new = np.where(att[step], (1.0 - t) * xij + t * xji,
-                                   np.where(rep[step], (1.0 + s) * xij - s * xji, xij))
+                    xji = xij[:, ::-1]
+                    new = np.where(att[step], t_rest * xij + t * xji,
+                                   np.where(rep[step], s_plus * xij - s * xji, xij))
+                    if keep is not None:
+                        new = np.where(keep, new, xij)
                     if np.abs(new).max() <= OVERFLOW_LIMIT:  # false on nan too
                         flat[f] = new
                     else:
-                        ok = (np.abs(new) <= OVERFLOW_LIMIT).all(axis=0)
-                        flat[f[:, ok]] = new[:, ok]
-                        bad = ~ok
-                        diverged_at[cols[bad]] = k + step + 1
-                        alive[cols[bad]] = False
-                        att[step + 1:, :, bad] = False
-                        rep[step + 1:, :, bad] = False
+                        ok = (np.abs(new) <= OVERFLOW_LIMIT).all(axis=1)
+                        bad_p, bad_c = np.nonzero(~ok)
+                        diverged_at[bad_p, cols[bad_c]] = k + step + 1
+                        alive[bad_p, cols[bad_c]] = False
+                        live &= ok
+                        keep = live[:, None, :]
+                        flat[f] = np.where(keep, new, xij)
                 if ci < len(cps) and k + step + 1 == cps[ci]:
                     record()
                     ci += 1
         k += b
 
-    div_out[lo:hi] = diverged_at
+    for div, out in zip(diverged_at, outs):
+        out.diverged_at[:] = div
+
+
+# The fields configs that share a pass may differ in; the engine reads the
+# matrix only through its row CDFs, where -0.0 and 0.0 draw alike.
+_POINT_FIELDS = frozenset({"schedule_t", "schedule_s", "eps_agree", "big_m"})
+
+
+def _shares_draws(a: ExperimentConfig, b: ExperimentConfig) -> bool:
+    """Whether two configs draw the same pairs, events and initial states:
+    equal matrix entries, and every other field but `_POINT_FIELDS` equal
+    down to the float bits (by repr, which also tells -0.0 from 0.0)."""
+    return np.array_equal(a.matrix.entries, b.matrix.entries) and all(
+        repr(getattr(a, f.name)) == repr(getattr(b, f.name)) for f in fields(ExperimentConfig)
+        if f.compare and f.name != "matrix" and f.name not in _POINT_FIELDS)
+
+
+def run_shared_trials(configs: list[ExperimentConfig],
+                      states: bool = False) -> Iterator[TrialMatrices]:
+    """Run configs that share their draws (they differ only in schedules,
+    `eps_agree` and `big_m`) through one pass of the engine, and yield each
+    config's matrices in turn, equal to `run_trials` on that config alone.
+
+    Trials are split into fixed chunks. The configs are carried as extra
+    state rows, in consecutive batches small enough that the batched state
+    (configs x chunk x n floats) stays within a chunk's draw buffer (chunk x
+    STEP_BLOCK x draws floats). With `states`, the matrices also hold every
+    trial's state at every checkpoint, trials x checkpoints x n floats.
+    """
+    first = configs[0]
+    if not all(_shares_draws(first, cfg) for cfg in configs[1:]):
+        raise ValueError("run_shared_trials needs configs that share their draws")
+    batch = max(1, STEP_BLOCK * first.mode.draws_per_slot // first.matrix.n)
+    for p0 in range(0, len(configs), batch):
+        yield from _run_batch(configs[p0:p0 + batch], states)
+
+
+def _run_batch(configs: list[ExperimentConfig], states: bool) -> Iterator[TrialMatrices]:
+    """One pass over every trial for configs that share their draws.
+
+    The first config's rows are written in place. The others' chunk rows go
+    to a temporary file, each config's arrays one after another, and are
+    read back one config at a time: a pass holds one config's results in
+    memory however many configs share it, as a run of one config does.
+    """
+    trials = configs[0].trials
+    head = TrialMatrices.empty(configs[0], trials, states)
+    config_bytes = sum(a.nbytes for a in head.arrays())
+    with tempfile.TemporaryFile() if len(configs) > 1 else nullcontext() as spill:
+        for lo in range(0, trials, CHUNK_TRIALS):
+            hi = min(lo + CHUNK_TRIALS, trials)
+            tails = [TrialMatrices.empty(cfg, hi - lo, states) for cfg in configs[1:]]
+            _simulate_chunk(configs, lo, hi, [head.rows(lo, hi), *tails])
+            for q, out in enumerate(tails):
+                offset = q * config_bytes
+                for a in out.arrays():
+                    row = a.nbytes // len(a)
+                    spill.seek(offset + lo * row)
+                    spill.write(a)
+                    offset += trials * row
+        yield head
+        del head  # the caller keeps it as long as it needs it
+        for q, cfg in enumerate(configs[1:]):
+            mats = TrialMatrices.empty(cfg, trials, states)
+            spill.seek(q * config_bytes)
+            for a in mats.arrays():
+                spill.readinto(a)
+            yield mats
 
 
 def run_trials(config: ExperimentConfig, states: bool = False) -> TrialMatrices:
-    """Run every trial on the vectorized engine.
-
-    Trials are split into fixed chunks; each chunk writes disjoint row slices
-    of preallocated result arrays. With `states`, the result also holds every
-    trial's state at every checkpoint, trials x checkpoints x n floats.
-    """
-    trials = config.trials
-    ncp = len(config.checkpoints)
-    l_mat = np.empty((trials, ncp))
-    s_mat = np.empty((trials, ncp))
-    div = np.empty(trials, dtype=np.int64)
-    x_mat = np.empty((trials, ncp, config.matrix.n)) if states else None
-    for lo in range(0, trials, CHUNK_TRIALS):
-        _simulate_chunk(config, lo, min(lo + CHUNK_TRIALS, trials), l_mat, s_mat, div, x_mat)
-    return TrialMatrices(checkpoints=config.checkpoints, dispersion=l_mat,
-                         spread=s_mat, diverged_at=div, states=x_mat)
+    """Run every trial of one config on the vectorized engine
+    (`run_shared_trials` with one config)."""
+    [mats] = run_shared_trials([config], states)
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +821,11 @@ def _excess_kurtosis(columns: np.ndarray) -> np.ndarray:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    mats = run_trials(config)
+    return aggregate_trials(config, run_trials(config))
+
+
+def aggregate_trials(config: ExperimentConfig, mats: TrialMatrices) -> ExperimentResult:
+    """Classify the trials of one config and summarize them per checkpoint."""
     classifications = classify_trials(config, mats)
     counts = {
         "nAgreed": sum(1 for c in classifications if c is Classification.AGREED),
@@ -787,7 +899,8 @@ def sweep_values(axis: str, values) -> list:
     Values along an integer key come back as ints, the others unchanged."""
     out = []
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                or isinstance(v, float) and not math.isfinite(v):
             raise BadAxisError(f"sweep values must be finite numbers, got {v!r}")
         if axis in INTEGER_KEYS:
             if v != int(v):
@@ -802,15 +915,31 @@ def sweep(config_dict: dict, axis: str, values, horizon: int | None = None,
     """Re-run an experiment for each value of one numeric config entry.
 
     The seed is left untouched, so every sweep point uses common random
-    numbers and differences across points are not noise re-draws. Each point
-    also carries the analytic report for its config.
+    numbers and differences across points are not noise re-draws. Points
+    that share their draws (an axis in `schedules`, `epsAgree` or `bigM`)
+    run through one pass of the engine (`run_shared_trials`); the others
+    run alone. Each point also carries the analytic report for its config.
     """
-    points = []
-    for v in sweep_values(axis, values):
+    values = sweep_values(axis, values)
+    configs = []
+    for v in values:
         d = deepcopy(config_dict)
         set_by_path(d, axis, v)
-        cfg = config_from_dict(d, base_dir=base_dir)
-        result = run_experiment(cfg)
+        configs.append(config_from_dict(d, base_dir=base_dir))
+    groups: list[list[int]] = []
+    for i, cfg in enumerate(configs):
+        group = next((g for g in groups if _shares_draws(configs[g[0]], cfg)), None)
+        if group is None:
+            groups.append([i])
+        else:
+            group.append(i)
+    results: list = [None] * len(configs)
+    for group in groups:
+        for i, mats in zip(group, run_shared_trials([configs[i] for i in group])):
+            results[i] = aggregate_trials(configs[i], mats)
+            del mats  # so the next config's matrices are read into freed memory
+    points = []
+    for v, cfg, result in zip(values, configs, results):
         report = theory_report(cfg) if horizon is None else theory_report(cfg, horizon)
         value = v if axis in INTEGER_KEYS else float(v)
         points.append(SweepPoint(value=value, result=result, report=report))

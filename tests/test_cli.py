@@ -2,8 +2,10 @@
 
 import csv
 import functools
+import importlib.util
 import io
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -16,7 +18,8 @@ from gossipsim.graph import SelectionMatrix
 from gossipsim.montecarlo import config_from_dict, config_hash, run_trial
 from gossipsim.theory import json_safe
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 TWO_TRIANGLES = [
     [0.0, 0.5, 0.5, 0.0, 0.0, 0.0],
@@ -413,6 +416,32 @@ def test_sweep_value_and_axis_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("axis", ["seed", "steps"])
+def test_sweep_integer_beyond_int64_is_a_config_error(tmp_path, capsys, axis):
+    cfg = write_config(tmp_path)
+    assert cli.main(["sweep", "--config", str(cfg), "--axis", axis,
+                     "--values", str(10 ** 400)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_paper_sweep_reproduces_the_benchmark_reference(tmp_path, monkeypatch):
+    """The benchmark's paper-sweep command at the reference seed, run in
+    process, digests bit for bit to `perfbench/reference.json`."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    assert reference["seed"] == 1
+    prepared = workloads.WORKLOADS["paper-sweep"].prepare(1, tmp_path, ROOT)
+    for cmd in prepared.commands:
+        assert cli.main(cmd.argv) == 0
+        want = reference["workloads"]["paper-sweep"][cmd.label]
+        assert json.dumps(workloads.digest(cmd), sort_keys=True) == \
+            json.dumps(want, sort_keys=True)
+
+
 def test_config_error_exit_codes(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert cli.main(["experiment", "--config", str(cfg), "--trials", "0"]) == 2
@@ -455,6 +484,11 @@ MALFORMED = {
                                               "rows": [[str(v) for v in row] for row in REF_ROWS]}},
     "boolean matrix entries": {"matrix": {"kind": "explicit",
                                           "rows": [[0, True, False], [True, 0, 0], [1, 0, 0]]}},
+    # 401-digit integers, beyond the float range
+    "initial low beyond floats": {"initial": {"kind": "uniform", "low": -10 ** 400,
+                                              "high": 1.0}},
+    "T value beyond floats": {"schedules": {"T": {"value": 10 ** 400}, "S": {"value": 0.05}}},
+    "alpha beyond floats": {"probabilities": {"alpha": 10 ** 400, "beta": 0.0, "gamma": 0.0}},
 }
 
 # matrix files next to the config, named by the cases above

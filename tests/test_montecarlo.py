@@ -6,9 +6,11 @@ for every update mode, including frozen (overflowed) trials.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import warnings
+from copy import deepcopy
 from pathlib import Path
 from unittest import mock
 
@@ -33,6 +35,7 @@ from gossipsim.montecarlo import (
     config_to_dict,
     default_checkpoints,
     run_experiment,
+    run_shared_trials,
     run_trial,
     run_trials,
     set_by_path,
@@ -126,6 +129,8 @@ def test_config_parameter_validation(ref_matrix):
         make_config(ref_matrix, big_m=-5.0)
     with pytest.raises(BadParameterError, match="outside"):
         make_config(ref_matrix, steps=100, checkpoints=(110,))
+    with pytest.raises(BadParameterError, match="2\\^63"):
+        make_config(ref_matrix, k0=5, steps=2**63 - 5)
     with pytest.raises(BadParameterError, match="length"):
         make_config(ref_matrix, initial=InitialState(kind="explicit",
                                                      values=(1.0, 2.0)))
@@ -409,6 +414,78 @@ def test_engine_matches_scalar_path_on_generated_configs(cfg, chunk, block, pres
         assert_trial_matches_scalar_path(cfg, mats, classifications, t)
 
 
+@st.composite
+def shared_draw_points(draw):
+    """A fuzz config and 1 to 4 points that differ from it only in one
+    schedule: constants or any other kind, with 1e120 among the repulsion
+    gains, and at times a repeated point. The repulsion gain varies in two
+    examples of three, so that on one trial some points freeze while others
+    run."""
+    cfg = draw(fuzz_configs())
+    if draw(st.integers(0, 2)):
+        role, clip, values = "schedule_s", S_CLIP, st.just(1e120) | st.floats(-0.5, 3.0)
+    else:
+        role, clip, values = "schedule_t", T_CLIP, st.floats(-0.5, 1.5)
+    size = draw(st.integers(1, 3))
+    points = draw(st.lists(st.builds(Schedule.constant, values, clip=st.just(clip))
+                           | schedules(clip, values), min_size=size, max_size=size))
+    points += points[:draw(st.integers(0, 1))]
+    return [dataclasses.replace(cfg, **{role: sched}) for sched in points]
+
+
+@settings(max_examples=120)
+@given(points=shared_draw_points(), chunk=st.integers(1, 4), block=st.integers(1, 16),
+       presample=st.integers(1, 8))
+def test_shared_pass_matches_solo_runs_on_generated_configs(points, chunk, block, presample):
+    """Every point of a shared pass equals `run_trials` on that point alone,
+    byte for byte: measures, freeze slots and states. A small STEP_BLOCK
+    also splits the points into several batches (configs x n floats of
+    state may not exceed STEP_BLOCK x draws)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "CHUNK_TRIALS", chunk)
+        mp.setattr(montecarlo, "STEP_BLOCK", block)
+        mp.setattr(montecarlo, "PRESAMPLE_STEPS", presample)
+        shared = list(run_shared_trials(points, states=True))
+        solo = [run_trials(cfg, states=True) for cfg in points]
+    assert len(shared) == len(points)
+    for p, (got, want) in enumerate(zip(shared, solo)):
+        assert got.checkpoints == want.checkpoints
+        for a, b in zip(got.arrays(), want.arrays(), strict=True):
+            assert a.tobytes() == b.tobytes(), f"point {p}"
+
+
+def test_wide_shared_pass_is_split_into_batches(ref_matrix, monkeypatch):
+    """With room for two configs' states per pass (3 slots x 3 draws // 4
+    nodes), five points run as batches of 2, 2 and 1, two chunks each, and
+    still equal their solo runs; trials freeze in the second point only."""
+    monkeypatch.setattr(montecarlo, "STEP_BLOCK", 3)
+    calls = []
+    simulate_chunk = montecarlo._simulate_chunk
+
+    def spy(cfgs, *args):
+        calls.append(len(cfgs))
+        simulate_chunk(cfgs, *args)
+
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", spy)
+    points = [make_config(ref_matrix, s=s, trials=300, steps=20, seed=4,
+                          alpha=0.2, beta=0.2, gamma=0.6)
+              for s in (0.05, 1e120, 0.3, 0.05, 2.0)]
+    shared = list(run_shared_trials(points))
+    assert calls == [2, 2, 2, 2, 1, 1]
+    assert (shared[1].diverged_at >= 0).any() and (shared[0].diverged_at < 0).all()
+    for cfg, got in zip(points, shared):
+        for a, b in zip(got.arrays(), run_trials(cfg).arrays(), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_shared_pass_refuses_configs_with_other_draws(ref_matrix):
+    a = make_config(ref_matrix, seed=1)
+    for other in (make_config(ref_matrix, seed=2), make_config(ref_matrix, steps=50),
+                  make_config(ref_matrix, alpha=0.5, beta=1 / 6)):
+        with pytest.raises(ValueError, match="share their draws"):
+            list(run_shared_trials([a, other]))
+
+
 @pytest.mark.parametrize("n", [3, 4, 17, 32, 33])
 def test_presampled_partner_is_searchsorted_right(n):
     """The bisection returns what the scalar path's searchsorted(side="right")
@@ -578,6 +655,76 @@ def test_sweep_points_match_direct_runs():
     # each point carries its analytic report
     assert points[2].report.d0 == pytest.approx(
         0.1 * 1.1 / 3 - 0.25 * 0.75 / 3, abs=1e-15)
+
+
+def assert_same_result(got, want):
+    for name in ("mean_l", "var_l", "ci_l", "mean_spread", "var_spread", "ci_spread",
+                 "diverged_at"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("config_hash", "checkpoints", "trials", "counts", "classifications",
+                 "heavy_tail_checkpoints"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.fixture()
+def shared_passes(monkeypatch):
+    """The configs of every engine pass `sweep` makes."""
+    passes = []
+    run = montecarlo.run_shared_trials
+
+    def spy(configs, states=False):
+        passes.append(configs)
+        return run(configs, states)
+
+    monkeypatch.setattr(montecarlo, "run_shared_trials", spy)
+    return passes
+
+
+def direct_results(d, axis, values):
+    out = []
+    for v in values:
+        point = deepcopy(d)
+        set_by_path(point, axis, v)
+        out.append(run_experiment(config_from_dict(point)))
+    return out
+
+
+@pytest.mark.parametrize("axis, values, overrides", [
+    ("seed", [11, 12, 11], {}),
+    ("steps", [20, 35], {}),
+    ("k0", [0, 9], {}),
+    ("matrix.seed", [3, 4], {"matrix": {"kind": "watts_strogatz", "n": 8, "kNn": 2,
+                                        "pRewire": 0.5, "seed": 3}}),
+    # thresholds 5e-13 apart: the events would almost never differ, so only
+    # the pass count shows the points were kept apart
+    ("probabilities.alpha", [1 / 3, 1 / 3 + 5e-13], {}),
+    ("initial.high", [2.0, 3.0], {"initial": {"kind": "uniform", "low": 0.0, "high": 2.0}}),
+])
+def test_sweep_never_shares_a_pass_across_draws(shared_passes, axis, values, overrides):
+    """Along an axis that changes the pairs, events or initial states, only
+    equal points share a pass, and every point equals its direct run."""
+    d = base_dict(trials=6, steps=20, **overrides)
+    points = sweep(d, axis, values)
+    assert sum(len(p) for p in shared_passes) == len(values)
+    assert len(shared_passes) == len(set(values))
+    for configs in shared_passes:
+        assert len({config_hash(cfg) for cfg in configs}) == 1
+    for point, want in zip(points, direct_results(d, axis, values)):
+        assert_same_result(point.result, want)
+
+
+@pytest.mark.parametrize("axis, values", [("epsAgree", [1e-9, 0.05, 2.0]),
+                                          ("bigM", [3.5, 6.0, 1e9])])
+def test_sweep_shares_one_pass_along_thresholds(shared_passes, axis, values):
+    """Points that differ only in epsAgree or bigM run through one pass and
+    are still classified each by its own threshold."""
+    d = base_dict(trials=60, steps=200, schedules={"T": {"value": 0.25},
+                                                   "S": {"value": 0.16143782776614765}})
+    points = sweep(d, axis, values)
+    assert [len(p) for p in shared_passes] == [3]
+    assert len({str(p.result.counts) for p in points}) == 3
+    for point, want in zip(points, direct_results(d, axis, values)):
+        assert_same_result(point.result, want)
 
 
 def test_sweep_attraction_weights_all_reach_agreement():
