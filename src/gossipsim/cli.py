@@ -16,8 +16,9 @@ interrupted runs leave a record of what was attempted. Without `--out`
 results go to stdout and no manifest is written.
 
 Exit codes: 0 on success, 2 for configuration problems (bad config file,
-bad flags, violated model assumptions), 3 for runtime failures (including
-a failed oracle comparison).
+bad flags, violated model assumptions, a config that needs more memory than
+is available), 3 for runtime failures (including a failed oracle
+comparison).
 """
 
 from __future__ import annotations
@@ -414,6 +415,9 @@ def main(argv=None) -> int:
         code, error = 2, f"error: {exc}"
     except RuntimeFailure as exc:
         code, error = 3, f"failure: {exc}"
+    except MemoryError as exc:  # e.g. a huge `n` or `trials`; raised at allocation
+        code, error = 2, ("error: the config needs more memory than is available "
+                          f"({str(exc) or 'out of memory'})")
     except Exception as exc:  # noqa: BLE001 - last-resort CLI boundary
         code, error = 3, f"internal error: {type(exc).__name__}: {exc}"
     if error is not None:

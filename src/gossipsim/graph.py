@@ -14,7 +14,9 @@ d_i = sum_j (a_ij + a_ji).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -40,6 +42,7 @@ __all__ = [
     "is_weakly_connected",
     "spectral",
     "generate",
+    "allocate",
     "import_matrix_csv",
     "export_matrix_csv",
     "import_matrix_json",
@@ -251,12 +254,81 @@ def spectral(matrix: SelectionMatrix) -> SpectralData:
 # topology generation
 # ---------------------------------------------------------------------------
 
-def _ring_adjacency(n: int) -> np.ndarray:
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        adj[i, (i + 1) % n] = True
-        adj[i, (i - 1) % n] = True
-    return adj
+def allocate(shape, dtype=float) -> np.ndarray:
+    """`np.empty(shape, dtype)`, raising MemoryError also for a shape beyond
+    the address space, which numpy reports as ValueError."""
+    try:
+        return np.empty(shape, dtype)
+    except (ValueError, OverflowError):
+        raise MemoryError(f"an array of shape {shape} exceeds the address space") from None
+
+
+def _complete(adj: np.ndarray) -> None:
+    adj.fill(True)
+    np.fill_diagonal(adj, False)
+
+
+def _ring_lattice(adj: np.ndarray, half_k: int) -> None:
+    """Join each node to its `half_k` nearest neighbors on either side."""
+    nodes = np.arange(adj.shape[0])
+    for j in range(1, half_k + 1):
+        targets = np.roll(nodes, -j)
+        adj[nodes, targets] = adj[targets, nodes] = True
+
+
+def _gnp(adj: np.ndarray, rnd: random.Random, p: float) -> None:
+    """networkx's `gnp_random_graph(n, p, seed=rnd)`: one draw per pair."""
+    if p >= 1.0:
+        _complete(adj)
+        return
+    if p <= 0.0:
+        return
+    draw = rnd.random
+    for u, v in itertools.combinations(range(adj.shape[0]), 2):
+        if draw() < p:
+            adj[u, v] = adj[v, u] = True
+
+
+def _watts_strogatz(adj: np.ndarray, rnd: random.Random, k_nn: int, p_rewire: float) -> None:
+    """networkx's `watts_strogatz_graph(n, k_nn, p_rewire, seed=rnd)`: the
+    ring lattice, then each lattice edge (u, u + j), j outer and u inner,
+    is moved to a uniform new endpoint with probability `p_rewire`."""
+    n = adj.shape[0]
+    _ring_lattice(adj, k_nn // 2)
+    degree = [k_nn] * n
+    draw, choice, nodes = rnd.random, rnd.choice, range(n)
+    for j in range(1, k_nn // 2 + 1):
+        for u in nodes:
+            if draw() < p_rewire:
+                w = choice(nodes)
+                while w == u or adj[u, w]:
+                    w = choice(nodes)
+                    if degree[u] >= n - 1:
+                        break  # u is joined to every node: keep the edge
+                else:
+                    v = (u + j) % n
+                    adj[u, v] = adj[v, u] = False
+                    adj[u, w] = adj[w, u] = True
+                    degree[v] -= 1
+                    degree[w] += 1
+
+
+def _barabasi_albert(adj: np.ndarray, rnd: random.Random, m: int) -> None:
+    """networkx's `barabasi_albert_graph(n, m, seed=rnd)`: a star on nodes
+    0..m, then each new node joins m distinct nodes drawn in proportion to
+    their degree. The targets are gathered in a set, and the set's
+    iteration order decides the order of `repeated` and so later draws."""
+    adj[0, 1:m + 1] = adj[1:m + 1, 0] = True
+    repeated = [0] * m + list(range(1, m + 1))  # each node once per edge end
+    choice = rnd.choice
+    for source in range(m + 1, adj.shape[0]):
+        targets = set()
+        while len(targets) < m:
+            targets.add(choice(repeated))
+        ordered = list(targets)
+        adj[source, ordered] = adj[ordered, source] = True
+        repeated.extend(ordered)
+        repeated.extend([source] * m)
 
 
 def _normalize_rows(adj: np.ndarray) -> np.ndarray:
@@ -268,12 +340,47 @@ def _normalize_rows(adj: np.ndarray) -> np.ndarray:
     return entries
 
 
+def _random_draw(kind: str, n: int, params: dict):
+    """The checked draw of a random kind: a function of (adj, rnd) that fills
+    a cleared adjacency from `rnd`."""
+    if kind == "erdos_renyi":
+        p = params.get("p")
+        if p is None or not 0.0 <= p <= 1.0:
+            raise BadParameterError(f"erdos_renyi needs p in [0, 1], got {p}")
+        return lambda adj, rnd: _gnp(adj, rnd, p)
+    if kind == "watts_strogatz":
+        k_nn = params.get("k_nn")
+        p_rewire = params.get("p_rewire")
+        if k_nn is None or not 2 <= k_nn < n or k_nn % 2 != 0:
+            raise BadParameterError(
+                f"watts_strogatz needs even k_nn with 2 <= k_nn < n, got {k_nn}"
+            )
+        if p_rewire is None or not 0.0 <= p_rewire <= 1.0:
+            raise BadParameterError(
+                f"watts_strogatz needs p_rewire in [0, 1], got {p_rewire}"
+            )
+        return lambda adj, rnd: _watts_strogatz(adj, rnd, k_nn, p_rewire)
+    if kind == "barabasi_albert":
+        m = params.get("m")
+        if m is None or not 1 <= m < n:
+            raise BadParameterError(f"barabasi_albert needs 1 <= m < n, got {m}")
+        return lambda adj, rnd: _barabasi_albert(adj, rnd, m)
+    raise BadParameterError(f"unknown topology kind {kind!r}")
+
+
 def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionMatrix:
     """Build a selection matrix from a named undirected topology.
 
     The undirected graph is converted to selection weights by uniform row
     normalization over each node's neighbors. Random topologies are redrawn
     until connected (at most 100 attempts).
+
+    The random kinds reproduce networkx 3.6.1's `gnp_random_graph`,
+    `watts_strogatz_graph` and `barabasi_albert_graph` draw for draw without
+    importing it: attempt a draws from `random.Random(attempt_seed)`, the
+    stream networkx builds from an integer seed, where the attempt seeds are
+    `default_rng(seed).integers(0, 2**31 - 1)` in turn. Same seed, same
+    graph, as with networkx.
 
     Parameters
     ----------
@@ -283,8 +390,8 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
     n : int
         Node count, at least 3.
     seed : int, optional
-        Seed for the random kinds; attempts consume successive child seeds
-        so retries stay reproducible.
+        Nonnegative seed for the random kinds; attempts consume successive
+        child seeds so retries stay reproducible.
     **params
         erdos_renyi: p (edge probability). watts_strogatz: k_nn (even ring
         degree), p_rewire. barabasi_albert: m (edges per new node).
@@ -295,54 +402,29 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
         Unknown kind or out-of-range parameter.
     DisconnectedAfterRetriesError
         No connected draw within the retry budget.
+    MemoryError
+        The n x n adjacency does not fit in memory; raised before any draw.
     """
     if n < 3:
         raise MatrixTooSmallError(f"need at least 3 nodes, got {n}")
-
-    if kind == "complete":
-        adj = ~np.eye(n, dtype=bool)
+    if kind in ("complete", "ring"):
+        adj = allocate((n, n), bool)
+        adj.fill(False)
+        if kind == "complete":
+            _complete(adj)
+        else:
+            _ring_lattice(adj, 1)
         return validate(_normalize_rows(adj))
-    if kind == "ring":
-        return validate(_normalize_rows(_ring_adjacency(n)))
 
-    import networkx as nx
-
+    draw = _random_draw(kind, n, params)
+    if seed is not None and seed < 0:
+        raise BadParameterError(f"matrix seed must be a nonnegative integer, got {seed}")
+    adj = allocate((n, n), bool)
     rng = np.random.default_rng(seed)
-
-    def draw(attempt_seed: int) -> "nx.Graph":
-        if kind == "erdos_renyi":
-            p = params.get("p")
-            if p is None or not 0.0 <= p <= 1.0:
-                raise BadParameterError(f"erdos_renyi needs p in [0, 1], got {p}")
-            return nx.gnp_random_graph(n, p, seed=attempt_seed)
-        if kind == "watts_strogatz":
-            k_nn = params.get("k_nn")
-            p_rewire = params.get("p_rewire")
-            if k_nn is None or not 2 <= k_nn < n or k_nn % 2 != 0:
-                raise BadParameterError(
-                    f"watts_strogatz needs even k_nn with 2 <= k_nn < n, got {k_nn}"
-                )
-            if p_rewire is None or not 0.0 <= p_rewire <= 1.0:
-                raise BadParameterError(
-                    f"watts_strogatz needs p_rewire in [0, 1], got {p_rewire}"
-                )
-            return nx.watts_strogatz_graph(n, k_nn, p_rewire, seed=attempt_seed)
-        if kind == "barabasi_albert":
-            m = params.get("m")
-            if m is None or not 1 <= m < n:
-                raise BadParameterError(
-                    f"barabasi_albert needs 1 <= m < n, got {m}"
-                )
-            return nx.barabasi_albert_graph(n, m, seed=attempt_seed)
-        raise BadParameterError(f"unknown topology kind {kind!r}")
-
     for _ in range(GENERATOR_MAX_RETRIES):
-        g = draw(int(rng.integers(0, 2**31 - 1)))
-        if nx.is_connected(g):
-            adj = np.zeros((n, n), dtype=bool)
-            for u, v in g.edges:
-                adj[u, v] = True
-                adj[v, u] = True
+        adj.fill(False)
+        draw(adj, random.Random(int(rng.integers(0, 2**31 - 1))))
+        if is_weakly_connected(InducedGraph(n=n, has_arc=adj)):
             return validate(_normalize_rows(adj))
     raise DisconnectedAfterRetriesError(
         f"no connected {kind} graph in {GENERATOR_MAX_RETRIES} attempts (n={n}, {params})"

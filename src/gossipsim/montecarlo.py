@@ -48,7 +48,7 @@ from .dynamics import (
     run_trajectory,
 )
 from .errors import BadAxisError, BadParameterError
-from .graph import MATRIX_ROWS, SelectionMatrix, generate, import_matrix_csv, \
+from .graph import MATRIX_ROWS, SelectionMatrix, allocate, generate, import_matrix_csv, \
     import_matrix_json, induced_graph, is_weakly_connected, json_with_rows, validate
 from .metrics import Classification, classify, measure
 from .theory import json_safe, theory_report
@@ -225,6 +225,11 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 _GENERATOR_KEYS = {"p": "p", "m": "m", "kNn": "k_nn", "pRewire": "p_rewire"}
+_MATRIX_KEYS = {"explicit": (("rows",), ()), "file": (("path",), ()),
+                "complete": (("n",), ()), "ring": (("n",), ()),
+                "erdos_renyi": (("n", "p"), ("seed",)),
+                "watts_strogatz": (("n", "kNn", "pRewire"), ("seed",)),
+                "barabasi_albert": (("n", "m"), ("seed",))}
 _SCHEDULE_KEYS = {"constant": (("value",), ()), "explicit": (("tail",), ("values",)),
                   "power": (("c", "p"), ()), "geometric": (("c", "r"), ())}
 _INITIAL_KEYS = {"ramp": ((), ()), "explicit": (("values",), ()),
@@ -280,11 +285,11 @@ def _nums(name: str, v, integer: bool = False) -> list:
 
 
 def _matrix_from_dict(d, base_dir: Path | None) -> SelectionMatrix:
-    kind = d.get("kind", "explicit") if isinstance(d, dict) else "explicit"
+    kind = _kind("matrix", d, "explicit", _MATRIX_KEYS)
     if kind == "explicit":
-        return validate(_keys("matrix", d, ("rows",), ("kind",))["rows"])
+        return validate(d["rows"])
     if kind == "file":
-        path = _keys("matrix", d, ("path",), ("kind",))["path"]
+        path = d["path"]
         if not isinstance(path, str):
             raise BadParameterError(f"matrix.path must be a string, got {path!r}")
         path = Path(path)
@@ -295,7 +300,6 @@ def _matrix_from_dict(d, base_dir: Path | None) -> SelectionMatrix:
             return read(path)
         except OSError as exc:
             raise BadParameterError(f"cannot read matrix file {path}: {exc}") from None
-    _keys("matrix", d, ("n",), ("kind", "seed", *_GENERATOR_KEYS))
     params = {kwarg: _num(f"matrix.{key}", d[key], key in ("m", "kNn"))
               for key, kwarg in _GENERATOR_KEYS.items() if key in d}
     seed = d.get("seed")
@@ -522,9 +526,9 @@ class TrialMatrices:
     @classmethod
     def empty(cls, cfg: ExperimentConfig, trials: int, states: bool) -> TrialMatrices:
         ncp = len(cfg.checkpoints)
-        return cls(checkpoints=cfg.checkpoints, dispersion=np.empty((trials, ncp)),
-                   spread=np.empty((trials, ncp)), diverged_at=np.empty(trials, dtype=np.int64),
-                   states=np.empty((trials, ncp, cfg.matrix.n)) if states else None)
+        return cls(checkpoints=cfg.checkpoints, dispersion=allocate((trials, ncp)),
+                   spread=allocate((trials, ncp)), diverged_at=allocate(trials, np.int64),
+                   states=allocate((trials, ncp, cfg.matrix.n)) if states else None)
 
     def arrays(self) -> list[np.ndarray]:
         """The per-trial arrays, one row per trial."""

@@ -5,6 +5,8 @@ import functools
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -489,6 +491,25 @@ MALFORMED = {
                                               "high": 1.0}},
     "T value beyond floats": {"schedules": {"T": {"value": 10 ** 400}, "S": {"value": 0.05}}},
     "alpha beyond floats": {"probabilities": {"alpha": 10 ** 400, "beta": 0.0, "gamma": 0.0}},
+    "negative matrix seed": {"matrix": {"kind": "watts_strogatz", "n": 8, "kNn": 4,
+                                        "pRewire": 0.1, "seed": -1}},
+    # each matrix kind takes only its own keys
+    "ring with p": {"matrix": {"kind": "ring", "n": 5, "p": 0.3}},
+    "complete with seed": {"matrix": {"kind": "complete", "n": 5, "seed": 1}},
+    "watts-strogatz with m": {"matrix": {"kind": "watts_strogatz", "n": 8, "kNn": 4,
+                                         "pRewire": 0.1, "seed": 1, "m": 2}},
+    "erdos-renyi with kNn": {"matrix": {"kind": "erdos_renyi", "n": 8, "p": 0.5, "kNn": 4}},
+    "barabasi-albert with p": {"matrix": {"kind": "barabasi_albert", "n": 8, "m": 2,
+                                          "p": 0.5}},
+    "explicit with n": {"matrix": {"kind": "explicit", "rows": REF_ROWS, "n": 4}},
+    "erdos-renyi without p": {"matrix": {"kind": "erdos_renyi", "n": 8}},
+    "unknown matrix kind": {"matrix": {"kind": "lattice", "n": 8}},
+    # adjacencies of 8.19 TiB and beyond the address space: allocation fails
+    # at once, before any draw
+    "complete n beyond memory": {"matrix": {"kind": "complete", "n": 3_000_000}},
+    "erdos-renyi n beyond memory": {"matrix": {"kind": "erdos_renyi", "n": 3_000_000,
+                                               "p": 0.5, "seed": 1}},
+    "ring n beyond the address space": {"matrix": {"kind": "ring", "n": 10 ** 20}},
 }
 
 # matrix files next to the config, named by the cases above
@@ -505,6 +526,53 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, case):
     cfg = write_config(tmp_path, **MALFORMED[case])
     assert cli.main(["check", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["experiment", "simulate", "sweep"])
+@pytest.mark.parametrize("trials", [10 ** 12, 10 ** 20])
+def test_trials_beyond_memory_are_a_config_error(tmp_path, capsys, command, trials):
+    """Result arrays of 43.7 TiB, or beyond the address space, fail at
+    allocation and exit 2."""
+    cfg = write_config(tmp_path)
+    extra = ["--axis", "seed", "--values", "1,2", "--out", str(tmp_path / "s")] \
+        if command == "sweep" else []
+    assert cli.main([command, "--config", str(cfg), "--trials", str(trials), *extra]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the config needs more memory than is available")
+
+
+# Runs CLI commands in a fresh interpreter and fails if any exits nonzero or
+# if networkx was imported. With "block", `import networkx` raises
+# ImportError, as where it is not installed.
+WITHOUT_NETWORKX = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["networkx"] = None
+from gossipsim import cli
+for argv in json.loads(sys.argv[2]):
+    assert cli.main(argv) == 0, argv
+assert sys.modules.get("networkx") is None, "networkx was imported"
+"""
+
+
+@pytest.mark.parametrize("mode", ["import", "block"])
+def test_cli_runs_without_networkx(tmp_path, mode):
+    """networkx is a test-only oracle: no command imports it, and every
+    command runs where it cannot be imported, on a generated topology."""
+    cfg = str(write_config(tmp_path, matrix={"kind": "watts_strogatz", "n": 30, "kNn": 4,
+                                             "pRewire": 0.2, "seed": 3}))
+    out = str(tmp_path / "runs")
+    commands = [["check", "--config", cfg],
+                ["experiment", "--config", cfg, "--out", out + "/experiment"],
+                ["simulate", "--config", cfg, "--out", out + "/simulate"],
+                ["sweep", "--config", cfg, "--axis", "matrix.seed", "--values", "3,4",
+                 "--out", out + "/sweep"],
+                ["oracle", "--draws", "2", "--states", "3"]]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NETWORKX, mode, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_oracle_passes(capsys):

@@ -1,10 +1,14 @@
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from gossipsim import graph
 from gossipsim.errors import (
     BadParameterError,
+    DisconnectedAfterRetriesError,
     MatrixTooSmallError,
     NegativeEntryError,
     NonzeroDiagonalError,
@@ -163,6 +167,87 @@ def test_generate_parameter_errors():
         generate("no_such_kind", 8)
     with pytest.raises(MatrixTooSmallError):
         generate("complete", 2)
+
+
+def test_generate_refuses_a_negative_seed():
+    with pytest.raises(BadParameterError, match="seed"):
+        generate("watts_strogatz", 8, seed=-1, k_nn=4, p_rewire=0.1)
+
+
+def test_generate_allocates_before_drawing():
+    """A random kind too large for memory fails at allocation, before its
+    draw loop (which would run for hours at this n)."""
+    with pytest.raises(MemoryError):
+        generate("erdos_renyi", 3_000_000, seed=1, p=0.5)
+    with pytest.raises(MemoryError):
+        generate("ring", 10 ** 20)
+
+
+# networkx, the oracle of the in-repo generators
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def nx_draw(nx, kind, n, seed, params):
+    if kind == "erdos_renyi":
+        g = nx.gnp_random_graph(n, params["p"], seed=seed)
+    elif kind == "watts_strogatz":
+        g = nx.watts_strogatz_graph(n, params["k_nn"], params["p_rewire"], seed=seed)
+    else:
+        g = nx.barabasi_albert_graph(n, params["m"], seed=seed)
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in g.edges:
+        adj[u, v] = adj[v, u] = True
+    return adj, nx.is_connected(g)
+
+
+@st.composite
+def random_topologies(draw):
+    """(kind, n, params) over each kind's whole parameter range, with the
+    end points drawn often: p in {0, 1}, the largest even k_nn below n
+    (with p_rewire = 1 this hits the rewiring's full-degree break), m = n - 1."""
+    n = draw(st.integers(3, 60))
+    kind = draw(st.sampled_from(["erdos_renyi", "watts_strogatz", "barabasi_albert"]))
+    unit = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    if kind == "erdos_renyi":
+        return kind, n, {"p": draw(unit)}
+    if kind == "watts_strogatz":
+        top = n - 1 if n % 2 else n - 2
+        k_nn = draw(st.just(top) | st.integers(1, top // 2).map(lambda h: 2 * h))
+        return kind, n, {"k_nn": k_nn, "p_rewire": draw(unit)}
+    return kind, n, {"m": draw(st.just(n - 1) | st.integers(1, n - 1))}
+
+
+@settings(max_examples=200)
+@given(topology=random_topologies(), seed=st.integers(0, 2 ** 64 - 1))
+@example(topology=("watts_strogatz", 10, {"k_nn": 8, "p_rewire": 1.0}), seed=0)
+@example(topology=("watts_strogatz", 9, {"k_nn": 8, "p_rewire": 1.0}), seed=1)
+@example(topology=("erdos_renyi", 12, {"p": 0.2}), seed=10)
+@example(topology=("erdos_renyi", 5, {"p": 0.0}), seed=2)
+@example(topology=("erdos_renyi", 5, {"p": 1.0}), seed=2)
+@example(topology=("barabasi_albert", 7, {"m": 6}), seed=3)
+def test_generate_matches_networkx(nx, topology, seed):
+    """Every attempt draws the graph networkx draws from the same attempt
+    seed, and `generate` keeps the first connected one, as it did with
+    networkx: same child seeds, same retry budget."""
+    kind, n, params = topology
+    rng = np.random.default_rng(seed)
+    want = None
+    for _ in range(graph.GENERATOR_MAX_RETRIES):
+        attempt_seed = int(rng.integers(0, 2**31 - 1))
+        adj = np.zeros((n, n), dtype=bool)
+        graph._random_draw(kind, n, params)(adj, random.Random(attempt_seed))
+        nx_adj, connected = nx_draw(nx, kind, n, attempt_seed, params)
+        assert np.array_equal(adj, nx_adj)
+        if connected:
+            want = adj
+            break
+    if want is None:
+        with pytest.raises(DisconnectedAfterRetriesError):
+            generate(kind, n, seed=seed, **params)
+    else:
+        assert np.array_equal(generate(kind, n, seed=seed, **params).entries > 0.0, want)
 
 
 def test_matrix_roundtrip_csv_json(tmp_path, ref_matrix):

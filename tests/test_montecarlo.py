@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import REF_ROWS, fnv1a64_reference, make_config
-from gossipsim import montecarlo
+from gossipsim import graph, montecarlo
 from gossipsim.dynamics import EventProbabilities, Schedule, S_CLIP, T_CLIP, UpdateMode
 from gossipsim.errors import BadAxisError, BadParameterError
 from gossipsim.graph import json_with_rows, validate
@@ -234,6 +234,30 @@ def test_config_hash_is_pinned_on_a_generated_network():
     # the canonical text is json's own, with the matrix rows rendered once
     assert json_with_rows(montecarlo.config_outline(cfg), cfg.matrix, sort_keys=True) \
         == json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+
+
+# Digests recorded with networkx 3.6.1 drawing the matrix, and the attempt
+# that drew the first connected graph
+GENERATED_HASHES = {
+    "erdos-renyi-12": ({"kind": "erdos_renyi", "n": 12, "p": 0.35, "seed": 7},
+                       "e356a4313e504793", 2),
+    "barabasi-albert-12": ({"kind": "barabasi_albert", "n": 12, "m": 3, "seed": 7},
+                           "4f40ffe37241b2f8", 1),
+    "erdos-renyi-retried": ({"kind": "erdos_renyi", "n": 12, "p": 0.2, "seed": 10},
+                            "8755f3256be5f2ba", 13),
+    "barabasi-albert-200": ({"kind": "barabasi_albert", "n": 200, "m": 3, "seed": 5},
+                            "6feb98b6be4fb374", 1),
+}
+
+
+@pytest.mark.parametrize("matrix,digest,attempts", GENERATED_HASHES.values(),
+                         ids=GENERATED_HASHES)
+def test_config_hash_is_pinned_on_generated_networks(matrix, digest, attempts):
+    with mock.patch.object(graph, "is_weakly_connected",
+                           wraps=graph.is_weakly_connected) as connected:
+        cfg = config_from_dict({**WS1000, "matrix": matrix})
+    assert config_hash(cfg) == digest
+    assert connected.call_count == attempts
 
 
 @given(data=st.binary(max_size=300), block=st.sampled_from([1, 8, 9, 61]))
