@@ -10,11 +10,15 @@ arithmetic expressions, so their trajectories and measures agree bit for
 bit. Per-trial streams also make results independent of how trials are
 chunked.
 
-The engine draws each trial's uniforms one step block at a time and
-presamples the block right after: pairs (the partner by a bisection over the
-flattened row CDFs, O(log n) per slot), events and active endpoints do not
-depend on the state, so each slot is left with a gather, the update
-expressions, the overflow check and a scatter.
+The engine draws each trial's uniforms one step block at a time, in numpy,
+and runs the block's slots in a compiled kernel (`_slots.c`, built on the
+first run and loaded with ctypes): per trial and slot it picks node i, the
+partner j by a bisection over the flattened row CDFs (O(log n)), the events
+and the active endpoint, and applies the update and the overflow check.
+Where the kernel cannot be built, the same slots run as a numpy loop that
+presamples the block (pairs, events and active endpoints do not depend on
+the state), then gathers, updates and scatters one slot at a time. That
+loop is also the engine-level reference the kernel is tested against.
 
 Configs that differ only in their schedules, `eps_agree` and `big_m` draw
 the same pairs and events, so `run_shared_trials` runs them through one pass
@@ -26,8 +30,12 @@ the same loop with one config.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import importlib.util
 import math
 import numbers
+import os
 import tempfile
 from collections.abc import Iterator
 from contextlib import nullcontext
@@ -478,10 +486,29 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # scalar reference path
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _philox_key() -> type:
+    """An `ISeedSequence` that hands `Philox` its key as is.
+    `Philox(key=...)` builds the same generator, but first seeds an unused
+    `SeedSequence` from OS entropy, which costs more than the rest of the
+    construction. Made on first use, so that importing the package does not
+    load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, key: np.ndarray) -> None:
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.key  # Philox asks for its key: 2 words of uint64
+
+    return PhiloxKey
+
+
 def _trial_rng(base_seed: int, trial: int) -> np.random.Generator:
     # a uint64 key: a list would pass seeds of 2^63 and above through float64
     key = np.array([base_seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_philox_key()(key)))
 
 
 @dataclass
@@ -526,8 +553,11 @@ class TrialMatrices:
     @classmethod
     def empty(cls, cfg: ExperimentConfig, trials: int, states: bool) -> TrialMatrices:
         ncp = len(cfg.checkpoints)
+        # first: results keep it after the matrices are dropped, and placed
+        # below them it does not pin their memory
+        diverged_at = allocate(trials, np.int64)
         return cls(checkpoints=cfg.checkpoints, dispersion=allocate((trials, ncp)),
-                   spread=allocate((trials, ncp)), diverged_at=allocate(trials, np.int64),
+                   spread=allocate((trials, ncp)), diverged_at=diverged_at,
                    states=allocate((trials, ncp, cfg.matrix.n)) if states else None)
 
     def arrays(self) -> list[np.ndarray]:
@@ -600,20 +630,161 @@ def _presample(u: np.ndarray, rows: np.ndarray, n: int, cdf: np.ndarray,
     return fij, att, rep
 
 
+_KERNEL_SOURCE = Path(__file__).with_name("_slots.c")
+# no fused multiply-add and no fast-math: the kernel rounds as numpy does
+_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_ACTIVE_RULES = ("uniform", "initiator", "responder")
+
+
+@functools.cache
+def _slot_kernel():
+    """`run_slots` from `_slots.c`, or None when it cannot be built or
+    loaded; the engine then runs its numpy loop.
+
+    The library is compiled with the platform compiler (sysconfig's CC,
+    else cc) once per hash of the source and flags, into the `__pycache__`
+    path of the source (so it follows PYTHONPYCACHEPREFIX as .pyc files
+    do), under a temporary name and then moved into place. A cached file
+    that does not load is rebuilt. The engine calls this on its first run,
+    so that commands that run no trials pay for none of it.
+    """
+    try:
+        digest = _fnv1a64(_KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode())
+        lib = Path(importlib.util.cache_from_source(str(_KERNEL_SOURCE)))
+    except (OSError, NotImplementedError):  # no source, or no cache tag
+        return None
+    lib = lib.with_suffix(f".{digest:016x}.so")
+    try:
+        return _bind(ctypes.CDLL(str(lib)))
+    except (OSError, AttributeError):  # not built yet, or a broken file
+        pass
+    import shlex
+    import subprocess
+    import sysconfig
+
+    try:
+        lib.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
+        os.close(fd)
+        try:
+            cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+            subprocess.run([*cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                           check=True, stdin=subprocess.DEVNULL, capture_output=True)
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return _bind(ctypes.CDLL(str(lib)))
+    except (OSError, ValueError, subprocess.SubprocessError, AttributeError):
+        return None  # no compiler, a failed build, no writable cache
+
+
+def _bind(lib: ctypes.CDLL):
+    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    run = lib.run_slots
+    run.restype = None
+    run.argtypes = [ptr, i64, i64, i64, i64, i64, ptr, i64, i64, i64, ptr, ptr, f64, f64,
+                    ctypes.c_int, ptr, ptr, ptr, i64, f64]
+    return run
+
+
+def _slot_runner(kernel, u: np.ndarray, cols: np.ndarray, x: np.ndarray, cdf: np.ndarray,
+                 thr: tuple[float, float], mode: UpdateMode, t_vals: np.ndarray,
+                 s_vals: np.ndarray, alive: np.ndarray, diverged_at: np.ndarray, k: int):
+    """The function run(s0, s1) that runs slots [s0, s1) of the step block
+    that starts at slot k, in place on `x`, `alive` and `diverged_at`: on
+    the compiled `kernel`, or on the numpy loop (`_presample`, then
+    `_numpy_slots`) when it is None.
+
+    `u` holds the block's draws of the chunk columns `cols` (int64),
+    (columns, block, draws); `x` the states, (configs, chunk, n); `cdf` the
+    flattened row CDFs; `t_vals` and `s_vals` each config's T and S per
+    slot, (block, configs); `alive` and `diverged_at`, (configs, chunk).
+    Every array is C-contiguous.
+    """
+    npts, m, n = x.shape
+    weights = (1.0 - t_vals, t_vals, 1.0 + s_vals, s_vals)
+    if kernel is None:
+        index_dtype = _index_dtype(x.size)
+        offsets = (np.arange(npts) * (m * n)).astype(index_dtype)[:, None, None]
+        fij, att, rep = _presample(u, (cols * n).astype(index_dtype), n, cdf, thr, mode)
+        return functools.partial(
+            _numpy_slots, fij=fij[:, None] + offsets, att=att, rep=rep,
+            weights=tuple(w[:, :, None, None] for w in weights), flat=x.reshape(-1),
+            cols=cols, alive=alive, diverged_at=diverged_at, k=k)
+    w = np.stack(weights, axis=2)  # (block, configs, 4)
+    block = u.shape[1]
+    shapes = ((u, np.float64, (cols.size, block, mode.draws_per_slot)),
+              (cols, np.int64, (cols.size,)), (x, np.float64, x.shape),
+              (cdf, np.float64, (n * n,)), (w, np.float64, (block, npts, 4)),
+              (alive, np.bool_, (npts, m)), (diverged_at, np.int64, (npts, m)))
+    if any(a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous
+           for a, dtype, shape in shapes) or (cols.size and not 0 <= cols.min() <= cols.max() < m):
+        raise ValueError("slot kernel arguments of the wrong shape, type or layout")
+    code = 0 if mode.variant == "symmetric" else 1 + _ACTIVE_RULES.index(mode.active_rule)
+
+    def run(s0: int, s1: int) -> None:
+        kernel(u.ctypes.data, *u.shape, s0, s1, cols.ctypes.data, m, n, npts, x.ctypes.data,
+               cdf.ctypes.data, thr[0], thr[1], code, w.ctypes.data, alive.ctypes.data,
+               diverged_at.ctypes.data, k, OVERFLOW_LIMIT)
+    return run
+
+
+def _numpy_slots(s0: int, s1: int, fij: np.ndarray, att: np.ndarray, rep: np.ndarray,
+                 weights: tuple, flat: np.ndarray, cols: np.ndarray, alive: np.ndarray,
+                 diverged_at: np.ndarray, k: int) -> None:
+    """The kernel's slots [s0, s1) in numpy, from the block's `_presample`:
+    per slot, gather both endpoints of every live trial of every config,
+    update them with each config's weights and scatter them back.
+
+    `fij` holds the flat state indices, (block, configs, 2, columns), and
+    `weights` the arrays 1 - T, T, 1 + S, S, each (block, configs, 1, 1).
+    """
+    if not cols.size:
+        return
+    # live[p, c]: column c still runs in config p; frozen columns are masked
+    # only once there is one
+    live = alive[:, cols]
+    keep = None if live.all() else live[:, None, :]
+    t_rest, t, s_plus, s = weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(s0, s1):
+            f = fij[step]
+            xij = flat[f]
+            xji = xij[:, ::-1]
+            new = np.where(att[step], t_rest[step] * xij + t[step] * xji,
+                           np.where(rep[step], s_plus[step] * xij - s[step] * xji, xij))
+            if keep is not None:
+                new = np.where(keep, new, xij)
+            if np.abs(new).max() <= OVERFLOW_LIMIT:  # false on nan too
+                flat[f] = new
+            else:
+                ok = (np.abs(new) <= OVERFLOW_LIMIT).all(axis=1)
+                bad_p, bad_c = np.nonzero(live & ~ok)
+                diverged_at[bad_p, cols[bad_c]] = k + step + 1
+                alive[bad_p, cols[bad_c]] = False
+                live &= ok
+                keep = live[:, None, :]
+                flat[f] = np.where(keep, new, xij)
+
+
 def _simulate_chunk(cfgs: list[ExperimentConfig], lo: int, hi: int,
                     outs: list[TrialMatrices]) -> None:
-    """Advance trials [lo, hi) of every config in `cfgs` together, one slot
-    at a time across the chunk; the configs share their draws
-    (`_shares_draws`), and `outs[p]` receives config p's hi - lo rows.
+    """Advance trials [lo, hi) of every config in `cfgs` together; the
+    configs share their draws (`_shares_draws`), and `outs[p]` receives
+    config p's hi - lo rows.
 
     Mirrors the scalar path exactly: same per-trial streams, same consumption
-    order, same update expressions, same freeze-on-overflow semantics. Pairs
-    and events do not depend on the state, so each step block draws and
-    samples them once for all its slots and configs (`_presample`); a slot
-    then gathers both endpoints of every trial of every config, updates them
-    with each config's own weights and scatters them back. A trial that
-    overflows keeps its state from then on: its update is not written, for
-    that config only, and its draws stop once it is frozen in every config.
+    order, same update expressions, same freeze-on-overflow semantics. Each
+    step block draws its uniforms for the trials still live in some config,
+    and the slots between checkpoints run as one segment: on the compiled
+    kernel (`_slot_kernel`), which samples each slot's pair and events and
+    updates every config's state, or, when no kernel could be built, on the
+    numpy loop (`_presample`, then `_numpy_slots`), the engine-level
+    reference the kernel is tested against. Both give the same bits. Draws,
+    weights and checkpoint records are shared. A trial that overflows keeps
+    its state from then on, for that config only, and its draws stop once
+    it is frozen in every config.
     """
     cfg = cfgs[0]
     n = cfg.matrix.n
@@ -626,14 +797,11 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], lo: int, hi: int,
         x[0, r] = cfg.initial.sample(n, rngs[r])
     x[1:] = x[0]
     refs = x[0].mean(axis=1)
-    flat = x.reshape(-1)
 
     cdf = cfg.matrix.row_cdfs().reshape(-1)
     thr = cfg.probabilities.thresholds()
     d = cfg.mode.draws_per_slot
-    index_dtype = _index_dtype(npts * m * n)
-    offsets = (np.arange(npts) * (m * n)).astype(index_dtype)[:, None, None]
-
+    kernel = _slot_kernel()
     alive = np.ones((npts, m), dtype=bool)
     diverged_at = np.full((npts, m), -1, dtype=np.int64)
 
@@ -657,44 +825,24 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], lo: int, hi: int,
     while k < end:
         b = min(STEP_BLOCK, end - k)
         cols = np.nonzero(alive.any(axis=0))[0]
-        # live[p, c]: column c still runs in config p; frozen columns are
-        # masked only once there is one
-        live = alive[:, cols]
-        keep = None if live.all() else live[:, None, :]
         u = np.empty((cols.size, b, d))
         for p, r in enumerate(cols):
             rngs[r].random(out=u[p])
-        fij, att, rep = _presample(u, (cols * n).astype(index_dtype), n, cdf, thr,
-                                   cfg.mode)
-        del u
-        fij = fij[:, None] + offsets  # (b, configs, 2, trials)
-        # (b, configs, 1, 1): each config's weights
-        t_vals = np.stack([c.schedule_t.applied(k, k + b) for c in cfgs], axis=1)[:, :, None, None]
-        s_vals = np.stack([c.schedule_s.applied(k, k + b) for c in cfgs], axis=1)[:, :, None, None]
-        weights = zip(1.0 - t_vals, t_vals, 1.0 + s_vals, s_vals)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for step, (t_rest, t, s_plus, s) in enumerate(weights):
-                if cols.size:
-                    f = fij[step]
-                    xij = flat[f]
-                    xji = xij[:, ::-1]
-                    new = np.where(att[step], t_rest * xij + t * xji,
-                                   np.where(rep[step], s_plus * xij - s * xji, xij))
-                    if keep is not None:
-                        new = np.where(keep, new, xij)
-                    if np.abs(new).max() <= OVERFLOW_LIMIT:  # false on nan too
-                        flat[f] = new
-                    else:
-                        ok = (np.abs(new) <= OVERFLOW_LIMIT).all(axis=1)
-                        bad_p, bad_c = np.nonzero(~ok)
-                        diverged_at[bad_p, cols[bad_c]] = k + step + 1
-                        alive[bad_p, cols[bad_c]] = False
-                        live &= ok
-                        keep = live[:, None, :]
-                        flat[f] = np.where(keep, new, xij)
-                if ci < len(cps) and k + step + 1 == cps[ci]:
-                    record()
-                    ci += 1
+        # (b, configs): each config's weights
+        t_vals = np.stack([c.schedule_t.applied(k, k + b) for c in cfgs], axis=1)
+        s_vals = np.stack([c.schedule_s.applied(k, k + b) for c in cfgs], axis=1)
+        run = _slot_runner(kernel, u, cols, x, cdf, thr, cfg.mode, t_vals, s_vals, alive,
+                           diverged_at, k)
+        del u  # the numpy loop is done with the draws once they are presampled
+        # the segments between checkpoints; the last checkpoint is `end`
+        s0 = 0
+        while s0 < b:
+            s1 = min(b, cps[ci] - k)
+            run(s0, s1)
+            if k + s1 == cps[ci]:
+                record()
+                ci += 1
+            s0 = s1
         k += b
 
     for div, out in zip(diverged_at, outs):

@@ -7,11 +7,13 @@ frozen expected values.
 """
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from gossipsim import montecarlo
 from gossipsim.dynamics import EventProbabilities, Schedule, T_CLIP, S_CLIP, UpdateMode
 from gossipsim.graph import validate
 from gossipsim.montecarlo import ExperimentConfig, InitialState
@@ -102,3 +104,19 @@ def exponent_rows(n: int, seed: int, distinct: bool) -> list[list[float]]:
     a[np.arange(n), nxt] = 0.0
     a[np.arange(n), nxt] = 1.0 - a.sum(axis=1)
     return a.tolist()
+
+
+@contextmanager
+def numpy_engine():
+    """The engine on its numpy loop, as where no slot kernel can be built:
+    the kernel loader finds none."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_slot_kernel", lambda: None)
+        yield
+
+
+@pytest.fixture()
+def fallback_engine():
+    """Runs the test with the engine on its numpy loop (`numpy_engine`)."""
+    with numpy_engine():
+        yield

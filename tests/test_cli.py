@@ -614,3 +614,48 @@ def test_oracle_detects_mismatch(monkeypatch, capsys):
                         lambda *a, **kw: 1e9)
     assert cli.main(["oracle", "--draws", "1", "--states", "1"]) == 3
     assert "FAIL" in capsys.readouterr().err
+
+
+def test_experiment_without_compiler_or_with_a_broken_kernel_cache(tmp_path):
+    """The slot kernel is an optimisation only. Where no compiler is found
+    (PATH names an empty directory), or where the cached kernel is a
+    truncated file, `experiment` exits 0, says nothing on stderr and writes
+    the run directory a compiled run writes, apart from its timestamps.
+    A truncated cache is rebuilt where a compiler is found."""
+    empty = tmp_path / "empty"
+    empty.mkdir()
+
+    def run(name, cache, path=None):
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache), "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        if path is not None:
+            env["PATH"] = str(path)
+        out = tmp_path / "runs" / name
+        proc = subprocess.run([sys.executable, "-m", "gossipsim.cli", "experiment", "--config",
+                               str(CONFIGS / "paper_5_3_crit.json"), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, ""), name
+        files = {}
+        for f in sorted(out.iterdir()):
+            files[f.name] = f.read_bytes()
+            if f.name == "manifest.json":
+                doc = json.loads(files[f.name])
+                files[f.name] = {k: v for k, v in doc.items()
+                                 if k not in ("startedAt", "finishedAt")}
+        return files
+
+    compiled = run("compiled", tmp_path / "cache")
+    assert run("no-compiler", tmp_path / "none", path=empty) == compiled
+    assert not list((tmp_path / "none").rglob("*.so"))
+
+    libs = list((tmp_path / "cache").rglob("_slots.*.so"))
+    if not libs:
+        pytest.skip("no C compiler here to build the slot kernel")
+    [lib] = libs
+    broken = tmp_path / "broken" / lib.relative_to(tmp_path / "cache")
+    broken.parent.mkdir(parents=True)
+    broken.write_bytes(lib.read_bytes()[:100])
+    assert run("broken-no-compiler", tmp_path / "broken", path=empty) == compiled
+    assert broken.stat().st_size == 100
+    assert run("broken", tmp_path / "broken") == compiled
+    assert broken.read_bytes() == lib.read_bytes()

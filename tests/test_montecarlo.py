@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REF_ROWS, fnv1a64_reference, make_config
+from conftest import REF_ROWS, fnv1a64_reference, make_config, numpy_engine
 from gossipsim import graph, montecarlo
-from gossipsim.dynamics import EventProbabilities, Schedule, S_CLIP, T_CLIP, UpdateMode
+from gossipsim.dynamics import OVERFLOW_LIMIT, EventProbabilities, Schedule, S_CLIP, T_CLIP, \
+    UpdateMode
 from gossipsim.errors import BadAxisError, BadParameterError
 from gossipsim.graph import json_with_rows, validate
 from gossipsim.metrics import Classification
@@ -280,6 +281,18 @@ def test_vectorized_fnv_matches_the_byte_loop_at_block_boundaries(monkeypatch, b
     assert montecarlo._fnv1a64(b"") == 0xCBF29CE484222325
 
 
+def assert_same_state(a, b):
+    """Equal bit generator state dicts, down to the dtype of every array."""
+    assert a.keys() == b.keys()
+    for key, v in a.items():
+        if isinstance(v, dict):
+            assert_same_state(v, b[key])
+        elif isinstance(v, np.ndarray):
+            assert v.dtype == b[key].dtype and np.array_equal(v, b[key]), key
+        else:
+            assert (type(v), v) == (type(b[key]), b[key]), key
+
+
 def test_seeds_from_2_63_on_give_their_own_streams():
     seeds = (2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1, 0)
     with warnings.catch_warnings():
@@ -292,6 +305,14 @@ def test_seeds_from_2_63_on_give_their_own_streams():
     for s in (0, 5, 2 ** 63 - 1):
         expect = np.random.Generator(np.random.Philox(key=[s, 3])).random(4)
         np.testing.assert_array_equal(montecarlo._trial_rng(s, 3).random(4), expect)
+    # built without OS entropy, a trial's generator is Philox(key=[seed,
+    # trial]): the same state before and after draws, the same stream
+    for s in (0, 123, 2 ** 63 + 5, 2 ** 64 - 1):
+        got = montecarlo._trial_rng(s, 3)
+        want = np.random.Generator(np.random.Philox(key=np.array([s, 3], dtype=np.uint64)))
+        assert_same_state(got.bit_generator.state, want.bit_generator.state)
+        np.testing.assert_array_equal(got.random(9), want.random(9))
+        assert_same_state(got.bit_generator.state, want.bit_generator.state)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +361,11 @@ def parity_cases(ref_matrix):
         # comparison is strict, and the trials are Undecided
         make_config(ref_matrix, trials=2, steps=5, alpha=0.0, beta=1.0, gamma=0.0,
                     eps_agree=3.0),
+        # a start value beyond the overflow limit freezes a trial at the
+        # first slot that selects its node, even for a neglect
+        make_config(ref_matrix, trials=6, steps=40, seed=16,
+                    initial=InitialState(kind="explicit", values=(2e150, 0.0, 1.0, -3.0)),
+                    checkpoints=(0, 1, 2, 3, 40)),
         make_config(ref_matrix, trials=6, steps=10, seed=10,
                     alpha=0.0, beta=0.0, gamma=1.0, schedule_s=freeze_s,
                     checkpoints=tuple(range(11))),
@@ -359,12 +385,37 @@ def assert_trial_matches_scalar_path(cfg, mats, classifications, t):
     assert classifications[t] is ref.classification, msg
 
 
+def assert_same_matrices(got, want, msg=""):
+    assert got.checkpoints == want.checkpoints
+    for a, b in zip(got.arrays(), want.arrays(), strict=True):
+        assert a.tobytes() == b.tobytes(), msg
+
+
+def on_both_paths(run):
+    """`run()` on the engine as it is, with the compiled slot kernel where
+    one can be built, then on the numpy fallback; both must give the same
+    bytes. Returns the first result: matrices or a list of them."""
+    got = run()
+    with numpy_engine():
+        fallback = run()
+    if isinstance(got, montecarlo.TrialMatrices):
+        assert_same_matrices(got, fallback, "kernel and fallback differ")
+    else:
+        for p, (a, b) in enumerate(zip(got, fallback, strict=True)):
+            assert_same_matrices(a, b, f"kernel and fallback differ at point {p}")
+    return got
+
+
 def test_vector_engine_matches_scalar_reference(ref_matrix):
     for cfg in parity_cases(ref_matrix):
         mats = run_trials(cfg, states=True)
         classifications = classify_trials(cfg, mats)
         for t in range(cfg.trials):
             assert_trial_matches_scalar_path(cfg, mats, classifications, t)
+
+
+def test_numpy_fallback_matches_scalar_reference(ref_matrix, fallback_engine):
+    test_vector_engine_matches_scalar_reference(ref_matrix)
 
 
 @st.composite
@@ -432,7 +483,7 @@ def test_engine_matches_scalar_path_on_generated_configs(cfg, chunk, block, pres
         mp.setattr(montecarlo, "CHUNK_TRIALS", chunk)
         mp.setattr(montecarlo, "STEP_BLOCK", block)
         mp.setattr(montecarlo, "PRESAMPLE_STEPS", presample)
-        mats = run_trials(cfg, states=True)
+        mats = on_both_paths(lambda: run_trials(cfg, states=True))
     classifications = classify_trials(cfg, mats)
     for t in range(cfg.trials):
         assert_trial_matches_scalar_path(cfg, mats, classifications, t)
@@ -469,13 +520,11 @@ def test_shared_pass_matches_solo_runs_on_generated_configs(points, chunk, block
         mp.setattr(montecarlo, "CHUNK_TRIALS", chunk)
         mp.setattr(montecarlo, "STEP_BLOCK", block)
         mp.setattr(montecarlo, "PRESAMPLE_STEPS", presample)
-        shared = list(run_shared_trials(points, states=True))
+        shared = on_both_paths(lambda: list(run_shared_trials(points, states=True)))
         solo = [run_trials(cfg, states=True) for cfg in points]
     assert len(shared) == len(points)
     for p, (got, want) in enumerate(zip(shared, solo)):
-        assert got.checkpoints == want.checkpoints
-        for a, b in zip(got.arrays(), want.arrays(), strict=True):
-            assert a.tobytes() == b.tobytes(), f"point {p}"
+        assert_same_matrices(got, want, f"point {p}")
 
 
 def test_wide_shared_pass_is_split_into_batches(ref_matrix, monkeypatch):
@@ -494,12 +543,11 @@ def test_wide_shared_pass_is_split_into_batches(ref_matrix, monkeypatch):
     points = [make_config(ref_matrix, s=s, trials=300, steps=20, seed=4,
                           alpha=0.2, beta=0.2, gamma=0.6)
               for s in (0.05, 1e120, 0.3, 0.05, 2.0)]
-    shared = list(run_shared_trials(points))
-    assert calls == [2, 2, 2, 2, 1, 1]
+    shared = on_both_paths(lambda: list(run_shared_trials(points)))
+    assert calls == [2, 2, 2, 2, 1, 1] * 2
     assert (shared[1].diverged_at >= 0).any() and (shared[0].diverged_at < 0).all()
     for cfg, got in zip(points, shared):
-        for a, b in zip(got.arrays(), run_trials(cfg).arrays(), strict=True):
-            assert a.tobytes() == b.tobytes()
+        assert_same_matrices(got, on_both_paths(lambda: run_trials(cfg)))
 
 
 def test_shared_pass_refuses_configs_with_other_draws(ref_matrix):
@@ -510,11 +558,10 @@ def test_shared_pass_refuses_configs_with_other_draws(ref_matrix):
             list(run_shared_trials([a, other]))
 
 
-@pytest.mark.parametrize("n", [3, 4, 17, 32, 33])
-def test_presampled_partner_is_searchsorted_right(n):
-    """The bisection returns what the scalar path's searchsorted(side="right")
-    returns, also for draws that equal a CDF entry, sit next to one or fall
-    on a plateau of zero-weight entries."""
+def partner_probes(n):
+    """Row CDFs of an n-node matrix with zero-weight entries (plateaus), and
+    partner draws (row, draw) equal to every CDF entry and one ulp either
+    side of it."""
     rng = np.random.default_rng(n)
     w = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
     np.fill_diagonal(w, 0.0)
@@ -527,14 +574,116 @@ def test_presampled_partner_is_searchsorted_right(n):
                 if 0.0 <= v < 1.0:
                     rows.append(r)
                     draws.append(v)
+    return cdfs, np.array(rows), np.array(draws)
+
+
+@pytest.mark.parametrize("n", [3, 4, 17, 32, 33])
+def test_presampled_partner_is_searchsorted_right(n):
+    """The bisection returns what the scalar path's searchsorted(side="right")
+    returns, also for draws that equal a CDF entry, sit next to one or fall
+    on a plateau of zero-weight entries."""
+    cdfs, rows, draws = partner_probes(n)
     u = np.zeros((1, len(draws), 3))
-    u[0, :, 0] = (np.array(rows) + 0.5) / n
+    u[0, :, 0] = (rows + 0.5) / n
     u[0, :, 1] = draws
     fij, _, _ = montecarlo._presample(u, np.zeros(1, dtype=np.int32), n, cdfs.reshape(-1),
                                       (0.5, 0.5), UpdateMode())
     np.testing.assert_array_equal(fij[:, 0, 0], rows)
     np.testing.assert_array_equal(
         fij[:, 1, 0], [np.searchsorted(cdfs[r], v, side="right") for r, v in zip(rows, draws)])
+
+
+def compiled_kernel():
+    kernel = montecarlo._slot_kernel()
+    if kernel is None:
+        pytest.skip("no C compiler here to build the slot kernel")
+    return kernel
+
+
+@pytest.mark.parametrize("n", [3, 4, 17, 32, 33])
+def test_kernel_partner_is_searchsorted_right(n):
+    """The compiled kernel picks the partner on the same probes as
+    `_presample`. Each probe is one trial of one slot that attracts with
+    T = 1 on the state 0, 1, ..., n - 1, which swaps x_i and x_j: x_i then
+    reads j and x_j reads i."""
+    cdfs, rows, draws = partner_probes(n)
+    probes = np.arange(len(draws))
+    u = np.zeros((len(draws), 1, 3))  # a third draw of 0.0 attracts
+    u[:, 0, 0] = (rows + 0.5) / n
+    u[:, 0, 1] = draws
+    x = np.tile(np.arange(n, dtype=float), (1, len(draws), 1))
+    alive = np.ones((1, len(draws)), dtype=bool)
+    diverged_at = np.full((1, len(draws)), -1, dtype=np.int64)
+    run = montecarlo._slot_runner(compiled_kernel(), u, probes, x, cdfs.reshape(-1),
+                                  (0.5, 0.5), UpdateMode(), np.ones((1, 1)), np.zeros((1, 1)),
+                                  alive, diverged_at, 0)
+    run(0, 1)
+    j = x[0, probes, rows].astype(int)
+    np.testing.assert_array_equal(
+        j, [np.searchsorted(cdfs[r], v, side="right") for r, v in zip(rows, draws)])
+    np.testing.assert_array_equal(x[0, probes, j], rows)
+    assert alive.all() and (diverged_at == -1).all()
+
+
+def test_kernel_refuses_arguments_it_cannot_read():
+    """Pointers reach the kernel only for arrays of its dtypes, shapes and
+    C layout, with columns inside the chunk."""
+    n, m = 4, 3
+    args = dict(u=np.zeros((2, 5, 3)), cols=np.array([0, 2]), x=np.zeros((1, m, n)),
+                cdf=np.ones(n * n), thr=(0.5, 0.5), mode=UpdateMode(), t_vals=np.ones((5, 1)),
+                s_vals=np.ones((5, 1)), alive=np.ones((1, m), dtype=bool),
+                diverged_at=np.full((1, m), -1, dtype=np.int64), k=0)
+    montecarlo._slot_runner(compiled_kernel(), **args)(0, 5)
+    for key, bad in (("u", np.zeros((2, 5, 4))), ("u", np.zeros((2, 3, 5)).transpose(0, 2, 1)),
+                     ("cols", np.array([0, 2], dtype=np.int32)), ("cols", np.array([0, 3])),
+                     ("cols", np.array([-1, 2])), ("cdf", np.ones(n * n - 1)),
+                     ("alive", np.ones((1, m), dtype=np.int8)),
+                     ("diverged_at", np.zeros((1, m + 1), dtype=np.int64)),
+                     ("x", np.zeros((1, n, m)).transpose(0, 2, 1))):
+        with pytest.raises(ValueError, match="slot kernel arguments"):
+            montecarlo._slot_runner(compiled_kernel(), **{**args, key: bad})
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), trials=st.integers(0, 5),
+       npts=st.integers(1, 3), block=st.integers(1, 12),
+       mode=st.sampled_from([UpdateMode(), UpdateMode("asymmetric", "uniform"),
+                             UpdateMode("asymmetric", "initiator"),
+                             UpdateMode("asymmetric", "responder")]))
+def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, block, mode):
+    """On inputs the engine never builds, the kernel and the numpy loop
+    still give the same bits: unsorted CDF rows with repeated entries (so
+    i == j happens), draws on those entries, weights of 0, 1e200, inf and
+    nan, states at the overflow limit, trials frozen in some configs and
+    a block cut into random segments."""
+    kernel = compiled_kernel()
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, 0.25, 0.5, 0.5, 1.0, np.nextafter(0.5, 1.0)])
+    cdf = rng.choice(pool, (n, n))
+    cdf[:, -1] = 1.0
+    u = rng.random((trials, block, mode.draws_per_slot))
+    u[:, :, 1] = np.where(rng.random((trials, block)) < 0.5, rng.choice(pool[:-2], (trials, block)),
+                          u[:, :, 1])
+    u[:, :, 2:] = rng.choice([0.0, 0.3, 0.5, 0.6, 0.99], u[:, :, 2:].shape)
+    x = rng.normal(size=(npts, trials + 1, n)) * rng.choice([1.0, 1e75, 1e150], (npts, 1, 1))
+    x[rng.random(x.shape) < 0.05] = OVERFLOW_LIMIT
+    w_pool = [0.0, 0.25, 1.0, 3.0, 1e200, np.inf, np.nan]
+    t_vals, s_vals = rng.choice(w_pool, (2, block, npts))
+    alive = rng.random((npts, trials + 1)) < 0.8
+    diverged_at = np.where(alive, -1, 7)
+    cols = np.sort(rng.choice(trials + 1, trials, replace=False))
+    cuts = sorted({0, block, *rng.integers(0, block + 1, 3).tolist()})
+    thr = tuple(sorted(rng.choice([0.0, 0.3, 0.6, 1.0], 2)))
+    outs = []
+    for path in (kernel, None):
+        state = [a.copy() for a in (x, alive, diverged_at)]
+        run = montecarlo._slot_runner(path, u, cols, state[0], cdf.reshape(-1), thr, mode,
+                                      t_vals, s_vals, *state[1:], 40)
+        for s0, s1 in zip(cuts, cuts[1:]):
+            run(s0, s1)
+        outs.append(state)
+    for got, want in zip(*outs):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_freeze_case_actually_freezes(ref_matrix):
