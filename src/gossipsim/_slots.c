@@ -1,12 +1,14 @@
-/* The engine's slot loop, compiled: `montecarlo._simulate_chunk` runs it
- * through ctypes and keeps its numpy loop as the fallback and reference.
+/* The engine's slots, compiled: `montecarlo._bind` gives `run_slots` the
+ * signature of its numpy twin, `montecarlo._numpy_slots`, which runs where
+ * this does not build and is the reference it is tested against.
  *
  * `run_slots` runs slots [s0, s1) of one step block for the live trials of
  * a chunk and every config of a shared pass. Each slot samples its pair and
  * events from the trial's draws and updates both endpoints with the same
- * expressions, in the same operand order, as the numpy loop and the scalar
+ * expressions, in the same operand order, as the numpy twin and the scalar
  * path, so the results agree bit for bit. Build with -ffp-contract=off: a
- * fused multiply-add would round differently.
+ * fused multiply-add would round differently. The caller checks every
+ * shape and that 0 <= s0 <= s1 <= block.
  */
 #include <math.h>
 #include <stdint.h>
@@ -32,7 +34,7 @@ void run_slots(const double *u, int64_t ncols, int64_t block, int64_t draws,
             if (i > n - 1)
                 i = n - 1;
             /* searchsorted(side="right") on row i, by the fixed-length
-             * bisection `_presample` runs */
+             * bisection the numpy twin runs */
             const double *row = cdf + i * n;
             int64_t j = 0;
             for (int64_t length = n; length > 1;) {

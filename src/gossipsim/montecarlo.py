@@ -15,10 +15,10 @@ and runs the block's slots in a compiled kernel (`_slots.c`, built on the
 first run and loaded with ctypes): per trial and slot it picks node i, the
 partner j by a bisection over the flattened row CDFs (O(log n)), the events
 and the active endpoint, and applies the update and the overflow check.
-Where the kernel cannot be built, the same slots run as a numpy loop that
-presamples the block (pairs, events and active endpoints do not depend on
-the state), then gathers, updates and scatters one slot at a time. That
-loop is also the engine-level reference the kernel is tested against.
+Where it cannot be built, its numpy twin `_numpy_slots`, which takes the
+same arguments, presamples pairs and events one window of slots at a time
+and gathers, updates and scatters one slot at a time. The twin is also the
+engine-level reference the kernel is tested against.
 
 Configs that differ only in their schedules, `eps_agree` and `big_m` draw
 the same pairs and events, so `run_shared_trials` runs them through one pass
@@ -127,6 +127,8 @@ class InitialState:
                 raise BadParameterError("explicit initial state needs values")
             if any(not math.isfinite(v) for v in self.values):
                 raise BadParameterError("initial values must be finite")
+            if not math.isfinite(float(max(self.values)) - float(min(self.values))):
+                raise BadParameterError("initial max(values) - min(values) must be finite")
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         elif self.kind != "ramp":
             raise BadParameterError(f"unknown initial state kind {self.kind!r}")
@@ -310,9 +312,9 @@ def _matrix_from_dict(d, base_dir: Path | None) -> SelectionMatrix:
             raise BadParameterError(f"cannot read matrix file {path}: {exc}") from None
     params = {kwarg: _num(f"matrix.{key}", d[key], key in ("m", "kNn"))
               for key, kwarg in _GENERATOR_KEYS.items() if key in d}
-    seed = d.get("seed")
+    # seed 0 when none is given: one config, one graph
     return generate(kind, _num("matrix.n", d["n"], True),
-                    seed=None if seed is None else _num("matrix.seed", seed, True), **params)
+                    seed=_num("matrix.seed", d.get("seed", 0), True), **params)
 
 
 def _schedule_from_dict(name: str, d, clip: tuple[float, float]) -> Schedule:
@@ -570,63 +572,54 @@ class TrialMatrices:
         return TrialMatrices(self.checkpoints, *(a[lo:hi] for a in self.arrays()))
 
 
-def _index_dtype(size: int) -> type:
-    """The narrowest signed integer type that holds every index below `size`."""
-    return next(dt for dt in (np.int16, np.int32, np.int64) if size <= np.iinfo(dt).max)
-
-
 def _presample(u: np.ndarray, rows: np.ndarray, n: int, cdf: np.ndarray,
                thr: tuple[float, float], mode: UpdateMode):
-    """Turn one step block's draws into pairs and events, all slots at once.
+    """Turn the draws of some slots into pairs and events, all at once.
 
-    `u` holds the draws of the trials live at the start of the block,
-    (trials, steps, draws per slot); `rows[p]` is the flat offset of trial
-    p's state row and `cdf` the flattened row CDFs. Node i comes from the
-    first draw as in `dynamics`; partner j is the number of entries of row
-    i's CDF that are <= the second draw, the index searchsorted(side="right")
-    returns, found by a bisection of fixed length over the flattened rows.
+    `u` holds the draws, (trials, slots, draws per slot); `rows[q, p]` is
+    the flat offset of trial p's state row in config q (int64) and `cdf`
+    the flattened row CDFs. Node i comes from the first draw as in
+    `dynamics`; partner j is the number of entries of row i's CDF that are
+    <= the second draw, the index searchsorted(side="right") returns, found
+    by a bisection of fixed length over the flattened rows.
 
-    Returns, per step, the flat state indices of (i, j), shape
-    (steps, 2, trials), and the masks of the endpoints that attract and that
-    repel, shape (steps, 2, trials), or (steps, 1, trials) for coupled
-    updates, where both endpoints share the event. The block is sampled
-    PRESAMPLE_STEPS slots at a time, which keeps the temporaries small.
+    Returns, per slot, the flat state indices of (i, j) in every config,
+    shape (slots, configs, 2, trials), int64, and the masks of the
+    endpoints that attract and that repel, shape (slots, 2, trials), or
+    (slots, 1, trials) for coupled updates, where both endpoints share the
+    event; all C-contiguous.
     """
-    a, b, _ = u.shape
-    width = 1 if mode.variant == "symmetric" else 2
-    fij = np.empty((b, 2, a), dtype=rows.dtype)
-    att = np.empty((b, width, a), dtype=bool)
-    rep = np.empty((b, width, a), dtype=bool)
-    for s0 in range(0, b, PRESAMPLE_STEPS):
-        us = u[:, s0:s0 + PRESAMPLE_STEPS]
-        i = np.minimum((us[:, :, 0] * n).astype(np.int64), n - 1)
-        base = i * n
-        pos = base.copy()
-        # The count lies in [pos - base, pos - base + length - 1]: the row
-        # ends in 1.0, above every draw, so it is at most n - 1.
-        length = n
-        while length > 1:
-            half = length // 2
-            np.add(pos, half, out=pos, where=cdf[pos + (half - 1)] <= us[:, :, 1])
-            length -= half
-        out = fij[s0:s0 + PRESAMPLE_STEPS]
-        np.add(rows[:, None], i, out=out[:, 0, :].T)
-        np.add(rows[:, None], pos - base, out=out[:, 1, :].T)
+    us = np.ascontiguousarray(u.transpose(1, 2, 0))  # (slots, draws, trials)
+    b, _, a = us.shape
+    # the side of each endpoint: the event reaches it where its side is true
+    if mode.variant == "symmetric":
+        sides = (True,)
+    elif mode.active_rule == "uniform":
+        active_i = us[:, 3] < 0.5
+        sides = (active_i, ~active_i)
+    else:
+        sides = (mode.active_rule == "initiator", mode.active_rule != "initiator")
+    att = np.empty((b, len(sides), a), dtype=bool)
+    rep = np.empty((b, len(sides), a), dtype=bool)
+    for event, mask in ((us[:, 2] < thr[0], att), (us[:, 2] >= thr[1], rep)):
+        for q, side in enumerate(sides):
+            np.logical_and(event, side, out=mask[:, q])
 
-        e_att = us[:, :, 2] < thr[0]
-        e_rep = us[:, :, 2] >= thr[1]
-        if width == 1:
-            att[s0:s0 + PRESAMPLE_STEPS, 0, :] = e_att.T
-            rep[s0:s0 + PRESAMPLE_STEPS, 0, :] = e_rep.T
-            continue
-        if mode.active_rule == "uniform":
-            active_i = us[:, :, 3] < 0.5
-        else:
-            active_i = np.full(e_att.shape, mode.active_rule == "initiator")
-        for event, mask in ((e_att, att), (e_rep, rep)):
-            out = mask[s0:s0 + PRESAMPLE_STEPS]
-            np.logical_and(event, active_i, out=out[:, 0, :].T)
-            np.logical_and(event, ~active_i, out=out[:, 1, :].T)
+    i = np.minimum((us[:, 0] * n).astype(np.int64), n - 1)
+    base = i * n
+    pos = base.copy()
+    # The count lies in [pos - base, pos - base + length - 1]: the row
+    # ends in 1.0, above every draw, so it is at most n - 1.
+    length = n
+    while length > 1:
+        half = length // 2
+        np.add(pos, half, out=pos, where=cdf[pos + (half - 1)] <= us[:, 1])
+        length -= half
+    pos -= base
+    del us, base  # before the indices, which take the most memory
+    fij = np.empty((b, len(rows), 2, a), dtype=np.int64)
+    np.add(rows, i[:, None], out=fij[:, :, 0])
+    np.add(rows, pos[:, None], out=fij[:, :, 1])
     return fij, att, rep
 
 
@@ -638,8 +631,8 @@ _ACTIVE_RULES = ("uniform", "initiator", "responder")
 
 @functools.cache
 def _slot_kernel():
-    """`run_slots` from `_slots.c`, or None when it cannot be built or
-    loaded; the engine then runs its numpy loop.
+    """`run_slots` from `_slots.c` with the signature of `_numpy_slots`, or
+    None when it cannot be built or loaded; the engine then runs the twin.
 
     The library is compiled with the platform compiler (sysconfig's CC,
     else cc) once per hash of the source and flags, into the `__pycache__`
@@ -680,92 +673,98 @@ def _slot_kernel():
 
 
 def _bind(lib: ctypes.CDLL):
+    """`run_slots` as `_numpy_slots`'s twin. Pointers reach it only for arrays of
+    its dtypes, shapes and C layout, columns inside the chunk and slots inside
+    the block."""
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    run = lib.run_slots
-    run.restype = None
-    run.argtypes = [ptr, i64, i64, i64, i64, i64, ptr, i64, i64, i64, ptr, ptr, f64, f64,
-                    ctypes.c_int, ptr, ptr, ptr, i64, f64]
-    return run
+    kernel = lib.run_slots
+    kernel.restype = None
+    kernel.argtypes = [ptr, i64, i64, i64, i64, i64, ptr, i64, i64, i64, ptr, ptr, f64, f64,
+                       ctypes.c_int, ptr, ptr, ptr, i64, f64]
+
+    def slots(u, cols, x, cdf, thr, mode, w, alive, diverged_at, k):
+        npts, m, n = x.shape
+        block = u.shape[1]
+        shapes = ((u, np.float64, (cols.size, block, mode.draws_per_slot)),
+                  (cols, np.int64, (cols.size,)), (x, np.float64, x.shape),
+                  (cdf, np.float64, (n * n,)), (w, np.float64, (block, npts, 4)),
+                  (alive, np.bool_, (npts, m)), (diverged_at, np.int64, (npts, m)))
+        if any(a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous
+               for a, dtype, shape in shapes) \
+                or (cols.size and not 0 <= cols.min() <= cols.max() < m):
+            raise ValueError("slot kernel arguments of the wrong shape, type or layout")
+        code = 0 if mode.variant == "symmetric" else 1 + _ACTIVE_RULES.index(mode.active_rule)
+
+        def run(s0: int, s1: int) -> None:
+            if not 0 <= s0 <= s1 <= block:  # the C code reads u up to slot s1
+                raise ValueError(f"slot kernel arguments: slots [{s0}, {s1}) of {block}")
+            kernel(u.ctypes.data, *u.shape, s0, s1, cols.ctypes.data, m, n, npts, x.ctypes.data,
+                   cdf.ctypes.data, thr[0], thr[1], code, w.ctypes.data, alive.ctypes.data,
+                   diverged_at.ctypes.data, k, OVERFLOW_LIMIT)
+        return run
+    return slots
 
 
-def _slot_runner(kernel, u: np.ndarray, cols: np.ndarray, x: np.ndarray, cdf: np.ndarray,
-                 thr: tuple[float, float], mode: UpdateMode, t_vals: np.ndarray,
-                 s_vals: np.ndarray, alive: np.ndarray, diverged_at: np.ndarray, k: int):
+def _numpy_slots(u: np.ndarray, cols: np.ndarray, x: np.ndarray, cdf: np.ndarray,
+                 thr: tuple[float, float], mode: UpdateMode, w: np.ndarray, alive: np.ndarray,
+                 diverged_at: np.ndarray, k: int):
     """The function run(s0, s1) that runs slots [s0, s1) of the step block
-    that starts at slot k, in place on `x`, `alive` and `diverged_at`: on
-    the compiled `kernel`, or on the numpy loop (`_presample`, then
-    `_numpy_slots`) when it is None.
+    that starts at slot k, in place on `x`, `alive` and `diverged_at`; the
+    slot kernel (`_slot_kernel`) takes the same arguments and gives the same
+    bits.
 
     `u` holds the block's draws of the chunk columns `cols` (int64),
     (columns, block, draws); `x` the states, (configs, chunk, n); `cdf` the
-    flattened row CDFs; `t_vals` and `s_vals` each config's T and S per
-    slot, (block, configs); `alive` and `diverged_at`, (configs, chunk).
+    flattened row CDFs; `w` each config's weights 1 - T, T, 1 + S, S per
+    slot, (block, configs, 4); `alive` and `diverged_at`, (configs, chunk).
     Every array is C-contiguous.
+
+    Per slot, it gathers both endpoints of every live trial of every
+    config, updates them with each config's weights and scatters them back.
+    Pairs and events do not depend on the state: they are presampled one
+    window of PRESAMPLE_STEPS slots at a time, as the slots reach it.
     """
     npts, m, n = x.shape
-    weights = (1.0 - t_vals, t_vals, 1.0 + s_vals, s_vals)
-    if kernel is None:
-        index_dtype = _index_dtype(x.size)
-        offsets = (np.arange(npts) * (m * n)).astype(index_dtype)[:, None, None]
-        fij, att, rep = _presample(u, (cols * n).astype(index_dtype), n, cdf, thr, mode)
-        return functools.partial(
-            _numpy_slots, fij=fij[:, None] + offsets, att=att, rep=rep,
-            weights=tuple(w[:, :, None, None] for w in weights), flat=x.reshape(-1),
-            cols=cols, alive=alive, diverged_at=diverged_at, k=k)
-    w = np.stack(weights, axis=2)  # (block, configs, 4)
-    block = u.shape[1]
-    shapes = ((u, np.float64, (cols.size, block, mode.draws_per_slot)),
-              (cols, np.int64, (cols.size,)), (x, np.float64, x.shape),
-              (cdf, np.float64, (n * n,)), (w, np.float64, (block, npts, 4)),
-              (alive, np.bool_, (npts, m)), (diverged_at, np.int64, (npts, m)))
-    if any(a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous
-           for a, dtype, shape in shapes) or (cols.size and not 0 <= cols.min() <= cols.max() < m):
-        raise ValueError("slot kernel arguments of the wrong shape, type or layout")
-    code = 0 if mode.variant == "symmetric" else 1 + _ACTIVE_RULES.index(mode.active_rule)
+    flat = x.reshape(-1)
+    rows = (np.arange(npts) * (m * n))[:, None] + cols * n
+    t_rest, t, s_plus, s = (w[:, :, q, None, None] for q in range(4))
+    size = PRESAMPLE_STEPS
+
+    held = {}  # the one window presampled, j: slots [j * size, (j + 1) * size)
 
     def run(s0: int, s1: int) -> None:
-        kernel(u.ctypes.data, *u.shape, s0, s1, cols.ctypes.data, m, n, npts, x.ctypes.data,
-               cdf.ctypes.data, thr[0], thr[1], code, w.ctypes.data, alive.ctypes.data,
-               diverged_at.ctypes.data, k, OVERFLOW_LIMIT)
+        if not cols.size:
+            return
+        # live[p, c]: column c still runs in config p; frozen columns are
+        # masked only once there is one
+        live = alive[:, cols]
+        keep = None if live.all() else live[:, None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(s0, s1):
+                j, r = divmod(step, size)
+                if j not in held:  # the last window goes before the next is made
+                    fij = att = rep = f = None
+                    held.clear()
+                    held[j] = _presample(u[:, j * size:(j + 1) * size], rows, n, cdf, thr, mode)
+                fij, att, rep = held[j]
+                f = fij[r]
+                xij = flat[f]
+                xji = xij[:, ::-1]
+                new = np.where(att[r], t_rest[step] * xij + t[step] * xji,
+                               np.where(rep[r], s_plus[step] * xij - s[step] * xji, xij))
+                if keep is not None:
+                    new = np.where(keep, new, xij)
+                if np.abs(new).max() <= OVERFLOW_LIMIT:  # false on nan too
+                    flat[f] = new
+                else:
+                    ok = (np.abs(new) <= OVERFLOW_LIMIT).all(axis=1)
+                    bad_p, bad_c = np.nonzero(live & ~ok)
+                    diverged_at[bad_p, cols[bad_c]] = k + step + 1
+                    alive[bad_p, cols[bad_c]] = False
+                    live &= ok
+                    keep = live[:, None, :]
+                    flat[f] = np.where(keep, new, xij)
     return run
-
-
-def _numpy_slots(s0: int, s1: int, fij: np.ndarray, att: np.ndarray, rep: np.ndarray,
-                 weights: tuple, flat: np.ndarray, cols: np.ndarray, alive: np.ndarray,
-                 diverged_at: np.ndarray, k: int) -> None:
-    """The kernel's slots [s0, s1) in numpy, from the block's `_presample`:
-    per slot, gather both endpoints of every live trial of every config,
-    update them with each config's weights and scatter them back.
-
-    `fij` holds the flat state indices, (block, configs, 2, columns), and
-    `weights` the arrays 1 - T, T, 1 + S, S, each (block, configs, 1, 1).
-    """
-    if not cols.size:
-        return
-    # live[p, c]: column c still runs in config p; frozen columns are masked
-    # only once there is one
-    live = alive[:, cols]
-    keep = None if live.all() else live[:, None, :]
-    t_rest, t, s_plus, s = weights
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(s0, s1):
-            f = fij[step]
-            xij = flat[f]
-            xji = xij[:, ::-1]
-            new = np.where(att[step], t_rest[step] * xij + t[step] * xji,
-                           np.where(rep[step], s_plus[step] * xij - s[step] * xji, xij))
-            if keep is not None:
-                new = np.where(keep, new, xij)
-            if np.abs(new).max() <= OVERFLOW_LIMIT:  # false on nan too
-                flat[f] = new
-            else:
-                ok = (np.abs(new) <= OVERFLOW_LIMIT).all(axis=1)
-                bad_p, bad_c = np.nonzero(live & ~ok)
-                diverged_at[bad_p, cols[bad_c]] = k + step + 1
-                alive[bad_p, cols[bad_c]] = False
-                live &= ok
-                keep = live[:, None, :]
-                flat[f] = np.where(keep, new, xij)
 
 
 def _simulate_chunk(cfgs: list[ExperimentConfig], lo: int, hi: int,
@@ -777,14 +776,12 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], lo: int, hi: int,
     Mirrors the scalar path exactly: same per-trial streams, same consumption
     order, same update expressions, same freeze-on-overflow semantics. Each
     step block draws its uniforms for the trials still live in some config,
-    and the slots between checkpoints run as one segment: on the compiled
-    kernel (`_slot_kernel`), which samples each slot's pair and events and
-    updates every config's state, or, when no kernel could be built, on the
-    numpy loop (`_presample`, then `_numpy_slots`), the engine-level
-    reference the kernel is tested against. Both give the same bits. Draws,
-    weights and checkpoint records are shared. A trial that overflows keeps
-    its state from then on, for that config only, and its draws stop once
-    it is frozen in every config.
+    and the slots between checkpoints run as one segment, on the compiled
+    slot kernel (`_slot_kernel`) or, where none could be built, on its numpy
+    twin (`_numpy_slots`): one signature, the same bits. Draws, weights and
+    checkpoint records are shared by the configs. A trial that overflows
+    keeps its state from then on, for that config only, and its draws stop
+    once it is frozen in every config.
     """
     cfg = cfgs[0]
     n = cfg.matrix.n
@@ -796,19 +793,21 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], lo: int, hi: int,
     for r in range(m):
         x[0, r] = cfg.initial.sample(n, rngs[r])
     x[1:] = x[0]
-    refs = x[0].mean(axis=1)
+    with np.errstate(over="ignore"):  # start values near the float limit give inf
+        refs = x[0].mean(axis=1)
 
     cdf = cfg.matrix.row_cdfs().reshape(-1)
     thr = cfg.probabilities.thresholds()
     d = cfg.mode.draws_per_slot
-    kernel = _slot_kernel()
+    slots = _slot_kernel() or _numpy_slots
     alive = np.ones((npts, m), dtype=bool)
     diverged_at = np.full((npts, m), -1, dtype=np.int64)
 
     ci = 0
 
     def record() -> None:
-        dispersion = ((x - refs[:, None]) ** 2).sum(axis=2)
+        with np.errstate(over="ignore"):
+            dispersion = ((x - refs[:, None]) ** 2).sum(axis=2)
         spread = x.max(axis=2) - x.min(axis=2)
         for p, out in enumerate(outs):
             out.dispersion[:, ci] = dispersion[p]
@@ -828,12 +827,11 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], lo: int, hi: int,
         u = np.empty((cols.size, b, d))
         for p, r in enumerate(cols):
             rngs[r].random(out=u[p])
-        # (b, configs): each config's weights
-        t_vals = np.stack([c.schedule_t.applied(k, k + b) for c in cfgs], axis=1)
-        s_vals = np.stack([c.schedule_s.applied(k, k + b) for c in cfgs], axis=1)
-        run = _slot_runner(kernel, u, cols, x, cdf, thr, cfg.mode, t_vals, s_vals, alive,
-                           diverged_at, k)
-        del u  # the numpy loop is done with the draws once they are presampled
+        # (b, configs): each config's T and S; w holds 1 - T, T, 1 + S, S
+        t = np.stack([c.schedule_t.applied(k, k + b) for c in cfgs], axis=1)
+        s = np.stack([c.schedule_s.applied(k, k + b) for c in cfgs], axis=1)
+        w = np.stack((1.0 - t, t, 1.0 + s, s), axis=2)
+        run = slots(u, cols, x, cdf, thr, cfg.mode, w, alive, diverged_at, k)
         # the segments between checkpoints; the last checkpoint is `end`
         s0 = 0
         while s0 < b:
@@ -843,6 +841,7 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], lo: int, hi: int,
                 record()
                 ci += 1
             s0 = s1
+        del run, u  # so the next block's draws do not sit beside these
         k += b
 
     for div, out in zip(diverged_at, outs):
@@ -964,8 +963,8 @@ def classify_trials(config: ExperimentConfig, mats: TrialMatrices) -> list[Class
 
 
 def _excess_kurtosis(columns: np.ndarray) -> np.ndarray:
-    centered = columns - columns.mean(axis=0)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        centered = columns - columns.mean(axis=0)
         m2 = (centered ** 2).mean(axis=0)
         m4 = (centered ** 4).mean(axis=0)
         kurt = np.where(m2 > 0.0, m4 / np.where(m2 > 0.0, m2, 1.0) ** 2 - 3.0, 0.0)
@@ -1062,7 +1061,7 @@ def sweep_values(axis: str, values) -> list:
     return out
 
 
-def sweep(config_dict: dict, axis: str, values, horizon: int | None = None,
+def sweep(config_dict: dict, axis: str, values,
           base_dir: str | Path | None = None) -> list[SweepPoint]:
     """Re-run an experiment for each value of one numeric config entry.
 
@@ -1092,7 +1091,7 @@ def sweep(config_dict: dict, axis: str, values, horizon: int | None = None,
             del mats  # so the next config's matrices are read into freed memory
     points = []
     for v, cfg, result in zip(values, configs, results):
-        report = theory_report(cfg) if horizon is None else theory_report(cfg, horizon)
+        report = theory_report(cfg)
         value = v if axis in INTEGER_KEYS else float(v)
         points.append(SweepPoint(value=value, result=result, report=report))
     return points

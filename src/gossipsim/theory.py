@@ -26,7 +26,7 @@ the configured sequences, not about their floored counterparts.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -326,19 +326,17 @@ def _join_caveats(*parts: str) -> str:
 
 @dataclass(frozen=True)
 class _Inputs:
-    """What the evaluators read, built once per report: the config, its
-    spectrum and the search bounds; the share of a pair's events that falls
-    on one given endpoint (one half when a fair coin picks the active end of
-    a one-sided update); whether both schedules are time invariant; the
-    ideal weights over the horizon and their coefficients c_k; the
-    coefficient at the schedules' limits, which for constants is the
-    constant coefficient; and the floor caveat."""
+    """What the evaluators read, built once per report: the config and its
+    spectrum; the share of a pair's events that falls on one given endpoint
+    (one half when a fair coin picks the active end of a one-sided update);
+    whether both schedules are time invariant; the ideal weights over the
+    horizon and their coefficients c_k; the coefficient at the schedules'
+    limits, which for constants is the constant coefficient; and the floor
+    caveat."""
 
     cfg: "ExperimentConfig"
     sp: SpectralData
     share: float
-    tau_grid: tuple[float, ...]
-    z_max: int
     constant: bool
     t: np.ndarray
     s: np.ndarray
@@ -347,15 +345,10 @@ class _Inputs:
     floor: str
 
 
-def _inputs(cfg, horizon, tau_grid, z_max) -> _Inputs:
-    """Check the search bounds and evaluate the schedules over the horizon."""
+def _inputs(cfg, horizon) -> _Inputs:
+    """Check the horizon and evaluate the schedules over it."""
     if not isinstance(horizon, (int, np.integer)) or horizon < max(cfg.matrix.n, 2):
         raise BadHorizonError(f"horizon must be an integer >= {max(cfg.matrix.n, 2)}")
-    grid = tuple(float(tau) for tau in tau_grid)
-    if not grid or any(not 0.0 < tau < 1.0 for tau in grid):
-        raise BadHorizonError("tau_grid must be a nonempty sequence of values in (0, 1)")
-    if not isinstance(z_max, (int, np.integer)) or z_max < 0:
-        raise BadHorizonError(f"z_max must be a nonnegative integer, got {z_max}")
     st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
     t, s = st.ideal(0, int(horizon)), ss.ideal(0, int(horizon))
     floor = "; ".join(
@@ -366,7 +359,7 @@ def _inputs(cfg, horizon, tau_grid, z_max) -> _Inputs:
     mode = cfg.mode
     share = 0.5 if mode.variant == "asymmetric" and mode.active_rule == "uniform" else 1.0
     constant = st.constant_value() is not None and ss.constant_value() is not None
-    return _Inputs(cfg, spectral(cfg.matrix), share, grid, int(z_max), constant, t, s,
+    return _Inputs(cfg, spectral(cfg.matrix), share, constant, t, s,
                    _coefficient(t, s, pr.alpha, pr.gamma),
                    _coefficient(st.limit(), ss.limit(), pr.alpha, pr.gamma), floor)
 
@@ -392,7 +385,7 @@ def _tau_search(inp: _Inputs, t: np.ndarray, s: np.ndarray, c: np.ndarray,
     best = (-math.inf, None, None)
     with np.errstate(over="ignore", invalid="ignore"):
         s_poly = s * s + s
-        for tau in inp.tau_grid:
+        for tau in TAU_GRID:
             q = 1.0 + 4.0 * tau * s_poly
             p = -((2.0 / n) * i_hat + pr.gamma * q) / (4.0 * (1.0 - tau) * s_poly)
             j = p * np.log(q) + 2.0 * pr.alpha * np.log(np.abs(2.0 * t - 1.0))
@@ -408,7 +401,7 @@ def _block_search(inp: _Inputs, log_gain: np.ndarray, t: np.ndarray,
                   margin: float = TAIL_MEAN_MARGIN):
     """Almost-sure divergence certificate for one-sided updates.
 
-    For blocks of z + 1 slots (z <= z_max, at least two blocks) the growth
+    For blocks of z + 1 slots (z <= Z_MAX, at least two blocks) the growth
     exponent adds the repulsion chain's weight times the block's summed log
     gain, less log(n - 1), to the chance of an attraction event in the
     block times its summed log(1 - T). Returns (True, tail mean, z) for the first z whose mean over
@@ -421,7 +414,7 @@ def _block_search(inp: _Inputs, log_gain: np.ndarray, t: np.ndarray,
     # log 0 = -inf and 0 * inf = nan both leave a block length uncertified
     with np.errstate(divide="ignore", invalid="ignore"):
         log1m_t = np.log1p(-t)
-        for z in range(inp.z_max + 1):
+        for z in range(Z_MAX + 1):
             w = z + 1
             nb = len(t) // w
             if nb < 2:
@@ -739,9 +732,9 @@ def _eval_asym_const(inp: _Inputs, detail: dict) -> Verdict:
     agree = lhs < rhs
 
     # Both divergence readings run the block search on the constant
-    # sequence, long enough for two blocks of every length up to z_max + 1;
+    # sequence, long enough for two blocks of every length up to Z_MAX + 1;
     # the literal reading gains log S per slot, the one-plus-gain one log(1 + S).
-    seq = np.ones(2 * (inp.z_max + 1))
+    seq = np.ones(2 * (Z_MAX + 1))
     with np.errstate(divide="ignore"):
         paper_ok, _, paper_z = _block_search(inp, np.log(s * seq), t * seq, 0.0)
     prop8_ok, _, prop8_z = _block_search(inp, np.log1p(s * seq), t * seq, 0.0)
@@ -815,32 +808,28 @@ def _evaluate(cid: ConditionId, inp: _Inputs) -> Verdict:
 
 
 def evaluate_condition(config: "ExperimentConfig", condition: ConditionId | str,
-                       horizon: int = DEFAULT_HORIZON,
-                       tau_grid: Sequence[float] = TAU_GRID,
-                       z_max: int = Z_MAX) -> Verdict:
+                       horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Evaluate one named condition for a config.
 
     `horizon` bounds the numeric partial sums/products reported in the
     verdict detail and the grid searches; analytic decisions for closed-form
-    schedules do not depend on it. `tau_grid` and `z_max` bound the searches
+    schedules do not depend on it. `TAU_GRID` and `Z_MAX` bound the searches
     for an almost-sure divergence certificate.
     """
     if isinstance(condition, str):
         condition = ConditionId(condition)
-    return _evaluate(condition, _inputs(config, horizon, tau_grid, z_max))
+    return _evaluate(condition, _inputs(config, horizon))
 
 
 def theory_report(config: "ExperimentConfig",
-                  horizon: int = DEFAULT_HORIZON,
-                  tau_grid: Sequence[float] = TAU_GRID,
-                  z_max: int = Z_MAX) -> TheoryReport:
+                  horizon: int = DEFAULT_HORIZON) -> TheoryReport:
     """Evaluate every condition applicable to the config's update mode.
 
     Raises InternalInconsistencyError when two verdicts contradict each
     other (an agreement guarantee next to any divergence verdict, or a
     guarantee next to the matching impossibility).
     """
-    inp = _inputs(config, horizon, tau_grid, z_max)
+    inp = _inputs(config, horizon)
     conditions = [(cid, _evaluate(cid, inp)) for cid in ConditionId
                   if _CONDITIONS[cid].variant in (None, config.mode.variant)]
 

@@ -242,6 +242,45 @@ def test_check_is_silent_on_unbounded_repulsion_gains(tmp_path, capsys):
                                                           else 8)
 
 
+@pytest.mark.parametrize("values", [[1e200, 0, 1, -3], [1e308, 1e308, 0, 1]])
+def test_experiment_is_silent_on_start_values_near_the_float_limit(tmp_path, capsys, values):
+    """A start value of 1e200 squares to inf in the dispersion and its
+    kurtosis, and two of 1e308 sum to inf in the mean; the run keeps those
+    values and no numpy warning escapes."""
+    doc = json.loads((CONFIGS / "paper_5_3_crit.json").read_text())
+    doc["initial"] = {"kind": "explicit", "values": values}
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["experiment", "--config", str(cfg)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert next(csv.DictReader(io.StringIO(out.out)))["meanL"] == "inf"
+
+
+def test_unseeded_random_topology_is_one_graph(tmp_path, capsys):
+    """Without `matrix.seed` a random topology is drawn from seed 0, so the
+    points of a sweep and its manifest hash one config."""
+    cfg = write_config(tmp_path, matrix={"kind": "watts_strogatz", "n": 30, "kNn": 4,
+                                         "pRewire": 0.2},
+                       schedules={"T": {"kind": "constant", "value": 0.25},
+                                  "S": {"kind": "constant", "value": 0.1}})
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--config", str(cfg), "--axis", "schedules.S.value",
+                     "--values", "0.1,0.1", "--format", "json", "--out", str(out)]) == 0
+    points = json.loads((out / "sweep.json").read_text())["points"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {pt["configHash"] for pt in points} == {manifest["configHash"]}
+    seeded = write_config(tmp_path, name="seeded.json",
+                          matrix={"kind": "watts_strogatz", "n": 30, "kNn": 4,
+                                  "pRewire": 0.2, "seed": 0},
+                          schedules={"T": {"kind": "constant", "value": 0.25},
+                                     "S": {"kind": "constant", "value": 0.1}})
+    assert cli.main(["experiment", "--config", str(seeded), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["configHash"] == manifest["configHash"]
+
+
 def test_simulate_stdout_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, trials=2, steps=10)
     assert cli.main(["simulate", "--config", str(cfg)]) == 0
@@ -465,6 +504,8 @@ MALFORMED = {
     "uniform initial string low": {"initial": {"kind": "uniform", "low": "a"}},
     "uniform initial range overflows": {"initial": {"kind": "uniform", "low": -1e308,
                                                     "high": 1e308}},
+    "explicit initial spread overflows": {"initial": {"kind": "explicit",
+                                                      "values": [1e308, -1e308, 0, 1]}},
     "T without value": {"schedules": {"T": {"kind": "constant"}, "S": {"value": 0.05}}},
     "T value string": {"schedules": {"T": {"value": "x"}, "S": {"value": 0.05}}},
     "T values string": {"schedules": {"T": {"kind": "explicit", "values": "ab", "tail": 0.2},

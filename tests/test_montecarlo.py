@@ -577,22 +577,6 @@ def partner_probes(n):
     return cdfs, np.array(rows), np.array(draws)
 
 
-@pytest.mark.parametrize("n", [3, 4, 17, 32, 33])
-def test_presampled_partner_is_searchsorted_right(n):
-    """The bisection returns what the scalar path's searchsorted(side="right")
-    returns, also for draws that equal a CDF entry, sit next to one or fall
-    on a plateau of zero-weight entries."""
-    cdfs, rows, draws = partner_probes(n)
-    u = np.zeros((1, len(draws), 3))
-    u[0, :, 0] = (rows + 0.5) / n
-    u[0, :, 1] = draws
-    fij, _, _ = montecarlo._presample(u, np.zeros(1, dtype=np.int32), n, cdfs.reshape(-1),
-                                      (0.5, 0.5), UpdateMode())
-    np.testing.assert_array_equal(fij[:, 0, 0], rows)
-    np.testing.assert_array_equal(
-        fij[:, 1, 0], [np.searchsorted(cdfs[r], v, side="right") for r, v in zip(rows, draws)])
-
-
 def compiled_kernel():
     kernel = montecarlo._slot_kernel()
     if kernel is None:
@@ -600,12 +584,19 @@ def compiled_kernel():
     return kernel
 
 
+# the two implementations of the engine's slots, which take the same arguments
+SLOTS = {"kernel": compiled_kernel, "numpy": lambda: montecarlo._numpy_slots}
+
+
+@pytest.mark.parametrize("slots", SLOTS)
 @pytest.mark.parametrize("n", [3, 4, 17, 32, 33])
-def test_kernel_partner_is_searchsorted_right(n):
-    """The compiled kernel picks the partner on the same probes as
-    `_presample`. Each probe is one trial of one slot that attracts with
-    T = 1 on the state 0, 1, ..., n - 1, which swaps x_i and x_j: x_i then
-    reads j and x_j reads i."""
+def test_partner_is_searchsorted_right(n, slots):
+    """Both slot implementations pick the partner the scalar path's
+    searchsorted(side="right") picks, also for draws that equal a CDF
+    entry, sit next to one or fall on a plateau of zero-weight entries.
+    Each probe is one trial of one slot that attracts with T = 1 on the
+    state 0, 1, ..., n - 1, which swaps x_i and x_j: x_i then reads j and
+    x_j reads i."""
     cdfs, rows, draws = partner_probes(n)
     probes = np.arange(len(draws))
     u = np.zeros((len(draws), 1, 3))  # a third draw of 0.0 attracts
@@ -614,10 +605,9 @@ def test_kernel_partner_is_searchsorted_right(n):
     x = np.tile(np.arange(n, dtype=float), (1, len(draws), 1))
     alive = np.ones((1, len(draws)), dtype=bool)
     diverged_at = np.full((1, len(draws)), -1, dtype=np.int64)
-    run = montecarlo._slot_runner(compiled_kernel(), u, probes, x, cdfs.reshape(-1),
-                                  (0.5, 0.5), UpdateMode(), np.ones((1, 1)), np.zeros((1, 1)),
-                                  alive, diverged_at, 0)
-    run(0, 1)
+    w = np.array([[[0.0, 1.0, 1.0, 0.0]]])  # 1 - T, T, 1 + S, S
+    SLOTS[slots]()(u, probes, x, cdfs.reshape(-1), (0.5, 0.5), UpdateMode(), w, alive,
+                   diverged_at, 0)(0, 1)
     j = x[0, probes, rows].astype(int)
     np.testing.assert_array_equal(
         j, [np.searchsorted(cdfs[r], v, side="right") for r, v in zip(rows, draws)])
@@ -627,35 +617,41 @@ def test_kernel_partner_is_searchsorted_right(n):
 
 def test_kernel_refuses_arguments_it_cannot_read():
     """Pointers reach the kernel only for arrays of its dtypes, shapes and
-    C layout, with columns inside the chunk."""
+    C layout, with columns inside the chunk, and for segments inside the
+    block."""
     n, m = 4, 3
     args = dict(u=np.zeros((2, 5, 3)), cols=np.array([0, 2]), x=np.zeros((1, m, n)),
-                cdf=np.ones(n * n), thr=(0.5, 0.5), mode=UpdateMode(), t_vals=np.ones((5, 1)),
-                s_vals=np.ones((5, 1)), alive=np.ones((1, m), dtype=bool),
+                cdf=np.ones(n * n), thr=(0.5, 0.5), mode=UpdateMode(), w=np.ones((5, 1, 4)),
+                alive=np.ones((1, m), dtype=bool),
                 diverged_at=np.full((1, m), -1, dtype=np.int64), k=0)
-    montecarlo._slot_runner(compiled_kernel(), **args)(0, 5)
+    run = compiled_kernel()(**args)
+    run(0, 5)
+    for s0, s1 in ((-1, 2), (3, 2), (0, 6), (5, 6)):
+        with pytest.raises(ValueError, match="slot kernel arguments"):
+            run(s0, s1)
     for key, bad in (("u", np.zeros((2, 5, 4))), ("u", np.zeros((2, 3, 5)).transpose(0, 2, 1)),
                      ("cols", np.array([0, 2], dtype=np.int32)), ("cols", np.array([0, 3])),
                      ("cols", np.array([-1, 2])), ("cdf", np.ones(n * n - 1)),
+                     ("w", np.ones((5, 1, 3))), ("w", np.ones((4, 1, 4))),
                      ("alive", np.ones((1, m), dtype=np.int8)),
                      ("diverged_at", np.zeros((1, m + 1), dtype=np.int64)),
                      ("x", np.zeros((1, n, m)).transpose(0, 2, 1))):
         with pytest.raises(ValueError, match="slot kernel arguments"):
-            montecarlo._slot_runner(compiled_kernel(), **{**args, key: bad})
+            compiled_kernel()(**{**args, key: bad})
 
 
 @settings(max_examples=150)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), trials=st.integers(0, 5),
-       npts=st.integers(1, 3), block=st.integers(1, 12),
+       npts=st.integers(1, 3), block=st.integers(1, 12), presample=st.integers(1, 8),
        mode=st.sampled_from([UpdateMode(), UpdateMode("asymmetric", "uniform"),
                              UpdateMode("asymmetric", "initiator"),
                              UpdateMode("asymmetric", "responder")]))
-def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, block, mode):
+def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, block, presample, mode):
     """On inputs the engine never builds, the kernel and the numpy loop
     still give the same bits: unsorted CDF rows with repeated entries (so
     i == j happens), draws on those entries, weights of 0, 1e200, inf and
     nan, states at the overflow limit, trials frozen in some configs and
-    a block cut into random segments."""
+    a block cut into random segments, across presampling windows."""
     kernel = compiled_kernel()
     rng = np.random.default_rng(seed)
     pool = np.array([0.0, 0.25, 0.5, 0.5, 1.0, np.nextafter(0.5, 1.0)])
@@ -668,20 +664,21 @@ def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, block, mode
     x = rng.normal(size=(npts, trials + 1, n)) * rng.choice([1.0, 1e75, 1e150], (npts, 1, 1))
     x[rng.random(x.shape) < 0.05] = OVERFLOW_LIMIT
     w_pool = [0.0, 0.25, 1.0, 3.0, 1e200, np.inf, np.nan]
-    t_vals, s_vals = rng.choice(w_pool, (2, block, npts))
+    w = rng.choice(w_pool, (block, npts, 4))
     alive = rng.random((npts, trials + 1)) < 0.8
     diverged_at = np.where(alive, -1, 7)
     cols = np.sort(rng.choice(trials + 1, trials, replace=False))
     cuts = sorted({0, block, *rng.integers(0, block + 1, 3).tolist()})
     thr = tuple(sorted(rng.choice([0.0, 0.3, 0.6, 1.0], 2)))
     outs = []
-    for path in (kernel, None):
-        state = [a.copy() for a in (x, alive, diverged_at)]
-        run = montecarlo._slot_runner(path, u, cols, state[0], cdf.reshape(-1), thr, mode,
-                                      t_vals, s_vals, *state[1:], 40)
-        for s0, s1 in zip(cuts, cuts[1:]):
-            run(s0, s1)
-        outs.append(state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "PRESAMPLE_STEPS", presample)
+        for slots in (kernel, montecarlo._numpy_slots):
+            state = [a.copy() for a in (x, alive, diverged_at)]
+            run = slots(u, cols, state[0], cdf.reshape(-1), thr, mode, w, *state[1:], 40)
+            for s0, s1 in zip(cuts, cuts[1:]):
+                run(s0, s1)
+            outs.append(state)
     for got, want in zip(*outs):
         assert got.tobytes() == want.tobytes()
 

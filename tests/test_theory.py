@@ -408,12 +408,6 @@ def test_evaluate_condition_search_param_validation(ref_matrix):
         evaluate_condition(cfg, ConditionId.SYM_AGREE, horizon=2)
     with pytest.raises(BadHorizonError):
         evaluate_condition(cfg, ConditionId.SYM_AGREE, horizon=10.5)
-    with pytest.raises(BadHorizonError):
-        evaluate_condition(cfg, ConditionId.SYM_REP_AS_DIV, tau_grid=())
-    with pytest.raises(BadHorizonError):
-        evaluate_condition(cfg, ConditionId.SYM_REP_AS_DIV, tau_grid=(0.5, 1.0))
-    with pytest.raises(BadHorizonError):
-        evaluate_condition(cfg, ConditionId.ASYM_CONST, z_max=-1)
 
 
 # ---------------------------------------------------------------------------
