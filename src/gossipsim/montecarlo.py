@@ -10,15 +10,17 @@ arithmetic expressions, so their trajectories and measures agree bit for
 bit. Per-trial streams also make results independent of how trials are
 chunked.
 
-The engine draws each trial's uniforms one step block at a time, in numpy,
-and runs the block's slots in a compiled kernel (`_slots.c`, built on the
-first run and loaded with ctypes): per trial and slot it picks node i, the
-partner j by a bisection over the flattened row CDFs (O(log n)), the events
-and the active endpoint, and applies the update and the overflow check.
-Where it cannot be built, its numpy twin `_numpy_slots`, which takes the
-same arguments, presamples pairs and events one window of slots at a time
-and gathers, updates and scatters one slot at a time. The twin is also the
-engine-level reference the kernel is tested against.
+The engine runs each chunk of trials in a compiled kernel (`_slots.c`,
+built on the first run and loaded with ctypes). It draws each trial's
+Philox stream itself, as numpy does, and per trial and slot picks node i,
+the partner j by a bisection over the flattened row CDFs (O(log n)), the
+events and the active endpoint, and applies the update and the overflow
+check; at each checkpoint it measures every config's dispersion and
+spread. Where it cannot be built, its numpy twin `_NumpySlots`, which has
+the same interface, draws from a numpy `Generator` per trial one step
+block at a time, presamples pairs and events one window of slots at a
+time and gathers, updates and scatters one slot at a time. The twin is
+also the engine-level reference the kernel is tested against.
 
 Configs that differ only in their schedules, `eps_agree` and `big_m` draw
 the same pairs and events, so `run_shared_trials` runs them through one pass
@@ -91,6 +93,12 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 256
+# slots whose weights a chunk evaluates at once: (slots, configs, 4) floats
+WEIGHT_BLOCK = 1024
+# a shared pass's batched state, configs x CHUNK_TRIALS x n floats, stays
+# within this many bytes (6 MiB: 768 configs of 4 nodes, 3 of 1000)
+BATCH_STATE_BYTES = 6 << 20
+# the numpy twin's draws and presampled pairs, in slots at a time
 STEP_BLOCK = 1024
 PRESAMPLE_STEPS = 64
 HEAVY_TAIL_KURTOSIS = 10.0
@@ -572,6 +580,76 @@ class TrialMatrices:
         return TrialMatrices(self.checkpoints, *(a[lo:hi] for a in self.arrays()))
 
 
+STREAM_WORDS = 11  # key (2 words), counter (4), buffer (4), buffer position
+
+
+def _streams(base_seed: int, lo: int, hi: int) -> np.ndarray:
+    """The streams of trials [lo, hi) before their first draw, one row of
+    STREAM_WORDS uint64 each, in the order of numpy's Philox state: key
+    [seed, trial], counter 0, a spent buffer (position 4)."""
+    streams = np.zeros((hi - lo, STREAM_WORDS), dtype=np.uint64)
+    streams[:, 0] = base_seed
+    streams[:, 1] = np.arange(lo, hi, dtype=np.uint64)
+    streams[:, -1] = 4
+    return streams
+
+
+class _Slots:
+    """The engine's slots for one chunk of trials and every config of a
+    shared pass, all in one state array `x`, (configs, trials, n). The
+    compiled kernel (`_slot_kernel`) and the numpy twin (`_NumpySlots`)
+    implement `block` and `run` and give the same bits.
+
+    `streams` holds each trial's stream (`_streams`), `cdf` the row CDFs,
+    (n, n), `thr` the event thresholds, and `out` receives the measures,
+    with a leading config axis: dispersion and spread (configs, trials,
+    checkpoints), diverged_at (configs, trials), -1 to start with, and
+    states (configs, trials, checkpoints, n) or None. Every array is
+    C-contiguous. Construction sets every config's state to the trials'
+    initial states, drawing the uniform kind from the streams, and
+    `refs` to each trial's dispersion reference, the mean of its start.
+    """
+
+    def __init__(self, streams: np.ndarray, initial: InitialState, cdf: np.ndarray,
+                 thr: tuple[float, float], mode: UpdateMode, out: TrialMatrices) -> None:
+        npts, m, _ = out.dispersion.shape
+        n = len(cdf)
+        self.streams, self.cdf, self.thr, self.mode, self.out = streams, cdf, thr, mode, out
+        self.x = np.empty((npts, m, n))
+        self.alive = np.ones((npts, m), dtype=bool)
+        self.refs = np.empty(m)
+        self._open()
+        if initial.kind == "uniform":
+            self._uniform(initial.low, initial.high)
+        else:
+            self.x[0] = initial.sample(n, None)
+        self.x[1:] = self.x[0]
+        with np.errstate(over="ignore"):  # start values near the float limit give inf
+            np.mean(self.x[0], axis=1, out=self.refs)
+
+    def _open(self) -> None:
+        """Ready the trials' streams once the chunk's arrays exist."""
+        raise NotImplementedError
+
+    def _uniform(self, low: float, high: float) -> None:
+        """x[0] <- low + (high - low) * u, u the trials' next n draws."""
+        raise NotImplementedError
+
+    def block(self, w: np.ndarray, k: int) -> None:
+        """Take the weights of the next slots, which start at slot k of the
+        run: 1 - T, T, 1 + S, S per slot and config, (slots, configs, 4)."""
+        raise NotImplementedError
+
+    def run(self, s0: int, s1: int, ci: int = -1) -> None:
+        """Run slots [s0, s1) of the block, in place on `x`, `alive` and
+        `out.diverged_at`; then, if ci >= 0, record checkpoint ci of every
+        trial and config in `out`. Segments run in order: s0 is 0 or the
+        last s1. A trial that overflows keeps its state from then on, for
+        that config only, and its draws stop once it is frozen in every
+        config."""
+        raise NotImplementedError
+
+
 def _presample(u: np.ndarray, rows: np.ndarray, n: int, cdf: np.ndarray,
                thr: tuple[float, float], mode: UpdateMode):
     """Turn the draws of some slots into pairs and events, all at once.
@@ -623,16 +701,119 @@ def _presample(u: np.ndarray, rows: np.ndarray, n: int, cdf: np.ndarray,
     return fij, att, rep
 
 
+class _NumpySlots(_Slots):
+    """The engine's slots in numpy: the twin of the compiled kernel, which
+    runs where the kernel cannot be built and is the reference it is
+    tested against.
+
+    Each trial draws from a numpy `Generator` (`_trial_rng`) set to its row
+    of `streams`, and the array is left as it was. Uniforms are drawn up to
+    STEP_BLOCK slots of a block at a time, for the trials still live in
+    some config, as the slots reach them. Per slot, it gathers both
+    endpoints of every live trial of every config, updates them with each
+    config's weights and scatters them back. Pairs and events do not
+    depend on the state: they are presampled one window of PRESAMPLE_STEPS
+    slots of the draws at a time.
+    """
+
+    def _open(self) -> None:
+        streams = self.streams
+        self.rngs = [_trial_rng(seed, t) for seed, t in streams[:, :2].tolist()]
+        # a stream past its start: a counter above 0 or a buffer not spent
+        for r in np.nonzero((streams[:, 2:6] != 0).any(axis=1) | (streams[:, -1] != 4))[0]:
+            row = streams[r]
+            self.rngs[r].bit_generator.state = {
+                "bit_generator": "Philox", "state": {"counter": row[2:6], "key": row[:2]},
+                "buffer": row[6:10], "buffer_pos": int(row[10]), "has_uint32": 0, "uinteger": 0}
+
+    def _uniform(self, low: float, high: float) -> None:
+        n = self.x.shape[2]
+        for r, rng in enumerate(self.rngs):
+            self.x[0, r] = low + (high - low) * rng.random(n)
+
+    def block(self, w: np.ndarray, k: int) -> None:
+        self.w, self.k = w, k
+        self.u = self.held = None  # before the next draws are made
+        self.drawn = 0  # slots [drawn - u.shape[1], drawn) of the block are in u
+
+    def _draw(self) -> None:
+        """The next STEP_BLOCK slots of the block, or as many as are left."""
+        self.u = self.held = None
+        self.cols = np.nonzero(self.alive.any(axis=0))[0]
+        b = min(STEP_BLOCK, len(self.w) - self.drawn)
+        self.u = np.empty((self.cols.size, b, self.mode.draws_per_slot))
+        for p, r in enumerate(self.cols):
+            self.rngs[r].random(out=self.u[p])
+        self.drawn += b
+
+    def run(self, s0: int, s1: int, ci: int = -1) -> None:
+        while s0 < s1:
+            if s0 == self.drawn:
+                self._draw()
+            stop = min(s1, self.drawn)
+            self._slots(s0, stop)
+            s0 = stop
+        if ci >= 0:
+            x, out = self.x, self.out
+            with np.errstate(over="ignore"):
+                out.dispersion[:, :, ci] = ((x - self.refs[:, None]) ** 2).sum(axis=2)
+            out.spread[:, :, ci] = x.max(axis=2) - x.min(axis=2)
+            if out.states is not None:
+                out.states[:, :, ci] = x
+
+    def _slots(self, s0: int, s1: int) -> None:
+        """Slots [s0, s1) of the block, all inside the draws held in u."""
+        cols, u, w = self.cols, self.u, self.w
+        if not cols.size:
+            return
+        npts, m, n = self.x.shape
+        flat = self.x.reshape(-1)
+        rows = (np.arange(npts) * (m * n))[:, None] + cols * n
+        t_rest, t, s_plus, s = (w[:, :, q, None, None] for q in range(4))
+        first = self.drawn - u.shape[1]  # the block slot of u's first slot
+        size = PRESAMPLE_STEPS
+        # live[p, c]: column c still runs in config p; frozen columns are
+        # masked only once there is one
+        live = self.alive[:, cols]
+        keep = None if live.all() else live[:, None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(s0, s1):
+                j, r = divmod(step - first, size)
+                if self.held is None or self.held[0] != j:
+                    fij = att = rep = f = self.held = None  # the last window goes first
+                    self.held = (j, *_presample(u[:, j * size:(j + 1) * size], rows, n,
+                                                self.cdf.reshape(-1), self.thr, self.mode))
+                _, fij, att, rep = self.held
+                f = fij[r]
+                xij = flat[f]
+                xji = xij[:, ::-1]
+                new = np.where(att[r], t_rest[step] * xij + t[step] * xji,
+                               np.where(rep[r], s_plus[step] * xij - s[step] * xji, xij))
+                if keep is not None:
+                    new = np.where(keep, new, xij)
+                if np.abs(new).max() <= OVERFLOW_LIMIT:  # false on nan too
+                    flat[f] = new
+                else:
+                    ok = (np.abs(new) <= OVERFLOW_LIMIT).all(axis=1)
+                    bad_p, bad_c = np.nonzero(live & ~ok)
+                    self.out.diverged_at[bad_p, cols[bad_c]] = self.k + step + 1
+                    self.alive[bad_p, cols[bad_c]] = False
+                    live &= ok
+                    keep = live[:, None, :]
+                    flat[f] = np.where(keep, new, xij)
+
+
 _KERNEL_SOURCE = Path(__file__).with_name("_slots.c")
 # no fused multiply-add and no fast-math: the kernel rounds as numpy does
-_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_KERNEL_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _ACTIVE_RULES = ("uniform", "initiator", "responder")
 
 
 @functools.cache
 def _slot_kernel():
-    """`run_slots` from `_slots.c` with the signature of `_numpy_slots`, or
-    None when it cannot be built or loaded; the engine then runs the twin.
+    """The slots of `_slots.c` as a `_Slots` class, the twin of
+    `_NumpySlots`, or None when it cannot be built or loaded; the engine
+    then runs the twin.
 
     The library is compiled with the platform compiler (sysconfig's CC,
     else cc) once per hash of the source and flags, into the `__pycache__`
@@ -672,180 +853,106 @@ def _slot_kernel():
         return None  # no compiler, a failed build, no writable cache
 
 
-def _bind(lib: ctypes.CDLL):
-    """`run_slots` as `_numpy_slots`'s twin. Pointers reach it only for arrays of
-    its dtypes, shapes and C layout, columns inside the chunk and slots inside
-    the block."""
+def _bind(lib: ctypes.CDLL) -> type[_Slots]:
+    """`_slots.c` as the twin of `_NumpySlots`. Pointers reach it only for
+    arrays of its dtypes, shapes and C layout, blocks of the chunk's
+    configs, segments inside the block and checkpoints of the chunk."""
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    kernel = lib.run_slots
-    kernel.restype = None
-    kernel.argtypes = [ptr, i64, i64, i64, i64, i64, ptr, i64, i64, i64, ptr, ptr, f64, f64,
-                       ctypes.c_int, ptr, ptr, ptr, i64, f64]
 
-    def slots(u, cols, x, cdf, thr, mode, w, alive, diverged_at, k):
-        npts, m, n = x.shape
-        block = u.shape[1]
-        shapes = ((u, np.float64, (cols.size, block, mode.draws_per_slot)),
-                  (cols, np.int64, (cols.size,)), (x, np.float64, x.shape),
-                  (cdf, np.float64, (n * n,)), (w, np.float64, (block, npts, 4)),
-                  (alive, np.bool_, (npts, m)), (diverged_at, np.int64, (npts, m)))
-        if any(a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous
-               for a, dtype, shape in shapes) \
-                or (cols.size and not 0 <= cols.min() <= cols.max() < m):
-            raise ValueError("slot kernel arguments of the wrong shape, type or layout")
-        code = 0 if mode.variant == "symmetric" else 1 + _ACTIVE_RULES.index(mode.active_rule)
+    class Chunk(ctypes.Structure):  # `chunk` in _slots.c
+        _fields_ = [("streams", ptr), ("m", i64), ("n", i64), ("npts", i64), ("ncp", i64),
+                    ("x", ptr), ("alive", ptr), ("diverged_at", ptr), ("cdf", ptr),
+                    ("thr0", f64), ("thr1", f64), ("mode", i64), ("limit", f64), ("refs", ptr),
+                    ("dispersion", ptr), ("spread", ptr), ("states", ptr)]
 
-        def run(s0: int, s1: int) -> None:
-            if not 0 <= s0 <= s1 <= block:  # the C code reads u up to slot s1
-                raise ValueError(f"slot kernel arguments: slots [{s0}, {s1}) of {block}")
-            kernel(u.ctypes.data, *u.shape, s0, s1, cols.ctypes.data, m, n, npts, x.ctypes.data,
-                   cdf.ctypes.data, thr[0], thr[1], code, w.ctypes.data, alive.ctypes.data,
-                   diverged_at.ctypes.data, k, OVERFLOW_LIMIT)
-        return run
-    return slots
+    draw_uniform, run_slots = lib.draw_uniform, lib.run_slots
+    draw_uniform.restype = run_slots.restype = None
+    # ctypes passes a Chunk to these by reference
+    draw_uniform.argtypes = [ctypes.POINTER(Chunk), f64, f64]
+    run_slots.argtypes = [ctypes.POINTER(Chunk), ptr, i64, i64, i64]
 
+    class KernelSlots(_Slots):
+        def _open(self) -> None:
+            streams, cdf, out = self.streams, self.cdf, self.out
+            npts, m, ncp = out.dispersion.shape
+            n = len(cdf)
+            shapes = [(streams, np.uint64, (m, STREAM_WORDS)), (cdf, np.float64, (n, n)),
+                      (out.dispersion, np.float64, (npts, m, ncp)),
+                      (out.spread, np.float64, (npts, m, ncp)),
+                      (out.diverged_at, np.int64, (npts, m))]
+            if out.states is not None:
+                shapes.append((out.states, np.float64, (npts, m, ncp, n)))
+            if any(a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous
+                   for a, dtype, shape in shapes):
+                raise ValueError("slot kernel arguments of the wrong shape, type or layout")
+            mode = self.mode
+            code = 0 if mode.variant == "symmetric" else 1 + _ACTIVE_RULES.index(mode.active_rule)
+            self.chunk = Chunk(
+                streams.ctypes.data, m, n, npts, ncp, self.x.ctypes.data,
+                self.alive.ctypes.data, out.diverged_at.ctypes.data, cdf.ctypes.data,
+                self.thr[0], self.thr[1], code, OVERFLOW_LIMIT, self.refs.ctypes.data,
+                out.dispersion.ctypes.data, out.spread.ctypes.data,
+                None if out.states is None else out.states.ctypes.data)
 
-def _numpy_slots(u: np.ndarray, cols: np.ndarray, x: np.ndarray, cdf: np.ndarray,
-                 thr: tuple[float, float], mode: UpdateMode, w: np.ndarray, alive: np.ndarray,
-                 diverged_at: np.ndarray, k: int):
-    """The function run(s0, s1) that runs slots [s0, s1) of the step block
-    that starts at slot k, in place on `x`, `alive` and `diverged_at`; the
-    slot kernel (`_slot_kernel`) takes the same arguments and gives the same
-    bits.
+        def _uniform(self, low: float, high: float) -> None:
+            draw_uniform(self.chunk, low, high)
 
-    `u` holds the block's draws of the chunk columns `cols` (int64),
-    (columns, block, draws); `x` the states, (configs, chunk, n); `cdf` the
-    flattened row CDFs; `w` each config's weights 1 - T, T, 1 + S, S per
-    slot, (block, configs, 4); `alive` and `diverged_at`, (configs, chunk).
-    Every array is C-contiguous.
+        def block(self, w: np.ndarray, k: int) -> None:
+            npts = self.x.shape[0]
+            if w.dtype != np.float64 or w.shape[1:] != (npts, 4) or not w.flags.c_contiguous:
+                raise ValueError("slot kernel arguments of the wrong shape, type or layout")
+            self.w, self.k = w, k
 
-    Per slot, it gathers both endpoints of every live trial of every
-    config, updates them with each config's weights and scatters them back.
-    Pairs and events do not depend on the state: they are presampled one
-    window of PRESAMPLE_STEPS slots at a time, as the slots reach it.
-    """
-    npts, m, n = x.shape
-    flat = x.reshape(-1)
-    rows = (np.arange(npts) * (m * n))[:, None] + cols * n
-    t_rest, t, s_plus, s = (w[:, :, q, None, None] for q in range(4))
-    size = PRESAMPLE_STEPS
+        def run(self, s0: int, s1: int, ci: int = -1) -> None:
+            if not (0 <= s0 <= s1 <= len(self.w) and -1 <= ci < self.out.dispersion.shape[2]):
+                raise ValueError(f"slot kernel arguments: slots [{s0}, {s1}) of {len(self.w)}, "
+                                 f"checkpoint {ci}")
+            run_slots(self.chunk, self.w.ctypes.data + s0 * self.w.strides[0], s1 - s0,
+                      self.k + s0, ci)
 
-    held = {}  # the one window presampled, j: slots [j * size, (j + 1) * size)
-
-    def run(s0: int, s1: int) -> None:
-        if not cols.size:
-            return
-        # live[p, c]: column c still runs in config p; frozen columns are
-        # masked only once there is one
-        live = alive[:, cols]
-        keep = None if live.all() else live[:, None, :]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(s0, s1):
-                j, r = divmod(step, size)
-                if j not in held:  # the last window goes before the next is made
-                    fij = att = rep = f = None
-                    held.clear()
-                    held[j] = _presample(u[:, j * size:(j + 1) * size], rows, n, cdf, thr, mode)
-                fij, att, rep = held[j]
-                f = fij[r]
-                xij = flat[f]
-                xji = xij[:, ::-1]
-                new = np.where(att[r], t_rest[step] * xij + t[step] * xji,
-                               np.where(rep[r], s_plus[step] * xij - s[step] * xji, xij))
-                if keep is not None:
-                    new = np.where(keep, new, xij)
-                if np.abs(new).max() <= OVERFLOW_LIMIT:  # false on nan too
-                    flat[f] = new
-                else:
-                    ok = (np.abs(new) <= OVERFLOW_LIMIT).all(axis=1)
-                    bad_p, bad_c = np.nonzero(live & ~ok)
-                    diverged_at[bad_p, cols[bad_c]] = k + step + 1
-                    alive[bad_p, cols[bad_c]] = False
-                    live &= ok
-                    keep = live[:, None, :]
-                    flat[f] = np.where(keep, new, xij)
-    return run
+    return KernelSlots
 
 
-def _simulate_chunk(cfgs: list[ExperimentConfig], lo: int, hi: int,
-                    outs: list[TrialMatrices]) -> None:
-    """Advance trials [lo, hi) of every config in `cfgs` together; the
-    configs share their draws (`_shares_draws`), and `outs[p]` receives
-    config p's hi - lo rows.
+def _simulate_chunk(cfgs: list[ExperimentConfig], lo: int, hi: int, out: TrialMatrices) -> None:
+    """Run trials [lo, hi) of every config in `cfgs` together; the configs
+    share their draws (`_shares_draws`). `out` receives their matrices with
+    a leading config axis: dispersion and spread (configs, trials,
+    checkpoints), diverged_at (configs, trials), and every trial's state at
+    every checkpoint, (configs, trials, checkpoints, n), or None.
 
-    Mirrors the scalar path exactly: same per-trial streams, same consumption
-    order, same update expressions, same freeze-on-overflow semantics. Each
-    step block draws its uniforms for the trials still live in some config,
-    and the slots between checkpoints run as one segment, on the compiled
-    slot kernel (`_slot_kernel`) or, where none could be built, on its numpy
-    twin (`_numpy_slots`): one signature, the same bits. Draws, weights and
-    checkpoint records are shared by the configs. A trial that overflows
-    keeps its state from then on, for that config only, and its draws stop
-    once it is frozen in every config.
+    Mirrors the scalar path exactly: same per-trial streams, same
+    consumption order, same update expressions, same freeze-on-overflow
+    semantics. The slots run on the compiled kernel (`_slot_kernel`), which
+    draws each trial's Philox stream itself and measures the checkpoints,
+    or, where none could be built, on its numpy twin (`_NumpySlots`): one
+    interface, the same bits. The weights 1 - T, T, 1 + S, S of WEIGHT_BLOCK
+    slots at a time are evaluated once for the chunk, and the slots between
+    checkpoints run as one segment.
     """
     cfg = cfgs[0]
-    n = cfg.matrix.n
-    m = hi - lo
-    npts = len(cfgs)
     cps = cfg.checkpoints
-    rngs = [_trial_rng(cfg.base_seed, t) for t in range(lo, hi)]
-    x = np.empty((npts, m, n), dtype=float)
-    for r in range(m):
-        x[0, r] = cfg.initial.sample(n, rngs[r])
-    x[1:] = x[0]
-    with np.errstate(over="ignore"):  # start values near the float limit give inf
-        refs = x[0].mean(axis=1)
-
-    cdf = cfg.matrix.row_cdfs().reshape(-1)
-    thr = cfg.probabilities.thresholds()
-    d = cfg.mode.draws_per_slot
-    slots = _slot_kernel() or _numpy_slots
-    alive = np.ones((npts, m), dtype=bool)
-    diverged_at = np.full((npts, m), -1, dtype=np.int64)
-
-    ci = 0
-
-    def record() -> None:
-        with np.errstate(over="ignore"):
-            dispersion = ((x - refs[:, None]) ** 2).sum(axis=2)
-        spread = x.max(axis=2) - x.min(axis=2)
-        for p, out in enumerate(outs):
-            out.dispersion[:, ci] = dispersion[p]
-            out.spread[:, ci] = spread[p]
-            if out.states is not None:
-                out.states[:, ci] = x[p]
-
-    if cps[ci] == cfg.k0:
-        record()
-        ci += 1
-
+    out.diverged_at[...] = -1
+    slots = (_slot_kernel() or _NumpySlots)(
+        _streams(cfg.base_seed, lo, hi), cfg.initial, cfg.matrix.row_cdfs(),
+        cfg.probabilities.thresholds(), cfg.mode, out)
+    # weight blocks until the last checkpoint, k0 + steps, is recorded; the
+    # first, k0, is recorded before any slot runs
     k = cfg.k0
-    end = cfg.k0 + cfg.steps
-    while k < end:
-        b = min(STEP_BLOCK, end - k)
-        cols = np.nonzero(alive.any(axis=0))[0]
-        u = np.empty((cols.size, b, d))
-        for p, r in enumerate(cols):
-            rngs[r].random(out=u[p])
-        # (b, configs): each config's T and S; w holds 1 - T, T, 1 + S, S
+    ci = 0
+    while ci < len(cps):
+        b = min(WEIGHT_BLOCK, cfg.k0 + cfg.steps - k)
+        # (b, configs): each config's T and S
         t = np.stack([c.schedule_t.applied(k, k + b) for c in cfgs], axis=1)
         s = np.stack([c.schedule_s.applied(k, k + b) for c in cfgs], axis=1)
-        w = np.stack((1.0 - t, t, 1.0 + s, s), axis=2)
-        run = slots(u, cols, x, cdf, thr, cfg.mode, w, alive, diverged_at, k)
-        # the segments between checkpoints; the last checkpoint is `end`
+        slots.block(np.stack((1.0 - t, t, 1.0 + s, s), axis=2), k)
         s0 = 0
-        while s0 < b:
-            s1 = min(b, cps[ci] - k)
-            run(s0, s1)
-            if k + s1 == cps[ci]:
-                record()
-                ci += 1
-            s0 = s1
-        del run, u  # so the next block's draws do not sit beside these
+        while ci < len(cps) and cps[ci] <= k + b:
+            slots.run(s0, cps[ci] - k, ci)
+            s0 = cps[ci] - k
+            ci += 1
+        if s0 < b:
+            slots.run(s0, b)
         k += b
-
-    for div, out in zip(diverged_at, outs):
-        out.diverged_at[:] = div
 
 
 # The fields configs that share a pass may differ in; the engine reads the
@@ -869,15 +976,15 @@ def run_shared_trials(configs: list[ExperimentConfig],
     config's matrices in turn, equal to `run_trials` on that config alone.
 
     Trials are split into fixed chunks. The configs are carried as extra
-    state rows, in consecutive batches small enough that the batched state
-    (configs x chunk x n floats) stays within a chunk's draw buffer (chunk x
-    STEP_BLOCK x draws floats). With `states`, the matrices also hold every
-    trial's state at every checkpoint, trials x checkpoints x n floats.
+    state rows, in consecutive batches small enough that a chunk's batched
+    state, configs x CHUNK_TRIALS x n floats, stays within
+    BATCH_STATE_BYTES. With `states`, the matrices also hold every trial's
+    state at every checkpoint, trials x checkpoints x n floats.
     """
     first = configs[0]
     if not all(_shares_draws(first, cfg) for cfg in configs[1:]):
         raise ValueError("run_shared_trials needs configs that share their draws")
-    batch = max(1, STEP_BLOCK * first.mode.draws_per_slot // first.matrix.n)
+    batch = max(1, BATCH_STATE_BYTES // (CHUNK_TRIALS * first.matrix.n * 8))
     for p0 in range(0, len(configs), batch):
         yield from _run_batch(configs[p0:p0 + batch], states)
 
@@ -885,8 +992,9 @@ def run_shared_trials(configs: list[ExperimentConfig],
 def _run_batch(configs: list[ExperimentConfig], states: bool) -> Iterator[TrialMatrices]:
     """One pass over every trial for configs that share their draws.
 
-    The first config's rows are written in place. The others' chunk rows go
-    to a temporary file, each config's arrays one after another, and are
+    A run of one config writes its chunks in place. In a shared pass the
+    first config's chunk rows are copied into its matrices, and the others'
+    go to a temporary file, each config's arrays one after another, and are
     read back one config at a time: a pass holds one config's results in
     memory however many configs share it, as a run of one config does.
     """
@@ -896,15 +1004,24 @@ def _run_batch(configs: list[ExperimentConfig], states: bool) -> Iterator[TrialM
     with tempfile.TemporaryFile() if len(configs) > 1 else nullcontext() as spill:
         for lo in range(0, trials, CHUNK_TRIALS):
             hi = min(lo + CHUNK_TRIALS, trials)
-            tails = [TrialMatrices.empty(cfg, hi - lo, states) for cfg in configs[1:]]
-            _simulate_chunk(configs, lo, hi, [head.rows(lo, hi), *tails])
-            for q, out in enumerate(tails):
-                offset = q * config_bytes
-                for a in out.arrays():
-                    row = a.nbytes // len(a)
+            rows = head.rows(lo, hi).arrays()
+            if spill is None:  # one config: the chunk's rows are its own
+                chunk = [a[None] for a in rows]
+            else:
+                chunk = [np.empty((len(configs), *a.shape), dtype=a.dtype) for a in rows]
+            _simulate_chunk(configs, lo, hi, TrialMatrices(head.checkpoints, *chunk))
+            if spill is None:
+                continue
+            for a, own in zip(chunk, rows):
+                own[:] = a[0]
+            for q in range(1, len(configs)):
+                offset = (q - 1) * config_bytes
+                for a in chunk:
+                    row = a[q].nbytes // (hi - lo)
                     spill.seek(offset + lo * row)
-                    spill.write(a)
+                    spill.write(a[q])
                     offset += trials * row
+            del chunk
         yield head
         del head  # the caller keeps it as long as it needs it
         for q, cfg in enumerate(configs[1:]):
@@ -943,31 +1060,60 @@ class ExperimentResult:
     heavy_tail_checkpoints: list
 
 
-def classify_trials(config: ExperimentConfig, mats: TrialMatrices) -> list[Classification]:
-    """Vectorized version of `metrics.classify`, same comparisons."""
+# the classes of `metrics.classify`, indexed by `_class_codes`
+_CLASSES = np.array([Classification.UNDECIDED, Classification.AGREED, Classification.DIVERGED],
+                    dtype=object)
+
+
+def _class_codes(config: ExperimentConfig, mats: TrialMatrices) -> np.ndarray:
+    """Each trial's index into `_CLASSES`, by the comparisons of
+    `metrics.classify`."""
     if not (config.big_m > mats.spread[:, 0]).all():
         worst = float(mats.spread[:, 0].max())
         raise BadParameterError(
             f"big_m ({config.big_m}) must exceed the initial spread ({worst})")
     diverged = (mats.diverged_at >= 0) | (mats.spread > config.big_m).any(axis=1)
-    agreed = ~diverged & (mats.spread[:, -1] < config.eps_agree)
-    out = []
-    for div, agr in zip(diverged, agreed):
-        if div:
-            out.append(Classification.DIVERGED)
-        elif agr:
-            out.append(Classification.AGREED)
-        else:
-            out.append(Classification.UNDECIDED)
-    return out
+    agreed = mats.spread[:, -1] < config.eps_agree
+    return np.where(diverged, 2, agreed.astype(np.intp))
+
+
+def classify_trials(config: ExperimentConfig, mats: TrialMatrices) -> list[Classification]:
+    """Vectorized version of `metrics.classify`, same comparisons."""
+    return _CLASSES[_class_codes(config, mats)].tolist()
+
+
+def _kurtosis(m2: np.ndarray, m4: np.ndarray) -> np.ndarray:
+    return np.where(m2 > 0.0, m4 / np.where(m2 > 0.0, m2, 1.0) ** 2 - 3.0, 0.0)
 
 
 def _excess_kurtosis(columns: np.ndarray) -> np.ndarray:
+    """Each column's excess kurtosis, inf where it is not finite. It feeds
+    only the `> HEAVY_TAIL_KURTOSIS` flags, which equal those of the form
+    that takes fourth powers with `** 4`.
+
+    The fourth powers here are squares of squares: libm's pow, which `** 4`
+    calls, costs ten times as much. The two differ by a few ulps a term,
+    and their means over N rows by at most about 2 N ulps, while the terms
+    stay normal floats. So the `** 4` form is computed where the flags
+    could differ: a kurtosis within 4 (N + 8) eps of the threshold,
+    relative, or not finite, or a fourth moment outside [2^-900,
+    2^1000 / N], where subnormal terms or overflow could part the forms;
+    a column of zero variance reads 0 in both.
+    """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         centered = columns - columns.mean(axis=0)
-        m2 = (centered ** 2).mean(axis=0)
-        m4 = (centered ** 4).mean(axis=0)
-        kurt = np.where(m2 > 0.0, m4 / np.where(m2 > 0.0, m2, 1.0) ** 2 - 3.0, 0.0)
+        squares = centered ** 2
+        m2 = squares.mean(axis=0)
+        m4 = np.square(squares, out=squares).mean(axis=0)
+        kurt = _kurtosis(m2, m4)
+        size = len(columns)
+        margin = 4 * (size + 8) * np.finfo(float).eps * HEAVY_TAIL_KURTOSIS
+        near = (m2 > 0.0) & (~(np.abs(kurt - HEAVY_TAIL_KURTOSIS) > margin) | ~np.isfinite(kurt)
+                             | ~((m4 >= 2.0 ** -900) & (m4 <= 2.0 ** 1000 / size)))
+        if near.any():
+            # over every column, so that each column's mean sums in the same
+            # order as in the ** 4 form alone
+            kurt = np.where(near, _kurtosis(m2, (centered ** 4).mean(axis=0)), kurt)
     return np.where(np.isfinite(kurt), kurt, np.inf)
 
 
@@ -977,12 +1123,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 def aggregate_trials(config: ExperimentConfig, mats: TrialMatrices) -> ExperimentResult:
     """Classify the trials of one config and summarize them per checkpoint."""
-    classifications = classify_trials(config, mats)
-    counts = {
-        "nAgreed": sum(1 for c in classifications if c is Classification.AGREED),
-        "nDiverged": sum(1 for c in classifications if c is Classification.DIVERGED),
-        "nUndecided": sum(1 for c in classifications if c is Classification.UNDECIDED),
-    }
+    codes = _class_codes(config, mats)
+    undecided, agreed, diverged = np.bincount(codes, minlength=len(_CLASSES)).tolist()
+    counts = {"nAgreed": agreed, "nDiverged": diverged, "nUndecided": undecided}
     trials = config.trials
 
     def stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1003,7 +1146,7 @@ def aggregate_trials(config: ExperimentConfig, mats: TrialMatrices) -> Experimen
         mean_l=mean_l, var_l=var_l, ci_l=ci_l,
         mean_spread=mean_s, var_spread=var_s, ci_spread=ci_s,
         counts=counts,
-        classifications=classifications,
+        classifications=_CLASSES[codes].tolist(),
         diverged_at=mats.diverged_at,
         heavy_tail_checkpoints=heavy,
     )

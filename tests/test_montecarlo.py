@@ -26,7 +26,7 @@ from gossipsim.errors import BadAxisError, BadParameterError
 from gossipsim.graph import json_with_rows, validate
 from gossipsim.metrics import Classification
 from gossipsim.montecarlo import (
-    STEP_BLOCK,
+    WEIGHT_BLOCK,
     ExperimentConfig,
     InitialState,
     aggregate_json_dict,
@@ -341,12 +341,13 @@ def parity_cases(ref_matrix):
         make_config(ref_matrix, trials=6, steps=60, seed=14, k0=1700,
                     alpha=0.2, beta=0.2, gamma=0.6,
                     schedule_s=Schedule.geometric(1.0, 1.5, clip=S_CLIP)),
-        # k0 > 0 across a step-block boundary of the engine
+        # k0 > 0 across a weight-block boundary of the engine, which is also
+        # one of the numpy twin's draw blocks
         make_config(ref_matrix, variant="asymmetric", active_rule="uniform",
-                    trials=3, steps=STEP_BLOCK + 100, seed=15, k0=1000,
+                    trials=3, steps=WEIGHT_BLOCK + 100, seed=15, k0=1000,
                     schedule_t=power_t, schedule_s=power_s,
-                    checkpoints=(1000, 1000 + STEP_BLOCK - 1, 1000 + STEP_BLOCK,
-                                 1000 + STEP_BLOCK + 1, 1000 + STEP_BLOCK + 100)),
+                    checkpoints=(1000, 1000 + WEIGHT_BLOCK - 1, 1000 + WEIGHT_BLOCK,
+                                 1000 + WEIGHT_BLOCK + 1, 1000 + WEIGHT_BLOCK + 100)),
         make_config(ref_matrix, trials=6, steps=40, seed=5,
                     checkpoints=(0, 7, 40)),
         make_config(ref_matrix, trials=6, steps=40, seed=6, s=0.5,
@@ -473,14 +474,15 @@ def fuzz_configs(draw):
 
 
 @settings(max_examples=200)
-@given(cfg=fuzz_configs(), chunk=st.integers(1, 4), block=st.integers(1, 16),
-       presample=st.integers(1, 8))
-def test_engine_matches_scalar_path_on_generated_configs(cfg, chunk, block, presample):
-    """Small trial chunks, step blocks and presampling slices put their
-    boundaries in the middle of runs; every trial must still equal the
-    scalar path bit for bit."""
+@given(cfg=fuzz_configs(), chunk=st.integers(1, 4), weights=st.integers(1, 16),
+       block=st.integers(1, 16), presample=st.integers(1, 8))
+def test_engine_matches_scalar_path_on_generated_configs(cfg, chunk, weights, block, presample):
+    """Small trial chunks, weight blocks, draw blocks and presampling
+    slices put their boundaries in the middle of runs; every trial must
+    still equal the scalar path bit for bit."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "CHUNK_TRIALS", chunk)
+        mp.setattr(montecarlo, "WEIGHT_BLOCK", weights)
         mp.setattr(montecarlo, "STEP_BLOCK", block)
         mp.setattr(montecarlo, "PRESAMPLE_STEPS", presample)
         mats = on_both_paths(lambda: run_trials(cfg, states=True))
@@ -509,15 +511,17 @@ def shared_draw_points(draw):
 
 
 @settings(max_examples=120)
-@given(points=shared_draw_points(), chunk=st.integers(1, 4), block=st.integers(1, 16),
-       presample=st.integers(1, 8))
-def test_shared_pass_matches_solo_runs_on_generated_configs(points, chunk, block, presample):
+@given(points=shared_draw_points(), chunk=st.integers(1, 4), batch=st.integers(1, 4),
+       block=st.integers(1, 16), presample=st.integers(1, 8))
+def test_shared_pass_matches_solo_runs_on_generated_configs(points, chunk, batch, block,
+                                                            presample):
     """Every point of a shared pass equals `run_trials` on that point alone,
-    byte for byte: measures, freeze slots and states. A small STEP_BLOCK
-    also splits the points into several batches (configs x n floats of
-    state may not exceed STEP_BLOCK x draws)."""
+    byte for byte: measures, freeze slots and states. A small
+    BATCH_STATE_BYTES also splits the points into batches of `batch`
+    configs (configs x chunk x n floats of state)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "CHUNK_TRIALS", chunk)
+        mp.setattr(montecarlo, "BATCH_STATE_BYTES", batch * chunk * points[0].matrix.n * 8)
         mp.setattr(montecarlo, "STEP_BLOCK", block)
         mp.setattr(montecarlo, "PRESAMPLE_STEPS", presample)
         shared = on_both_paths(lambda: list(run_shared_trials(points, states=True)))
@@ -528,16 +532,17 @@ def test_shared_pass_matches_solo_runs_on_generated_configs(points, chunk, block
 
 
 def test_wide_shared_pass_is_split_into_batches(ref_matrix, monkeypatch):
-    """With room for two configs' states per pass (3 slots x 3 draws // 4
-    nodes), five points run as batches of 2, 2 and 1, two chunks each, and
-    still equal their solo runs; trials freeze in the second point only."""
-    monkeypatch.setattr(montecarlo, "STEP_BLOCK", 3)
+    """With room for two configs' states per pass (2 configs x 256 trials x
+    4 nodes x 8 bytes), five points run as batches of 2, 2 and 1, two chunks
+    each, and still equal their solo runs; trials freeze in the second
+    point only."""
+    monkeypatch.setattr(montecarlo, "BATCH_STATE_BYTES", 2 * montecarlo.CHUNK_TRIALS * 4 * 8)
     calls = []
     simulate_chunk = montecarlo._simulate_chunk
 
     def spy(cfgs, *args):
         calls.append(len(cfgs))
-        simulate_chunk(cfgs, *args)
+        return simulate_chunk(cfgs, *args)
 
     monkeypatch.setattr(montecarlo, "_simulate_chunk", spy)
     points = [make_config(ref_matrix, s=s, trials=300, steps=20, seed=4,
@@ -560,7 +565,9 @@ def test_shared_pass_refuses_configs_with_other_draws(ref_matrix):
 
 def partner_probes(n):
     """Row CDFs of an n-node matrix with zero-weight entries (plateaus), and
-    partner draws (row, draw) equal to every CDF entry and one ulp either
+    partner draws (row, draw) on the grid of multiples of 2^-53, which is
+    where the streams' uniforms lie: around every CDF entry, the entry
+    itself where it lies on the grid and at least one grid point either
     side of it."""
     rng = np.random.default_rng(n)
     w = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
@@ -570,11 +577,31 @@ def partner_probes(n):
     rows, draws = [], []
     for r in range(n):
         for c in [0.0, *cdfs[r]]:
-            for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)):
-                if 0.0 <= v < 1.0:
+            below = math.floor(c * 2.0 ** 53)
+            for v in {below - 1, below, below + 1, below + 2}:
+                if 0 <= v < 2 ** 53:
                     rows.append(r)
-                    draws.append(v)
+                    draws.append(v / 2.0 ** 53)
     return cdfs, np.array(rows), np.array(draws)
+
+
+def streams_at(draws):
+    """Streams whose next uniforms are `draws`, (trials, up to 4 draws),
+    each a multiple of 2^-53: numpy's Philox state with the words that give
+    them in its buffer, at position 0."""
+    streams = montecarlo._streams(3, 0, len(draws))
+    streams[:, 6:6 + draws.shape[1]] = (draws * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    streams[:, -1] = 0
+    return streams
+
+
+def chunk_out(npts, trials, ncp, n=None):
+    """The `out` argument of the slot implementations: measures of
+    `npts` configs, and their states when n is given."""
+    shape = (npts, trials, ncp)
+    return montecarlo.TrialMatrices(
+        tuple(range(ncp)), np.empty(shape), np.empty(shape),
+        np.full(shape[:2], -1, dtype=np.int64), None if n is None else np.empty((*shape, n)))
 
 
 def compiled_kernel():
@@ -584,8 +611,8 @@ def compiled_kernel():
     return kernel
 
 
-# the two implementations of the engine's slots, which take the same arguments
-SLOTS = {"kernel": compiled_kernel, "numpy": lambda: montecarlo._numpy_slots}
+# the two implementations of the engine's slots, which share one interface
+SLOTS = {"kernel": compiled_kernel, "numpy": lambda: montecarlo._NumpySlots}
 
 
 @pytest.mark.parametrize("slots", SLOTS)
@@ -594,93 +621,309 @@ def test_partner_is_searchsorted_right(n, slots):
     """Both slot implementations pick the partner the scalar path's
     searchsorted(side="right") picks, also for draws that equal a CDF
     entry, sit next to one or fall on a plateau of zero-weight entries.
-    Each probe is one trial of one slot that attracts with T = 1 on the
-    state 0, 1, ..., n - 1, which swaps x_i and x_j: x_i then reads j and
-    x_j reads i."""
+    Each probe is one trial of one slot, its draws put in its stream, that
+    attracts with T = 1 on the ramp 1, ..., n, which swaps x_i and x_j:
+    x_i then reads j + 1 and x_j reads i + 1."""
     cdfs, rows, draws = partner_probes(n)
     probes = np.arange(len(draws))
-    u = np.zeros((len(draws), 1, 3))  # a third draw of 0.0 attracts
-    u[:, 0, 0] = (rows + 0.5) / n
-    u[:, 0, 1] = draws
-    x = np.tile(np.arange(n, dtype=float), (1, len(draws), 1))
-    alive = np.ones((1, len(draws)), dtype=bool)
-    diverged_at = np.full((1, len(draws)), -1, dtype=np.int64)
-    w = np.array([[[0.0, 1.0, 1.0, 0.0]]])  # 1 - T, T, 1 + S, S
-    SLOTS[slots]()(u, probes, x, cdfs.reshape(-1), (0.5, 0.5), UpdateMode(), w, alive,
-                   diverged_at, 0)(0, 1)
-    j = x[0, probes, rows].astype(int)
+    node = np.floor((rows + 0.5) / n * 2.0 ** 53) / 2.0 ** 53
+    u = np.stack([node, draws, np.zeros(len(draws))], axis=1)  # a third draw of 0.0 attracts
+    out = chunk_out(1, len(draws), 1, n)
+    chunk = SLOTS[slots]()(streams_at(u), InitialState(kind="ramp"), cdfs, (0.5, 0.5),
+                           UpdateMode(), out)
+    chunk.block(np.array([[[0.0, 1.0, 1.0, 0.0]]]), 0)  # 1 - T, T, 1 + S, S
+    chunk.run(0, 1, 0)
+    x = out.states[0, :, 0]
+    j = x[probes, rows].astype(int) - 1
     np.testing.assert_array_equal(
         j, [np.searchsorted(cdfs[r], v, side="right") for r, v in zip(rows, draws)])
-    np.testing.assert_array_equal(x[0, probes, j], rows)
-    assert alive.all() and (diverged_at == -1).all()
+    np.testing.assert_array_equal(x[probes, j], rows + 1)
+    assert (out.diverged_at == -1).all()
 
 
 def test_kernel_refuses_arguments_it_cannot_read():
     """Pointers reach the kernel only for arrays of its dtypes, shapes and
-    C layout, with columns inside the chunk, and for segments inside the
-    block."""
-    n, m = 4, 3
-    args = dict(u=np.zeros((2, 5, 3)), cols=np.array([0, 2]), x=np.zeros((1, m, n)),
-                cdf=np.ones(n * n), thr=(0.5, 0.5), mode=UpdateMode(), w=np.ones((5, 1, 4)),
-                alive=np.ones((1, m), dtype=bool),
-                diverged_at=np.full((1, m), -1, dtype=np.int64), k=0)
-    run = compiled_kernel()(**args)
-    run(0, 5)
-    for s0, s1 in ((-1, 2), (3, 2), (0, 6), (5, 6)):
+    C layout, weights of the chunk's configs, segments inside the block
+    and checkpoints of the chunk."""
+    n, m, npts, ncp = 4, 3, 2, 2
+    kernel = compiled_kernel()
+
+    def args(**bad):
+        return {"streams": montecarlo._streams(0, 0, m), "initial": InitialState(kind="ramp"),
+                "cdf": np.ones((n, n)), "thr": (0.5, 0.5), "mode": UpdateMode(),
+                "out": chunk_out(npts, m, ncp, n), **bad}
+
+    slots = kernel(**args())
+    slots.block(np.ones((5, npts, 4)), 0)
+    slots.run(0, 5, 1)
+    for s0, s1, ci in ((-1, 2, -1), (3, 2, -1), (0, 6, -1), (5, 6, -1), (0, 1, 2), (0, 1, -2)):
         with pytest.raises(ValueError, match="slot kernel arguments"):
-            run(s0, s1)
-    for key, bad in (("u", np.zeros((2, 5, 4))), ("u", np.zeros((2, 3, 5)).transpose(0, 2, 1)),
-                     ("cols", np.array([0, 2], dtype=np.int32)), ("cols", np.array([0, 3])),
-                     ("cols", np.array([-1, 2])), ("cdf", np.ones(n * n - 1)),
-                     ("w", np.ones((5, 1, 3))), ("w", np.ones((4, 1, 4))),
-                     ("alive", np.ones((1, m), dtype=np.int8)),
-                     ("diverged_at", np.zeros((1, m + 1), dtype=np.int64)),
-                     ("x", np.zeros((1, n, m)).transpose(0, 2, 1))):
+            slots.run(s0, s1, ci)
+    for w in (np.ones((5, npts, 3)), np.ones((5, npts + 1, 4)), np.ones((5, npts * 4)),
+              np.ones((5, npts, 4), dtype=np.float32), np.ones((4, npts, 5))[:, :, :4]):
         with pytest.raises(ValueError, match="slot kernel arguments"):
-            compiled_kernel()(**{**args, key: bad})
+            slots.block(w, 0)
+    out = chunk_out(npts, m, ncp, n)
+    for key, bad in (("streams", np.zeros((m, montecarlo.STREAM_WORDS), dtype=np.int64)),
+                     ("streams", montecarlo._streams(0, 0, m + 1)),
+                     ("streams", montecarlo._streams(0, 0, m)[:, :-1]),
+                     ("streams", np.asfortranarray(montecarlo._streams(0, 0, m))),
+                     ("cdf", np.ones((n, n + 1))), ("cdf", np.ones((n, n), dtype=np.float32)),
+                     ("out", dataclasses.replace(out, spread=np.empty((npts, m, ncp + 1)))),
+                     ("out", dataclasses.replace(out, diverged_at=np.full((npts, m + 1), -1))),
+                     ("out", dataclasses.replace(out, diverged_at=np.full((npts, m), -1,
+                                                                          dtype=np.int32))),
+                     ("out", dataclasses.replace(out, states=np.empty((npts, m, ncp, n + 1)))),
+                     ("out", dataclasses.replace(
+                         out, dispersion=np.empty((ncp, m, npts)).transpose(2, 1, 0)))):
+        with pytest.raises(ValueError, match="slot kernel arguments"):
+            kernel(**args(**{key: bad}))
+
+
+# keys at the corners of the key space, and counters about to carry
+STREAM_KEYS = [(0, 0), (7, 3), (2 ** 63 + 5, 11), (2 ** 64 - 1, 2 ** 40)]
+
+
+def philox(seed, trial):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+
+
+def assert_stream_is(row, gen):
+    state = gen.bit_generator.state
+    assert row[:2].tolist() == state["state"]["key"].tolist()
+    assert row[2:6].tolist() == state["state"]["counter"].tolist()
+    assert row[-1] == state["buffer_pos"]
+    if row[-1] < 4:  # a spent buffer is never read again
+        assert row[6:10].tolist() == state["buffer"].tolist()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 7, 9, 13])
+def test_kernel_stream_is_numpys_philox(count):
+    """The kernel's uniforms are numpy's `Philox(key=[seed, trial]).random()`.
+    Uniform initial states on [0, 1) (low + 1.0 * u is u) of `count` nodes
+    give the first `count`, then, from that offset, which is not always a
+    multiple of 4, the next `count`; after them, and after five 3-draw
+    slots more, each stream's counter, buffer and position are numpy's."""
+    kernel = compiled_kernel()
+    streams = np.concatenate([montecarlo._streams(seed, t, t + 1) for seed, t in STREAM_KEYS])
+    gens = [philox(seed, t) for seed, t in STREAM_KEYS]
+    for _ in range(2):
+        out = chunk_out(1, len(gens), 1)
+        slots = kernel(streams, InitialState(kind="uniform", low=0.0, high=1.0),
+                       np.ones((count, count)), (0.0, 1.0), UpdateMode(), out)
+        for row, x, gen in zip(streams, slots.x[0], gens):
+            assert x.tobytes() == gen.random(count).tobytes()
+            assert_stream_is(row, gen)
+    slots.block(np.ones((5, 1, 4)), 0)
+    slots.run(0, 5)  # thresholds (0.0, 1.0): every slot neglects
+    for row, gen in zip(streams, gens):
+        gen.random(15)
+        assert_stream_is(row, gen)
+    # the counter carries from word 0 into words 1 to 3
+    streams = montecarlo._streams(5, 9, 10)
+    streams[0, 2:6] = [2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 1, 4]
+    gen = philox(5, 9)
+    gen.bit_generator.state = {**gen.bit_generator.state,
+                               "state": {"counter": streams[0, 2:6].copy(), "key": streams[0, :2]}}
+    slots = kernel(streams, InitialState(kind="uniform", low=0.0, high=1.0),
+                   np.ones((count, count)), (0.0, 1.0), UpdateMode(), chunk_out(1, 1, 1))
+    assert slots.x[0, 0].tobytes() == gen.random(count).tobytes()
+    assert_stream_is(streams[0], gen)
+
+
+def test_kernel_path_builds_no_generator(monkeypatch):
+    """Where the kernel builds, the engine makes no numpy `Generator`: not
+    for the uniform initial states, not for the slots."""
+    compiled_kernel()
+
+    def refuse(*args):
+        raise AssertionError("the kernel path built a Generator")
+
+    monkeypatch.setattr(montecarlo, "_trial_rng", refuse)
+    cfg = make_config(validate(REF_ROWS), variant="asymmetric", trials=300, steps=50,
+                      initial=InitialState(kind="uniform", low=-1.0, high=1.0))
+    assert np.isfinite(run_trials(cfg).dispersion).all()
 
 
 @settings(max_examples=150)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), trials=st.integers(0, 5),
-       npts=st.integers(1, 3), block=st.integers(1, 12), presample=st.integers(1, 8),
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), trials=st.integers(1, 6),
+       npts=st.integers(1, 3), blocks=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+       step_block=st.integers(1, 8), presample=st.integers(1, 8),
+       uniform=st.booleans(), states=st.booleans(),
        mode=st.sampled_from([UpdateMode(), UpdateMode("asymmetric", "uniform"),
                              UpdateMode("asymmetric", "initiator"),
                              UpdateMode("asymmetric", "responder")]))
-def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, block, presample, mode):
+def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, blocks, step_block,
+                                              presample, uniform, states, mode):
     """On inputs the engine never builds, the kernel and the numpy loop
     still give the same bits: unsorted CDF rows with repeated entries (so
-    i == j happens), draws on those entries, weights of 0, 1e200, inf and
-    nan, states at the overflow limit, trials frozen in some configs and
-    a block cut into random segments, across presampling windows."""
+    i == j happens), weights of 0, 1e200, inf and nan, states at the
+    overflow limit, trials frozen in some configs and in all, streams part
+    of the way through a block and about to carry their counter, and
+    blocks cut into random segments, some of them recorded, across
+    presampling windows and draw blocks of the numpy loop."""
     kernel = compiled_kernel()
     rng = np.random.default_rng(seed)
     pool = np.array([0.0, 0.25, 0.5, 0.5, 1.0, np.nextafter(0.5, 1.0)])
     cdf = rng.choice(pool, (n, n))
     cdf[:, -1] = 1.0
-    u = rng.random((trials, block, mode.draws_per_slot))
-    u[:, :, 1] = np.where(rng.random((trials, block)) < 0.5, rng.choice(pool[:-2], (trials, block)),
-                          u[:, :, 1])
-    u[:, :, 2:] = rng.choice([0.0, 0.3, 0.5, 0.6, 0.99], u[:, :, 2:].shape)
-    x = rng.normal(size=(npts, trials + 1, n)) * rng.choice([1.0, 1e75, 1e150], (npts, 1, 1))
-    x[rng.random(x.shape) < 0.05] = OVERFLOW_LIMIT
-    w_pool = [0.0, 0.25, 1.0, 3.0, 1e200, np.inf, np.nan]
-    w = rng.choice(w_pool, (block, npts, 4))
-    alive = rng.random((npts, trials + 1)) < 0.8
-    diverged_at = np.where(alive, -1, 7)
-    cols = np.sort(rng.choice(trials + 1, trials, replace=False))
-    cuts = sorted({0, block, *rng.integers(0, block + 1, 3).tolist()})
+    streams = montecarlo._streams(int(rng.integers(2 ** 63)) * 2 + 1, 10, 10 + trials)
+    moved = rng.random(trials) < 0.5
+    streams[moved, 2:6] = rng.choice(np.array([0, 1, 2 ** 64 - 1], dtype=np.uint64),
+                                     (moved.sum(), 4))
+    streams[moved, 6:10] = rng.integers(0, 2 ** 63, (moved.sum(), 4)).astype(np.uint64) * 2
+    streams[moved, -1] = rng.integers(0, 5, moved.sum()).astype(np.uint64)
+    initial = InitialState(kind="uniform", low=-2.0, high=3.0) if uniform \
+        else InitialState(kind="ramp")
     thr = tuple(sorted(rng.choice([0.0, 0.3, 0.6, 1.0], 2)))
+    x = rng.normal(size=(npts, trials, n)) * rng.choice([1.0, 1e75, 1e150], (npts, 1, 1))
+    x[rng.random(x.shape) < 0.05] = OVERFLOW_LIMIT
+    alive = rng.random((npts, trials)) < 0.8
+    w_pool = [0.0, 0.25, 1.0, 3.0, 1e200, np.inf, np.nan]
+    ws = [rng.choice(w_pool, (b, npts, 4)) for b in blocks]
+    cuts = [sorted({0, b, *rng.integers(0, b + 1, 3).tolist()}) for b in blocks]
+    ncp = sum(len(c) for c in cuts)
+    records = rng.random(ncp) < 0.7
     outs = []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "STEP_BLOCK", step_block)
         mp.setattr(montecarlo, "PRESAMPLE_STEPS", presample)
-        for slots in (kernel, montecarlo._numpy_slots):
-            state = [a.copy() for a in (x, alive, diverged_at)]
-            run = slots(u, cols, state[0], cdf.reshape(-1), thr, mode, w, *state[1:], 40)
-            for s0, s1 in zip(cuts, cuts[1:]):
-                run(s0, s1)
-            outs.append(state)
-    for got, want in zip(*outs):
+        for impl in (kernel, montecarlo._NumpySlots):
+            out = chunk_out(npts, trials, ncp, n if states else None)
+            slots = impl(streams.copy(), initial, cdf, thr, mode, out)
+            started = slots.x.copy()
+            if not uniform:  # the draws of uniform starts keep them
+                slots.x[...] = x
+            slots.alive[...] = alive
+            out.diverged_at[...] = np.where(alive, -1, 7)
+            out.dispersion[...] = out.spread[...] = np.nan
+            if states:
+                out.states[...] = np.nan
+            ci, k = 0, 40
+            for w, cut in zip(ws, cuts):
+                slots.block(w, k)
+                for s0, s1 in zip([0, *cut], cut):
+                    slots.run(s0, s1, ci if records[ci] else -1)
+                    ci += 1
+                k += len(w)
+            outs.append([started, slots.x, slots.alive, slots.refs, *out.arrays()])
+    for got, want in zip(*outs, strict=True):
         assert got.tobytes() == want.tobytes()
+
+
+def assert_same_measures(got, want):
+    """Equal bits, except that a nan may be any nan: numpy and the kernel
+    may be compiled to add the two operands of a sum in either order,
+    which picks between two nans."""
+    both_nan = np.isnan(got) & np.isnan(want)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert got[~both_nan].tobytes() == want[~both_nan].tobytes()
+
+
+@st.composite
+def measure_states(draw):
+    n = draw(st.integers(1, 300) | st.sampled_from([1000, 1025]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    npts, trials = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    x = rng.normal(size=(npts, trials, n)) * 10.0 ** rng.integers(-3, 4, (npts, trials, n))
+    special = rng.random(x.shape) < draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+    x[special] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300], special.sum(),
+                            p=draw(st.sampled_from([None, [0.45, 0.45, 0.02, 0.02, 0.02,
+                                                           0.02, 0.02]])))
+    refs = rng.normal(size=trials) * rng.choice([0.0, 1.0, 1e200], trials)
+    refs[rng.random(trials) < 0.1] = rng.choice([np.inf, np.nan])
+    return x, refs
+
+
+@settings(max_examples=300)
+@given(case=measure_states())
+def test_kernel_measures_are_numpys(case):
+    """At a checkpoint the kernel records numpy's `((x - ref) ** 2).sum()`
+    and `x.max() - x.min()` of every state row, the numpy twin's measures,
+    bit for bit: n from 1 to 300 crosses the 8 and 128 boundaries of
+    numpy's pairwise sum and 1000 and 1025 nest its splits, and rows hold
+    +0.0 and -0.0 in any mix, nan, +-inf and sums that overflow, which the
+    engine's states never do."""
+    x, refs = case
+    npts, trials, n = x.shape
+    out = chunk_out(npts, trials, 1, n)
+    slots = compiled_kernel()(montecarlo._streams(0, 0, trials), InitialState(kind="ramp"),
+                              np.ones((n, n)), (0.5, 0.5), UpdateMode(), out)
+    slots.x[...] = x
+    slots.refs[...] = refs
+    slots.block(np.empty((0, npts, 4)), 0)
+    slots.run(0, 0, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_measures(out.dispersion[:, :, 0], ((x - refs[:, None]) ** 2).sum(axis=2))
+        assert_same_measures(out.spread[:, :, 0], x.max(axis=2) - x.min(axis=2))
+    assert out.states[:, :, 0].tobytes() == x.tobytes()
+
+
+def exact_kurtosis(columns):
+    """The excess kurtosis with fourth powers by `** 4`, the form whose
+    flags `_excess_kurtosis` must give."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        centered = columns - columns.mean(axis=0)
+        m2 = (centered ** 2).mean(axis=0)
+        m4 = (centered ** 4).mean(axis=0)
+        kurt = np.where(m2 > 0.0, m4 / np.where(m2 > 0.0, m2, 1.0) ** 2 - 3.0, 0.0)
+    return np.where(np.isfinite(kurt), kurt, np.inf)
+
+
+def near_threshold(rows, groups, width):
+    """`groups` groups of `width` columns that sit within an ulp or so of
+    HEAVY_TAIL_KURTOSIS in the `** 4` form, on both sides: in each group a
+    normal sample and one outlier v about 10 N^(1/4) sigma out, with v at
+    and around the point where the kurtosis of the whole matrix crosses
+    the threshold (the order of a column's sum depends on the matrix)."""
+    columns = np.empty((rows, groups * width))
+    for g in range(groups):
+        group = columns[:, g * width:(g + 1) * width]
+        group[:] = np.random.default_rng([rows, g]).normal(size=(rows, 1))
+        mid = width // 2
+        lo, hi = 0.0, 20.0 * rows ** 0.25
+        while True:
+            v = lo + (hi - lo) / 2
+            if v in (lo, hi):
+                break
+            group[-1, mid] = v
+            kurt = exact_kurtosis(columns[:, :(g + 1) * width])[g * width + mid]
+            lo, hi = (v, hi) if kurt <= montecarlo.HEAVY_TAIL_KURTOSIS else (lo, v)
+        for c in range(width):
+            group[-1, c] = lo
+            for _ in range(abs(c - mid)):
+                group[-1, c] = np.nextafter(group[-1, c], np.inf if c > mid else 0.0)
+    return columns
+
+
+@pytest.mark.parametrize("rows, groups", [(20, 6), (40, 6), (8192, 1)])
+def test_fast_kurtosis_flags_are_the_exact_ones(rows, groups):
+    """The heavy-tail flags of `_excess_kurtosis`, which squares twice,
+    equal those of the `** 4` form: on columns within an ulp of the
+    threshold, where the two forms part, on columns scaled so far down
+    that their fourth powers are subnormal or so far up that they
+    overflow, and on constant columns and columns with inf."""
+    rng = np.random.default_rng(rows)
+    heavy = rng.standard_t(3.0, size=(rows, 8)) ** 2
+    scaled = heavy[:, :1] * np.array([1e-70, 1e-78, 1e-80, 1e-100, 1e-160, 1e60, 1e76, 1e77,
+                                      1e80])
+    odd = np.stack([np.full(rows, 2.5), np.where(np.arange(rows) == 3, np.inf, 1.0)], axis=1)
+    near = near_threshold(rows, groups, 25)
+    columns = np.concatenate([near, heavy, scaled, odd], axis=1)
+    width = near.shape[1]
+    exact = exact_kurtosis(columns)
+    threshold = montecarlo.HEAVY_TAIL_KURTOSIS
+    assert (exact[:width] > threshold).any() and (exact[:width] <= threshold).any()
+    if rows < 100:
+        # where an ulp of v moves the kurtosis the most, squaring twice
+        # alone puts some columns on the wrong side of the threshold
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            squares = (columns - columns.mean(axis=0)) ** 2
+            raw = (squares * squares).mean(axis=0) / squares.mean(axis=0) ** 2 - 3.0
+        assert ((raw > threshold) != (exact > threshold))[:width].any()
+    fast = montecarlo._excess_kurtosis(columns)
+    np.testing.assert_array_equal(fast > threshold, exact > threshold)
+    np.testing.assert_allclose(fast, exact, rtol=1e-10)
 
 
 def test_freeze_case_actually_freezes(ref_matrix):
