@@ -17,8 +17,8 @@ the partner j by a bisection over the flattened row CDFs (O(log n)), the
 events and the active endpoint, and applies the update and the overflow
 check; at each checkpoint it measures every config's dispersion and
 spread. Where it cannot be built, its numpy twin `_NumpySlots`, which has
-the same interface, draws from a numpy `Generator` per trial one step
-block at a time, presamples pairs and events one window of slots at a
+the same interface, draws from a numpy `Generator` per trial one block of
+slots at a time, presamples pairs and events one window of slots at a
 time and gathers, updates and scatters one slot at a time. The twin is
 also the engine-level reference the kernel is tested against.
 
@@ -93,13 +93,13 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 256
-# slots whose weights a chunk evaluates at once: (slots, configs, 4) floats
+# slots whose weights a chunk evaluates at once, (slots, configs, 4)
+# floats, and whose draws the numpy twin makes at once
 WEIGHT_BLOCK = 1024
 # a shared pass's batched state, configs x CHUNK_TRIALS x n floats, stays
 # within this many bytes (6 MiB: 768 configs of 4 nodes, 3 of 1000)
 BATCH_STATE_BYTES = 6 << 20
-# the numpy twin's draws and presampled pairs, in slots at a time
-STEP_BLOCK = 1024
+# the numpy twin's presampled pairs, in slots at a time
 PRESAMPLE_STEPS = 64
 HEAVY_TAIL_KURTOSIS = 10.0
 DEFAULT_EPS_AGREE = 1e-6
@@ -619,10 +619,7 @@ class _Slots:
         self.alive = np.ones((npts, m), dtype=bool)
         self.refs = np.empty(m)
         self._open()
-        if initial.kind == "uniform":
-            self._uniform(initial.low, initial.high)
-        else:
-            self.x[0] = initial.sample(n, None)
+        self._start(initial)
         self.x[1:] = self.x[0]
         with np.errstate(over="ignore"):  # start values near the float limit give inf
             np.mean(self.x[0], axis=1, out=self.refs)
@@ -631,8 +628,9 @@ class _Slots:
         """Ready the trials' streams once the chunk's arrays exist."""
         raise NotImplementedError
 
-    def _uniform(self, low: float, high: float) -> None:
-        """x[0] <- low + (high - low) * u, u the trials' next n draws."""
+    def _start(self, initial: InitialState) -> None:
+        """x[0] <- the trials' initial states, drawn from their streams for
+        the uniform kind."""
         raise NotImplementedError
 
     def block(self, w: np.ndarray, k: int) -> None:
@@ -707,9 +705,11 @@ class _NumpySlots(_Slots):
     tested against.
 
     Each trial draws from a numpy `Generator` (`_trial_rng`) set to its row
-    of `streams`, and the array is left as it was. Uniforms are drawn up to
-    STEP_BLOCK slots of a block at a time, for the trials still live in
-    some config, as the slots reach them. Per slot, it gathers both
+    of `streams`, and the array is left as it was. The engine passes
+    streams at their start; the tests also pass streams with chosen draws
+    in their buffers, to make draws that tie with CDF entries and event
+    thresholds. A block's uniforms are drawn when the block starts, for
+    the trials still live in some config. Per slot, it gathers both
     endpoints of every live trial of every config, updates them with each
     config's weights and scatters them back. Pairs and events do not
     depend on the state: they are presampled one window of PRESAMPLE_STEPS
@@ -726,33 +726,21 @@ class _NumpySlots(_Slots):
                 "bit_generator": "Philox", "state": {"counter": row[2:6], "key": row[:2]},
                 "buffer": row[6:10], "buffer_pos": int(row[10]), "has_uint32": 0, "uinteger": 0}
 
-    def _uniform(self, low: float, high: float) -> None:
+    def _start(self, initial: InitialState) -> None:
         n = self.x.shape[2]
         for r, rng in enumerate(self.rngs):
-            self.x[0, r] = low + (high - low) * rng.random(n)
+            self.x[0, r] = initial.sample(n, rng)
 
     def block(self, w: np.ndarray, k: int) -> None:
         self.w, self.k = w, k
         self.u = self.held = None  # before the next draws are made
-        self.drawn = 0  # slots [drawn - u.shape[1], drawn) of the block are in u
-
-    def _draw(self) -> None:
-        """The next STEP_BLOCK slots of the block, or as many as are left."""
-        self.u = self.held = None
         self.cols = np.nonzero(self.alive.any(axis=0))[0]
-        b = min(STEP_BLOCK, len(self.w) - self.drawn)
-        self.u = np.empty((self.cols.size, b, self.mode.draws_per_slot))
+        self.u = np.empty((self.cols.size, len(w), self.mode.draws_per_slot))
         for p, r in enumerate(self.cols):
             self.rngs[r].random(out=self.u[p])
-        self.drawn += b
 
     def run(self, s0: int, s1: int, ci: int = -1) -> None:
-        while s0 < s1:
-            if s0 == self.drawn:
-                self._draw()
-            stop = min(s1, self.drawn)
-            self._slots(s0, stop)
-            s0 = stop
+        self._slots(s0, s1)
         if ci >= 0:
             x, out = self.x, self.out
             with np.errstate(over="ignore"):
@@ -762,7 +750,7 @@ class _NumpySlots(_Slots):
                 out.states[:, :, ci] = x
 
     def _slots(self, s0: int, s1: int) -> None:
-        """Slots [s0, s1) of the block, all inside the draws held in u."""
+        """Slots [s0, s1) of the block."""
         cols, u, w = self.cols, self.u, self.w
         if not cols.size:
             return
@@ -770,7 +758,6 @@ class _NumpySlots(_Slots):
         flat = self.x.reshape(-1)
         rows = (np.arange(npts) * (m * n))[:, None] + cols * n
         t_rest, t, s_plus, s = (w[:, :, q, None, None] for q in range(4))
-        first = self.drawn - u.shape[1]  # the block slot of u's first slot
         size = PRESAMPLE_STEPS
         # live[p, c]: column c still runs in config p; frozen columns are
         # masked only once there is one
@@ -778,7 +765,7 @@ class _NumpySlots(_Slots):
         keep = None if live.all() else live[:, None, :]
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(s0, s1):
-                j, r = divmod(step - first, size)
+                j, r = divmod(step, size)
                 if self.held is None or self.held[0] != j:
                     fij = att = rep = f = self.held = None  # the last window goes first
                     self.held = (j, *_presample(u[:, j * size:(j + 1) * size], rows, n,
@@ -894,8 +881,11 @@ def _bind(lib: ctypes.CDLL) -> type[_Slots]:
                 out.dispersion.ctypes.data, out.spread.ctypes.data,
                 None if out.states is None else out.states.ctypes.data)
 
-        def _uniform(self, low: float, high: float) -> None:
-            draw_uniform(self.chunk, low, high)
+        def _start(self, initial: InitialState) -> None:
+            if initial.kind == "uniform":
+                draw_uniform(self.chunk, initial.low, initial.high)
+            else:
+                self.x[0] = initial.sample(self.x.shape[2], None)
 
         def block(self, w: np.ndarray, k: int) -> None:
             npts = self.x.shape[0]

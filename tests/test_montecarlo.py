@@ -475,15 +475,14 @@ def fuzz_configs(draw):
 
 @settings(max_examples=200)
 @given(cfg=fuzz_configs(), chunk=st.integers(1, 4), weights=st.integers(1, 16),
-       block=st.integers(1, 16), presample=st.integers(1, 8))
-def test_engine_matches_scalar_path_on_generated_configs(cfg, chunk, weights, block, presample):
-    """Small trial chunks, weight blocks, draw blocks and presampling
-    slices put their boundaries in the middle of runs; every trial must
-    still equal the scalar path bit for bit."""
+       presample=st.integers(1, 8))
+def test_engine_matches_scalar_path_on_generated_configs(cfg, chunk, weights, presample):
+    """Small trial chunks, weight blocks (the numpy twin's draw blocks) and
+    presampling slices put their boundaries in the middle of runs; every
+    trial must still equal the scalar path bit for bit."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "CHUNK_TRIALS", chunk)
         mp.setattr(montecarlo, "WEIGHT_BLOCK", weights)
-        mp.setattr(montecarlo, "STEP_BLOCK", block)
         mp.setattr(montecarlo, "PRESAMPLE_STEPS", presample)
         mats = on_both_paths(lambda: run_trials(cfg, states=True))
     classifications = classify_trials(cfg, mats)
@@ -512,8 +511,8 @@ def shared_draw_points(draw):
 
 @settings(max_examples=120)
 @given(points=shared_draw_points(), chunk=st.integers(1, 4), batch=st.integers(1, 4),
-       block=st.integers(1, 16), presample=st.integers(1, 8))
-def test_shared_pass_matches_solo_runs_on_generated_configs(points, chunk, batch, block,
+       weights=st.integers(1, 16), presample=st.integers(1, 8))
+def test_shared_pass_matches_solo_runs_on_generated_configs(points, chunk, batch, weights,
                                                             presample):
     """Every point of a shared pass equals `run_trials` on that point alone,
     byte for byte: measures, freeze slots and states. A small
@@ -522,7 +521,7 @@ def test_shared_pass_matches_solo_runs_on_generated_configs(points, chunk, batch
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "CHUNK_TRIALS", chunk)
         mp.setattr(montecarlo, "BATCH_STATE_BYTES", batch * chunk * points[0].matrix.n * 8)
-        mp.setattr(montecarlo, "STEP_BLOCK", block)
+        mp.setattr(montecarlo, "WEIGHT_BLOCK", weights)
         mp.setattr(montecarlo, "PRESAMPLE_STEPS", presample)
         shared = on_both_paths(lambda: list(run_shared_trials(points, states=True)))
         solo = [run_trials(cfg, states=True) for cfg in points]
@@ -585,14 +584,18 @@ def partner_probes(n):
     return cdfs, np.array(rows), np.array(draws)
 
 
-def streams_at(draws):
-    """Streams whose next uniforms are `draws`, (trials, up to 4 draws),
+def put_draws(streams, draws):
+    """Make the next uniforms of `streams` `draws`, (trials, up to 4 draws),
     each a multiple of 2^-53: numpy's Philox state with the words that give
-    them in its buffer, at position 0."""
-    streams = montecarlo._streams(3, 0, len(draws))
+    them in its buffer, at position 0. The stream goes on from there."""
     streams[:, 6:6 + draws.shape[1]] = (draws * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
     streams[:, -1] = 0
     return streams
+
+
+def streams_at(draws):
+    """Streams whose next uniforms are `draws` (`put_draws`)."""
+    return put_draws(montecarlo._streams(3, 0, len(draws)), draws)
 
 
 def chunk_out(npts, trials, ncp, n=None):
@@ -748,34 +751,50 @@ def test_kernel_path_builds_no_generator(monkeypatch):
 @settings(max_examples=150)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), trials=st.integers(1, 6),
        npts=st.integers(1, 3), blocks=st.lists(st.integers(0, 12), min_size=1, max_size=3),
-       step_block=st.integers(1, 8), presample=st.integers(1, 8),
-       uniform=st.booleans(), states=st.booleans(),
+       presample=st.integers(1, 8), uniform=st.booleans(), states=st.booleans(),
        mode=st.sampled_from([UpdateMode(), UpdateMode("asymmetric", "uniform"),
                              UpdateMode("asymmetric", "initiator"),
                              UpdateMode("asymmetric", "responder")]))
-def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, blocks, step_block,
-                                              presample, uniform, states, mode):
+def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, blocks, presample, uniform,
+                                              states, mode):
     """On inputs the engine never builds, the kernel and the numpy loop
     still give the same bits: unsorted CDF rows with repeated entries (so
     i == j happens), weights of 0, 1e200, inf and nan, states at the
-    overflow limit, trials frozen in some configs and in all, streams part
-    of the way through a block and about to carry their counter, and
-    blocks cut into random segments, some of them recorded, across
-    presampling windows and draw blocks of the numpy loop."""
+    overflow limit, trials frozen in some configs and in all, and blocks
+    cut into random segments, some of them recorded, across presampling
+    windows. Draws tie with CDF entries and event thresholds: some
+    streams start with chosen words in their buffer (a node, a partner on
+    a CDF entry, an event draw on a threshold and an active-rule draw of
+    exactly 0.5), and event thresholds and CDF entries are also set to the
+    draws the streams give at random later slots."""
     kernel = compiled_kernel()
     rng = np.random.default_rng(seed)
-    pool = np.array([0.0, 0.25, 0.5, 0.5, 1.0, np.nextafter(0.5, 1.0)])
-    cdf = rng.choice(pool, (n, n))
+    key = int(rng.integers(2 ** 63)) * 2 + 1
+    streams = montecarlo._streams(key, 10, 10 + trials)
+    half = np.nextafter(0.5, 1.0)
+    tied = rng.random(trials) < 0.5
+    words = np.stack([rng.choice([0.0, 0.25, 0.5, 0.75], trials),
+                      rng.choice([0.0, 0.25, 0.5, half], trials),
+                      rng.choice([0.0, 0.5, 0.625], trials), np.full(trials, 0.5)], axis=1)
+    streams[tied] = put_draws(streams[tied], words[tied])
+    # each trial's draws, slot by slot after those of a uniform start
+    start = n if uniform else 0
+    count = start + sum(blocks) * mode.draws_per_slot
+    draws = np.array([np.concatenate([words[r], philox(key, t).random(count)])[:count]
+                      if tied[r] else philox(key, t).random(count)
+                      for r, t in enumerate(range(10, 10 + trials))])
+    draws = draws[:, start:].reshape(trials, sum(blocks), mode.draws_per_slot)
+    cdf = rng.choice([0.0, 0.25, 0.5, 0.5, 1.0, half], (n, n))
+    thr = [0.0, 0.5, 0.625, 1.0]
+    if sum(blocks):
+        picks = rng.integers(0, [trials, sum(blocks)], (4, 2))
+        thr += draws[picks[:2, 0], picks[:2, 1], 2].tolist()
+        for node, partner in draws[picks[2:, 0], picks[2:, 1], :2]:
+            cdf[min(int(node * n), n - 1), rng.random(n) < 0.5] = partner
     cdf[:, -1] = 1.0
-    streams = montecarlo._streams(int(rng.integers(2 ** 63)) * 2 + 1, 10, 10 + trials)
-    moved = rng.random(trials) < 0.5
-    streams[moved, 2:6] = rng.choice(np.array([0, 1, 2 ** 64 - 1], dtype=np.uint64),
-                                     (moved.sum(), 4))
-    streams[moved, 6:10] = rng.integers(0, 2 ** 63, (moved.sum(), 4)).astype(np.uint64) * 2
-    streams[moved, -1] = rng.integers(0, 5, moved.sum()).astype(np.uint64)
     initial = InitialState(kind="uniform", low=-2.0, high=3.0) if uniform \
         else InitialState(kind="ramp")
-    thr = tuple(sorted(rng.choice([0.0, 0.3, 0.6, 1.0], 2)))
+    thr = tuple(sorted(rng.choice(thr, 2)))
     x = rng.normal(size=(npts, trials, n)) * rng.choice([1.0, 1e75, 1e150], (npts, 1, 1))
     x[rng.random(x.shape) < 0.05] = OVERFLOW_LIMIT
     alive = rng.random((npts, trials)) < 0.8
@@ -786,7 +805,6 @@ def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, blocks, ste
     records = rng.random(ncp) < 0.7
     outs = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "STEP_BLOCK", step_block)
         mp.setattr(montecarlo, "PRESAMPLE_STEPS", presample)
         for impl in (kernel, montecarlo._NumpySlots):
             out = chunk_out(npts, trials, ncp, n if states else None)
