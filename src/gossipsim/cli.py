@@ -1,13 +1,20 @@
-"""Command line front end.
+"""Command line front end, and the only writer of output documents.
 
-Subcommands:
+Subcommands and the documents they write, each as CSV or JSON:
 
-* simulate: every trial's state at every checkpoint, with its measures.
-* experiment: many trials, aggregated measures.
+* simulate: every trial's state at every checkpoint, with its measures
+  (`trajectory`).
+* experiment: many trials, aggregated measures per checkpoint
+  (`aggregate`).
 * sweep: repeat an experiment along one numeric config entry, one
-  subdirectory per axis value (aggregate plus analytic report each).
-* check: analytic report (critical measure, contraction, named conditions).
+  subdirectory per axis value with its `aggregate` and its analytic report
+  (`theory.json`), and a `sweep` summary of each point's last checkpoint.
+* check: analytic report (critical measure, contraction, named
+  conditions), `theory`.
 * oracle: brute-force validation of the closed-form one-slot expectation.
+
+`_write` writes every document. JSON writes non-finite floats as the
+strings "inf", "-inf" and "nan", CSV as inf, -inf and nan.
 
 `--out DIR` names a run directory. It is created if missing, a
 `manifest.json` is written into it before any trial starts and finalized
@@ -26,8 +33,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,11 +46,10 @@ from .dynamics import EventProbabilities
 from .errors import BadParameterError, ConfigError, RuntimeFailure
 from .graph import json_with_rows, validate
 from .montecarlo import (
-    AGG_COLUMNS,
     INTEGER_KEYS,
     ExperimentConfig,
-    aggregate_csv_rows,
-    aggregate_json_dict,
+    ExperimentResult,
+    TrialMatrices,
     classify_trials,
     config_from_dict,
     config_hash,
@@ -52,19 +59,18 @@ from .montecarlo import (
     set_by_path,
     sweep,
     sweep_values,
-    trajectory_rows,
-    write_aggregate_csv,
-    write_trajectory_csv,
 )
 from .theory import (
     DEFAULT_HORIZON,
+    TheoryReport,
     expected_second_moment_matrix,
-    json_safe,
     one_slot_expectation_enumerated,
     theory_report,
 )
 
 ORACLE_TOL = 1e-12
+# the columns of an aggregate row; the aggregate CSV adds the counts
+AGG_COLUMNS = ("k", "meanL", "varL", "ciL", "meanSpread", "varSpread", "ciSpread")
 
 
 def _now() -> str:
@@ -149,20 +155,102 @@ def _finish_manifest(manifest: tuple[Path, int] | None, error: str | None) -> No
         fh.truncate()
 
 
-@contextmanager
-def _output(path: Path | None):
-    """A text handle on `path`, or on stdout when there is no path."""
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+def json_safe(value):
+    """Recursively convert to plain JSON types; non-finite floats to strings."""
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        f = float(value)
+        return f if math.isfinite(f) else repr(f)
+    return value
 
 
-def _emit_json(doc, path: Path | None) -> None:
-    """Write `doc` as JSON, with non-finite floats as strings."""
-    with _output(path) as fh:
-        fh.write(json.dumps(json_safe(doc), indent=2) + "\n")
+def _write(path: Path | None, doc, header: list[str] | None = None) -> None:
+    """Write one output document to `path`, or to stdout when there is no
+    path: the rows of `doc` under `header` as CSV when a header is given,
+    else `doc` as indented JSON through `json_safe`."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
+        if header is None:
+            fh.write(json.dumps(json_safe(doc), indent=2) + "\n")
+        else:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(doc)
+
+
+def _aggregate_row(result: ExperimentResult, idx: int) -> dict:
+    """k and the six statistics at checkpoint `idx` of an experiment: a row
+    of its aggregate documents, and with idx -1 its sweep summary row."""
+    stats = (result.mean_l, result.var_l, result.ci_l,
+             result.mean_spread, result.var_spread, result.ci_spread)
+    return dict(zip(AGG_COLUMNS, (int(result.checkpoints[idx]), *(a[idx] for a in stats))))
+
+
+def write_aggregate_csv(result: ExperimentResult, path: Path | None) -> None:
+    """The aggregate rows, each with the experiment's counts, as CSV."""
+    counts = list(result.counts.values())
+    _write(path, ([*_aggregate_row(result, idx).values(), *counts]
+                  for idx in range(len(result.checkpoints))), [*AGG_COLUMNS, *result.counts])
+
+
+def aggregate_json_dict(result: ExperimentResult) -> dict:
+    return {
+        "configHash": result.config_hash,
+        "trials": result.trials,
+        "counts": result.counts,
+        "heavyTailCheckpoints": result.heavy_tail_checkpoints,
+        "rows": [_aggregate_row(result, idx) for idx in range(len(result.checkpoints))],
+    }
+
+
+def trajectory_rows(mats: TrialMatrices):
+    """(trial, k, x, H, h, spread, L) per trial and checkpoint, in that
+    order, from a run with states; x is a list of floats. H and h are the
+    extremes of x, spread and L the engine's measures."""
+    high = mats.states.max(axis=2).tolist()
+    low = mats.states.min(axis=2).tolist()
+    spread = mats.spread.tolist()
+    dispersion = mats.dispersion.tolist()
+    for t, xs in enumerate(mats.states):
+        for c, (k, x) in enumerate(zip(mats.checkpoints, xs.tolist())):
+            yield t, k, x, high[t][c], low[t][c], spread[t][c], dispersion[t][c]
+
+
+def write_trajectory_csv(mats: TrialMatrices, path: Path | None) -> None:
+    """Every trial's checkpoint states and measures, as CSV."""
+    header = ["trial", "k", *(f"x_{i + 1}" for i in range(mats.states.shape[2])),
+              "H", "h", "spread", "L"]
+    _write(path, ([t, k, *x, *measures] for t, k, x, *measures in trajectory_rows(mats)),
+           header)
+
+
+def theory_json_dict(report: TheoryReport) -> dict:
+    return {
+        "D0": report.d0,
+        "lambda2": report.spectral.lambda2,
+        "lambdaN": report.spectral.lambda_n,
+        "aStar": report.spectral.a_star,
+        "contraction": {
+            "iK": report.contraction0.i_k,
+            "iHatK": report.contraction0.i_hat_k,
+            "zK": report.contraction0.z_k,
+        },
+        "conditions": [
+            {
+                "id": cid.value,
+                "status": v.status,
+                "detail": v.detail,
+                "caveats": v.caveats,
+            }
+            for cid, v in report.conditions
+        ],
+    }
 
 
 def _cmd_simulate(args) -> int:
@@ -173,8 +261,7 @@ def _cmd_simulate(args) -> int:
     classifications = classify_trials(cfg, mats)
     target = None if run_dir is None else run_dir / data_name
     if args.format == "csv":
-        with _output(target) as fh:
-            write_trajectory_csv(mats, fh)
+        write_trajectory_csv(mats, target)
     else:
         trials = [{"trial": t, "classification": c.value,
                    "divergedAt": None if d < 0 else d, "rows": []}
@@ -182,7 +269,7 @@ def _cmd_simulate(args) -> int:
         for t, k, x, high, low, spread, dispersion in trajectory_rows(mats):
             trials[t]["rows"].append({"k": k, "x": x, "H": high, "h": low,
                                       "spread": spread, "L": dispersion})
-        _emit_json({"configHash": config_hash(cfg), "trials": trials}, target)
+        _write(target, {"configHash": config_hash(cfg), "trials": trials})
     return 0
 
 
@@ -193,10 +280,9 @@ def _cmd_experiment(args) -> int:
     result = run_experiment(cfg)
     target = None if run_dir is None else run_dir / data_name
     if args.format == "csv":
-        with _output(target) as fh:
-            write_aggregate_csv(result, fh)
+        write_aggregate_csv(result, target)
     else:
-        _emit_json(aggregate_json_dict(result), target)
+        _write(target, aggregate_json_dict(result))
     return 0
 
 
@@ -221,6 +307,11 @@ def _cmd_sweep(args) -> int:
     values = sweep_values(args.axis, values)
     summary_name = f"sweep.{args.format}"
     point_dirs = [f"{args.axis}={v!r}" for v in values]
+    seen = set()
+    for d in point_dirs:
+        if d in seen:  # e.g. 0.1,1e-1: both points would write to one directory
+            raise BadParameterError(f"--values repeats the sweep point {d}")
+        seen.add(d)
     outputs = [summary_name]
     for d in point_dirs:
         outputs += [f"{d}/aggregate.{args.format}", f"{d}/theory.json"]
@@ -232,28 +323,25 @@ def _cmd_sweep(args) -> int:
             sub = run_dir / d
             sub.mkdir(exist_ok=True)
             if args.format == "csv":
-                with _output(sub / "aggregate.csv") as fh:
-                    write_aggregate_csv(pt.result, fh)
+                write_aggregate_csv(pt.result, sub / "aggregate.csv")
             else:
-                _emit_json(aggregate_json_dict(pt.result), sub / "aggregate.json")
-            _emit_json(pt.report.to_json_dict(), sub / "theory.json")
+                _write(sub / "aggregate.json", aggregate_json_dict(pt.result))
+            _write(sub / "theory.json", theory_json_dict(pt.report))
 
     target = None if run_dir is None else run_dir / summary_name
     if args.format == "csv":
-        with _output(target) as fh:
-            w = csv.writer(fh)
-            w.writerow(["value", *AGG_COLUMNS])
-            for pt in points:
-                w.writerow([pt.value, *aggregate_csv_rows(pt.result)[-1]])
+        _write(target, ([pt.value, *_aggregate_row(pt.result, -1).values(),
+                         *pt.result.counts.values()] for pt in points),
+               ["value", *AGG_COLUMNS, *points[0].result.counts])
     else:
-        doc = {
+        _write(target, {
             "axis": args.axis,
             "points": [
                 {
                     "value": pt.value,
                     "configHash": pt.result.config_hash,
                     "counts": pt.result.counts,
-                    "final": aggregate_json_dict(pt.result)["rows"][-1],
+                    "final": _aggregate_row(pt.result, -1),
                     "D0": pt.report.d0,
                     "conditions": [
                         {"id": cid.value, "status": v.status}
@@ -262,8 +350,7 @@ def _cmd_sweep(args) -> int:
                 }
                 for pt in points
             ],
-        }
-        _emit_json(doc, target)
+        })
     return 0
 
 
@@ -274,13 +361,10 @@ def _cmd_check(args) -> int:
     report = theory_report(cfg, horizon=args.horizon)
     target = None if run_dir is None else run_dir / data_name
     if args.format == "csv":
-        with _output(target) as fh:
-            w = csv.writer(fh)
-            w.writerow(["id", "status", "claim", "caveats"])
-            for cid, v in report.conditions:
-                w.writerow([cid.value, v.status, v.detail.get("claim", ""), v.caveats])
+        _write(target, ([cid.value, v.status, v.detail.get("claim", ""), v.caveats]
+                        for cid, v in report.conditions), ["id", "status", "claim", "caveats"])
     else:
-        _emit_json(report.to_json_dict(), target)
+        _write(target, theory_json_dict(report))
     return 0
 
 

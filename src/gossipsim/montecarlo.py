@@ -31,7 +31,6 @@ the same loop with one config.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
 import importlib.util
@@ -44,7 +43,6 @@ from contextlib import nullcontext
 from copy import deepcopy
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -61,7 +59,7 @@ from .errors import BadAxisError, BadParameterError
 from .graph import MATRIX_ROWS, SelectionMatrix, allocate, generate, import_matrix_csv, \
     import_matrix_json, induced_graph, is_weakly_connected, json_with_rows, validate
 from .metrics import Classification, classify, measure
-from .theory import json_safe, theory_report
+from .theory import theory_report
 
 __all__ = [
     "InitialState",
@@ -83,13 +81,7 @@ __all__ = [
     "sweep",
     "sweep_values",
     "set_by_path",
-    "AGG_COLUMNS",
-    "aggregate_csv_rows",
-    "write_aggregate_csv",
-    "aggregate_json_dict",
     "classify_trials",
-    "trajectory_rows",
-    "write_trajectory_csv",
 ]
 
 CHUNK_TRIALS = 256
@@ -648,22 +640,21 @@ class _Slots:
         raise NotImplementedError
 
 
-def _presample(u: np.ndarray, rows: np.ndarray, n: int, cdf: np.ndarray,
-               thr: tuple[float, float], mode: UpdateMode):
+def _presample(u: np.ndarray, n: int, cdf: np.ndarray, thr: tuple[float, float],
+               mode: UpdateMode):
     """Turn the draws of some slots into pairs and events, all at once.
 
-    `u` holds the draws, (trials, slots, draws per slot); `rows[q, p]` is
-    the flat offset of trial p's state row in config q (int64) and `cdf`
-    the flattened row CDFs. Node i comes from the first draw as in
-    `dynamics`; partner j is the number of entries of row i's CDF that are
-    <= the second draw, the index searchsorted(side="right") returns, found
-    by a bisection of fixed length over the flattened rows.
+    `u` holds the draws, (trials, slots, draws per slot), and `cdf` the
+    flattened row CDFs. Node i comes from the first draw as in `dynamics`;
+    partner j is the number of entries of row i's CDF that are <= the
+    second draw, the index searchsorted(side="right") returns, found by a
+    bisection of fixed length over the flattened rows.
 
-    Returns, per slot, the flat state indices of (i, j) in every config,
-    shape (slots, configs, 2, trials), int64, and the masks of the
-    endpoints that attract and that repel, shape (slots, 2, trials), or
-    (slots, 1, trials) for coupled updates, where both endpoints share the
-    event; all C-contiguous.
+    Returns, per slot, the nodes (i, j), shape (slots, 2, trials), int64,
+    which every config of the chunk shares, and the masks of the endpoints
+    that attract and that repel, shape (slots, 2, trials), or (slots, 1,
+    trials) for coupled updates, where both endpoints share the event; all
+    C-contiguous.
     """
     us = np.ascontiguousarray(u.transpose(1, 2, 0))  # (slots, draws, trials)
     b, _, a = us.shape
@@ -692,11 +683,7 @@ def _presample(u: np.ndarray, rows: np.ndarray, n: int, cdf: np.ndarray,
         np.add(pos, half, out=pos, where=cdf[pos + (half - 1)] <= us[:, 1])
         length -= half
     pos -= base
-    del us, base  # before the indices, which take the most memory
-    fij = np.empty((b, len(rows), 2, a), dtype=np.int64)
-    np.add(rows, i[:, None], out=fij[:, :, 0])
-    np.add(rows, pos[:, None], out=fij[:, :, 1])
-    return fij, att, rep
+    return np.stack((i, pos), axis=1), att, rep
 
 
 class _NumpySlots(_Slots):
@@ -756,7 +743,10 @@ class _NumpySlots(_Slots):
             return
         npts, m, n = self.x.shape
         flat = self.x.reshape(-1)
-        rows = (np.arange(npts) * (m * n))[:, None] + cols * n
+        # the flat offset of each config's state row of each column, to
+        # which a slot's nodes add
+        rows = (np.arange(npts) * (m * n))[:, None, None] + cols * n
+        f = np.empty((npts, 2, cols.size), dtype=np.int64)
         t_rest, t, s_plus, s = (w[:, :, q, None, None] for q in range(4))
         size = PRESAMPLE_STEPS
         # live[p, c]: column c still runs in config p; frozen columns are
@@ -767,11 +757,11 @@ class _NumpySlots(_Slots):
             for step in range(s0, s1):
                 j, r = divmod(step, size)
                 if self.held is None or self.held[0] != j:
-                    fij = att = rep = f = self.held = None  # the last window goes first
-                    self.held = (j, *_presample(u[:, j * size:(j + 1) * size], rows, n,
+                    ij = att = rep = self.held = None  # the last window goes first
+                    self.held = (j, *_presample(u[:, j * size:(j + 1) * size], n,
                                                 self.cdf.reshape(-1), self.thr, self.mode))
-                _, fij, att, rep = self.held
-                f = fij[r]
+                _, ij, att, rep = self.held
+                np.add(rows, ij[r], out=f)
                 xij = flat[f]
                 xji = xij[:, ::-1]
                 new = np.where(att[r], t_rest[step] * xij + t[step] * xji,
@@ -1229,70 +1219,3 @@ def sweep(config_dict: dict, axis: str, values,
         points.append(SweepPoint(value=value, result=result, report=report))
     return points
 
-
-# ---------------------------------------------------------------------------
-# output writers
-# ---------------------------------------------------------------------------
-
-AGG_COLUMNS = ["k", "meanL", "varL", "ciL", "meanSpread", "varSpread",
-               "ciSpread", "nAgreed", "nDiverged", "nUndecided"]
-
-
-def aggregate_csv_rows(result: ExperimentResult) -> list[list]:
-    """One row per checkpoint, in AGG_COLUMNS order."""
-    counts = result.counts
-    return [[k, result.mean_l[idx], result.var_l[idx], result.ci_l[idx],
-             result.mean_spread[idx], result.var_spread[idx], result.ci_spread[idx],
-             counts["nAgreed"], counts["nDiverged"], counts["nUndecided"]]
-            for idx, k in enumerate(result.checkpoints)]
-
-
-def write_aggregate_csv(result: ExperimentResult, fh: TextIO) -> None:
-    """Write the per-checkpoint aggregate to an open text handle (a file
-    opened with newline="", or stdout)."""
-    w = csv.writer(fh)
-    w.writerow(AGG_COLUMNS)
-    w.writerows(aggregate_csv_rows(result))
-
-
-def aggregate_json_dict(result: ExperimentResult) -> dict:
-    rows = []
-    for idx, k in enumerate(result.checkpoints):
-        rows.append({
-            "k": int(k),
-            "meanL": result.mean_l[idx],
-            "varL": result.var_l[idx],
-            "ciL": result.ci_l[idx],
-            "meanSpread": result.mean_spread[idx],
-            "varSpread": result.var_spread[idx],
-            "ciSpread": result.ci_spread[idx],
-        })
-    return json_safe({
-        "configHash": result.config_hash,
-        "trials": result.trials,
-        "counts": result.counts,
-        "heavyTailCheckpoints": result.heavy_tail_checkpoints,
-        "rows": rows,
-    })
-
-
-def trajectory_rows(mats: TrialMatrices):
-    """(trial, k, x, H, h, spread, L) per trial and checkpoint, in that
-    order, from a run with states; x is a list of floats. H and h are the
-    extremes of x, spread and L the engine's measures."""
-    high = mats.states.max(axis=2).tolist()
-    low = mats.states.min(axis=2).tolist()
-    spread = mats.spread.tolist()
-    dispersion = mats.dispersion.tolist()
-    for t, xs in enumerate(mats.states):
-        for c, (k, x) in enumerate(zip(mats.checkpoints, xs.tolist())):
-            yield t, k, x, high[t][c], low[t][c], spread[t][c], dispersion[t][c]
-
-
-def write_trajectory_csv(mats: TrialMatrices, fh: TextIO) -> None:
-    """Write every trial's checkpoint states to an open text handle."""
-    w = csv.writer(fh)
-    n = mats.states.shape[2]
-    w.writerow(["trial", "k"] + [f"x_{i + 1}" for i in range(n)] + ["H", "h", "spread", "L"])
-    for t, k, x, high, low, spread, dispersion in trajectory_rows(mats):
-        w.writerow([t, k, *x, high, low, spread, dispersion])

@@ -56,7 +56,6 @@ __all__ = [
     "contraction",
     "evaluate_condition",
     "theory_report",
-    "json_safe",
     "DEFAULT_HORIZON",
     "TAU_GRID",
     "Z_MAX",
@@ -122,44 +121,6 @@ class TheoryReport:
     spectral: SpectralData
     contraction0: ContractionCoefficients
     conditions: list[tuple[ConditionId, Verdict]]
-
-    def to_json_dict(self) -> dict:
-        return json_safe({
-            "D0": self.d0,
-            "lambda2": self.spectral.lambda2,
-            "lambdaN": self.spectral.lambda_n,
-            "aStar": self.spectral.a_star,
-            "contraction": {
-                "iK": self.contraction0.i_k,
-                "iHatK": self.contraction0.i_hat_k,
-                "zK": self.contraction0.z_k,
-            },
-            "conditions": [
-                {
-                    "id": cid.value,
-                    "status": v.status,
-                    "detail": v.detail,
-                    "caveats": v.caveats,
-                }
-                for cid, v in self.conditions
-            ],
-        })
-
-
-def json_safe(value):
-    """Recursively convert to plain JSON types; non-finite floats to strings."""
-    if isinstance(value, dict):
-        return {k: json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        f = float(value)
-        return f if math.isfinite(f) else repr(f)
-    return value
 
 
 # ---------------------------------------------------------------------------

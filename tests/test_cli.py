@@ -13,12 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import REF_ROWS, exponent_rows, fnv1a64_reference
+from conftest import LAMBDA2, LAMBDA_N, REF_ROWS, S_CRIT, exponent_rows, fnv1a64_reference, \
+    make_config
 from gossipsim import cli, montecarlo
+from gossipsim.cli import json_safe
 from gossipsim.errors import RuntimeFailure
 from gossipsim.graph import SelectionMatrix
-from gossipsim.montecarlo import config_from_dict, config_hash, run_trial
-from gossipsim.theory import json_safe
+from gossipsim.montecarlo import config_from_dict, config_hash, run_experiment, run_trial, \
+    run_trials
+from gossipsim.theory import theory_report
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -187,18 +190,21 @@ def test_manifest_is_the_indented_dump_at_scale(tmp_path, matrix):
         assert "3.0000000000000004e-07" in canonical and "-0.0," in canonical
 
 
-@pytest.mark.parametrize("command", ["experiment", "simulate", "sweep", "check"])
-def test_csv_stdout_matches_run_directory(tmp_path, capsys, command):
+@pytest.mark.parametrize("command,fmt", [
+    pytest.param(command, fmt, id=command if fmt == "csv" else f"{command}-{fmt}")
+    for fmt in ("csv", "json") for command in ("experiment", "simulate", "sweep", "check")])
+def test_csv_stdout_matches_run_directory(tmp_path, capsys, command, fmt):
     cfg = write_config(tmp_path, trials=3, steps=10)
     extra = ["--axis", "schedules.S.value", "--values", "0.02,0.2"] \
         if command == "sweep" else []
-    argv = [command, "--config", str(cfg), "--format", "csv", *extra]
+    argv = [command, "--config", str(cfg), "--format", fmt, *extra]
     assert cli.main(argv) == 0
+    assert not sys.stdout.closed
     printed = capsys.readouterr().out
     assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 0
     name = {"experiment": "aggregate", "simulate": "trajectory",
             "sweep": "sweep", "check": "theory"}[command]
-    assert (tmp_path / "run" / f"{name}.csv").read_bytes() == printed.encode()
+    assert (tmp_path / "run" / f"{name}.{fmt}").read_bytes() == printed.encode()
 
 
 def test_negative_k0_is_a_config_error(tmp_path, capsys):
@@ -268,7 +274,7 @@ def test_unseeded_random_topology_is_one_graph(tmp_path, capsys):
                                   "S": {"kind": "constant", "value": 0.1}})
     out = tmp_path / "run"
     assert cli.main(["sweep", "--config", str(cfg), "--axis", "schedules.S.value",
-                     "--values", "0.1,0.1", "--format", "json", "--out", str(out)]) == 0
+                     "--values", "0.1", "--format", "json", "--out", str(out)]) == 0
     points = json.loads((out / "sweep.json").read_text())["points"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert {pt["configHash"] for pt in points} == {manifest["configHash"]}
@@ -395,6 +401,55 @@ def test_check_csv_run_directory(tmp_path):
     assert len(rows) == 9
 
 
+def test_aggregate_csv_layout(ref_matrix, tmp_path):
+    res = run_experiment(make_config(ref_matrix, trials=5, steps=20))
+    out = tmp_path / "agg.csv"
+    cli.write_aggregate_csv(res, out)
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["k", "meanL", "varL", "ciL", "meanSpread", "varSpread",
+                       "ciSpread", "nAgreed", "nDiverged", "nUndecided"]
+    assert len(rows) == 1 + len(res.checkpoints)
+    assert float(rows[1][1]) == 5.0
+
+
+def test_aggregate_json_shape(ref_matrix):
+    res = run_experiment(make_config(ref_matrix, trials=5, steps=20))
+    doc = cli.aggregate_json_dict(res)
+    json.dumps(doc)  # must be serializable as-is
+    assert set(doc) == {"configHash", "trials", "counts",
+                        "heavyTailCheckpoints", "rows"}
+    assert doc["rows"][0]["k"] == 0
+    assert doc["rows"][0]["meanL"] == 5.0
+    assert set(doc["rows"][0]) == {"k", "meanL", "varL", "ciL", "meanSpread",
+                                   "varSpread", "ciSpread"}
+
+
+def test_trajectory_csv_layout(ref_matrix, tmp_path):
+    cfg = make_config(ref_matrix, trials=3, steps=10, checkpoints=(0, 5, 10))
+    out = tmp_path / "traj.csv"
+    cli.write_trajectory_csv(run_trials(cfg, states=True), out)
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["trial", "k", "x_1", "x_2", "x_3", "x_4",
+                       "H", "h", "spread", "L"]
+    assert len(rows) == 1 + 3 * 3
+    assert rows[1][:2] == ["0", "0"]
+    assert [float(v) for v in rows[1][2:6]] == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_report_json_shape(ref_matrix):
+    doc = cli.theory_json_dict(theory_report(make_config(ref_matrix, s=S_CRIT - 0.05)))
+    assert set(doc) == {"D0", "lambda2", "lambdaN", "aStar", "contraction",
+                        "conditions"}
+    assert doc["lambda2"] == pytest.approx(LAMBDA2, abs=1e-12)
+    assert doc["lambdaN"] == pytest.approx(LAMBDA_N, abs=1e-12)
+    assert doc["aStar"] == 0.25
+    assert set(doc["contraction"]) == {"iK", "iHatK", "zK"}
+    assert len(doc["conditions"]) == 8
+    for entry in doc["conditions"]:
+        assert set(entry) == {"id", "status", "detail", "caveats"}
+        assert isinstance(entry["id"], str)
+
+
 def test_check_rejects_disconnected_matrix(tmp_path, capsys):
     cfg = write_config(tmp_path, matrix={"kind": "explicit",
                                          "rows": TWO_TRIANGLES})
@@ -430,6 +485,48 @@ def test_sweep_run_directory(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "sweep.csv" in manifest["outputs"]
     assert "schedules.S.value=0.02/theory.json" in manifest["outputs"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_summary_rows_are_the_last_aggregate_rows(tmp_path, fmt):
+    # an overflowing start: the rows hold non-finite statistics
+    cfg = write_config(tmp_path, trials=4, steps=20, initial={"kind": "explicit",
+                       "values": [1e200, 0, 1, -3]}, bigM=1e300)
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--config", str(cfg), "--axis", "schedules.S.value",
+                     "--values", "0.02,0.2,3.0", "--format", fmt, "--out", str(out)]) == 0
+    if fmt == "csv":
+        header, *rows = csv.reader((out / "sweep.csv").read_text().splitlines())
+        assert len(rows) == 3
+        for row in rows:
+            agg = list(csv.reader((out / f"schedules.S.value={row[0]}" / "aggregate.csv")
+                                  .read_text().splitlines()))
+            assert header[1:] == agg[0]
+            assert row[1:] == agg[-1]
+        assert "inf" in rows[0]
+    else:
+        points = json.loads((out / "sweep.json").read_text())["points"]
+        assert len(points) == 3
+        for pt in points:
+            agg = json.loads((out / f"schedules.S.value={pt['value']!r}" / "aggregate.json")
+                             .read_text())
+            assert pt["final"] == agg["rows"][-1]
+            assert pt["counts"] == agg["counts"]
+        assert "inf" in points[0]["final"].values()
+
+
+@pytest.mark.parametrize("axis,values,point", [
+    ("schedules.S.value", "0.1,0.1", "schedules.S.value=0.1"),
+    ("schedules.S.value", "0.2,0.1,1e-1", "schedules.S.value=0.1"),
+    ("steps", "10,1e1", "steps=10"),
+])
+def test_sweep_rejects_repeated_values(tmp_path, capsys, axis, values, point):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--config", str(cfg), "--axis", axis, "--values", values,
+                     "--out", str(out)]) == 2
+    assert point in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_integer_axis(tmp_path, capsys):

@@ -5,10 +5,10 @@ engine must reproduce the scalar reference path bit for bit, trial by trial,
 for every update mode, including frozen (overflowed) trials.
 """
 
-import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 from copy import deepcopy
 from pathlib import Path
@@ -29,7 +29,6 @@ from gossipsim.montecarlo import (
     WEIGHT_BLOCK,
     ExperimentConfig,
     InitialState,
-    aggregate_json_dict,
     classify_trials,
     config_from_dict,
     config_hash,
@@ -41,8 +40,6 @@ from gossipsim.montecarlo import (
     run_trials,
     set_by_path,
     sweep,
-    write_aggregate_csv,
-    write_trajectory_csv,
 )
 from gossipsim.theory import expected_second_moment_matrix
 
@@ -552,6 +549,24 @@ def test_wide_shared_pass_is_split_into_batches(ref_matrix, monkeypatch):
     assert (shared[1].diverged_at >= 0).any() and (shared[0].diverged_at < 0).all()
     for cfg, got in zip(points, shared):
         assert_same_matrices(got, on_both_paths(lambda: run_trials(cfg)))
+
+
+def test_numpy_slots_hold_one_copy_of_each_windows_pairs(ref_matrix):
+    """The numpy twin presamples a window's node pairs once for all the
+    configs of a chunk. One copy per config of a 64-slot window's int64
+    indices would take 25 MiB in this 100-config chunk of 256 trials."""
+    points = [make_config(ref_matrix, s=0.01 * (q + 1), trials=256, steps=200,
+                          checkpoints=(0, 200)) for q in range(100)]
+    with numpy_engine():
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in run_shared_trials(points):
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 << 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 def test_shared_pass_refuses_configs_with_other_draws(ref_matrix):
@@ -1165,43 +1180,3 @@ def test_sweep_attraction_weights_all_reach_agreement():
     for p in points:
         assert p.result.counts["nAgreed"] >= 27, p.value
 
-
-# ---------------------------------------------------------------------------
-# writers
-# ---------------------------------------------------------------------------
-
-def test_aggregate_csv_layout(ref_matrix, tmp_path):
-    res = run_experiment(make_config(ref_matrix, trials=5, steps=20))
-    out = tmp_path / "agg.csv"
-    with out.open("w", newline="") as fh:
-        write_aggregate_csv(res, fh)
-    rows = list(csv.reader(out.open()))
-    assert rows[0] == ["k", "meanL", "varL", "ciL", "meanSpread", "varSpread",
-                       "ciSpread", "nAgreed", "nDiverged", "nUndecided"]
-    assert len(rows) == 1 + len(res.checkpoints)
-    assert float(rows[1][1]) == 5.0
-
-
-def test_aggregate_json_shape(ref_matrix):
-    res = run_experiment(make_config(ref_matrix, trials=5, steps=20))
-    doc = aggregate_json_dict(res)
-    json.dumps(doc)  # must be serializable as-is
-    assert set(doc) == {"configHash", "trials", "counts",
-                        "heavyTailCheckpoints", "rows"}
-    assert doc["rows"][0]["k"] == 0
-    assert doc["rows"][0]["meanL"] == 5.0
-    assert set(doc["rows"][0]) == {"k", "meanL", "varL", "ciL", "meanSpread",
-                                   "varSpread", "ciSpread"}
-
-
-def test_trajectory_csv_layout(ref_matrix, tmp_path):
-    cfg = make_config(ref_matrix, trials=3, steps=10, checkpoints=(0, 5, 10))
-    out = tmp_path / "traj.csv"
-    with out.open("w", newline="") as fh:
-        write_trajectory_csv(run_trials(cfg, states=True), fh)
-    rows = list(csv.reader(out.open()))
-    assert rows[0] == ["trial", "k", "x_1", "x_2", "x_3", "x_4",
-                       "H", "h", "spread", "L"]
-    assert len(rows) == 1 + 3 * 3
-    assert rows[1][:2] == ["0", "0"]
-    assert [float(v) for v in rows[1][2:6]] == [1.0, 2.0, 3.0, 4.0]

@@ -484,17 +484,3 @@ def test_classification_is_topology_independent():
         verdicts.append((v.status, v.detail["claim"], v.detail["d0"]))
     assert len(set(verdicts)) == 1
     assert verdicts[0] == (GUARANTEED, "agreement", pytest.approx(-0.045, abs=1e-15))
-
-
-def test_report_json_shape(ref_matrix):
-    doc = theory_report(make_config(ref_matrix, s=S_CRIT - 0.05)).to_json_dict()
-    assert set(doc) == {"D0", "lambda2", "lambdaN", "aStar", "contraction",
-                        "conditions"}
-    assert doc["lambda2"] == pytest.approx(LAMBDA2, abs=1e-12)
-    assert doc["lambdaN"] == pytest.approx(LAMBDA_N, abs=1e-12)
-    assert doc["aStar"] == 0.25
-    assert set(doc["contraction"]) == {"iK", "iHatK", "zK"}
-    assert len(doc["conditions"]) == 8
-    for entry in doc["conditions"]:
-        assert set(entry) == {"id", "status", "detail", "caveats"}
-        assert isinstance(entry["id"], str)
