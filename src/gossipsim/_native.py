@@ -1,0 +1,141 @@
+"""The package's compiled library, `_slots.c`, and the FNV-1a hash.
+
+`library()` builds and loads the library once per process. Three things run
+on it where it loads, each with a twin in numpy or Python where it does not:
+the engine's slots (`montecarlo._slot_kernel`, twin `_NumpySlots`), the
+FNV-1a hash of `config_hash` (`fnv1a64`, twin `_fnv1a64`) and the matrix
+rows of the canonical config text and the manifest (`graph.json_with_rows`,
+twin `graph._join_rows`). Each twin gives the same bytes.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import importlib.util
+import os
+import tempfile
+from collections.abc import Iterable
+from pathlib import Path
+
+import numpy as np
+
+__all__ = ["library", "fnv1a64"]
+
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
+FNV_BLOCK = 1 << 16
+_U64 = (1 << 64) - 1
+_BYTES_OF_WORD = 0x0101010101010101
+
+_SOURCE = Path(__file__).with_name("_slots.c")
+# no fused multiply-add and no fast-math: the kernel rounds as numpy does
+_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _fnv1a64(data, h: int = FNV_OFFSET) -> int:
+    """FNV-1a-64 of the bytes-like `data` (h <- (h ^ b) * P mod 2^64 per
+    byte), going on from `h`, in numpy.
+
+    With l the low byte of h, h ^ b = h + d for d = (l ^ b) - l, so over a
+    block h_N = h_0 P^N + sum_k d_k P^(N-k) mod 2^64: one wrapping dot
+    product once the low bytes l_k are known. Those evolve on their own,
+    l_(k+1) = (l_k ^ b_k) * P mod 256, and as P is odd, bit j of
+    x * P mod 256 is x_j ^ bit j of (x mod 2^j) * P. Given the bits below j
+    of every l_k, bit j of l is then a running xor, one layer at a time.
+    Blocks of `FNV_BLOCK` bytes bound the memory.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # powers[i] = P^(i+1) mod 2^64
+    powers = np.multiply.accumulate(np.full(min(FNV_BLOCK, buf.size), FNV_PRIME, np.uint64))
+    for start in range(0, buf.size, FNV_BLOCK):
+        m = min(FNV_BLOCK, buf.size - start)
+        b = np.zeros(-(-m // 8) * 8, dtype=np.uint8)  # whole words for the xor scan
+        b[:m] = buf[start:start + m]
+        low = np.zeros_like(b)
+        low[0] = l0 = h & 0xFF
+        for j in range(8):
+            flips = (((low ^ b) & ((1 << j) - 1)) * (FNV_PRIME & 0xFF) ^ b) >> j & 1
+            # running xor: within each 8-byte word, then across words
+            words = flips.view("<u8")
+            words ^= words << 8
+            words ^= words << 16
+            words ^= words << 32
+            words[1:] ^= np.bitwise_xor.accumulate(words[:-1] >> 56) * _BYTES_OF_WORD
+            low[1:] |= (flips[:-1] ^ (l0 >> j & 1)) << j
+        low, b = low[:m], b[:m]
+        delta = (low ^ b).astype(np.uint64) - low
+        h = (h * int(powers[m - 1]) + int(np.dot(delta, powers[m - 1::-1]))) & _U64
+    return h
+
+
+def fnv1a64(pieces: Iterable) -> int:
+    """FNV-1a-64 of the concatenation of the bytes-like `pieces`, hashed one
+    after another and never joined: compiled where the library loads, else
+    in numpy (`_fnv1a64`)."""
+    lib = library()
+    h = FNV_OFFSET
+    for piece in pieces:
+        if lib is None:
+            h = _fnv1a64(piece, h)
+        else:
+            buf = np.frombuffer(piece, dtype=np.uint8)
+            h = lib.fnv1a64(buf.ctypes.data, buf.size, h)
+    return h
+
+
+@functools.cache
+def library() -> ctypes.CDLL | None:
+    """`_slots.c` loaded with ctypes, or None when it cannot be built or
+    loaded; every caller then runs its twin.
+
+    The library is compiled with the platform compiler (sysconfig's CC,
+    else cc) once per hash of the source and flags, into the `__pycache__`
+    path of the source (so it follows PYTHONPYCACHEPREFIX as .pyc files
+    do), under a temporary name and then moved into place. A cached file
+    that does not load is rebuilt. The first command that hashes a config
+    or runs a trial calls this; importing the package does not.
+    """
+    try:
+        digest = _fnv1a64(_SOURCE.read_bytes() + " ".join(_FLAGS).encode())
+        lib = Path(importlib.util.cache_from_source(str(_SOURCE)))
+    except (OSError, NotImplementedError):  # no source, or no cache tag
+        return None
+    lib = lib.with_suffix(f".{digest:016x}.so")
+    try:
+        return _declare(ctypes.CDLL(str(lib)))
+    except (OSError, AttributeError):  # not built yet, or a broken file
+        pass
+    import shlex
+    import subprocess
+    import sysconfig
+
+    try:
+        lib.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
+        os.close(fd)
+        try:
+            cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+            subprocess.run([*cc, *_FLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                           check=True, stdin=subprocess.DEVNULL, capture_output=True)
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return _declare(ctypes.CDLL(str(lib)))
+    except (OSError, ValueError, subprocess.SubprocessError, AttributeError):
+        return None  # no compiler, a failed build, no writable cache
+
+
+def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """`lib` with the signatures of its byte functions set. Raises
+    AttributeError when a function is missing, the slots' included, whose
+    signatures `montecarlo._bind` sets."""
+    i64, u64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
+    lib.fnv1a64.restype = u64
+    lib.fnv1a64.argtypes = [ptr, i64, u64]
+    lib.write_rows.restype = i64
+    lib.write_rows.argtypes = [ptr, i64, i64, ctypes.c_char_p, ptr,
+                               *[ctypes.c_char_p, i64] * 4, ptr, i64]
+    lib.draw_uniform, lib.run_slots  # present, else AttributeError
+    return lib

@@ -131,10 +131,10 @@ def _prepare_run_dir(args, command: str, cfg: ExperimentConfig, cfg_path: Path,
         "finishedAt": None,
         "status": "running",
     }
-    text = json_with_rows(doc, cfg.matrix, indent=2) + "\n"
-    manifest.write_text(text)
-    # json.dumps escapes non-ASCII, so this character offset is a byte offset
-    args.manifest = manifest, text.rindex('"finishedAt"')
+    head, rows, tail = json_with_rows(doc, cfg.matrix, indent=2)
+    with open(manifest, "wb") as fh:
+        fh.writelines((head, rows, tail, b"\n"))
+    args.manifest = manifest, len(head) + len(rows) + tail.rindex(b'"finishedAt"')
     return run_dir
 
 

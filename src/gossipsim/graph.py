@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .errors import (
     BadParameterError,
     DisconnectedAfterRetriesError,
@@ -84,26 +85,41 @@ class SelectionMatrix:
         and can never be selected.
         """
         cdfs = np.cumsum(self.entries, axis=1)
-        for i in range(self.n):
-            positive = np.nonzero(self.entries[i] > 0.0)[0]
-            cdfs[i, positive[-1]:] = 1.0
+        # every row sums to one, so it has a positive entry
+        last = self.n - 1 - np.argmax(self.entries[:, ::-1] > 0.0, axis=1)
+        cdfs[np.arange(self.n) >= last[:, None]] = 1.0
         return cdfs
 
     @cached_property
-    def row_texts(self) -> list[str]:
-        """Each row as compact JSON writes it, without brackets
-        ("0.0,0.5,0.5"). Rendered on first use and kept, so a config hash
-        and a manifest share one rendering.
+    def row_tokens(self) -> RowTokens:
+        """The entries as ids into the texts of their distinct values, as
+        json writes them. Made on first use and kept, so a config hash and a
+        manifest share one tokenization.
 
         `json` writes a finite float with `float.__repr__`, so one rendering
         per distinct bit pattern (-0.0 is not 0.0) gives every entry's text.
         """
         bits = self.entries.view(np.uint64)
         values = np.sort(bits, axis=None)
-        values = values[np.r_[True, values[1:] != values[:-1]]]
+        starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+        counts = np.diff(np.r_[starts, values.size])
+        values = values[starts]
+        if len(values) > np.iinfo(np.int32).max:  # n above 46340: 17 GB of entries
+            raise MemoryError("a matrix with more distinct entries than int32 ids can index")
         texts = json.dumps(values.view(np.float64).tolist(), separators=(",", ":"))
-        tokens = np.array(texts[1:-1].split(","), dtype=object)[np.searchsorted(values, bits)]
-        return [",".join(row) for row in tokens.tolist()]
+        ids = np.searchsorted(values, bits).astype(np.int32)
+        return RowTokens(ids, texts[1:-1].encode().split(b","), counts)
+
+
+@dataclass(frozen=True, eq=False)
+class RowTokens:
+    """A matrix's entries as tokens: `ids`, (n, n) int32, indexes `texts`,
+    the JSON text of each distinct value in ascending order of its bits,
+    and `counts` holds how many entries each value has."""
+
+    ids: np.ndarray
+    texts: list[bytes]
+    counts: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,11 +349,8 @@ def _barabasi_albert(adj: np.ndarray, rnd: random.Random, m: int) -> None:
 
 def _normalize_rows(adj: np.ndarray) -> np.ndarray:
     deg = adj.sum(axis=1)
-    entries = np.zeros(adj.shape, dtype=float)
-    for i in range(adj.shape[0]):
-        if deg[i] > 0:
-            entries[i, adj[i]] = 1.0 / deg[i]
-    return entries
+    inv = np.divide(1.0, deg, out=np.zeros(len(deg)), where=deg > 0)
+    return np.where(adj, inv[:, None], 0.0)
 
 
 def _random_draw(kind: str, n: int, params: dict):
@@ -459,33 +472,72 @@ def import_matrix_csv(path: str | Path) -> SelectionMatrix:
 
 
 def json_with_rows(doc, matrix: SelectionMatrix, indent: int | None = None,
-                   sort_keys: bool = False) -> str:
+                   sort_keys: bool = False) -> tuple[bytes, bytearray, bytes]:
     """`json.dumps` of `doc` with `matrix.entries.tolist()` in place of its one
-    `MATRIX_ROWS` value: compact (separators "," and ":") when `indent` is
-    None, else indented by `indent`. The text is json's own; the rows are
-    taken from `matrix.row_texts` instead of json's encoder, whose indented
-    form runs in pure Python.
+    `MATRIX_ROWS` value, in UTF-8, as three pieces (head, rows, tail) to be
+    hashed or written one after another: compact (separators "," and ":")
+    when `indent` is None, else indented by `indent`. The text is json's
+    own; the rows are written from `matrix.row_tokens` instead of json's
+    encoder, whose indented form runs in pure Python: by the compiled
+    library where it loads (`_native.library`), else by `_join_rows`.
     """
     separators = (",", ":") if indent is None else None
     text = json.dumps(doc, indent=indent, separators=separators, sort_keys=sort_keys)
     head, mark, tail = text.partition(json.dumps(MATRIX_ROWS))
     if not mark:
         raise ValueError("document holds no MATRIX_ROWS value")
-    rows = matrix.row_texts
     if indent is None:
-        return f"{head}[[{'],['.join(rows)}]]{tail}"
-    line = head[head.rfind("\n") + 1:]  # the line holding the rows' key
-    pad = "\n" + line[:len(line) - len(line.lstrip(" "))]
-    row_pad = pad + " " * indent
-    item_pad = row_pad + " " * indent
-    body = f",{row_pad}".join(f"[{item_pad}{r.replace(',', ',' + item_pad)}{row_pad}]"
-                              for r in rows)
-    return f"{head}[{row_pad}{body}{pad}]{tail}"
+        pad = row_pad = item_pad = ""
+    else:
+        line = head[head.rfind("\n") + 1:]  # the line holding the rows' key
+        pad = "\n" + line[:len(line) - len(line.lstrip(" "))]
+        row_pad = pad + " " * indent
+        item_pad = row_pad + " " * indent
+    # open, sep, close and between of `_join_rows`
+    marks = [m.encode() for m in (f"[{item_pad}", f",{item_pad}", f"{row_pad}]", f",{row_pad}")]
+    lib = _native.library()
+    tokens = matrix.row_tokens
+    rows = _join_rows(tokens, *marks) if lib is None else _write_rows(lib, tokens, *marks)
+    return f"{head}[{row_pad}".encode(), rows, f"{pad}]{tail}".encode()
+
+
+def _join_rows(tokens: RowTokens, open_: bytes, sep: bytes, close: bytes,
+               between: bytes) -> bytearray:
+    """The rows of `tokens` as text: each row is `open_`, its tokens joined
+    by `sep`, then `close`, and `between` joins the rows. The twin of the
+    compiled `write_rows`; it holds one row's tokens at a time."""
+    texts = np.array(tokens.texts, dtype=object)
+    out = bytearray()
+    for r, row in enumerate(tokens.ids):
+        out += (between if r else b"") + open_ + sep.join(texts[row].tolist()) + close
+    return out
+
+
+def _write_rows(lib, tokens: RowTokens, open_: bytes, sep: bytes, close: bytes,
+                between: bytes) -> bytearray:
+    """`_join_rows` by the compiled `write_rows`, into a buffer of the size
+    the token counts give."""
+    rows, cols = tokens.ids.shape
+    lengths = np.fromiter(map(len, tokens.texts), dtype=np.int64, count=len(tokens.texts))
+    size = (int(tokens.counts @ lengths) + rows * (len(open_) + len(close))
+            + rows * (cols - 1) * len(sep) + (rows - 1) * len(between))
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    ids = np.ascontiguousarray(tokens.ids, dtype=np.int32)
+    out = bytearray(size)
+    written = lib.write_rows(ids.ctypes.data, rows, cols, b"".join(tokens.texts),
+                             offsets.ctypes.data, open_, len(open_), sep, len(sep), close,
+                             len(close), between, len(between),
+                             np.frombuffer(out, dtype=np.uint8).ctypes.data, size)
+    if written != size:
+        raise RuntimeError(f"write_rows wrote {written} bytes of {size}")
+    return out
 
 
 def export_matrix_json(matrix: SelectionMatrix, path: str | Path) -> None:
     payload = {"n": matrix.n, "rows": MATRIX_ROWS}
-    Path(path).write_text(json_with_rows(payload, matrix, indent=2) + "\n")
+    with open(path, "wb") as fh:
+        fh.writelines((*json_with_rows(payload, matrix, indent=2), b"\n"))
 
 
 def import_matrix_json(path: str | Path) -> SelectionMatrix:

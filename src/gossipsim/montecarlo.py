@@ -11,7 +11,7 @@ bit. Per-trial streams also make results independent of how trials are
 chunked.
 
 The engine runs each chunk of trials in a compiled kernel (`_slots.c`,
-built on the first run and loaded with ctypes). It draws each trial's
+built and loaded once by `_native.library`). It draws each trial's
 Philox stream itself, as numpy does, and per trial and slot picks node i,
 the partner j by a bisection over the flattened row CDFs (O(log n)), the
 events and the active endpoint, and applies the update and the overflow
@@ -33,10 +33,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import importlib.util
 import math
 import numbers
-import os
 import tempfile
 from collections.abc import Iterator
 from contextlib import nullcontext
@@ -46,6 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
+from ._native import fnv1a64
 from .dynamics import (
     OVERFLOW_LIMIT,
     S_CLIP,
@@ -424,63 +424,21 @@ def config_outline(cfg: ExperimentConfig) -> dict:
     }
 
 
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-FNV_BLOCK = 1 << 16
-_U64 = (1 << 64) - 1
-_BYTES_OF_WORD = 0x0101010101010101
-
-
-def _fnv1a64(data: bytes) -> int:
-    """FNV-1a-64 of `data` (h <- (h ^ b) * P mod 2^64 per byte), in numpy.
-
-    With l the low byte of h, h ^ b = h + d for d = (l ^ b) - l, so over a
-    block h_N = h_0 P^N + sum_k d_k P^(N-k) mod 2^64: one wrapping dot
-    product once the low bytes l_k are known. Those evolve on their own,
-    l_(k+1) = (l_k ^ b_k) * P mod 256, and as P is odd, bit j of
-    x * P mod 256 is x_j ^ bit j of (x mod 2^j) * P. Given the bits below j
-    of every l_k, bit j of l is then a running xor, one layer at a time.
-    Blocks of `FNV_BLOCK` bytes bound the memory.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    h = FNV_OFFSET
-    # powers[i] = P^(i+1) mod 2^64
-    powers = np.multiply.accumulate(np.full(min(FNV_BLOCK, buf.size), FNV_PRIME, np.uint64))
-    for start in range(0, buf.size, FNV_BLOCK):
-        m = min(FNV_BLOCK, buf.size - start)
-        b = np.zeros(-(-m // 8) * 8, dtype=np.uint8)  # whole words for the xor scan
-        b[:m] = buf[start:start + m]
-        low = np.zeros_like(b)
-        low[0] = l0 = h & 0xFF
-        for j in range(8):
-            flips = (((low ^ b) & ((1 << j) - 1)) * (FNV_PRIME & 0xFF) ^ b) >> j & 1
-            # running xor: within each 8-byte word, then across words
-            words = flips.view("<u8")
-            words ^= words << 8
-            words ^= words << 16
-            words ^= words << 32
-            words[1:] ^= np.bitwise_xor.accumulate(words[:-1] >> 56) * _BYTES_OF_WORD
-            low[1:] |= (flips[:-1] ^ (l0 >> j & 1)) << j
-        low, b = low[:m], b[:m]
-        delta = (low ^ b).astype(np.uint64) - low
-        h = (h * int(powers[m - 1]) + int(np.dot(delta, powers[m - 1::-1]))) & _U64
-    return h
-
-
 def config_hash(cfg: ExperimentConfig) -> str:
     """64-bit FNV-1a over the canonical compact JSON form (`config_to_dict`
     with sorted keys and separators "," and ":"), as 16 hex digits. The
-    hash runs vectorized (`_fnv1a64`) and the matrix rows are rendered once
-    per matrix (`graph.json_with_rows`), for the same digest a per-byte
-    loop over `json.dumps` gives.
+    text comes in pieces from `graph.json_with_rows`, which writes the
+    matrix rows from one tokenization per matrix, and `_native.fnv1a64`
+    hashes them one after another, for the same digest a per-byte loop
+    over `json.dumps` gives.
 
     The digest is computed on the first call and kept on the config, so a
     command that hashes its config for the manifest and for the results
     walks the canonical form once.
     """
     if cfg._hash is None:
-        blob = json_with_rows(config_outline(cfg), cfg.matrix, sort_keys=True)
-        cfg._hash = f"{_fnv1a64(blob.encode('utf-8')):016x}"
+        pieces = json_with_rows(config_outline(cfg), cfg.matrix, sort_keys=True)
+        cfg._hash = f"{fnv1a64(pieces):016x}"
     return cfg._hash
 
 
@@ -780,60 +738,23 @@ class _NumpySlots(_Slots):
                     flat[f] = np.where(keep, new, xij)
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_slots.c")
-# no fused multiply-add and no fast-math: the kernel rounds as numpy does
-_KERNEL_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _ACTIVE_RULES = ("uniform", "initiator", "responder")
 
 
+def _slot_kernel() -> type[_Slots] | None:
+    """The slots of the compiled library (`_native.library`) as a `_Slots`
+    class, the twin of `_NumpySlots`, or None when the library cannot be
+    built or loaded; the engine then runs the twin."""
+    lib = _native.library()
+    return None if lib is None else _bind(lib)
+
+
 @functools.cache
-def _slot_kernel():
-    """The slots of `_slots.c` as a `_Slots` class, the twin of
-    `_NumpySlots`, or None when it cannot be built or loaded; the engine
-    then runs the twin.
-
-    The library is compiled with the platform compiler (sysconfig's CC,
-    else cc) once per hash of the source and flags, into the `__pycache__`
-    path of the source (so it follows PYTHONPYCACHEPREFIX as .pyc files
-    do), under a temporary name and then moved into place. A cached file
-    that does not load is rebuilt. The engine calls this on its first run,
-    so that commands that run no trials pay for none of it.
-    """
-    try:
-        digest = _fnv1a64(_KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode())
-        lib = Path(importlib.util.cache_from_source(str(_KERNEL_SOURCE)))
-    except (OSError, NotImplementedError):  # no source, or no cache tag
-        return None
-    lib = lib.with_suffix(f".{digest:016x}.so")
-    try:
-        return _bind(ctypes.CDLL(str(lib)))
-    except (OSError, AttributeError):  # not built yet, or a broken file
-        pass
-    import shlex
-    import subprocess
-    import sysconfig
-
-    try:
-        lib.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
-        os.close(fd)
-        try:
-            cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-            subprocess.run([*cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
-                           check=True, stdin=subprocess.DEVNULL, capture_output=True)
-            os.replace(tmp, lib)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return _bind(ctypes.CDLL(str(lib)))
-    except (OSError, ValueError, subprocess.SubprocessError, AttributeError):
-        return None  # no compiler, a failed build, no writable cache
-
-
 def _bind(lib: ctypes.CDLL) -> type[_Slots]:
-    """`_slots.c` as the twin of `_NumpySlots`. Pointers reach it only for
-    arrays of its dtypes, shapes and C layout, blocks of the chunk's
-    configs, segments inside the block and checkpoints of the chunk."""
+    """The slots of the library as the twin of `_NumpySlots`. Pointers
+    reach it only for arrays of its dtypes, shapes and C layout, blocks of
+    the chunk's configs, segments inside the block and checkpoints of the
+    chunk."""
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
 
     class Chunk(ctypes.Structure):  # `chunk` in _slots.c
@@ -893,9 +814,11 @@ def _bind(lib: ctypes.CDLL) -> type[_Slots]:
     return KernelSlots
 
 
-def _simulate_chunk(cfgs: list[ExperimentConfig], lo: int, hi: int, out: TrialMatrices) -> None:
+def _simulate_chunk(cfgs: list[ExperimentConfig], cdf: np.ndarray, lo: int, hi: int,
+                    out: TrialMatrices) -> None:
     """Run trials [lo, hi) of every config in `cfgs` together; the configs
-    share their draws (`_shares_draws`). `out` receives their matrices with
+    share their draws (`_shares_draws`) and their matrix's row CDFs, `cdf`
+    (`SelectionMatrix.row_cdfs`). `out` receives their matrices with
     a leading config axis: dispersion and spread (configs, trials,
     checkpoints), diverged_at (configs, trials), and every trial's state at
     every checkpoint, (configs, trials, checkpoints, n), or None.
@@ -913,7 +836,7 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], lo: int, hi: int, out: TrialMa
     cps = cfg.checkpoints
     out.diverged_at[...] = -1
     slots = (_slot_kernel() or _NumpySlots)(
-        _streams(cfg.base_seed, lo, hi), cfg.initial, cfg.matrix.row_cdfs(),
+        _streams(cfg.base_seed, lo, hi), cfg.initial, cdf,
         cfg.probabilities.thresholds(), cfg.mode, out)
     # weight blocks until the last checkpoint, k0 + steps, is recorded; the
     # first, k0, is recorded before any slot runs
@@ -965,12 +888,15 @@ def run_shared_trials(configs: list[ExperimentConfig],
     if not all(_shares_draws(first, cfg) for cfg in configs[1:]):
         raise ValueError("run_shared_trials needs configs that share their draws")
     batch = max(1, BATCH_STATE_BYTES // (CHUNK_TRIALS * first.matrix.n * 8))
+    cdf = first.matrix.row_cdfs()
     for p0 in range(0, len(configs), batch):
-        yield from _run_batch(configs[p0:p0 + batch], states)
+        yield from _run_batch(configs[p0:p0 + batch], cdf, states)
 
 
-def _run_batch(configs: list[ExperimentConfig], states: bool) -> Iterator[TrialMatrices]:
-    """One pass over every trial for configs that share their draws.
+def _run_batch(configs: list[ExperimentConfig], cdf: np.ndarray,
+               states: bool) -> Iterator[TrialMatrices]:
+    """One pass over every trial for configs that share their draws and
+    the row CDFs `cdf`.
 
     A run of one config writes its chunks in place. In a shared pass the
     first config's chunk rows are copied into its matrices, and the others'
@@ -989,7 +915,7 @@ def _run_batch(configs: list[ExperimentConfig], states: bool) -> Iterator[TrialM
                 chunk = [a[None] for a in rows]
             else:
                 chunk = [np.empty((len(configs), *a.shape), dtype=a.dtype) for a in rows]
-            _simulate_chunk(configs, lo, hi, TrialMatrices(head.checkpoints, *chunk))
+            _simulate_chunk(configs, cdf, lo, hi, TrialMatrices(head.checkpoints, *chunk))
             if spill is None:
                 continue
             for a, own in zip(chunk, rows):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gossipsim import montecarlo
+from gossipsim import _native
 from gossipsim.dynamics import EventProbabilities, Schedule, T_CLIP, S_CLIP, UpdateMode
 from gossipsim.graph import validate
 from gossipsim.montecarlo import ExperimentConfig, InitialState
@@ -80,7 +80,7 @@ def rng_for(seed):
 
 def fnv1a64_reference(data: bytes) -> int:
     """FNV-1a-64 one byte at a time, the definition `config_hash`'s
-    vectorized hash must match."""
+    compiled and numpy hashes must match."""
     h = 0xCBF29CE484222325
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
@@ -108,15 +108,25 @@ def exponent_rows(n: int, seed: int, distinct: bool) -> list[list[float]]:
 
 @contextmanager
 def numpy_engine():
-    """The engine on its numpy loop, as where no slot kernel can be built:
-    the kernel loader finds none."""
+    """Every compiled path off, as where the library cannot be built: the
+    loader finds none, so the engine runs its numpy loop, `config_hash` its
+    numpy FNV-1a and `json_with_rows` its Python join."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "_slot_kernel", lambda: None)
+        mp.setattr(_native, "library", lambda: None)
         yield
 
 
 @pytest.fixture()
 def fallback_engine():
-    """Runs the test with the engine on its numpy loop (`numpy_engine`)."""
+    """Runs the test with every compiled path off (`numpy_engine`)."""
     with numpy_engine():
         yield
+
+
+def on_paths(cases, ids):
+    """`cases` as pytest params with an extra last argument, `twin`: False
+    under the given ids, for the package as it is (compiled where the
+    library loads), and True under the ids with "-twin" added, for a test
+    that then runs under `numpy_engine`."""
+    return [pytest.param(*case, twin, id=f"{i}-twin" if twin else i)
+            for twin in (False, True) for case, i in zip(cases, ids)]

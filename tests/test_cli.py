@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour, run in process through main(argv)."""
 
+import argparse
 import csv
 import functools
 import importlib.util
@@ -8,13 +9,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
 from conftest import LAMBDA2, LAMBDA_N, REF_ROWS, S_CRIT, exponent_rows, fnv1a64_reference, \
-    make_config
+    make_config, numpy_engine, on_paths
 from gossipsim import cli, montecarlo
 from gossipsim.cli import json_safe
 from gossipsim.errors import RuntimeFailure
@@ -144,22 +147,23 @@ def test_manifest_finalized_in_place_is_the_full_dump(tmp_path, monkeypatch, err
 
 def test_experiment_hashes_its_config_once(tmp_path, monkeypatch):
     """One hash per `experiment --out`, over the canonical compact form of
-    the config, giving the digest of the per-byte FNV-1a loop; the hash and
-    the manifest share one rendering of the matrix rows."""
-    fnv = montecarlo._fnv1a64
+    the config in pieces, giving the digest of the per-byte FNV-1a loop; the
+    hash and the manifest share one tokenization of the matrix rows."""
+    fnv = montecarlo.fnv1a64
     calls = []
-    monkeypatch.setattr(montecarlo, "_fnv1a64", lambda data: calls.append(data) or fnv(data))
-    render = SelectionMatrix.row_texts.func
-    renders = []
-    counted = functools.cached_property(lambda m: renders.append(m) or render(m))
-    counted.__set_name__(SelectionMatrix, "row_texts")
-    monkeypatch.setattr(SelectionMatrix, "row_texts", counted)
+    monkeypatch.setattr(montecarlo, "fnv1a64",
+                        lambda pieces: calls.append(b"".join(pieces)) or fnv(pieces))
+    tokenize = SelectionMatrix.row_tokens.func
+    tokenized = []
+    counted = functools.cached_property(lambda m: tokenized.append(m) or tokenize(m))
+    counted.__set_name__(SelectionMatrix, "row_tokens")
+    monkeypatch.setattr(SelectionMatrix, "row_tokens", counted)
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
     assert cli.main(["experiment", "--config", str(cfg), "--format", "json",
                      "--out", str(out)]) == 0
     assert len(calls) == 1
-    assert len(renders) == 1
+    assert len(tokenized) == 1
     manifest = json.loads((out / "manifest.json").read_text())
     canonical = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
     assert calls[0] == canonical.encode()
@@ -167,19 +171,20 @@ def test_experiment_hashes_its_config_once(tmp_path, monkeypatch):
         == manifest["configHash"] == f"{fnv1a64_reference(calls[0]):016x}"
 
 
-@pytest.mark.parametrize("matrix", [
-    {"kind": "explicit", "rows": exponent_rows(40, 1, distinct=True)},
-    {"kind": "explicit", "rows": exponent_rows(40, 2, distinct=False)},
-    {"kind": "watts_strogatz", "n": 200, "kNn": 6, "pRewire": 0.1, "seed": 3},
-], ids=["distinct-exponents", "repeated-exponents", "generated-200"])
-def test_manifest_is_the_indented_dump_at_scale(tmp_path, matrix):
-    """With the matrix rows rendered by the package instead of json's
-    encoder, the manifest still holds the bytes of json's indented dump and
-    the digest of the per-byte loop; entries such as 3.0000000000000004e-07
-    and -0.0 keep their text."""
+@pytest.mark.parametrize("matrix,twin", on_paths([
+    ({"kind": "explicit", "rows": exponent_rows(40, 1, distinct=True)},),
+    ({"kind": "explicit", "rows": exponent_rows(40, 2, distinct=False)},),
+    ({"kind": "watts_strogatz", "n": 200, "kNn": 6, "pRewire": 0.1, "seed": 3},),
+], ["distinct-exponents", "repeated-exponents", "generated-200"]))
+def test_manifest_is_the_indented_dump_at_scale(tmp_path, matrix, twin):
+    """With the matrix rows written by the package instead of json's
+    encoder, compiled or by its twin, the manifest still holds the bytes of
+    json's indented dump and the digest of the per-byte loop; entries such
+    as 3.0000000000000004e-07 and -0.0 keep their text."""
     cfg = write_config(tmp_path, matrix=matrix, steps=5, trials=2)
     out = tmp_path / "run"
-    assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    with numpy_engine() if twin else nullcontext():
+        assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
     raw = (out / "manifest.json").read_bytes()
     doc = json.loads(raw)
     assert raw == (json.dumps(doc, indent=2) + "\n").encode()
@@ -188,6 +193,32 @@ def test_manifest_is_the_indented_dump_at_scale(tmp_path, matrix):
     if matrix["kind"] == "explicit":
         assert json.dumps(doc["config"]["matrix"]["rows"]) == json.dumps(matrix["rows"])
         assert "3.0000000000000004e-07" in canonical and "-0.0," in canonical
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["as-is", "twin"])
+def test_hash_and_manifest_of_a_large_config_stay_small(tmp_path, twin):
+    """Hashing a 1000-node Watts-Strogatz config and writing its manifest
+    holds the rows' token ids and one text of them at a time: the 15 MB
+    indented manifest is written from pieces, with no str of it and no
+    encoded copy (32.8 MiB with those), by the compiled writer and by its
+    twin."""
+    cfg = config_from_dict({
+        "matrix": {"kind": "watts_strogatz", "n": 1000, "kNn": 6, "pRewire": 0.1, "seed": 7},
+        "probabilities": {"alpha": 1 / 3, "beta": 1 / 3, "gamma": 1 / 3},
+        "schedules": {"T": {"kind": "constant", "value": 0.25},
+                      "S": {"kind": "constant", "value": 0.05}},
+        "steps": 10, "trials": 2})
+    args = argparse.Namespace(out=str(tmp_path / "run"))
+    with numpy_engine() if twin else nullcontext():
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cli._prepare_run_dir(args, "experiment", cfg, tmp_path / "config.json", [])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "run" / "manifest.json").stat().st_size > 15_000_000
+    assert peak < 24 << 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 @pytest.mark.parametrize("command,fmt", [

@@ -1,11 +1,12 @@
 import json
 import random
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gossipsim import graph
+from gossipsim import _native, graph
 from gossipsim.errors import (
     BadParameterError,
     DisconnectedAfterRetriesError,
@@ -29,7 +30,8 @@ from gossipsim.graph import (
     validate,
 )
 
-from conftest import A_STAR, LAMBDA2, LAMBDA_N, REF_ROWS, SPECTRUM, exponent_rows
+from conftest import A_STAR, LAMBDA2, LAMBDA_N, REF_ROWS, SPECTRUM, exponent_rows, \
+    numpy_engine, on_paths
 
 
 def two_triangles():
@@ -75,6 +77,42 @@ def test_validate_row_sum_tolerance():
     rows[0, 1] += 1e-10
     m = validate(rows)
     assert isinstance(m, SelectionMatrix)
+
+
+def row_cdfs_by_row(matrix):
+    """The row CDFs one row at a time: the tail from each row's last
+    positive entry on set to 1.0."""
+    cdfs = np.cumsum(matrix.entries, axis=1)
+    for i in range(matrix.n):
+        cdfs[i, np.nonzero(matrix.entries[i] > 0.0)[0][-1]:] = 1.0
+    return cdfs
+
+
+def test_row_cdfs_are_the_row_by_row_cdfs():
+    """The same bits as a loop over the rows, also for rows whose last
+    positive entry is in the first or the last column, or is tiny."""
+    rows = np.array(exponent_rows(12, 4, distinct=True))
+    rows[0] = 0.0
+    rows[0, [1, 11]] = [1.0 - 2.0 ** -40, 2.0 ** -40]  # a tiny last entry, in column n - 1
+    rows[5] = 0.0
+    rows[5, 0] = 1.0  # the only positive entry, in column 0
+    rows[11] = 0.0
+    rows[11, :3] = [0.1, 0.2, 0.7]  # zeros after column 2 of the last row
+    for m in (validate(rows), validate(REF_ROWS),
+              generate("watts_strogatz", 300, seed=2, k_nn=4, p_rewire=0.3)):
+        assert m.row_cdfs().tobytes() == row_cdfs_by_row(m).tobytes()
+
+
+def test_normalize_rows_is_the_row_by_row_division():
+    """The same bits as dividing one by each row's degree row by row; a row
+    with no neighbor stays zero."""
+    adj = np.random.default_rng(3).random((40, 40)) < 0.3
+    adj[7] = False
+    want = np.zeros(adj.shape)
+    for i in range(40):
+        if adj[i].any():
+            want[i, adj[i]] = 1.0 / adj[i].sum()
+    assert graph._normalize_rows(adj).tobytes() == want.tobytes()
 
 
 def test_row_cdfs_skip_zero_entries(ref_matrix):
@@ -259,23 +297,44 @@ def test_matrix_roundtrip_csv_json(tmp_path, ref_matrix):
     assert np.array_equal(import_matrix_json(p_json).entries, ref_matrix.entries)
 
 
-@pytest.mark.parametrize("rows", [
-    REF_ROWS,
-    exponent_rows(30, 1, distinct=True),
-    exponent_rows(30, 2, distinct=False),
-    generate("watts_strogatz", 200, seed=5, k_nn=4, p_rewire=0.2).entries.tolist(),
-], ids=["reference", "distinct-exponents", "repeated-exponents", "generated-200"])
-def test_matrix_text_is_json_text(tmp_path, rows):
-    """The shared row rendering gives json's compact and indented text."""
-    m = validate(rows)
-    p = tmp_path / "m.json"
-    export_matrix_json(m, p)
-    assert p.read_text() == json.dumps({"n": m.n, "rows": rows}, indent=2) + "\n"
-    doc = {"b": [1.5, "x"], "rows": MATRIX_ROWS, "a": {"c": None}}
-    for indent, sort_keys in ((None, True), (None, False), (2, False), (4, True)):
-        separators = (",", ":") if indent is None else None
-        assert json_with_rows(doc, m, indent=indent, sort_keys=sort_keys) == json.dumps(
-            {**doc, "rows": rows}, indent=indent, separators=separators, sort_keys=sort_keys)
+@pytest.mark.parametrize("rows,twin", on_paths([
+    (REF_ROWS,),
+    (exponent_rows(30, 1, distinct=True),),
+    (exponent_rows(30, 2, distinct=False),),
+    (generate("watts_strogatz", 200, seed=5, k_nn=4, p_rewire=0.2).entries.tolist(),),
+], ["reference", "distinct-exponents", "repeated-exponents", "generated-200"]))
+def test_matrix_text_is_json_text(tmp_path, rows, twin):
+    """The rows written from one tokenization give json's compact and
+    indented text, by the compiled writer where it loads and by its Python
+    twin."""
+    with numpy_engine() if twin else nullcontext():
+        m = validate(rows)
+        p = tmp_path / "m.json"
+        export_matrix_json(m, p)
+        assert p.read_text() == json.dumps({"n": m.n, "rows": rows}, indent=2) + "\n"
+        doc = {"b": [1.5, "x"], "rows": MATRIX_ROWS, "a": {"c": None}}
+        for indent, sort_keys in ((None, True), (None, False), (2, False), (4, True)):
+            separators = (",", ":") if indent is None else None
+            assert b"".join(json_with_rows(doc, m, indent=indent, sort_keys=sort_keys)) == \
+                json.dumps({**doc, "rows": rows}, indent=indent, separators=separators,
+                           sort_keys=sort_keys).encode()
+
+
+def test_compiled_rows_are_the_twins_join():
+    """The compiled row writer gives `_join_rows`'s bytes for any marks,
+    empty ones included, and refuses a buffer too small for them."""
+    lib = _native.library()
+    if lib is None:
+        pytest.skip("no C compiler here to build the library")
+    tokens = validate(exponent_rows(9, 3, distinct=False)).row_tokens
+    for marks in ((b"[", b",", b"]", b","), (b"", b"", b"", b""), (b"(\n  ", b";", b"\n)", b"")):
+        want = graph._join_rows(tokens, *marks)
+        assert bytes(graph._write_rows(lib, tokens, *marks)) == want
+        out = bytearray(len(want) - 1)
+        offsets = np.r_[0, np.cumsum([len(t) for t in tokens.texts])]
+        assert lib.write_rows(tokens.ids.ctypes.data, 9, 9, b"".join(tokens.texts),
+                              offsets.ctypes.data, *(x for m in marks for x in (m, len(m))),
+                              np.frombuffer(out, np.uint8).ctypes.data, len(out)) == -1
 
 
 def test_matrix_json_declared_n_mismatch(tmp_path, ref_matrix):
