@@ -10,6 +10,7 @@ twin `graph._join_rows`). Each twin gives the same bytes.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import importlib.util
@@ -92,9 +93,10 @@ def library() -> ctypes.CDLL | None:
     The library is compiled with the platform compiler (sysconfig's CC,
     else cc) once per hash of the source and flags, into the `__pycache__`
     path of the source (so it follows PYTHONPYCACHEPREFIX as .pyc files
-    do), under a temporary name and then moved into place. A cached file
-    that does not load is rebuilt. The first command that hashes a config
-    or runs a trial calls this; importing the package does not.
+    do), under a temporary name and then moved into place, and the builds
+    of earlier sources there are deleted. A cached file that does not load
+    is rebuilt. The first command that hashes a config or runs a trial
+    calls this; importing the package does not.
     """
     try:
         digest = _fnv1a64(_SOURCE.read_bytes() + " ".join(_FLAGS).encode())
@@ -122,6 +124,11 @@ def library() -> ctypes.CDLL | None:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        # the builds of earlier sources go; a concurrent build's mkstemp file stays
+        for old in lib.parent.glob(lib.name.replace(f"{digest:016x}", "[0-9a-f]" * 16)):
+            if old != lib:
+                with contextlib.suppress(OSError):
+                    old.unlink()
         return _declare(ctypes.CDLL(str(lib)))
     except (OSError, ValueError, subprocess.SubprocessError, AttributeError):
         return None  # no compiler, a failed build, no writable cache

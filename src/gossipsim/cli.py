@@ -117,7 +117,6 @@ def _prepare_run_dir(args, command: str, cfg: ExperimentConfig, cfg_path: Path,
     if not getattr(args, "out", None):
         return None
     run_dir = Path(args.out)
-    run_dir.mkdir(parents=True, exist_ok=True)
     manifest = run_dir / "manifest.json"
     doc = {
         "command": command,
@@ -132,8 +131,12 @@ def _prepare_run_dir(args, command: str, cfg: ExperimentConfig, cfg_path: Path,
         "status": "running",
     }
     head, rows, tail = json_with_rows(doc, cfg.matrix, indent=2)
-    with open(manifest, "wb") as fh:
-        fh.writelines((head, rows, tail, b"\n"))
+    try:  # a path that cannot be a run directory is an argument error
+        run_dir.mkdir(parents=True, exist_ok=True)
+        with open(manifest, "wb") as fh:
+            fh.writelines((head, rows, tail, b"\n"))
+    except OSError as exc:
+        raise BadParameterError(f"cannot write run directory {run_dir}: {exc}") from None
     args.manifest = manifest, len(head) + len(rows) + tail.rindex(b'"finishedAt"')
     return run_dir
 

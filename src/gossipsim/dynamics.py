@@ -197,15 +197,15 @@ class Schedule:
 
     # -- structure queries used by the condition evaluators ------------------
 
-    def constant_value(self, ideal: bool = False) -> float | None:
-        """The clipped constant when the sequence provably never varies:
-        the applied clip by default, the legal-range clip with `ideal`."""
+    def constant_value(self) -> float | None:
+        """The constant the simulators apply (`applied`) when the sequence
+        provably never varies, else None."""
         if not (self.kind == "constant"
                 or (self.kind == "power" and self.p == 0)
                 or (self.kind == "geometric" and self.r == 1.0)
                 or (self.kind == "explicit" and len({*self.values, self.tail_value}) == 1)):
             return None
-        return float((self.ideal if ideal else self.applied)(0, 1)[0])
+        return float(self.applied(0, 1)[0])
 
     def _trend(self) -> int:
         """-1 for a decaying closed form, +1 for a growing one, else 0."""

@@ -1,14 +1,14 @@
-"""Selection matrices, their induced graphs and Laplacian spectra.
+"""Selection matrices, their connectivity and Laplacian spectra.
 
 A selection matrix holds the pairing weights of the gossip process: row i is
 the probability distribution node i uses to pick a partner, so every row sums
 to one, the diagonal is zero (nobody gossips with themselves) and there are at
-least three nodes. The induced graph has an arc (j, i) whenever a_ij > 0,
-meaning information can flow from j to i once i selects j.
+least three nodes. Connectivity is checked on the positivity pattern a_ij > 0
+with arc directions ignored: i and j exchange values once either picks the other.
 
 The spectral quantities that drive the contraction analysis come from the
 symmetrized Laplacian D - (A + A^T), where D is diagonal with
-d_i = sum_j (a_ij + a_ji).
+d_i = sum_j (a_ij + a_ji) (`laplacian`).
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from .errors import (
 
 __all__ = [
     "SelectionMatrix",
-    "InducedGraph",
     "SpectralData",
     "validate",
-    "induced_graph",
     "is_weakly_connected",
+    "laplacian",
     "spectral",
     "generate",
     "allocate",
@@ -123,40 +122,22 @@ class RowTokens:
 
 
 @dataclass(frozen=True, eq=False)
-class InducedGraph:
-    """Directed graph induced by a selection matrix.
-
-    `has_arc[u, v]` is True when the arc (u, v) exists, i.e. when a_vu > 0:
-    node v can select node u, so u's value reaches v.
-    """
-
-    n: int
-    has_arc: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Spectral summary of the symmetrized Laplacian.
 
     Attributes
     ----------
-    degrees : numpy.ndarray
-        d_i = sum_j (a_ij + a_ji).
-    laplacian : numpy.ndarray
-        D - (A + A^T); symmetric positive semidefinite.
     spectrum : numpy.ndarray
         Eigenvalues sorted ascending; the first is (numerically) zero.
     lambda2 : float
-        Second-smallest eigenvalue; positive exactly when the induced graph
-        is weakly connected.
+        Second-smallest eigenvalue; positive exactly when the matrix is
+        weakly connected.
     lambda_n : float
         Largest eigenvalue; bounded above by 2n.
     a_star : float
         Smallest positive selection weight.
     """
 
-    degrees: np.ndarray
-    laplacian: np.ndarray
     spectrum: np.ndarray
     lambda2: float
     lambda_n: float
@@ -220,15 +201,11 @@ def validate(entries: np.ndarray | list[list[float]]) -> SelectionMatrix:
     return SelectionMatrix(n=n, entries=a)
 
 
-def induced_graph(matrix: SelectionMatrix) -> InducedGraph:
-    """Positivity pattern of the matrix as a directed graph."""
-    return InducedGraph(n=matrix.n, has_arc=(matrix.entries > 0.0).T)
-
-
-def is_weakly_connected(graph: InducedGraph) -> bool:
-    """True when the graph is connected after dropping arc directions."""
-    und = graph.has_arc | graph.has_arc.T
-    reached = np.zeros(graph.n, dtype=bool)
+def is_weakly_connected(adj: np.ndarray) -> bool:
+    """True when the boolean (n, n) adjacency `adj` is connected after
+    dropping arc directions: `adj[i, j]` and `adj[j, i]` join i and j alike."""
+    und = adj | adj.T
+    reached = np.zeros(len(adj), dtype=bool)
     reached[0] = True
     frontier = reached.copy()
     while frontier.any():
@@ -238,8 +215,20 @@ def is_weakly_connected(graph: InducedGraph) -> bool:
     return bool(reached.all())
 
 
+def laplacian(matrix: SelectionMatrix) -> np.ndarray:
+    """The symmetrized Laplacian D - (A + A^T) in one (n, n) array, with the
+    bits of `np.diag(d) - (A + A^T)`: off the diagonal 0.0 - x is -x, and on
+    it (0.0 - (-0.0 + -0.0)) + d is d. Symmetric positive semidefinite."""
+    a = matrix.entries
+    lap = a + a.T
+    d = lap.sum(axis=1)
+    np.subtract(0.0, lap, out=lap)
+    lap[np.diag_indices_from(lap)] += d
+    return lap
+
+
 def spectral(matrix: SelectionMatrix) -> SpectralData:
-    """Degrees, symmetrized Laplacian and its eigenvalues.
+    """The eigenvalues of the symmetrized Laplacian (`laplacian`).
 
     Raises
     ------
@@ -247,22 +236,15 @@ def spectral(matrix: SelectionMatrix) -> SpectralData:
         If the symmetric eigensolver fails to converge (essentially never
         for the sizes this package targets, but surfaced rather than hidden).
     """
-    a = matrix.entries
-    sym = a + a.T
-    degrees = sym.sum(axis=1)
-    laplacian = np.diag(degrees) - sym
     try:
-        spectrum = np.linalg.eigvalsh(laplacian)
+        spectrum = np.linalg.eigvalsh(laplacian(matrix))
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigensolver failed: {exc}") from exc
-    positive = a[a > 0.0]
     return SpectralData(
-        degrees=degrees,
-        laplacian=laplacian,
         spectrum=spectrum,
         lambda2=float(spectrum[1]),
         lambda_n=float(spectrum[-1]),
-        a_star=float(positive.min()),
+        a_star=float(matrix.entries[matrix.entries > 0.0].min()),
     )
 
 
@@ -437,7 +419,7 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
     for _ in range(GENERATOR_MAX_RETRIES):
         adj.fill(False)
         draw(adj, random.Random(int(rng.integers(0, 2**31 - 1))))
-        if is_weakly_connected(InducedGraph(n=n, has_arc=adj)):
+        if is_weakly_connected(adj):
             return validate(_normalize_rows(adj))
     raise DisconnectedAfterRetriesError(
         f"no connected {kind} graph in {GENERATOR_MAX_RETRIES} attempts (n={n}, {params})"

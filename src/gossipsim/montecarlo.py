@@ -57,7 +57,7 @@ from .dynamics import (
 )
 from .errors import BadAxisError, BadParameterError
 from .graph import MATRIX_ROWS, SelectionMatrix, allocate, generate, import_matrix_csv, \
-    import_matrix_json, induced_graph, is_weakly_connected, json_with_rows, validate
+    import_matrix_json, is_weakly_connected, json_with_rows, validate
 from .metrics import Classification, classify, measure
 from .theory import theory_report
 
@@ -159,6 +159,11 @@ def default_checkpoints(k0: int, steps: int) -> tuple[int, ...]:
     return tuple(sorted(k0 + p for p in pts))
 
 
+def _is_int(v) -> bool:
+    """True for a Python or numpy integer, False for a bool, as `_num` has it."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Fully resolved description of one experiment.
@@ -188,20 +193,22 @@ class ExperimentConfig:
     _hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not is_weakly_connected(induced_graph(self.matrix)):
+        if not is_weakly_connected(self.matrix.entries > 0.0):
             raise BadParameterError(
                 "selection matrix must induce a weakly connected graph (assumption A1)")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 0:
+        if not _is_int(self.steps) or self.steps < 0:
             raise BadParameterError(f"steps must be a nonnegative integer, got {self.steps}")
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise BadParameterError(f"trials must be a positive integer, got {self.trials}")
-        if not isinstance(self.k0, (int, np.integer)) or self.k0 < 0:
+        if not _is_int(self.k0) or self.k0 < 0:
             raise BadParameterError(f"k0 must be a nonnegative integer, got {self.k0}")
+        # Python ints from here on: a sum of numpy ints could wrap
+        self.steps, self.trials, self.k0 = int(self.steps), int(self.trials), int(self.k0)
         if self.k0 + self.steps >= 2 ** 63:  # slot indices are int64 (`diverged_at`)
             raise BadParameterError("k0 + steps must be below 2^63")
-        if not isinstance(self.base_seed, (int, np.integer)) \
-                or not 0 <= self.base_seed < 2 ** 64:
+        if not _is_int(self.base_seed) or not 0 <= self.base_seed < 2 ** 64:
             raise BadParameterError("seed must be an integer in [0, 2^64)")
+        self.base_seed = int(self.base_seed)
         if self.initial.kind == "explicit" and len(self.initial.values) != self.matrix.n:
             raise BadParameterError(
                 f"initial values have length {len(self.initial.values)}, need {self.matrix.n}")
@@ -211,6 +218,8 @@ class ExperimentConfig:
         if self.checkpoints is None:
             self.checkpoints = default_checkpoints(self.k0, self.steps)
         else:
+            if not all(map(_is_int, self.checkpoints)):
+                raise BadParameterError(f"checkpoints must be integers, got {self.checkpoints}")
             cps = sorted({int(c) for c in self.checkpoints} | {self.k0, self.k0 + self.steps})
             for c in cps:
                 if not self.k0 <= c <= self.k0 + self.steps:
@@ -223,11 +232,6 @@ class ExperimentConfig:
             self.big_m = BIG_M_FACTOR * bound if bound > 0.0 else BIG_M_FACTOR
         if not self.big_m > 0.0:
             raise BadParameterError(f"bigM must be positive, got {self.big_m}")
-
-        self.steps = int(self.steps)
-        self.trials = int(self.trials)
-        self.k0 = int(self.k0)
-        self.base_seed = int(self.base_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 
 from .dynamics import EventProbabilities, Schedule
 from .errors import BadHorizonError, InternalInconsistencyError, UnsupportedScheduleError
-from .graph import SelectionMatrix, SpectralData, spectral
+from .graph import SelectionMatrix, SpectralData, laplacian, spectral
 
 if TYPE_CHECKING:  # pragma: no cover
     from .montecarlo import ExperimentConfig
@@ -196,11 +196,8 @@ def expected_second_moment_matrix(matrix: SelectionMatrix, probs: EventProbabili
     The conditional expectation of the next dispersion is the quadratic form
     of this matrix on the deviation vector.
     """
-    a = matrix.entries
-    sym = a + a.T
-    lap = np.diag(sym.sum(axis=1)) - sym
     coeff = _coefficient(t_k, s_k, probs.alpha, probs.gamma)
-    return np.eye(matrix.n) - 2.0 * coeff / matrix.n * lap
+    return np.eye(matrix.n) - 2.0 * coeff / matrix.n * laplacian(matrix)
 
 
 def one_slot_expectation_enumerated(matrix: SelectionMatrix, probs: EventProbabilities,
@@ -246,7 +243,7 @@ def contraction(sp: SpectralData, probs: EventProbabilities,
     i_k = float(_envelope(c, sp, hat=False))
     i_hat = float(_envelope(c, sp, hat=True))
     return ContractionCoefficients(i_k=i_k, i_hat_k=i_hat,
-                                   z_k=1.0 - (2.0 / len(sp.degrees)) * i_hat)
+                                   z_k=1.0 - (2.0 / len(sp.spectrum)) * i_hat)
 
 
 # ---------------------------------------------------------------------------

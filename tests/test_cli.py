@@ -120,6 +120,33 @@ def test_manifest_written_before_trials(tmp_path):
     assert "initial spread" in manifest["error"]
 
 
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+def test_out_that_cannot_be_a_run_directory_exits_2(tmp_path, capsys, where):
+    """`--out` naming a file, or a path under one, is an argument error:
+    exit 2 with one `error:` line and no traceback, the file left as it was."""
+    cfg = write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken if where == "file" else taken / "run"
+    assert cli.main(["check", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write run directory {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert taken.read_text() == "keep"
+
+
+def test_failed_data_write_after_the_manifest_exits_3(tmp_path, capsys):
+    """Once the manifest is written, a data file that cannot be written is a
+    failure of the run, not of its arguments: exit 3, recorded in the
+    manifest."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    (out / "theory.json").mkdir(parents=True)  # opening it for writing fails
+    assert cli.main(["check", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: IsADirectoryError")
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
 @pytest.mark.parametrize("error", [None, 'trial "7" left the range: |x| > 1e150 – für'])
 def test_manifest_finalized_in_place_is_the_full_dump(tmp_path, monkeypatch, error):
     """The tail rewrite leaves exactly the indented dump of the whole

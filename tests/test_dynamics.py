@@ -104,7 +104,6 @@ def test_schedule_validation_and_clipping():
     assert Schedule.constant(-0.5, clip=S_CLIP).applied(0, 1)[0] == S_CLIP[0]
     # the ideal view keeps the legal range only
     assert Schedule.constant(-0.5, clip=S_CLIP).ideal(0, 1)[0] == 0.0
-    assert Schedule.constant(-0.5, clip=S_CLIP).constant_value(ideal=True) == 0.0
 
 
 def test_schedule_overflow_saturates_and_clips():

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -23,15 +25,16 @@ from gossipsim.graph import (
     generate,
     import_matrix_csv,
     import_matrix_json,
-    induced_graph,
     is_weakly_connected,
     json_with_rows,
+    laplacian,
     spectral,
     validate,
 )
+from gossipsim.theory import theory_report
 
 from conftest import A_STAR, LAMBDA2, LAMBDA_N, REF_ROWS, SPECTRUM, exponent_rows, \
-    numpy_engine, on_paths
+    make_config, numpy_engine, on_paths
 
 
 def two_triangles():
@@ -127,21 +130,34 @@ def test_row_cdfs_skip_zero_entries(ref_matrix):
 
 
 def test_induced_graph_arc_direction(ref_matrix):
-    g = induced_graph(ref_matrix)
-    # a_20 > 0 (node 2 can pick node 0), so node 0's value reaches node 2
-    assert g.has_arc[0, 2]
-    assert not g.has_arc[2, 0]  # a_02 == 0: node 0 never picks node 2
+    """a_20 > 0 but a_02 == 0: node 2 picks node 0, never the reverse. The
+    symmetrized Laplacian joins 0 and 2 both ways by a_20."""
+    a = ref_matrix.entries
+    assert a[2, 0] > 0.0 and a[0, 2] == 0.0
+    lap = laplacian(ref_matrix)
+    assert lap[0, 2] == lap[2, 0] == -a[2, 0]
 
 
 def test_weak_connectivity():
-    assert is_weakly_connected(induced_graph(validate(REF_ROWS)))
-    assert not is_weakly_connected(induced_graph(validate(two_triangles())))
+    assert is_weakly_connected(validate(REF_ROWS).entries > 0.0)
+    assert not is_weakly_connected(validate(two_triangles()).entries > 0.0)
     # one-directional chain is still weakly connected
     chain = np.zeros((4, 4))
     for i in range(3):
         chain[i, i + 1] = 1.0
     chain[3, 0] = 1.0
-    assert is_weakly_connected(induced_graph(validate(chain)))
+    assert is_weakly_connected(validate(chain).entries > 0.0)
+
+
+def test_weak_connectivity_on_a_plain_adjacency():
+    """A boolean adjacency with no matrix behind it: a one-way chain, which
+    no row-stochastic matrix has (its last node picks nobody), is
+    connected; two disjoint triangles are not."""
+    chain = np.eye(5, k=1, dtype=bool)
+    assert is_weakly_connected(chain)
+    assert is_weakly_connected(chain.T)
+    assert not is_weakly_connected(two_triangles() > 0.0)
+    assert not is_weakly_connected(np.zeros((3, 3), dtype=bool))
 
 
 def test_spectral_pinned_reference_values(ref_matrix):
@@ -156,11 +172,77 @@ def test_spectral_pinned_reference_values(ref_matrix):
 def test_spectral_structure(ref_matrix):
     sp = spectral(ref_matrix)
     a = ref_matrix.entries
-    np.testing.assert_allclose(sp.degrees, (a + a.T).sum(axis=1), atol=1e-15)
-    np.testing.assert_allclose(sp.laplacian, sp.laplacian.T, atol=0)
+    lap = laplacian(ref_matrix)
+    np.testing.assert_allclose(np.diagonal(lap), (a + a.T).sum(axis=1), atol=1e-15)
+    np.testing.assert_allclose(lap, lap.T, atol=0)
     # PSD with the all-ones kernel
-    np.testing.assert_allclose(sp.laplacian @ np.ones(4), 0.0, atol=1e-12)
+    np.testing.assert_allclose(lap @ np.ones(4), 0.0, atol=1e-12)
     assert sp.lambda_n <= 2 * ref_matrix.n
+
+
+def laplacian_by_diag(matrix):
+    """D - (A + A^T) as `np.diag(d) - (A + A^T)`, in three (n, n) arrays."""
+    a = matrix.entries
+    sym = a + a.T
+    return np.diag(sym.sum(axis=1)) - sym
+
+
+LAPLACIAN_CASES = {
+    "reference": REF_ROWS,
+    "generated-300": generate("watts_strogatz", 300, seed=2, k_nn=4, p_rewire=0.3).entries,
+    "negative-zero-diagonal": exponent_rows(30, 1, distinct=True),
+}
+
+
+@pytest.mark.parametrize("rows", LAPLACIAN_CASES.values(), ids=LAPLACIAN_CASES)
+def test_laplacian_is_the_diag_construction(rows):
+    """`laplacian` in one array has the bits of `np.diag(d) - (A + A^T)`,
+    also where the diagonal holds -0.0, and so has the spectrum."""
+    m = validate(rows)
+    want = laplacian_by_diag(m)
+    assert laplacian(m).tobytes() == want.tobytes()
+    assert spectral(m).spectrum.tobytes() == np.linalg.eigvalsh(want).tobytes()
+    if rows is LAPLACIAN_CASES["negative-zero-diagonal"]:
+        assert np.signbit(np.diagonal(m.entries)).any()
+
+
+def arrays_in(obj):
+    """Every numpy array reachable from `obj` through dataclass fields,
+    dict values, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from arrays_in(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from arrays_in(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from arrays_in(v)
+
+
+def test_theory_report_keeps_no_n_by_n_array():
+    """A report, which a sweep keeps one of per point, holds the spectrum
+    and no (n, n) array."""
+    m = generate("watts_strogatz", 300, seed=2, k_nn=4, p_rewire=0.3)
+    report = theory_report(make_config(m))
+    sizes = [a.size for a in arrays_in(report)]
+    assert 300 in sizes  # the spectrum, so the walk reaches the arrays
+    assert max(sizes) < 300 * 300
+
+
+def test_spectral_memory_at_n_1000():
+    """`spectral` keeps one (n, n) array alive during the eigen solve: at
+    n=1000 its peak stays below 12 MiB (each (n, n) float array is 7.6 MiB)."""
+    m = generate("watts_strogatz", 1000, seed=1, k_nn=6, p_rewire=0.1)
+    tracemalloc.start()
+    try:
+        spectral(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20, peak
 
 
 def test_spectral_disconnected_has_zero_lambda2():
@@ -178,7 +260,7 @@ def test_spectral_disconnected_has_zero_lambda2():
 def test_generate_valid_and_connected(kind, params):
     m = generate(kind, 10, seed=3, **params)
     assert m.n == 10
-    assert is_weakly_connected(induced_graph(m))
+    assert is_weakly_connected(m.entries > 0.0)
     assert spectral(m).lambda2 > 1e-9
 
 

@@ -6,8 +6,11 @@ for every update mode, including frozen (overflowed) trials.
 """
 
 import dataclasses
+import importlib.util
 import json
 import math
+import re
+import sys
 import tracemalloc
 import warnings
 from copy import deepcopy
@@ -132,6 +135,31 @@ def test_config_parameter_validation(ref_matrix):
     with pytest.raises(BadParameterError, match="length"):
         make_config(ref_matrix, initial=InitialState(kind="explicit",
                                                      values=(1.0, 2.0)))
+
+
+def test_config_integers_are_checked_as_in_json(ref_matrix):
+    """A config built in Python refuses what its JSON form refuses: a bool
+    for an integer, and a checkpoint that is no integer, which would be
+    truncated. numpy integers pass and become Python ints."""
+    for kwarg, message in (("steps", "steps must be a nonnegative integer, got True"),
+                           ("trials", "trials must be a positive integer, got True"),
+                           ("k0", "k0 must be a nonnegative integer, got True"),
+                           ("seed", "seed must be an integer in [0, 2^64)")):
+        with pytest.raises(BadParameterError, match=re.escape(message)):
+            make_config(ref_matrix, **{kwarg: True})
+    for cps in ((1.5, 7.9), (3, 7.0), (np.True_,)):
+        with pytest.raises(BadParameterError, match="checkpoints must be integers"):
+            make_config(ref_matrix, checkpoints=cps)
+    cfg = make_config(ref_matrix, steps=np.int64(20), trials=np.int32(2), k0=np.uint8(1),
+                      seed=np.uint64(3), checkpoints=(np.int16(5),))
+    assert (cfg.steps, cfg.trials, cfg.k0, cfg.base_seed, cfg.checkpoints) == \
+        (20, 2, 1, 3, (1, 5, 21))
+    assert {type(v) for v in (cfg.steps, cfg.trials, cfg.k0, cfg.base_seed,
+                              *cfg.checkpoints)} == {int}
+    assert config_hash(cfg) == config_hash(make_config(ref_matrix, steps=20, trials=2, k0=1,
+                                                       seed=3, checkpoints=(5,)))
+    with pytest.raises(BadParameterError, match="2\\^63"):  # no int64 wrap-around
+        make_config(ref_matrix, k0=np.int64(5), steps=np.int64(2**63 - 5))
 
 
 def test_config_checkpoint_resolution(ref_matrix):
@@ -295,6 +323,32 @@ def test_fnv_in_pieces_matches_the_byte_loop(data):
         assert _native._fnv1a64(tail, _native._fnv1a64(head)) == want
     with numpy_engine():
         assert _native.fnv1a64([data[:len(data) // 3], data[len(data) // 3:]]) == want
+
+
+def test_library_build_removes_stale_builds(tmp_path, monkeypatch):
+    """A new build deletes the builds of earlier sources beside it and
+    leaves a concurrent build's temporary file; the next load takes the
+    new build as it is, without building it again."""
+    if _native.library() is None:
+        pytest.skip("no C compiler here to build the library")
+    monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path))
+    cache = Path(importlib.util.cache_from_source(str(_native._SOURCE)))
+    cache.parent.mkdir(parents=True)
+    stale = cache.with_suffix(".0123456789abcdef.so")
+    stale.write_bytes(b"an earlier build")
+    temporary = cache.parent / "tmpk3j_x9a2.so"
+    temporary.write_bytes(b"a concurrent build")
+
+    def builds():
+        return [p for p in cache.parent.iterdir() if p != temporary]
+
+    assert _native.library.__wrapped__() is not None
+    [build] = builds()
+    assert build != stale and build.name.startswith(cache.stem + ".")
+    inode = build.stat().st_ino
+    assert _native.library.__wrapped__() is not None
+    assert [p.stat().st_ino for p in builds()] == [inode]
+    assert temporary.read_bytes() == b"a concurrent build"
 
 
 def assert_same_state(a, b):

@@ -1,7 +1,9 @@
 """Every source file parses as Python 3.10, the oldest version the package
-supports, so 3.11-only syntax is caught on any interpreter."""
+supports, so 3.11-only syntax is caught on any interpreter, and every name a
+package module exports resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -18,3 +20,14 @@ def test_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_source_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+MODULES = sorted(p.stem for p in (ROOT / "src" / "gossipsim").glob("*.py"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exports_resolve(name):
+    """Every name in a module's `__all__` is defined, so a removed type or
+    function cannot leave a stale export behind. (`cli` exports nothing.)"""
+    module = importlib.import_module("gossipsim" if name == "__init__" else f"gossipsim.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
