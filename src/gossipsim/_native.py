@@ -135,14 +135,18 @@ def library() -> ctypes.CDLL | None:
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """`lib` with the signatures of its byte functions set. Raises
-    AttributeError when a function is missing, the slots' included, whose
-    signatures `montecarlo._bind` sets."""
-    i64, u64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
+    """`lib` with the signatures of all its functions set, once, as it is
+    loaded: nothing changes them afterwards, so threads share the library
+    freely. The slots' `chunk` struct (`montecarlo._Chunk`) goes by its
+    address, `ctypes.addressof(chunk)`. Raises AttributeError when a
+    function is missing."""
+    i64, u64, f64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p
     lib.fnv1a64.restype = u64
     lib.fnv1a64.argtypes = [ptr, i64, u64]
     lib.write_rows.restype = i64
     lib.write_rows.argtypes = [ptr, i64, i64, ctypes.c_char_p, ptr,
                                *[ctypes.c_char_p, i64] * 4, ptr, i64]
-    lib.draw_uniform, lib.run_slots  # present, else AttributeError
+    lib.draw_uniform.restype = lib.run_slots.restype = None
+    lib.draw_uniform.argtypes = [ptr, f64, f64]
+    lib.run_slots.argtypes = [ptr, ptr, i64, i64, i64]
     return lib

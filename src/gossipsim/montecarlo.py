@@ -22,6 +22,11 @@ slots at a time, presamples pairs and events one window of slots at a
 time and gathers, updates and scatters one slot at a time. The twin is
 also the engine-level reference the kernel is tested against.
 
+A pass runs its chunks on every core the process may use (`_workers`),
+one thread each with the caller among them, as the kernel call releases
+the GIL; each chunk writes only its own rows, so results do not depend on
+the number of threads either. The numpy twin runs on the calling thread.
+
 Configs that differ only in their schedules, `eps_agree` and `big_m` draw
 the same pairs and events, so `run_shared_trials` runs them through one pass
 of that slot loop, as extra state rows with their own weights and freezes:
@@ -35,8 +40,10 @@ import ctypes
 import functools
 import math
 import numbers
+import os
 import tempfile
-from collections.abc import Iterator
+import threading
+from collections.abc import Callable, Iterator
 from contextlib import nullcontext
 from copy import deepcopy
 from dataclasses import dataclass, field, fields
@@ -753,25 +760,25 @@ def _slot_kernel() -> type[_Slots] | None:
     return None if lib is None else _bind(lib)
 
 
+class _Chunk(ctypes.Structure):
+    """`chunk` in _slots.c, which `draw_uniform` and `run_slots` take by
+    address (`_native._declare`)."""
+
+    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    _fields_ = [("streams", ptr), ("m", i64), ("n", i64), ("npts", i64), ("ncp", i64),
+                ("x", ptr), ("alive", ptr), ("diverged_at", ptr), ("cdf", ptr),
+                ("thr0", f64), ("thr1", f64), ("mode", i64), ("limit", f64), ("refs", ptr),
+                ("dispersion", ptr), ("spread", ptr), ("states", ptr)]
+    del i64, ptr, f64
+
+
 @functools.cache
 def _bind(lib: ctypes.CDLL) -> type[_Slots]:
     """The slots of the library as the twin of `_NumpySlots`. Pointers
     reach it only for arrays of its dtypes, shapes and C layout, blocks of
     the chunk's configs, segments inside the block and checkpoints of the
-    chunk."""
-    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-
-    class Chunk(ctypes.Structure):  # `chunk` in _slots.c
-        _fields_ = [("streams", ptr), ("m", i64), ("n", i64), ("npts", i64), ("ncp", i64),
-                    ("x", ptr), ("alive", ptr), ("diverged_at", ptr), ("cdf", ptr),
-                    ("thr0", f64), ("thr1", f64), ("mode", i64), ("limit", f64), ("refs", ptr),
-                    ("dispersion", ptr), ("spread", ptr), ("states", ptr)]
-
+    chunk. Binding reads the library and changes nothing in it."""
     draw_uniform, run_slots = lib.draw_uniform, lib.run_slots
-    draw_uniform.restype = run_slots.restype = None
-    # ctypes passes a Chunk to these by reference
-    draw_uniform.argtypes = [ctypes.POINTER(Chunk), f64, f64]
-    run_slots.argtypes = [ctypes.POINTER(Chunk), ptr, i64, i64, i64]
 
     class KernelSlots(_Slots):
         def _open(self) -> None:
@@ -789,16 +796,17 @@ def _bind(lib: ctypes.CDLL) -> type[_Slots]:
                 raise ValueError("slot kernel arguments of the wrong shape, type or layout")
             mode = self.mode
             code = 0 if mode.variant == "symmetric" else 1 + _ACTIVE_RULES.index(mode.active_rule)
-            self.chunk = Chunk(
+            self.chunk = _Chunk(
                 streams.ctypes.data, m, n, npts, ncp, self.x.ctypes.data,
                 self.alive.ctypes.data, out.diverged_at.ctypes.data, cdf.ctypes.data,
                 self.thr[0], self.thr[1], code, OVERFLOW_LIMIT, self.refs.ctypes.data,
                 out.dispersion.ctypes.data, out.spread.ctypes.data,
                 None if out.states is None else out.states.ctypes.data)
+            self.at = ctypes.addressof(self.chunk)
 
         def _start(self, initial: InitialState) -> None:
             if initial.kind == "uniform":
-                draw_uniform(self.chunk, initial.low, initial.high)
+                draw_uniform(self.at, initial.low, initial.high)
             else:
                 self.x[0] = initial.sample(self.x.shape[2], None)
 
@@ -812,14 +820,14 @@ def _bind(lib: ctypes.CDLL) -> type[_Slots]:
             if not (0 <= s0 <= s1 <= len(self.w) and -1 <= ci < self.out.dispersion.shape[2]):
                 raise ValueError(f"slot kernel arguments: slots [{s0}, {s1}) of {len(self.w)}, "
                                  f"checkpoint {ci}")
-            run_slots(self.chunk, self.w.ctypes.data + s0 * self.w.strides[0], s1 - s0,
+            run_slots(self.at, self.w.ctypes.data + s0 * self.w.strides[0], s1 - s0,
                       self.k + s0, ci)
 
     return KernelSlots
 
 
 def _simulate_chunk(cfgs: list[ExperimentConfig], cdf: np.ndarray, lo: int, hi: int,
-                    out: TrialMatrices) -> None:
+                    out: TrialMatrices, slots: type[_Slots]) -> None:
     """Run trials [lo, hi) of every config in `cfgs` together; the configs
     share their draws (`_shares_draws`) and their matrix's row CDFs, `cdf`
     (`SelectionMatrix.row_cdfs`). `out` receives their matrices with
@@ -829,19 +837,18 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], cdf: np.ndarray, lo: int, hi: 
 
     Mirrors the scalar path exactly: same per-trial streams, same
     consumption order, same update expressions, same freeze-on-overflow
-    semantics. The slots run on the compiled kernel (`_slot_kernel`), which
-    draws each trial's Philox stream itself and measures the checkpoints,
-    or, where none could be built, on its numpy twin (`_NumpySlots`): one
-    interface, the same bits. The weights 1 - T, T, 1 + S, S of WEIGHT_BLOCK
-    slots at a time are evaluated once for the chunk, and the slots between
-    checkpoints run as one segment.
+    semantics. The slots run on `slots`: the compiled kernel
+    (`_slot_kernel`), which draws each trial's Philox stream itself and
+    measures the checkpoints, or, where none could be built, its numpy twin
+    (`_NumpySlots`): one interface, the same bits. The weights 1 - T, T,
+    1 + S, S of WEIGHT_BLOCK slots at a time are evaluated once for the
+    chunk, and the slots between checkpoints run as one segment.
     """
     cfg = cfgs[0]
     cps = cfg.checkpoints
     out.diverged_at[...] = -1
-    slots = (_slot_kernel() or _NumpySlots)(
-        _streams(cfg.base_seed, lo, hi), cfg.initial, cdf,
-        cfg.probabilities.thresholds(), cfg.mode, out)
+    chunk = slots(_streams(cfg.base_seed, lo, hi), cfg.initial, cdf,
+                  cfg.probabilities.thresholds(), cfg.mode, out)
     # weight blocks until the last checkpoint, k0 + steps, is recorded; the
     # first, k0, is recorded before any slot runs
     k = cfg.k0
@@ -851,14 +858,14 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], cdf: np.ndarray, lo: int, hi: 
         # (b, configs): each config's T and S
         t = np.stack([c.schedule_t.applied(k, k + b) for c in cfgs], axis=1)
         s = np.stack([c.schedule_s.applied(k, k + b) for c in cfgs], axis=1)
-        slots.block(np.stack((1.0 - t, t, 1.0 + s, s), axis=2), k)
+        chunk.block(np.stack((1.0 - t, t, 1.0 + s, s), axis=2), k)
         s0 = 0
         while ci < len(cps) and cps[ci] <= k + b:
-            slots.run(s0, cps[ci] - k, ci)
+            chunk.run(s0, cps[ci] - k, ci)
             s0 = cps[ci] - k
             ci += 1
         if s0 < b:
-            slots.run(s0, b)
+            chunk.run(s0, b)
         k += b
 
 
@@ -897,6 +904,62 @@ def run_shared_trials(configs: list[ExperimentConfig],
         yield from _run_batch(configs[p0:p0 + batch], cdf, states)
 
 
+def _workers() -> int:
+    """The number of cores this process may run on (`taskset` limits them),
+    each of which runs a share of a pass's chunks."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_threads(task: Callable[[int], None], items: range, workers: int) -> None:
+    """Call task(item) for every item on up to `workers` threads, the
+    calling thread one of them; each thread takes the next item when done
+    with its last. If a task raises, or the caller is interrupted, the
+    threads stop at their next item, all are joined, and the first error
+    is raised here: no thread outlives the call."""
+    pending = iter(items)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            while not errors:
+                with lock:
+                    item = next(pending, None)
+                if item is None:
+                    return
+                task(item)
+        except BaseException as exc:  # KeyboardInterrupt in the caller too
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(min(workers, len(items)) - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+    except BaseException as exc:  # a thread that could not start
+        errors.append(exc)
+    work()
+    for thread in threads:
+        while thread.is_alive():  # false for a thread never started
+            try:
+                thread.join()
+            except BaseException as exc:  # an interrupt while waiting
+                errors.append(exc)
+    if errors:
+        raise errors[0]
+
+
+def _write_at(fd: int, data: np.ndarray, offset: int) -> None:
+    """Write the bytes of the C-contiguous `data` to file `fd` at `offset`,
+    leaving the file position alone."""
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
+
+
 def _run_batch(configs: list[ExperimentConfig], cdf: np.ndarray,
                states: bool) -> Iterator[TrialMatrices]:
     """One pass over every trial for configs that share their draws and
@@ -907,31 +970,40 @@ def _run_batch(configs: list[ExperimentConfig], cdf: np.ndarray,
     go to a temporary file, each config's arrays one after another, and are
     read back one config at a time: a pass holds one config's results in
     memory however many configs share it, as a run of one config does.
+
+    The chunks run on every usable core (`_workers`), one chunk at a time
+    per worker, and are sized so that each worker gets one. A chunk writes
+    only its own rows, in the matrices or at their place in the file, so
+    the results do not depend on the number of workers. The numpy twin
+    runs on one worker: its per-slot numpy holds the GIL.
     """
     trials = configs[0].trials
     head = TrialMatrices.empty(configs[0], trials, states)
     config_bytes = sum(a.nbytes for a in head.arrays())
+    slots = _slot_kernel() or _NumpySlots
+    workers = 1 if slots is _NumpySlots else _workers()
+    size = min(CHUNK_TRIALS, -(-trials // workers))
     with tempfile.TemporaryFile() if len(configs) > 1 else nullcontext() as spill:
-        for lo in range(0, trials, CHUNK_TRIALS):
-            hi = min(lo + CHUNK_TRIALS, trials)
+        def run_chunk(lo: int) -> None:
+            hi = min(lo + size, trials)
             rows = head.rows(lo, hi).arrays()
             if spill is None:  # one config: the chunk's rows are its own
                 chunk = [a[None] for a in rows]
             else:
                 chunk = [np.empty((len(configs), *a.shape), dtype=a.dtype) for a in rows]
-            _simulate_chunk(configs, cdf, lo, hi, TrialMatrices(head.checkpoints, *chunk))
+            _simulate_chunk(configs, cdf, lo, hi, TrialMatrices(head.checkpoints, *chunk), slots)
             if spill is None:
-                continue
+                return
             for a, own in zip(chunk, rows):
                 own[:] = a[0]
             for q in range(1, len(configs)):
                 offset = (q - 1) * config_bytes
                 for a in chunk:
                     row = a[q].nbytes // (hi - lo)
-                    spill.seek(offset + lo * row)
-                    spill.write(a[q])
+                    _write_at(spill.fileno(), a[q], offset + lo * row)
                     offset += trials * row
-            del chunk
+
+        _in_threads(run_chunk, range(0, trials, size), workers)
         yield head
         del head  # the caller keeps it as long as it needs it
         for q, cfg in enumerate(configs[1:]):

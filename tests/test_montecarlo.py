@@ -6,13 +6,16 @@ for every update mode, including frozen (overflowed) trials.
 """
 
 import dataclasses
+import functools
 import importlib.util
 import json
 import math
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 from copy import deepcopy
 from pathlib import Path
 from unittest import mock
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REF_ROWS, fnv1a64_reference, make_config, numpy_engine
+from conftest import REF_ROWS, fnv1a64_reference, make_config, numpy_engine, on_paths
 from gossipsim import _native, graph, montecarlo
 from gossipsim.dynamics import OVERFLOW_LIMIT, EventProbabilities, Schedule, S_CLIP, T_CLIP, \
     UpdateMode
@@ -606,6 +609,7 @@ def test_wide_shared_pass_is_split_into_batches(ref_matrix, monkeypatch):
     each, and still equal their solo runs; trials freeze in the second
     point only."""
     monkeypatch.setattr(montecarlo, "BATCH_STATE_BYTES", 2 * montecarlo.CHUNK_TRIALS * 4 * 8)
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)  # 300 trials: 2 chunks on any host
     calls = []
     simulate_chunk = montecarlo._simulate_chunk
 
@@ -648,6 +652,164 @@ def test_shared_pass_refuses_configs_with_other_draws(ref_matrix):
                   make_config(ref_matrix, alpha=0.5, beta=1 / 6)):
         with pytest.raises(ValueError, match="share their draws"):
             list(run_shared_trials([a, other]))
+
+
+# ---------------------------------------------------------------------------
+# worker threads
+# ---------------------------------------------------------------------------
+
+def freezing_ring_config(trials, steps=4096):
+    """Ring-12, asymmetric with a uniform active rule, S = 3 and uniform
+    starts: 4 draws a slot, and trials freeze at different slots."""
+    return make_config(validate(graph.generate("ring", 12).entries), variant="asymmetric",
+                       active_rule="uniform", t=0.25, s=3.0, steps=steps, trials=trials,
+                       seed=5, initial=InitialState(kind="uniform"))
+
+
+WORKER_CASES = {
+    "uneven chunks": lambda m: [run_trials(make_config(m, trials=613, steps=40, seed=8))],
+    "one trial": lambda m: [run_trials(make_config(m, trials=1, steps=40, seed=8))],
+    "states": lambda m: [run_trials(make_config(m, trials=300, steps=40, seed=8), states=True)],
+    "shared pass": lambda m: list(run_shared_trials(
+        [make_config(m, s=s, trials=2013, steps=40, seed=8, alpha=0.2, beta=0.2, gamma=0.6)
+         for s in (0.05, 1e120, 0.3)], states=True)),
+    "freezing": lambda m: [run_trials(freezing_ring_config(301), states=True)],
+}
+
+
+@pytest.mark.parametrize("case,twin", on_paths([(c,) for c in WORKER_CASES], list(WORKER_CASES)))
+def test_results_do_not_depend_on_the_worker_count(ref_matrix, case, twin):
+    """Every array of every result has the same bytes on 1, 2 and 3 workers:
+    trials that are no multiple of the chunk size, fewer trials than
+    workers, kept states, a shared pass through the temporary file, and
+    trials that freeze at different slots."""
+    runs = []
+    for workers in (1, 2, 3):
+        with numpy_engine() if twin else nullcontext(), \
+                mock.patch.object(montecarlo, "_workers", lambda: workers):
+            runs.append(WORKER_CASES[case](ref_matrix))
+    if case == "freezing":
+        div = runs[0][0].diverged_at
+        assert len(set(div[div >= 0].tolist())) > 1, "trials should freeze at different slots"
+    for workers, got in zip((2, 3), runs[1:]):
+        for p, (a, b) in enumerate(zip(got, runs[0], strict=True)):
+            assert_same_matrices(a, b, f"{workers} workers, matrices {p}")
+
+
+def chunks_run(cfg, workers):
+    """The (lo, hi) of every chunk `run_trials` ran on `workers` workers."""
+    spans = []
+    simulate_chunk = montecarlo._simulate_chunk
+
+    def spy(cfgs, cdf, lo, hi, *args):
+        spans.append((lo, hi))
+        return simulate_chunk(cfgs, cdf, lo, hi, *args)
+
+    with mock.patch.object(montecarlo, "_simulate_chunk", spy), \
+            mock.patch.object(montecarlo, "_workers", lambda: workers):
+        run_trials(cfg)
+    return sorted(spans)
+
+
+def test_every_worker_gets_a_chunk(ref_matrix):
+    """Chunks hold min(CHUNK_TRIALS, ceil(trials / workers)) trials, so
+    that every worker has one; the numpy twin runs on one worker, in
+    chunks of CHUNK_TRIALS."""
+    cfg = make_config(ref_matrix, trials=300, steps=5)
+    with numpy_engine():
+        assert chunks_run(cfg, 3) == [(0, 256), (256, 300)]
+    compiled_kernel()
+    assert chunks_run(cfg, 1) == [(0, 256), (256, 300)]
+    assert chunks_run(cfg, 2) == [(0, 150), (150, 300)]
+    assert chunks_run(cfg, 3) == [(0, 100), (100, 200), (200, 300)]
+    assert chunks_run(dataclasses.replace(cfg, trials=1), 2) == [(0, 1)]
+    assert chunks_run(dataclasses.replace(cfg, trials=1100), 2) == [
+        (lo, min(lo + 256, 1100)) for lo in range(0, 1100, 256)]
+
+
+def test_concurrent_first_binds_of_the_slot_kernel(ref_matrix, monkeypatch):
+    """Two passes that bind the kernel at the same moment, each on 2
+    workers, both run and give the bytes of a lone pass: binding sets
+    nothing in the library that the other pass's chunks could meet."""
+    compiled_kernel()
+    cfg = freezing_ring_config(40, steps=256)
+    want = run_trials(cfg, states=True)
+    barrier = threading.Barrier(2)
+    unbound = montecarlo._bind.__wrapped__
+
+    def bind(lib):
+        barrier.wait(timeout=30)  # both threads bind at once
+        return unbound(lib)
+
+    monkeypatch.setattr(montecarlo, "_bind", functools.cache(bind))
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    results, errors = [None, None], []
+
+    def run(q):
+        try:
+            results[q] = run_trials(cfg, states=True)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(q,)) for q in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert not errors, errors
+    for got in results:
+        assert_same_matrices(got, want)
+
+
+def test_more_workers_than_cores_under_fast_thread_switches(ref_matrix, monkeypatch):
+    """Eight workers, more than most hosts have cores, and a thread switch
+    every microsecond: a shared pass still writes each chunk's rows, in the
+    first config's matrices and in the temporary file, where they belong."""
+    compiled_kernel()
+    points = [make_config(ref_matrix, s=s, trials=1500, steps=20, seed=3, alpha=0.2, beta=0.2,
+                          gamma=0.6) for s in (0.05, 1e120, 0.3)]
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+    want = list(run_shared_trials(points, states=True))
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = list(run_shared_trials(points, states=True))
+    finally:
+        sys.setswitchinterval(interval)
+    for p, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert_same_matrices(a, b, f"point {p}")
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_failed_chunk_stops_the_pass(ref_matrix, monkeypatch, error):
+    """When a chunk raises, the error reaches the caller, the other
+    workers stop at their next chunk, and no thread is left running."""
+    compiled_kernel()
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    calls = []
+    lock = threading.Lock()
+    simulate_chunk = montecarlo._simulate_chunk
+
+    def failing(*args):
+        with lock:
+            calls.append(args[2])
+            second = len(calls) == 2
+        if second:
+            raise error("chunk failed")
+        return simulate_chunk(*args)
+
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", failing)
+    before = threading.active_count()
+    for run in (lambda: run_trials(make_config(ref_matrix, trials=4000, steps=200)),
+                lambda: list(run_shared_trials([make_config(ref_matrix, s=s, trials=4000,
+                                                            steps=200) for s in (0.1, 0.2)]))):
+        calls.clear()
+        with pytest.raises(error, match="chunk failed"):
+            run()
+        assert threading.active_count() == before
+        assert len(calls) < 16  # of 16 chunks
 
 
 def partner_probes(n):
