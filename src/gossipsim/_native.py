@@ -2,7 +2,7 @@
 
 `library()` builds and loads the library once per process. Three things run
 on it where it loads, each with a twin in numpy or Python where it does not:
-the engine's slots (`montecarlo._slot_kernel`, twin `_NumpySlots`), the
+the engine's slots (`montecarlo._KernelSlots`, twin `_NumpySlots`), the
 FNV-1a hash of `config_hash` (`fnv1a64`, twin `_fnv1a64`) and the matrix
 rows of the canonical config text and the manifest (`graph.json_with_rows`,
 twin `graph._join_rows`). Each twin gives the same bytes.

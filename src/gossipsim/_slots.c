@@ -6,7 +6,7 @@
  * and the writer of a matrix's rows as JSON text (`write_rows`; twin
  * `graph._join_rows`).
  *
- * The slots: `montecarlo._bind` wraps them in a class with the interface of
+ * The slots: `montecarlo._KernelSlots` calls them behind the interface of
  * `_NumpySlots`.
  *
  * Each trial draws from its own Philox4x64-10 stream (Salmon et al., SC'11),

@@ -274,7 +274,7 @@ def _keys(name: str, d, required=(), optional=()) -> dict:
 def _kind(name: str, d, default: str, kinds: dict) -> str:
     """The kind of an object whose keys, (required, optional), depend on it."""
     kind = d.get("kind", default) if isinstance(d, dict) else default
-    if kind not in kinds:
+    if not isinstance(kind, str) or kind not in kinds:
         raise BadParameterError(f"unknown {name} kind {kind!r}")
     required, optional = kinds[kind]
     _keys(name, d, required, ("kind", *optional))
@@ -558,8 +558,8 @@ def _streams(base_seed: int, lo: int, hi: int) -> np.ndarray:
 class _Slots:
     """The engine's slots for one chunk of trials and every config of a
     shared pass, all in one state array `x`, (configs, trials, n). The
-    compiled kernel (`_slot_kernel`) and the numpy twin (`_NumpySlots`)
-    implement `block` and `run` and give the same bits.
+    compiled kernel (`_KernelSlots`) and the numpy twin (`_NumpySlots`)
+    implement `run` and give the same bits.
 
     `streams` holds each trial's stream (`_streams`), `cdf` the row CDFs,
     (n, n), `thr` the event thresholds, and `out` receives the measures,
@@ -594,18 +594,15 @@ class _Slots:
         the uniform kind."""
         raise NotImplementedError
 
-    def block(self, w: np.ndarray, k: int) -> None:
-        """Take the weights of the next slots, which start at slot k of the
-        run: 1 - T, T, 1 + S, S per slot and config, (slots, configs, 4)."""
-        raise NotImplementedError
-
-    def run(self, s0: int, s1: int, ci: int = -1) -> None:
-        """Run slots [s0, s1) of the block, in place on `x`, `alive` and
-        `out.diverged_at`; then, if ci >= 0, record checkpoint ci of every
-        trial and config in `out`. Segments run in order: s0 is 0 or the
-        last s1. A trial that overflows keeps its state from then on, for
-        that config only, and its draws stop once it is frozen in every
-        config."""
+    def run(self, w: np.ndarray, k: int, ci: int = -1) -> None:
+        """Run one segment of slots, in place on `x`, `alive` and
+        `out.diverged_at`: its weights are `w`, 1 - T, T, 1 + S, S per slot
+        and config, (slots, configs, 4), and its first slot is slot k of
+        the run. Then, if ci >= 0, record checkpoint ci of every trial and
+        config in `out`. Segments run in order, each from the slot where
+        the last one ended. A trial that overflows keeps its state from
+        then on, for that config only, and its draws stop once it is frozen
+        in every config."""
         raise NotImplementedError
 
 
@@ -664,12 +661,12 @@ class _NumpySlots(_Slots):
     of `streams`, and the array is left as it was. The engine passes
     streams at their start; the tests also pass streams with chosen draws
     in their buffers, to make draws that tie with CDF entries and event
-    thresholds. A block's uniforms are drawn when the block starts, for
-    the trials still live in some config. Per slot, it gathers both
-    endpoints of every live trial of every config, updates them with each
-    config's weights and scatters them back. Pairs and events do not
-    depend on the state: they are presampled one window of PRESAMPLE_STEPS
-    slots of the draws at a time.
+    thresholds. A segment's uniforms are drawn when it starts, for the
+    trials still live in some config. Per slot, it gathers both endpoints
+    of every live trial of every config, updates them with each config's
+    weights and scatters them back. Pairs and events do not depend on the
+    state: they are presampled one window of PRESAMPLE_STEPS slots of the
+    draws at a time.
     """
 
     def _open(self) -> None:
@@ -687,16 +684,8 @@ class _NumpySlots(_Slots):
         for r, rng in enumerate(self.rngs):
             self.x[0, r] = initial.sample(n, rng)
 
-    def block(self, w: np.ndarray, k: int) -> None:
-        self.w, self.k = w, k
-        self.u = self.held = None  # before the next draws are made
-        self.cols = np.nonzero(self.alive.any(axis=0))[0]
-        self.u = np.empty((self.cols.size, len(w), self.mode.draws_per_slot))
-        for p, r in enumerate(self.cols):
-            self.rngs[r].random(out=self.u[p])
-
-    def run(self, s0: int, s1: int, ci: int = -1) -> None:
-        self._slots(s0, s1)
+    def run(self, w: np.ndarray, k: int, ci: int = -1) -> None:
+        self._slots(w, k)
         if ci >= 0:
             x, out = self.x, self.out
             with np.errstate(over="ignore"):
@@ -705,11 +694,14 @@ class _NumpySlots(_Slots):
             if out.states is not None:
                 out.states[:, :, ci] = x
 
-    def _slots(self, s0: int, s1: int) -> None:
-        """Slots [s0, s1) of the block."""
-        cols, u, w = self.cols, self.u, self.w
+    def _slots(self, w: np.ndarray, k: int) -> None:
+        """The slots of one segment (`run`)."""
+        cols = np.nonzero(self.alive.any(axis=0))[0]
         if not cols.size:
             return
+        u = np.empty((cols.size, len(w), self.mode.draws_per_slot))
+        for p, r in enumerate(cols):
+            self.rngs[r].random(out=u[p])
         npts, m, n = self.x.shape
         flat = self.x.reshape(-1)
         # the flat offset of each config's state row of each column, to
@@ -723,13 +715,12 @@ class _NumpySlots(_Slots):
         live = self.alive[:, cols]
         keep = None if live.all() else live[:, None, :]
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(s0, s1):
-                j, r = divmod(step, size)
-                if self.held is None or self.held[0] != j:
-                    ij = att = rep = self.held = None  # the last window goes first
-                    self.held = (j, *_presample(u[:, j * size:(j + 1) * size], n,
-                                                self.cdf.reshape(-1), self.thr, self.mode))
-                _, ij, att, rep = self.held
+            for step in range(len(w)):
+                r = step % size
+                if r == 0:
+                    ij = att = rep = None  # the last window goes first
+                    ij, att, rep = _presample(u[:, step:step + size], n, self.cdf.reshape(-1),
+                                              self.thr, self.mode)
                 np.add(rows, ij[r], out=f)
                 xij = flat[f]
                 xji = xij[:, ::-1]
@@ -742,7 +733,7 @@ class _NumpySlots(_Slots):
                 else:
                     ok = (np.abs(new) <= OVERFLOW_LIMIT).all(axis=1)
                     bad_p, bad_c = np.nonzero(live & ~ok)
-                    self.out.diverged_at[bad_p, cols[bad_c]] = self.k + step + 1
+                    self.out.diverged_at[bad_p, cols[bad_c]] = k + step + 1
                     self.alive[bad_p, cols[bad_c]] = False
                     live &= ok
                     keep = live[:, None, :]
@@ -750,14 +741,6 @@ class _NumpySlots(_Slots):
 
 
 _ACTIVE_RULES = ("uniform", "initiator", "responder")
-
-
-def _slot_kernel() -> type[_Slots] | None:
-    """The slots of the compiled library (`_native.library`) as a `_Slots`
-    class, the twin of `_NumpySlots`, or None when the library cannot be
-    built or loaded; the engine then runs the twin."""
-    lib = _native.library()
-    return None if lib is None else _bind(lib)
 
 
 class _Chunk(ctypes.Structure):
@@ -772,58 +755,48 @@ class _Chunk(ctypes.Structure):
     del i64, ptr, f64
 
 
-@functools.cache
-def _bind(lib: ctypes.CDLL) -> type[_Slots]:
-    """The slots of the library as the twin of `_NumpySlots`. Pointers
-    reach it only for arrays of its dtypes, shapes and C layout, blocks of
-    the chunk's configs, segments inside the block and checkpoints of the
-    chunk. Binding reads the library and changes nothing in it."""
-    draw_uniform, run_slots = lib.draw_uniform, lib.run_slots
+class _KernelSlots(_Slots):
+    """The engine's slots in the compiled library (`_native.library`): the
+    twin of `_NumpySlots`, which the engine runs where the library loads.
+    Pointers reach the library only for arrays of its dtypes, shapes and C
+    layout, weights of the chunk's configs and checkpoints of the chunk."""
 
-    class KernelSlots(_Slots):
-        def _open(self) -> None:
-            streams, cdf, out = self.streams, self.cdf, self.out
-            npts, m, ncp = out.dispersion.shape
-            n = len(cdf)
-            shapes = [(streams, np.uint64, (m, STREAM_WORDS)), (cdf, np.float64, (n, n)),
-                      (out.dispersion, np.float64, (npts, m, ncp)),
-                      (out.spread, np.float64, (npts, m, ncp)),
-                      (out.diverged_at, np.int64, (npts, m))]
-            if out.states is not None:
-                shapes.append((out.states, np.float64, (npts, m, ncp, n)))
-            if any(a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous
-                   for a, dtype, shape in shapes):
-                raise ValueError("slot kernel arguments of the wrong shape, type or layout")
-            mode = self.mode
-            code = 0 if mode.variant == "symmetric" else 1 + _ACTIVE_RULES.index(mode.active_rule)
-            self.chunk = _Chunk(
-                streams.ctypes.data, m, n, npts, ncp, self.x.ctypes.data,
-                self.alive.ctypes.data, out.diverged_at.ctypes.data, cdf.ctypes.data,
-                self.thr[0], self.thr[1], code, OVERFLOW_LIMIT, self.refs.ctypes.data,
-                out.dispersion.ctypes.data, out.spread.ctypes.data,
-                None if out.states is None else out.states.ctypes.data)
-            self.at = ctypes.addressof(self.chunk)
+    def _open(self) -> None:
+        streams, cdf, out = self.streams, self.cdf, self.out
+        npts, m, ncp = out.dispersion.shape
+        n = len(cdf)
+        shapes = [(streams, np.uint64, (m, STREAM_WORDS)), (cdf, np.float64, (n, n)),
+                  (out.dispersion, np.float64, (npts, m, ncp)),
+                  (out.spread, np.float64, (npts, m, ncp)),
+                  (out.diverged_at, np.int64, (npts, m))]
+        if out.states is not None:
+            shapes.append((out.states, np.float64, (npts, m, ncp, n)))
+        if any(a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous
+               for a, dtype, shape in shapes):
+            raise ValueError("slot kernel arguments of the wrong shape, type or layout")
+        mode = self.mode
+        code = 0 if mode.variant == "symmetric" else 1 + _ACTIVE_RULES.index(mode.active_rule)
+        self.chunk = _Chunk(
+            streams.ctypes.data, m, n, npts, ncp, self.x.ctypes.data,
+            self.alive.ctypes.data, out.diverged_at.ctypes.data, cdf.ctypes.data,
+            self.thr[0], self.thr[1], code, OVERFLOW_LIMIT, self.refs.ctypes.data,
+            out.dispersion.ctypes.data, out.spread.ctypes.data,
+            None if out.states is None else out.states.ctypes.data)
+        self.at = ctypes.addressof(self.chunk)
 
-        def _start(self, initial: InitialState) -> None:
-            if initial.kind == "uniform":
-                draw_uniform(self.at, initial.low, initial.high)
-            else:
-                self.x[0] = initial.sample(self.x.shape[2], None)
+    def _start(self, initial: InitialState) -> None:
+        if initial.kind == "uniform":
+            _native.library().draw_uniform(self.at, initial.low, initial.high)
+        else:
+            self.x[0] = initial.sample(self.x.shape[2], None)
 
-        def block(self, w: np.ndarray, k: int) -> None:
-            npts = self.x.shape[0]
-            if w.dtype != np.float64 or w.shape[1:] != (npts, 4) or not w.flags.c_contiguous:
-                raise ValueError("slot kernel arguments of the wrong shape, type or layout")
-            self.w, self.k = w, k
-
-        def run(self, s0: int, s1: int, ci: int = -1) -> None:
-            if not (0 <= s0 <= s1 <= len(self.w) and -1 <= ci < self.out.dispersion.shape[2]):
-                raise ValueError(f"slot kernel arguments: slots [{s0}, {s1}) of {len(self.w)}, "
-                                 f"checkpoint {ci}")
-            run_slots(self.at, self.w.ctypes.data + s0 * self.w.strides[0], s1 - s0,
-                      self.k + s0, ci)
-
-    return KernelSlots
+    def run(self, w: np.ndarray, k: int, ci: int = -1) -> None:
+        npts, _, ncp = self.out.dispersion.shape
+        if w.dtype != np.float64 or w.shape[1:] != (npts, 4) or not w.flags.c_contiguous \
+                or not -1 <= ci < ncp:
+            raise ValueError(f"slot kernel arguments: weights {w.dtype} {w.shape}, "
+                             f"checkpoint {ci} of {ncp}")
+        _native.library().run_slots(self.at, w.ctypes.data, len(w), k, ci)
 
 
 def _simulate_chunk(cfgs: list[ExperimentConfig], cdf: np.ndarray, lo: int, hi: int,
@@ -838,7 +811,7 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], cdf: np.ndarray, lo: int, hi: 
     Mirrors the scalar path exactly: same per-trial streams, same
     consumption order, same update expressions, same freeze-on-overflow
     semantics. The slots run on `slots`: the compiled kernel
-    (`_slot_kernel`), which draws each trial's Philox stream itself and
+    (`_KernelSlots`), which draws each trial's Philox stream itself and
     measures the checkpoints, or, where none could be built, its numpy twin
     (`_NumpySlots`): one interface, the same bits. The weights 1 - T, T,
     1 + S, S of WEIGHT_BLOCK slots at a time are evaluated once for the
@@ -858,14 +831,14 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], cdf: np.ndarray, lo: int, hi: 
         # (b, configs): each config's T and S
         t = np.stack([c.schedule_t.applied(k, k + b) for c in cfgs], axis=1)
         s = np.stack([c.schedule_s.applied(k, k + b) for c in cfgs], axis=1)
-        chunk.block(np.stack((1.0 - t, t, 1.0 + s, s), axis=2), k)
+        w = np.stack((1.0 - t, t, 1.0 + s, s), axis=2)
         s0 = 0
         while ci < len(cps) and cps[ci] <= k + b:
-            chunk.run(s0, cps[ci] - k, ci)
+            chunk.run(w[s0:cps[ci] - k], k + s0, ci)
             s0 = cps[ci] - k
             ci += 1
         if s0 < b:
-            chunk.run(s0, b)
+            chunk.run(w[s0:], k + s0)
         k += b
 
 
@@ -980,7 +953,7 @@ def _run_batch(configs: list[ExperimentConfig], cdf: np.ndarray,
     trials = configs[0].trials
     head = TrialMatrices.empty(configs[0], trials, states)
     config_bytes = sum(a.nbytes for a in head.arrays())
-    slots = _slot_kernel() or _NumpySlots
+    slots = _NumpySlots if _native.library() is None else _KernelSlots
     workers = 1 if slots is _NumpySlots else _workers()
     size = min(CHUNK_TRIALS, -(-trials // workers))
     with tempfile.TemporaryFile() if len(configs) > 1 else nullcontext() as spill:

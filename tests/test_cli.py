@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -700,6 +701,11 @@ MALFORMED = {
     "explicit with n": {"matrix": {"kind": "explicit", "rows": REF_ROWS, "n": 4}},
     "erdos-renyi without p": {"matrix": {"kind": "erdos_renyi", "n": 8}},
     "unknown matrix kind": {"matrix": {"kind": "lattice", "n": 8}},
+    # kinds that are not strings
+    "matrix kind list": {"matrix": {"kind": [1]}},
+    "T kind object": {"schedules": {"T": {"kind": {}}, "S": {"value": 0.05}}},
+    "S kind list": {"schedules": {"T": {"value": 0.25}, "S": {"kind": ["constant"]}}},
+    "initial kind list": {"initial": {"kind": []}},
     # adjacencies of 8.19 TiB and beyond the address space: allocation fails
     # at once, before any draw
     "complete n beyond memory": {"matrix": {"kind": "complete", "n": 3_000_000}},
@@ -715,12 +721,17 @@ MALFORMED_FILES = {
 }
 
 
-@pytest.mark.parametrize("case", MALFORMED)
+# cases given as `--set` entries over a valid config
+MALFORMED_SETS = {"matrix kind list by --set": ["matrix.kind=[1]"]}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED, *MALFORMED_SETS])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, case):
     for name, text in MALFORMED_FILES.items():
         (tmp_path / name).write_text(text)
-    cfg = write_config(tmp_path, **MALFORMED[case])
-    assert cli.main(["check", "--config", str(cfg)]) == 2
+    cfg = write_config(tmp_path, **MALFORMED.get(case, {}))
+    sets = [arg for item in MALFORMED_SETS.get(case, []) for arg in ("--set", item)]
+    assert cli.main(["check", "--config", str(cfg), *sets]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -769,6 +780,29 @@ def test_cli_runs_without_networkx(tmp_path, mode):
     proc = subprocess.run([sys.executable, "-c", WITHOUT_NETWORKX, mode, json.dumps(commands)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def readme_block(heading, lang):
+    """The first `lang` code block of the README's section `heading`."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index(f"\n## {heading}\n"):]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    """The README's Python quick start and every command of its "Command
+    line" section run as written, from the repository root, and exit 0;
+    each `--out` goes under tmp_path."""
+    monkeypatch.chdir(ROOT)
+    exec(readme_block("Library quick start", "python"), {})
+    commands = readme_block("Command line", "sh").replace("\\\n", " ").splitlines()
+    assert len(commands) == 5
+    for line in commands:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "gossipsim"
+        argv = [str(tmp_path / a) if prev == "--out" else a for prev, a in zip(argv, argv[1:])]
+        assert cli.main(argv) == 0, line
+    capsys.readouterr()
 
 
 def test_oracle_passes(capsys):

@@ -6,7 +6,6 @@ for every update mode, including frozen (overflowed) trials.
 """
 
 import dataclasses
-import functools
 import importlib.util
 import json
 import math
@@ -727,21 +726,21 @@ def test_every_worker_gets_a_chunk(ref_matrix):
         (lo, min(lo + 256, 1100)) for lo in range(0, 1100, 256)]
 
 
-def test_concurrent_first_binds_of_the_slot_kernel(ref_matrix, monkeypatch):
-    """Two passes that bind the kernel at the same moment, each on 2
-    workers, both run and give the bytes of a lone pass: binding sets
-    nothing in the library that the other pass's chunks could meet."""
-    compiled_kernel()
+def test_concurrent_passes_on_the_slot_kernel(ref_matrix, monkeypatch):
+    """Two passes at the same moment, each on 2 workers, whose four chunks
+    all open their slots at once: both run and give the bytes of a lone
+    pass, since the chunks share nothing in the library."""
+    kernel = compiled_kernel()
     cfg = freezing_ring_config(40, steps=256)
     want = run_trials(cfg, states=True)
-    barrier = threading.Barrier(2)
-    unbound = montecarlo._bind.__wrapped__
+    barrier = threading.Barrier(4)
+    opened = kernel._open
 
-    def bind(lib):
-        barrier.wait(timeout=30)  # both threads bind at once
-        return unbound(lib)
+    def meet(self):
+        barrier.wait(timeout=30)  # the chunks of both passes open at once
+        opened(self)
 
-    monkeypatch.setattr(montecarlo, "_bind", functools.cache(bind))
+    monkeypatch.setattr(kernel, "_open", meet)
     monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
     results, errors = [None, None], []
 
@@ -858,10 +857,9 @@ def chunk_out(npts, trials, ncp, n=None):
 
 
 def compiled_kernel():
-    kernel = montecarlo._slot_kernel()
-    if kernel is None:
+    if _native.library() is None:
         pytest.skip("no C compiler here to build the slot kernel")
-    return kernel
+    return montecarlo._KernelSlots
 
 
 # the two implementations of the engine's slots, which share one interface
@@ -884,8 +882,7 @@ def test_partner_is_searchsorted_right(n, slots):
     out = chunk_out(1, len(draws), 1, n)
     chunk = SLOTS[slots]()(streams_at(u), InitialState(kind="ramp"), cdfs, (0.5, 0.5),
                            UpdateMode(), out)
-    chunk.block(np.array([[[0.0, 1.0, 1.0, 0.0]]]), 0)  # 1 - T, T, 1 + S, S
-    chunk.run(0, 1, 0)
+    chunk.run(np.array([[[0.0, 1.0, 1.0, 0.0]]]), 0, 0)  # 1 - T, T, 1 + S, S
     x = out.states[0, :, 0]
     j = x[probes, rows].astype(int) - 1
     np.testing.assert_array_equal(
@@ -896,8 +893,8 @@ def test_partner_is_searchsorted_right(n, slots):
 
 def test_kernel_refuses_arguments_it_cannot_read():
     """Pointers reach the kernel only for arrays of its dtypes, shapes and
-    C layout, weights of the chunk's configs, segments inside the block
-    and checkpoints of the chunk."""
+    C layout, weights of the chunk's configs and checkpoints of the
+    chunk."""
     n, m, npts, ncp = 4, 3, 2, 2
     kernel = compiled_kernel()
 
@@ -907,15 +904,14 @@ def test_kernel_refuses_arguments_it_cannot_read():
                 "out": chunk_out(npts, m, ncp, n), **bad}
 
     slots = kernel(**args())
-    slots.block(np.ones((5, npts, 4)), 0)
-    slots.run(0, 5, 1)
-    for s0, s1, ci in ((-1, 2, -1), (3, 2, -1), (0, 6, -1), (5, 6, -1), (0, 1, 2), (0, 1, -2)):
+    slots.run(np.ones((5, npts, 4)), 0, 1)
+    for ci in (2, -2):
         with pytest.raises(ValueError, match="slot kernel arguments"):
-            slots.run(s0, s1, ci)
+            slots.run(np.ones((1, npts, 4)), 0, ci)
     for w in (np.ones((5, npts, 3)), np.ones((5, npts + 1, 4)), np.ones((5, npts * 4)),
               np.ones((5, npts, 4), dtype=np.float32), np.ones((4, npts, 5))[:, :, :4]):
         with pytest.raises(ValueError, match="slot kernel arguments"):
-            slots.block(w, 0)
+            slots.run(w, 0)
     out = chunk_out(npts, m, ncp, n)
     for key, bad in (("streams", np.zeros((m, montecarlo.STREAM_WORDS), dtype=np.int64)),
                      ("streams", montecarlo._streams(0, 0, m + 1)),
@@ -967,8 +963,7 @@ def test_kernel_stream_is_numpys_philox(count):
         for row, x, gen in zip(streams, slots.x[0], gens):
             assert x.tobytes() == gen.random(count).tobytes()
             assert_stream_is(row, gen)
-    slots.block(np.ones((5, 1, 4)), 0)
-    slots.run(0, 5)  # thresholds (0.0, 1.0): every slot neglects
+    slots.run(np.ones((5, 1, 4)), 0)  # thresholds (0.0, 1.0): every slot neglects
     for row, gen in zip(streams, gens):
         gen.random(15)
         assert_stream_is(row, gen)
@@ -1069,9 +1064,8 @@ def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, blocks, pre
                 out.states[...] = np.nan
             ci, k = 0, 40
             for w, cut in zip(ws, cuts):
-                slots.block(w, k)
                 for s0, s1 in zip([0, *cut], cut):
-                    slots.run(s0, s1, ci if records[ci] else -1)
+                    slots.run(w[s0:s1], k + s0, ci if records[ci] else -1)
                     ci += 1
                 k += len(w)
             outs.append([started, slots.x, slots.alive, slots.refs, *out.arrays()])
@@ -1119,8 +1113,7 @@ def test_kernel_measures_are_numpys(case):
                               np.ones((n, n)), (0.5, 0.5), UpdateMode(), out)
     slots.x[...] = x
     slots.refs[...] = refs
-    slots.block(np.empty((0, npts, 4)), 0)
-    slots.run(0, 0, 0)
+    slots.run(np.empty((0, npts, 4)), 0, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         assert_same_measures(out.dispersion[:, :, 0], ((x - refs[:, None]) ** 2).sum(axis=2))
         assert_same_measures(out.spread[:, :, 0], x.max(axis=2) - x.min(axis=2))
