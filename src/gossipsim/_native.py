@@ -3,9 +3,10 @@
 `library()` builds and loads the library once per process. Three things run
 on it where it loads, each with a twin in numpy or Python where it does not:
 the engine's slots (`montecarlo._KernelSlots`, twin `_NumpySlots`), the
-FNV-1a hash of `config_hash` (`fnv1a64`, twin `_fnv1a64`) and the matrix
-rows of the canonical config text and the manifest (`graph.json_with_rows`,
-twin `graph._join_rows`). Each twin gives the same bytes.
+FNV-1a hash of `config_hash` (`fnv1a64`, twin `_fnv1a64`), which runs over
+the text block by block, and the blocks of matrix rows of the canonical
+config text and the manifest (`graph.json_with_rows`, twin
+`graph._join_rows`). Each twin gives the same bytes.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ def _fnv1a64(data, h: int = FNV_OFFSET) -> int:
 
 
 def fnv1a64(pieces: Iterable) -> int:
-    """FNV-1a-64 of the concatenation of the bytes-like `pieces`, hashed one
-    after another and never joined: compiled where the library loads, else
-    in numpy (`_fnv1a64`)."""
+    """FNV-1a-64 of the concatenation of the bytes-like `pieces`, such as the
+    blocks of `graph.json_with_rows`, each hashed as it comes and none
+    joined or kept: compiled where the library loads, else in numpy
+    (`_fnv1a64`)."""
     lib = library()
     h = FNV_OFFSET
     for piece in pieces:

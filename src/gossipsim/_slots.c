@@ -3,8 +3,8 @@
  * build and is the reference it is tested against: the engine's slots
  * (`run_slots`, `draw_uniform`; twin `montecarlo._NumpySlots`), the FNV-1a
  * hash of a config's canonical text (`fnv1a64`; twin `_native._fnv1a64`)
- * and the writer of a matrix's rows as JSON text (`write_rows`; twin
- * `graph._join_rows`).
+ * and the writer of a block of a matrix's rows as JSON text (`write_rows`;
+ * twin `graph._join_rows`).
  *
  * The slots: `montecarlo._KernelSlots` calls them behind the interface of
  * `_NumpySlots`.
@@ -299,8 +299,8 @@ void run_slots(const chunk *c, const double *w, int64_t b, int64_t k, int64_t ci
 }
 
 /* FNV-1a-64 of the len bytes at data, going on from h: the offset basis
- * starts a hash, and the hash of one piece starts the next, so pieces hash
- * as their concatenation. */
+ * starts a hash, and the hash of one block of text starts the next, so the
+ * blocks hash as their concatenation. */
 uint64_t fnv1a64(const uint8_t *data, int64_t len, uint64_t h)
 {
     for (int64_t k = 0; k < len; k++)
@@ -308,11 +308,12 @@ uint64_t fnv1a64(const uint8_t *data, int64_t len, uint64_t h)
     return h;
 }
 
-/* Writes rows x cols tokens (cols >= 1) to out as text: each row is open, its tokens
- * with sep between them, then close, and between separates the rows. Token
- * ids[r * cols + c] is a value id v, whose text is bytes offsets[v] to
- * offsets[v + 1] of texts. Returns the bytes written, or -1, with out left
- * part written, when they would pass cap. */
+/* Writes a block of rows x cols entries (cols >= 1) to out as text: each
+ * row is open, its entries' texts with sep between them, then close, and
+ * between separates the rows. ids[r * cols + c] is the entry's id v in the
+ * matrix's vocabulary, whose text is bytes offsets[v] to offsets[v + 1] of
+ * texts. Returns the bytes written, or -1, with out left part written, when
+ * they would pass cap. */
 int64_t write_rows(const int32_t *ids, int64_t rows, int64_t cols, const char *texts,
                    const int64_t *offsets, const char *open, int64_t open_len,
                    const char *sep, int64_t sep_len, const char *close, int64_t close_len,

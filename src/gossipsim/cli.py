@@ -130,14 +130,16 @@ def _prepare_run_dir(args, command: str, cfg: ExperimentConfig, cfg_path: Path,
         "finishedAt": None,
         "status": "running",
     }
-    head, rows, tail = json_with_rows(doc, cfg.matrix, indent=2)
     try:  # a path that cannot be a run directory is an argument error
         run_dir.mkdir(parents=True, exist_ok=True)
         with open(manifest, "wb") as fh:
-            fh.writelines((head, rows, tail, b"\n"))
+            for piece in json_with_rows(doc, cfg.matrix, indent=2):
+                at = fh.tell()
+                fh.write(piece)
+            fh.write(b"\n")
     except OSError as exc:
         raise BadParameterError(f"cannot write run directory {run_dir}: {exc}") from None
-    args.manifest = manifest, len(head) + len(rows) + tail.rindex(b'"finishedAt"')
+    args.manifest = manifest, at + piece.rindex(b'"finishedAt"')  # the last piece is the tail
     return run_dir
 
 

@@ -17,6 +17,7 @@ import csv
 import itertools
 import json
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -53,6 +54,10 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-9
 GENERATOR_MAX_RETRIES = 100
+# Bytes of a matrix's entries, or of their text, handled at a time: the rows
+# are tokenized, written and hashed in blocks of whole rows of at most about
+# this size.
+WEIGHT_BLOCK = 1 << 20
 # Stands for a matrix's rows in a document given to `json_with_rows`. A NUL
 # character is in no path and no command-line argument, the only strings
 # such a document holds besides fixed names.
@@ -91,34 +96,59 @@ class SelectionMatrix:
 
     @cached_property
     def row_tokens(self) -> RowTokens:
-        """The entries as ids into the texts of their distinct values, as
-        json writes them. Made on first use and kept, so a config hash and a
-        manifest share one tokenization.
+        """The vocabulary of the entries' JSON text: their distinct values
+        and the text json writes for each. Made on first use and kept, so a
+        config hash and a manifest share it.
 
         `json` writes a finite float with `float.__repr__`, so one rendering
         per distinct bit pattern (-0.0 is not 0.0) gives every entry's text.
+        The values are gathered block by block (`_block_rows`), so no sorted
+        copy of all the entries is made.
         """
         bits = self.entries.view(np.uint64)
-        values = np.sort(bits, axis=None)
-        starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-        counts = np.diff(np.r_[starts, values.size])
-        values = values[starts]
+        step = _block_rows(bits.nbytes // self.n)
+        values = _distinct(np.concatenate(
+            [_distinct(bits[r:r + step]) for r in range(0, self.n, step)]))
         if len(values) > np.iinfo(np.int32).max:  # n above 46340: 17 GB of entries
             raise MemoryError("a matrix with more distinct entries than int32 ids can index")
         texts = json.dumps(values.view(np.float64).tolist(), separators=(",", ":"))
-        ids = np.searchsorted(values, bits).astype(np.int32)
-        return RowTokens(ids, texts[1:-1].encode().split(b","), counts)
+        return RowTokens(values, texts[1:-1].encode().split(b","))
+
+    @cached_property
+    def _spectral(self) -> SpectralData:
+        """`spectral` of this matrix, solved on first use and kept."""
+        try:
+            spectrum = np.linalg.eigvalsh(laplacian(self))
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailureError(f"eigensolver failed: {exc}") from exc
+        spectrum.setflags(write=False)
+        return SpectralData(
+            spectrum=spectrum,
+            lambda2=float(spectrum[1]),
+            lambda_n=float(spectrum[-1]),
+            a_star=float(self.entries[self.entries > 0.0].min()),
+        )
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of `a` in ascending order, as `np.unique` gives
+    them, by a sort: numpy 2's hash-table `unique` took 8x as long on the
+    bits of a 1000-node network."""
+    a = np.sort(a, axis=None)
+    return a[np.r_[True, a[1:] != a[:-1]]]
 
 
 @dataclass(frozen=True, eq=False)
 class RowTokens:
-    """A matrix's entries as tokens: `ids`, (n, n) int32, indexes `texts`,
-    the JSON text of each distinct value in ascending order of its bits,
-    and `counts` holds how many entries each value has."""
+    """The vocabulary of a matrix's entries: `values`, their distinct bit
+    patterns as sorted uint64, and `texts`, the JSON text of each."""
 
-    ids: np.ndarray
+    values: np.ndarray
     texts: list[bytes]
-    counts: np.ndarray
+
+    def ids(self, rows: np.ndarray) -> np.ndarray:
+        """The int32 ids into `texts` of the float entries `rows`."""
+        return np.searchsorted(self.values, rows.view(np.uint64)).astype(np.int32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +210,12 @@ def validate(entries: np.ndarray | list[list[float]]) -> SelectionMatrix:
     if not isinstance(entries, np.ndarray) and any(
             not {bool, np.bool_}.isdisjoint(map(type, row)) for row in entries):
         raise BadParameterError("matrix entries must be numbers, got a boolean entry")
+    return _validated(a)
+
+
+def _validated(a: np.ndarray) -> SelectionMatrix:
+    """`validate` of a square float array that the caller hands over: it is
+    checked and frozen as it is, without a copy."""
     n = a.shape[0]
     if n < 3:
         raise MatrixTooSmallError(f"need at least 3 nodes, got {n}")
@@ -228,7 +264,9 @@ def laplacian(matrix: SelectionMatrix) -> np.ndarray:
 
 
 def spectral(matrix: SelectionMatrix) -> SpectralData:
-    """The eigenvalues of the symmetrized Laplacian (`laplacian`).
+    """The eigenvalues of the symmetrized Laplacian (`laplacian`), solved
+    once per matrix and kept on it: configs that share a matrix, such as
+    the points of a sweep, share one solve. The spectrum is read-only.
 
     Raises
     ------
@@ -236,16 +274,7 @@ def spectral(matrix: SelectionMatrix) -> SpectralData:
         If the symmetric eigensolver fails to converge (essentially never
         for the sizes this package targets, but surfaced rather than hidden).
     """
-    try:
-        spectrum = np.linalg.eigvalsh(laplacian(matrix))
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailureError(f"eigensolver failed: {exc}") from exc
-    return SpectralData(
-        spectrum=spectrum,
-        lambda2=float(spectrum[1]),
-        lambda_n=float(spectrum[-1]),
-        a_star=float(matrix.entries[matrix.entries > 0.0].min()),
-    )
+    return matrix._spectral
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +438,7 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
             _complete(adj)
         else:
             _ring_lattice(adj, 1)
-        return validate(_normalize_rows(adj))
+        return _validated(_normalize_rows(adj))
 
     draw = _random_draw(kind, n, params)
     if seed is not None and seed < 0:
@@ -420,7 +449,7 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
         adj.fill(False)
         draw(adj, random.Random(int(rng.integers(0, 2**31 - 1))))
         if is_weakly_connected(adj):
-            return validate(_normalize_rows(adj))
+            return _validated(_normalize_rows(adj))
     raise DisconnectedAfterRetriesError(
         f"no connected {kind} graph in {GENERATOR_MAX_RETRIES} attempts (n={n}, {params})"
     )
@@ -453,15 +482,24 @@ def import_matrix_csv(path: str | Path) -> SelectionMatrix:
     return validate(rows)
 
 
+def _block_rows(row_bytes: int) -> int:
+    """The rows in a block when a row takes at most `row_bytes`: as many as
+    fit in `WEIGHT_BLOCK` bytes, and at least one."""
+    return max(1, WEIGHT_BLOCK // row_bytes)
+
+
 def json_with_rows(doc, matrix: SelectionMatrix, indent: int | None = None,
-                   sort_keys: bool = False) -> tuple[bytes, bytearray, bytes]:
+                   sort_keys: bool = False) -> Iterator[bytes | bytearray | memoryview]:
     """`json.dumps` of `doc` with `matrix.entries.tolist()` in place of its one
-    `MATRIX_ROWS` value, in UTF-8, as three pieces (head, rows, tail) to be
-    hashed or written one after another: compact (separators "," and ":")
-    when `indent` is None, else indented by `indent`. The text is json's
-    own; the rows are written from `matrix.row_tokens` instead of json's
-    encoder, whose indented form runs in pure Python: by the compiled
-    library where it loads (`_native.library`), else by `_join_rows`.
+    `MATRIX_ROWS` value, in UTF-8, yielded in order as the head, then the
+    rows in blocks of whole rows (`_block_rows`), then the tail, to be
+    hashed or written as they come: compact (separators "," and ":") when
+    `indent` is None, else indented by `indent`. The text is json's own;
+    the rows are written from the vocabulary `matrix.row_tokens` instead of
+    json's encoder, whose indented form runs in pure Python: by the compiled
+    library where it loads (`_native.library`), else by `_join_rows`. The
+    compiled blocks are views of one buffer that the next block overwrites,
+    so a caller that keeps a block copies it.
     """
     separators = (",", ":") if indent is None else None
     text = json.dumps(doc, indent=indent, separators=separators, sort_keys=sort_keys)
@@ -477,49 +515,64 @@ def json_with_rows(doc, matrix: SelectionMatrix, indent: int | None = None,
         item_pad = row_pad + " " * indent
     # open, sep, close and between of `_join_rows`
     marks = [m.encode() for m in (f"[{item_pad}", f",{item_pad}", f"{row_pad}]", f",{row_pad}")]
-    lib = _native.library()
+    open_, sep, close, between = marks
+    yield f"{head}[{row_pad}".encode()
     tokens = matrix.row_tokens
-    rows = _join_rows(tokens, *marks) if lib is None else _write_rows(lib, tokens, *marks)
-    return f"{head}[{row_pad}".encode(), rows, f"{pad}]{tail}".encode()
+    n = matrix.n
+    # the most bytes a row's text takes, with the `between` before it
+    row_bytes = (len(between) + len(open_) + n * max(map(len, tokens.texts))
+                 + (n - 1) * len(sep) + len(close))
+    step = _block_rows(row_bytes)
+    lib = _native.library()
+    if lib is None:
+        texts = np.array(tokens.texts, dtype=object)
+    else:
+        joined = b"".join(tokens.texts)
+        offsets = np.zeros(len(tokens.texts) + 1, dtype=np.int64)
+        np.cumsum([len(t) for t in tokens.texts], out=offsets[1:])
+        out = np.empty(min(step, n) * row_bytes, dtype=np.uint8)
+    for r in range(0, n, step):
+        ids = tokens.ids(matrix.entries[r:r + step])
+        lead = between if r else b""  # joins the block to the one before
+        if lib is None:
+            yield _join_rows(texts, ids, *marks, lead=lead)
+        else:
+            out.data[:len(lead)] = lead
+            size = len(lead) + _write_rows(lib, joined, offsets, ids, marks, out[len(lead):])
+            yield out[:size].data
+    yield f"{pad}]{tail}".encode()
 
 
-def _join_rows(tokens: RowTokens, open_: bytes, sep: bytes, close: bytes,
-               between: bytes) -> bytearray:
-    """The rows of `tokens` as text: each row is `open_`, its tokens joined
+def _join_rows(texts: np.ndarray, ids: np.ndarray, open_: bytes, sep: bytes, close: bytes,
+               between: bytes, lead: bytes = b"") -> bytearray:
+    """`lead`, then the rows of text ids `ids` as text, with `texts` the
+    object array of each id's text: each row is `open_`, its tokens joined
     by `sep`, then `close`, and `between` joins the rows. The twin of the
     compiled `write_rows`; it holds one row's tokens at a time."""
-    texts = np.array(tokens.texts, dtype=object)
-    out = bytearray()
-    for r, row in enumerate(tokens.ids):
+    out = bytearray(lead)
+    for r, row in enumerate(ids):
         out += (between if r else b"") + open_ + sep.join(texts[row].tolist()) + close
     return out
 
 
-def _write_rows(lib, tokens: RowTokens, open_: bytes, sep: bytes, close: bytes,
-                between: bytes) -> bytearray:
-    """`_join_rows` by the compiled `write_rows`, into a buffer of the size
-    the token counts give."""
-    rows, cols = tokens.ids.shape
-    lengths = np.fromiter(map(len, tokens.texts), dtype=np.int64, count=len(tokens.texts))
-    size = (int(tokens.counts @ lengths) + rows * (len(open_) + len(close))
-            + rows * (cols - 1) * len(sep) + (rows - 1) * len(between))
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    ids = np.ascontiguousarray(tokens.ids, dtype=np.int32)
-    out = bytearray(size)
-    written = lib.write_rows(ids.ctypes.data, rows, cols, b"".join(tokens.texts),
-                             offsets.ctypes.data, open_, len(open_), sep, len(sep), close,
-                             len(close), between, len(between),
-                             np.frombuffer(out, dtype=np.uint8).ctypes.data, size)
-    if written != size:
-        raise RuntimeError(f"write_rows wrote {written} bytes of {size}")
-    return out
+def _write_rows(lib, texts: bytes, offsets: np.ndarray, ids: np.ndarray, marks: list[bytes],
+                out: np.ndarray) -> int:
+    """`_join_rows` by the compiled `write_rows` into the uint8 array `out`,
+    with the id v's text bytes offsets[v] to offsets[v + 1] of `texts`;
+    returns the bytes written."""
+    rows, cols = ids.shape
+    written = lib.write_rows(ids.ctypes.data, rows, cols, texts, offsets.ctypes.data,
+                             *(x for m in marks for x in (m, len(m))), out.ctypes.data, out.size)
+    if written < 0:
+        raise RuntimeError(f"write_rows needs more than {out.size} bytes")
+    return written
 
 
 def export_matrix_json(matrix: SelectionMatrix, path: str | Path) -> None:
     payload = {"n": matrix.n, "rows": MATRIX_ROWS}
     with open(path, "wb") as fh:
-        fh.writelines((*json_with_rows(payload, matrix, indent=2), b"\n"))
+        fh.writelines(json_with_rows(payload, matrix, indent=2))
+        fh.write(b"\n")
 
 
 def import_matrix_json(path: str | Path) -> SelectionMatrix:

@@ -438,10 +438,9 @@ def config_outline(cfg: ExperimentConfig) -> dict:
 def config_hash(cfg: ExperimentConfig) -> str:
     """64-bit FNV-1a over the canonical compact JSON form (`config_to_dict`
     with sorted keys and separators "," and ":"), as 16 hex digits. The
-    text comes in pieces from `graph.json_with_rows`, which writes the
-    matrix rows from one tokenization per matrix, and `_native.fnv1a64`
-    hashes them one after another, for the same digest a per-byte loop
-    over `json.dumps` gives.
+    text comes from `graph.json_with_rows` in blocks of rows, written from
+    one vocabulary per matrix, and `_native.fnv1a64` hashes each block as
+    it comes, for the same digest a per-byte loop over `json.dumps` gives.
 
     The digest is computed on the first call and kept on the config, so a
     command that hashes its config for the manifest and for the results
@@ -1168,13 +1167,21 @@ def sweep(config_dict: dict, axis: str, values,
     that share their draws (an axis in `schedules`, `epsAgree` or `bigM`)
     run through one pass of the engine (`run_shared_trials`); the others
     run alone. Each point also carries the analytic report for its config.
+    Points whose matrix entries are equal bit for bit share one matrix, and
+    so its spectrum (`graph.spectral`).
     """
     values = sweep_values(axis, values)
     configs = []
     for v in values:
         d = deepcopy(config_dict)
         set_by_path(d, axis, v)
-        configs.append(config_from_dict(d, base_dir=base_dir))
+        cfg = config_from_dict(d, base_dir=base_dir)
+        # points whose entries have the same bits (-0.0 is not 0.0: its text
+        # and so the hash differ) hold, tokenize and solve one matrix
+        bits = cfg.matrix.entries.view(np.uint64)
+        cfg.matrix = next((c.matrix for c in configs
+                           if np.array_equal(c.matrix.entries.view(np.uint64), bits)), cfg.matrix)
+        configs.append(cfg)
     groups: list[list[int]] = []
     for i, cfg in enumerate(configs):
         group = next((g for g in groups if _shares_draws(configs[g[0]], cfg)), None)

@@ -1,11 +1,13 @@
 """End-to-end CLI behaviour, run in process through main(argv)."""
 
 import argparse
+import contextlib
 import csv
 import functools
 import importlib.util
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -13,18 +15,20 @@ import sys
 import tracemalloc
 import warnings
 from contextlib import nullcontext
+from copy import deepcopy
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import LAMBDA2, LAMBDA_N, REF_ROWS, S_CRIT, exponent_rows, fnv1a64_reference, \
     make_config, numpy_engine, on_paths
 from gossipsim import cli, montecarlo
 from gossipsim.cli import json_safe
-from gossipsim.errors import RuntimeFailure
+from gossipsim.errors import BadAxisError, RuntimeFailure
 from gossipsim.graph import SelectionMatrix
 from gossipsim.montecarlo import config_from_dict, config_hash, run_experiment, run_trial, \
-    run_trials
+    run_trials, set_by_path
 from gossipsim.theory import theory_report
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -179,8 +183,12 @@ def test_experiment_hashes_its_config_once(tmp_path, monkeypatch):
     hash and the manifest share one tokenization of the matrix rows."""
     fnv = montecarlo.fnv1a64
     calls = []
-    monkeypatch.setattr(montecarlo, "fnv1a64",
-                        lambda pieces: calls.append(b"".join(pieces)) or fnv(pieces))
+
+    def hashed(pieces):  # the blocks share a buffer: each is copied as it comes
+        calls.append(b"".join(map(bytes, pieces)))
+        return fnv(calls[-1:])
+
+    monkeypatch.setattr(montecarlo, "fnv1a64", hashed)
     tokenize = SelectionMatrix.row_tokens.func
     tokenized = []
     counted = functools.cached_property(lambda m: tokenized.append(m) or tokenize(m))
@@ -223,30 +231,58 @@ def test_manifest_is_the_indented_dump_at_scale(tmp_path, matrix, twin):
         assert "3.0000000000000004e-07" in canonical and "-0.0," in canonical
 
 
+# a 1000-node Watts-Strogatz network, whose manifest is 15 MB
+WS1000_DOC = {
+    "matrix": {"kind": "watts_strogatz", "n": 1000, "kNn": 6, "pRewire": 0.1, "seed": 7},
+    "probabilities": {"alpha": 1 / 3, "beta": 1 / 3, "gamma": 1 / 3},
+    "schedules": {"T": {"kind": "constant", "value": 0.25},
+                  "S": {"kind": "constant", "value": 0.05}},
+    "steps": 10, "trials": 2}
+# bytes of one (1000, 1000) float array: 7.63 MiB
+NN_BYTES = 1000 * 1000 * 8
+
+
 @pytest.mark.parametrize("twin", [False, True], ids=["as-is", "twin"])
 def test_hash_and_manifest_of_a_large_config_stay_small(tmp_path, twin):
     """Hashing a 1000-node Watts-Strogatz config and writing its manifest
-    holds the rows' token ids and one text of them at a time: the 15 MB
-    indented manifest is written from pieces, with no str of it and no
-    encoded copy (32.8 MiB with those), by the compiled writer and by its
-    twin."""
-    cfg = config_from_dict({
-        "matrix": {"kind": "watts_strogatz", "n": 1000, "kNn": 6, "pRewire": 0.1, "seed": 7},
-        "probabilities": {"alpha": 1 / 3, "beta": 1 / 3, "gamma": 1 / 3},
-        "schedules": {"T": {"kind": "constant", "value": 0.25},
-                      "S": {"kind": "constant", "value": 0.05}},
-        "steps": 10, "trials": 2})
+    holds the vocabulary of its entries and one block of rows at a time:
+    the 15 MB indented manifest and the compact hash text are never held
+    whole (18.2 MiB with whole-text pieces, 32.8 MiB with a str), by the
+    compiled writer and by its twin, and under 1 MiB stays behind."""
+    cfg = config_from_dict(WS1000_DOC)
     args = argparse.Namespace(out=str(tmp_path / "run"))
     with numpy_engine() if twin else nullcontext():
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             cli._prepare_run_dir(args, "experiment", cfg, tmp_path / "config.json", [])
-            peak = tracemalloc.get_traced_memory()[1] - start
+            kept, peak = (m - start for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
     assert (tmp_path / "run" / "manifest.json").stat().st_size > 15_000_000
-    assert peak < 24 << 20, f"{peak / 2 ** 20:.1f} MiB"
+    assert peak < 12 << 20, f"{peak / 2 ** 20:.1f} MiB"
+    assert kept < 1 << 20, f"{kept / 2 ** 20:.2f} MiB"
+
+
+@pytest.mark.parametrize("command,twin", on_paths([("check",), ("experiment",)],
+                                                  ["check", "experiment"]))
+def test_a_large_run_holds_its_matrix_once(tmp_path, command, twin):
+    """A whole `check --out` or `experiment --out` on a 1000-node network,
+    from loading the config to its last output, peaks below 2.5 (n, n)
+    float arrays: the matrix, plus the Laplacian during `check` or the row
+    CDFs during trials, and a block of text (about 26 MiB with whole-text
+    pieces and a copied matrix)."""
+    cfg = tmp_path / "ws1000.json"
+    cfg.write_text(json.dumps(WS1000_DOC))
+    with numpy_engine() if twin else nullcontext():
+        tracemalloc.start()
+        try:
+            code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "run")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2.5 * NN_BYTES, f"{peak / 2 ** 20:.1f} MiB"
 
 
 @pytest.mark.parametrize("command,fmt", [
@@ -733,6 +769,85 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, case):
     sets = [arg for item in MALFORMED_SETS.get(case, []) for arg in ("--set", item)]
     assert cli.main(["check", "--config", str(cfg), *sets]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# The bundled critical config, with the horizon and trials scaled down so a
+# run takes milliseconds
+FUZZ_BASE = {**json.loads((CONFIGS / "paper_5_3_crit.json").read_text()),
+             "steps": 20, "trials": 4, "checkpoints": [0, 10, 20]}
+
+
+def key_paths(doc: dict, prefix: str = ""):
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from key_paths(value, f"{prefix}{key}.")
+
+
+# every key of the config, and the optional keys it leaves out
+FUZZ_KEYS = sorted({*key_paths(FUZZ_BASE), "k0", "epsAgree", "bigM", "mode.activeRule",
+                    "initial.low", "initial.high", "initial.values", "matrix.n",
+                    "matrix.seed", "matrix.p", "matrix.kNn", "matrix.pRewire", "matrix.m",
+                    "matrix.path", "schedules.T.tail", "schedules.T.values", "schedules.S.c",
+                    "schedules.S.p", "schedules.S.r"})
+FUZZ_NAMES = sorted({*(k.rpartition(".")[2] for k in FUZZ_KEYS), "explicit", "file",
+                     "complete", "ring", "erdos_renyi", "watts_strogatz", "barabasi_albert",
+                     "constant", "power", "geometric", "ramp", "uniform", "symmetric",
+                     "asymmetric", "initiator", "responder"})
+# Numbers stay small, so no trial count, horizon or node count costs more
+# than milliseconds, or are far beyond what a run can take; the values in
+# between (a trial count of 10^9, say) would only be slow.
+FUZZ_NUMBERS = st.one_of(
+    st.integers(-3, 40), st.sampled_from([2 ** 63, 10 ** 400]), st.floats(-50.0, 50.0),
+    st.sampled_from([-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]))
+FUZZ_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), FUZZ_NUMBERS, st.sampled_from(FUZZ_NAMES),
+              st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(st.sampled_from(FUZZ_NAMES) | st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12)
+# the keys, and paths that name no key or run into a value
+FUZZ_PATHS = st.sampled_from([*FUZZ_KEYS, "", "seed.x", "matrix.rows.0", "schedules.U.value",
+                              "typo", ".steps"])
+
+# the numbers of the config: the axes a sweep would take
+FUZZ_AXES = ["schedules.S.value", "schedules.T.value", "probabilities.alpha", "steps",
+             "trials", "k0", "seed", "epsAgree", "bigM"]
+
+
+@st.composite
+def fuzz_documents(draw):
+    """A config document with values of any JSON type at up to two of its
+    keys, up to two `--set` overrides, and a sweep axis with its values."""
+    doc = deepcopy(FUZZ_BASE)
+    for path in draw(st.lists(st.sampled_from(FUZZ_KEYS), max_size=2)):
+        with contextlib.suppress(BadAxisError):  # a key under a replaced value
+            set_by_path(doc, path, draw(FUZZ_NUMBERS | FUZZ_VALUES))
+    sets = []
+    for path in draw(st.lists(FUZZ_PATHS, max_size=2)):
+        value = draw(FUZZ_VALUES.map(json.dumps) | st.text(max_size=4))
+        sets.append(f"--set={path}={value}")
+    axis = draw(st.sampled_from(FUZZ_AXES) | FUZZ_PATHS)
+    values = draw(st.lists(FUZZ_NUMBERS.map(repr), min_size=1, max_size=3).map(",".join)
+                  | st.text(max_size=4))
+    return doc, sets, [f"--axis={axis}", f"--values={values}"]
+
+
+@settings(max_examples=150)
+@given(case=fuzz_documents())
+def test_every_config_document_runs_or_is_a_config_error(tmp_path_factory, case):
+    """Whatever a config document holds, `check`, `experiment` and `sweep`
+    either run it or exit 2 with an error message: never an internal error."""
+    doc, sets, sweep_args = case
+    cfg = tmp_path_factory.mktemp("fuzz") / "config.json"
+    cfg.write_text(json.dumps(doc))
+    for command, extra in (("check", []), ("experiment", []), ("sweep", sweep_args)):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(cfg), *sets, *extra])
+        assert code in (0, 2), (command, err.getvalue())
+        assert code == 0 or err.getvalue().startswith("error: "), err.getvalue()
 
 
 @pytest.mark.parametrize("command", ["experiment", "simulate", "sweep"])

@@ -34,7 +34,7 @@ from gossipsim.graph import (
 from gossipsim.theory import theory_report
 
 from conftest import A_STAR, LAMBDA2, LAMBDA_N, REF_ROWS, SPECTRUM, exponent_rows, \
-    make_config, numpy_engine, on_paths
+    fnv1a64_reference, make_config, numpy_engine, on_paths
 
 
 def two_triangles():
@@ -245,6 +245,40 @@ def test_spectral_memory_at_n_1000():
     assert peak < 12 * 2 ** 20, peak
 
 
+def test_spectral_is_solved_once_per_matrix(monkeypatch):
+    """A matrix keeps its spectral data, read-only, so configs sharing it
+    share one solve; a matrix of the same entries solves its own."""
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
+    m = validate(REF_ROWS)
+    sp = spectral(m)
+    assert spectral(m) is sp and theory_report(make_config(m)).spectral is sp
+    assert not sp.spectrum.flags.writeable
+    assert spectral(validate(REF_ROWS)) is not sp
+    assert len(solves) == 2
+
+
+def test_generate_memory_at_n_1000():
+    """`generate` validates its freshly normalized array without copying
+    it: a 1000-node Watts-Strogatz draw peaks below 1.5 (n, n) float arrays
+    (11.4 MiB; 17.2 MiB with the copy)."""
+    tracemalloc.start()
+    try:
+        generate("watts_strogatz", 1000, seed=1, k_nn=6, p_rewire=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 1000 * 1000 * 8, f"{peak / 2 ** 20:.1f} MiB"
+
+
+def test_validate_copies_the_callers_array():
+    a = np.array(REF_ROWS)
+    m = validate(a)
+    assert a.flags.writeable and not np.shares_memory(a, m.entries)
+    assert not m.entries.flags.writeable
+
+
 def test_spectral_disconnected_has_zero_lambda2():
     sp = spectral(validate(two_triangles()))
     assert abs(sp.lambda2) < 1e-9
@@ -397,9 +431,39 @@ def test_matrix_text_is_json_text(tmp_path, rows, twin):
         doc = {"b": [1.5, "x"], "rows": MATRIX_ROWS, "a": {"c": None}}
         for indent, sort_keys in ((None, True), (None, False), (2, False), (4, True)):
             separators = (",", ":") if indent is None else None
-            assert b"".join(json_with_rows(doc, m, indent=indent, sort_keys=sort_keys)) == \
+            assert b"".join(map(bytes, json_with_rows(doc, m, indent=indent,
+                                                      sort_keys=sort_keys))) == \
                 json.dumps({**doc, "rows": rows}, indent=indent, separators=separators,
                            sort_keys=sort_keys).encode()
+
+
+@pytest.mark.parametrize("rows,twin", on_paths([
+    (exponent_rows(9, 4, distinct=True),),
+    (exponent_rows(9, 5, distinct=False),),
+    (generate("watts_strogatz", 31, seed=2, k_nn=4, p_rewire=0.3).entries.tolist(),),
+], ["distinct-exponents-9", "repeated-exponents-9", "generated-31"]))
+def test_rows_are_the_same_text_in_any_blocks(monkeypatch, rows, twin):
+    """Blocks of 1 row, 2 rows (an odd n leaves one short block) or every
+    row give the bytes of json's compact sorted and indented dumps, and the
+    digest of the per-byte FNV-1a loop, by the compiled writer and by its
+    twin; entries such as -0.0 and 3.0000000000000004e-07 keep their text."""
+    doc = {"b": [1.5, "x"], "rows": MATRIX_ROWS, "a": {"c": None}}
+    n = len(rows)
+    for block in (1, 2, n):
+        monkeypatch.setattr(graph, "_block_rows", lambda row_bytes: block)
+        with numpy_engine() if twin else nullcontext():
+            m = validate(rows)  # a fresh vocabulary, gathered in the same blocks
+            for indent, sort_keys in ((None, True), (2, False)):
+                separators = (",", ":") if indent is None else None
+                want = json.dumps({**doc, "rows": rows}, indent=indent,
+                                  separators=separators, sort_keys=sort_keys).encode()
+                pieces = list(map(bytes, json_with_rows(doc, m, indent, sort_keys)))
+                assert len(pieces) == 2 + -(-n // block)
+                assert b"".join(pieces) == want
+                digest = _native.fnv1a64(json_with_rows(doc, m, indent, sort_keys))
+                assert digest == fnv1a64_reference(want)
+    if n == 9:  # the exponent_rows matrices
+        assert b"-0.0" in want and b"3.0000000000000004e-07" in want
 
 
 def test_compiled_rows_are_the_twins_join():
@@ -408,13 +472,18 @@ def test_compiled_rows_are_the_twins_join():
     lib = _native.library()
     if lib is None:
         pytest.skip("no C compiler here to build the library")
-    tokens = validate(exponent_rows(9, 3, distinct=False)).row_tokens
+    m = validate(exponent_rows(9, 3, distinct=False))
+    tokens = m.row_tokens
+    ids = tokens.ids(m.entries)
+    texts = np.array(tokens.texts, dtype=object)
+    joined = b"".join(tokens.texts)
+    offsets = np.r_[0, np.cumsum([len(t) for t in tokens.texts])]
     for marks in ((b"[", b",", b"]", b","), (b"", b"", b"", b""), (b"(\n  ", b";", b"\n)", b"")):
-        want = graph._join_rows(tokens, *marks)
-        assert bytes(graph._write_rows(lib, tokens, *marks)) == want
+        want = graph._join_rows(texts, ids, *marks)
+        out = np.empty(len(want), np.uint8)
+        assert bytes(out[:graph._write_rows(lib, joined, offsets, ids, marks, out)]) == want
         out = bytearray(len(want) - 1)
-        offsets = np.r_[0, np.cumsum([len(t) for t in tokens.texts])]
-        assert lib.write_rows(tokens.ids.ctypes.data, 9, 9, b"".join(tokens.texts),
+        assert lib.write_rows(ids.ctypes.data, 9, 9, joined,
                               offsets.ctypes.data, *(x for m in marks for x in (m, len(m))),
                               np.frombuffer(out, np.uint8).ctypes.data, len(out)) == -1
 

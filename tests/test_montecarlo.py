@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REF_ROWS, fnv1a64_reference, make_config, numpy_engine, on_paths
+from conftest import REF_ROWS, exponent_rows, fnv1a64_reference, make_config, numpy_engine, \
+    on_paths
 from gossipsim import _native, graph, montecarlo
 from gossipsim.dynamics import OVERFLOW_LIMIT, EventProbabilities, Schedule, S_CLIP, T_CLIP, \
     UpdateMode
@@ -260,7 +261,8 @@ def test_config_hash_is_pinned_on_a_generated_network():
     cfg = config_from_dict(WS1000)
     assert config_hash(cfg) == "28c56404f7e29e72"
     # the canonical text is json's own, with the matrix rows tokenized once
-    assert b"".join(json_with_rows(montecarlo.config_outline(cfg), cfg.matrix, sort_keys=True)) \
+    assert b"".join(map(bytes, json_with_rows(montecarlo.config_outline(cfg), cfg.matrix,
+                                              sort_keys=True))) \
         == json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -1329,6 +1331,36 @@ def test_sweep_points_match_direct_runs():
     # each point carries its analytic report
     assert points[2].report.d0 == pytest.approx(
         0.1 * 1.1 / 3 - 0.25 * 0.75 / 3, abs=1e-15)
+
+
+@pytest.mark.parametrize("axis, values, matrix, shared", [
+    ("schedules.S.value", [0.02, 0.1, 0.2],
+     {"kind": "explicit", "rows": exponent_rows(12, 6, distinct=False)}, True),
+    # a rewiring chance of 1e-12 rewires nothing: the same lattice
+    ("matrix.pRewire", [0.0, 1e-12],
+     {"kind": "watts_strogatz", "n": 12, "kNn": 4, "pRewire": 0.0, "seed": 3}, True),
+    ("matrix.seed", [3, 4],
+     {"kind": "watts_strogatz", "n": 12, "kNn": 4, "pRewire": 0.5, "seed": 3}, False),
+], ids=["schedule", "same-lattice", "other-graphs"])
+def test_sweep_points_share_a_matrix_of_the_same_bits(monkeypatch, axis, values, matrix,
+                                                      shared):
+    """Points whose matrix entries have the same bits share one matrix and
+    one spectral solve, and each point's hash and spectrum are still those
+    of its config built alone; entries such as -0.0 keep their text."""
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
+    d = base_dict(trials=4, steps=10, matrix=matrix)
+    points = sweep(d, axis, values)
+    assert len(solves) == (1 if shared else len(values))
+    assert (points[0].report.spectral is points[-1].report.spectral) == shared
+    for point, v in zip(points, values):
+        alone = deepcopy(d)
+        set_by_path(alone, axis, v)
+        cfg = config_from_dict(alone)
+        assert point.result.config_hash == config_hash(cfg)
+        assert point.report.spectral.spectrum.tobytes() == \
+            graph.spectral(cfg.matrix).spectrum.tobytes()
 
 
 def assert_same_result(got, want):
