@@ -321,7 +321,8 @@ def _cmd_sweep(args) -> int:
     for d in point_dirs:
         outputs += [f"{d}/aggregate.{args.format}", f"{d}/theory.json"]
     run_dir = _prepare_run_dir(args, "sweep", cfg, cfg_path, outputs)
-    points = sweep(args.raw_config, args.axis, values, base_dir=cfg_path.parent)
+    points = sweep(args.raw_config, args.axis, values, base_dir=cfg_path.parent,
+                   matrix=cfg.matrix)
 
     if run_dir is not None:
         for pt, d in zip(points, point_dirs):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import operator
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -364,6 +365,91 @@ def _normalize_rows(adj: np.ndarray) -> np.ndarray:
     return np.where(adj, inv[:, None], 0.0)
 
 
+# The attempt seeds are numpy's `default_rng(seed).integers(0, 2**31 - 1)`,
+# drawn in turn: numpy's SeedSequence, PCG64 and Generator's bounded draw,
+# kept here so that generating a network does not load numpy.random, and so
+# that the graph of a seed does not depend on the numpy version.
+_ATTEMPT_SEED_BOUND = 2**31 - 1
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed: int) -> list[int]:
+    """`SeedSequence(seed).generate_state(4, np.uint64)`: the seed's 32-bit
+    words, low first, hashed into a pool of 4 words, then 8 words drawn from
+    the pool and paired into 4 64-bit words, low word first."""
+    seed = operator.index(seed)  # numpy integers too, as SeedSequence takes them
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, state = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _pcg64_words(seed: int) -> Iterator[int]:
+    """`PCG64(seed)`'s 32-bit outputs: each 128-bit LCG step gives a 64-bit
+    XSL-RR output, whose low half comes first, then its high half."""
+    s = _seed_state(seed)
+    init_state, init_seq = s[0] << 64 | s[1], s[2] << 64 | s[3]
+    inc = (init_seq << 1 | 1) & _M128
+    state = ((inc + init_state) * _PCG64_MULT + inc) & _M128
+    while True:
+        state = (state * _PCG64_MULT + inc) & _M128
+        rot = state >> 122
+        xored = (state >> 64 ^ state) & _M64
+        out = (xored >> rot | xored << (-rot & 63)) & _M64
+        yield out & _M32
+        yield out >> 32
+
+
+def _bounded(words: Iterator[int], bound: int) -> Iterator[int]:
+    """Lemire's bounded draws in [0, bound) from 32-bit words, as numpy's
+    `buffered_bounded_lemire_uint32`: a word whose low product half falls
+    below (2**32 - bound) % bound is rejected and the next word drawn."""
+    threshold = ((1 << 32) - bound) % bound
+    for word in words:
+        product = word * bound
+        if product & _M32 >= threshold:
+            yield product >> 32
+
+
+def _attempt_seeds(seed: int | None) -> Iterator[int]:
+    """The seeds of successive generator attempts, in [0, 2**31 - 1):
+    `np.random.default_rng(seed).integers(0, 2**31 - 1)` called over and
+    over, bit for bit; with `seed` None, OS entropy."""
+    if seed is None:
+        draw = random.SystemRandom().randrange
+        while True:
+            yield draw(_ATTEMPT_SEED_BOUND)
+    yield from _bounded(_pcg64_words(seed), _ATTEMPT_SEED_BOUND)
+
+
 def _random_draw(kind: str, n: int, params: dict):
     """The checked draw of a random kind: a function of (adj, rnd) that fills
     a cleared adjacency from `rnd`."""
@@ -403,8 +489,11 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
     `watts_strogatz_graph` and `barabasi_albert_graph` draw for draw without
     importing it: attempt a draws from `random.Random(attempt_seed)`, the
     stream networkx builds from an integer seed, where the attempt seeds are
-    `default_rng(seed).integers(0, 2**31 - 1)` in turn. Same seed, same
-    graph, as with networkx.
+    `default_rng(seed).integers(0, 2**31 - 1)` in turn. That algorithm
+    (SeedSequence, PCG64, Lemire's bounded draw) is kept in this module
+    (`_attempt_seeds`), so numpy.random is not loaded and the graph of a
+    seed does not depend on the numpy version. Same seed, same graph, as
+    with networkx. With `seed` None the attempt seeds come from OS entropy.
 
     Parameters
     ----------
@@ -444,10 +533,9 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
     if seed is not None and seed < 0:
         raise BadParameterError(f"matrix seed must be a nonnegative integer, got {seed}")
     adj = allocate((n, n), bool)
-    rng = np.random.default_rng(seed)
-    for _ in range(GENERATOR_MAX_RETRIES):
+    for attempt_seed in itertools.islice(_attempt_seeds(seed), GENERATOR_MAX_RETRIES):
         adj.fill(False)
-        draw(adj, random.Random(int(rng.integers(0, 2**31 - 1))))
+        draw(adj, random.Random(attempt_seed))
         if is_weakly_connected(adj):
             return _validated(_normalize_rows(adj))
     raise DisconnectedAfterRetriesError(

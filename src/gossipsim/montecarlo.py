@@ -361,10 +361,13 @@ _CONFIG_KEYS = {
 }
 
 
-def config_from_dict(d: dict, base_dir: str | Path | None = None) -> ExperimentConfig:
+def config_from_dict(d: dict, base_dir: str | Path | None = None,
+                     matrix: SelectionMatrix | None = None) -> ExperimentConfig:
     """Build a config from its JSON form. Every object is checked for
     missing and unknown keys and every number for its type, so typos fail
-    loudly instead of silently running the defaults."""
+    loudly instead of silently running the defaults. A caller that holds
+    the matrix `d`'s matrix section builds passes it as `matrix`, and the
+    section is then not read."""
     _keys("config", d, ("matrix", "probabilities", "schedules", "steps"), _CONFIG_KEYS)
     sched_d = d["schedules"]
     if not isinstance(sched_d, dict) or "T" not in sched_d or "S" not in sched_d:
@@ -380,7 +383,7 @@ def config_from_dict(d: dict, base_dir: str | Path | None = None) -> ExperimentC
     cps = d.get("checkpoints")
     big_m = d.get("bigM")
     return ExperimentConfig(
-        matrix=_matrix_from_dict(d["matrix"], base),
+        matrix=_matrix_from_dict(d["matrix"], base) if matrix is None else matrix,
         mode=mode,
         probabilities=probs,
         schedule_t=_schedule_from_dict("schedules.T", sched_d["T"], T_CLIP),
@@ -1158,8 +1161,8 @@ def sweep_values(axis: str, values) -> list:
     return out
 
 
-def sweep(config_dict: dict, axis: str, values,
-          base_dir: str | Path | None = None) -> list[SweepPoint]:
+def sweep(config_dict: dict, axis: str, values, base_dir: str | Path | None = None,
+          matrix: SelectionMatrix | None = None) -> list[SweepPoint]:
     """Re-run an experiment for each value of one numeric config entry.
 
     The seed is left untouched, so every sweep point uses common random
@@ -1167,20 +1170,28 @@ def sweep(config_dict: dict, axis: str, values,
     that share their draws (an axis in `schedules`, `epsAgree` or `bigM`)
     run through one pass of the engine (`run_shared_trials`); the others
     run alone. Each point also carries the analytic report for its config.
-    Points whose matrix entries are equal bit for bit share one matrix, and
-    so its spectrum (`graph.spectral`).
+
+    Along an axis outside `matrix` every point holds one matrix, and so one
+    spectrum (`graph.spectral`): `matrix`, the one `config_dict`'s matrix
+    section builds if the caller has it, else the first point's. Along an
+    axis under `matrix` each point builds its own, and points whose entries
+    are equal bit for bit share one.
     """
     values = sweep_values(axis, values)
+    rebuilt = axis == "matrix" or axis.startswith("matrix.")
     configs = []
     for v in values:
         d = deepcopy(config_dict)
         set_by_path(d, axis, v)
-        cfg = config_from_dict(d, base_dir=base_dir)
-        # points whose entries have the same bits (-0.0 is not 0.0: its text
-        # and so the hash differ) hold, tokenize and solve one matrix
-        bits = cfg.matrix.entries.view(np.uint64)
-        cfg.matrix = next((c.matrix for c in configs
-                           if np.array_equal(c.matrix.entries.view(np.uint64), bits)), cfg.matrix)
+        cfg = config_from_dict(d, base_dir=base_dir, matrix=None if rebuilt else matrix)
+        if rebuilt:
+            # points whose entries have the same bits (-0.0 is not 0.0: its
+            # text and so the hash differ) hold, tokenize and solve one matrix
+            bits = cfg.matrix.entries.view(np.uint64)
+            cfg.matrix = next((c.matrix for c in configs if np.array_equal(
+                c.matrix.entries.view(np.uint64), bits)), cfg.matrix)
+        else:
+            matrix = cfg.matrix
         configs.append(cfg)
     groups: list[list[int]] = []
     for i, cfg in enumerate(configs):

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import LAMBDA2, LAMBDA_N, REF_ROWS, S_CRIT, exponent_rows, fnv1a64_reference, \
     make_config, numpy_engine, on_paths
-from gossipsim import cli, montecarlo
+from gossipsim import _native, cli, montecarlo
 from gossipsim.cli import json_safe
 from gossipsim.errors import BadAxisError, RuntimeFailure
 from gossipsim.graph import SelectionMatrix
@@ -657,6 +657,21 @@ def test_sweep_integer_beyond_int64_is_a_config_error(tmp_path, capsys, axis):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_sweep_generates_its_network_once(tmp_path, monkeypatch):
+    """A 3-point sweep of a generated network generates it once, when the
+    config is loaded, and its points hold that matrix."""
+    made = []
+    generate = montecarlo.generate
+    monkeypatch.setattr(montecarlo, "generate",
+                        lambda *a, **k: made.append(a) or generate(*a, **k))
+    cfg = write_config(tmp_path, trials=4, steps=10,
+                       matrix={"kind": "watts_strogatz", "n": 12, "kNn": 4,
+                               "pRewire": 0.5, "seed": 3})
+    assert cli.main(["sweep", "--config", str(cfg), "--axis", "schedules.S.value",
+                     "--values", "0.02,0.1,0.2", "--format", "json"]) == 0
+    assert len(made) == 1
+
+
 def test_paper_sweep_reproduces_the_benchmark_reference(tmp_path, monkeypatch):
     """The benchmark's paper-sweep command at the reference seed, run in
     process, digests bit for bit to `perfbench/reference.json`."""
@@ -893,6 +908,34 @@ def test_cli_runs_without_networkx(tmp_path, mode):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", WITHOUT_NETWORKX, mode, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+# Runs one CLI command in a fresh interpreter and fails if it exits nonzero
+# or if numpy.random was loaded.
+WITHOUT_NUMPY_RANDOM = """
+import json, sys
+from gossipsim import cli
+assert cli.main(json.loads(sys.argv[1])) == 0
+assert "numpy.random" not in sys.modules, "numpy.random was loaded"
+"""
+
+
+@pytest.mark.parametrize("command", ["check", "experiment"])
+def test_generated_runs_do_not_load_numpy_random(tmp_path, command):
+    """Generating a Watts-Strogatz network draws its attempt seeds without
+    numpy.random, and `check --out` needs nothing else from it. So does
+    `experiment --out` on the compiled engine; its twin draws from numpy's
+    Philox."""
+    if command == "experiment" and _native.library() is None:
+        pytest.skip("no slot kernel here: the engine's twin loads numpy.random")
+    cfg = write_config(tmp_path, matrix={"kind": "watts_strogatz", "n": 30, "kNn": 4,
+                                         "pRewire": 0.2, "seed": 3})
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY_RANDOM, json.dumps(argv)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 import tracemalloc
@@ -302,6 +303,10 @@ def test_generate_deterministic_with_seed():
     a = generate("erdos_renyi", 12, seed=11, p=0.3)
     b = generate("erdos_renyi", 12, seed=11, p=0.3)
     assert np.array_equal(a.entries, b.entries)
+    for seed in (np.int64(11), np.uint64(11)):  # numpy integers name the same graph
+        assert np.array_equal(generate("erdos_renyi", 12, seed=seed, p=0.3).entries, a.entries)
+    with pytest.raises(TypeError):
+        generate("erdos_renyi", 12, seed=11.0, p=0.3)
 
 
 def test_generate_structure():
@@ -335,6 +340,53 @@ def test_generate_allocates_before_drawing():
         generate("erdos_renyi", 3_000_000, seed=1, p=0.5)
     with pytest.raises(MemoryError):
         generate("ring", 10 ** 20)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("erdos_renyi", {"p": 0.4}),
+    ("watts_strogatz", {"k_nn": 4, "p_rewire": 0.2}),
+    ("barabasi_albert", {"m": 2}),
+])
+def test_generate_without_a_seed(kind, params):
+    """With no seed the attempt seeds come from OS entropy: in range, and
+    the network is still a valid, connected selection matrix."""
+    seeds = list(itertools.islice(graph._attempt_seeds(None), 1000))
+    assert all(isinstance(s, int) and 0 <= s < 2**31 - 1 for s in seeds)
+    assert len(set(seeds)) > 990
+    m = generate(kind, 10, seed=None, **params)
+    assert validate(m.entries).n == 10
+    assert is_weakly_connected(m.entries > 0.0)
+
+
+def numpy_attempt_seeds(seed, count):
+    rng = np.random.default_rng(seed)
+    return [int(rng.integers(0, 2**31 - 1)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 1])
+def test_attempt_seeds_are_numpys(seed):
+    """The attempt seeds are numpy's `default_rng(seed).integers(0, 2**31 - 1)`
+    bit for bit: seeds of one 32-bit word, of two, the largest uint64, and
+    2**128 + 1, whose 5 words are more than SeedSequence's pool of 4."""
+    assert list(itertools.islice(graph._attempt_seeds(seed), 200)) == \
+        numpy_attempt_seeds(seed, 200)
+
+
+@given(st.integers(0, 2**130))
+def test_attempt_seeds_are_numpys_for_any_seed(seed):
+    assert list(itertools.islice(graph._attempt_seeds(seed), 5)) == numpy_attempt_seeds(seed, 5)
+
+
+def test_bounded_draw_rejects_the_biased_words():
+    """Lemire's draw in [0, 2**31 - 1) rejects a word whose product with the
+    bound is below (2**32 - bound) % bound = 2 mod 2**32 (one word in 2**31)
+    and takes the next word instead, as numpy does."""
+    bound = 2**31 - 1
+    rejected = [0, pow(bound, -1, 2**32)]
+    assert [w * bound % 2**32 for w in rejected] == [0, 1]
+    accepted = [rejected[1] + 1, 2**32 - 1, 5]
+    words = [rejected[0], accepted[0], rejected[1], rejected[0], accepted[1], accepted[2]]
+    assert list(graph._bounded(iter(words), bound)) == [w * bound >> 32 for w in accepted]
 
 
 # networkx, the oracle of the in-repo generators

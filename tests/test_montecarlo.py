@@ -1363,6 +1363,33 @@ def test_sweep_points_share_a_matrix_of_the_same_bits(monkeypatch, axis, values,
             graph.spectral(cfg.matrix).spectrum.tobytes()
 
 
+@pytest.mark.parametrize("axis, values, given_matrix, calls", [
+    ("schedules.S.value", [0.02, 0.1, 0.2], False, 1),
+    ("schedules.S.value", [0.02, 0.1, 0.2], True, 0),
+    ("matrix.seed", [3, 4, 5], True, 3),
+], ids=["schedule", "schedule-given-matrix", "matrix-seed"])
+def test_sweep_generates_a_network_once_per_matrix_section(monkeypatch, axis, values,
+                                                          given_matrix, calls):
+    """Along an axis outside `matrix` the points hold one matrix: the one
+    given, or else the first point's, generated once. Along `matrix.seed`
+    each point generates its own, given matrix or not."""
+    d = base_dict(trials=4, steps=10, matrix={"kind": "watts_strogatz", "n": 12, "kNn": 4,
+                                              "pRewire": 0.5, "seed": 3})
+    base = config_from_dict(d).matrix
+    made = []
+    generate = montecarlo.generate
+    monkeypatch.setattr(montecarlo, "generate",
+                        lambda *a, **k: made.append(a) or generate(*a, **k))
+    points = sweep(d, axis, values, matrix=base if given_matrix else None)
+    assert len(made) == calls
+    if calls <= 1:
+        assert points[0].report.spectral is points[-1].report.spectral
+    for point, v in zip(points, values):
+        alone = deepcopy(d)
+        set_by_path(alone, axis, v)
+        assert point.result.config_hash == config_hash(config_from_dict(alone))
+
+
 def assert_same_result(got, want):
     for name in ("mean_l", "var_l", "ci_l", "mean_spread", "var_spread", "ci_spread",
                  "diverged_at"):
