@@ -40,8 +40,10 @@ typedef struct {
 } stream;
 
 /* One chunk: m trials, n nodes, npts configs, ncp checkpoints. streams:
- * (m,); x: states, (npts, m, n); alive, diverged_at: (npts, m); cdf:
- * flattened row CDFs, (n, n); refs: each trial's dispersion reference, (m,);
+ * (m,); x: states, (npts, m, n); alive, diverged_at: (npts, m); cdf, cols:
+ * the partner tables, (n, width), each row's running sums of its positive
+ * entries and their columns, padded with 1.0; refs: each trial's
+ * dispersion reference, (m,);
  * dispersion, spread: (npts, m, ncp); states: (npts, m, ncp, n), or NULL. */
 typedef struct {
     stream *streams;
@@ -50,6 +52,8 @@ typedef struct {
     uint8_t *alive;
     int64_t *diverged_at;
     const double *cdf;
+    const int32_t *cols;
+    int64_t width;
     double thr0, thr1;
     int64_t mode;
     double limit;
@@ -226,6 +230,8 @@ void run_slots(const chunk *c, const double *w, int64_t b, int64_t k, int64_t ci
     const int64_t draws = mode == UNIFORM ? 4 : 3;
     const double thr0 = c->thr0, thr1 = c->thr1, limit = c->limit, nodes = (double)n;
     const double *cdf = c->cdf;
+    const int32_t *cols = c->cols;
+    const int64_t width = c->width;
     double *x = c->x;
     uint8_t *alive = c->alive;
     uint64_t words[4 * WINDOW];
@@ -245,13 +251,13 @@ void run_slots(const chunk *c, const double *w, int64_t b, int64_t k, int64_t ci
                 if (i > n - 1)
                     i = n - 1;
                 const double u_partner = to_double(us[1]), u_event = to_double(us[2]);
-                /* searchsorted(side="right") on row i, by the fixed-length
-                 * bisection the numpy twin runs */
-                const double *row = cdf + i * n;
-                int64_t j = 0;
-                for (int64_t length = n; length > 1;) {
+                /* searchsorted(side="right") on row i of the tables, by the
+                 * fixed-length bisection the numpy twin runs */
+                const double *row = cdf + i * width;
+                int64_t k = 0;
+                for (int64_t length = width; length > 1;) {
                     const int64_t half = length / 2;
-                    j += row[j + half - 1] <= u_partner ? half : 0;
+                    k += row[k + half - 1] <= u_partner ? half : 0;
                     length -= half;
                 }
                 const int event = u_event < thr0 ? ATTRACT : u_event >= thr1 ? REPEL : NEGLECT;
@@ -259,7 +265,7 @@ void run_slots(const chunk *c, const double *w, int64_t b, int64_t k, int64_t ci
                 if (mode != SYMMETRIC)
                     active_i = mode == UNIFORM ? to_double(us[3]) < 0.5 : mode == INITIATOR;
                 node_i[q] = i;
-                node_j[q] = j;
+                node_j[q] = cols[i * width + k];
                 event_i[q] = active_i ? event : NEGLECT;
                 event_j[q] = mode == SYMMETRIC || !active_i ? event : NEGLECT;
             }

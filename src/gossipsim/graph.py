@@ -6,6 +6,12 @@ to one, the diagonal is zero (nobody gossips with themselves) and there are at
 least three nodes. Connectivity is checked on the positivity pattern a_ij > 0
 with arc directions ignored: i and j exchange values once either picks the other.
 
+A matrix is held as its stored entries, those whose bits are not +0.0
+(`SelectionMatrix`), in O(nonzeros) memory. Two functions build a dense
+(n, n) array: `laplacian`, for the eigen solve, and `SelectionMatrix.entries`,
+on each access; the config hash, the manifest, the exports and the engine's
+partner tables (`SelectionMatrix.partner_tables`) work from the stored form.
+
 The spectral quantities that drive the contraction analysis come from the
 symmetrized Laplacian D - (A + A^T), where D is diagonal with
 d_i = sum_j (a_ij + a_ji) (`laplacian`).
@@ -55,9 +61,8 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-9
 GENERATOR_MAX_RETRIES = 100
-# Bytes of a matrix's entries, or of their text, handled at a time: the rows
-# are tokenized, written and hashed in blocks of whole rows of at most about
-# this size.
+# Bytes of a matrix's text handled at a time: the rows are tokenized,
+# written and hashed in blocks of whole rows of at most about this size.
 WEIGHT_BLOCK = 1 << 20
 # Stands for a matrix's rows in a document given to `json_with_rows`. A NUL
 # character is in no path and no command-line argument, the only strings
@@ -67,33 +72,117 @@ MATRIX_ROWS = "\0rows\0"
 
 @dataclass(frozen=True, eq=False)
 class SelectionMatrix:
-    """Validated pairing-weight matrix.
+    """Validated pairing-weight matrix, held as its stored entries: those
+    whose bits are not +0.0, so a -0.0 entry is stored and keeps its sign,
+    and every entry not stored is +0.0. Row i's stored entries are
+    `values[indptr[i]:indptr[i + 1]]`, in the columns of the same slice of
+    `indices`, ascending: O(nonzeros) memory, 80 KB for a 1000-node network
+    of 6 neighbours a node against 7.6 MiB dense. `validate` and `generate`
+    are the constructors callers should use; the arrays are read-only.
 
     Attributes
     ----------
     n : int
         Number of nodes, at least 3.
-    entries : numpy.ndarray
-        (n, n) float array; row-stochastic with a zero diagonal. Treat as
-        read-only; `validate` is the only constructor callers should use.
+    indptr : numpy.ndarray
+        (n + 1,) int64 offsets of the rows' stored entries.
+    indices : numpy.ndarray
+        (stored,) int32 columns of the stored entries.
+    values : numpy.ndarray
+        (stored,) float64 stored entries; row-stochastic with a zero diagonal.
     """
 
     n: int
-    entries: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.indptr, self.indices, self.values):
+            a.setflags(write=False)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense (n, n) array, read-only, built anew on each access: for
+        tests, small matrices and `montecarlo.config_to_dict`. The commands
+        never build it; `laplacian` fills its own array."""
+        a = self.rows(0, self.n)
+        a.setflags(write=False)
+        return a
+
+    def _tails(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The row, counted from `lo`, of each stored entry of rows [lo, hi)."""
+        hi = self.n if hi is None else hi
+        return np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo:hi + 1]))
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows [lo, hi) as a dense (hi - lo, n) float array."""
+        out = np.zeros((hi - lo, self.n))
+        s, e = self.indptr[lo], self.indptr[hi]
+        out[self._tails(lo, hi), self.indices[s:e]] = self.values[s:e]
+        return out
+
+    def positive_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tails, heads, weights) of the entries a_ij > 0, row by row and
+        in column order: the arcs i -> j the process can pick."""
+        pos = self.values > 0.0
+        return self._tails()[pos], self.indices[pos], self.values[pos]
+
+    def same_entries(self, other: SelectionMatrix, bits: bool = False) -> bool:
+        """Whether two matrices hold equal entries: as floats, where -0.0
+        equals 0.0 and so draws alike, or with `bits` bit for bit, where
+        -0.0 is not 0.0 (its text differs)."""
+        if self is other:
+            return True
+        if self.n != other.n:
+            return False
+        if bits:
+            return (np.array_equal(self.indptr, other.indptr)
+                    and np.array_equal(self.indices, other.indices)
+                    and np.array_equal(self.values.view(np.uint64), other.values.view(np.uint64)))
+        return all(map(np.array_equal, self.positive_entries(), other.positive_entries()))
 
     def row_cdfs(self) -> np.ndarray:
-        """Per-row cumulative distributions used by the pair sampler.
+        """Per-row cumulative distributions used by the scalar pair sampler,
+        dense (n, n).
 
         The tail of each row (at and past its last positive entry) is forced
         to exactly 1.0 so a uniform draw in [0, 1) always lands on an entry
         with positive weight; zero-weight entries occupy zero-width intervals
         and can never be selected.
         """
-        cdfs = np.cumsum(self.entries, axis=1)
+        entries = self.entries
+        cdfs = np.cumsum(entries, axis=1)
         # every row sums to one, so it has a positive entry
-        last = self.n - 1 - np.argmax(self.entries[:, ::-1] > 0.0, axis=1)
+        last = self.n - 1 - np.argmax(entries[:, ::-1] > 0.0, axis=1)
         cdfs[np.arange(self.n) >= last[:, None]] = 1.0
         return cdfs
+
+    def partner_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The engine's pair sampler: `cdf`, (n, w) float64, and `cols`,
+        (n, w) int32, with w the most positive entries in a row. Row i holds
+        the running sums of its positive entries in column order, and their
+        columns; from its last positive entry on the sum reads exactly 1.0,
+        and a shorter row is padded with 1.0 and that entry's column.
+
+        For a draw u in [0, 1), with k the number of cdf[i] entries <= u,
+        cols[i, k] is the column `searchsorted(row_cdfs()[i], u,
+        side="right")` gives: the sums are those of `row_cdfs` at the
+        positive entries, as adding a zero changes no sum, and every other
+        column of `row_cdfs` repeats the sum before it, a zero-width step.
+        """
+        tails, heads, weights = self.positive_entries()
+        counts = np.bincount(tails, minlength=self.n)  # at least 1: rows sum to one
+        width = int(counts.max())
+        ends = np.cumsum(counts)
+        at = np.arange(len(tails)) - np.repeat(ends - counts, counts)  # place in its row
+        cdf = np.zeros((self.n, width))
+        cdf[tails, at] = weights
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf[np.arange(width) >= (counts - 1)[:, None]] = 1.0
+        cols = np.repeat(heads[ends - 1, None], width, axis=1)
+        cols[tails, at] = heads
+        return cdf, cols
 
     @cached_property
     def row_tokens(self) -> RowTokens:
@@ -103,17 +192,26 @@ class SelectionMatrix:
 
         `json` writes a finite float with `float.__repr__`, so one rendering
         per distinct bit pattern (-0.0 is not 0.0) gives every entry's text.
-        The values are gathered block by block (`_block_rows`), so no sorted
-        copy of all the entries is made.
+        The distinct values are the stored ones, and +0.0 where an entry is
+        not stored; +0.0, bits 0, then comes first.
         """
-        bits = self.entries.view(np.uint64)
-        step = _block_rows(bits.nbytes // self.n)
-        values = _distinct(np.concatenate(
-            [_distinct(bits[r:r + step]) for r in range(0, self.n, step)]))
+        values = _distinct(self.values.view(np.uint64))
+        if len(self.values) < self.n * self.n:
+            values = np.concatenate((np.zeros(1, np.uint64), values))
         if len(values) > np.iinfo(np.int32).max:  # n above 46340: 17 GB of entries
             raise MemoryError("a matrix with more distinct entries than int32 ids can index")
         texts = json.dumps(values.view(np.float64).tolist(), separators=(",", ":"))
         return RowTokens(values, texts[1:-1].encode().split(b","))
+
+    def row_ids(self, lo: int, hi: int) -> np.ndarray:
+        """The int32 ids into `row_tokens.texts` of the entries of rows
+        [lo, hi), (hi - lo, n): id 0, +0.0's where any entry is not stored,
+        then the stored entries' ids in their places."""
+        tokens = self.row_tokens
+        ids = np.zeros((hi - lo, self.n), dtype=np.int32)
+        s, e = self.indptr[lo], self.indptr[hi]
+        ids[self._tails(lo, hi), self.indices[s:e]] = tokens.ids(self.values[s:e])
+        return ids
 
     @cached_property
     def _spectral(self) -> SpectralData:
@@ -127,7 +225,7 @@ class SelectionMatrix:
             spectrum=spectrum,
             lambda2=float(spectrum[1]),
             lambda_n=float(spectrum[-1]),
-            a_star=float(self.entries[self.entries > 0.0].min()),
+            a_star=float(self.positive_entries()[2].min()),
         )
 
 
@@ -147,9 +245,9 @@ class RowTokens:
     values: np.ndarray
     texts: list[bytes]
 
-    def ids(self, rows: np.ndarray) -> np.ndarray:
-        """The int32 ids into `texts` of the float entries `rows`."""
-        return np.searchsorted(self.values, rows.view(np.uint64)).astype(np.int32)
+    def ids(self, entries: np.ndarray) -> np.ndarray:
+        """The int32 ids into `texts` of the float array `entries`."""
+        return np.searchsorted(self.values, entries.view(np.uint64)).astype(np.int32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +284,7 @@ def validate(entries: np.ndarray | list[list[float]]) -> SelectionMatrix:
     Returns
     -------
     SelectionMatrix
+        Its stored entries only: the checked array is not kept.
 
     Raises
     ------
@@ -211,12 +310,6 @@ def validate(entries: np.ndarray | list[list[float]]) -> SelectionMatrix:
     if not isinstance(entries, np.ndarray) and any(
             not {bool, np.bool_}.isdisjoint(map(type, row)) for row in entries):
         raise BadParameterError("matrix entries must be numbers, got a boolean entry")
-    return _validated(a)
-
-
-def _validated(a: np.ndarray) -> SelectionMatrix:
-    """`validate` of a square float array that the caller hands over: it is
-    checked and frozen as it is, without a copy."""
     n = a.shape[0]
     if n < 3:
         raise MatrixTooSmallError(f"need at least 3 nodes, got {n}")
@@ -234,30 +327,40 @@ def _validated(a: np.ndarray) -> SelectionMatrix:
     if bad.any():
         i = int(np.nonzero(bad)[0][0])
         raise NotStochasticError(f"row {i} sums to {sums[i]:.12g}, expected 1")
-    a.setflags(write=False)
-    return SelectionMatrix(n=n, entries=a)
+    stored = a.view(np.uint64) != 0  # -0.0 too
+    indptr = np.r_[0, np.cumsum(np.count_nonzero(stored, axis=1))]
+    return SelectionMatrix(n, indptr, np.nonzero(stored)[1].astype(np.int32), a[stored])
 
 
-def is_weakly_connected(adj: np.ndarray) -> bool:
-    """True when the boolean (n, n) adjacency `adj` is connected after
-    dropping arc directions: `adj[i, j]` and `adj[j, i]` join i and j alike."""
-    und = adj | adj.T
-    reached = np.zeros(len(adj), dtype=bool)
+def is_weakly_connected(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
+    """True when the arcs tails[k] -> heads[k] join all n nodes once their
+    directions are dropped: an arc joins its two ends alike. One pass over
+    the arcs per hop from node 0."""
+    ends = np.concatenate((tails, heads))
+    others = np.concatenate((heads, tails))
+    reached = np.zeros(n, dtype=bool)
     reached[0] = True
-    frontier = reached.copy()
-    while frontier.any():
-        nxt = und[frontier].any(axis=0) & ~reached
-        reached |= nxt
-        frontier = nxt
-    return bool(reached.all())
+    count = 1
+    while count < n:
+        reached[others[reached[ends]]] = True
+        grown = int(np.count_nonzero(reached))
+        if grown == count:
+            return False
+        count = grown
+    return True
 
 
 def laplacian(matrix: SelectionMatrix) -> np.ndarray:
-    """The symmetrized Laplacian D - (A + A^T) in one (n, n) array, with the
-    bits of `np.diag(d) - (A + A^T)`: off the diagonal 0.0 - x is -x, and on
-    it (0.0 - (-0.0 + -0.0)) + d is d. Symmetric positive semidefinite."""
-    a = matrix.entries
-    lap = a + a.T
+    """The symmetrized Laplacian D - (A + A^T) in one (n, n) array, filled
+    from the stored entries, with the bits of `np.diag(d) - (A + A^T)` on
+    the dense A: off the diagonal 0.0 - x is -x, and 0.0 - -0.0 is 0.0
+    whichever of a_ij and a_ji holds the -0.0; a sum d of positive weight
+    reads the same with -0.0 or 0.0 terms; on the diagonal
+    (0.0 - (-0.0 + -0.0)) + d is d. Symmetric positive semidefinite."""
+    tails, heads, values = matrix._tails(), matrix.indices, matrix.values
+    lap = np.zeros((matrix.n, matrix.n))
+    lap[tails, heads] = values
+    lap[heads, tails] += values  # a_ji + a_ij: each (j, i) once
     d = lap.sum(axis=1)
     np.subtract(0.0, lap, out=lap)
     lap[np.diag_indices_from(lap)] += d
@@ -359,10 +462,14 @@ def _barabasi_albert(adj: np.ndarray, rnd: random.Random, m: int) -> None:
         repeated.extend([source] * m)
 
 
-def _normalize_rows(adj: np.ndarray) -> np.ndarray:
-    deg = adj.sum(axis=1)
-    inv = np.divide(1.0, deg, out=np.zeros(len(deg)), where=deg > 0)
-    return np.where(adj, inv[:, None], 0.0)
+def _normalize_rows(n: int, tails: np.ndarray, heads: np.ndarray) -> SelectionMatrix:
+    """The matrix whose row i picks i's neighbours uniformly, weight
+    1 / degree each, from the arcs tails[k] -> heads[k] in row-major order,
+    as `np.nonzero` of an adjacency gives them; a node with no arc keeps a
+    row of zeros."""
+    deg = np.bincount(tails, minlength=n)
+    return SelectionMatrix(n, np.r_[0, np.cumsum(deg)], heads.astype(np.int32),
+                           1.0 / deg[tails])
 
 
 # The attempt seeds are numpy's `default_rng(seed).integers(0, 2**31 - 1)`,
@@ -483,7 +590,9 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
 
     The undirected graph is converted to selection weights by uniform row
     normalization over each node's neighbors. Random topologies are redrawn
-    until connected (at most 100 attempts).
+    until connected (at most 100 attempts). The graph is drawn on an (n, n)
+    boolean adjacency, n^2 bytes, and the matrix is built from its arcs
+    without a dense float array.
 
     The random kinds reproduce networkx 3.6.1's `gnp_random_graph`,
     `watts_strogatz_graph` and `barabasi_albert_graph` draw for draw without
@@ -527,7 +636,7 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
             _complete(adj)
         else:
             _ring_lattice(adj, 1)
-        return _validated(_normalize_rows(adj))
+        return _normalize_rows(n, *np.nonzero(adj))
 
     draw = _random_draw(kind, n, params)
     if seed is not None and seed < 0:
@@ -536,8 +645,9 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
     for attempt_seed in itertools.islice(_attempt_seeds(seed), GENERATOR_MAX_RETRIES):
         adj.fill(False)
         draw(adj, random.Random(attempt_seed))
-        if is_weakly_connected(adj):
-            return _validated(_normalize_rows(adj))
+        tails, heads = np.nonzero(adj)
+        if is_weakly_connected(n, tails, heads):
+            return _normalize_rows(n, tails, heads)
     raise DisconnectedAfterRetriesError(
         f"no connected {kind} graph in {GENERATOR_MAX_RETRIES} attempts (n={n}, {params})"
     )
@@ -552,8 +662,8 @@ def export_matrix_csv(matrix: SelectionMatrix, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# n={matrix.n}\n")
         writer = csv.writer(fh)
-        for row in matrix.entries:
-            writer.writerow([f"{v:.17g}" for v in row])
+        for r in range(matrix.n):
+            writer.writerow([f"{v:.17g}" for v in matrix.rows(r, r + 1)[0]])
 
 
 def import_matrix_csv(path: str | Path) -> SelectionMatrix:
@@ -583,7 +693,8 @@ def json_with_rows(doc, matrix: SelectionMatrix, indent: int | None = None,
     rows in blocks of whole rows (`_block_rows`), then the tail, to be
     hashed or written as they come: compact (separators "," and ":") when
     `indent` is None, else indented by `indent`. The text is json's own;
-    the rows are written from the vocabulary `matrix.row_tokens` instead of
+    the rows are written from the vocabulary `matrix.row_tokens`, a block's
+    ids made from the stored entries (`SelectionMatrix.row_ids`), instead of
     json's encoder, whose indented form runs in pure Python: by the compiled
     library where it loads (`_native.library`), else by `_join_rows`. The
     compiled blocks are views of one buffer that the next block overwrites,
@@ -620,7 +731,7 @@ def json_with_rows(doc, matrix: SelectionMatrix, indent: int | None = None,
         np.cumsum([len(t) for t in tokens.texts], out=offsets[1:])
         out = np.empty(min(step, n) * row_bytes, dtype=np.uint8)
     for r in range(0, n, step):
-        ids = tokens.ids(matrix.entries[r:r + step])
+        ids = matrix.row_ids(r, min(r + step, n))
         lead = between if r else b""  # joins the block to the one before
         if lib is None:
             yield _join_rows(texts, ids, *marks, lead=lead)

@@ -13,14 +13,16 @@ chunked.
 The engine runs each chunk of trials in a compiled kernel (`_slots.c`,
 built and loaded once by `_native.library`). It draws each trial's
 Philox stream itself, as numpy does, and per trial and slot picks node i,
-the partner j by a bisection over the flattened row CDFs (O(log n)), the
-events and the active endpoint, and applies the update and the overflow
-check; at each checkpoint it measures every config's dispersion and
-spread. Where it cannot be built, its numpy twin `_NumpySlots`, which has
-the same interface, draws from a numpy `Generator` per trial one block of
-slots at a time, presamples pairs and events one window of slots at a
-time and gathers, updates and scatters one slot at a time. The twin is
-also the engine-level reference the kernel is tested against.
+the partner j by a bisection over row i of the matrix's partner tables
+(`SelectionMatrix.partner_tables`; O(log w) for w the most positive
+entries in a row), the events and the active endpoint, and applies the
+update and the overflow check; at each checkpoint it measures every
+config's dispersion and spread. Where it cannot be built, its numpy twin
+`_NumpySlots`, which has the same interface, draws from a numpy
+`Generator` per trial one block of slots at a time, presamples pairs and
+events one window of slots at a time and gathers, updates and scatters
+one slot at a time. The twin is also the engine-level reference the
+kernel is tested against.
 
 A pass runs its chunks on every core the process may use (`_workers`),
 one thread each with the caller among them, as the kernel call releases
@@ -45,7 +47,6 @@ import tempfile
 import threading
 from collections.abc import Callable, Iterator
 from contextlib import nullcontext
-from copy import deepcopy
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -200,7 +201,8 @@ class ExperimentConfig:
     _hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not is_weakly_connected(self.matrix.entries > 0.0):
+        tails, heads, _ = self.matrix.positive_entries()
+        if not is_weakly_connected(self.matrix.n, tails, heads):
             raise BadParameterError(
                 "selection matrix must induce a weakly connected graph (assumption A1)")
         if not _is_int(self.steps) or self.steps < 0:
@@ -563,21 +565,24 @@ class _Slots:
     compiled kernel (`_KernelSlots`) and the numpy twin (`_NumpySlots`)
     implement `run` and give the same bits.
 
-    `streams` holds each trial's stream (`_streams`), `cdf` the row CDFs,
-    (n, n), `thr` the event thresholds, and `out` receives the measures,
-    with a leading config axis: dispersion and spread (configs, trials,
-    checkpoints), diverged_at (configs, trials), -1 to start with, and
-    states (configs, trials, checkpoints, n) or None. Every array is
-    C-contiguous. Construction sets every config's state to the trials'
+    `streams` holds each trial's stream (`_streams`), `tables` the
+    matrix's partner tables `cdf` and `cols`, each (n, w)
+    (`SelectionMatrix.partner_tables`), `thr` the event thresholds, and
+    `out` receives the measures, with a leading config axis: dispersion
+    and spread (configs, trials, checkpoints), diverged_at (configs,
+    trials), -1 to start with, and states (configs, trials, checkpoints,
+    n) or None. Every array is C-contiguous. Construction sets every config's state to the trials'
     initial states, drawing the uniform kind from the streams, and
     `refs` to each trial's dispersion reference, the mean of its start.
     """
 
-    def __init__(self, streams: np.ndarray, initial: InitialState, cdf: np.ndarray,
-                 thr: tuple[float, float], mode: UpdateMode, out: TrialMatrices) -> None:
+    def __init__(self, streams: np.ndarray, initial: InitialState,
+                 tables: tuple[np.ndarray, np.ndarray], thr: tuple[float, float],
+                 mode: UpdateMode, out: TrialMatrices) -> None:
         npts, m, _ = out.dispersion.shape
-        n = len(cdf)
-        self.streams, self.cdf, self.thr, self.mode, self.out = streams, cdf, thr, mode, out
+        self.cdf, self.cols = tables
+        n = len(self.cdf)
+        self.streams, self.thr, self.mode, self.out = streams, thr, mode, out
         self.x = np.empty((npts, m, n))
         self.alive = np.ones((npts, m), dtype=bool)
         self.refs = np.empty(m)
@@ -608,15 +613,15 @@ class _Slots:
         raise NotImplementedError
 
 
-def _presample(u: np.ndarray, n: int, cdf: np.ndarray, thr: tuple[float, float],
+def _presample(u: np.ndarray, cdf: np.ndarray, cols: np.ndarray, thr: tuple[float, float],
                mode: UpdateMode):
     """Turn the draws of some slots into pairs and events, all at once.
 
-    `u` holds the draws, (trials, slots, draws per slot), and `cdf` the
-    flattened row CDFs. Node i comes from the first draw as in `dynamics`;
-    partner j is the number of entries of row i's CDF that are <= the
-    second draw, the index searchsorted(side="right") returns, found by a
-    bisection of fixed length over the flattened rows.
+    `u` holds the draws, (trials, slots, draws per slot), and `cdf` and
+    `cols` the partner tables, (n, w). Node i comes from the first draw as
+    in `dynamics`; partner j is cols[i, k], k the number of entries of
+    cdf[i] that are <= the second draw, the index searchsorted(side="right")
+    returns, found by a bisection of fixed length over the flattened rows.
 
     Returns, per slot, the nodes (i, j), shape (slots, 2, trials), int64,
     which every config of the chunk shares, and the masks of the endpoints
@@ -640,18 +645,18 @@ def _presample(u: np.ndarray, n: int, cdf: np.ndarray, thr: tuple[float, float],
         for q, side in enumerate(sides):
             np.logical_and(event, side, out=mask[:, q])
 
+    n, width = cdf.shape
     i = np.minimum((us[:, 0] * n).astype(np.int64), n - 1)
-    base = i * n
-    pos = base.copy()
-    # The count lies in [pos - base, pos - base + length - 1]: the row
-    # ends in 1.0, above every draw, so it is at most n - 1.
-    length = n
+    pos = i * width
+    # The count lies in [pos - i * width, pos - i * width + length - 1]: the
+    # row ends in 1.0, above every draw, so it is at most width - 1.
+    length = width
+    flat = cdf.reshape(-1)
     while length > 1:
         half = length // 2
-        np.add(pos, half, out=pos, where=cdf[pos + (half - 1)] <= us[:, 1])
+        np.add(pos, half, out=pos, where=flat[pos + (half - 1)] <= us[:, 1])
         length -= half
-    pos -= base
-    return np.stack((i, pos), axis=1), att, rep
+    return np.stack((i, cols.reshape(-1)[pos]), axis=1), att, rep
 
 
 class _NumpySlots(_Slots):
@@ -721,7 +726,7 @@ class _NumpySlots(_Slots):
                 r = step % size
                 if r == 0:
                     ij = att = rep = None  # the last window goes first
-                    ij, att, rep = _presample(u[:, step:step + size], n, self.cdf.reshape(-1),
+                    ij, att, rep = _presample(u[:, step:step + size], self.cdf, self.cols,
                                               self.thr, self.mode)
                 np.add(rows, ij[r], out=f)
                 xij = flat[f]
@@ -752,7 +757,8 @@ class _Chunk(ctypes.Structure):
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     _fields_ = [("streams", ptr), ("m", i64), ("n", i64), ("npts", i64), ("ncp", i64),
                 ("x", ptr), ("alive", ptr), ("diverged_at", ptr), ("cdf", ptr),
-                ("thr0", f64), ("thr1", f64), ("mode", i64), ("limit", f64), ("refs", ptr),
+                ("cols", ptr), ("width", i64), ("thr0", f64), ("thr1", f64), ("mode", i64),
+                ("limit", f64), ("refs", ptr),
                 ("dispersion", ptr), ("spread", ptr), ("states", ptr)]
     del i64, ptr, f64
 
@@ -761,13 +767,15 @@ class _KernelSlots(_Slots):
     """The engine's slots in the compiled library (`_native.library`): the
     twin of `_NumpySlots`, which the engine runs where the library loads.
     Pointers reach the library only for arrays of its dtypes, shapes and C
-    layout, weights of the chunk's configs and checkpoints of the chunk."""
+    layout, partner columns of the chunk's nodes, weights of the chunk's
+    configs and checkpoints of the chunk."""
 
     def _open(self) -> None:
-        streams, cdf, out = self.streams, self.cdf, self.out
+        streams, cdf, cols, out = self.streams, self.cdf, self.cols, self.out
         npts, m, ncp = out.dispersion.shape
-        n = len(cdf)
-        shapes = [(streams, np.uint64, (m, STREAM_WORDS)), (cdf, np.float64, (n, n)),
+        n, width = len(cdf), cdf.shape[-1]
+        shapes = [(streams, np.uint64, (m, STREAM_WORDS)), (cdf, np.float64, (n, width)),
+                  (cols, np.int32, (n, width)),
                   (out.dispersion, np.float64, (npts, m, ncp)),
                   (out.spread, np.float64, (npts, m, ncp)),
                   (out.diverged_at, np.int64, (npts, m))]
@@ -776,12 +784,15 @@ class _KernelSlots(_Slots):
         if any(a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous
                for a, dtype, shape in shapes):
             raise ValueError("slot kernel arguments of the wrong shape, type or layout")
+        if not cols.size or cols.min() < 0 or cols.max() >= n:
+            raise ValueError(f"slot kernel arguments: partner columns outside [0, {n})")
         mode = self.mode
         code = 0 if mode.variant == "symmetric" else 1 + _ACTIVE_RULES.index(mode.active_rule)
         self.chunk = _Chunk(
             streams.ctypes.data, m, n, npts, ncp, self.x.ctypes.data,
             self.alive.ctypes.data, out.diverged_at.ctypes.data, cdf.ctypes.data,
-            self.thr[0], self.thr[1], code, OVERFLOW_LIMIT, self.refs.ctypes.data,
+            cols.ctypes.data, width, self.thr[0], self.thr[1], code, OVERFLOW_LIMIT,
+            self.refs.ctypes.data,
             out.dispersion.ctypes.data, out.spread.ctypes.data,
             None if out.states is None else out.states.ctypes.data)
         self.at = ctypes.addressof(self.chunk)
@@ -801,14 +812,14 @@ class _KernelSlots(_Slots):
         _native.library().run_slots(self.at, w.ctypes.data, len(w), k, ci)
 
 
-def _simulate_chunk(cfgs: list[ExperimentConfig], cdf: np.ndarray, lo: int, hi: int,
-                    out: TrialMatrices, slots: type[_Slots]) -> None:
+def _simulate_chunk(cfgs: list[ExperimentConfig], tables: tuple[np.ndarray, np.ndarray],
+                    lo: int, hi: int, out: TrialMatrices, slots: type[_Slots]) -> None:
     """Run trials [lo, hi) of every config in `cfgs` together; the configs
-    share their draws (`_shares_draws`) and their matrix's row CDFs, `cdf`
-    (`SelectionMatrix.row_cdfs`). `out` receives their matrices with
-    a leading config axis: dispersion and spread (configs, trials,
-    checkpoints), diverged_at (configs, trials), and every trial's state at
-    every checkpoint, (configs, trials, checkpoints, n), or None.
+    share their draws (`_shares_draws`) and their matrix's partner tables,
+    `tables` (`SelectionMatrix.partner_tables`). `out` receives their
+    matrices with a leading config axis: dispersion and spread (configs,
+    trials, checkpoints), diverged_at (configs, trials), and every trial's
+    state at every checkpoint, (configs, trials, checkpoints, n), or None.
 
     Mirrors the scalar path exactly: same per-trial streams, same
     consumption order, same update expressions, same freeze-on-overflow
@@ -822,7 +833,7 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], cdf: np.ndarray, lo: int, hi: 
     cfg = cfgs[0]
     cps = cfg.checkpoints
     out.diverged_at[...] = -1
-    chunk = slots(_streams(cfg.base_seed, lo, hi), cfg.initial, cdf,
+    chunk = slots(_streams(cfg.base_seed, lo, hi), cfg.initial, tables,
                   cfg.probabilities.thresholds(), cfg.mode, out)
     # weight blocks until the last checkpoint, k0 + steps, is recorded; the
     # first, k0, is recorded before any slot runs
@@ -845,7 +856,8 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], cdf: np.ndarray, lo: int, hi: 
 
 
 # The fields configs that share a pass may differ in; the engine reads the
-# matrix only through its row CDFs, where -0.0 and 0.0 draw alike.
+# matrix only through its partner tables, its positive entries, where -0.0
+# and 0.0 draw alike.
 _POINT_FIELDS = frozenset({"schedule_t", "schedule_s", "eps_agree", "big_m"})
 
 
@@ -853,7 +865,7 @@ def _shares_draws(a: ExperimentConfig, b: ExperimentConfig) -> bool:
     """Whether two configs draw the same pairs, events and initial states:
     equal matrix entries, and every other field but `_POINT_FIELDS` equal
     down to the float bits (by repr, which also tells -0.0 from 0.0)."""
-    return np.array_equal(a.matrix.entries, b.matrix.entries) and all(
+    return a.matrix.same_entries(b.matrix) and all(
         repr(getattr(a, f.name)) == repr(getattr(b, f.name)) for f in fields(ExperimentConfig)
         if f.compare and f.name != "matrix" and f.name not in _POINT_FIELDS)
 
@@ -874,9 +886,9 @@ def run_shared_trials(configs: list[ExperimentConfig],
     if not all(_shares_draws(first, cfg) for cfg in configs[1:]):
         raise ValueError("run_shared_trials needs configs that share their draws")
     batch = max(1, BATCH_STATE_BYTES // (CHUNK_TRIALS * first.matrix.n * 8))
-    cdf = first.matrix.row_cdfs()
+    tables = first.matrix.partner_tables()
     for p0 in range(0, len(configs), batch):
-        yield from _run_batch(configs[p0:p0 + batch], cdf, states)
+        yield from _run_batch(configs[p0:p0 + batch], tables, states)
 
 
 def _workers() -> int:
@@ -935,10 +947,10 @@ def _write_at(fd: int, data: np.ndarray, offset: int) -> None:
         view, offset = view[done:], offset + done
 
 
-def _run_batch(configs: list[ExperimentConfig], cdf: np.ndarray,
+def _run_batch(configs: list[ExperimentConfig], tables: tuple[np.ndarray, np.ndarray],
                states: bool) -> Iterator[TrialMatrices]:
     """One pass over every trial for configs that share their draws and
-    the row CDFs `cdf`.
+    the partner tables `tables`.
 
     A run of one config writes its chunks in place. In a shared pass the
     first config's chunk rows are copied into its matrices, and the others'
@@ -966,7 +978,8 @@ def _run_batch(configs: list[ExperimentConfig], cdf: np.ndarray,
                 chunk = [a[None] for a in rows]
             else:
                 chunk = [np.empty((len(configs), *a.shape), dtype=a.dtype) for a in rows]
-            _simulate_chunk(configs, cdf, lo, hi, TrialMatrices(head.checkpoints, *chunk), slots)
+            _simulate_chunk(configs, tables, lo, hi, TrialMatrices(head.checkpoints, *chunk),
+                            slots)
             if spill is None:
                 return
             for a, own in zip(chunk, rows):
@@ -1145,6 +1158,19 @@ def set_by_path(d: dict, path: str, value) -> None:
     cur[parts[-1]] = value
 
 
+def _with_value(d: dict, path: str, value) -> dict:
+    """`d` with `value` set at `path` as `set_by_path` sets it, in a copy of
+    only the objects along the path: the rest, a matrix's rows among it, is
+    shared with `d`, which stays as it was."""
+    top = cur = dict(d)
+    for p in path.split(".")[:-1]:
+        if not isinstance(cur.get(p), dict):
+            break  # set_by_path refuses the path
+        cur[p] = cur = dict(cur[p])
+    set_by_path(top, path, value)
+    return top
+
+
 def sweep_values(axis: str, values) -> list:
     """Check sweep values: finite numbers, integral along INTEGER_KEYS.
     Values along an integer key come back as ints, the others unchanged."""
@@ -1175,21 +1201,21 @@ def sweep(config_dict: dict, axis: str, values, base_dir: str | Path | None = No
     spectrum (`graph.spectral`): `matrix`, the one `config_dict`'s matrix
     section builds if the caller has it, else the first point's. Along an
     axis under `matrix` each point builds its own, and points whose entries
-    are equal bit for bit share one.
+    are equal bit for bit share one. Each point's document copies only the
+    objects along the axis path (`_with_value`), so a matrix's inline rows
+    are never copied, and `config_dict` is left as it was.
     """
     values = sweep_values(axis, values)
     rebuilt = axis == "matrix" or axis.startswith("matrix.")
     configs = []
     for v in values:
-        d = deepcopy(config_dict)
-        set_by_path(d, axis, v)
+        d = _with_value(config_dict, axis, v)
         cfg = config_from_dict(d, base_dir=base_dir, matrix=None if rebuilt else matrix)
         if rebuilt:
             # points whose entries have the same bits (-0.0 is not 0.0: its
             # text and so the hash differ) hold, tokenize and solve one matrix
-            bits = cfg.matrix.entries.view(np.uint64)
-            cfg.matrix = next((c.matrix for c in configs if np.array_equal(
-                c.matrix.entries.view(np.uint64), bits)), cfg.matrix)
+            cfg.matrix = next((c.matrix for c in configs
+                               if c.matrix.same_entries(cfg.matrix, bits=True)), cfg.matrix)
         else:
             matrix = cfg.matrix
         configs.append(cfg)

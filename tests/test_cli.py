@@ -269,9 +269,8 @@ def test_hash_and_manifest_of_a_large_config_stay_small(tmp_path, twin):
 def test_a_large_run_holds_its_matrix_once(tmp_path, command, twin):
     """A whole `check --out` or `experiment --out` on a 1000-node network,
     from loading the config to its last output, peaks below 2.5 (n, n)
-    float arrays: the matrix, plus the Laplacian during `check` or the row
-    CDFs during trials, and a block of text (about 26 MiB with whole-text
-    pieces and a copied matrix)."""
+    float arrays: the Laplacian during `check`, and a block of text (about
+    26 MiB with whole-text pieces and a copied matrix)."""
     cfg = tmp_path / "ws1000.json"
     cfg.write_text(json.dumps(WS1000_DOC))
     with numpy_engine() if twin else nullcontext():
@@ -283,6 +282,40 @@ def test_a_large_run_holds_its_matrix_once(tmp_path, command, twin):
             tracemalloc.stop()
     assert code == 0
     assert peak < 2.5 * NN_BYTES, f"{peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["as-is", "twin"])
+def test_a_run_holds_no_n_by_n_float_array(twin):
+    """`config_from_dict` and `run_trials` on a 1000-node Watts-Strogatz
+    network peak below 3 MiB, well under the 7.6 MiB of one (n, n) float
+    array: the matrix is held as its 6,000 stored entries, the engine reads
+    partner tables of the widest row, and only the generator's boolean
+    adjacency, 1 MB, is n^2 bytes."""
+    with numpy_engine() if twin else nullcontext():
+        tracemalloc.start()
+        try:
+            run_trials(config_from_dict(WS1000_DOC))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3 << 20, f"{peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("matrix", [WS1000_DOC["matrix"], {"kind": "explicit",
+                                    "rows": exponent_rows(9, 4, distinct=True)}],
+                         ids=["generated", "explicit"])
+@pytest.mark.parametrize("command", ["check", "experiment", "simulate", "sweep"])
+def test_commands_never_build_the_dense_matrix(tmp_path, monkeypatch, command, matrix):
+    """No command reads `SelectionMatrix.entries`, which builds the dense
+    (n, n) array: they work from the stored entries, and `check` fills its
+    Laplacian from them."""
+    reads = []
+    monkeypatch.setattr(SelectionMatrix, "entries", property(
+        lambda m: reads.append(m) or pytest.fail("a command built the dense matrix")))
+    cfg = write_config(tmp_path, matrix=matrix, steps=10, trials=2)
+    extra = ["--axis", "schedules.S.value", "--values", "0.02,0.2"] if command == "sweep" else []
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "run"), *extra]) == 0
+    assert reads == []
 
 
 @pytest.mark.parametrize("command,fmt", [

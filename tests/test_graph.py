@@ -116,7 +116,7 @@ def test_normalize_rows_is_the_row_by_row_division():
     for i in range(40):
         if adj[i].any():
             want[i, adj[i]] = 1.0 / adj[i].sum()
-    assert graph._normalize_rows(adj).tobytes() == want.tobytes()
+    assert graph._normalize_rows(*arcs(adj)).entries.tobytes() == want.tobytes()
 
 
 def test_row_cdfs_skip_zero_entries(ref_matrix):
@@ -139,15 +139,25 @@ def test_induced_graph_arc_direction(ref_matrix):
     assert lap[0, 2] == lap[2, 0] == -a[2, 0]
 
 
+def connected(m):
+    """`is_weakly_connected` on the arcs of `m`'s positive entries."""
+    return is_weakly_connected(m.n, *m.positive_entries()[:2])
+
+
+def arcs(adj):
+    """`is_weakly_connected`'s arguments for a boolean adjacency."""
+    return (len(adj), *np.nonzero(adj))
+
+
 def test_weak_connectivity():
-    assert is_weakly_connected(validate(REF_ROWS).entries > 0.0)
-    assert not is_weakly_connected(validate(two_triangles()).entries > 0.0)
+    assert connected(validate(REF_ROWS))
+    assert not connected(validate(two_triangles()))
     # one-directional chain is still weakly connected
     chain = np.zeros((4, 4))
     for i in range(3):
         chain[i, i + 1] = 1.0
     chain[3, 0] = 1.0
-    assert is_weakly_connected(validate(chain).entries > 0.0)
+    assert connected(validate(chain))
 
 
 def test_weak_connectivity_on_a_plain_adjacency():
@@ -155,10 +165,10 @@ def test_weak_connectivity_on_a_plain_adjacency():
     no row-stochastic matrix has (its last node picks nobody), is
     connected; two disjoint triangles are not."""
     chain = np.eye(5, k=1, dtype=bool)
-    assert is_weakly_connected(chain)
-    assert is_weakly_connected(chain.T)
-    assert not is_weakly_connected(two_triangles() > 0.0)
-    assert not is_weakly_connected(np.zeros((3, 3), dtype=bool))
+    assert is_weakly_connected(*arcs(chain))
+    assert is_weakly_connected(*arcs(chain.T))
+    assert not is_weakly_connected(*arcs(two_triangles() > 0.0))
+    assert not is_weakly_connected(*arcs(np.zeros((3, 3), dtype=bool)))
 
 
 def test_spectral_pinned_reference_values(ref_matrix):
@@ -246,6 +256,18 @@ def test_spectral_memory_at_n_1000():
     assert peak < 12 * 2 ** 20, peak
 
 
+def test_a_matrix_holds_its_stored_entries():
+    """A 1000-node Watts-Strogatz matrix holds its 6,000 stored entries in
+    fewer than n^2 bytes (80 KB; 7.6 MiB dense), and builds its dense form
+    anew, read-only, on each access."""
+    m = generate("watts_strogatz", 1000, seed=1, k_nn=6, p_rewire=0.1)
+    assert len(m.values) == 6000
+    assert sum(a.nbytes for a in arrays_in(m)) < m.n ** 2
+    dense = m.entries
+    assert m.entries is not dense and not dense.flags.writeable
+    assert (dense > 0.0).sum() == 6000
+
+
 def test_spectral_is_solved_once_per_matrix(monkeypatch):
     """A matrix keeps its spectral data, read-only, so configs sharing it
     share one solve; a matrix of the same entries solves its own."""
@@ -295,7 +317,7 @@ def test_spectral_disconnected_has_zero_lambda2():
 def test_generate_valid_and_connected(kind, params):
     m = generate(kind, 10, seed=3, **params)
     assert m.n == 10
-    assert is_weakly_connected(m.entries > 0.0)
+    assert connected(m)
     assert spectral(m).lambda2 > 1e-9
 
 
@@ -355,7 +377,7 @@ def test_generate_without_a_seed(kind, params):
     assert len(set(seeds)) > 990
     m = generate(kind, 10, seed=None, **params)
     assert validate(m.entries).n == 10
-    assert is_weakly_connected(m.entries > 0.0)
+    assert connected(m)
 
 
 def numpy_attempt_seeds(seed, count):
@@ -470,7 +492,9 @@ def test_matrix_roundtrip_csv_json(tmp_path, ref_matrix):
     (exponent_rows(30, 1, distinct=True),),
     (exponent_rows(30, 2, distinct=False),),
     (generate("watts_strogatz", 200, seed=5, k_nn=4, p_rewire=0.2).entries.tolist(),),
-], ["reference", "distinct-exponents", "repeated-exponents", "generated-200"]))
+    ([[-0.0 if i == j else 0.25 for j in range(5)] for i in range(5)],),
+], ["reference", "distinct-exponents", "repeated-exponents", "generated-200",
+    "every-entry-stored"]))
 def test_matrix_text_is_json_text(tmp_path, rows, twin):
     """The rows written from one tokenization give json's compact and
     indented text, by the compiled writer where it loads and by its Python
@@ -504,7 +528,7 @@ def test_rows_are_the_same_text_in_any_blocks(monkeypatch, rows, twin):
     for block in (1, 2, n):
         monkeypatch.setattr(graph, "_block_rows", lambda row_bytes: block)
         with numpy_engine() if twin else nullcontext():
-            m = validate(rows)  # a fresh vocabulary, gathered in the same blocks
+            m = validate(rows)  # a fresh vocabulary
             for indent, sort_keys in ((None, True), (2, False)):
                 separators = (",", ":") if indent is None else None
                 want = json.dumps({**doc, "rows": rows}, indent=indent,

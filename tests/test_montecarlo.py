@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import REF_ROWS, exponent_rows, fnv1a64_reference, make_config, numpy_engine, \
     on_paths
-from gossipsim import _native, graph, montecarlo
+from gossipsim import _native, dynamics, graph, montecarlo
 from gossipsim.dynamics import OVERFLOW_LIMIT, EventProbabilities, Schedule, S_CLIP, T_CLIP, \
     UpdateMode
 from gossipsim.errors import BadAxisError, BadParameterError
@@ -702,9 +702,9 @@ def chunks_run(cfg, workers):
     spans = []
     simulate_chunk = montecarlo._simulate_chunk
 
-    def spy(cfgs, cdf, lo, hi, *args):
+    def spy(cfgs, tables, lo, hi, *args):
         spans.append((lo, hi))
-        return simulate_chunk(cfgs, cdf, lo, hi, *args)
+        return simulate_chunk(cfgs, tables, lo, hi, *args)
 
     with mock.patch.object(montecarlo, "_simulate_chunk", spy), \
             mock.patch.object(montecarlo, "_workers", lambda: workers):
@@ -813,26 +813,75 @@ def test_a_failed_chunk_stops_the_pass(ref_matrix, monkeypatch, error):
         assert len(calls) < 16  # of 16 chunks
 
 
-def partner_probes(n):
-    """Row CDFs of an n-node matrix with zero-weight entries (plateaus), and
-    partner draws (row, draw) on the grid of multiples of 2^-53, which is
-    where the streams' uniforms lie: around every CDF entry, the entry
-    itself where it lies on the grid and at least one grid point either
-    side of it."""
+def plateau_rows(n):
+    """An n-node matrix whose rows have zero-weight entries (CDF plateaus)."""
     rng = np.random.default_rng(n)
     w = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
     np.fill_diagonal(w, 0.0)
     w[np.arange(n), (np.arange(n) + 1) % n] += 0.25
-    cdfs = validate(w / w.sum(axis=1, keepdims=True)).row_cdfs()
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def signed_zero_rows(n):
+    """`plateau_rows` with -0.0 in place of a third of the zeros, on the
+    diagonal too, and in whole runs at the ends of some rows."""
+    a = plateau_rows(n)
+    zeros = np.argwhere(a.view(np.uint64) == 0)
+    a[tuple(zeros[::3].T)] = -0.0
+    a[2, :2] = a[3, -3:] = 0.0  # the rows' weights move to the ring arc
+    a[2, 3] += 1.0 - a[2].sum()
+    a[3, 4] += 1.0 - a[3].sum()
+    a[2, :2] = a[3, -3:] = -0.0
+    return a
+
+
+def absorbed_rows(n):
+    """A ring whose rows also hold weights the running sum absorbs (1e-17
+    after 0.5, 2^-60 after 0.25), and tiny first entries (5e-324)."""
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, [(i + 1) % n, (i + 2) % n, (i + 3) % n]] = [0.5, 1e-17, 0.5]
+    a[0, [1, 2, 3]] = [0.25, 2.0 ** -60, 0.75]
+    a[1] = 0.0
+    a[1, [0, 2, 3]] = [5e-324, 0.5, 0.5]
+    return a
+
+
+def star_rows(n):
+    """A star: the hub picks every leaf, each leaf picks the hub."""
+    a = np.zeros((n, n))
+    a[0, 1:] = 1.0 / (n - 1)
+    a[1:, 0] = 1.0
+    return a
+
+
+# plateaus at several sizes, -0.0 entries, absorbed entries, and rows of
+# uneven width (a star, Barabasi-Albert) or all of width n - 1 (complete)
+PARTNER_MATRICES = {
+    **{str(n): lambda n=n: validate(plateau_rows(n)) for n in (3, 4, 17, 32, 33)},
+    "negative-zero": lambda: validate(signed_zero_rows(13)),
+    "absorbed": lambda: validate(absorbed_rows(9)),
+    "star": lambda: validate(star_rows(20)),
+    "barabasi-albert": lambda: graph.generate("barabasi_albert", 60, seed=4, m=2),
+    "complete": lambda: graph.generate("complete", 12),
+}
+
+
+def partner_probes(matrix):
+    """Partner draws (row, draw) on the grid of multiples of 2^-53, which is
+    where the streams' uniforms lie: around every entry of the matrix's
+    dense row CDFs (`row_cdfs`), the entry itself where it lies on the grid
+    and at least one grid point either side of it."""
+    cdfs = matrix.row_cdfs()
     rows, draws = [], []
-    for r in range(n):
-        for c in [0.0, *cdfs[r]]:
+    for r in range(matrix.n):
+        for c in {0.0, *cdfs[r].tolist()}:
             below = math.floor(c * 2.0 ** 53)
             for v in {below - 1, below, below + 1, below + 2}:
                 if 0 <= v < 2 ** 53:
                     rows.append(r)
                     draws.append(v / 2.0 ** 53)
-    return cdfs, np.array(rows), np.array(draws)
+    return np.array(rows), np.array(draws)
 
 
 def put_draws(streams, draws):
@@ -858,6 +907,11 @@ def chunk_out(npts, trials, ncp, n=None):
         np.full(shape[:2], -1, dtype=np.int64), None if n is None else np.empty((*shape, n)))
 
 
+def dense_tables(cdf):
+    """Partner tables of dense (n, n) row CDFs: each column's own index."""
+    return cdf, np.tile(np.arange(cdf.shape[1], dtype=np.int32), (len(cdf), 1))
+
+
 def compiled_kernel():
     if _native.library() is None:
         pytest.skip("no C compiler here to build the slot kernel")
@@ -869,28 +923,43 @@ SLOTS = {"kernel": compiled_kernel, "numpy": lambda: montecarlo._NumpySlots}
 
 
 @pytest.mark.parametrize("slots", SLOTS)
-@pytest.mark.parametrize("n", [3, 4, 17, 32, 33])
-def test_partner_is_searchsorted_right(n, slots):
-    """Both slot implementations pick the partner the scalar path's
-    searchsorted(side="right") picks, also for draws that equal a CDF
-    entry, sit next to one or fall on a plateau of zero-weight entries.
-    Each probe is one trial of one slot, its draws put in its stream, that
-    attracts with T = 1 on the ramp 1, ..., n, which swaps x_i and x_j:
-    x_i then reads j + 1 and x_j reads i + 1."""
-    cdfs, rows, draws = partner_probes(n)
+@pytest.mark.parametrize("matrix", PARTNER_MATRICES.values(), ids=PARTNER_MATRICES)
+def test_partner_is_searchsorted_right(matrix, slots):
+    """Both slot implementations, on the matrix's padded partner tables,
+    pick the partner the scalar path picks by searchsorted(side="right") on
+    the dense row CDFs, also for draws that equal a CDF entry, sit next to
+    one or fall on a plateau of zero-weight or absorbed entries. Each probe
+    is one trial of one slot, its draws put in its stream, that attracts
+    with T = 1 on the ramp 1, ..., n, which swaps x_i and x_j: x_i then
+    reads j + 1 and x_j reads i + 1."""
+    m = matrix()
+    n = m.n
+    cdfs = m.row_cdfs()
+    rows, draws = partner_probes(m)
     probes = np.arange(len(draws))
     node = np.floor((rows + 0.5) / n * 2.0 ** 53) / 2.0 ** 53
     u = np.stack([node, draws, np.zeros(len(draws))], axis=1)  # a third draw of 0.0 attracts
     out = chunk_out(1, len(draws), 1, n)
-    chunk = SLOTS[slots]()(streams_at(u), InitialState(kind="ramp"), cdfs, (0.5, 0.5),
-                           UpdateMode(), out)
+    chunk = SLOTS[slots]()(streams_at(u), InitialState(kind="ramp"), m.partner_tables(),
+                           (0.5, 0.5), UpdateMode(), out)
     chunk.run(np.array([[[0.0, 1.0, 1.0, 0.0]]]), 0, 0)  # 1 - T, T, 1 + S, S
     x = out.states[0, :, 0]
     j = x[probes, rows].astype(int) - 1
     np.testing.assert_array_equal(
-        j, [np.searchsorted(cdfs[r], v, side="right") for r, v in zip(rows, draws)])
+        j, [dynamics._partner_from_uniform(cdfs[r], v) for r, v in zip(rows, draws)])
     np.testing.assert_array_equal(x[probes, j], rows + 1)
     assert (out.diverged_at == -1).all()
+
+
+def test_partner_tables_are_padded_per_row():
+    """The tables' width is the most positive entries in a row: n - 1 on
+    the complete graph, the hub's on a star, where each leaf's row is its
+    one entry padded with 1.0 and the hub's column."""
+    assert graph.generate("complete", 12).partner_tables()[0].shape == (12, 11)
+    cdf, cols = validate(star_rows(20)).partner_tables()
+    assert cdf.shape == cols.shape == (20, 19)
+    assert (cdf[1:] == 1.0).all() and (cols[1:] == 0).all()
+    assert (cols[0] == np.arange(1, 20)).all() and cdf[0, -1] == 1.0
 
 
 def test_kernel_refuses_arguments_it_cannot_read():
@@ -902,7 +971,7 @@ def test_kernel_refuses_arguments_it_cannot_read():
 
     def args(**bad):
         return {"streams": montecarlo._streams(0, 0, m), "initial": InitialState(kind="ramp"),
-                "cdf": np.ones((n, n)), "thr": (0.5, 0.5), "mode": UpdateMode(),
+                "tables": dense_tables(np.ones((n, n))), "thr": (0.5, 0.5), "mode": UpdateMode(),
                 "out": chunk_out(npts, m, ncp, n), **bad}
 
     slots = kernel(**args())
@@ -919,7 +988,13 @@ def test_kernel_refuses_arguments_it_cannot_read():
                      ("streams", montecarlo._streams(0, 0, m + 1)),
                      ("streams", montecarlo._streams(0, 0, m)[:, :-1]),
                      ("streams", np.asfortranarray(montecarlo._streams(0, 0, m))),
-                     ("cdf", np.ones((n, n + 1))), ("cdf", np.ones((n, n), dtype=np.float32)),
+                     ("tables", (np.ones((n, n + 1)), dense_tables(np.ones((n, n)))[1])),
+                     ("tables", dense_tables(np.ones((n, n), dtype=np.float32))),
+                     ("tables", (np.ones((n, 2)), np.zeros((n, 2), dtype=np.int64))),
+                     ("tables", (np.ones((n, 2)), np.zeros((n, 3), dtype=np.int32))),
+                     ("tables", (np.ones((n, 2)), np.full((n, 2), n, dtype=np.int32))),
+                     ("tables", (np.ones((n, 2)), np.full((n, 2), -1, dtype=np.int32))),
+                     ("tables", (np.ones((n, 0)), np.zeros((n, 0), dtype=np.int32))),
                      ("out", dataclasses.replace(out, spread=np.empty((npts, m, ncp + 1)))),
                      ("out", dataclasses.replace(out, diverged_at=np.full((npts, m + 1), -1))),
                      ("out", dataclasses.replace(out, diverged_at=np.full((npts, m), -1,
@@ -961,7 +1036,7 @@ def test_kernel_stream_is_numpys_philox(count):
     for _ in range(2):
         out = chunk_out(1, len(gens), 1)
         slots = kernel(streams, InitialState(kind="uniform", low=0.0, high=1.0),
-                       np.ones((count, count)), (0.0, 1.0), UpdateMode(), out)
+                       dense_tables(np.ones((count, count))), (0.0, 1.0), UpdateMode(), out)
         for row, x, gen in zip(streams, slots.x[0], gens):
             assert x.tobytes() == gen.random(count).tobytes()
             assert_stream_is(row, gen)
@@ -976,7 +1051,8 @@ def test_kernel_stream_is_numpys_philox(count):
     gen.bit_generator.state = {**gen.bit_generator.state,
                                "state": {"counter": streams[0, 2:6].copy(), "key": streams[0, :2]}}
     slots = kernel(streams, InitialState(kind="uniform", low=0.0, high=1.0),
-                   np.ones((count, count)), (0.0, 1.0), UpdateMode(), chunk_out(1, 1, 1))
+                   dense_tables(np.ones((count, count))), (0.0, 1.0), UpdateMode(),
+                   chunk_out(1, 1, 1))
     assert slots.x[0, 0].tobytes() == gen.random(count).tobytes()
     assert_stream_is(streams[0], gen)
 
@@ -1005,8 +1081,8 @@ def test_kernel_path_builds_no_generator(monkeypatch):
 def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, blocks, presample, uniform,
                                               states, mode):
     """On inputs the engine never builds, the kernel and the numpy loop
-    still give the same bits: unsorted CDF rows with repeated entries (so
-    i == j happens), weights of 0, 1e200, inf and nan, states at the
+    still give the same bits: unsorted CDF rows with repeated entries, of
+    any width, and random partner columns (so i == j happens), weights of 0, 1e200, inf and nan, states at the
     overflow limit, trials frozen in some configs and in all, and blocks
     cut into random segments, some of them recorded, across presampling
     windows. Draws tie with CDF entries and event thresholds: some
@@ -1031,13 +1107,15 @@ def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, blocks, pre
                       if tied[r] else philox(key, t).random(count)
                       for r, t in enumerate(range(10, 10 + trials))])
     draws = draws[:, start:].reshape(trials, sum(blocks), mode.draws_per_slot)
-    cdf = rng.choice([0.0, 0.25, 0.5, 0.5, 1.0, half], (n, n))
+    width = int(rng.integers(1, n + 2))
+    cdf = rng.choice([0.0, 0.25, 0.5, 0.5, 1.0, half], (n, width))
+    cols = rng.integers(0, n, (n, width)).astype(np.int32)
     thr = [0.0, 0.5, 0.625, 1.0]
     if sum(blocks):
         picks = rng.integers(0, [trials, sum(blocks)], (4, 2))
         thr += draws[picks[:2, 0], picks[:2, 1], 2].tolist()
         for node, partner in draws[picks[2:, 0], picks[2:, 1], :2]:
-            cdf[min(int(node * n), n - 1), rng.random(n) < 0.5] = partner
+            cdf[min(int(node * n), n - 1), rng.random(width) < 0.5] = partner
     cdf[:, -1] = 1.0
     initial = InitialState(kind="uniform", low=-2.0, high=3.0) if uniform \
         else InitialState(kind="ramp")
@@ -1055,7 +1133,7 @@ def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, blocks, pre
         mp.setattr(montecarlo, "PRESAMPLE_STEPS", presample)
         for impl in (kernel, montecarlo._NumpySlots):
             out = chunk_out(npts, trials, ncp, n if states else None)
-            slots = impl(streams.copy(), initial, cdf, thr, mode, out)
+            slots = impl(streams.copy(), initial, (cdf, cols), thr, mode, out)
             started = slots.x.copy()
             if not uniform:  # the draws of uniform starts keep them
                 slots.x[...] = x
@@ -1112,7 +1190,7 @@ def test_kernel_measures_are_numpys(case):
     npts, trials, n = x.shape
     out = chunk_out(npts, trials, 1, n)
     slots = compiled_kernel()(montecarlo._streams(0, 0, trials), InitialState(kind="ramp"),
-                              np.ones((n, n)), (0.5, 0.5), UpdateMode(), out)
+                              dense_tables(np.ones((n, n))), (0.5, 0.5), UpdateMode(), out)
     slots.x[...] = x
     slots.refs[...] = refs
     slots.run(np.empty((0, npts, 4)), 0, 0)
@@ -1388,6 +1466,32 @@ def test_sweep_generates_a_network_once_per_matrix_section(monkeypatch, axis, va
         alone = deepcopy(d)
         set_by_path(alone, axis, v)
         assert point.result.config_hash == config_hash(config_from_dict(alone))
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("schedules.S.value", [0.02, 0.2]),
+    ("bigM", [1e7, 1e8]),
+    ("steps", [10, 20]),
+])
+def test_sweep_copies_only_its_axis_path(monkeypatch, axis, values):
+    """A sweep leaves its document as it was, and each point's document
+    holds the value along the axis and shares the rest, the matrix rows
+    among it: no point copies `matrix.rows`."""
+    d = base_dict(trials=4, steps=10, matrix={"kind": "explicit",
+                                              "rows": exponent_rows(9, 4, distinct=True)})
+    before = json.dumps(d)
+    rows = d["matrix"]["rows"]
+    docs = []
+    build = montecarlo.config_from_dict
+    monkeypatch.setattr(montecarlo, "config_from_dict",
+                        lambda doc, *a, **k: docs.append(doc) or build(doc, *a, **k))
+    sweep(d, axis, values)
+    assert json.dumps(d) == before
+    assert [doc["matrix"]["rows"] is rows for doc in docs] == [True] * len(values)
+    for doc, v in zip(docs, values):
+        want = json.loads(before)
+        set_by_path(want, axis, v)
+        assert json.dumps(doc) == json.dumps(want)
 
 
 def assert_same_result(got, want):
