@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Two families matter to callers: configuration problems (bad matrices, bad
-schedule parameters, bad axes) and runtime failures (eigensolver breakdown,
-internal cross-check violations). The CLI maps the first family to exit code 2
-and the second to exit code 3.
+schedule parameters, bad axes) and runtime failures (a non-finite spectral
+solve, internal cross-check violations). The CLI maps the first family to
+exit code 2 and the second to exit code 3.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class DisconnectedAfterRetriesError(ConfigError):
 
 
 class EigenFailureError(RuntimeFailure):
-    """The symmetric eigensolver did not converge."""
+    """The spectral solve met a non-finite Lanczos coefficient or result."""
 
 
 # -- dynamics ----------------------------------------------------------------

@@ -8,13 +8,16 @@ with arc directions ignored: i and j exchange values once either picks the other
 
 A matrix is held as its stored entries, those whose bits are not +0.0
 (`SelectionMatrix`), in O(nonzeros) memory. Two functions build a dense
-(n, n) array: `laplacian`, for the eigen solve, and `SelectionMatrix.entries`,
-on each access; the config hash, the manifest, the exports and the engine's
-partner tables (`SelectionMatrix.partner_tables`) work from the stored form.
+(n, n) array: `laplacian`, for the closed-form second moment and the
+oracle, and `SelectionMatrix.entries`, on each access; the config hash, the
+manifest, the exports, the engine's partner tables
+(`SelectionMatrix.partner_tables`) and the spectral solve (`spectral`) work
+from the stored form.
 
-The spectral quantities that drive the contraction analysis come from the
-symmetrized Laplacian D - (A + A^T), where D is diagonal with
-d_i = sum_j (a_ij + a_ji) (`laplacian`).
+The spectral quantities that drive the contraction analysis are the extreme
+eigenvalues lambda2 and lambda_n of the symmetrized Laplacian D - (A + A^T),
+where D is diagonal with d_i = sum_j (a_ij + a_ji). `spectral` finds them by
+Lanczos on the stored entries, with no (n, n) array and no BLAS call.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import operator
 import random
 from collections.abc import Iterator
@@ -68,6 +72,16 @@ WEIGHT_BLOCK = 1 << 20
 # character is in no path and no command-line argument, the only strings
 # such a document holds besides fixed names.
 MATRIX_ROWS = "\0rows\0"
+# The spectral solve stops once each extreme Ritz value is within this share
+# of itself of an eigenvalue (Parlett's residual bound; see `spectral`).
+SPECTRAL_RTOL = 1e-10
+# Bytes of the Lanczos basis allocated at a time: the basis grows by blocks
+# of whole rows and is never copied.
+LANCZOS_BLOCK = 1 << 19
+# The fewest Lanczos steps between two tests of the stopping rule.
+LANCZOS_CHECK_STEPS = 8
+_EPS = 2.0 ** -52
+_SQRT_EPS = 2.0 ** -26
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,15 +230,11 @@ class SelectionMatrix:
     @cached_property
     def _spectral(self) -> SpectralData:
         """`spectral` of this matrix, solved on first use and kept."""
-        try:
-            spectrum = np.linalg.eigvalsh(laplacian(self))
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailureError(f"eigensolver failed: {exc}") from exc
-        spectrum.setflags(write=False)
+        lambda2, lambda_n = _lanczos(self)
         return SpectralData(
-            spectrum=spectrum,
-            lambda2=float(spectrum[1]),
-            lambda_n=float(spectrum[-1]),
+            n=self.n,
+            lambda2=lambda2,
+            lambda_n=lambda_n,
             a_star=float(self.positive_entries()[2].min()),
         )
 
@@ -256,8 +266,8 @@ class SpectralData:
 
     Attributes
     ----------
-    spectrum : numpy.ndarray
-        Eigenvalues sorted ascending; the first is (numerically) zero.
+    n : int
+        Number of nodes.
     lambda2 : float
         Second-smallest eigenvalue; positive exactly when the matrix is
         weakly connected.
@@ -267,7 +277,7 @@ class SpectralData:
         Smallest positive selection weight.
     """
 
-    spectrum: np.ndarray
+    n: int
     lambda2: float
     lambda_n: float
     a_star: float
@@ -351,12 +361,14 @@ def is_weakly_connected(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
 
 
 def laplacian(matrix: SelectionMatrix) -> np.ndarray:
-    """The symmetrized Laplacian D - (A + A^T) in one (n, n) array, filled
-    from the stored entries, with the bits of `np.diag(d) - (A + A^T)` on
-    the dense A: off the diagonal 0.0 - x is -x, and 0.0 - -0.0 is 0.0
-    whichever of a_ij and a_ji holds the -0.0; a sum d of positive weight
-    reads the same with -0.0 or 0.0 terms; on the diagonal
-    (0.0 - (-0.0 + -0.0)) + d is d. Symmetric positive semidefinite."""
+    """The symmetrized Laplacian D - (A + A^T) in one (n, n) array, for the
+    closed-form second moment (`theory.expected_second_moment_matrix`) and
+    the tests; `spectral` does not build it. Filled from the stored entries,
+    with the bits of `np.diag(d) - (A + A^T)` on the dense A: off the
+    diagonal 0.0 - x is -x, and 0.0 - -0.0 is 0.0 whichever of a_ij and
+    a_ji holds the -0.0; a sum d of positive weight reads the same with
+    -0.0 or 0.0 terms; on the diagonal (0.0 - (-0.0 + -0.0)) + d is d.
+    Symmetric positive semidefinite."""
     tails, heads, values = matrix._tails(), matrix.indices, matrix.values
     lap = np.zeros((matrix.n, matrix.n))
     lap[tails, heads] = values
@@ -368,17 +380,283 @@ def laplacian(matrix: SelectionMatrix) -> np.ndarray:
 
 
 def spectral(matrix: SelectionMatrix) -> SpectralData:
-    """The eigenvalues of the symmetrized Laplacian (`laplacian`), solved
-    once per matrix and kept on it: configs that share a matrix, such as
-    the points of a sweep, share one solve. The spectrum is read-only.
+    """lambda2 and lambda_n of the symmetrized Laplacian L = D - (A + A^T),
+    solved once per matrix and kept on it: configs that share a matrix,
+    such as the points of a sweep, share one solve.
+
+    The solve is Lanczos on the stored entries (`_lanczos`): k steps hold
+    a k x n basis and no (n, n) array, and no step calls BLAS, so the bits
+    do not depend on the number of threads or cores.
+
+    Error bound. The solve stops when Parlett's residual bound
+    r = ||L y - theta y|| of the unit Ritz vector y is at most
+    `SPECTRAL_RTOL` * theta for both extreme Ritz values theta, or at
+    breakdown (the next Lanczos vector's norm beta is at most
+    n * eps * 2 max_i d_i), or after n - 1 steps, when the Krylov space is
+    all of 1-perp. An eigenvalue of L lies within r of each theta, so
+    |lambda2 - theta| <= `SPECTRAL_RTOL` * theta for the smallest, relative
+    to lambda2's own size and not to lambda_n, and likewise for lambda_n
+    and the largest, as long as the fixed start vector is not orthogonal to
+    their eigenspaces (a Krylov method cannot see an eigenvector its start
+    vector misses). At breakdown and at n - 1 steps every Ritz value is
+    within beta of an eigenvalue. On 1-perp the Ritz values never fall below
+    lambda2 nor rise above lambda_n. Rounding adds an error of a few
+    eps * lambda_n, as it does to `eigvalsh`; on graphs with a tiny gap
+    that is the larger term for lambda2.
 
     Raises
     ------
     EigenFailureError
-        If the symmetric eigensolver fails to converge (essentially never
-        for the sizes this package targets, but surfaced rather than hidden).
+        If a Lanczos coefficient or a result is not finite.
     """
     return matrix._spectral
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y by einsum's own loop, which is the same on any thread count
+    (`np.dot` on vectors calls BLAS)."""
+    return float(np.einsum("i,i->", x, y))
+
+
+class _LanczosBasis:
+    """Orthonormal rows of length n, held in blocks of about
+    `LANCZOS_BLOCK` bytes, so that the basis grows without a copy."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.block_rows = max(1, min(n, LANCZOS_BLOCK // (8 * n)))
+        self.blocks: list[np.ndarray] = []
+        self.size = 0
+
+    def add(self, v: np.ndarray) -> None:
+        at = self.size % self.block_rows
+        if at == 0:
+            self.blocks.append(allocate((self.block_rows, self.n)))
+        self.blocks[-1][at] = v
+        self.size += 1
+
+    def orthogonalize(self, w: np.ndarray) -> np.ndarray:
+        """w less its projection on the basis, in place, by classical
+        Gram-Schmidt twice ("twice is enough"), with einsum's loops: no
+        BLAS call."""
+        used = self.size - (len(self.blocks) - 1) * self.block_rows
+        views = self.blocks[:-1] + [self.blocks[-1][:used]]
+        for _ in range(2):
+            coeffs = [np.einsum("ij,j->i", block, w) for block in views]
+            for c, block in zip(coeffs, views):
+                w -= np.einsum("i,ij->j", c, block)
+        return w
+
+
+def _sturm_count(a: list[float], b2: list[float], x: float, pivmin: float) -> int:
+    """How many eigenvalues of the symmetric tridiagonal T with diagonal `a`
+    and squared off-diagonal `b2` (b2[j] couples j - 1 and j, b2[0] is 0)
+    lie below x: the negative pivots of T - x I = L D L^T (Sylvester), a
+    zero pivot taken as -pivmin. Adding a row to T adds at most one."""
+    count = 0
+    q = 1.0
+    for aj, bj2 in zip(a, b2):
+        q = aj - x - bj2 / q
+        if q <= 0.0:
+            count += 1
+            if q == 0.0:
+                q = -pivmin
+    return count
+
+
+def _bisect(a: list[float], b2: list[float], lo: float, hi: float, index: int,
+            pivmin: float, width: float = 0.0) -> tuple[float, float]:
+    """[lo, hi], with at most `index` eigenvalues of T below lo and more
+    below hi, shrunk by bisection to `width` or to two adjacent floats:
+    eigenvalue `index` (counted from the smallest, from 0) lies in it."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi or hi - lo <= width:
+            return lo, hi
+        if _sturm_count(a, b2, mid, pivmin) > index:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _residual(a: list[float], b2: list[float], beta: float, theta: float,
+              pivmin: float) -> float:
+    """||L y - theta y|| for the unit vector y = V s / ||s|| of the Lanczos
+    basis V, s from the twisted factorization of T - theta I (T as in
+    `_sturm_count`): s_r = 1 and (T - theta I) s = gamma e_r, at the twist
+    r of least |gamma|, where the vector is most accurate. As
+    L V = V T + beta v e_k^T with v orthogonal to V, the norm is
+    sqrt(gamma^2 + (beta s_k)^2) / ||s||: Parlett's bound |beta s_k| at a
+    Ritz value theta. An eigenvalue of L lies within it of theta, whatever
+    theta and s are, so a poor s only delays the stop."""
+    down = []  # pivots of T - theta I from the top
+    q = 1.0
+    for aj, bj2 in zip(a, b2):
+        q = aj - theta - bj2 / q or pivmin
+        down.append(q)
+    up = []  # and from the bottom, last row first
+    q = 1.0
+    for aj, bj2 in zip(reversed(a), [0.0, *reversed(b2[1:])]):
+        q = aj - theta - bj2 / q or pivmin
+        up.append(q)
+    up.reverse()
+    gammas = [abs(d + u - (aj - theta)) for d, u, aj in zip(down, up, a)]
+    r = gammas.index(min(gammas))
+    total = s2 = 1.0  # ||s||^2 and s_j^2, from s_r = 1 outwards
+    for j in range(r - 1, -1, -1):
+        s2 *= b2[j + 1] / (down[j] * down[j])
+        total += s2
+    s2 = 1.0
+    for j in range(r + 1, len(a)):
+        s2 *= b2[j] / (up[j] * up[j])
+        total += s2
+    if total == math.inf:
+        return math.inf
+    return math.sqrt((gammas[r] ** 2 + beta * beta * s2) / total)
+
+
+class _RitzEnd:
+    """The smallest (`top` False) or the largest Ritz value of the growing
+    tridiagonal T: a bracket [lo, hi] of it, its midpoint `theta`, and
+    `bound`, the distance from theta within which L has an eigenvalue."""
+
+    def __init__(self, top: bool) -> None:
+        self.top = top
+        self.lo = self.hi = self.theta = math.nan
+        self.bound = math.inf
+        self.tries: list[float] = []  # distances out to try the outer end at
+        self.steps = 0                # the size of T at the last update
+        self.left = math.inf          # steps until `bound` meets the tolerance
+
+    def update(self, a: list[float], b2: list[float], beta: float, span: float,
+               pivmin: float) -> None:
+        """Bisect the Ritz value of T (as in `_sturm_count`), whose
+        eigenvalues lie in [-span, span], to a thousandth of its last bound,
+        and bound it with `beta`, the norm of the next Lanczos vector: its
+        residual (`_residual`) at theta plus the bracket's width, which
+        covers the Ritz value wherever it lies. `left` becomes the steps the
+        bound needs to meet the tolerance at the rate it fell since the last
+        update (0 once it meets it, inf if it did not fall).
+
+        As T grows the smallest Ritz value only falls and the largest only
+        rises, so the inner end of the last bracket stays good. The outer
+        end is tried twice the last move of theta out, then twice the last
+        bound out, and else at `span`: late checks bisect a short bracket."""
+        index, out = (len(a) - 1, 1.0) if self.top else (0, -1.0)
+        kept = -out * span if math.isnan(self.theta) else (self.lo if self.top else self.hi)
+        for step in self.tries:
+            end = kept + out * step
+            if abs(end) < span and (_sturm_count(a, b2, end, pivmin) > index) == self.top:
+                break
+        else:
+            end = out * span
+        width = 1e-3 * min(self.bound, span)
+        self.lo, self.hi = _bisect(a, b2, min(kept, end), max(kept, end), index, pivmin, width)
+        theta = 0.5 * (self.lo + self.hi)
+        last, self.bound = self.bound, _residual(a, b2, beta, theta, pivmin) + (self.hi - self.lo)
+        moved = abs(theta - self.theta) if not math.isnan(self.theta) else math.inf
+        self.tries = [2.0 * moved + 4.0 * math.ulp(theta), 2.0 * self.bound]
+        self.theta = theta
+        target = SPECTRAL_RTOL * theta
+        if self.bound <= target:
+            self.left = 0.0
+        elif 0.0 < target < self.bound < last < math.inf:
+            self.left = ((len(a) - self.steps) * math.log(self.bound / target)
+                         / math.log(last / self.bound))
+        else:
+            self.left = math.inf
+        self.steps = len(a)
+
+    def refine(self, a: list[float], b2: list[float], pivmin: float) -> float:
+        """The Ritz value, bisected on to two adjacent floats; it stays
+        within `bound` of an eigenvalue of L."""
+        index = len(a) - 1 if self.top else 0
+        lo, hi = _bisect(a, b2, self.lo, self.hi, index, pivmin)
+        return 0.5 * (lo + hi)
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """Lanczos's start vector: entry i is the SplitMix64 output for i + 1
+    (Steele, Lea and Flood, 2014) as a float in [0, 1), in integer steps
+    with the same bits on every machine. A pseudo-random vector typically
+    holds a share of every eigenvector of order 1 / sqrt(n). A regular
+    sequence can all but miss one: frac((i + 1) * 0.618...), whose steps
+    repeat, holds 1e-8 of lambda2's eigenvector on a 4-cycle with one arc
+    split into weights 1 - 1e-8 and 1e-8, and Lanczos then breaks down at
+    lambda3."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _lanczos(matrix: SelectionMatrix) -> tuple[float, float]:
+    """(lambda2, lambda_n) of the symmetrized Laplacian by Lanczos with full
+    reorthogonalization, as `spectral` states.
+
+    L x = d * x - (A + A^T) x, the second term one `bincount` over the arcs
+    taken both ways. The start vector (`_start_vector`) is fixed and has no
+    pattern a graph could share; it and every Lanczos vector are
+    orthogonalized twice against 1 / sqrt(n) and the basis, so the steps
+    stay on 1-perp, where lambda2 is the smallest eigenvalue. At each check
+    the extreme eigenvalues of the tridiagonal T are bisected by Sturm
+    counts in Python floats, from brackets kept between checks, and their
+    residual bounds tested (`_RitzEnd`). Checks are `LANCZOS_CHECK_STEPS`
+    apart or more: while the bounds are far from the tolerance, half the
+    steps they need at their last rate of fall, up to a quarter of the
+    steps so far."""
+    n = matrix.n
+    tails, heads, weights = matrix.positive_entries()
+    ends = np.concatenate((tails, heads))
+    others = np.concatenate((heads, tails))
+    arcs = np.concatenate((weights, weights))
+    degree = np.bincount(ends, arcs, n)
+    scale = 2.0 * float(degree.max())  # >= lambda_n
+    breakdown = n * _EPS * scale
+    pivmin = _EPS * breakdown
+    basis = _LanczosBasis(n)
+    basis.add(np.full(n, 1.0 / math.sqrt(n)))
+    v = basis.orthogonalize(_start_vector(n))
+    v /= math.sqrt(_dot(v, v))
+    a: list[float] = []
+    b: list[float] = []
+    b2 = [0.0]
+    prev, beta = None, 0.0
+    extremes = (_RitzEnd(top=False), _RitzEnd(top=True))
+    check = LANCZOS_CHECK_STEPS  # the step of the next test of the stopping rule
+    while True:
+        basis.add(v)
+        w = degree * v - np.bincount(ends, arcs * v[others], n)
+        alpha = _dot(v, w)
+        w -= alpha * v
+        if prev is not None:
+            w -= beta * prev
+        basis.orthogonalize(w)
+        beta = math.sqrt(_dot(w, w))
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise EigenFailureError(f"Lanczos step {len(a) + 1} is not finite")
+        a.append(alpha)
+        k = len(a)
+        last = k == n - 1 or beta <= breakdown
+        # a small beta nears an invariant subspace: test at once, and again
+        # soon, as the steps after it go on in what the Krylov space left out
+        small = beta <= _SQRT_EPS * scale
+        if last or k == check or small:
+            span = max(abs(aj) + bl + br for aj, bl, br in zip(a, [0.0, *b], [*b, 0.0]))
+            for x in extremes:
+                x.update(a, b2, beta, span, pivmin)
+            if last or all(x.left == 0.0 for x in extremes):
+                thetas = tuple(x.refine(a, b2, pivmin) for x in extremes)
+                if not all(map(math.isfinite, thetas)):
+                    raise EigenFailureError("the Lanczos eigenvalues are not finite")
+                return thetas
+            # half of what the slower bound needs, as Lanczos speeds up
+            wait = 0 if small else min(max(x.left for x in extremes) / 2.0, k // 4)
+            check = k + max(LANCZOS_CHECK_STEPS, int(wait))
+        b.append(beta)
+        b2.append(beta * beta)
+        prev, v = v, w / beta
 
 
 # ---------------------------------------------------------------------------

@@ -1198,7 +1198,7 @@ def sweep(config_dict: dict, axis: str, values, base_dir: str | Path | None = No
     run alone. Each point also carries the analytic report for its config.
 
     Along an axis outside `matrix` every point holds one matrix, and so one
-    spectrum (`graph.spectral`): `matrix`, the one `config_dict`'s matrix
+    spectral solve (`graph.spectral`): `matrix`, the one `config_dict`'s matrix
     section builds if the caller has it, else the first point's. Along an
     axis under `matrix` each point builds its own, and points whose entries
     are equal bit for bit share one. Each point's document copies only the

@@ -243,7 +243,7 @@ def contraction(sp: SpectralData, probs: EventProbabilities,
     i_k = float(_envelope(c, sp, hat=False))
     i_hat = float(_envelope(c, sp, hat=True))
     return ContractionCoefficients(i_k=i_k, i_hat_k=i_hat,
-                                   z_k=1.0 - (2.0 / len(sp.spectrum)) * i_hat)
+                                   z_k=1.0 - (2.0 / sp.n) * i_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ def _join_caveats(*parts: str) -> str:
 @dataclass(frozen=True)
 class _Inputs:
     """What the evaluators read, built once per report: the config and its
-    spectrum; the share of a pair's events that falls on one given endpoint
+    spectral data; the share of a pair's events that falls on one given endpoint
     (one half when a fair coin picks the active end of a one-sided update);
     whether both schedules are time invariant; the ideal weights over the
     horizon and their coefficients c_k; the coefficient at the schedules'

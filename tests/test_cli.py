@@ -242,6 +242,35 @@ WS1000_DOC = {
 NN_BYTES = 1000 * 1000 * 8
 
 
+BA300_DOC = {**WS1000_DOC, "matrix": {"kind": "barabasi_albert", "n": 300, "m": 2, "seed": 5}}
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif(CORES < 2, reason="one core: BLAS runs one thread either way")
+def test_check_writes_the_same_bytes_on_one_blas_thread(tmp_path):
+    """`check` solves lambda2 and lambda_n with no BLAS call, so on a
+    Barabasi-Albert n=300 network, where a LAPACK solve rounded differently
+    on one BLAS thread than on two, `theory.json` has the same bytes with
+    OPENBLAS_NUM_THREADS=1 as with no thread setting."""
+    cfg = tmp_path / "ba300.json"
+    cfg.write_text(json.dumps(BA300_DOC))
+    outputs = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          os.environ.get("PYTHONPATH")]))
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run([sys.executable, "-m", "gossipsim.cli", "check", "--config",
+                               str(cfg), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "theory.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("twin", [False, True], ids=["as-is", "twin"])
 def test_hash_and_manifest_of_a_large_config_stay_small(tmp_path, twin):
     """Hashing a 1000-node Watts-Strogatz config and writing its manifest
@@ -269,8 +298,9 @@ def test_hash_and_manifest_of_a_large_config_stay_small(tmp_path, twin):
 def test_a_large_run_holds_its_matrix_once(tmp_path, command, twin):
     """A whole `check --out` or `experiment --out` on a 1000-node network,
     from loading the config to its last output, peaks below 2.5 (n, n)
-    float arrays: the Laplacian during `check`, and a block of text (about
-    26 MiB with whole-text pieces and a copied matrix)."""
+    float arrays (about 26 MiB with whole-text pieces and a copied matrix):
+    a block of text, the generator's boolean adjacency, and during `check`
+    the Lanczos basis, k x n."""
     cfg = tmp_path / "ws1000.json"
     cfg.write_text(json.dumps(WS1000_DOC))
     with numpy_engine() if twin else nullcontext():

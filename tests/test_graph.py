@@ -13,6 +13,7 @@ from gossipsim import _native, graph
 from gossipsim.errors import (
     BadParameterError,
     DisconnectedAfterRetriesError,
+    EigenFailureError,
     MatrixTooSmallError,
     NegativeEntryError,
     NonzeroDiagonalError,
@@ -176,8 +177,10 @@ def test_spectral_pinned_reference_values(ref_matrix):
     assert sp.lambda2 == pytest.approx(LAMBDA2, abs=1e-10)
     assert sp.lambda_n == pytest.approx(LAMBDA_N, abs=1e-10)
     assert sp.a_star == A_STAR
-    assert sp.spectrum == pytest.approx(SPECTRUM, abs=1e-10)
-    assert abs(sp.spectrum[0]) < 1e-9
+    assert sp.n == 4
+    spectrum = np.linalg.eigvalsh(laplacian(ref_matrix))
+    assert spectrum == pytest.approx(SPECTRUM, abs=1e-10)
+    assert abs(spectrum[0]) < 1e-9
 
 
 def test_spectral_structure(ref_matrix):
@@ -198,21 +201,52 @@ def laplacian_by_diag(matrix):
     return np.diag(sym.sum(axis=1)) - sym
 
 
+def ring_rows(n):
+    """A cycle on which each node picks either neighbour with weight 1/2:
+    L has eigenvalues 4 sin^2(pi j / n), each but 0 and 4 twice, so lambda2
+    is about 40 / n^2 against lambda_n <= 4."""
+    a = np.zeros((n, n))
+    i = np.arange(n)
+    a[i, (i + 1) % n] = a[i, (i - 1) % n] = 0.5
+    return a
+
+
 LAPLACIAN_CASES = {
     "reference": REF_ROWS,
     "generated-300": generate("watts_strogatz", 300, seed=2, k_nn=4, p_rewire=0.3).entries,
     "negative-zero-diagonal": exponent_rows(30, 1, distinct=True),
+    "negative-zero-repeated": exponent_rows(12, 6, distinct=False),
+    "ring-300": ring_rows(300),
+    # a 4-cycle with one arc split: lambda2 and lambda3 are 2 -+ 1e-8, and a
+    # start vector holding 1e-8 of lambda2's eigenvector finds lambda3
+    "split-4-cycle": [[0.0, 1.0 - 1e-8, 0.0, 1e-8], [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]],
 }
+
+
+def assert_lambdas_within_bound(m, spectrum=None):
+    """`spectral`'s lambda2 and lambda_n against `eigvalsh` on the dense
+    Laplacian, within the bound `spectral` states: `SPECTRAL_RTOL` of the
+    eigenvalue itself, plus the rounding of both solves, a few eps * lambda_n."""
+    if spectrum is None:
+        spectrum = np.linalg.eigvalsh(laplacian(m))
+    sp = spectral(m)
+    rounding = 8 * np.finfo(float).eps * spectrum[-1]
+    for got, want in ((sp.lambda2, spectrum[1]), (sp.lambda_n, spectrum[-1])):
+        assert abs(got - want) <= graph.SPECTRAL_RTOL * abs(want) + rounding, (got, want)
+    return sp
 
 
 @pytest.mark.parametrize("rows", LAPLACIAN_CASES.values(), ids=LAPLACIAN_CASES)
 def test_laplacian_is_the_diag_construction(rows):
     """`laplacian` in one array has the bits of `np.diag(d) - (A + A^T)`,
-    also where the diagonal holds -0.0, and so has the spectrum."""
+    also where the diagonal holds -0.0, and `spectral` solves its extreme
+    eigenvalues within its stated bound, also for entries down to 2.5e-300,
+    a ring's tiny gap and a near-double lambda2."""
     m = validate(rows)
     want = laplacian_by_diag(m)
     assert laplacian(m).tobytes() == want.tobytes()
-    assert spectral(m).spectrum.tobytes() == np.linalg.eigvalsh(want).tobytes()
+    assert_lambdas_within_bound(m, np.linalg.eigvalsh(want))
     if rows is LAPLACIAN_CASES["negative-zero-diagonal"]:
         assert np.signbit(np.diagonal(m.entries)).any()
 
@@ -234,18 +268,17 @@ def arrays_in(obj):
 
 
 def test_theory_report_keeps_no_n_by_n_array():
-    """A report, which a sweep keeps one of per point, holds the spectrum
-    and no (n, n) array."""
+    """A report, which a sweep keeps one of per point, holds no (n, n)
+    array."""
     m = generate("watts_strogatz", 300, seed=2, k_nn=4, p_rewire=0.3)
     report = theory_report(make_config(m))
     sizes = [a.size for a in arrays_in(report)]
-    assert 300 in sizes  # the spectrum, so the walk reaches the arrays
-    assert max(sizes) < 300 * 300
+    assert max(sizes, default=0) < 300 * 300
 
 
 def test_spectral_memory_at_n_1000():
-    """`spectral` keeps one (n, n) array alive during the eigen solve: at
-    n=1000 its peak stays below 12 MiB (each (n, n) float array is 7.6 MiB)."""
+    """`spectral` builds no (n, n) array, only the k x n Lanczos basis: at
+    n=1000 its peak stays below 3 MiB (an (n, n) float array is 7.6 MiB)."""
     m = generate("watts_strogatz", 1000, seed=1, k_nn=6, p_rewire=0.1)
     tracemalloc.start()
     try:
@@ -253,7 +286,7 @@ def test_spectral_memory_at_n_1000():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2 ** 20, peak
+    assert peak < 3 * 2 ** 20, peak
 
 
 def test_a_matrix_holds_its_stored_entries():
@@ -272,12 +305,13 @@ def test_spectral_is_solved_once_per_matrix(monkeypatch):
     """A matrix keeps its spectral data, read-only, so configs sharing it
     share one solve; a matrix of the same entries solves its own."""
     solves = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
+    lanczos = graph._lanczos
+    monkeypatch.setattr(graph, "_lanczos", lambda m: solves.append(1) or lanczos(m))
     m = validate(REF_ROWS)
     sp = spectral(m)
     assert spectral(m) is sp and theory_report(make_config(m)).spectral is sp
-    assert not sp.spectrum.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sp.lambda2 = 0.0
     assert spectral(validate(REF_ROWS)) is not sp
     assert len(solves) == 2
 
@@ -303,17 +337,94 @@ def test_validate_copies_the_callers_array():
 
 
 def test_spectral_disconnected_has_zero_lambda2():
-    sp = spectral(validate(two_triangles()))
+    sp = assert_lambdas_within_bound(validate(two_triangles()))
     assert abs(sp.lambda2) < 1e-9
 
 
-@pytest.mark.parametrize("kind,params", [
+GENERATORS = [
     ("complete", {}),
     ("ring", {}),
     ("erdos_renyi", {"p": 0.4}),
     ("watts_strogatz", {"k_nn": 4, "p_rewire": 0.2}),
     ("barabasi_albert", {"m": 2}),
-])
+]
+
+
+@pytest.mark.parametrize("n", [5, 17, 60])
+@pytest.mark.parametrize("kind,params", GENERATORS)
+def test_spectral_within_its_bound_on_every_generator(kind, params, n):
+    assert_lambdas_within_bound(generate(kind, n, seed=3, **params))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 30),
+       st.sampled_from(["sparse", "lattice", "perturbed-lattice"]))
+def test_spectral_within_its_bound_on_random_matrices(seed, n, kind):
+    """Random rows: sparse ones with entries over 12 decades, connected or
+    not, and ring lattices (double eigenvalues) with tiny extra arcs."""
+    rng = np.random.default_rng(seed)
+    if kind == "sparse":
+        a = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 1.0))
+        a *= 10.0 ** -rng.integers(0, 12, (n, n))
+    else:
+        a = sum(np.roll(np.eye(n), s, axis=1) + np.roll(np.eye(n), -s, axis=1)
+                for s in range(1, int(rng.integers(1, max(2, n // 3))) + 1))
+        if kind == "perturbed-lattice":
+            a += (rng.random((n, n)) < 2.0 / n) * 10.0 ** -rng.integers(2, 12, (n, n))
+    np.fill_diagonal(a, 0.0)
+    empty = a.sum(axis=1) == 0.0
+    a[empty, (np.flatnonzero(empty) + 1) % n] = 1.0
+    assert_lambdas_within_bound(validate(a / a.sum(axis=1)[:, None]))
+
+
+def test_spectral_meets_the_closed_form_on_a_ring():
+    """A tiny gap, the slowest case for Lanczos: on a 300-node ring lambda2
+    is 4 sin^2(pi / n), 4.4e-4, against lambda_n 4."""
+    sp = spectral(validate(LAPLACIAN_CASES["ring-300"]))
+    rounding = 8 * np.finfo(float).eps * 4.0
+    exact = 4.0 * np.sin(np.pi / 300) ** 2
+    assert abs(sp.lambda2 - exact) <= graph.SPECTRAL_RTOL * exact + rounding
+    assert abs(sp.lambda_n - 4.0) <= graph.SPECTRAL_RTOL * 4.0 + rounding
+
+
+def lanczos_steps(monkeypatch, m):
+    """The Lanczos steps `spectral` takes on `m`: the basis holds 1 / sqrt(n)
+    and one vector a step."""
+    added = []
+    add = graph._LanczosBasis.add
+    monkeypatch.setattr(graph._LanczosBasis, "add",
+                        lambda self, v: added.append(1) or add(self, v))
+    spectral(m)
+    return len(added) - 1
+
+
+def test_spectral_on_a_complete_graph_breaks_down_after_one_step(monkeypatch):
+    """On 1-perp the complete graph's Laplacian is 2n / (n - 1) times the
+    identity: the first step spans an invariant subspace."""
+    m = generate("complete", 40)
+    assert lanczos_steps(monkeypatch, m) == 1
+    sp = assert_lambdas_within_bound(m)
+    assert sp.lambda2 == pytest.approx(80 / 39, rel=1e-14)
+    assert sp.lambda_n == pytest.approx(80 / 39, rel=1e-14)
+
+
+def test_spectral_runs_n_minus_1_steps_on_a_small_network(monkeypatch):
+    """At n = 4 the Krylov space fills 1-perp in 3 steps, and the Ritz
+    values are the eigenvalues: there is no other path for small n."""
+    assert lanczos_steps(monkeypatch, validate(REF_ROWS)) == 3
+    assert lanczos_steps(monkeypatch, generate("watts_strogatz", 300, seed=2, k_nn=4,
+                                               p_rewire=0.3)) < 299
+
+
+def test_spectral_raises_on_a_non_finite_entry():
+    """An infinite weight, which `validate` refuses, makes the Lanczos
+    coefficients non-finite: an error, not a lambda of nan."""
+    m = validate(REF_ROWS)
+    bad = SelectionMatrix(m.n, m.indptr, m.indices, np.where(m.values == 0.25, np.inf, m.values))
+    with np.errstate(all="ignore"), pytest.raises(EigenFailureError):
+        spectral(bad)
+
+
+@pytest.mark.parametrize("kind,params", GENERATORS)
 def test_generate_valid_and_connected(kind, params):
     m = generate(kind, 10, seed=3, **params)
     assert m.n == 10
