@@ -1,12 +1,11 @@
 """The package's compiled library, `_slots.c`, and the FNV-1a hash.
 
-`library()` builds and loads the library once per process. Three things run
-on it where it loads, each with a twin in numpy or Python where it does not:
-the engine's slots (`montecarlo._KernelSlots`, twin `_NumpySlots`), the
-FNV-1a hash of `config_hash` (`fnv1a64`, twin `_fnv1a64`), which runs over
-the text block by block, and the blocks of matrix rows of the canonical
-config text and the manifest (`graph.json_with_rows`, twin
-`graph._join_rows`). Each twin gives the same bytes.
+`library()` builds and loads the library once per process. It holds the
+engine's slots (`montecarlo._KernelSlots`), whose numpy twin
+(`montecarlo._NumpySlots`) runs where it does not load and gives the same
+bits. `_fnv1a64` is the FNV-1a hash of `config_hash`, in numpy: it needs
+no library, so a command that runs no trial, `check`, neither builds nor
+loads it.
 """
 
 from __future__ import annotations
@@ -17,16 +16,17 @@ import functools
 import importlib.util
 import os
 import tempfile
-from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["library", "fnv1a64"]
+__all__ = ["library"]
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
-FNV_BLOCK = 1 << 16
+# bytes hashed at a time: a block's uint64 temporaries take 8 bytes a byte,
+# so 16 KiB keeps a hash of the canonical text within about 0.5 MiB
+FNV_BLOCK = 1 << 14
 _U64 = (1 << 64) - 1
 _BYTES_OF_WORD = 0x0101010101010101
 
@@ -35,9 +35,9 @@ _SOURCE = Path(__file__).with_name("_slots.c")
 _FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 
-def _fnv1a64(data, h: int = FNV_OFFSET) -> int:
+def _fnv1a64(data) -> int:
     """FNV-1a-64 of the bytes-like `data` (h <- (h ^ b) * P mod 2^64 per
-    byte), going on from `h`, in numpy.
+    byte, from `FNV_OFFSET`), in numpy.
 
     With l the low byte of h, h ^ b = h + d for d = (l ^ b) - l, so over a
     block h_N = h_0 P^N + sum_k d_k P^(N-k) mod 2^64: one wrapping dot
@@ -47,6 +47,7 @@ def _fnv1a64(data, h: int = FNV_OFFSET) -> int:
     of every l_k, bit j of l is then a running xor, one layer at a time.
     Blocks of `FNV_BLOCK` bytes bound the memory.
     """
+    h = FNV_OFFSET
     buf = np.frombuffer(data, dtype=np.uint8)
     # powers[i] = P^(i+1) mod 2^64
     powers = np.multiply.accumulate(np.full(min(FNV_BLOCK, buf.size), FNV_PRIME, np.uint64))
@@ -71,22 +72,6 @@ def _fnv1a64(data, h: int = FNV_OFFSET) -> int:
     return h
 
 
-def fnv1a64(pieces: Iterable) -> int:
-    """FNV-1a-64 of the concatenation of the bytes-like `pieces`, such as the
-    blocks of `graph.json_with_rows`, each hashed as it comes and none
-    joined or kept: compiled where the library loads, else in numpy
-    (`_fnv1a64`)."""
-    lib = library()
-    h = FNV_OFFSET
-    for piece in pieces:
-        if lib is None:
-            h = _fnv1a64(piece, h)
-        else:
-            buf = np.frombuffer(piece, dtype=np.uint8)
-            h = lib.fnv1a64(buf.ctypes.data, buf.size, h)
-    return h
-
-
 @functools.cache
 def library() -> ctypes.CDLL | None:
     """`_slots.c` loaded with ctypes, or None when it cannot be built or
@@ -97,8 +82,8 @@ def library() -> ctypes.CDLL | None:
     path of the source (so it follows PYTHONPYCACHEPREFIX as .pyc files
     do), under a temporary name and then moved into place, and the builds
     of earlier sources there are deleted. A cached file that does not load
-    is rebuilt. The first command that hashes a config or runs a trial
-    calls this; importing the package does not.
+    is rebuilt. The first trial a process runs calls this; importing the
+    package does not.
     """
     try:
         digest = _fnv1a64(_SOURCE.read_bytes() + " ".join(_FLAGS).encode())
@@ -142,12 +127,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     freely. The slots' `chunk` struct (`montecarlo._Chunk`) goes by its
     address, `ctypes.addressof(chunk)`. Raises AttributeError when a
     function is missing."""
-    i64, u64, f64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p
-    lib.fnv1a64.restype = u64
-    lib.fnv1a64.argtypes = [ptr, i64, u64]
-    lib.write_rows.restype = i64
-    lib.write_rows.argtypes = [ptr, i64, i64, ctypes.c_char_p, ptr,
-                               *[ctypes.c_char_p, i64] * 4, ptr, i64]
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.draw_uniform.restype = lib.run_slots.restype = None
     lib.draw_uniform.argtypes = [ptr, f64, f64]
     lib.run_slots.argtypes = [ptr, ptr, i64, i64, i64]

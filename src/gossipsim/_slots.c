@@ -1,13 +1,8 @@
-/* The package's compiled library, built and loaded by `_native.library`.
- * Each part has a twin in numpy or Python, which runs where this does not
- * build and is the reference it is tested against: the engine's slots
- * (`run_slots`, `draw_uniform`; twin `montecarlo._NumpySlots`), the FNV-1a
- * hash of a config's canonical text (`fnv1a64`; twin `_native._fnv1a64`)
- * and the writer of a block of a matrix's rows as JSON text (`write_rows`;
- * twin `graph._join_rows`).
- *
- * The slots: `montecarlo._KernelSlots` calls them behind the interface of
- * `_NumpySlots`.
+/* The package's compiled library, built and loaded by `_native.library`:
+ * the engine's slots (`run_slots`, `draw_uniform`), which
+ * `montecarlo._KernelSlots` calls behind the interface of their numpy twin
+ * `montecarlo._NumpySlots`. The twin runs where this does not build and is
+ * the reference it is tested against.
  *
  * Each trial draws from its own Philox4x64-10 stream (Salmon et al., SC'11),
  * keyed [seed, trial], exactly as numpy's `Philox(key=[seed, trial])` with
@@ -302,51 +297,4 @@ void run_slots(const chunk *c, const double *w, int64_t b, int64_t k, int64_t ci
         if (ci >= 0)
             record(c, t, ci);
     }
-}
-
-/* FNV-1a-64 of the len bytes at data, going on from h: the offset basis
- * starts a hash, and the hash of one block of text starts the next, so the
- * blocks hash as their concatenation. */
-uint64_t fnv1a64(const uint8_t *data, int64_t len, uint64_t h)
-{
-    for (int64_t k = 0; k < len; k++)
-        h = (h ^ data[k]) * 0x100000001B3u;
-    return h;
-}
-
-/* Writes a block of rows x cols entries (cols >= 1) to out as text: each
- * row is open, its entries' texts with sep between them, then close, and
- * between separates the rows. ids[r * cols + c] is the entry's id v in the
- * matrix's vocabulary, whose text is bytes offsets[v] to offsets[v + 1] of
- * texts. Returns the bytes written, or -1, with out left part written, when
- * they would pass cap. */
-int64_t write_rows(const int32_t *ids, int64_t rows, int64_t cols, const char *texts,
-                   const int64_t *offsets, const char *open, int64_t open_len,
-                   const char *sep, int64_t sep_len, const char *close, int64_t close_len,
-                   const char *between, int64_t between_len, char *out, int64_t cap)
-{
-    int64_t w = 0;
-    for (int64_t r = 0; r < rows; r++) {
-        const int32_t *row = ids + r * cols;
-        const int64_t lead = r ? between_len + open_len : open_len;
-        if (lead > cap - w)
-            return -1;
-        if (r) {
-            memcpy(out + w, between, between_len);
-            w += between_len;
-        }
-        memcpy(out + w, open, open_len);
-        w += open_len;
-        for (int64_t c = 0; c < cols; c++) {
-            const int64_t start = offsets[row[c]], len = offsets[row[c] + 1] - start;
-            const int64_t gap = c + 1 < cols ? sep_len : close_len;
-            if (len + gap > cap - w)
-                return -1;
-            memcpy(out + w, texts + start, len);
-            w += len;
-            memcpy(out + w, c + 1 < cols ? sep : close, gap);
-            w += gap;
-        }
-    }
-    return w;
 }

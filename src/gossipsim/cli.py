@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .dynamics import EventProbabilities
 from .errors import BadParameterError, ConfigError, RuntimeFailure
-from .graph import json_with_rows, validate
+from .graph import validate
 from .montecarlo import (
     INTEGER_KEYS,
     ExperimentConfig,
@@ -53,7 +53,7 @@ from .montecarlo import (
     classify_trials,
     config_from_dict,
     config_hash,
-    config_outline,
+    config_to_dict,
     run_experiment,
     run_trials,
     set_by_path,
@@ -124,22 +124,19 @@ def _prepare_run_dir(args, command: str, cfg: ExperimentConfig, cfg_path: Path,
         "configPath": str(cfg_path),
         "configHash": config_hash(cfg),
         "seed": cfg.base_seed,
-        "config": config_outline(cfg),
+        "config": config_to_dict(cfg),
         "outputs": outputs,
         "startedAt": _now(),
         "finishedAt": None,
         "status": "running",
     }
+    text = json.dumps(doc, indent=2)  # ASCII: a character is a byte
     try:  # a path that cannot be a run directory is an argument error
         run_dir.mkdir(parents=True, exist_ok=True)
-        with open(manifest, "wb") as fh:
-            for piece in json_with_rows(doc, cfg.matrix, indent=2):
-                at = fh.tell()
-                fh.write(piece)
-            fh.write(b"\n")
+        manifest.write_bytes(f"{text}\n".encode("ascii"))
     except OSError as exc:
         raise BadParameterError(f"cannot write run directory {run_dir}: {exc}") from None
-    args.manifest = manifest, at + piece.rindex(b'"finishedAt"')  # the last piece is the tail
+    args.manifest = manifest, text.rindex('"finishedAt"')
     return run_dir
 
 

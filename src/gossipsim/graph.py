@@ -7,12 +7,13 @@ least three nodes. Connectivity is checked on the positivity pattern a_ij > 0
 with arc directions ignored: i and j exchange values once either picks the other.
 
 A matrix is held as its stored entries, those whose bits are not +0.0
-(`SelectionMatrix`), in O(nonzeros) memory. Two functions build a dense
-(n, n) array: `laplacian`, for the closed-form second moment and the
-oracle, and `SelectionMatrix.entries`, on each access; the config hash, the
-manifest, the exports, the engine's partner tables
-(`SelectionMatrix.partner_tables`) and the spectral solve (`spectral`) work
-from the stored form.
+(`SelectionMatrix`), in O(nonzeros) memory, and `validate_entries` checks
+it in that form; `validate` checks a dense array by its stored entries.
+Two functions build a dense (n, n) array: `laplacian`, for the closed-form
+second moment and the oracle, and `SelectionMatrix.entries`, on each
+access; the config hash and the manifest (which record the stored
+entries), the engine's partner tables (`SelectionMatrix.partner_tables`)
+and the spectral solve (`spectral`) work from the stored form.
 
 The spectral quantities that drive the contraction analysis are the extreme
 eigenvalues lambda2 and lambda_n of the symmetrized Laplacian D - (A + A^T),
@@ -35,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _native
 from .errors import (
     BadParameterError,
     DisconnectedAfterRetriesError,
@@ -50,6 +50,7 @@ __all__ = [
     "SelectionMatrix",
     "SpectralData",
     "validate",
+    "validate_entries",
     "is_weakly_connected",
     "laplacian",
     "spectral",
@@ -59,19 +60,10 @@ __all__ = [
     "export_matrix_csv",
     "import_matrix_json",
     "export_matrix_json",
-    "MATRIX_ROWS",
-    "json_with_rows",
 ]
 
 ROW_SUM_TOL = 1e-9
 GENERATOR_MAX_RETRIES = 100
-# Bytes of a matrix's text handled at a time: the rows are tokenized,
-# written and hashed in blocks of whole rows of at most about this size.
-WEIGHT_BLOCK = 1 << 20
-# Stands for a matrix's rows in a document given to `json_with_rows`. A NUL
-# character is in no path and no command-line argument, the only strings
-# such a document holds besides fixed names.
-MATRIX_ROWS = "\0rows\0"
 # The spectral solve stops once each extreme Ritz value is within this share
 # of itself of an eigenvalue (Parlett's residual bound; see `spectral`).
 SPECTRAL_RTOL = 1e-10
@@ -118,8 +110,9 @@ class SelectionMatrix:
     @property
     def entries(self) -> np.ndarray:
         """The dense (n, n) array, read-only, built anew on each access: for
-        tests, small matrices and `montecarlo.config_to_dict`. The commands
-        never build it; `laplacian` fills its own array."""
+        tests, small matrices, the scalar reference and the exports. The
+        commands never build it; `laplacian` fills its own array, and
+        `montecarlo.config_to_dict` records the stored entries."""
         a = self.rows(0, self.n)
         a.setflags(write=False)
         return a
@@ -199,35 +192,6 @@ class SelectionMatrix:
         return cdf, cols
 
     @cached_property
-    def row_tokens(self) -> RowTokens:
-        """The vocabulary of the entries' JSON text: their distinct values
-        and the text json writes for each. Made on first use and kept, so a
-        config hash and a manifest share it.
-
-        `json` writes a finite float with `float.__repr__`, so one rendering
-        per distinct bit pattern (-0.0 is not 0.0) gives every entry's text.
-        The distinct values are the stored ones, and +0.0 where an entry is
-        not stored; +0.0, bits 0, then comes first.
-        """
-        values = _distinct(self.values.view(np.uint64))
-        if len(self.values) < self.n * self.n:
-            values = np.concatenate((np.zeros(1, np.uint64), values))
-        if len(values) > np.iinfo(np.int32).max:  # n above 46340: 17 GB of entries
-            raise MemoryError("a matrix with more distinct entries than int32 ids can index")
-        texts = json.dumps(values.view(np.float64).tolist(), separators=(",", ":"))
-        return RowTokens(values, texts[1:-1].encode().split(b","))
-
-    def row_ids(self, lo: int, hi: int) -> np.ndarray:
-        """The int32 ids into `row_tokens.texts` of the entries of rows
-        [lo, hi), (hi - lo, n): id 0, +0.0's where any entry is not stored,
-        then the stored entries' ids in their places."""
-        tokens = self.row_tokens
-        ids = np.zeros((hi - lo, self.n), dtype=np.int32)
-        s, e = self.indptr[lo], self.indptr[hi]
-        ids[self._tails(lo, hi), self.indices[s:e]] = tokens.ids(self.values[s:e])
-        return ids
-
-    @cached_property
     def _spectral(self) -> SpectralData:
         """`spectral` of this matrix, solved on first use and kept."""
         lambda2, lambda_n = _lanczos(self)
@@ -237,27 +201,6 @@ class SelectionMatrix:
             lambda_n=lambda_n,
             a_star=float(self.positive_entries()[2].min()),
         )
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of `a` in ascending order, as `np.unique` gives
-    them, by a sort: numpy 2's hash-table `unique` took 8x as long on the
-    bits of a 1000-node network."""
-    a = np.sort(a, axis=None)
-    return a[np.r_[True, a[1:] != a[:-1]]]
-
-
-@dataclass(frozen=True, eq=False)
-class RowTokens:
-    """The vocabulary of a matrix's entries: `values`, their distinct bit
-    patterns as sorted uint64, and `texts`, the JSON text of each."""
-
-    values: np.ndarray
-    texts: list[bytes]
-
-    def ids(self, entries: np.ndarray) -> np.ndarray:
-        """The int32 ids into `texts` of the float array `entries`."""
-        return np.searchsorted(self.values, entries.view(np.uint64)).astype(np.int32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +227,9 @@ class SpectralData:
 
 
 def validate(entries: np.ndarray | list[list[float]]) -> SelectionMatrix:
-    """Check an array against the selection-matrix contract.
+    """Check a dense array against the selection-matrix contract: its
+    stored entries, those whose bits are not +0.0, go through
+    `validate_entries`.
 
     Parameters
     ----------
@@ -298,15 +243,12 @@ def validate(entries: np.ndarray | list[list[float]]) -> SelectionMatrix:
 
     Raises
     ------
+    BadParameterError
+        Entries that are not numbers (booleans and strings included).
     MatrixTooSmallError
-        Fewer than three nodes or a non-square array.
-    NegativeEntryError
-        Any weight below zero.
-    NonzeroDiagonalError
-        Any self-selection weight.
-    NotStochasticError
-        A row sum farther than 1e-9 from one. Rows are never silently
-        renormalized; fixing the input is the caller's job.
+        A non-square array.
+    Others
+        As `validate_entries`.
     """
     try:
         a = np.array(entries)
@@ -320,26 +262,88 @@ def validate(entries: np.ndarray | list[list[float]]) -> SelectionMatrix:
     if not isinstance(entries, np.ndarray) and any(
             not {bool, np.bool_}.isdisjoint(map(type, row)) for row in entries):
         raise BadParameterError("matrix entries must be numbers, got a boolean entry")
-    n = a.shape[0]
+    stored = a.view(np.uint64) != 0  # -0.0 too
+    return validate_entries(a.shape[0], *np.nonzero(stored), a[stored])
+
+
+def validate_entries(n: int, i, j, a) -> SelectionMatrix:
+    """Check a matrix given as its stored entries: a[k] at row i[k] and
+    column j[k], in strictly ascending row-major (i, j) order, every entry
+    not listed being +0.0. Listed +0.0 entries are dropped; -0.0 is kept.
+
+    Every row sums to one, so every row has an entry: an `n` beyond the
+    number of entries fails before anything of size n is allocated.
+
+    Raises
+    ------
+    MatrixTooSmallError
+        Fewer than three nodes.
+    BadParameterError
+        Lists of unequal length, an index outside [0, n), entries out of
+        order or repeated, or a value that is not finite.
+    NegativeEntryError
+        Any weight below zero.
+    NonzeroDiagonalError
+        Any self-selection weight.
+    NotStochasticError
+        A row sum, over its stored entries, farther than `ROW_SUM_TOL` from
+        one. Rows are never silently renormalized; fixing the input is the
+        caller's job.
+    """
+    n = operator.index(n)
     if n < 3:
         raise MatrixTooSmallError(f"need at least 3 nodes, got {n}")
+    if not len(i) == len(j) == len(a):
+        raise BadParameterError(
+            f"matrix entry lists differ in length: i {len(i)}, j {len(j)}, a {len(a)}")
+    if n > len(a):
+        raise NotStochasticError(f"{n} rows but {len(a)} entries: some row sums to 0, expected 1")
+    i, j, a = _numbers("i", i, "iu"), _numbers("j", j, "iu"), _numbers("a", a, "iuf")
+    for name, x in (("i", i), ("j", j)):
+        outside = (x < 0) | (x >= n)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise BadParameterError(f"matrix entry {k}: {name} = {x[k]} is outside [0, {n})")
+    i, j, a = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False), \
+        a.astype(float, copy=False)
+    ordered = (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
+    if not ordered.all():
+        k = int(np.argmin(ordered)) + 1
+        raise BadParameterError(f"matrix entry {k} ({i[k]}, {j[k]}) does not follow entry "
+                                f"{k - 1} ({i[k - 1]}, {j[k - 1]}) in row-major order")
     if not np.isfinite(a).all():
         raise BadParameterError("matrix entries must be finite")
     if (a < 0.0).any():
-        i, j = np.argwhere(a < 0.0)[0]
-        raise NegativeEntryError(f"entry ({i}, {j}) is negative: {a[i, j]}")
-    diag = np.diagonal(a)
-    if (diag != 0.0).any():
-        i = int(np.nonzero(diag)[0][0])
-        raise NonzeroDiagonalError(f"diagonal entry ({i}, {i}) is {diag[i]}, must be 0")
-    sums = a.sum(axis=1)
+        k = int(np.argmax(a < 0.0))
+        raise NegativeEntryError(f"entry ({i[k]}, {j[k]}) is negative: {a[k]}")
+    on_diagonal = (i == j) & (a != 0.0)
+    if on_diagonal.any():
+        k = int(np.argmax(on_diagonal))
+        raise NonzeroDiagonalError(f"diagonal entry ({i[k]}, {i[k]}) is {a[k]}, must be 0")
+    stored = a.view(np.uint64) != 0
+    i, j, a = i[stored], j[stored], a[stored]
+    sums = np.bincount(i, a, n)
     bad = np.abs(sums - 1.0) > ROW_SUM_TOL
     if bad.any():
-        i = int(np.nonzero(bad)[0][0])
-        raise NotStochasticError(f"row {i} sums to {sums[i]:.12g}, expected 1")
-    stored = a.view(np.uint64) != 0  # -0.0 too
-    indptr = np.r_[0, np.cumsum(np.count_nonzero(stored, axis=1))]
-    return SelectionMatrix(n, indptr, np.nonzero(stored)[1].astype(np.int32), a[stored])
+        r = int(np.argmax(bad))
+        raise NotStochasticError(f"row {r} sums to {sums[r]:.12g}, expected 1")
+    indptr = np.r_[0, np.cumsum(np.bincount(i, minlength=n))]
+    return SelectionMatrix(n, indptr, j.astype(np.int32), a)
+
+
+def _numbers(name: str, x, kinds: str) -> np.ndarray:
+    """`x` as an array whose dtype is of one of `kinds`: integers ("iu") or
+    numbers ("iuf"); booleans, strings and integers beyond 64 bits are
+    refused."""
+    booleans = not isinstance(x, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, x))
+    try:
+        x = np.asarray(x)
+    except (OverflowError, ValueError):
+        x = None
+    if booleans or x is None or x.ndim != 1 or x.dtype.kind not in kinds:
+        what = "integers" if kinds == "iu" else "numbers"
+        raise BadParameterError(f"matrix entries' {name} must be a list of {what}")
+    return x
 
 
 def is_weakly_connected(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
@@ -958,98 +962,10 @@ def import_matrix_csv(path: str | Path) -> SelectionMatrix:
     return validate(rows)
 
 
-def _block_rows(row_bytes: int) -> int:
-    """The rows in a block when a row takes at most `row_bytes`: as many as
-    fit in `WEIGHT_BLOCK` bytes, and at least one."""
-    return max(1, WEIGHT_BLOCK // row_bytes)
-
-
-def json_with_rows(doc, matrix: SelectionMatrix, indent: int | None = None,
-                   sort_keys: bool = False) -> Iterator[bytes | bytearray | memoryview]:
-    """`json.dumps` of `doc` with `matrix.entries.tolist()` in place of its one
-    `MATRIX_ROWS` value, in UTF-8, yielded in order as the head, then the
-    rows in blocks of whole rows (`_block_rows`), then the tail, to be
-    hashed or written as they come: compact (separators "," and ":") when
-    `indent` is None, else indented by `indent`. The text is json's own;
-    the rows are written from the vocabulary `matrix.row_tokens`, a block's
-    ids made from the stored entries (`SelectionMatrix.row_ids`), instead of
-    json's encoder, whose indented form runs in pure Python: by the compiled
-    library where it loads (`_native.library`), else by `_join_rows`. The
-    compiled blocks are views of one buffer that the next block overwrites,
-    so a caller that keeps a block copies it.
-    """
-    separators = (",", ":") if indent is None else None
-    text = json.dumps(doc, indent=indent, separators=separators, sort_keys=sort_keys)
-    head, mark, tail = text.partition(json.dumps(MATRIX_ROWS))
-    if not mark:
-        raise ValueError("document holds no MATRIX_ROWS value")
-    if indent is None:
-        pad = row_pad = item_pad = ""
-    else:
-        line = head[head.rfind("\n") + 1:]  # the line holding the rows' key
-        pad = "\n" + line[:len(line) - len(line.lstrip(" "))]
-        row_pad = pad + " " * indent
-        item_pad = row_pad + " " * indent
-    # open, sep, close and between of `_join_rows`
-    marks = [m.encode() for m in (f"[{item_pad}", f",{item_pad}", f"{row_pad}]", f",{row_pad}")]
-    open_, sep, close, between = marks
-    yield f"{head}[{row_pad}".encode()
-    tokens = matrix.row_tokens
-    n = matrix.n
-    # the most bytes a row's text takes, with the `between` before it
-    row_bytes = (len(between) + len(open_) + n * max(map(len, tokens.texts))
-                 + (n - 1) * len(sep) + len(close))
-    step = _block_rows(row_bytes)
-    lib = _native.library()
-    if lib is None:
-        texts = np.array(tokens.texts, dtype=object)
-    else:
-        joined = b"".join(tokens.texts)
-        offsets = np.zeros(len(tokens.texts) + 1, dtype=np.int64)
-        np.cumsum([len(t) for t in tokens.texts], out=offsets[1:])
-        out = np.empty(min(step, n) * row_bytes, dtype=np.uint8)
-    for r in range(0, n, step):
-        ids = matrix.row_ids(r, min(r + step, n))
-        lead = between if r else b""  # joins the block to the one before
-        if lib is None:
-            yield _join_rows(texts, ids, *marks, lead=lead)
-        else:
-            out.data[:len(lead)] = lead
-            size = len(lead) + _write_rows(lib, joined, offsets, ids, marks, out[len(lead):])
-            yield out[:size].data
-    yield f"{pad}]{tail}".encode()
-
-
-def _join_rows(texts: np.ndarray, ids: np.ndarray, open_: bytes, sep: bytes, close: bytes,
-               between: bytes, lead: bytes = b"") -> bytearray:
-    """`lead`, then the rows of text ids `ids` as text, with `texts` the
-    object array of each id's text: each row is `open_`, its tokens joined
-    by `sep`, then `close`, and `between` joins the rows. The twin of the
-    compiled `write_rows`; it holds one row's tokens at a time."""
-    out = bytearray(lead)
-    for r, row in enumerate(ids):
-        out += (between if r else b"") + open_ + sep.join(texts[row].tolist()) + close
-    return out
-
-
-def _write_rows(lib, texts: bytes, offsets: np.ndarray, ids: np.ndarray, marks: list[bytes],
-                out: np.ndarray) -> int:
-    """`_join_rows` by the compiled `write_rows` into the uint8 array `out`,
-    with the id v's text bytes offsets[v] to offsets[v + 1] of `texts`;
-    returns the bytes written."""
-    rows, cols = ids.shape
-    written = lib.write_rows(ids.ctypes.data, rows, cols, texts, offsets.ctypes.data,
-                             *(x for m in marks for x in (m, len(m))), out.ctypes.data, out.size)
-    if written < 0:
-        raise RuntimeError(f"write_rows needs more than {out.size} bytes")
-    return written
-
-
 def export_matrix_json(matrix: SelectionMatrix, path: str | Path) -> None:
-    payload = {"n": matrix.n, "rows": MATRIX_ROWS}
-    with open(path, "wb") as fh:
-        fh.writelines(json_with_rows(payload, matrix, indent=2))
-        fh.write(b"\n")
+    """Write `{"n", "rows"}` with the dense rows, indented by 2."""
+    text = json.dumps({"n": matrix.n, "rows": matrix.entries.tolist()}, indent=2)
+    Path(path).write_bytes(f"{text}\n".encode())
 
 
 def import_matrix_json(path: str | Path) -> SelectionMatrix:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import json
 import math
 import numbers
 import os
@@ -53,7 +54,6 @@ from pathlib import Path
 import numpy as np
 
 from . import _native
-from ._native import fnv1a64
 from .dynamics import (
     OVERFLOW_LIMIT,
     S_CLIP,
@@ -64,8 +64,8 @@ from .dynamics import (
     run_trajectory,
 )
 from .errors import BadAxisError, BadParameterError
-from .graph import MATRIX_ROWS, SelectionMatrix, allocate, generate, import_matrix_csv, \
-    import_matrix_json, is_weakly_connected, json_with_rows, validate
+from .graph import SelectionMatrix, allocate, generate, import_matrix_csv, import_matrix_json, \
+    is_weakly_connected, validate, validate_entries
 from .metrics import Classification, classify, measure
 from .theory import theory_report
 
@@ -79,7 +79,6 @@ __all__ = [
     "default_checkpoints",
     "config_from_dict",
     "config_to_dict",
-    "config_outline",
     "config_hash",
     "run_trial",
     "run_trials",
@@ -248,7 +247,8 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 _GENERATOR_KEYS = {"p": "p", "m": "m", "kNn": "k_nn", "pRewire": "p_rewire"}
-_MATRIX_KEYS = {"explicit": (("rows",), ()), "file": (("path",), ()),
+_MATRIX_KEYS = {"explicit": (("rows",), ()), "entries": (("n", "i", "j", "a"), ()),
+                "file": (("path",), ()),
                 "complete": (("n",), ()), "ring": (("n",), ()),
                 "erdos_renyi": (("n", "p"), ("seed",)),
                 "watts_strogatz": (("n", "kNn", "pRewire"), ("seed",)),
@@ -311,6 +311,10 @@ def _matrix_from_dict(d, base_dir: Path | None) -> SelectionMatrix:
     kind = _kind("matrix", d, "explicit", _MATRIX_KEYS)
     if kind == "explicit":
         return validate(d["rows"])
+    if kind == "entries":
+        return validate_entries(_num("matrix.n", d["n"], True),
+                                _nums("matrix.i", d["i"], True), _nums("matrix.j", d["j"], True),
+                                _nums("matrix.a", d["a"]))
     if kind == "file":
         path = d["path"]
         if not isinstance(path, str):
@@ -402,16 +406,11 @@ def config_from_dict(d: dict, base_dir: str | Path | None = None,
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical resolved form: inline matrix rows, resolved checkpoints and
-    thresholds. Feeding this back to `config_from_dict` reproduces the run."""
-    doc = config_outline(cfg)
-    doc["matrix"]["rows"] = cfg.matrix.entries.tolist()
-    return doc
-
-
-def config_outline(cfg: ExperimentConfig) -> dict:
-    """`config_to_dict` with `graph.MATRIX_ROWS` for the matrix rows, which
-    `graph.json_with_rows` writes without a Python float per entry."""
+    """Canonical resolved form: the matrix as its stored entries (kind
+    "entries": parallel lists `i`, `j` and `a` in row-major order, -0.0
+    kept), resolved checkpoints and thresholds. Feeding this back to
+    `config_from_dict` reproduces the run."""
+    m = cfg.matrix
     mode: dict = {"variant": cfg.mode.variant}
     if cfg.mode.variant == "asymmetric":
         mode["activeRule"] = cfg.mode.active_rule
@@ -422,7 +421,8 @@ def config_outline(cfg: ExperimentConfig) -> dict:
         initial["low"] = cfg.initial.low
         initial["high"] = cfg.initial.high
     return {
-        "matrix": {"kind": "explicit", "rows": MATRIX_ROWS},
+        "matrix": {"kind": "entries", "n": m.n, "i": m._tails().tolist(),
+                   "j": m.indices.tolist(), "a": m.values.tolist()},
         "mode": mode,
         "probabilities": {"alpha": cfg.probabilities.alpha,
                           "beta": cfg.probabilities.beta,
@@ -441,19 +441,17 @@ def config_outline(cfg: ExperimentConfig) -> dict:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """64-bit FNV-1a over the canonical compact JSON form (`config_to_dict`
-    with sorted keys and separators "," and ":"), as 16 hex digits. The
-    text comes from `graph.json_with_rows` in blocks of rows, written from
-    one vocabulary per matrix, and `_native.fnv1a64` hashes each block as
-    it comes, for the same digest a per-byte loop over `json.dumps` gives.
+    """64-bit FNV-1a over the canonical compact JSON form,
+    `json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))`
+    in UTF-8, as 16 hex digits (`_native._fnv1a64`, in numpy).
 
     The digest is computed on the first call and kept on the config, so a
     command that hashes its config for the manifest and for the results
     walks the canonical form once.
     """
     if cfg._hash is None:
-        pieces = json_with_rows(config_outline(cfg), cfg.matrix, sort_keys=True)
-        cfg._hash = f"{fnv1a64(pieces):016x}"
+        text = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+        cfg._hash = f"{_native._fnv1a64(text.encode()):016x}"
     return cfg._hash
 
 
@@ -1213,7 +1211,7 @@ def sweep(config_dict: dict, axis: str, values, base_dir: str | Path | None = No
         cfg = config_from_dict(d, base_dir=base_dir, matrix=None if rebuilt else matrix)
         if rebuilt:
             # points whose entries have the same bits (-0.0 is not 0.0: its
-            # text and so the hash differ) hold, tokenize and solve one matrix
+            # text and so the hash differ) hold and solve one matrix
             cfg.matrix = next((c.matrix for c in configs
                                if c.matrix.same_entries(cfg.matrix, bits=True)), cfg.matrix)
         else:

@@ -79,8 +79,8 @@ def rng_for(seed):
 
 
 def fnv1a64_reference(data: bytes) -> int:
-    """FNV-1a-64 one byte at a time, the definition `config_hash`'s
-    compiled and numpy hashes must match."""
+    """FNV-1a-64 one byte at a time, the definition `config_hash`'s numpy
+    hash must match."""
     h = 0xCBF29CE484222325
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
@@ -108,9 +108,8 @@ def exponent_rows(n: int, seed: int, distinct: bool) -> list[list[float]]:
 
 @contextmanager
 def numpy_engine():
-    """Every compiled path off, as where the library cannot be built: the
-    loader finds none, so the engine runs its numpy loop, `config_hash` its
-    numpy FNV-1a and `json_with_rows` its Python join."""
+    """The compiled library off, as where it cannot be built: the loader
+    finds none, so the engine runs its numpy twin."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "library", lambda: None)
         yield
@@ -118,7 +117,7 @@ def numpy_engine():
 
 @pytest.fixture()
 def fallback_engine():
-    """Runs the test with every compiled path off (`numpy_engine`)."""
+    """Runs the test with the compiled library off (`numpy_engine`)."""
     with numpy_engine():
         yield
 

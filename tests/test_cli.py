@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import csv
-import functools
 import importlib.util
 import io
 import json
@@ -18,6 +17,7 @@ from contextlib import nullcontext
 from copy import deepcopy
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +26,7 @@ from conftest import LAMBDA2, LAMBDA_N, REF_ROWS, S_CRIT, exponent_rows, fnv1a64
 from gossipsim import _native, cli, montecarlo
 from gossipsim.cli import json_safe
 from gossipsim.errors import BadAxisError, RuntimeFailure
-from gossipsim.graph import SelectionMatrix
+from gossipsim.graph import SelectionMatrix, export_matrix_csv, generate
 from gossipsim.montecarlo import config_from_dict, config_hash, run_experiment, run_trial, \
     run_trials, set_by_path
 from gossipsim.theory import theory_report
@@ -179,27 +179,21 @@ def test_manifest_finalized_in_place_is_the_full_dump(tmp_path, monkeypatch, err
 
 def test_experiment_hashes_its_config_once(tmp_path, monkeypatch):
     """One hash per `experiment --out`, over the canonical compact form of
-    the config in pieces, giving the digest of the per-byte FNV-1a loop; the
-    hash and the manifest share one tokenization of the matrix rows."""
-    fnv = montecarlo.fnv1a64
+    the config, giving the digest of the per-byte FNV-1a loop."""
+    _native.library()  # built and loaded before the count: it hashes its source
+    fnv = _native._fnv1a64
     calls = []
 
-    def hashed(pieces):  # the blocks share a buffer: each is copied as it comes
-        calls.append(b"".join(map(bytes, pieces)))
-        return fnv(calls[-1:])
+    def hashed(data):
+        calls.append(bytes(data))
+        return fnv(data)
 
-    monkeypatch.setattr(montecarlo, "fnv1a64", hashed)
-    tokenize = SelectionMatrix.row_tokens.func
-    tokenized = []
-    counted = functools.cached_property(lambda m: tokenized.append(m) or tokenize(m))
-    counted.__set_name__(SelectionMatrix, "row_tokens")
-    monkeypatch.setattr(SelectionMatrix, "row_tokens", counted)
+    monkeypatch.setattr(_native, "_fnv1a64", hashed)
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
     assert cli.main(["experiment", "--config", str(cfg), "--format", "json",
                      "--out", str(out)]) == 0
     assert len(calls) == 1
-    assert len(tokenized) == 1
     manifest = json.loads((out / "manifest.json").read_text())
     canonical = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
     assert calls[0] == canonical.encode()
@@ -213,10 +207,10 @@ def test_experiment_hashes_its_config_once(tmp_path, monkeypatch):
     ({"kind": "watts_strogatz", "n": 200, "kNn": 6, "pRewire": 0.1, "seed": 3},),
 ], ["distinct-exponents", "repeated-exponents", "generated-200"]))
 def test_manifest_is_the_indented_dump_at_scale(tmp_path, matrix, twin):
-    """With the matrix rows written by the package instead of json's
-    encoder, compiled or by its twin, the manifest still holds the bytes of
-    json's indented dump and the digest of the per-byte loop; entries such
-    as 3.0000000000000004e-07 and -0.0 keep their text."""
+    """On the compiled engine and on its twin, the manifest holds the bytes
+    of json's indented dump, its config records the matrix as its stored
+    entries, and `configHash` is the digest of the per-byte loop; entries
+    such as 3.0000000000000004e-07 and -0.0 keep their text."""
     cfg = write_config(tmp_path, matrix=matrix, steps=5, trials=2)
     out = tmp_path / "run"
     with numpy_engine() if twin else nullcontext():
@@ -227,11 +221,14 @@ def test_manifest_is_the_indented_dump_at_scale(tmp_path, matrix, twin):
     canonical = json.dumps(doc["config"], sort_keys=True, separators=(",", ":"))
     assert doc["configHash"] == f"{fnv1a64_reference(canonical.encode()):016x}"
     if matrix["kind"] == "explicit":
-        assert json.dumps(doc["config"]["matrix"]["rows"]) == json.dumps(matrix["rows"])
+        a = np.array(matrix["rows"])
+        i, j = np.nonzero(a.view(np.uint64) != 0)
+        assert doc["config"]["matrix"] == {"kind": "entries", "n": len(a), "i": i.tolist(),
+                                           "j": j.tolist(), "a": a[i, j].tolist()}
         assert "3.0000000000000004e-07" in canonical and "-0.0," in canonical
 
 
-# a 1000-node Watts-Strogatz network, whose manifest is 15 MB
+# a 1000-node Watts-Strogatz network of 6,000 stored entries
 WS1000_DOC = {
     "matrix": {"kind": "watts_strogatz", "n": 1000, "kNn": 6, "pRewire": 0.1, "seed": 7},
     "probabilities": {"alpha": 1 / 3, "beta": 1 / 3, "gamma": 1 / 3},
@@ -274,10 +271,9 @@ def test_check_writes_the_same_bytes_on_one_blas_thread(tmp_path):
 @pytest.mark.parametrize("twin", [False, True], ids=["as-is", "twin"])
 def test_hash_and_manifest_of_a_large_config_stay_small(tmp_path, twin):
     """Hashing a 1000-node Watts-Strogatz config and writing its manifest
-    holds the vocabulary of its entries and one block of rows at a time:
-    the 15 MB indented manifest and the compact hash text are never held
-    whole (18.2 MiB with whole-text pieces, 32.8 MiB with a str), by the
-    compiled writer and by its twin, and under 1 MiB stays behind."""
+    peaks under 4 MiB (the dense rows' text took 12 MiB in blocks of rows,
+    32.8 MiB whole), with or without the compiled library, and under 1 MiB
+    stays behind."""
     cfg = config_from_dict(WS1000_DOC)
     args = argparse.Namespace(out=str(tmp_path / "run"))
     with numpy_engine() if twin else nullcontext():
@@ -288,9 +284,79 @@ def test_hash_and_manifest_of_a_large_config_stay_small(tmp_path, twin):
             kept, peak = (m - start for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-    assert (tmp_path / "run" / "manifest.json").stat().st_size > 15_000_000
-    assert peak < 12 << 20, f"{peak / 2 ** 20:.1f} MiB"
+    assert (tmp_path / "run" / "manifest.json").stat().st_size < manifest_limit(6000)
+    assert peak < 4 << 20, f"{peak / 2 ** 20:.1f} MiB"
     assert kept < 1 << 20, f"{kept / 2 ** 20:.2f} MiB"
+
+
+def manifest_limit(stored: int) -> int:
+    """The most bytes a manifest takes with `stored` matrix entries: 64 an
+    entry and 4 KiB for the rest."""
+    return 64 * stored + 4096
+
+
+# the matrices of a rerun: an explicit one whose text holds -0.0 and
+# 3.0000000000000004e-07, a generated one, and one from a file
+RERUN_MATRICES = {
+    "explicit": {"kind": "explicit", "rows": exponent_rows(9, 4, distinct=False)},
+    "watts-strogatz-200": {"kind": "watts_strogatz", "n": 200, "kNn": 6, "pRewire": 0.1,
+                           "seed": 3},
+    "file": {"kind": "file", "path": "ba40.csv"},
+}
+
+
+@pytest.mark.parametrize("matrix", RERUN_MATRICES.values(), ids=RERUN_MATRICES)
+def test_a_manifest_config_reruns_to_the_same_results(tmp_path, matrix):
+    """The config a manifest records, the matrix as its stored entries,
+    reruns from another directory to a byte-identical `aggregate.json` under
+    the same `configHash`, and records itself again; the manifest is json's
+    indented dump of its document."""
+    export_matrix_csv(generate("barabasi_albert", 40, seed=2, m=2), tmp_path / "ba40.csv")
+    cfg = write_config(tmp_path, matrix=matrix, steps=40, trials=16)
+    runs = []
+    for name in ("first", "again"):
+        out = tmp_path / name
+        assert cli.main(["experiment", "--config", str(cfg), "--format", "json",
+                         "--out", str(out)]) == 0
+        raw = (out / "manifest.json").read_bytes()
+        doc = json.loads(raw)
+        assert raw == (json.dumps(doc, indent=2) + "\n").encode()
+        assert doc["config"]["matrix"]["kind"] == "entries"
+        runs.append(((out / "aggregate.json").read_bytes(), doc["configHash"], doc["config"]))
+        cfg = tmp_path / "rerun" / "config.json"
+        cfg.parent.mkdir(exist_ok=True)
+        cfg.write_text(json.dumps(doc["config"]))
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][0])["configHash"] == runs[0][1]
+    if matrix["kind"] == "explicit":
+        text = json.dumps(runs[0][2])
+        assert "-0.0," in text and "3.0000000000000004e-07" in text
+
+
+def test_a_large_network_has_a_manifest_of_its_entries(tmp_path):
+    """`experiment --out` on a 20000-node Watts-Strogatz network writes a
+    manifest of under 64 bytes a stored entry and 4 KiB: the dense rows
+    would take 6 GB."""
+    cfg = write_config(tmp_path, matrix={"kind": "watts_strogatz", "n": 20000, "kNn": 6,
+                                         "pRewire": 0.1, "seed": 7}, steps=4, trials=2)
+    out = tmp_path / "run"
+    assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    stored = len(doc["config"]["matrix"]["a"])
+    assert stored == 120000
+    assert (out / "manifest.json").stat().st_size < manifest_limit(stored)
+
+
+def test_check_needs_no_compiled_library(tmp_path, monkeypatch):
+    """`check` runs no trial, and hashes its config in numpy: it neither
+    builds nor loads the compiled library."""
+    def refuse():
+        raise AssertionError("check loaded the compiled library")
+
+    monkeypatch.setattr(_native, "library", refuse)
+    cfg = write_config(tmp_path, matrix=WS1000_DOC["matrix"])
+    assert cli.main(["check", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["status"] == "ok"
 
 
 @pytest.mark.parametrize("command,twin", on_paths([("check",), ("experiment",)],
@@ -299,7 +365,7 @@ def test_a_large_run_holds_its_matrix_once(tmp_path, command, twin):
     """A whole `check --out` or `experiment --out` on a 1000-node network,
     from loading the config to its last output, peaks below 2.5 (n, n)
     float arrays (about 26 MiB with whole-text pieces and a copied matrix):
-    a block of text, the generator's boolean adjacency, and during `check`
+    the config's text, the generator's boolean adjacency, and during `check`
     the Lanczos basis, k x n."""
     cfg = tmp_path / "ws1000.json"
     cfg.write_text(json.dumps(WS1000_DOC))
@@ -763,6 +829,9 @@ def test_config_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+# a directed 3-cycle as its stored entries
+RING3 = {"kind": "entries", "n": 3, "i": [0, 1, 2], "j": [1, 2, 0], "a": [1.0, 1.0, 1.0]}
+
 MALFORMED = {
     "epsAgree string": {"epsAgree": "x"},
     "bigM string": {"bigM": "x"},
@@ -826,6 +895,32 @@ MALFORMED = {
     "erdos-renyi n beyond memory": {"matrix": {"kind": "erdos_renyi", "n": 3_000_000,
                                                "p": 0.5, "seed": 1}},
     "ring n beyond the address space": {"matrix": {"kind": "ring", "n": 10 ** 20}},
+    # the matrix as its stored entries (kind "entries")
+    "entries without a": {"matrix": {"kind": "entries", "n": 3, "i": [0, 1, 2],
+                                     "j": [1, 2, 0]}},
+    "entries with rows": {"matrix": {**RING3, "rows": REF_ROWS}},
+    "entries n string": {"matrix": {**RING3, "n": "3"}},
+    "entries n float": {"matrix": {**RING3, "n": 3.0}},
+    "entries i not a list": {"matrix": {**RING3, "i": 0}},
+    "entries index out of range": {"matrix": {**RING3, "j": [1, 2, 3]}},
+    "entries negative index": {"matrix": {**RING3, "j": [1, 2, -1]}},
+    "entries index beyond 64 bits": {"matrix": {**RING3, "j": [1, 2, 10 ** 30]}},
+    "entries boolean index": {"matrix": {**RING3, "i": [0, True, 2]}},
+    "entries float index": {"matrix": {**RING3, "j": [1.0, 2, 0]}},
+    "entries repeated": {"matrix": {"kind": "entries", "n": 3, "i": [0, 0, 1, 2],
+                                    "j": [1, 1, 2, 0], "a": [0.5, 0.5, 1.0, 1.0]}},
+    "entries unsorted": {"matrix": {"kind": "entries", "n": 3, "i": [0, 0, 1, 2],
+                                    "j": [2, 1, 2, 0], "a": [0.5, 0.5, 1.0, 1.0]}},
+    "entries unequal lengths": {"matrix": {**RING3, "a": [1.0, 1.0]}},
+    "entries string value": {"matrix": {**RING3, "a": [1.0, "1.0", 1.0]}},
+    "entries boolean value": {"matrix": {**RING3, "a": [1.0, True, 1.0]}},
+    "entries non-finite value": {"matrix": {**RING3, "a": [1.0, 1.0, 10 ** 400]}},
+    "entries negative value": {"matrix": {"kind": "entries", "n": 3, "i": [0, 0, 1, 2],
+                                          "j": [1, 2, 2, 0], "a": [1.5, -0.5, 1.0, 1.0]}},
+    "entries diagonal value": {"matrix": {"kind": "entries", "n": 3, "i": [0, 1, 2],
+                                          "j": [0, 2, 0], "a": [1.0, 1.0, 1.0]}},
+    "entries row sum off": {"matrix": {**RING3, "a": [1.0, 1.0 + 2e-9, 1.0]}},
+    "entries n far beyond the entries": {"matrix": {**RING3, "n": 10 ** 20}},
 }
 
 # matrix files next to the config, named by the cases above
@@ -866,12 +961,12 @@ def key_paths(doc: dict, prefix: str = ""):
 FUZZ_KEYS = sorted({*key_paths(FUZZ_BASE), "k0", "epsAgree", "bigM", "mode.activeRule",
                     "initial.low", "initial.high", "initial.values", "matrix.n",
                     "matrix.seed", "matrix.p", "matrix.kNn", "matrix.pRewire", "matrix.m",
-                    "matrix.path", "schedules.T.tail", "schedules.T.values", "schedules.S.c",
-                    "schedules.S.p", "schedules.S.r"})
-FUZZ_NAMES = sorted({*(k.rpartition(".")[2] for k in FUZZ_KEYS), "explicit", "file",
-                     "complete", "ring", "erdos_renyi", "watts_strogatz", "barabasi_albert",
-                     "constant", "power", "geometric", "ramp", "uniform", "symmetric",
-                     "asymmetric", "initiator", "responder"})
+                    "matrix.path", "matrix.i", "matrix.j", "matrix.a", "schedules.T.tail",
+                    "schedules.T.values", "schedules.S.c", "schedules.S.p", "schedules.S.r"})
+FUZZ_NAMES = sorted({*(k.rpartition(".")[2] for k in FUZZ_KEYS), "explicit", "entries",
+                     "file", "complete", "ring", "erdos_renyi", "watts_strogatz",
+                     "barabasi_albert", "constant", "power", "geometric", "ramp", "uniform",
+                     "symmetric", "asymmetric", "initiator", "responder"})
 # Numbers stay small, so no trial count, horizon or node count costs more
 # than milliseconds, or are far beyond what a run can take; the values in
 # between (a trial count of 10^9, say) would only be slow.

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 import tracemalloc
 from contextlib import nullcontext
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gossipsim import _native, graph
+from gossipsim import graph
 from gossipsim.errors import (
     BadParameterError,
     DisconnectedAfterRetriesError,
@@ -20,7 +21,6 @@ from gossipsim.errors import (
     NotStochasticError,
 )
 from gossipsim.graph import (
-    MATRIX_ROWS,
     SelectionMatrix,
     export_matrix_csv,
     export_matrix_json,
@@ -28,15 +28,16 @@ from gossipsim.graph import (
     import_matrix_csv,
     import_matrix_json,
     is_weakly_connected,
-    json_with_rows,
     laplacian,
     spectral,
     validate,
+    validate_entries,
 )
+from gossipsim.montecarlo import config_to_dict
 from gossipsim.theory import theory_report
 
 from conftest import A_STAR, LAMBDA2, LAMBDA_N, REF_ROWS, SPECTRUM, exponent_rows, \
-    fnv1a64_reference, make_config, numpy_engine, on_paths
+    make_config, numpy_engine, on_paths
 
 
 def two_triangles():
@@ -82,6 +83,76 @@ def test_validate_row_sum_tolerance():
     rows[0, 1] += 1e-10
     m = validate(rows)
     assert isinstance(m, SelectionMatrix)
+
+
+# the reference network's stored entries
+REF_I = [0, 0, 1, 1, 1, 2, 2, 3, 3]
+REF_J = [1, 3, 0, 2, 3, 0, 3, 1, 2]
+REF_A = [0.5, 0.5, 0.5, 0.25, 0.25, 1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0]
+
+
+def test_validate_entries_is_validate_on_the_stored_entries(ref_matrix):
+    """The reference network as its stored entries is the matrix `validate`
+    makes of its dense rows, bit for bit; listed +0.0 entries are dropped,
+    -0.0 ones kept, and numpy arrays are taken as lists are."""
+    m = validate_entries(4, REF_I, REF_J, REF_A)
+    assert m.same_entries(ref_matrix, bits=True)
+    assert validate_entries(np.int64(4), np.array(REF_I, np.int32), np.array(REF_J),
+                            np.array(REF_A)).same_entries(m, bits=True)
+    listed = sorted([*zip(REF_I, REF_J, REF_A), (0, 0, 0.0), (1, 1, -0.0), (2, 1, 0.0)])
+    with_zeros = validate_entries(4, *map(list, zip(*listed)))
+    rows = np.array(REF_ROWS)
+    rows[1, 1] = -0.0
+    assert with_zeros.same_entries(validate(rows), bits=True)
+    assert len(with_zeros.values) == 10
+
+
+def ref_with(k: int, **replaced) -> dict:
+    """The reference entries with entry k's i, j or a replaced."""
+    lists = {"i": list(REF_I), "j": list(REF_J), "a": list(REF_A)}
+    for name, value in replaced.items():
+        lists[name][k] = value
+    return {"n": 4, **lists}
+
+
+@pytest.mark.parametrize("case,error", [
+    ({"n": 2, "i": [0, 1], "j": [1, 0], "a": [1.0, 1.0]}, MatrixTooSmallError),
+    ({**ref_with(0), "a": REF_A[:-1]}, BadParameterError),
+    ({**ref_with(0), "i": REF_I + [3]}, BadParameterError),
+    (ref_with(8, j=4), BadParameterError),
+    (ref_with(0, i=-1), BadParameterError),
+    (ref_with(8, j=2 ** 64), BadParameterError),
+    (ref_with(8, j=10 ** 30), BadParameterError),
+    (ref_with(2, i=True), BadParameterError),
+    (ref_with(3, j=2.0), BadParameterError),
+    (ref_with(1, a="0.5"), BadParameterError),
+    (ref_with(1, a=True), BadParameterError),
+    (ref_with(1, j=1), BadParameterError),   # (0, 1) twice
+    (ref_with(1, j=0), BadParameterError),   # (0, 0) after (0, 1)
+    (ref_with(2, i=0), BadParameterError),   # (0, 0) after (0, 3)
+    (ref_with(1, a=math.inf), BadParameterError),
+    (ref_with(1, a=math.nan), BadParameterError),
+    (ref_with(1, a=-0.5), NegativeEntryError),
+    (ref_with(2, j=1, a=0.5), NonzeroDiagonalError),
+    (ref_with(1, a=0.5 + 2e-9), NotStochasticError),
+    ({"n": 5, "i": REF_I, "j": REF_J, "a": REF_A}, NotStochasticError),
+    ({"n": 10 ** 20, "i": [0, 1, 2], "j": [1, 2, 0], "a": [1.0, 1.0, 1.0]},
+     NotStochasticError),
+], ids=["two nodes", "short a", "long i", "j beyond n", "negative i", "j beyond int64",
+        "j beyond 64 bits", "boolean i", "float j", "string a", "boolean a", "repeated",
+        "unsorted in a row", "unsorted rows", "infinite a", "nan a", "negative a",
+        "diagonal a", "row sum off", "empty row", "n far beyond the entries"])
+def test_validate_entries_rejects_malformed_entries(case, error):
+    """Each malformed list fails with its error; an n far beyond the
+    entries fails before anything of size n is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            validate_entries(case["n"], case["i"], case["j"], case["a"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def row_cdfs_by_row(matrix):
@@ -607,72 +678,26 @@ def test_matrix_roundtrip_csv_json(tmp_path, ref_matrix):
 ], ["reference", "distinct-exponents", "repeated-exponents", "generated-200",
     "every-entry-stored"]))
 def test_matrix_text_is_json_text(tmp_path, rows, twin):
-    """The rows written from one tokenization give json's compact and
-    indented text, by the compiled writer where it loads and by its Python
-    twin."""
+    """The JSON export is json's indented dump of the dense rows, and the
+    canonical record of a matrix (`config_to_dict`) lists its stored
+    entries, those whose bits are not +0.0, in row-major order, as json
+    text that reads back to the same entries bit for bit: -0.0 and
+    3.0000000000000004e-07 keep their text. Neither needs the compiled
+    library."""
     with numpy_engine() if twin else nullcontext():
         m = validate(rows)
         p = tmp_path / "m.json"
         export_matrix_json(m, p)
         assert p.read_text() == json.dumps({"n": m.n, "rows": rows}, indent=2) + "\n"
-        doc = {"b": [1.5, "x"], "rows": MATRIX_ROWS, "a": {"c": None}}
-        for indent, sort_keys in ((None, True), (None, False), (2, False), (4, True)):
-            separators = (",", ":") if indent is None else None
-            assert b"".join(map(bytes, json_with_rows(doc, m, indent=indent,
-                                                      sort_keys=sort_keys))) == \
-                json.dumps({**doc, "rows": rows}, indent=indent, separators=separators,
-                           sort_keys=sort_keys).encode()
-
-
-@pytest.mark.parametrize("rows,twin", on_paths([
-    (exponent_rows(9, 4, distinct=True),),
-    (exponent_rows(9, 5, distinct=False),),
-    (generate("watts_strogatz", 31, seed=2, k_nn=4, p_rewire=0.3).entries.tolist(),),
-], ["distinct-exponents-9", "repeated-exponents-9", "generated-31"]))
-def test_rows_are_the_same_text_in_any_blocks(monkeypatch, rows, twin):
-    """Blocks of 1 row, 2 rows (an odd n leaves one short block) or every
-    row give the bytes of json's compact sorted and indented dumps, and the
-    digest of the per-byte FNV-1a loop, by the compiled writer and by its
-    twin; entries such as -0.0 and 3.0000000000000004e-07 keep their text."""
-    doc = {"b": [1.5, "x"], "rows": MATRIX_ROWS, "a": {"c": None}}
-    n = len(rows)
-    for block in (1, 2, n):
-        monkeypatch.setattr(graph, "_block_rows", lambda row_bytes: block)
-        with numpy_engine() if twin else nullcontext():
-            m = validate(rows)  # a fresh vocabulary
-            for indent, sort_keys in ((None, True), (2, False)):
-                separators = (",", ":") if indent is None else None
-                want = json.dumps({**doc, "rows": rows}, indent=indent,
-                                  separators=separators, sort_keys=sort_keys).encode()
-                pieces = list(map(bytes, json_with_rows(doc, m, indent, sort_keys)))
-                assert len(pieces) == 2 + -(-n // block)
-                assert b"".join(pieces) == want
-                digest = _native.fnv1a64(json_with_rows(doc, m, indent, sort_keys))
-                assert digest == fnv1a64_reference(want)
-    if n == 9:  # the exponent_rows matrices
-        assert b"-0.0" in want and b"3.0000000000000004e-07" in want
-
-
-def test_compiled_rows_are_the_twins_join():
-    """The compiled row writer gives `_join_rows`'s bytes for any marks,
-    empty ones included, and refuses a buffer too small for them."""
-    lib = _native.library()
-    if lib is None:
-        pytest.skip("no C compiler here to build the library")
-    m = validate(exponent_rows(9, 3, distinct=False))
-    tokens = m.row_tokens
-    ids = tokens.ids(m.entries)
-    texts = np.array(tokens.texts, dtype=object)
-    joined = b"".join(tokens.texts)
-    offsets = np.r_[0, np.cumsum([len(t) for t in tokens.texts])]
-    for marks in ((b"[", b",", b"]", b","), (b"", b"", b"", b""), (b"(\n  ", b";", b"\n)", b"")):
-        want = graph._join_rows(texts, ids, *marks)
-        out = np.empty(len(want), np.uint8)
-        assert bytes(out[:graph._write_rows(lib, joined, offsets, ids, marks, out)]) == want
-        out = bytearray(len(want) - 1)
-        assert lib.write_rows(ids.ctypes.data, 9, 9, joined,
-                              offsets.ctypes.data, *(x for m in marks for x in (m, len(m))),
-                              np.frombuffer(out, np.uint8).ctypes.data, len(out)) == -1
+        record = config_to_dict(make_config(m))["matrix"]
+    a = np.array(rows)
+    i, j = np.nonzero(a.view(np.uint64) != 0)
+    assert record == {"kind": "entries", "n": len(rows), "i": i.tolist(), "j": j.tolist(),
+                      "a": a[i, j].tolist()}
+    text = json.dumps(record)
+    assert json.dumps(a[i, j].tolist()) in text
+    read = json.loads(text)
+    assert validate_entries(read["n"], read["i"], read["j"], read["a"]).same_entries(m, bits=True)
 
 
 def test_matrix_json_declared_n_mismatch(tmp_path, ref_matrix):

@@ -29,7 +29,7 @@ from gossipsim import _native, dynamics, graph, montecarlo
 from gossipsim.dynamics import OVERFLOW_LIMIT, EventProbabilities, Schedule, S_CLIP, T_CLIP, \
     UpdateMode
 from gossipsim.errors import BadAxisError, BadParameterError
-from gossipsim.graph import json_with_rows, validate
+from gossipsim.graph import validate
 from gossipsim.metrics import Classification
 from gossipsim.montecarlo import (
     WEIGHT_BLOCK,
@@ -111,7 +111,7 @@ def test_default_checkpoints():
 # ---------------------------------------------------------------------------
 
 def test_config_rejects_disconnected_matrix():
-    from gossipsim.graph import json_with_rows, validate
+    from gossipsim.graph import validate
     with pytest.raises(BadParameterError, match="A1"):
         make_config(validate(TWO_TRIANGLES))
 
@@ -232,12 +232,22 @@ def test_config_hash_ignores_key_order_and_tracks_values():
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-# Digests recorded with a per-byte FNV-1a loop over
-# `json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))`.
+# Digests of the canonical text before the matrix was recorded as its
+# stored entries, with the matrix as dense rows: a per-byte FNV-1a loop over
+# `json.dumps(doc, sort_keys=True, separators=(",", ":"))`, `doc` being
+# `config_to_dict(cfg)` with `"matrix": {"kind": "explicit", "rows":
+# entries.tolist()}` (`dense_digest`). They pin what the generators draw.
 PINNED_HASHES = {
     "paper_5_3_crit.json": "82665c6d2a63c0ce",
     "paper_5_3_high.json": "3eefaa0c2ad83d95",
     "paper_5_3_low.json": "05a8b3b2616caa5b",
+}
+# `config_hash` of the same configs, recorded with a per-byte FNV-1a loop
+# over `json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))`
+ENTRIES_HASHES = {
+    "paper_5_3_crit.json": "55d50645e0f97119",
+    "paper_5_3_high.json": "1303284fa798833e",
+    "paper_5_3_low.json": "3731bd76bec8b210",
 }
 WS1000 = {
     "matrix": {"kind": "watts_strogatz", "n": 1000, "kNn": 6, "pRewire": 0.1, "seed": 7},
@@ -250,43 +260,59 @@ WS1000 = {
 }
 
 
+def dense_digest(cfg: ExperimentConfig) -> str:
+    """The digest of `cfg`'s canonical text with the matrix as dense rows,
+    as `PINNED_HASHES` records it."""
+    doc = {**config_to_dict(cfg),
+           "matrix": {"kind": "explicit", "rows": cfg.matrix.entries.tolist()}}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return f"{fnv1a64_reference(text.encode()):016x}"
+
+
+def entries_digest(cfg: ExperimentConfig) -> str:
+    """The per-byte FNV-1a digest of `cfg`'s canonical text."""
+    text = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    return f"{fnv1a64_reference(text.encode()):016x}"
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
 def test_config_hash_is_pinned(name):
     path = CONFIGS / name
     cfg = config_from_dict(json.loads(path.read_text()), base_dir=path.parent)
-    assert config_hash(cfg) == PINNED_HASHES[name]
+    assert dense_digest(cfg) == PINNED_HASHES[name]
+    assert config_hash(cfg) == entries_digest(cfg) == ENTRIES_HASHES[name]
 
 
 def test_config_hash_is_pinned_on_a_generated_network():
     cfg = config_from_dict(WS1000)
-    assert config_hash(cfg) == "28c56404f7e29e72"
-    # the canonical text is json's own, with the matrix rows tokenized once
-    assert b"".join(map(bytes, json_with_rows(montecarlo.config_outline(cfg), cfg.matrix,
-                                              sort_keys=True))) \
-        == json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":")).encode()
+    assert dense_digest(cfg) == "28c56404f7e29e72"
+    assert config_hash(cfg) == entries_digest(cfg) == "75a15d359b685a94"
 
 
-# Digests recorded with networkx 3.6.1 drawing the matrix, and the attempt
-# that drew the first connected graph
+# Digests recorded with networkx 3.6.1 drawing the matrix, as
+# `PINNED_HASHES` records them (`dense_digest`); the digest of the
+# canonical text (`config_hash`); and the attempt that drew the first
+# connected graph
 GENERATED_HASHES = {
     "erdos-renyi-12": ({"kind": "erdos_renyi", "n": 12, "p": 0.35, "seed": 7},
-                       "e356a4313e504793", 2),
+                       "e356a4313e504793", "72c21cb3b0b206af", 2),
     "barabasi-albert-12": ({"kind": "barabasi_albert", "n": 12, "m": 3, "seed": 7},
-                           "4f40ffe37241b2f8", 1),
+                           "4f40ffe37241b2f8", "2b50dea8af0d3546", 1),
     "erdos-renyi-retried": ({"kind": "erdos_renyi", "n": 12, "p": 0.2, "seed": 10},
-                            "8755f3256be5f2ba", 13),
+                            "8755f3256be5f2ba", "df1c944553f47190", 13),
     "barabasi-albert-200": ({"kind": "barabasi_albert", "n": 200, "m": 3, "seed": 5},
-                            "6feb98b6be4fb374", 1),
+                            "6feb98b6be4fb374", "698ccb895fe5f3b7", 1),
 }
 
 
-@pytest.mark.parametrize("matrix,digest,attempts", GENERATED_HASHES.values(),
+@pytest.mark.parametrize("matrix,dense,digest,attempts", GENERATED_HASHES.values(),
                          ids=GENERATED_HASHES)
-def test_config_hash_is_pinned_on_generated_networks(matrix, digest, attempts):
+def test_config_hash_is_pinned_on_generated_networks(matrix, dense, digest, attempts):
     with mock.patch.object(graph, "is_weakly_connected",
                            wraps=graph.is_weakly_connected) as connected:
         cfg = config_from_dict({**WS1000, "matrix": matrix})
-    assert config_hash(cfg) == digest
+    assert dense_digest(cfg) == dense
+    assert config_hash(cfg) == entries_digest(cfg) == digest
     assert connected.call_count == attempts
 
 
@@ -297,7 +323,7 @@ def test_vectorized_fnv_matches_the_byte_loop(data, block):
         assert _native._fnv1a64(data) == fnv1a64_reference(data)
 
 
-@pytest.mark.parametrize("block", [8, 13, _native.FNV_BLOCK])
+@pytest.mark.parametrize("block", sorted({8, 13, _native.FNV_BLOCK, 1 << 16}))
 def test_vectorized_fnv_matches_the_byte_loop_at_block_boundaries(monkeypatch, block):
     monkeypatch.setattr(_native, "FNV_BLOCK", block)
     rng = np.random.default_rng(block)
@@ -308,25 +334,6 @@ def test_vectorized_fnv_matches_the_byte_loop_at_block_boundaries(monkeypatch, b
     high = bytes(range(0x80, 0x100)) * (block // 128 + 2)
     assert _native._fnv1a64(high) == fnv1a64_reference(high)
     assert _native._fnv1a64(b"") == 0xCBF29CE484222325
-
-
-@settings(max_examples=30)
-@given(data=st.binary(max_size=120))
-def test_fnv_in_pieces_matches_the_byte_loop(data):
-    """The compiled FNV-1a and its numpy twin give the per-byte digest for
-    the input cut into two pieces at every offset, and into one byte per
-    piece: the hash of one piece goes on into the next."""
-    if _native.library() is None:
-        pytest.skip("no C compiler here to build the library")
-    want = fnv1a64_reference(data)
-    assert _native.fnv1a64([]) == _native.FNV_OFFSET
-    assert _native.fnv1a64([data[k:k + 1] for k in range(len(data))]) == want
-    for cut in range(len(data) + 1):
-        head, tail = data[:cut], bytearray(data[cut:])
-        assert _native.fnv1a64([head, tail]) == want
-        assert _native._fnv1a64(tail, _native._fnv1a64(head)) == want
-    with numpy_engine():
-        assert _native.fnv1a64([data[:len(data) // 3], data[len(data) // 3:]]) == want
 
 
 def test_library_build_removes_stale_builds(tmp_path, monkeypatch):
