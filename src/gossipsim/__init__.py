@@ -6,17 +6,16 @@ agreement/divergence conditions that govern those dynamics. See the README
 for the model, the measures, and the command line interface.
 """
 
-from .dynamics import Event, EventProbabilities, Schedule, UpdateMode, run_trajectory
+from .dynamics import EventProbabilities, Schedule, UpdateMode
 from .errors import ConfigError, GossipError, RuntimeFailure
 from .graph import SelectionMatrix, generate, spectral, validate
-from .metrics import Classification, classify, measure
 from .montecarlo import (
+    Classification,
     ExperimentConfig,
     InitialState,
     config_from_dict,
     config_hash,
     run_experiment,
-    run_trial,
     sweep,
 )
 from .theory import (
@@ -32,11 +31,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Event",
     "EventProbabilities",
     "Schedule",
     "UpdateMode",
-    "run_trajectory",
     "ConfigError",
     "GossipError",
     "RuntimeFailure",
@@ -45,14 +42,11 @@ __all__ = [
     "spectral",
     "validate",
     "Classification",
-    "classify",
-    "measure",
     "ExperimentConfig",
     "InitialState",
     "config_from_dict",
     "config_hash",
     "run_experiment",
-    "run_trial",
     "sweep",
     "ConditionId",
     "Verdict",

@@ -1,4 +1,4 @@
-"""Sampling and state updates for one gossip trajectory.
+"""The gossip model's parameters and the per-slot draw protocol.
 
 Each slot k draws an ordered pair: node i uniformly, then partner j from row i
 of the selection matrix, so the ordered pair (i, j) has probability a_ij / n.
@@ -12,47 +12,39 @@ Both endpoints read pre-step values. Coupled ("symmetric") updates give both
 endpoints the same event from a single draw; one-sided ("asymmetric") updates
 give the event to one active endpoint and neglect to the other.
 
-Random draws follow a fixed per-slot protocol (pair uniform, partner uniform,
-event uniform, then the active-endpoint coin when applicable) so that the
-vectorized Monte Carlo engine can reproduce scalar trajectories bit for bit.
+Random draws follow a fixed per-slot protocol, the engine's contract, on
+uniforms u in [0, 1) from the trial's stream: node i = min(floor(u_1 n),
+n - 1); partner j the first column whose running sum of row i exceeds u_2,
+with the sum read as exactly 1.0 from the row's last positive entry on;
+the event attraction for u_3 < alpha, neglect for u_3 < alpha + beta
+(`EventProbabilities.thresholds`), else repulsion; then, for the "uniform"
+active rule only, i is the active endpoint when u_4 < 0.5. An update that
+would put an entry outside |x| <= OVERFLOW_LIMIT (nan included) is not
+applied, and the trial freezes at its last finite state. The tests replay
+this protocol one slot at a time, apart from the engine, and hold the
+engine to it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import IntEnum
 
 import numpy as np
 
-from .errors import BadHorizonError, BadParameterError, NonFiniteStateError
-from .graph import SelectionMatrix
+from .errors import BadParameterError
 
 __all__ = [
-    "Event",
     "EventProbabilities",
     "Schedule",
     "UpdateMode",
-    "NetworkState",
-    "StepOutcome",
-    "TrajectoryResult",
     "OVERFLOW_LIMIT",
-    "sample_pair",
-    "sample_events",
-    "apply_step",
-    "run_trajectory",
 ]
 
 OVERFLOW_LIMIT = 1e150
 
 T_CLIP = (1e-12, 1.0)
 S_CLIP = (1e-12, math.inf)
-
-
-class Event(IntEnum):
-    ATTRACTION = 0
-    NEGLECT = 1
-    REPULSION = 2
 
 
 @dataclass(frozen=True)
@@ -257,192 +249,3 @@ class Schedule:
         if nondec:
             return "nondecreasing"
         return None
-
-
-@dataclass
-class NetworkState:
-    x: np.ndarray
-    k: int
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Everything that happened in one slot: the ordered pair, the event each
-    endpoint experienced, and the weights in force."""
-
-    i: int
-    j: int
-    event_i: Event
-    event_j: Event
-    t_k: float
-    s_k: float
-
-
-@dataclass
-class TrajectoryResult:
-    states: list[NetworkState]
-    diverged: bool = False
-    diverged_at: int | None = None
-    clipped_slots: int = 0
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-def _node_from_uniform(u: float, n: int) -> int:
-    return min(int(u * n), n - 1)
-
-
-def _partner_from_uniform(cdf_row: np.ndarray, u: float) -> int:
-    return int(np.searchsorted(cdf_row, u, side="right"))
-
-
-def _event_from_uniform(u: float, thresholds: tuple[float, float]) -> Event:
-    if u < thresholds[0]:
-        return Event.ATTRACTION
-    if u < thresholds[1]:
-        return Event.NEGLECT
-    return Event.REPULSION
-
-
-def sample_pair(matrix: SelectionMatrix, rng: np.random.Generator,
-                cdfs: np.ndarray | None = None) -> tuple[int, int]:
-    """Draw the ordered pair (i, j): i uniform over nodes, j from row i.
-
-    Consumes exactly two uniforms. The returned pair always satisfies
-    a_ij > 0 and i != j.
-    """
-    if cdfs is None:
-        cdfs = matrix.row_cdfs()
-    u = rng.random(2)
-    i = _node_from_uniform(u[0], matrix.n)
-    j = _partner_from_uniform(cdfs[i], u[1])
-    return i, j
-
-
-def sample_events(mode: UpdateMode, probs: EventProbabilities,
-                  rng: np.random.Generator) -> tuple[Event, Event]:
-    """Draw the per-endpoint events for one slot.
-
-    Symmetric coupling consumes one uniform and both endpoints share the
-    event. Asymmetric coupling draws the event, then (for the "uniform" rule
-    only) a fair coin choosing the active endpoint; the passive endpoint
-    neglects.
-    """
-    thr = probs.thresholds()
-    e = _event_from_uniform(rng.random(), thr)
-    if mode.variant == "symmetric":
-        return e, e
-    if mode.active_rule == "initiator":
-        active_is_i = True
-    elif mode.active_rule == "responder":
-        active_is_i = False
-    else:
-        active_is_i = rng.random() < 0.5
-    return (e, Event.NEGLECT) if active_is_i else (Event.NEGLECT, e)
-
-
-# ---------------------------------------------------------------------------
-# state update
-# ---------------------------------------------------------------------------
-
-def _updated_value(xu: float, xv: float, event: Event, t: float, s: float) -> float:
-    if event == Event.ATTRACTION:
-        return (1.0 - t) * xu + t * xv
-    if event == Event.REPULSION:
-        return (1.0 + s) * xu - s * xv
-    return xu
-
-
-def apply_step(state: NetworkState, outcome: StepOutcome) -> NetworkState:
-    """Apply one slot's outcome. Endpoints read pre-step values.
-
-    Raises NonFiniteStateError when an updated entry leaves the finite range
-    (|x| > 1e150 or non-finite); the caller decides how to record that.
-    """
-    if outcome.i == outcome.j:
-        raise BadParameterError("a pair must consist of two distinct nodes")
-    x = state.x
-    xi, xj = float(x[outcome.i]), float(x[outcome.j])
-    new_i = _updated_value(xi, xj, outcome.event_i, outcome.t_k, outcome.s_k)
-    new_j = _updated_value(xj, xi, outcome.event_j, outcome.t_k, outcome.s_k)
-    for v in (new_i, new_j):
-        if not (abs(v) <= OVERFLOW_LIMIT):  # also catches nan
-            raise NonFiniteStateError(
-                f"state left the finite range at slot {state.k} (value {v!r})"
-            )
-    out = x.copy()
-    out[outcome.i] = new_i
-    out[outcome.j] = new_j
-    return NetworkState(x=out, k=state.k + 1)
-
-
-def run_trajectory(matrix: SelectionMatrix, mode: UpdateMode,
-                   probs: EventProbabilities, schedule_t: Schedule,
-                   schedule_s: Schedule, x0: np.ndarray, k0: int, steps: int,
-                   rng: np.random.Generator,
-                   checkpoints=None) -> TrajectoryResult:
-    """Run one trajectory and snapshot it at the requested slot indices.
-
-    Snapshots always include k0 and the final slot. If an update overflows,
-    the trajectory freezes at its last fully-finite state, later checkpoints
-    replicate that frozen state, and the result is flagged diverged.
-    """
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise BadHorizonError(f"steps must be a nonnegative integer, got {steps}")
-    if not isinstance(k0, (int, np.integer)) or k0 < 0:
-        raise BadHorizonError(f"k0 must be a nonnegative integer, got {k0}")
-    wanted = set(int(c) for c in (checkpoints or []))
-    for c in wanted:
-        if not k0 <= c <= k0 + steps:
-            raise BadHorizonError(f"checkpoint {c} outside [{k0}, {k0 + steps}]")
-    wanted |= {k0, k0 + steps}
-    cps = sorted(wanted)
-
-    x = np.array(x0, dtype=float)
-    if x.ndim != 1 or x.shape[0] != matrix.n:
-        raise BadParameterError(f"x0 must have length {matrix.n}, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise BadParameterError("x0 must be finite")
-
-    cdfs = matrix.row_cdfs()
-    result = TrajectoryResult(states=[])
-    state = NetworkState(x=x, k=k0)
-    cp_iter = iter(cps)
-    next_cp = next(cp_iter)
-
-    def record(at_k: int, vec: np.ndarray) -> None:
-        result.states.append(NetworkState(x=vec.copy(), k=at_k))
-
-    if next_cp == k0:
-        record(k0, state.x)
-        next_cp = next(cp_iter, None)
-
-    t_vals = schedule_t.applied(k0, k0 + steps)
-    s_vals = schedule_s.applied(k0, k0 + steps)
-    clipped = (t_vals != schedule_t.raw(k0, k0 + steps)) \
-        | (s_vals != schedule_s.raw(k0, k0 + steps))
-    t_vals, s_vals = t_vals.tolist(), s_vals.tolist()
-    for k in range(k0, k0 + steps):
-        if not result.diverged:
-            i, j = sample_pair(matrix, rng, cdfs)
-            ev_i, ev_j = sample_events(mode, probs, rng)
-            outcome = StepOutcome(i=i, j=j, event_i=ev_i, event_j=ev_j,
-                                  t_k=t_vals[k - k0], s_k=s_vals[k - k0])
-            try:
-                state = apply_step(state, outcome)
-            except NonFiniteStateError:
-                result.diverged = True
-                result.diverged_at = k + 1
-                state = NetworkState(x=state.x, k=k + 1)
-        else:
-            state = NetworkState(x=state.x, k=state.k + 1)
-        if next_cp is not None and state.k == next_cp:
-            record(state.k, state.x)
-            next_cp = next(cp_iter, None)
-
-    # clipping is counted over the slots that ran, i.e. up to a freeze
-    live = steps if result.diverged_at is None else result.diverged_at - k0
-    result.clipped_slots = int(clipped[:live].sum())
-    return result

@@ -19,7 +19,6 @@ __all__ = [
     "BadParameterError",
     "DisconnectedAfterRetriesError",
     "EigenFailureError",
-    "NonFiniteStateError",
     "BadHorizonError",
     "UnsupportedScheduleError",
     "InternalInconsistencyError",
@@ -67,12 +66,6 @@ class DisconnectedAfterRetriesError(ConfigError):
 
 class EigenFailureError(RuntimeFailure):
     """The spectral solve met a non-finite Lanczos coefficient or result."""
-
-
-# -- dynamics ----------------------------------------------------------------
-
-class NonFiniteStateError(RuntimeFailure):
-    """A state entry left the finite range the engine tolerates."""
 
 
 # -- theory ------------------------------------------------------------------

@@ -110,9 +110,9 @@ class SelectionMatrix:
     @property
     def entries(self) -> np.ndarray:
         """The dense (n, n) array, read-only, built anew on each access: for
-        tests, small matrices, the scalar reference and the exports. The
-        commands never build it; `laplacian` fills its own array, and
-        `montecarlo.config_to_dict` records the stored entries."""
+        tests, small matrices and the exports. The commands never build it;
+        `laplacian` fills its own array, and `montecarlo.config_to_dict`
+        records the stored entries."""
         a = self.rows(0, self.n)
         a.setflags(write=False)
         return a
@@ -149,22 +149,6 @@ class SelectionMatrix:
                     and np.array_equal(self.values.view(np.uint64), other.values.view(np.uint64)))
         return all(map(np.array_equal, self.positive_entries(), other.positive_entries()))
 
-    def row_cdfs(self) -> np.ndarray:
-        """Per-row cumulative distributions used by the scalar pair sampler,
-        dense (n, n).
-
-        The tail of each row (at and past its last positive entry) is forced
-        to exactly 1.0 so a uniform draw in [0, 1) always lands on an entry
-        with positive weight; zero-weight entries occupy zero-width intervals
-        and can never be selected.
-        """
-        entries = self.entries
-        cdfs = np.cumsum(entries, axis=1)
-        # every row sums to one, so it has a positive entry
-        last = self.n - 1 - np.argmax(entries[:, ::-1] > 0.0, axis=1)
-        cdfs[np.arange(self.n) >= last[:, None]] = 1.0
-        return cdfs
-
     def partner_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The engine's pair sampler: `cdf`, (n, w) float64, and `cols`,
         (n, w) int32, with w the most positive entries in a row. Row i holds
@@ -173,10 +157,12 @@ class SelectionMatrix:
         and a shorter row is padded with 1.0 and that entry's column.
 
         For a draw u in [0, 1), with k the number of cdf[i] entries <= u,
-        cols[i, k] is the column `searchsorted(row_cdfs()[i], u,
-        side="right")` gives: the sums are those of `row_cdfs` at the
-        positive entries, as adding a zero changes no sum, and every other
-        column of `row_cdfs` repeats the sum before it, a zero-width step.
+        cols[i, k] is the partner of the draw protocol (`dynamics`): the
+        first column whose running sum of dense row i exceeds u, that sum
+        read as 1.0 from the row's last positive entry on. The sums here are
+        those of the dense row at its positive entries, as adding a zero
+        changes no sum, and every other column of the dense row repeats the
+        sum before it, a zero-width step no draw selects.
         """
         tails, heads, weights = self.positive_entries()
         counts = np.bincount(tails, minlength=self.n)  # at least 1: rows sum to one
@@ -293,12 +279,12 @@ def validate_entries(n: int, i, j, a) -> SelectionMatrix:
     n = operator.index(n)
     if n < 3:
         raise MatrixTooSmallError(f"need at least 3 nodes, got {n}")
+    i, j, a = _numbers("i", i, "iu"), _numbers("j", j, "iu"), _numbers("a", a, "iuf")
     if not len(i) == len(j) == len(a):
         raise BadParameterError(
             f"matrix entry lists differ in length: i {len(i)}, j {len(j)}, a {len(a)}")
     if n > len(a):
         raise NotStochasticError(f"{n} rows but {len(a)} entries: some row sums to 0, expected 1")
-    i, j, a = _numbers("i", i, "iu"), _numbers("j", j, "iu"), _numbers("a", a, "iuf")
     for name, x in (("i", i), ("j", j)):
         outside = (x < 0) | (x >= n)
         if outside.any():
@@ -332,12 +318,14 @@ def validate_entries(n: int, i, j, a) -> SelectionMatrix:
 
 
 def _numbers(name: str, x, kinds: str) -> np.ndarray:
-    """`x` as an array whose dtype is of one of `kinds`: integers ("iu") or
-    numbers ("iuf"); booleans, strings and integers beyond 64 bits are
-    refused."""
-    booleans = not isinstance(x, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, x))
+    """`x`, a list, a tuple or an array, as an array whose dtype is of one
+    of `kinds`: integers ("iu") or numbers ("iuf"); anything else, booleans,
+    strings and integers beyond 64 bits among it, is refused."""
+    sequence = isinstance(x, (list, tuple, np.ndarray))
+    booleans = sequence and not isinstance(x, np.ndarray) \
+        and not {bool, np.bool_}.isdisjoint(map(type, x))
     try:
-        x = np.asarray(x)
+        x = np.asarray(x) if sequence else None
     except (OverflowError, ValueError):
         x = None
     if booleans or x is None or x.ndim != 1 or x.dtype.kind not in kinds:

@@ -3,12 +3,10 @@
 Reproducibility contract: trial t of an experiment with seed s draws from
 `Philox(key=[s, t])`, consuming uniforms in the fixed per-slot order defined
 in `dynamics` (plus one optional vector of initial values before the first
-slot). The vectorized engine (`run_trials`) is the simulation path of every
-command; the scalar path (`run_trial`) is the independent reference it is
-tested against. Both follow the same consumption order and use the same
-arithmetic expressions, so their trajectories and measures agree bit for
-bit. Per-trial streams also make results independent of how trials are
-chunked.
+slot). The vectorized engine (`run_trials`) is the only simulation path;
+the tests replay trials one slot at a time apart from it and hold its
+trajectories and measures to theirs bit for bit. Per-trial streams also
+make results independent of how trials are chunked.
 
 The engine runs each chunk of trials in a compiled kernel (`_slots.c`,
 built and loaded once by `_native.library`). It draws each trial's
@@ -49,6 +47,7 @@ import threading
 from collections.abc import Callable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -61,18 +60,16 @@ from .dynamics import (
     EventProbabilities,
     Schedule,
     UpdateMode,
-    run_trajectory,
 )
 from .errors import BadAxisError, BadParameterError
 from .graph import SelectionMatrix, allocate, generate, import_matrix_csv, import_matrix_json, \
     is_weakly_connected, validate, validate_entries
-from .metrics import Classification, classify, measure
 from .theory import theory_report
 
 __all__ = [
+    "Classification",
     "InitialState",
     "ExperimentConfig",
-    "TrialResult",
     "TrialMatrices",
     "ExperimentResult",
     "SweepPoint",
@@ -80,7 +77,6 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "config_hash",
-    "run_trial",
     "run_trials",
     "run_shared_trials",
     "run_experiment",
@@ -312,9 +308,7 @@ def _matrix_from_dict(d, base_dir: Path | None) -> SelectionMatrix:
     if kind == "explicit":
         return validate(d["rows"])
     if kind == "entries":
-        return validate_entries(_num("matrix.n", d["n"], True),
-                                _nums("matrix.i", d["i"], True), _nums("matrix.j", d["j"], True),
-                                _nums("matrix.a", d["a"]))
+        return validate_entries(_num("matrix.n", d["n"], True), d["i"], d["j"], d["a"])
     if kind == "file":
         path = d["path"]
         if not isinstance(path, str):
@@ -456,7 +450,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scalar reference path
+# per-trial streams
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -482,31 +476,6 @@ def _trial_rng(base_seed: int, trial: int) -> np.random.Generator:
     # a uint64 key: a list would pass seeds of 2^63 and above through float64
     key = np.array([base_seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_philox_key()(key)))
-
-
-@dataclass
-class TrialResult:
-    trial: int
-    states: list
-    samples: list
-    classification: Classification
-    diverged_at: int | None
-
-
-def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
-    """Run one trial on the scalar path, with full state snapshots: the
-    reference `run_trials` is tested against."""
-    rng = _trial_rng(config.base_seed, trial)
-    x0 = config.initial.sample(config.matrix.n, rng)
-    traj = run_trajectory(config.matrix, config.mode, config.probabilities,
-                          config.schedule_t, config.schedule_s, x0,
-                          config.k0, config.steps, rng,
-                          checkpoints=config.checkpoints)
-    reference = float(x0.mean())
-    samples = [measure(st.x, st.k, reference) for st in traj.states]
-    cls = classify(samples, config.eps_agree, config.big_m, nonfinite=traj.diverged)
-    return TrialResult(trial=trial, states=traj.states, samples=samples,
-                       classification=cls, diverged_at=traj.diverged_at)
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +627,8 @@ def _presample(u: np.ndarray, cdf: np.ndarray, cols: np.ndarray, thr: tuple[floa
 
 
 class _NumpySlots(_Slots):
-    """The engine's slots in numpy: the twin of the compiled kernel, which
-    runs where the kernel cannot be built and is the reference it is
-    tested against.
+    """The engine's slots in numpy: the twin of the compiled kernel. It runs
+    where the kernel cannot be built, and the tests hold the kernel to it.
 
     Each trial draws from a numpy `Generator` (`_trial_rng`) set to its row
     of `streams`, and the array is left as it was. The engine passes
@@ -819,9 +787,9 @@ def _simulate_chunk(cfgs: list[ExperimentConfig], tables: tuple[np.ndarray, np.n
     trials, checkpoints), diverged_at (configs, trials), and every trial's
     state at every checkpoint, (configs, trials, checkpoints, n), or None.
 
-    Mirrors the scalar path exactly: same per-trial streams, same
-    consumption order, same update expressions, same freeze-on-overflow
-    semantics. The slots run on `slots`: the compiled kernel
+    Follows the per-slot draw protocol of `dynamics`: per-trial streams, a
+    fixed consumption order, the update expressions and the freeze on
+    overflow. The slots run on `slots`: the compiled kernel
     (`_KernelSlots`), which draws each trial's Philox stream itself and
     measures the checkpoints, or, where none could be built, its numpy twin
     (`_NumpySlots`): one interface, the same bits. The weights 1 - T, T,
@@ -936,15 +904,6 @@ def _in_threads(task: Callable[[int], None], items: range, workers: int) -> None
         raise errors[0]
 
 
-def _write_at(fd: int, data: np.ndarray, offset: int) -> None:
-    """Write the bytes of the C-contiguous `data` to file `fd` at `offset`,
-    leaving the file position alone."""
-    view = memoryview(data).cast("B")
-    while view:
-        done = os.pwrite(fd, view, offset)
-        view, offset = view[done:], offset + done
-
-
 def _run_batch(configs: list[ExperimentConfig], tables: tuple[np.ndarray, np.ndarray],
                states: bool) -> Iterator[TrialMatrices]:
     """One pass over every trial for configs that share their draws and
@@ -958,9 +917,10 @@ def _run_batch(configs: list[ExperimentConfig], tables: tuple[np.ndarray, np.nda
 
     The chunks run on every usable core (`_workers`), one chunk at a time
     per worker, and are sized so that each worker gets one. A chunk writes
-    only its own rows, in the matrices or at their place in the file, so
-    the results do not depend on the number of workers. The numpy twin
-    runs on one worker: its per-slot numpy holds the GIL.
+    only its own rows, in the matrices or at their place in the file (a
+    seek and a write under one lock), so the results do not depend on the
+    number of workers. The numpy twin runs on one worker: its per-slot
+    numpy holds the GIL.
     """
     trials = configs[0].trials
     head = TrialMatrices.empty(configs[0], trials, states)
@@ -968,6 +928,7 @@ def _run_batch(configs: list[ExperimentConfig], tables: tuple[np.ndarray, np.nda
     slots = _NumpySlots if _native.library() is None else _KernelSlots
     workers = 1 if slots is _NumpySlots else _workers()
     size = min(CHUNK_TRIALS, -(-trials // workers))
+    spill_lock = threading.Lock()
     with tempfile.TemporaryFile() if len(configs) > 1 else nullcontext() as spill:
         def run_chunk(lo: int) -> None:
             hi = min(lo + size, trials)
@@ -982,12 +943,14 @@ def _run_batch(configs: list[ExperimentConfig], tables: tuple[np.ndarray, np.nda
                 return
             for a, own in zip(chunk, rows):
                 own[:] = a[0]
-            for q in range(1, len(configs)):
-                offset = (q - 1) * config_bytes
-                for a in chunk:
-                    row = a[q].nbytes // (hi - lo)
-                    _write_at(spill.fileno(), a[q], offset + lo * row)
-                    offset += trials * row
+            with spill_lock:
+                for q in range(1, len(configs)):
+                    offset = (q - 1) * config_bytes
+                    for a in chunk:
+                        row = a[q].nbytes // (hi - lo)
+                        spill.seek(offset + lo * row)
+                        spill.write(memoryview(a[q]).cast("B"))
+                        offset += trials * row
 
         _in_threads(run_chunk, range(0, trials, size), workers)
         yield head
@@ -1028,14 +991,23 @@ class ExperimentResult:
     heavy_tail_checkpoints: list
 
 
-# the classes of `metrics.classify`, indexed by `_class_codes`
+class Classification(Enum):
+    AGREED = "Agreed"
+    DIVERGED = "Diverged"
+    UNDECIDED = "Undecided"
+
+
+# the classes of the trials, indexed by `_class_codes`
 _CLASSES = np.array([Classification.UNDECIDED, Classification.AGREED, Classification.DIVERGED],
                     dtype=object)
 
 
 def _class_codes(config: ExperimentConfig, mats: TrialMatrices) -> np.ndarray:
-    """Each trial's index into `_CLASSES`, by the comparisons of
-    `metrics.classify`."""
+    """Each trial's index into `_CLASSES`. Diverged wins: a trial that froze
+    on overflow, or whose spread exceeds big_m at any checkpoint, even if it
+    later came back down. Otherwise a trial is Agreed when its final spread
+    lies strictly below eps_agree, else Undecided. big_m must exceed every
+    trial's initial spread."""
     if not (config.big_m > mats.spread[:, 0]).all():
         worst = float(mats.spread[:, 0].max())
         raise BadParameterError(
@@ -1046,7 +1018,7 @@ def _class_codes(config: ExperimentConfig, mats: TrialMatrices) -> np.ndarray:
 
 
 def classify_trials(config: ExperimentConfig, mats: TrialMatrices) -> list[Classification]:
-    """Vectorized version of `metrics.classify`, same comparisons."""
+    """Each trial's class (`_class_codes`)."""
     return _CLASSES[_class_codes(config, mats)].tolist()
 
 

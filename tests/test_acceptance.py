@@ -23,7 +23,6 @@ from gossipsim.dynamics import (
     S_CLIP,
     T_CLIP,
     UpdateMode,
-    run_trajectory,
 )
 from gossipsim.graph import generate, spectral, validate
 from gossipsim.montecarlo import InitialState, run_experiment, run_trials
@@ -39,6 +38,7 @@ from gossipsim.theory import (
     one_slot_expectation_enumerated,
     theory_report,
 )
+from reference import run_trajectory
 
 TRIALS_BENCH = 10**5
 PROBS_THIRDS = EventProbabilities(alpha=1 / 3, beta=1 / 3, gamma=1 / 3)

@@ -27,9 +27,10 @@ from gossipsim import _native, cli, montecarlo
 from gossipsim.cli import json_safe
 from gossipsim.errors import BadAxisError, RuntimeFailure
 from gossipsim.graph import SelectionMatrix, export_matrix_csv, generate
-from gossipsim.montecarlo import config_from_dict, config_hash, run_experiment, run_trial, \
+from gossipsim.montecarlo import config_from_dict, config_hash, run_experiment, \
     run_trials, set_by_path
 from gossipsim.theory import theory_report
+from reference import run_trial
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -799,6 +800,26 @@ def test_sweep_generates_its_network_once(tmp_path, monkeypatch):
     assert cli.main(["sweep", "--config", str(cfg), "--axis", "schedules.S.value",
                      "--values", "0.02,0.1,0.2", "--format", "json"]) == 0
     assert len(made) == 1
+
+
+def test_shared_sweep_runs_without_pwrite(tmp_path, monkeypatch):
+    """A shared pass spills its points' rows with a seek and a write, so a
+    sweep along `schedules` runs where `os.pwrite` (Unix only) is missing,
+    and writes the same bytes: 600 trials make three chunks of the pass."""
+    cfg = write_config(tmp_path, trials=600, steps=40)
+
+    def aggregates(name: str) -> dict:
+        out = tmp_path / name
+        assert cli.main(["sweep", "--config", str(cfg), "--axis", "schedules.S.value",
+                         "--values", "0.02,0.1,0.2", "--format", "json",
+                         "--out", str(out)]) == 0
+        return {str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.glob("*/aggregate.json"))}
+
+    with_pwrite = aggregates("with-pwrite")
+    assert len(with_pwrite) == 3
+    monkeypatch.delattr(os, "pwrite")
+    assert aggregates("without-pwrite") == with_pwrite
 
 
 def test_paper_sweep_reproduces_the_benchmark_reference(tmp_path, monkeypatch):

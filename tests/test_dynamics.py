@@ -5,27 +5,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gossipsim.dynamics import (
-    Event,
     EventProbabilities,
-    NetworkState,
     S_CLIP,
     Schedule,
-    StepOutcome,
     T_CLIP,
     UpdateMode,
+)
+from gossipsim.errors import (
+    BadHorizonError,
+    BadParameterError,
+)
+from gossipsim.graph import validate
+
+from conftest import REF_ROWS, rng_for
+from reference import (
+    Event,
+    NetworkState,
+    NonFiniteStateError,
+    StepOutcome,
     apply_step,
     run_trajectory,
     sample_events,
     sample_pair,
 )
-from gossipsim.errors import (
-    BadHorizonError,
-    BadParameterError,
-    NonFiniteStateError,
-)
-from gossipsim.graph import validate
-
-from conftest import REF_ROWS, rng_for
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipsim.errors import BadParameterError
-from gossipsim.metrics import Classification, MeasureSample, classify, measure
+from gossipsim.montecarlo import Classification
+from reference import MeasureSample, classify, measure
 
 
 def sample(k, spread, *, x_min=0.0, dispersion=0.0):

@@ -25,14 +25,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import REF_ROWS, exponent_rows, fnv1a64_reference, make_config, numpy_engine, \
     on_paths
-from gossipsim import _native, dynamics, graph, montecarlo
+from gossipsim import _native, graph, montecarlo
 from gossipsim.dynamics import OVERFLOW_LIMIT, EventProbabilities, Schedule, S_CLIP, T_CLIP, \
     UpdateMode
 from gossipsim.errors import BadAxisError, BadParameterError
 from gossipsim.graph import validate
-from gossipsim.metrics import Classification
 from gossipsim.montecarlo import (
     WEIGHT_BLOCK,
+    Classification,
     ExperimentConfig,
     InitialState,
     classify_trials,
@@ -42,12 +42,12 @@ from gossipsim.montecarlo import (
     default_checkpoints,
     run_experiment,
     run_shared_trials,
-    run_trial,
     run_trials,
     set_by_path,
     sweep,
 )
 from gossipsim.theory import expected_second_moment_matrix
+from reference import _partner_from_uniform, row_cdfs, run_trial
 
 TWO_TRIANGLES = [
     [0.0, 0.5, 0.5, 0.0, 0.0, 0.0],
@@ -879,7 +879,7 @@ def partner_probes(matrix):
     where the streams' uniforms lie: around every entry of the matrix's
     dense row CDFs (`row_cdfs`), the entry itself where it lies on the grid
     and at least one grid point either side of it."""
-    cdfs = matrix.row_cdfs()
+    cdfs = row_cdfs(matrix)
     rows, draws = [], []
     for r in range(matrix.n):
         for c in {0.0, *cdfs[r].tolist()}:
@@ -941,7 +941,7 @@ def test_partner_is_searchsorted_right(matrix, slots):
     reads j + 1 and x_j reads i + 1."""
     m = matrix()
     n = m.n
-    cdfs = m.row_cdfs()
+    cdfs = row_cdfs(m)
     rows, draws = partner_probes(m)
     probes = np.arange(len(draws))
     node = np.floor((rows + 0.5) / n * 2.0 ** 53) / 2.0 ** 53
@@ -953,7 +953,7 @@ def test_partner_is_searchsorted_right(matrix, slots):
     x = out.states[0, :, 0]
     j = x[probes, rows].astype(int) - 1
     np.testing.assert_array_equal(
-        j, [dynamics._partner_from_uniform(cdfs[r], v) for r, v in zip(rows, draws)])
+        j, [_partner_from_uniform(cdfs[r], v) for r, v in zip(rows, draws)])
     np.testing.assert_array_equal(x[probes, j], rows + 1)
     assert (out.diverged_at == -1).all()
 
