@@ -45,7 +45,7 @@ import os
 import tempfile
 import threading
 from collections.abc import Callable, Iterator
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -96,6 +96,8 @@ WEIGHT_BLOCK = 1024
 BATCH_STATE_BYTES = 6 << 20
 # the numpy twin's presampled pairs, in slots at a time
 PRESAMPLE_STEPS = 64
+# aggregation reads a trial matrix this many bytes of rows at a time
+AGGREGATE_BLOCK = 64 << 10
 HEAVY_TAIL_KURTOSIS = 10.0
 DEFAULT_EPS_AGREE = 1e-6
 BIG_M_FACTOR = 1e6
@@ -913,7 +915,11 @@ def _run_batch(configs: list[ExperimentConfig], tables: tuple[np.ndarray, np.nda
     first config's chunk rows are copied into its matrices, and the others'
     go to a temporary file, each config's arrays one after another, and are
     read back one config at a time: a pass holds one config's results in
-    memory however many configs share it, as a run of one config does.
+    memory however many configs share it, as a run of one config does. It
+    drops its reference to each config's matrices once they are yielded, so
+    a caller that drops them too before it asks for the next config (as
+    `sweep` does) holds one config's at a time; closing the pass closes the
+    file.
 
     The chunks run on every usable core (`_workers`), one chunk at a time
     per worker, and are sized so that each worker gets one. A chunk writes
@@ -961,6 +967,7 @@ def _run_batch(configs: list[ExperimentConfig], tables: tuple[np.ndarray, np.nda
             for a in mats.arrays():
                 spill.readinto(a)
             yield mats
+            del mats
 
 
 def run_trials(config: ExperimentConfig, states: bool = False) -> TrialMatrices:
@@ -1002,6 +1009,33 @@ _CLASSES = np.array([Classification.UNDECIDED, Classification.AGREED, Classifica
                     dtype=object)
 
 
+def _row_blocks(matrix: np.ndarray) -> Iterator[slice]:
+    """`matrix`'s rows in consecutive blocks of AGGREGATE_BLOCK bytes, or of
+    one row where a row is wider."""
+    step = max(1, AGGREGATE_BLOCK // (matrix.itemsize * matrix.shape[1]))
+    return (slice(lo, lo + step) for lo in range(0, len(matrix), step))
+
+
+def _column_sums(matrix: np.ndarray,
+                 terms: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> list[np.ndarray]:
+    """The column sums of each array of per-element terms that `terms` makes
+    of some of `matrix`'s rows, with the bits of `np.add.reduce(term,
+    axis=0)` over the whole matrix's terms.
+
+    numpy sums a matrix of two or more columns along axis 0 one row after
+    another, so the rows go in blocks (`_row_blocks`), and each block's sum
+    starts from the sums so far, carried as its first row: no temporary
+    outgrows a block. A matrix of one column is summed whole, as numpy sums
+    a column pairwise.
+    """
+    blocks = iter([slice(None)] if matrix.shape[1] == 1 else _row_blocks(matrix))
+    sums = [np.add.reduce(t, axis=0) for t in terms(matrix[next(blocks)])]
+    for rows in blocks:
+        sums = [np.add.reduce(np.concatenate((s[None], t)), axis=0)
+                for s, t in zip(sums, terms(matrix[rows]))]
+    return sums
+
+
 def _class_codes(config: ExperimentConfig, mats: TrialMatrices) -> np.ndarray:
     """Each trial's index into `_CLASSES`. Diverged wins: a trial that froze
     on overflow, or whose spread exceeds big_m at any checkpoint, even if it
@@ -1012,7 +1046,9 @@ def _class_codes(config: ExperimentConfig, mats: TrialMatrices) -> np.ndarray:
         worst = float(mats.spread[:, 0].max())
         raise BadParameterError(
             f"big_m ({config.big_m}) must exceed the initial spread ({worst})")
-    diverged = (mats.diverged_at >= 0) | (mats.spread > config.big_m).any(axis=1)
+    diverged = mats.diverged_at >= 0
+    for rows in _row_blocks(mats.spread):
+        diverged[rows] |= (mats.spread[rows] > config.big_m).any(axis=1)
     agreed = mats.spread[:, -1] < config.eps_agree
     return np.where(diverged, 2, agreed.astype(np.intp))
 
@@ -1026,12 +1062,14 @@ def _kurtosis(m2: np.ndarray, m4: np.ndarray) -> np.ndarray:
     return np.where(m2 > 0.0, m4 / np.where(m2 > 0.0, m2, 1.0) ** 2 - 3.0, 0.0)
 
 
-def _excess_kurtosis(columns: np.ndarray) -> np.ndarray:
-    """Each column's excess kurtosis, inf where it is not finite. It feeds
-    only the `> HEAVY_TAIL_KURTOSIS` flags, which equal those of the form
-    that takes fourth powers with `** 4`.
+def _excess_kurtosis(columns: np.ndarray, mean: np.ndarray, m2: np.ndarray,
+                     m4: np.ndarray) -> np.ndarray:
+    """Each column's excess kurtosis from its mean and its second and fourth
+    moments m2 and m4, inf where it is not finite. It feeds only the `>
+    HEAVY_TAIL_KURTOSIS` flags, which equal those of the form that takes
+    fourth powers with `** 4`.
 
-    The fourth powers here are squares of squares: libm's pow, which `** 4`
+    The fourth powers in m4 are squares of squares: libm's pow, which `** 4`
     calls, costs ten times as much. The two differ by a few ulps a term,
     and their means over N rows by at most about 2 N ulps, while the terms
     stay normal floats. So the `** 4` form is computed where the flags
@@ -1040,21 +1078,44 @@ def _excess_kurtosis(columns: np.ndarray) -> np.ndarray:
     2^1000 / N], where subnormal terms or overflow could part the forms;
     a column of zero variance reads 0 in both.
     """
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        centered = columns - columns.mean(axis=0)
-        squares = centered ** 2
-        m2 = squares.mean(axis=0)
-        m4 = np.square(squares, out=squares).mean(axis=0)
-        kurt = _kurtosis(m2, m4)
-        size = len(columns)
-        margin = 4 * (size + 8) * np.finfo(float).eps * HEAVY_TAIL_KURTOSIS
-        near = (m2 > 0.0) & (~(np.abs(kurt - HEAVY_TAIL_KURTOSIS) > margin) | ~np.isfinite(kurt)
-                             | ~((m4 >= 2.0 ** -900) & (m4 <= 2.0 ** 1000 / size)))
-        if near.any():
-            # over every column, so that each column's mean sums in the same
-            # order as in the ** 4 form alone
-            kurt = np.where(near, _kurtosis(m2, (centered ** 4).mean(axis=0)), kurt)
+    kurt = _kurtosis(m2, m4)
+    size = len(columns)
+    margin = 4 * (size + 8) * np.finfo(float).eps * HEAVY_TAIL_KURTOSIS
+    near = (m2 > 0.0) & (~(np.abs(kurt - HEAVY_TAIL_KURTOSIS) > margin) | ~np.isfinite(kurt)
+                         | ~((m4 >= 2.0 ** -900) & (m4 <= 2.0 ** 1000 / size)))
+    if near.any():
+        # over every column, so that each column's mean sums in the same
+        # order as in the ** 4 form alone
+        [fourths] = _column_sums(columns, lambda rows: ((rows - mean) ** 4,))
+        kurt = np.where(near, _kurtosis(m2, fourths / size), kurt)
     return np.where(np.isfinite(kurt), kurt, np.inf)
+
+
+def _column_stats(matrix: np.ndarray, kurtosis: bool = False) \
+        -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The mean of each column of a trial matrix, its variance with ddof=1
+    (0 for one row) and, if asked, its excess kurtosis (`_excess_kurtosis`;
+    0 for three rows or fewer), with the bits of `matrix.mean(axis=0)`,
+    `matrix.var(axis=0, ddof=1)` and the kurtosis taken on the whole
+    matrix. np.var's sum of squared deviations is the kurtosis' m2 sum, so
+    one pass over the rows (`_column_sums`) after the mean's gives both, and
+    m4's."""
+    size, ncp = matrix.shape
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        [total] = _column_sums(matrix, lambda rows: (rows,))
+        mean = total / size
+
+        def deviations(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+            squares = np.square(rows - mean)
+            return (squares, np.square(squares)) if kurtosis else (squares,)
+
+        sums = _column_sums(matrix, deviations)
+        var = sums[0] / (size - 1) if size > 1 else np.zeros(ncp)
+        if not kurtosis:
+            return mean, var, None
+        kurt = _excess_kurtosis(matrix, mean, sums[0] / size, sums[1] / size) if size > 3 \
+            else np.zeros(ncp)
+    return mean, var, kurt
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -1062,22 +1123,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def aggregate_trials(config: ExperimentConfig, mats: TrialMatrices) -> ExperimentResult:
-    """Classify the trials of one config and summarize them per checkpoint."""
+    """Classify the trials of one config and summarize them per checkpoint.
+
+    The matrices are read in blocks of rows (`_row_blocks`) and their column
+    sums carried from block to block in numpy's axis-0 order, one row after
+    another (`_column_sums`): the results have the bits of numpy's mean and
+    var over the whole matrix, and no temporary outgrows a block.
+    """
     codes = _class_codes(config, mats)
     undecided, agreed, diverged = np.bincount(codes, minlength=len(_CLASSES)).tolist()
     counts = {"nAgreed": agreed, "nDiverged": diverged, "nUndecided": undecided}
     trials = config.trials
 
-    def stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = matrix.mean(axis=0)
-            var = matrix.var(axis=0, ddof=1) if trials > 1 else np.zeros(matrix.shape[1])
-            ci = 1.96 * np.sqrt(var / trials)
-        return mean, var, ci
-
-    mean_l, var_l, ci_l = stats(mats.dispersion)
-    mean_s, var_s, ci_s = stats(mats.spread)
-    kurt = _excess_kurtosis(mats.dispersion) if trials > 3 else np.zeros(len(config.checkpoints))
+    mean_l, var_l, kurt = _column_stats(mats.dispersion, kurtosis=True)
+    mean_s, var_s, _ = _column_stats(mats.spread)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ci_l, ci_s = (1.96 * np.sqrt(var / trials) for var in (var_l, var_s))
     heavy = [int(k) for k, flag in zip(config.checkpoints, kurt > HEAVY_TAIL_KURTOSIS) if flag]
     return ExperimentResult(
         config_hash=config_hash(config),
@@ -1165,7 +1226,12 @@ def sweep(config_dict: dict, axis: str, values, base_dir: str | Path | None = No
     numbers and differences across points are not noise re-draws. Points
     that share their draws (an axis in `schedules`, `epsAgree` or `bigM`)
     run through one pass of the engine (`run_shared_trials`); the others
-    run alone. Each point also carries the analytic report for its config.
+    run alone. Each point's trial matrices are aggregated (`aggregate_trials`,
+    which sums them in numpy's axis-0 order) and dropped before the pass
+    reads in the next point's, so a sweep holds one point's matrices at a
+    time; the pass, and its temporary file, is closed when its points are
+    done or one of them fails. Each point also carries the analytic report
+    for its config.
 
     Along an axis outside `matrix` every point holds one matrix, and so one
     spectral solve (`graph.spectral`): `matrix`, the one `config_dict`'s matrix
@@ -1198,9 +1264,11 @@ def sweep(config_dict: dict, axis: str, values, base_dir: str | Path | None = No
             group.append(i)
     results: list = [None] * len(configs)
     for group in groups:
-        for i, mats in zip(group, run_shared_trials([configs[i] for i in group])):
-            results[i] = aggregate_trials(configs[i], mats)
-            del mats  # so the next config's matrices are read into freed memory
+        # next() and no zip: zip's tuple, which it reuses, would keep the
+        # last point's matrices while the pass reads in the next point's
+        with closing(run_shared_trials([configs[i] for i in group])) as shared:
+            for i in group:
+                results[i] = aggregate_trials(configs[i], next(shared))
     points = []
     for v, cfg, result in zip(values, configs, results):
         report = theory_report(cfg)

@@ -17,6 +17,11 @@ usual variance-style quantity around the running mean. The sandwich bounds
 spread^2 / 2 <= L <= n * spread^2 hold whenever the reference lies inside
 [h, H]; one-sided updates can drift the average out of that interval, at
 which point the upper bound no longer applies.
+
+The module also keeps aggregation's formulas over a whole trial matrix,
+numpy's mean and var and the excess kurtosis on whole-matrix temporaries,
+which `montecarlo.aggregate_trials`, summing in blocks of rows, must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ import numpy as np
 from gossipsim.dynamics import OVERFLOW_LIMIT, EventProbabilities, Schedule, UpdateMode
 from gossipsim.errors import BadHorizonError, BadParameterError, RuntimeFailure
 from gossipsim.graph import SelectionMatrix
-from gossipsim.montecarlo import Classification, ExperimentConfig, _trial_rng
+from gossipsim.montecarlo import HEAVY_TAIL_KURTOSIS, Classification, ExperimentConfig, \
+    _trial_rng
 
 
 class NonFiniteStateError(RuntimeFailure):
@@ -318,3 +324,46 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     cls = classify(samples, config.eps_agree, config.big_m, nonfinite=traj.diverged)
     return TrialResult(trial=trial, states=traj.states, samples=samples,
                        classification=cls, diverged_at=traj.diverged_at)
+
+
+# ---------------------------------------------------------------------------
+# aggregation over the whole matrix
+# ---------------------------------------------------------------------------
+
+def column_sums(matrix: np.ndarray, term) -> np.ndarray:
+    """The column sums of term(matrix): numpy's sum along axis 0 of the
+    whole matrix's terms."""
+    return np.add.reduce(term(matrix), axis=0)
+
+
+def excess_kurtosis(columns: np.ndarray) -> np.ndarray:
+    """Each column's excess kurtosis, inf where it is not finite: squares
+    of squares, and the `** 4` form over every column where the flags of
+    the two forms could differ, all on whole-matrix temporaries."""
+    def kurtosis(m2, m4):
+        return np.where(m2 > 0.0, m4 / np.where(m2 > 0.0, m2, 1.0) ** 2 - 3.0, 0.0)
+
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        centered = columns - columns.mean(axis=0)
+        squares = centered ** 2
+        m2 = squares.mean(axis=0)
+        m4 = np.square(squares, out=squares).mean(axis=0)
+        kurt = kurtosis(m2, m4)
+        size = len(columns)
+        margin = 4 * (size + 8) * np.finfo(float).eps * HEAVY_TAIL_KURTOSIS
+        near = (m2 > 0.0) & (~(np.abs(kurt - HEAVY_TAIL_KURTOSIS) > margin) | ~np.isfinite(kurt)
+                             | ~((m4 >= 2.0 ** -900) & (m4 <= 2.0 ** 1000 / size)))
+        if near.any():
+            kurt = np.where(near, kurtosis(m2, (centered ** 4).mean(axis=0)), kurt)
+    return np.where(np.isfinite(kurt), kurt, np.inf)
+
+
+def column_stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column's mean, variance with ddof=1 (0 for one row) and excess
+    kurtosis (0 for three rows or fewer), by numpy over the whole matrix."""
+    size, ncp = matrix.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = matrix.mean(axis=0)
+        var = matrix.var(axis=0, ddof=1) if size > 1 else np.zeros(ncp)
+    kurt = excess_kurtosis(matrix) if size > 3 else np.zeros(ncp)
+    return mean, var, kurt

@@ -47,7 +47,7 @@ from gossipsim.montecarlo import (
     sweep,
 )
 from gossipsim.theory import expected_second_moment_matrix
-from reference import _partner_from_uniform, row_cdfs, run_trial
+from reference import _partner_from_uniform, column_stats, column_sums, row_cdfs, run_trial
 
 TWO_TRIANGLES = [
     [0.0, 0.5, 0.5, 0.0, 0.0, 0.0],
@@ -1269,9 +1269,65 @@ def test_fast_kurtosis_flags_are_the_exact_ones(rows, groups):
             squares = (columns - columns.mean(axis=0)) ** 2
             raw = (squares * squares).mean(axis=0) / squares.mean(axis=0) ** 2 - 3.0
         assert ((raw > threshold) != (exact > threshold))[:width].any()
-    fast = montecarlo._excess_kurtosis(columns)
+    fast = montecarlo._column_stats(columns, kurtosis=True)[2]
     np.testing.assert_array_equal(fast > threshold, exact > threshold)
     np.testing.assert_allclose(fast, exact, rtol=1e-10)
+
+
+# values where sums and powers part: signed zeros, subnormals, overflow
+SPECIAL_VALUES = (np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e-310, 1e300, -1e300)
+
+
+@st.composite
+def blocked_matrices(draw):
+    """(block bytes, matrix): 1 to 40 columns, 1 to 3 blocks + 1 rows of
+    that block, which may be narrower than one row; per column a scale (0,
+    whose negative entries are -0.0, subnormal fourth powers, normal or
+    overflowing ones), and some entries set to SPECIAL_VALUES."""
+    block = draw(st.sampled_from([8, 40, 96, 256, 1024]))
+    cols = draw(st.integers(1, 2) | st.integers(1, 40))  # one column sums pairwise
+    step = max(1, block // (8 * cols))
+    rows = draw(st.integers(1, 3 * step + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scales = draw(st.lists(st.sampled_from([0.0, 1e-160, 1.0, 1e80]), min_size=cols,
+                           max_size=cols))
+    matrix = rng.standard_t(3.0, size=(rows, cols)) * np.array(scales)
+    for at, v in draw(st.lists(st.tuples(st.integers(0, rows * cols - 1),
+                                         st.sampled_from(SPECIAL_VALUES)), max_size=4)):
+        matrix.flat[at] = v
+    return block, matrix
+
+
+def same_bits(got, want, name):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, name
+    assert (got.view(np.uint64) == want.view(np.uint64)).all(), \
+        f"{name}: {got.tolist()} != {want.tolist()}"
+
+
+@settings(max_examples=200)
+@given(blocked_matrices())
+def test_blocked_aggregation_has_the_whole_matrix_bits(case):
+    """Aggregation sums a matrix in blocks of rows, each block's sum
+    starting from the sums so far: its column sums, mean, var(ddof=1) and
+    excess kurtosis have the bits of numpy's over the whole matrix
+    (`reference.column_stats`), with inf, nan, -0.0, subnormals and 1e300
+    among the entries, a column summed pairwise, and rows wider than a
+    block."""
+    block, matrix = case
+    with mock.patch.object(montecarlo, "AGGREGATE_BLOCK", block), \
+            np.errstate(over="ignore", invalid="ignore"):
+        sums = montecarlo._column_sums(matrix, lambda rows: (rows, rows * rows))
+        got = montecarlo._column_stats(matrix, kurtosis=True)
+        same_bits(sums[0], column_sums(matrix, lambda m: m), "sum")
+        same_bits(sums[1], column_sums(matrix, lambda m: m * m), "sum of squares")
+        without = montecarlo._column_stats(matrix)
+    want = column_stats(matrix)
+    for name, g, w in zip(("mean", "var", "kurtosis"), got, want):
+        same_bits(g, w, name)
+    assert without[2] is None
+    for name, g, w in zip(("mean", "var"), without, want):
+        same_bits(g, w, f"{name} without the kurtosis")
 
 
 def test_freeze_case_actually_freezes(ref_matrix):
@@ -1579,3 +1635,62 @@ def test_sweep_attraction_weights_all_reach_agreement():
     for p in points:
         assert p.result.counts["nAgreed"] >= 27, p.value
 
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["kernel", "twin"])
+def test_a_sweep_holds_one_points_matrices_at_a_time(shared_passes, monkeypatch, twin):
+    """Three points along schedules.S.value share one pass of 8192 trials
+    and 21 checkpoints. The sweep reads them back one at a time, aggregates
+    each in blocks of rows and drops it before it reads the next, so its
+    traced peak stays within 1.25 times one point's matrices (2.8 MB) and
+    1 MiB. Keeping the last point while reading the next, or whole-matrix
+    temporaries in aggregation, each add about one point's matrices. The
+    twin runs 20 slots."""
+    if not twin and _native.library() is None:
+        pytest.skip("no C compiler here to build the slot kernel")
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)  # chunk buffers on any host
+    steps = 20 if twin else 200
+    d = base_dict(trials=8192, steps=steps, checkpoints=list(range(0, steps + 1, steps // 20)))
+    gains = [0.11143782776614765, 0.16143782776614765, 0.21143782776614765]
+    with numpy_engine() if twin else nullcontext():
+        sweep({**d, "trials": 4}, "schedules.S.value", gains)  # loads what the run loads
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            points = sweep(d, "schedules.S.value", gains)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert [len(p) for p in shared_passes] == [3, 3]
+    cfg = config_from_dict(d)
+    assert len(cfg.checkpoints) == 21 and len(points) == 3
+    # dispersion, spread and diverged_at
+    one = sum(a.nbytes for a in montecarlo.TrialMatrices.empty(cfg, cfg.trials, False).arrays())
+    assert peak < 1.25 * one + (1 << 20), f"peak {peak / one:.2f} x one point's {one} bytes"
+
+
+@pytest.mark.parametrize("axis, values, overrides, fails", [
+    ("schedules.S.value", [0.02, 0.1, 0.2], {}, False),
+    ("schedules.S.value", [0.02, 0.1, 0.2], {"bigM": 1.0}, True),
+    ("bigM", [1e7, 1.0, 1e8], {}, True),
+], ids=["done", "first-point-fails", "second-point-fails"])
+def test_sweep_closes_the_spill_file_of_its_pass(monkeypatch, axis, values, overrides, fails):
+    """A shared pass spills its points to a temporary file, which the sweep
+    closes when the pass's points are done, and also when a point's
+    aggregation raises (a bigM below the initial spread, 3), while the
+    error and its traceback are still held."""
+    files = []
+    temporary_file = montecarlo.tempfile.TemporaryFile
+
+    def spy(*args, **kwargs):
+        files.append(temporary_file(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(montecarlo.tempfile, "TemporaryFile", spy)
+    d = base_dict(trials=300, steps=20, **overrides)
+    # `error` holds the traceback, and through it the sweep's frame
+    with pytest.raises(BadParameterError, match="initial spread") if fails \
+            else nullcontext() as error:
+        sweep(d, axis, values)
+    assert len(files) == 1
+    assert files[0].closed, error
