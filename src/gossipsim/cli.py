@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _jsontext
 from .dynamics import EventProbabilities
 from .errors import BadParameterError, ConfigError, RuntimeFailure
 from .graph import validate
@@ -53,7 +53,7 @@ from .montecarlo import (
     classify_trials,
     config_from_dict,
     config_hash,
-    config_to_dict,
+    config_record,
     run_experiment,
     run_trials,
     set_by_path,
@@ -124,19 +124,26 @@ def _prepare_run_dir(args, command: str, cfg: ExperimentConfig, cfg_path: Path,
         "configPath": str(cfg_path),
         "configHash": config_hash(cfg),
         "seed": cfg.base_seed,
-        "config": config_to_dict(cfg),
+        "config": config_record(cfg),
         "outputs": outputs,
         "startedAt": _now(),
         "finishedAt": None,
         "status": "running",
     }
-    text = json.dumps(doc, indent=2)  # ASCII: a character is a byte
+    written = 0
     try:  # a path that cannot be a run directory is an argument error
         run_dir.mkdir(parents=True, exist_ok=True)
-        manifest.write_bytes(f"{text}\n".encode("ascii"))
+        with open(manifest, "wb") as fh:
+            # json's indented dump, in pieces; ASCII: a character is a byte
+            for piece in _jsontext.pieces(doc, indent=2):
+                fh.write(piece.encode("ascii"))
+                if '"finishedAt"' in piece:
+                    offset = written + piece.rindex('"finishedAt"')
+                written += len(piece)
+            fh.write(b"\n")
     except OSError as exc:
         raise BadParameterError(f"cannot write run directory {run_dir}: {exc}") from None
-    args.manifest = manifest, text.rindex('"finishedAt"')
+    args.manifest = manifest, offset
     return run_dir
 
 

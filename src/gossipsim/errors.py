@@ -65,7 +65,8 @@ class DisconnectedAfterRetriesError(ConfigError):
 
 
 class EigenFailureError(RuntimeFailure):
-    """The spectral solve met a non-finite Lanczos coefficient or result."""
+    """The spectral solve met a non-finite Lanczos coefficient or result,
+    or did not converge."""
 
 
 # -- theory ------------------------------------------------------------------

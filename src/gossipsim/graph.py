@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _jsontext
 from .errors import (
     BadParameterError,
     DisconnectedAfterRetriesError,
@@ -67,9 +68,18 @@ GENERATOR_MAX_RETRIES = 100
 # The spectral solve stops once each extreme Ritz value is within this share
 # of itself of an eigenvalue (Parlett's residual bound; see `spectral`).
 SPECTRAL_RTOL = 1e-10
-# Bytes of the Lanczos basis allocated at a time: the basis grows by blocks
-# of whole rows and is never copied.
-LANCZOS_BLOCK = 1 << 19
+# The most Lanczos vectors the basis holds besides 1 / sqrt(n), m; once it
+# is full the solve restarts (`_restart`). 64 take 0.5 MiB at n = 1000.
+LANCZOS_VECTORS = 64
+# The Ritz vectors a restart keeps: of the smallest and of the largest values.
+LANCZOS_KEEP = (8, 8)
+# The solve gives up after this many steps a node (a ring of 4000 nodes
+# takes about 1.5).
+LANCZOS_STEPS_PER_NODE = 100
+# The most Rayleigh quotient steps a restart takes for one Ritz value.
+LANCZOS_RQI_STEPS = 8
+# Columns of the basis a restart rotates at a time.
+LANCZOS_COLUMNS = 512
 # The fewest Lanczos steps between two tests of the stopping rule.
 LANCZOS_CHECK_STEPS = 8
 _EPS = 2.0 ** -52
@@ -376,30 +386,38 @@ def spectral(matrix: SelectionMatrix) -> SpectralData:
     solved once per matrix and kept on it: configs that share a matrix,
     such as the points of a sweep, share one solve.
 
-    The solve is Lanczos on the stored entries (`_lanczos`): k steps hold
-    a k x n basis and no (n, n) array, and no step calls BLAS, so the bits
-    do not depend on the number of threads or cores.
+    The solve is thick-restart Lanczos on the stored entries (`_lanczos`):
+    a basis of at most `LANCZOS_VECTORS` + 1 vectors of length n and no
+    (n, n) array, and no step calls BLAS, so the bits do not depend on the
+    number of threads or cores. A graph solved before the basis first
+    fills takes plain Lanczos's steps exactly.
 
     Error bound. The solve stops when Parlett's residual bound
     r = ||L y - theta y|| of the unit Ritz vector y is at most
     `SPECTRAL_RTOL` * theta for both extreme Ritz values theta, or at
     breakdown (the next Lanczos vector's norm beta is at most
-    n * eps * 2 max_i d_i), or after n - 1 steps, when the Krylov space is
-    all of 1-perp. An eigenvalue of L lies within r of each theta, so
+    n * eps * 2 max_i d_i), or, while no restart has happened, after n - 1
+    steps, when the Krylov space is all of 1-perp. Once the solve has
+    restarted, a bound of eps * 2 max_i d_i, the rounding level, also
+    stops it. An eigenvalue of L lies within r of each theta, so
     |lambda2 - theta| <= `SPECTRAL_RTOL` * theta for the smallest, relative
     to lambda2's own size and not to lambda_n, and likewise for lambda_n
     and the largest, as long as the fixed start vector is not orthogonal to
     their eigenspaces (a Krylov method cannot see an eigenvector its start
-    vector misses). At breakdown and at n - 1 steps every Ritz value is
-    within beta of an eigenvalue. On 1-perp the Ritz values never fall below
-    lambda2 nor rise above lambda_n. Rounding adds an error of a few
-    eps * lambda_n, as it does to `eigvalsh`; on graphs with a tiny gap
-    that is the larger term for lambda2.
+    vector misses). A restart keeps r a bound: the kept Ritz vectors and
+    the new Lanczos vectors stay orthonormal, so L V = V T + beta v e_k^T
+    still holds with the arrowhead T of `_restart`. At breakdown and at
+    n - 1 steps every Ritz value is within beta of an eigenvalue. On 1-perp
+    the Ritz values never fall below lambda2 nor rise above lambda_n.
+    Rounding adds an error of a few eps * lambda_n, as it does to
+    `eigvalsh`; on graphs with a tiny gap that is the larger term for
+    lambda2.
 
     Raises
     ------
     EigenFailureError
-        If a Lanczos coefficient or a result is not finite.
+        If a Lanczos coefficient or a result is not finite, or the bounds
+        do not meet the tolerance in `LANCZOS_STEPS_PER_NODE` * n steps.
     """
     return matrix._spectral
 
@@ -410,44 +428,66 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
-class _LanczosBasis:
-    """Orthonormal rows of length n, held in blocks of about
-    `LANCZOS_BLOCK` bytes, so that the basis grows without a copy."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.block_rows = max(1, min(n, LANCZOS_BLOCK // (8 * n)))
-        self.blocks: list[np.ndarray] = []
-        self.size = 0
-
-    def add(self, v: np.ndarray) -> None:
-        at = self.size % self.block_rows
-        if at == 0:
-            self.blocks.append(allocate((self.block_rows, self.n)))
-        self.blocks[-1][at] = v
-        self.size += 1
-
-    def orthogonalize(self, w: np.ndarray) -> np.ndarray:
-        """w less its projection on the basis, in place, by classical
-        Gram-Schmidt twice ("twice is enough"), with einsum's loops: no
-        BLAS call."""
-        used = self.size - (len(self.blocks) - 1) * self.block_rows
-        views = self.blocks[:-1] + [self.blocks[-1][:used]]
-        for _ in range(2):
-            coeffs = [np.einsum("ij,j->i", block, w) for block in views]
-            for c, block in zip(coeffs, views):
-                w -= np.einsum("i,ij->j", c, block)
-        return w
+def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w less its projection on the orthonormal rows of `basis`, in place,
+    by classical Gram-Schmidt twice ("twice is enough"), with einsum's
+    loops: no BLAS call."""
+    for _ in range(2):
+        w -= np.einsum("i,ij->j", np.einsum("ij,j->i", basis, w), basis)
+    return w
 
 
-def _sturm_count(a: list[float], b2: list[float], x: float, pivmin: float) -> int:
-    """How many eigenvalues of the symmetric tridiagonal T with diagonal `a`
-    and squared off-diagonal `b2` (b2[j] couples j - 1 and j, b2[0] is 0)
-    lie below x: the negative pivots of T - x I = L D L^T (Sylvester), a
-    zero pivot taken as -pivmin. Adding a row to T adds at most one."""
+class _Projection:
+    """T = V^T L V on the Lanczos basis V (1 / sqrt(n) aside), one row a
+    step. Before any restart it is tridiagonal: diagonal `a`, off-diagonal
+    `b` (b[j] couples rows j and j + 1) and its squares `b2` (b2[j] couples
+    j - 1 and j, b2[0] is 0). A restart (`_restart`) starts it anew from
+    the Ritz values it keeps, `theta`, on the diagonal ahead of the
+    tridiagonal, each coupled to the tridiagonal's first row alone by
+    `sigma`: an arrowhead."""
+
+    def __init__(self, theta: list[float] | None = None, sigma: list[float] | None = None):
+        self.theta = theta or []
+        self.sigma = sigma or []
+        self.sigma2 = [s * s for s in self.sigma]
+        self.a: list[float] = []
+        self.b: list[float] = []
+        self.b2 = [0.0]
+
+    @property
+    def size(self) -> int:
+        return len(self.theta) + len(self.a)
+
+    def span(self) -> float:
+        """A bound on the eigenvalues' magnitude: Gershgorin's discs."""
+        b = self.b
+        rows = [abs(aj) + bl + br for aj, bl, br in zip(self.a, [0.0, *b], [*b, 0.0])]
+        if self.theta:
+            rows[0] += sum(map(abs, self.sigma))
+            rows += [abs(tj) + abs(sj) for tj, sj in zip(self.theta, self.sigma)]
+        return max(rows)
+
+
+def _sturm_count(t: _Projection, x: float, pivmin: float) -> int:
+    """How many eigenvalues of T lie below x: the negative pivots of
+    T - x I = L D L^T (Sylvester), the arrow's rows first, so that the
+    tridiagonal's first pivot is their Schur complement, a zero pivot
+    taken as -pivmin. Adding a row to T adds at most one."""
     count = 0
-    q = 1.0
-    for aj, bj2 in zip(a, b2):
+    arrow = 0.0
+    for tj, sj2 in zip(t.theta, t.sigma2):
+        q = tj - x
+        if q <= 0.0:
+            count += 1
+            if q == 0.0:
+                q = -pivmin
+        arrow += sj2 / q
+    q = t.a[0] - x - arrow
+    if q <= 0.0:
+        count += 1
+        if q == 0.0:
+            q = -pivmin
+    for aj, bj2 in zip(itertools.islice(t.a, 1, None), itertools.islice(t.b2, 1, None)):
         q = aj - x - bj2 / q
         if q <= 0.0:
             count += 1
@@ -456,8 +496,8 @@ def _sturm_count(a: list[float], b2: list[float], x: float, pivmin: float) -> in
     return count
 
 
-def _bisect(a: list[float], b2: list[float], lo: float, hi: float, index: int,
-            pivmin: float, width: float = 0.0) -> tuple[float, float]:
+def _bisect(t: _Projection, lo: float, hi: float, index: int, pivmin: float,
+            width: float = 0.0) -> tuple[float, float]:
     """[lo, hi], with at most `index` eigenvalues of T below lo and more
     below hi, shrunk by bisection to `width` or to two adjacent floats:
     eigenvalue `index` (counted from the smallest, from 0) lies in it."""
@@ -465,105 +505,230 @@ def _bisect(a: list[float], b2: list[float], lo: float, hi: float, index: int,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi or hi - lo <= width:
             return lo, hi
-        if _sturm_count(a, b2, mid, pivmin) > index:
+        if _sturm_count(t, mid, pivmin) > index:
             hi = mid
         else:
             lo = mid
 
 
-def _residual(a: list[float], b2: list[float], beta: float, theta: float,
-              pivmin: float) -> float:
+def _twist(t: _Projection, theta: float, pivmin: float) -> tuple:
+    """The twisted factorization of T - theta I, zero pivots taken as
+    pivmin: the tridiagonal's pivots from the top, `down`, the arrow's rows
+    eliminated first (`_sturm_count`), and from the bottom, `up`; the
+    arrow's pivots d_i = theta_i - theta; and the twist r, a row of T (the
+    arrow's first), of least |gamma_r|, where gamma_r^-1 is entry (r, r)
+    of (T - theta I)^-1 and the eigenvector is most accurate. On the
+    tridiagonal gamma_r = down_r + up_r - (a_r - theta). On the arrow's row
+    i it is d_i - sigma_i^2 / g, with g the tridiagonal's first pivot once
+    every other row is eliminated: up_0 less the other rows' sigma_j^2 / d_j.
+    The vector s with s_r = 1 and (T - theta I) s = gamma_r e_r follows
+    (`_twisted`, `_ritz_vector`). Returns (r, gamma_r, down, up, d, g), g 0
+    unless r is an arrow's row."""
+    b2 = t.b2
+    a = [aj - theta for aj in t.a]
+    d = [tj - theta or pivmin for tj in t.theta]
+    arrow = [sj2 / dj for sj2, dj in zip(t.sigma2, d)]
+    q = a[0] - sum(arrow, 0.0) or pivmin
+    down = [q]
+    for aj, bj2 in zip(itertools.islice(a, 1, None), itertools.islice(b2, 1, None)):
+        q = aj - bj2 / q or pivmin
+        down.append(q)
+    up = []  # from the bottom, last row first
+    q = 1.0
+    for aj, bj2 in zip(reversed(a), [0.0, *reversed(b2[1:])]):
+        q = aj - bj2 / q or pivmin
+        up.append(q)
+    up.reverse()
+    gammas = [dn + u - aj for dn, u, aj in zip(down, up, a)]
+    sizes = list(map(abs, gammas))
+    r = sizes.index(min(sizes))
+    best, r, g = gammas[r], len(d) + r, 0.0
+    after = list(itertools.accumulate(reversed(arrow), initial=0.0))[::-1]
+    before = 0.0
+    for i, (di, ci, si2) in enumerate(zip(d, arrow, t.sigma2)):
+        gi = up[0] - (before + after[i + 1]) or pivmin
+        gamma = di - si2 / gi
+        if abs(gamma) < abs(best):
+            best, r, g = gamma, i, gi
+        before += ci
+    return r, best, down, up, d, g
+
+
+def _twisted(t: _Projection, twist: tuple) -> tuple[float, float]:
+    """(||s||^2, s_k^2) of the vector s of the twisted factorization
+    `twist` (`_twist`), s_k its last entry."""
+    a, b2, sigma2 = t.a, t.b2, t.sigma2
+    r, _, down, up, d, g = twist
+    k = len(d)
+    if r >= k:  # on the tridiagonal: s_j^2 from s_r = 1 outwards
+        total = s2 = 1.0
+        for j in range(r - k - 1, -1, -1):
+            s2 *= b2[j + 1] / (down[j] * down[j])
+            total += s2
+        head = s2  # s_0^2
+        s2 = 1.0
+        start = r - k + 1
+    else:  # on the arrow's row r: s_r = 1, the tridiagonal's s_0^2 is sigma_r^2 / g^2
+        head = s2 = sigma2[r] / (g * g)
+        total = 1.0 + head
+        start = 1
+    for j in range(start, len(a)):
+        s2 *= b2[j] / (up[j] * up[j])
+        total += s2
+    if k:  # the arrow's s_i = -sigma_i s_0 / d_i, but at the twist
+        total += head * sum(si2 / (di * di) for i, (si2, di) in enumerate(zip(sigma2, d))
+                            if i != r)
+    return total, s2
+
+
+def _ritz_vector(t: _Projection, twist: tuple) -> list[float]:
+    """The vector s of the twisted factorization `twist` (`_twist`), with
+    its signs, at unit length: at an eigenvalue of T, its eigenvector."""
+    a, b = t.a, t.b
+    r, _, down, up, d, g = twist
+    k = len(d)
+    s = [0.0] * len(a)
+    if r >= k:
+        s[r - k] = 1.0
+        for j in range(r - k - 1, -1, -1):
+            s[j] = -b[j] * s[j + 1] / down[j]
+        start = r - k + 1
+    else:
+        s[0] = -t.sigma[r] / g
+        start = 1
+    for j in range(start, len(a)):
+        s[j] = -b[j - 1] * s[j - 1] / up[j]
+    head = [-si * s[0] / di for si, di in zip(t.sigma, d)]
+    if r < k:
+        head[r] = 1.0
+    s = head + s
+    norm = math.sqrt(math.fsum(x * x for x in s))
+    if not 0.0 < norm < math.inf:
+        raise EigenFailureError("a Ritz vector is not finite")
+    return [x / norm for x in s]
+
+
+def _residual(t: _Projection, beta: float, theta: float, pivmin: float) -> float:
     """||L y - theta y|| for the unit vector y = V s / ||s|| of the Lanczos
-    basis V, s from the twisted factorization of T - theta I (T as in
-    `_sturm_count`): s_r = 1 and (T - theta I) s = gamma e_r, at the twist
-    r of least |gamma|, where the vector is most accurate. As
-    L V = V T + beta v e_k^T with v orthogonal to V, the norm is
+    basis V, s from the twisted factorization of T - theta I (`_twist`).
+    As L V = V T + beta v e_k^T with v orthogonal to V, the norm is
     sqrt(gamma^2 + (beta s_k)^2) / ||s||: Parlett's bound |beta s_k| at a
     Ritz value theta. An eigenvalue of L lies within it of theta, whatever
     theta and s are, so a poor s only delays the stop."""
-    down = []  # pivots of T - theta I from the top
-    q = 1.0
-    for aj, bj2 in zip(a, b2):
-        q = aj - theta - bj2 / q or pivmin
-        down.append(q)
-    up = []  # and from the bottom, last row first
-    q = 1.0
-    for aj, bj2 in zip(reversed(a), [0.0, *reversed(b2[1:])]):
-        q = aj - theta - bj2 / q or pivmin
-        up.append(q)
-    up.reverse()
-    gammas = [abs(d + u - (aj - theta)) for d, u, aj in zip(down, up, a)]
-    r = gammas.index(min(gammas))
-    total = s2 = 1.0  # ||s||^2 and s_j^2, from s_r = 1 outwards
-    for j in range(r - 1, -1, -1):
-        s2 *= b2[j + 1] / (down[j] * down[j])
-        total += s2
-    s2 = 1.0
-    for j in range(r + 1, len(a)):
-        s2 *= b2[j] / (up[j] * up[j])
-        total += s2
+    twist = _twist(t, theta, pivmin)
+    total, s2 = _twisted(t, twist)
     if total == math.inf:
         return math.inf
-    return math.sqrt((gammas[r] ** 2 + beta * beta * s2) / total)
+    return math.sqrt((twist[1] ** 2 + beta * beta * s2) / total)
+
+
+def _ritz_pairs(t: _Projection, indices: list[int], span: float,
+                pivmin: float) -> list[tuple[float, list[float]]]:
+    """Eigenvalues `indices` (ascending, counted from the smallest, from 0)
+    of T, whose eigenvalues lie in [-span, span], with their unit
+    eigenvectors. One bisection serves them all until each lies alone in
+    its bracket, which Rayleigh quotient iteration then shrinks
+    (`_ritz_pair`)."""
+    found = {}
+    brackets = [(-span, span, 0, t.size)]  # (lo, hi, count below lo, below hi)
+    while brackets:
+        lo, hi, below_lo, below_hi = brackets.pop()
+        wanted = [i for i in indices if below_lo <= i < below_hi]
+        mid = 0.5 * (lo + hi)
+        if not wanted:
+            continue
+        if below_hi - below_lo == 1 or not lo < mid < hi:
+            found.update((i, _ritz_pair(t, lo, hi, i, span, pivmin)) for i in wanted)
+            continue
+        below = _sturm_count(t, mid, pivmin)
+        brackets += [(lo, mid, below_lo, below), (mid, hi, below, below_hi)]
+    return [found[i] for i in indices]
+
+
+def _ritz_pair(t: _Projection, lo: float, hi: float, index: int, span: float,
+               pivmin: float) -> tuple[float, list[float]]:
+    """Eigenvalue `index` of T, alone in [lo, hi], and its unit eigenvector:
+    Rayleigh quotient iteration, rho <- rho + gamma / ||s||^2 on the
+    twisted factorization (`_twist`), which converges cubically, from the
+    middle of the bracket until a step is within the rounding of T,
+    eps * span; bisection to two adjacent floats (`_bisect`) where an
+    iterate leaves the bracket or `LANCZOS_RQI_STEPS` do not settle."""
+    rho = 0.5 * (lo + hi)
+    for _ in range(LANCZOS_RQI_STEPS):
+        twist = _twist(t, rho, pivmin)
+        step = twist[1] / _twisted(t, twist)[0]
+        if not lo <= rho + step <= hi:
+            break
+        if abs(step) <= _EPS * span:
+            return rho + step, _ritz_vector(t, twist)
+        rho += step
+    lo, hi = _bisect(t, lo, hi, index, pivmin)
+    rho = 0.5 * (lo + hi)
+    return rho, _ritz_vector(t, _twist(t, rho, pivmin))
 
 
 class _RitzEnd:
     """The smallest (`top` False) or the largest Ritz value of the growing
-    tridiagonal T: a bracket [lo, hi] of it, its midpoint `theta`, and
-    `bound`, the distance from theta within which L has an eigenvalue."""
+    T: a bracket [lo, hi] of it, its midpoint `theta`, and `bound`, the
+    distance from theta within which L has an eigenvalue."""
 
     def __init__(self, top: bool) -> None:
         self.top = top
         self.lo = self.hi = self.theta = math.nan
         self.bound = math.inf
         self.tries: list[float] = []  # distances out to try the outer end at
-        self.steps = 0                # the size of T at the last update
+        self.steps = 0                # the steps taken at the last update
         self.left = math.inf          # steps until `bound` meets the tolerance
 
-    def update(self, a: list[float], b2: list[float], beta: float, span: float,
-               pivmin: float) -> None:
-        """Bisect the Ritz value of T (as in `_sturm_count`), whose
-        eigenvalues lie in [-span, span], to a thousandth of its last bound,
-        and bound it with `beta`, the norm of the next Lanczos vector: its
-        residual (`_residual`) at theta plus the bracket's width, which
-        covers the Ritz value wherever it lies. `left` becomes the steps the
-        bound needs to meet the tolerance at the rate it fell since the last
-        update (0 once it meets it, inf if it did not fall).
+    def update(self, t: _Projection, beta: float, span: float, pivmin: float, steps: int,
+               floor: float) -> None:
+        """Bisect the Ritz value of T, whose eigenvalues lie in
+        [-span, span], to a thousandth of its last bound, and bound it with
+        `beta`, the norm of the next Lanczos vector: its residual
+        (`_residual`) at theta plus the bracket's width, which covers the
+        Ritz value wherever it lies. The tolerance is `SPECTRAL_RTOL` *
+        theta, or `floor` where that is larger. `left` becomes the steps the
+        bound needs to meet it at the rate it fell since the last update
+        (0 once it meets it, inf if it did not fall).
 
         As T grows the smallest Ritz value only falls and the largest only
-        rises, so the inner end of the last bracket stays good. The outer
-        end is tried twice the last move of theta out, then twice the last
-        bound out, and else at `span`: late checks bisect a short bracket."""
-        index, out = (len(a) - 1, 1.0) if self.top else (0, -1.0)
+        rises, also across a restart, whose T holds the kept Ritz values on
+        its diagonal; so the inner end of the last bracket stays good. The
+        outer end is tried twice the last move of theta out, then twice the
+        last bound out, and else at `span`: late checks bisect a short
+        bracket."""
+        index, out = (t.size - 1, 1.0) if self.top else (0, -1.0)
         kept = -out * span if math.isnan(self.theta) else (self.lo if self.top else self.hi)
         for step in self.tries:
             end = kept + out * step
-            if abs(end) < span and (_sturm_count(a, b2, end, pivmin) > index) == self.top:
+            if abs(end) < span and (_sturm_count(t, end, pivmin) > index) == self.top:
                 break
         else:
             end = out * span
         width = 1e-3 * min(self.bound, span)
-        self.lo, self.hi = _bisect(a, b2, min(kept, end), max(kept, end), index, pivmin, width)
+        self.lo, self.hi = _bisect(t, min(kept, end), max(kept, end), index, pivmin, width)
         theta = 0.5 * (self.lo + self.hi)
-        last, self.bound = self.bound, _residual(a, b2, beta, theta, pivmin) + (self.hi - self.lo)
+        last, self.bound = self.bound, _residual(t, beta, theta, pivmin) + (self.hi - self.lo)
         moved = abs(theta - self.theta) if not math.isnan(self.theta) else math.inf
         self.tries = [2.0 * moved + 4.0 * math.ulp(theta), 2.0 * self.bound]
         self.theta = theta
         target = SPECTRAL_RTOL * theta
+        if floor:
+            target = max(target, floor)
         if self.bound <= target:
             self.left = 0.0
         elif 0.0 < target < self.bound < last < math.inf:
-            self.left = ((len(a) - self.steps) * math.log(self.bound / target)
+            self.left = ((steps - self.steps) * math.log(self.bound / target)
                          / math.log(last / self.bound))
         else:
             self.left = math.inf
-        self.steps = len(a)
+        self.steps = steps
 
-    def refine(self, a: list[float], b2: list[float], pivmin: float) -> float:
+    def refine(self, t: _Projection, pivmin: float) -> float:
         """The Ritz value, bisected on to two adjacent floats; it stays
         within `bound` of an eigenvalue of L."""
-        index = len(a) - 1 if self.top else 0
-        lo, hi = _bisect(a, b2, self.lo, self.hi, index, pivmin)
+        index = t.size - 1 if self.top else 0
+        lo, hi = _bisect(t, self.lo, self.hi, index, pivmin)
         return 0.5 * (lo + hi)
 
 
@@ -583,71 +748,127 @@ def _start_vector(n: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
-def _lanczos(matrix: SelectionMatrix) -> tuple[float, float]:
-    """(lambda2, lambda_n) of the symmetrized Laplacian by Lanczos with full
-    reorthogonalization, as `spectral` states.
-
-    L x = d * x - (A + A^T) x, the second term one `bincount` over the arcs
-    taken both ways. The start vector (`_start_vector`) is fixed and has no
-    pattern a graph could share; it and every Lanczos vector are
-    orthogonalized twice against 1 / sqrt(n) and the basis, so the steps
-    stay on 1-perp, where lambda2 is the smallest eigenvalue. At each check
-    the extreme eigenvalues of the tridiagonal T are bisected by Sturm
-    counts in Python floats, from brackets kept between checks, and their
-    residual bounds tested (`_RitzEnd`). Checks are `LANCZOS_CHECK_STEPS`
-    apart or more: while the bounds are far from the tolerance, half the
-    steps they need at their last rate of fall, up to a quarter of the
-    steps so far."""
+def _laplacian_product(matrix: SelectionMatrix):
+    """(x -> L x, 2 max_i d_i), the bound on lambda_n that scales the
+    solve's thresholds: L x = d * x - (A + A^T) x, the second term one
+    `bincount` over the arcs taken both ways."""
     n = matrix.n
     tails, heads, weights = matrix.positive_entries()
     ends = np.concatenate((tails, heads))
     others = np.concatenate((heads, tails))
     arcs = np.concatenate((weights, weights))
     degree = np.bincount(ends, arcs, n)
-    scale = 2.0 * float(degree.max())  # >= lambda_n
+    return (lambda x: degree * x - np.bincount(ends, arcs * x[others], n)), \
+        2.0 * float(degree.max())
+
+
+def _restart(t: _Projection, basis: np.ndarray, beta: float, span: float,
+             pivmin: float) -> _Projection:
+    """Thick restart (Wu and Simon, 2000) of the full basis: keep the Ritz
+    vectors y = V s of T's `LANCZOS_KEEP` smallest and largest Ritz values,
+    into the basis's first rows, and return T anew as their Ritz values
+    with the arrow sigma_i = beta s_i,last, the coupling of y_i to the next
+    Lanczos vector (L y_i = theta_i y_i + sigma_i v). The pairs come from
+    `_ritz_pairs`; Gram-Schmidt twice keeps the s of close values
+    orthonormal, so the basis stays so, and drops an s that copies one
+    kept before it. Y = V S runs in einsum's loops, no
+    BLAS, a block of `LANCZOS_COLUMNS` columns at a time, in place."""
+    size = t.size
+    low, high = LANCZOS_KEEP
+    pairs = _ritz_pairs(t, [*range(low), *range(size - high, size)], span, pivmin)
+    s = np.array([vector for _, vector in pairs])
+    kept: list[int] = []
+    for i in range(len(s)):
+        _orthogonalize(s[kept], s[i])
+        norm = math.sqrt(_dot(s[i], s[i]))
+        if norm >= 0.5:  # else a copy of a kept vector, from values a rounding apart
+            s[i] /= norm
+            kept.append(i)
+    s = s[kept]
+    thetas = [pairs[i][0] for i in kept]
+    v = basis[1:1 + size]
+    for c in range(0, v.shape[1], LANCZOS_COLUMNS):
+        block = v[:, c:c + LANCZOS_COLUMNS]
+        block[:len(s)] = np.einsum("ki,ij->kj", s, block)
+    return _Projection(thetas, (beta * s[:, -1]).tolist())
+
+
+def _lanczos(matrix: SelectionMatrix) -> tuple[float, float]:
+    """(lambda2, lambda_n) of the symmetrized Laplacian by thick-restart
+    Lanczos with full reorthogonalization, as `spectral` states.
+
+    The products L x come from `_laplacian_product`. The start vector
+    (`_start_vector`) is fixed and has no pattern a graph could share; it
+    and every Lanczos vector are
+    orthogonalized twice against 1 / sqrt(n) and the basis, so the steps
+    stay on 1-perp, where lambda2 is the smallest eigenvalue. The basis
+    holds at most `LANCZOS_VECTORS` vectors besides 1 / sqrt(n); once it is
+    full, `_restart` keeps the Ritz vectors of both ends and the steps go on
+    from the last Lanczos vector. At each check, and at each restart, the
+    extreme eigenvalues of T are bisected by Sturm counts in Python floats,
+    from brackets kept between checks, and their residual bounds tested
+    (`_RitzEnd`). Checks are `LANCZOS_CHECK_STEPS` apart or more: while the
+    bounds are far from the tolerance, half the steps they need at their
+    last rate of fall, up to a quarter of the steps so far."""
+    n = matrix.n
+    product, scale = _laplacian_product(matrix)
     breakdown = n * _EPS * scale
     pivmin = _EPS * breakdown
-    basis = _LanczosBasis(n)
-    basis.add(np.full(n, 1.0 / math.sqrt(n)))
-    v = basis.orthogonalize(_start_vector(n))
+    basis = allocate((min(LANCZOS_VECTORS, n - 1) + 1, n))
+    basis[0] = 1.0 / math.sqrt(n)
+    v = _orthogonalize(basis[:1], _start_vector(n))
     v /= math.sqrt(_dot(v, v))
-    a: list[float] = []
-    b: list[float] = []
-    b2 = [0.0]
+    t = _Projection()
+    used = 1
+    steps = 0
+    floor = 0.0  # the rounding level, the tolerance's least once restarted
     prev, beta = None, 0.0
     extremes = (_RitzEnd(top=False), _RitzEnd(top=True))
     check = LANCZOS_CHECK_STEPS  # the step of the next test of the stopping rule
     while True:
-        basis.add(v)
-        w = degree * v - np.bincount(ends, arcs * v[others], n)
+        basis[used] = v
+        used += 1
+        w = product(v)
+        steps += 1
         alpha = _dot(v, w)
         w -= alpha * v
         if prev is not None:
             w -= beta * prev
-        basis.orthogonalize(w)
+        elif t.theta:  # the first step after a restart: the arrow
+            w -= np.einsum("i,ij->j", np.array(t.sigma), basis[1:1 + len(t.theta)])
+        _orthogonalize(basis[:used], w)
         beta = math.sqrt(_dot(w, w))
         if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise EigenFailureError(f"Lanczos step {len(a) + 1} is not finite")
-        a.append(alpha)
-        k = len(a)
-        last = k == n - 1 or beta <= breakdown
+            raise EigenFailureError(f"Lanczos step {steps} is not finite")
+        if steps == LANCZOS_STEPS_PER_NODE * n:
+            raise EigenFailureError(f"the Lanczos bounds did not converge in {steps} steps")
+        t.a.append(alpha)
+        # n - 1 steps span all of 1-perp only if none was thrown away
+        last = (not floor and t.size == n - 1) or beta <= breakdown
         # a small beta nears an invariant subspace: test at once, and again
         # soon, as the steps after it go on in what the Krylov space left out
         small = beta <= _SQRT_EPS * scale
-        if last or k == check or small:
-            span = max(abs(aj) + bl + br for aj, bl, br in zip(a, [0.0, *b], [*b, 0.0]))
+        full = used == len(basis)
+        if last or steps == check or small or full:
+            span = t.span()
             for x in extremes:
-                x.update(a, b2, beta, span, pivmin)
+                x.update(t, beta, span, pivmin, steps, floor)
             if last or all(x.left == 0.0 for x in extremes):
-                thetas = tuple(x.refine(a, b2, pivmin) for x in extremes)
+                thetas = tuple(x.refine(t, pivmin) for x in extremes)
                 if not all(map(math.isfinite, thetas)):
                     raise EigenFailureError("the Lanczos eigenvalues are not finite")
                 return thetas
             # half of what the slower bound needs, as Lanczos speeds up
-            wait = 0 if small else min(max(x.left for x in extremes) / 2.0, k // 4)
-            check = k + max(LANCZOS_CHECK_STEPS, int(wait))
-        b.append(beta)
-        b2.append(beta * beta)
+            wait = 0 if small else min(max(x.left for x in extremes) / 2.0, steps // 4)
+            check = steps + max(LANCZOS_CHECK_STEPS, int(wait))
+            if full:
+                t = _restart(t, basis, beta, span, pivmin)
+                used = 1 + len(t.theta)
+                floor = _EPS * scale
+                prev, v = None, w / beta
+                continue
+        t.b.append(beta)
+        t.b2.append(beta * beta)
         prev, v = v, w / beta
 
 
@@ -951,9 +1172,14 @@ def import_matrix_csv(path: str | Path) -> SelectionMatrix:
 
 
 def export_matrix_json(matrix: SelectionMatrix, path: str | Path) -> None:
-    """Write `{"n", "rows"}` with the dense rows, indented by 2."""
-    text = json.dumps({"n": matrix.n, "rows": matrix.entries.tolist()}, indent=2)
-    Path(path).write_bytes(f"{text}\n".encode())
+    """Write `{"n", "rows"}` with the dense rows, indented by 2: json's
+    text, written a row at a time (`_jsontext.pieces`), so the dense
+    matrix is never held whole."""
+    rows = (matrix.rows(r, r + 1)[0] for r in range(matrix.n))
+    with open(path, "wb") as fh:
+        for piece in _jsontext.pieces({"n": matrix.n, "rows": rows}, indent=2):
+            fh.write(piece.encode("ascii"))
+        fh.write(b"\n")
 
 
 def import_matrix_json(path: str | Path) -> SelectionMatrix:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import json
 import math
 import numbers
 import os
@@ -52,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _native
+from . import _jsontext, _native
 from .dynamics import (
     OVERFLOW_LIMIT,
     S_CLIP,
@@ -76,6 +75,7 @@ __all__ = [
     "default_checkpoints",
     "config_from_dict",
     "config_to_dict",
+    "config_record",
     "config_hash",
     "run_trials",
     "run_shared_trials",
@@ -401,11 +401,10 @@ def config_from_dict(d: dict, base_dir: str | Path | None = None,
     )
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical resolved form: the matrix as its stored entries (kind
-    "entries": parallel lists `i`, `j` and `a` in row-major order, -0.0
-    kept), resolved checkpoints and thresholds. Feeding this back to
-    `config_from_dict` reproduces the run."""
+def config_record(cfg: ExperimentConfig) -> dict:
+    """`config_to_dict` with the matrix's `i`, `j` and `a` as the stored
+    arrays, not lists: the form the writers render in blocks
+    (`_jsontext.pieces`), to the same text."""
     m = cfg.matrix
     mode: dict = {"variant": cfg.mode.variant}
     if cfg.mode.variant == "asymmetric":
@@ -417,8 +416,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         initial["low"] = cfg.initial.low
         initial["high"] = cfg.initial.high
     return {
-        "matrix": {"kind": "entries", "n": m.n, "i": m._tails().tolist(),
-                   "j": m.indices.tolist(), "a": m.values.tolist()},
+        "matrix": {"kind": "entries", "n": m.n, "i": m._tails(), "j": m.indices,
+                   "a": m.values},
         "mode": mode,
         "probabilities": {"alpha": cfg.probabilities.alpha,
                           "beta": cfg.probabilities.beta,
@@ -436,18 +435,31 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    """Canonical resolved form: the matrix as its stored entries (kind
+    "entries": parallel lists `i`, `j` and `a` in row-major order, -0.0
+    kept), resolved checkpoints and thresholds. Feeding this back to
+    `config_from_dict` reproduces the run."""
+    doc = config_record(cfg)
+    doc["matrix"] = {key: value.tolist() if isinstance(value, np.ndarray) else value
+                     for key, value in doc["matrix"].items()}
+    return doc
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
     """64-bit FNV-1a over the canonical compact JSON form,
     `json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))`
-    in UTF-8, as 16 hex digits (`_native._fnv1a64`, in numpy).
+    in UTF-8, as 16 hex digits. The text is written in pieces from
+    `config_record` (`_jsontext.pieces`) and hashed as they come
+    (`_native.fnv1a64_pieces`, in numpy), so it is never held whole.
 
     The digest is computed on the first call and kept on the config, so a
     command that hashes its config for the manifest and for the results
     walks the canonical form once.
     """
     if cfg._hash is None:
-        text = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-        cfg._hash = f"{_native._fnv1a64(text.encode()):016x}"
+        text = _jsontext.pieces(config_record(cfg), sort_keys=True)
+        cfg._hash = f"{_native.fnv1a64_pieces(text):016x}"
     return cfg._hash
 
 

@@ -283,6 +283,13 @@ def ring_rows(n):
     return a
 
 
+def ring_matrix(n):
+    """`ring_rows(n)` built from its stored entries, with no (n, n) array."""
+    i = np.arange(n)
+    heads = np.sort(np.stack([(i - 1) % n, (i + 1) % n], axis=1), axis=1)
+    return validate_entries(n, np.repeat(i, 2), heads.ravel(), np.full(2 * n, 0.5))
+
+
 LAPLACIAN_CASES = {
     "reference": REF_ROWS,
     "generated-300": generate("watts_strogatz", 300, seed=2, k_nn=4, p_rewire=0.3).entries,
@@ -348,17 +355,39 @@ def test_theory_report_keeps_no_n_by_n_array():
     assert max(sizes, default=0) < 300 * 300
 
 
-def test_spectral_memory_at_n_1000():
-    """`spectral` builds no (n, n) array, only the k x n Lanczos basis: at
-    n=1000 its peak stays below 3 MiB (an (n, n) float array is 7.6 MiB)."""
-    m = generate("watts_strogatz", 1000, seed=1, k_nn=6, p_rewire=0.1)
+def spectral_peak(m):
+    """The traced peak of `spectral` on `m`, in bytes."""
     tracemalloc.start()
     try:
         spectral(m)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2 ** 20, peak
+
+
+def basis_limit(n):
+    """The most `spectral` may hold at n nodes: (m + 8) n-vectors, m the
+    basis's `LANCZOS_VECTORS` (the basis, 1 / sqrt(n) and the step's
+    vectors), and 1 MiB for the rest."""
+    return (graph.LANCZOS_VECTORS + 8) * n * 8 + (1 << 20)
+
+
+def test_spectral_memory_at_n_1000():
+    """`spectral` builds no (n, n) array, only its basis of at most m + 1
+    vectors: at n=1000 its peak stays below (m + 8) n-vectors and 1 MiB,
+    1.55 MiB (an (n, n) float array is 7.6 MiB)."""
+    m = generate("watts_strogatz", 1000, seed=1, k_nn=6, p_rewire=0.1)
+    peak = spectral_peak(m)
+    assert peak < basis_limit(1000), peak
+
+
+def test_spectral_memory_on_a_ring_of_2000():
+    """A ring's tiny gap takes thousands of Lanczos steps; the restarted
+    basis keeps the peak below (m + 8) n-vectors and 1 MiB, 2.1 MiB at
+    n=2000, where a basis that grows a vector a step reaches 2,000 vectors
+    (31 MiB)."""
+    peak = spectral_peak(ring_matrix(2000))
+    assert peak < basis_limit(2000), f"{peak / 2 ** 20:.2f} MiB"
 
 
 def test_a_matrix_holds_its_stored_entries():
@@ -422,7 +451,7 @@ GENERATORS = [
 ]
 
 
-@pytest.mark.parametrize("n", [5, 17, 60])
+@pytest.mark.parametrize("n", [5, 17, 60, 150])
 @pytest.mark.parametrize("kind,params", GENERATORS)
 def test_spectral_within_its_bound_on_every_generator(kind, params, n):
     assert_lambdas_within_bound(generate(kind, n, seed=3, **params))
@@ -448,25 +477,43 @@ def test_spectral_within_its_bound_on_random_matrices(seed, n, kind):
     assert_lambdas_within_bound(validate(a / a.sum(axis=1)[:, None]))
 
 
-def test_spectral_meets_the_closed_form_on_a_ring():
-    """A tiny gap, the slowest case for Lanczos: on a 300-node ring lambda2
-    is 4 sin^2(pi / n), 4.4e-4, against lambda_n 4."""
-    sp = spectral(validate(LAPLACIAN_CASES["ring-300"]))
-    rounding = 8 * np.finfo(float).eps * 4.0
-    exact = 4.0 * np.sin(np.pi / 300) ** 2
-    assert abs(sp.lambda2 - exact) <= graph.SPECTRAL_RTOL * exact + rounding
-    assert abs(sp.lambda_n - 4.0) <= graph.SPECTRAL_RTOL * 4.0 + rounding
+def test_spectral_meets_the_closed_form_on_a_ring(monkeypatch):
+    """A tiny gap, the slowest case for Lanczos: on an n-node ring lambda2
+    is 4 sin^2(pi / n), 4.4e-4 at n=300 and 9.9e-6 at n=2000, against
+    lambda_n 4. The solve restarts, 5 and 56 times, and at each restart
+    its basis is orthonormal to working precision, which keeps the residual
+    bound a bound: without reorthogonalization against the basis the
+    rings' extremes still converge, but the basis does not stay so."""
+    restart = graph._restart
+    for n in (300, 2000):
+        losses = []
+
+        def checked(t, basis, *args):
+            v = basis[:1 + t.size]
+            losses.append(np.abs(v @ v.T - np.eye(len(v))).max())
+            return restart(t, basis, *args)
+
+        monkeypatch.setattr(graph, "_restart", checked)
+        sp = spectral(ring_matrix(n))
+        rounding = 8 * np.finfo(float).eps * 4.0
+        exact = 4.0 * np.sin(np.pi / n) ** 2
+        assert abs(sp.lambda2 - exact) <= graph.SPECTRAL_RTOL * exact + rounding, n
+        assert abs(sp.lambda_n - 4.0) <= graph.SPECTRAL_RTOL * 4.0 + rounding, n
+        assert len(losses) >= 5 and max(losses) < 1e-12, (n, len(losses), max(losses))
 
 
 def lanczos_steps(monkeypatch, m):
-    """The Lanczos steps `spectral` takes on `m`: the basis holds 1 / sqrt(n)
-    and one vector a step."""
-    added = []
-    add = graph._LanczosBasis.add
-    monkeypatch.setattr(graph._LanczosBasis, "add",
-                        lambda self, v: added.append(1) or add(self, v))
+    """The Lanczos steps `spectral` takes on `m`: its products L x."""
+    products = []
+    make = graph._laplacian_product
+
+    def counted(matrix):
+        product, scale = make(matrix)
+        return (lambda x: products.append(1) or product(x)), scale
+
+    monkeypatch.setattr(graph, "_laplacian_product", counted)
     spectral(m)
-    return len(added) - 1
+    return len(products)
 
 
 def test_spectral_on_a_complete_graph_breaks_down_after_one_step(monkeypatch):

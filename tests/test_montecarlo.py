@@ -323,7 +323,7 @@ def test_vectorized_fnv_matches_the_byte_loop(data, block):
         assert _native._fnv1a64(data) == fnv1a64_reference(data)
 
 
-@pytest.mark.parametrize("block", sorted({8, 13, _native.FNV_BLOCK, 1 << 16}))
+@pytest.mark.parametrize("block", sorted({8, 13, _native.FNV_BLOCK, 1 << 14, 1 << 16}))
 def test_vectorized_fnv_matches_the_byte_loop_at_block_boundaries(monkeypatch, block):
     monkeypatch.setattr(_native, "FNV_BLOCK", block)
     rng = np.random.default_rng(block)
@@ -334,6 +334,27 @@ def test_vectorized_fnv_matches_the_byte_loop_at_block_boundaries(monkeypatch, b
     high = bytes(range(0x80, 0x100)) * (block // 128 + 2)
     assert _native._fnv1a64(high) == fnv1a64_reference(high)
     assert _native._fnv1a64(b"") == 0xCBF29CE484222325
+
+
+@given(data=st.binary(max_size=200), block=st.sampled_from([1, 8, 9, 61]))
+def test_chained_fnv_matches_the_byte_loop_at_every_cut(data, block):
+    """The hash of a text's tail from the hash of its head is the hash of
+    the whole text, wherever the text is cut and whatever the block size."""
+    want = fnv1a64_reference(data)
+    with mock.patch.object(_native, "FNV_BLOCK", block):
+        for cut in range(len(data) + 1):
+            assert _native._fnv1a64(data[cut:], _native._fnv1a64(data[:cut])) == want, cut
+
+
+@given(text=st.text(st.characters(max_codepoint=127), max_size=300),
+       cuts=st.lists(st.integers(0, 300), max_size=8), block=st.sampled_from([1, 8, 9, 61]))
+def test_hash_of_pieces_is_the_hash_of_their_text(text, cuts, block):
+    """`fnv1a64_pieces` gives the digest of the per-byte loop over the text
+    its pieces join to, however the pieces fall against the blocks."""
+    bounds = [0, *sorted(min(c, len(text)) for c in cuts), len(text)]
+    pieces = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    with mock.patch.object(_native, "FNV_BLOCK", block):
+        assert _native.fnv1a64_pieces(pieces) == fnv1a64_reference(text.encode())
 
 
 def test_library_build_removes_stale_builds(tmp_path, monkeypatch):
