@@ -32,6 +32,13 @@ the same pairs and events, so `run_shared_trials` runs them through one pass
 of that slot loop, as extra state rows with their own weights and freezes:
 `sweep` groups its points so. `run_trials`, `experiment` and `simulate` run
 the same loop with one config.
+
+Every pass writes its configs' trial matrices, a chunk's rows at a time,
+to a temporary file (`_Spill`, in the directory TMPDIR names), and holds
+in memory only each trial's freeze slot. Aggregation and classification
+read the matrices back one block of rows at a time, so no run holds a
+trials x checkpoints matrix; a caller that wants one whole reads it from
+the result (`TrialMatrices`).
 """
 
 from __future__ import annotations
@@ -43,8 +50,9 @@ import numbers
 import os
 import tempfile
 import threading
+import weakref
 from collections.abc import Callable, Iterator
-from contextlib import closing, nullcontext
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -60,7 +68,7 @@ from .dynamics import (
     Schedule,
     UpdateMode,
 )
-from .errors import BadAxisError, BadParameterError
+from .errors import BadAxisError, BadParameterError, RuntimeFailure
 from .graph import SelectionMatrix, allocate, generate, import_matrix_csv, import_matrix_json, \
     is_weakly_connected, validate, validate_entries
 from .theory import theory_report
@@ -496,34 +504,106 @@ def _trial_rng(base_seed: int, trial: int) -> np.random.Generator:
 # vectorized engine
 # ---------------------------------------------------------------------------
 
-@dataclass
+@contextmanager
+def _spill_errors() -> Iterator[None]:
+    """An OSError of the spill file as a RuntimeFailure: a full or missing
+    temporary directory is not a fault of the program."""
+    try:
+        yield
+    except OSError as exc:
+        where = tempfile.tempdir or "no usable temporary directory"
+        raise RuntimeFailure(f"cannot keep the trial matrices in a temporary file in {where} "
+                             f"(TMPDIR chooses the directory): {exc}") from None
+
+
+class _Spill:
+    """A pass's temporary file, which holds the rows of every config's
+    trial matrices. Chunks on any thread write their rows and readers read
+    theirs each with a seek under one lock. Closed by `close`, or once the
+    pass and every reader of its rows are dropped."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        with _spill_errors():
+            self.file = tempfile.TemporaryFile()
+        self.close = weakref.finalize(self, self.file.close)
+
+    def write(self, offset: int, rows: np.ndarray) -> None:
+        with self.lock, _spill_errors():
+            self.file.seek(offset)
+            self.file.write(memoryview(rows).cast("B"))
+
+    def read(self, offset: int, out: np.ndarray) -> np.ndarray:
+        with self.lock, _spill_errors():
+            self.file.seek(offset)
+            if self.file.readinto(memoryview(out).cast("B")) != out.nbytes:
+                raise OSError("the file ends before the rows asked for")
+        return out
+
+
+class _Spilled:
+    """A C-ordered float64 array of `shape` that a pass writes to its
+    spill file at `offset`. A slice of its rows, `stored[lo:hi]`, reads
+    them into a fresh array; `shape`, `itemsize` and `len` are an array's."""
+
+    itemsize = 8
+
+    def __init__(self, spill: _Spill, offset: int, shape: tuple[int, ...]) -> None:
+        self.spill, self.offset, self.shape = spill, offset, shape
+        self.row_bytes = math.prod(shape[1:]) * self.itemsize
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(len(self))
+        return self.spill.read(self.offset + lo * self.row_bytes,
+                               np.empty((hi - lo, *self.shape[1:])))
+
+
 class TrialMatrices:
-    """Per-trial, per-checkpoint measures for a whole experiment."""
+    """One config's per-trial, per-checkpoint measures from an engine pass.
 
-    checkpoints: tuple[int, ...]
-    dispersion: np.ndarray  # (trials, checkpoints)
-    spread: np.ndarray      # (trials, checkpoints)
-    diverged_at: np.ndarray  # (trials,), -1 when the state stayed finite
-    states: np.ndarray | None = None  # (trials, checkpoints, n) when asked for
+    `diverged_at`, (trials,), -1 where the state stayed finite, is held in
+    memory. The other arrays stay in the pass's spill file, where `stored`
+    maps each name to its `_Spilled` rows: dispersion and spread, (trials,
+    checkpoints), and when asked for, states, every trial's state at every
+    checkpoint, (trials, checkpoints, n). The attributes of those names read
+    an array whole on first access, for callers that want it so.
+    """
 
-    @classmethod
-    def empty(cls, cfg: ExperimentConfig, trials: int, states: bool) -> TrialMatrices:
-        ncp = len(cfg.checkpoints)
-        # first: results keep it after the matrices are dropped, and placed
-        # below them it does not pin their memory
-        diverged_at = allocate(trials, np.int64)
-        return cls(checkpoints=cfg.checkpoints, dispersion=allocate((trials, ncp)),
-                   spread=allocate((trials, ncp)), diverged_at=diverged_at,
-                   states=allocate((trials, ncp, cfg.matrix.n)) if states else None)
+    def __init__(self, checkpoints: tuple[int, ...], diverged_at: np.ndarray,
+                 stored: dict[str, _Spilled]) -> None:
+        self.checkpoints, self.diverged_at, self.stored = checkpoints, diverged_at, stored
+
+    @functools.cached_property
+    def dispersion(self) -> np.ndarray:
+        return self.stored["dispersion"][:]
+
+    @functools.cached_property
+    def spread(self) -> np.ndarray:
+        return self.stored["spread"][:]
+
+    @functools.cached_property
+    def states(self) -> np.ndarray | None:
+        return self.stored["states"][:] if "states" in self.stored else None
 
     def arrays(self) -> list[np.ndarray]:
-        """The per-trial arrays, one row per trial."""
+        """The per-trial arrays, read whole, one row per trial."""
         return [a for a in (self.dispersion, self.spread, self.diverged_at, self.states)
                 if a is not None]
 
-    def rows(self, lo: int, hi: int) -> TrialMatrices:
-        """Trials [lo, hi), as views."""
-        return TrialMatrices(self.checkpoints, *(a[lo:hi] for a in self.arrays()))
+
+@dataclass
+class _Measures:
+    """A chunk's measures, with a leading config axis: dispersion and
+    spread (configs, trials, checkpoints), diverged_at (configs, trials),
+    and states (configs, trials, checkpoints, n) or None."""
+
+    dispersion: np.ndarray
+    spread: np.ndarray
+    diverged_at: np.ndarray
+    states: np.ndarray | None = None
 
 
 STREAM_WORDS = 11  # key (2 words), counter (4), buffer (4), buffer position
@@ -559,7 +639,7 @@ class _Slots:
 
     def __init__(self, streams: np.ndarray, initial: InitialState,
                  tables: tuple[np.ndarray, np.ndarray], thr: tuple[float, float],
-                 mode: UpdateMode, out: TrialMatrices) -> None:
+                 mode: UpdateMode, out: _Measures) -> None:
         npts, m, _ = out.dispersion.shape
         self.cdf, self.cols = tables
         n = len(self.cdf)
@@ -793,7 +873,7 @@ class _KernelSlots(_Slots):
 
 
 def _simulate_chunk(cfgs: list[ExperimentConfig], tables: tuple[np.ndarray, np.ndarray],
-                    lo: int, hi: int, out: TrialMatrices, slots: type[_Slots]) -> None:
+                    lo: int, hi: int, out: _Measures, slots: type[_Slots]) -> None:
     """Run trials [lo, hi) of every config in `cfgs` together; the configs
     share their draws (`_shares_draws`) and their matrix's partner tables,
     `tables` (`SelectionMatrix.partner_tables`). `out` receives their
@@ -861,6 +941,11 @@ def run_shared_trials(configs: list[ExperimentConfig],
     state, configs x CHUNK_TRIALS x n floats, stays within
     BATCH_STATE_BYTES. With `states`, the matrices also hold every trial's
     state at every checkpoint, trials x checkpoints x n floats.
+
+    Each batch is one pass (`_run_batch`) with its own temporary file, from
+    which the matrices it yields read their rows, also once the pass has
+    run to its end; closing the generator before its end closes the file
+    of the pass it is in.
     """
     first = configs[0]
     if not all(_shares_draws(first, cfg) for cfg in configs[1:]):
@@ -923,68 +1008,65 @@ def _run_batch(configs: list[ExperimentConfig], tables: tuple[np.ndarray, np.nda
     """One pass over every trial for configs that share their draws and
     the partner tables `tables`.
 
-    A run of one config writes its chunks in place. In a shared pass the
-    first config's chunk rows are copied into its matrices, and the others'
-    go to a temporary file, each config's arrays one after another, and are
-    read back one config at a time: a pass holds one config's results in
-    memory however many configs share it, as a run of one config does. It
-    drops its reference to each config's matrices once they are yielded, so
-    a caller that drops them too before it asks for the next config (as
-    `sweep` does) holds one config's at a time; closing the pass closes the
-    file.
+    Each config's `diverged_at` is allocated before the first slot, as the
+    results keep it, so a run too large to hold them fails before it runs.
+    Every other row goes to the pass's temporary file (`_Spill`), each
+    config's arrays one after another, and each config's matrices read
+    theirs back from there (`TrialMatrices`): no pass holds a trials x
+    checkpoints matrix, however many configs share it. Closing the pass
+    before its end closes the file; after its end the file stays open
+    while any config's matrices are held.
 
     The chunks run on every usable core (`_workers`), one chunk at a time
     per worker, and are sized so that each worker gets one. A chunk writes
-    only its own rows, in the matrices or at their place in the file (a
-    seek and a write under one lock), so the results do not depend on the
-    number of workers. The numpy twin runs on one worker: its per-slot
-    numpy holds the GIL.
+    only its own rows, in `diverged_at` and at their place in the file, so
+    the results do not depend on the number of workers. The numpy twin runs
+    on one worker: its per-slot numpy holds the GIL.
     """
-    trials = configs[0].trials
-    head = TrialMatrices.empty(configs[0], trials, states)
-    config_bytes = sum(a.nbytes for a in head.arrays())
+    first = configs[0]
+    trials, ncp, n = first.trials, len(first.checkpoints), first.matrix.n
+    diverged = [allocate(trials, np.int64) for _ in configs]
+    spill = _Spill()
+    shapes = {"dispersion": (trials, ncp), "spread": (trials, ncp)}
+    if states:
+        shapes["states"] = (trials, ncp, n)
+    stored: list[dict[str, _Spilled]] = []  # each config's arrays, in file order
+    offset = 0
+    for _ in configs:
+        own = {}
+        for name, shape in shapes.items():
+            own[name] = _Spilled(spill, offset, shape)
+            offset += trials * own[name].row_bytes
+        stored.append(own)
     slots = _NumpySlots if _native.library() is None else _KernelSlots
     workers = 1 if slots is _NumpySlots else _workers()
     size = min(CHUNK_TRIALS, -(-trials // workers))
-    spill_lock = threading.Lock()
-    with tempfile.TemporaryFile() if len(configs) > 1 else nullcontext() as spill:
-        def run_chunk(lo: int) -> None:
-            hi = min(lo + size, trials)
-            rows = head.rows(lo, hi).arrays()
-            if spill is None:  # one config: the chunk's rows are its own
-                chunk = [a[None] for a in rows]
-            else:
-                chunk = [np.empty((len(configs), *a.shape), dtype=a.dtype) for a in rows]
-            _simulate_chunk(configs, tables, lo, hi, TrialMatrices(head.checkpoints, *chunk),
-                            slots)
-            if spill is None:
-                return
-            for a, own in zip(chunk, rows):
-                own[:] = a[0]
-            with spill_lock:
-                for q in range(1, len(configs)):
-                    offset = (q - 1) * config_bytes
-                    for a in chunk:
-                        row = a[q].nbytes // (hi - lo)
-                        spill.seek(offset + lo * row)
-                        spill.write(memoryview(a[q]).cast("B"))
-                        offset += trials * row
 
+    def run_chunk(lo: int) -> None:
+        hi = min(lo + size, trials)
+        rows = (len(configs), hi - lo)
+        chunk = _Measures(np.empty((*rows, ncp)), np.empty((*rows, ncp)),
+                          np.empty(rows, dtype=np.int64),
+                          np.empty((*rows, ncp, n)) if states else None)
+        _simulate_chunk(configs, tables, lo, hi, chunk, slots)
+        for q, own in enumerate(stored):
+            diverged[q][lo:hi] = chunk.diverged_at[q]
+            for name, matrix in own.items():
+                spill.write(matrix.offset + lo * matrix.row_bytes, getattr(chunk, name)[q])
+
+    try:
         _in_threads(run_chunk, range(0, trials, size), workers)
-        yield head
-        del head  # the caller keeps it as long as it needs it
-        for q, cfg in enumerate(configs[1:]):
-            mats = TrialMatrices.empty(cfg, trials, states)
-            spill.seek(q * config_bytes)
-            for a in mats.arrays():
-                spill.readinto(a)
-            yield mats
-            del mats
+        for cfg, div, own in zip(configs, diverged, stored):
+            yield TrialMatrices(cfg.checkpoints, div, own)
+    except BaseException:  # a chunk failed, or the caller closed the pass
+        spill.close()
+        raise
 
 
 def run_trials(config: ExperimentConfig, states: bool = False) -> TrialMatrices:
     """Run every trial of one config on the vectorized engine
-    (`run_shared_trials` with one config)."""
+    (`run_shared_trials` with one config). The matrices read their rows
+    from the pass's temporary file, which is closed once they are dropped."""
     [mats] = run_shared_trials([config], states)
     return mats
 
@@ -1021,14 +1103,14 @@ _CLASSES = np.array([Classification.UNDECIDED, Classification.AGREED, Classifica
                     dtype=object)
 
 
-def _row_blocks(matrix: np.ndarray) -> Iterator[slice]:
+def _row_blocks(matrix: np.ndarray | _Spilled) -> Iterator[slice]:
     """`matrix`'s rows in consecutive blocks of AGGREGATE_BLOCK bytes, or of
     one row where a row is wider."""
     step = max(1, AGGREGATE_BLOCK // (matrix.itemsize * matrix.shape[1]))
     return (slice(lo, lo + step) for lo in range(0, len(matrix), step))
 
 
-def _column_sums(matrix: np.ndarray,
+def _column_sums(matrix: np.ndarray | _Spilled,
                  terms: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> list[np.ndarray]:
     """The column sums of each array of per-element terms that `terms` makes
     of some of `matrix`'s rows, with the bits of `np.add.reduce(term,
@@ -1038,7 +1120,8 @@ def _column_sums(matrix: np.ndarray,
     another, so the rows go in blocks (`_row_blocks`), and each block's sum
     starts from the sums so far, carried as its first row: no temporary
     outgrows a block. A matrix of one column is summed whole, as numpy sums
-    a column pairwise.
+    a column pairwise. `matrix` is an array or a pass's rows in its spill
+    file (`_Spilled`), where each block is read into a fresh array.
     """
     blocks = iter([slice(None)] if matrix.shape[1] == 1 else _row_blocks(matrix))
     sums = [np.add.reduce(t, axis=0) for t in terms(matrix[next(blocks)])]
@@ -1053,15 +1136,20 @@ def _class_codes(config: ExperimentConfig, mats: TrialMatrices) -> np.ndarray:
     on overflow, or whose spread exceeds big_m at any checkpoint, even if it
     later came back down. Otherwise a trial is Agreed when its final spread
     lies strictly below eps_agree, else Undecided. big_m must exceed every
-    trial's initial spread."""
-    if not (config.big_m > mats.spread[:, 0]).all():
-        worst = float(mats.spread[:, 0].max())
-        raise BadParameterError(
-            f"big_m ({config.big_m}) must exceed the initial spread ({worst})")
+    trial's initial spread. The spreads are read in blocks of rows
+    (`_row_blocks`)."""
+    spread = mats.stored["spread"]
     diverged = mats.diverged_at >= 0
-    for rows in _row_blocks(mats.spread):
-        diverged[rows] |= (mats.spread[rows] > config.big_m).any(axis=1)
-    agreed = mats.spread[:, -1] < config.eps_agree
+    agreed = np.empty(len(spread), dtype=bool)
+    worst = -np.inf  # the largest initial spread, nan if any is
+    for rows in _row_blocks(spread):
+        block = spread[rows]
+        worst = np.maximum(worst, block[:, 0].max())
+        diverged[rows] |= (block > config.big_m).any(axis=1)
+        agreed[rows] = block[:, -1] < config.eps_agree
+    if not config.big_m > worst:
+        raise BadParameterError(
+            f"big_m ({config.big_m}) must exceed the initial spread ({float(worst)})")
     return np.where(diverged, 2, agreed.astype(np.intp))
 
 
@@ -1074,7 +1162,7 @@ def _kurtosis(m2: np.ndarray, m4: np.ndarray) -> np.ndarray:
     return np.where(m2 > 0.0, m4 / np.where(m2 > 0.0, m2, 1.0) ** 2 - 3.0, 0.0)
 
 
-def _excess_kurtosis(columns: np.ndarray, mean: np.ndarray, m2: np.ndarray,
+def _excess_kurtosis(columns: np.ndarray | _Spilled, mean: np.ndarray, m2: np.ndarray,
                      m4: np.ndarray) -> np.ndarray:
     """Each column's excess kurtosis from its mean and its second and fourth
     moments m2 and m4, inf where it is not finite. It feeds only the `>
@@ -1103,7 +1191,7 @@ def _excess_kurtosis(columns: np.ndarray, mean: np.ndarray, m2: np.ndarray,
     return np.where(np.isfinite(kurt), kurt, np.inf)
 
 
-def _column_stats(matrix: np.ndarray, kurtosis: bool = False) \
+def _column_stats(matrix: np.ndarray | _Spilled, kurtosis: bool = False) \
         -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The mean of each column of a trial matrix, its variance with ddof=1
     (0 for one row) and, if asked, its excess kurtosis (`_excess_kurtosis`;
@@ -1137,18 +1225,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def aggregate_trials(config: ExperimentConfig, mats: TrialMatrices) -> ExperimentResult:
     """Classify the trials of one config and summarize them per checkpoint.
 
-    The matrices are read in blocks of rows (`_row_blocks`) and their column
-    sums carried from block to block in numpy's axis-0 order, one row after
-    another (`_column_sums`): the results have the bits of numpy's mean and
-    var over the whole matrix, and no temporary outgrows a block.
+    The matrices are read from the pass's temporary file in blocks of rows
+    (`_row_blocks`), each into a fresh array, and their column sums carried
+    from block to block in numpy's axis-0 order, one row after another
+    (`_column_sums`): the results have the bits of numpy's mean and var
+    over the whole matrix, and no array outgrows a block but the per-trial
+    ones the results keep.
     """
     codes = _class_codes(config, mats)
     undecided, agreed, diverged = np.bincount(codes, minlength=len(_CLASSES)).tolist()
     counts = {"nAgreed": agreed, "nDiverged": diverged, "nUndecided": undecided}
     trials = config.trials
 
-    mean_l, var_l, kurt = _column_stats(mats.dispersion, kurtosis=True)
-    mean_s, var_s, _ = _column_stats(mats.spread)
+    mean_l, var_l, kurt = _column_stats(mats.stored["dispersion"], kurtosis=True)
+    mean_s, var_s, _ = _column_stats(mats.stored["spread"])
     with np.errstate(over="ignore", invalid="ignore"):
         ci_l, ci_s = (1.96 * np.sqrt(var / trials) for var in (var_l, var_s))
     heavy = [int(k) for k, flag in zip(config.checkpoints, kurt > HEAVY_TAIL_KURTOSIS) if flag]
@@ -1238,12 +1328,13 @@ def sweep(config_dict: dict, axis: str, values, base_dir: str | Path | None = No
     numbers and differences across points are not noise re-draws. Points
     that share their draws (an axis in `schedules`, `epsAgree` or `bigM`)
     run through one pass of the engine (`run_shared_trials`); the others
-    run alone. Each point's trial matrices are aggregated (`aggregate_trials`,
-    which sums them in numpy's axis-0 order) and dropped before the pass
-    reads in the next point's, so a sweep holds one point's matrices at a
-    time; the pass, and its temporary file, is closed when its points are
-    done or one of them fails. Each point also carries the analytic report
-    for its config.
+    run alone. Every pass writes its points' trial matrices to its
+    temporary file, and each point is aggregated from there
+    (`aggregate_trials`, which reads them in blocks of rows and sums them
+    in numpy's axis-0 order), so a sweep holds no trials x checkpoints
+    matrix; the pass, and its file, is closed when its points are done or
+    one of them fails. Each point also carries the analytic report for its
+    config.
 
     Along an axis outside `matrix` every point holds one matrix, and so one
     spectral solve (`graph.spectral`): `matrix`, the one `config_dict`'s matrix
@@ -1276,11 +1367,9 @@ def sweep(config_dict: dict, axis: str, values, base_dir: str | Path | None = No
             group.append(i)
     results: list = [None] * len(configs)
     for group in groups:
-        # next() and no zip: zip's tuple, which it reuses, would keep the
-        # last point's matrices while the pass reads in the next point's
         with closing(run_shared_trials([configs[i] for i in group])) as shared:
-            for i in group:
-                results[i] = aggregate_trials(configs[i], next(shared))
+            for i, mats in zip(group, shared):
+                results[i] = aggregate_trials(configs[i], mats)
     points = []
     for v, cfg, result in zip(values, configs, results):
         report = theory_report(cfg)

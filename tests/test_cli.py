@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import importlib.util
 import io
 import json
@@ -11,6 +12,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from contextlib import nullcontext
@@ -151,6 +153,45 @@ def test_failed_data_write_after_the_manifest_exits_3(tmp_path, capsys):
     assert cli.main(["check", "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("internal error: IsADirectoryError")
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+class FullDiskFile:
+    """A temporary file on a full disk: every write fails with ENOSPC."""
+
+    closed = False
+
+    def seek(self, offset: int) -> int:
+        return offset
+
+    def write(self, data) -> int:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def close(self) -> None:
+        self.closed = True
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+def test_a_full_temporary_directory_is_a_runtime_failure(tmp_path, monkeypatch, capsys, command):
+    """A pass whose temporary file cannot be written ends the run with exit
+    3 and a message that names the directory and TMPDIR, not as an internal
+    error; the manifest records the failure, and the file is closed."""
+    files = []
+
+    def full(*args, **kwargs):
+        files.append(FullDiskFile())
+        return files[-1]
+
+    monkeypatch.setattr(montecarlo.tempfile, "TemporaryFile", full)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    extra = ["--axis", "schedules.S.value", "--values", "0.1,0.2"] if command == "sweep" else []
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), *extra]) == 3
+    assert capsys.readouterr().err == (
+        f"failure: cannot keep the trial matrices in a temporary file in "
+        f"{tempfile.gettempdir()} (TMPDIR chooses the directory): "
+        f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    assert len(files) == 1 and files[0].closed
 
 
 @pytest.mark.parametrize("error", [None, 'trial "7" left the range: |x| > 1e150 – für'])

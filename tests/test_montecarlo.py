@@ -793,8 +793,8 @@ def test_concurrent_passes_on_the_slot_kernel(ref_matrix, monkeypatch):
 
 def test_more_workers_than_cores_under_fast_thread_switches(ref_matrix, monkeypatch):
     """Eight workers, more than most hosts have cores, and a thread switch
-    every microsecond: a shared pass still writes each chunk's rows, in the
-    first config's matrices and in the temporary file, where they belong."""
+    every microsecond: a shared pass still writes each chunk's rows at
+    their place in the temporary file and in every config's freeze slots."""
     compiled_kernel()
     points = [make_config(ref_matrix, s=s, trials=1500, steps=20, seed=3, alpha=0.2, beta=0.2,
                           gamma=0.6) for s in (0.05, 1e120, 0.3)]
@@ -930,8 +930,8 @@ def chunk_out(npts, trials, ncp, n=None):
     """The `out` argument of the slot implementations: measures of
     `npts` configs, and their states when n is given."""
     shape = (npts, trials, ncp)
-    return montecarlo.TrialMatrices(
-        tuple(range(ncp)), np.empty(shape), np.empty(shape),
+    return montecarlo._Measures(
+        np.empty(shape), np.empty(shape),
         np.full(shape[:2], -1, dtype=np.int64), None if n is None else np.empty((*shape, n)))
 
 
@@ -1176,7 +1176,8 @@ def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, blocks, pre
                     slots.run(w[s0:s1], k + s0, ci if records[ci] else -1)
                     ci += 1
                 k += len(w)
-            outs.append([started, slots.x, slots.alive, slots.refs, *out.arrays()])
+            outs.append([started, slots.x, slots.alive, slots.refs,
+                         *(a for a in vars(out).values() if a is not None)])
     for got, want in zip(*outs, strict=True):
         assert got.tobytes() == want.tobytes()
 
@@ -1658,36 +1659,70 @@ def test_sweep_attraction_weights_all_reach_agreement():
 
 
 
+def traced_peak(run) -> int:
+    """The peak of numpy and Python memory that `run()` allocates above
+    what it starts with, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def one_points_bytes(cfg) -> int:
+    """Dispersion, spread and diverged_at of one config: 2,818,048 bytes at
+    8192 trials and 21 checkpoints."""
+    return cfg.trials * (2 * len(cfg.checkpoints) + 1) * 8
+
+
+def wide_config(twin: bool) -> dict:
+    """8192 trials and 21 checkpoints; the twin runs 20 slots."""
+    steps = 20 if twin else 200
+    return base_dict(trials=8192, steps=steps, checkpoints=list(range(0, steps + 1, steps // 20)))
+
+
 @pytest.mark.parametrize("twin", [False, True], ids=["kernel", "twin"])
 def test_a_sweep_holds_one_points_matrices_at_a_time(shared_passes, monkeypatch, twin):
     """Three points along schedules.S.value share one pass of 8192 trials
-    and 21 checkpoints. The sweep reads them back one at a time, aggregates
-    each in blocks of rows and drops it before it reads the next, so its
-    traced peak stays within 1.25 times one point's matrices (2.8 MB) and
-    1 MiB. Keeping the last point while reading the next, or whole-matrix
-    temporaries in aggregation, each add about one point's matrices. The
-    twin runs 20 slots."""
+    and 21 checkpoints. The pass writes every point's matrices to its
+    temporary file, and the sweep aggregates each from there in blocks of
+    rows, so its traced peak stays within half of one point's matrices
+    (2.8 MB) and 1 MiB. Holding one point's matrices in memory, or a
+    whole-matrix temporary in aggregation, adds about one point's."""
     if not twin and _native.library() is None:
         pytest.skip("no C compiler here to build the slot kernel")
     monkeypatch.setattr(montecarlo, "_workers", lambda: 2)  # chunk buffers on any host
-    steps = 20 if twin else 200
-    d = base_dict(trials=8192, steps=steps, checkpoints=list(range(0, steps + 1, steps // 20)))
+    d = wide_config(twin)
     gains = [0.11143782776614765, 0.16143782776614765, 0.21143782776614765]
+    points = []
     with numpy_engine() if twin else nullcontext():
         sweep({**d, "trials": 4}, "schedules.S.value", gains)  # loads what the run loads
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            points = sweep(d, "schedules.S.value", gains)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: points.extend(sweep(d, "schedules.S.value", gains)))
     assert [len(p) for p in shared_passes] == [3, 3]
     cfg = config_from_dict(d)
     assert len(cfg.checkpoints) == 21 and len(points) == 3
-    # dispersion, spread and diverged_at
-    one = sum(a.nbytes for a in montecarlo.TrialMatrices.empty(cfg, cfg.trials, False).arrays())
-    assert peak < 1.25 * one + (1 << 20), f"peak {peak / one:.2f} x one point's {one} bytes"
+    one = one_points_bytes(cfg)
+    assert peak < 0.5 * one + (1 << 20), f"peak {peak / one:.2f} x one point's {one} bytes"
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["kernel", "twin"])
+def test_an_experiment_holds_no_trial_matrix(monkeypatch, twin):
+    """`run_experiment` at 8192 trials and 21 checkpoints writes its
+    matrices to the pass's temporary file and aggregates them from there in
+    blocks of rows: its traced peak stays within half of its matrices' 2.8
+    MB and 1 MiB, where holding them in memory takes all of it."""
+    if not twin and _native.library() is None:
+        pytest.skip("no C compiler here to build the slot kernel")
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)  # chunk buffers on any host
+    cfg = config_from_dict(wide_config(twin))
+    with numpy_engine() if twin else nullcontext():
+        run_experiment(config_from_dict({**wide_config(twin), "trials": 4}))
+        peak = traced_peak(lambda: run_experiment(cfg))
+    assert len(cfg.checkpoints) == 21
+    one = one_points_bytes(cfg)
+    assert peak < 0.5 * one + (1 << 20), f"peak {peak / one:.2f} x its matrices' {one} bytes"
 
 
 @pytest.mark.parametrize("axis, values, overrides, fails", [
