@@ -1,19 +1,24 @@
-"""JSON text in pieces, for documents that hold large arrays of numbers.
+"""The package's JSON writer: documents in pieces, large arrays included.
 
 `pieces(doc, indent)` yields strings whose join is exactly
-`json.dumps(doc, indent=indent, separators=..., sort_keys=...)`, where a
-1-D numpy array in `doc` stands for the list of its numbers and an iterator
-for the list of its items. An array is rendered `NUMBERS_BLOCK` numbers at a
-time with `int.__repr__` and `float.__repr__`, json's own text for finite
-numbers, so a document of many stored entries never becomes one Python
-string an entry; everything else goes through `json.dumps` itself. The
-config record (`montecarlo.config_hash` and the run manifest) and the JSON
-matrix export are written this way.
+`json.dumps(doc, indent=indent, separators=..., sort_keys=...)` of `doc` in
+plain JSON types, where a tuple, an iterator and a 1-D numpy array stand
+for the list of their items. It owns the one rule for what JSON has no
+plain type for: a numpy scalar is written as the Python number it holds,
+and a non-finite float, a scalar or an array element, as its `repr` in a
+string ("inf", "-inf", "nan"). An array is rendered `NUMBERS_BLOCK`
+numbers at a time with `int.__repr__` and `float.__repr__`, json's own
+text for finite numbers, so a document of many stored entries never
+becomes one Python string an entry. Every JSON document the package
+writes comes from here: the config record (`montecarlo.config_hash` and
+the run manifest), the JSON matrix export and the command outputs, down to
+`simulate`'s trials as they are read back.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -32,32 +37,34 @@ def pieces(value, indent: int | None = None, sort_keys: bool = False,
 
     Raises
     ------
-    ValueError
-        A non-finite number in an array, which json would write as NaN or
-        Infinity.
+    TypeError
+        A value json cannot write either.
     """
-    if isinstance(value, np.ndarray):
-        yield from _numbers(value, indent, level)
-    elif isinstance(value, Iterator):
-        yield from _items(value, indent, sort_keys, level)
-    elif isinstance(value, dict) and any(map(_streamed, value.values())):
-        yield from _members(value, indent, sort_keys, level)
-    elif isinstance(value, (list, tuple)) and any(map(_streamed, value)):
-        yield from _items(iter(value), indent, sort_keys, level)
-    else:
-        text = json.dumps(value, indent=indent, sort_keys=sort_keys,
-                          separators=(",", ": " if indent is not None else ":"))
-        yield text.replace("\n", _newline(indent, level)) if indent and level else text
-
-
-def _streamed(value) -> bool:
-    """Whether `value` holds an array or an iterator, which `pieces` renders
-    itself."""
-    if isinstance(value, (np.ndarray, Iterator)):
-        return True
     if isinstance(value, dict):
-        return any(map(_streamed, value.values()))
-    return isinstance(value, (list, tuple)) and any(map(_streamed, value))
+        yield from _members(value, indent, sort_keys, level)
+    elif isinstance(value, (list, tuple, Iterator)):
+        yield from _items(iter(value), indent, sort_keys, level)
+    elif isinstance(value, np.ndarray):
+        yield from _numbers(value, indent, level)
+    else:
+        yield _scalar(value)
+
+
+def _scalar(value) -> str:
+    """A number, a string, a bool or None, as json writes it in plain
+    types."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _float_text(float(value))
+    return json.dumps(value)
+
+
+def _float_text(f: float) -> str:
+    """json's number, or for a non-finite float its `repr` in a string."""
+    return float.__repr__(f) if math.isfinite(f) else f'"{f!r}"'
 
 
 def _newline(indent: int | None, level: int) -> str:
@@ -65,14 +72,16 @@ def _newline(indent: int | None, level: int) -> str:
 
 
 def _members(value: dict, indent, sort_keys, level) -> Iterator[str]:
-    """A dict, as json's encoder writes it."""
+    """A dict, as json's encoder writes it; a key that is not a string as
+    json's text of it, in a string."""
     if not value:
         yield "{}"
         return
     inner = _newline(indent, level + 1)
     items = sorted(value.items(), key=lambda item: item[0]) if sort_keys else value.items()
     for k, (key, item) in enumerate(items):
-        yield ("{" if k == 0 else ",") + inner + json.dumps(key) \
+        yield ("{" if k == 0 else ",") + inner \
+            + json.dumps(key if isinstance(key, str) else json.dumps(key)) \
             + (": " if indent is not None else ":")
         yield from pieces(item, indent, sort_keys, level + 1)
     yield _newline(indent, level) + "}"
@@ -96,10 +105,10 @@ def _numbers(values: np.ndarray, indent, level) -> Iterator[str]:
         yield "[]"
         return
     inner = _newline(indent, level + 1)
-    text = float.__repr__ if values.dtype.kind == "f" else int.__repr__
+    floats = values.dtype.kind == "f"
     for start in range(0, len(values), NUMBERS_BLOCK):
         block = values[start:start + NUMBERS_BLOCK]
-        if block.dtype.kind == "f" and not np.isfinite(block).all():
-            raise ValueError("a JSON number must be finite")
+        text = int.__repr__ if not floats else \
+            float.__repr__ if np.isfinite(block).all() else _float_text
         yield ("," if start else "[") + inner + ("," + inner).join(map(text, block.tolist()))
     yield _newline(indent, level) + "]"

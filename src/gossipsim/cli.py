@@ -13,8 +13,11 @@ Subcommands and the documents they write, each as CSV or JSON:
   conditions), `theory`.
 * oracle: brute-force validation of the closed-form one-slot expectation.
 
-`_write` writes every document. JSON writes non-finite floats as the
-strings "inf", "-inf" and "nan", CSV as inf, -inf and nan.
+`_write` writes every document, JSON through `_jsontext.pieces` as the
+pieces come, with non-finite floats as the strings "inf", "-inf" and
+"nan", and CSV with them as inf, -inf and nan. `simulate` reads its trials
+back from the engine pass's temporary file a block at a time and writes
+each block's rows before it reads the next.
 
 `--out DIR` names a run directory. It is created if missing, a
 `manifest.json` is written into it before any trial starts and finalized
@@ -33,7 +36,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
@@ -156,37 +158,23 @@ def _finish_manifest(manifest: tuple[Path, int] | None, error: str | None) -> No
     if manifest is None:
         return
     path, offset = manifest
-    tail = json.dumps({"finishedAt": _now(), "status": "ok" if error is None else "failed",
-                       "error": error}, indent=2)
+    tail = "".join(_jsontext.pieces({"finishedAt": _now(),
+                                     "status": "ok" if error is None else "failed",
+                                     "error": error}, indent=2))
     with open(path, "r+b") as fh:
         fh.seek(offset)
         fh.write((tail[tail.index('"'):] + "\n").encode("ascii"))
         fh.truncate()
 
 
-def json_safe(value):
-    """Recursively convert to plain JSON types; non-finite floats to strings."""
-    if isinstance(value, dict):
-        return {k: json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        f = float(value)
-        return f if math.isfinite(f) else repr(f)
-    return value
-
-
 def _write(path: Path | None, doc, header: list[str] | None = None) -> None:
     """Write one output document to `path`, or to stdout when there is no
     path: the rows of `doc` under `header` as CSV when a header is given,
-    else `doc` as indented JSON through `json_safe`."""
+    else `doc` as indented JSON (`_jsontext.pieces`), as the pieces come."""
     with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
         if header is None:
-            fh.write(json.dumps(json_safe(doc), indent=2) + "\n")
+            fh.writelines(_jsontext.pieces(doc, indent=2))
+            fh.write("\n")
         else:
             w = csv.writer(fh)
             w.writerow(header)
@@ -218,25 +206,26 @@ def aggregate_json_dict(result: ExperimentResult) -> dict:
     }
 
 
-def trajectory_rows(mats: TrialMatrices):
-    """(trial, k, x, H, h, spread, L) per trial and checkpoint, in that
-    order, from a run with states; x is a list of floats. H and h are the
-    extremes of x, spread and L the engine's measures."""
-    high = mats.states.max(axis=2).tolist()
-    low = mats.states.min(axis=2).tolist()
-    spread = mats.spread.tolist()
-    dispersion = mats.dispersion.tolist()
-    for t, xs in enumerate(mats.states):
-        for c, (k, x) in enumerate(zip(mats.checkpoints, xs.tolist())):
-            yield t, k, x, high[t][c], low[t][c], spread[t][c], dispersion[t][c]
+def _trajectories(mats: TrialMatrices):
+    """Each trial of a run with states, in order, as (trial, x, rows): x
+    its states, (checkpoints, n), and rows (k, H, h, spread, L) per
+    checkpoint, H and h the extremes of the state, spread and L the
+    engine's measures. The trials are read from the pass's file a block at
+    a time (`TrialMatrices.blocks`)."""
+    for rows, (states, spread, dispersion) in mats.blocks("states", "spread", "dispersion"):
+        measures = zip(states.max(axis=2).tolist(), states.min(axis=2).tolist(),
+                       spread.tolist(), dispersion.tolist())
+        for t, x, columns in zip(range(rows.start, len(mats.diverged_at)), states, measures):
+            yield t, x, list(zip(mats.checkpoints, *columns))
 
 
 def write_trajectory_csv(mats: TrialMatrices, path: Path | None) -> None:
     """Every trial's checkpoint states and measures, as CSV."""
-    header = ["trial", "k", *(f"x_{i + 1}" for i in range(mats.states.shape[2])),
+    header = ["trial", "k", *(f"x_{i + 1}" for i in range(mats.stored["states"].shape[2])),
               "H", "h", "spread", "L"]
-    _write(path, ([t, k, *x, *measures] for t, k, x, *measures in trajectory_rows(mats)),
-           header)
+    _write(path, ([t, k, *xk, *measures]
+                  for t, x, rows in _trajectories(mats)
+                  for xk, (k, *measures) in zip(x.tolist(), rows)), header)
 
 
 def theory_json_dict(report: TheoryReport) -> dict:
@@ -267,17 +256,17 @@ def _cmd_simulate(args) -> int:
     data_name = f"trajectory.{args.format}"
     run_dir = _prepare_run_dir(args, "simulate", cfg, cfg_path, [data_name])
     mats = run_trials(cfg, states=True)
-    classifications = classify_trials(cfg, mats)
+    classifications = classify_trials(cfg, mats)  # a bigM error comes before any output
     target = None if run_dir is None else run_dir / data_name
     if args.format == "csv":
         write_trajectory_csv(mats, target)
     else:
-        trials = [{"trial": t, "classification": c.value,
-                   "divergedAt": None if d < 0 else d, "rows": []}
-                  for t, (c, d) in enumerate(zip(classifications, mats.diverged_at.tolist()))]
-        for t, k, x, high, low, spread, dispersion in trajectory_rows(mats):
-            trials[t]["rows"].append({"k": k, "x": x, "H": high, "h": low,
-                                      "spread": spread, "L": dispersion})
+        diverged_at = mats.diverged_at.tolist()
+        trials = ({"trial": t, "classification": classifications[t].value,
+                   "divergedAt": None if diverged_at[t] < 0 else diverged_at[t],
+                   "rows": [{"k": k, "x": xk, "H": high, "h": low, "spread": spread, "L": disp}
+                            for xk, (k, high, low, spread, disp) in zip(x, rows)]}
+                  for t, x, rows in _trajectories(mats))
         _write(target, {"configHash": config_hash(cfg), "trials": trials})
     return 0
 

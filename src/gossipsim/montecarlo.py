@@ -36,9 +36,9 @@ the same loop with one config.
 Every pass writes its configs' trial matrices, a chunk's rows at a time,
 to a temporary file (`_Spill`, in the directory TMPDIR names), and holds
 in memory only each trial's freeze slot. Aggregation and classification
-read the matrices back one block of rows at a time, so no run holds a
-trials x checkpoints matrix; a caller that wants one whole reads it from
-the result (`TrialMatrices`).
+read the matrices back one block of rows at a time, and so does `simulate`
+for the states it writes, so no run holds a trials x checkpoints matrix
+(`TrialMatrices.blocks`).
 """
 
 from __future__ import annotations
@@ -568,30 +568,22 @@ class TrialMatrices:
     memory. The other arrays stay in the pass's spill file, where `stored`
     maps each name to its `_Spilled` rows: dispersion and spread, (trials,
     checkpoints), and when asked for, states, every trial's state at every
-    checkpoint, (trials, checkpoints, n). The attributes of those names read
-    an array whole on first access, for callers that want it so.
+    checkpoint, (trials, checkpoints, n). `stored[name][lo:hi]` reads trials
+    [lo, hi) of one; `blocks` reads them all a block of trials at a time.
     """
 
     def __init__(self, checkpoints: tuple[int, ...], diverged_at: np.ndarray,
                  stored: dict[str, _Spilled]) -> None:
         self.checkpoints, self.diverged_at, self.stored = checkpoints, diverged_at, stored
 
-    @functools.cached_property
-    def dispersion(self) -> np.ndarray:
-        return self.stored["dispersion"][:]
-
-    @functools.cached_property
-    def spread(self) -> np.ndarray:
-        return self.stored["spread"][:]
-
-    @functools.cached_property
-    def states(self) -> np.ndarray | None:
-        return self.stored["states"][:] if "states" in self.stored else None
-
-    def arrays(self) -> list[np.ndarray]:
-        """The per-trial arrays, read whole, one row per trial."""
-        return [a for a in (self.dispersion, self.spread, self.diverged_at, self.states)
-                if a is not None]
+    def blocks(self, *names: str) -> Iterator[tuple[slice, list[np.ndarray]]]:
+        """The arrays `names`, a block of trials at a time in trial order:
+        each block's slice of trials and its rows of each array, read from
+        the pass's file. A block holds AGGREGATE_BLOCK bytes of the widest
+        array's rows, or one trial where such a row is wider."""
+        arrays = [self.stored[name] for name in names]
+        for rows in _row_blocks(max(arrays, key=lambda a: a.row_bytes)):
+            yield rows, [a[rows] for a in arrays]
 
 
 @dataclass
@@ -1106,7 +1098,7 @@ _CLASSES = np.array([Classification.UNDECIDED, Classification.AGREED, Classifica
 def _row_blocks(matrix: np.ndarray | _Spilled) -> Iterator[slice]:
     """`matrix`'s rows in consecutive blocks of AGGREGATE_BLOCK bytes, or of
     one row where a row is wider."""
-    step = max(1, AGGREGATE_BLOCK // (matrix.itemsize * matrix.shape[1]))
+    step = max(1, AGGREGATE_BLOCK // (matrix.itemsize * math.prod(matrix.shape[1:])))
     return (slice(lo, lo + step) for lo in range(0, len(matrix), step))
 
 
@@ -1136,14 +1128,12 @@ def _class_codes(config: ExperimentConfig, mats: TrialMatrices) -> np.ndarray:
     on overflow, or whose spread exceeds big_m at any checkpoint, even if it
     later came back down. Otherwise a trial is Agreed when its final spread
     lies strictly below eps_agree, else Undecided. big_m must exceed every
-    trial's initial spread. The spreads are read in blocks of rows
-    (`_row_blocks`)."""
-    spread = mats.stored["spread"]
+    trial's initial spread. The spreads are read in blocks of trials
+    (`TrialMatrices.blocks`)."""
     diverged = mats.diverged_at >= 0
-    agreed = np.empty(len(spread), dtype=bool)
+    agreed = np.empty(len(diverged), dtype=bool)
     worst = -np.inf  # the largest initial spread, nan if any is
-    for rows in _row_blocks(spread):
-        block = spread[rows]
+    for rows, (block,) in mats.blocks("spread"):
         worst = np.maximum(worst, block[:, 0].max())
         diverged[rows] |= (block > config.big_m).any(axis=1)
         agreed[rows] = block[:, -1] < config.eps_agree

@@ -106,6 +106,23 @@ def exponent_rows(n: int, seed: int, distinct: bool) -> list[list[float]]:
     return a.tolist()
 
 
+def assert_same_text(got, want, what="") -> None:
+    """got == want for two texts (or byte strings), reporting where they
+    first differ: pytest's own diff of two long texts can run for minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        near = slice(max(at - 60, 0), at + 60)
+        pytest.fail(f"{what} differs at {at} of {len(got)} and {len(want)}: "
+                    f"{got[near]!r} against {want[near]!r}")
+
+
+def whole(mats, name: str):
+    """A run's trial matrix `name`, dispersion, spread or states, read whole
+    from its pass's file; None where the run did not keep it."""
+    return mats.stored[name][:] if name in mats.stored else None
+
+
 @contextmanager
 def numpy_engine():
     """The compiled library off, as where it cannot be built: the loader

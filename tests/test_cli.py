@@ -23,16 +23,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import LAMBDA2, LAMBDA_N, REF_ROWS, S_CRIT, exponent_rows, fnv1a64_reference, \
-    make_config, numpy_engine, on_paths
+from conftest import LAMBDA2, LAMBDA_N, REF_ROWS, S_CRIT, assert_same_text, exponent_rows, \
+    fnv1a64_reference, make_config, numpy_engine, on_paths
 from gossipsim import _native, cli, montecarlo
-from gossipsim.cli import json_safe
 from gossipsim.errors import BadAxisError, RuntimeFailure
 from gossipsim.graph import SelectionMatrix, export_matrix_csv, generate
 from gossipsim.montecarlo import config_from_dict, config_hash, run_experiment, \
     run_trials, set_by_path
 from gossipsim.theory import theory_report
 from reference import run_trial
+from test_jsontext import json_safe
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -642,11 +642,42 @@ def test_simulate_matches_the_scalar_path(tmp_path, capsys, case):
         assert all(tr["divergedAt"] is not None for tr in json.loads(outputs["json"])["trials"])
     for fmt, want in outputs.items():
         assert cli.main(["simulate", "--config", str(path), "--format", fmt]) == 0
-        assert capsys.readouterr().out == want, fmt
+        assert_same_text(capsys.readouterr().out, want, fmt)
         out = tmp_path / f"run-{fmt}"
         assert cli.main(["simulate", "--config", str(path), "--format", fmt,
                          "--out", str(out)]) == 0
-        assert (out / f"trajectory.{fmt}").read_bytes() == want.encode(), fmt
+        assert_same_text((out / f"trajectory.{fmt}").read_bytes(), want.encode(), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_reads_its_states_a_block_of_trials_at_a_time(tmp_path, monkeypatch, fmt):
+    """`simulate --out` of 256 trials on a 128-node ring at 21 checkpoints,
+    in chunks of 32 trials, has 5.5 MB of states, which the pass writes to
+    its temporary file and the writer reads back a block of trials at a
+    time. Its traced peak, from loading the config to the last row, stays
+    within two workers' chunk state buffers (2 x 32 trials, 1.4 MB) and
+    1 MiB (1.5 MiB here). Reading the states whole adds 5.5 MB (6.4 MiB),
+    and the JSON document as Python objects many times that (109 MiB)."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)  # chunk buffers on any host
+    monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 32)  # several chunks per worker
+    cfg = write_config(tmp_path, matrix={"kind": "ring", "n": 128}, steps=200, trials=256,
+                       checkpoints=list(range(0, 201, 10)))
+    args = ["simulate", "--config", str(cfg), "--format", fmt]
+    assert cli.main([*args, "--trials", "4", "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        code = cli.main([*args, "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    resolved = config_from_dict(json.loads(cfg.read_text()))
+    row = len(resolved.checkpoints) * resolved.matrix.n * 8
+    assert resolved.trials * row >= 5_000_000
+    chunks = 2 * montecarlo.CHUNK_TRIALS * row
+    assert peak < chunks + (1 << 20), \
+        f"peak {peak / 2 ** 20:.2f} MiB, chunk state buffers {chunks / 2 ** 20:.2f} MiB"
 
 
 def test_check_stdout_json(tmp_path, capsys):

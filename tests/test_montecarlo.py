@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import REF_ROWS, exponent_rows, fnv1a64_reference, make_config, numpy_engine, \
-    on_paths
+    on_paths, whole
 from gossipsim import _native, graph, montecarlo
 from gossipsim.dynamics import OVERFLOW_LIMIT, EventProbabilities, Schedule, S_CLIP, T_CLIP, \
     UpdateMode
@@ -480,17 +480,25 @@ def assert_trial_matches_scalar_path(cfg, mats, classifications, t):
     bit: every checkpoint's state, L, spread, freeze slot and class."""
     ref = run_trial(cfg, t)
     msg = f"trial {t} seed {cfg.base_seed}"
-    assert mats.states[t].tobytes() == np.array([st.x for st in ref.states]).tobytes(), msg
-    assert mats.dispersion[t].tobytes() == np.array(
+    assert whole(mats, "states")[t].tobytes() == \
+        np.array([st.x for st in ref.states]).tobytes(), msg
+    assert whole(mats, "dispersion")[t].tobytes() == np.array(
         [s.dispersion for s in ref.samples]).tobytes(), msg
-    assert mats.spread[t].tobytes() == np.array([s.spread for s in ref.samples]).tobytes(), msg
+    assert whole(mats, "spread")[t].tobytes() == \
+        np.array([s.spread for s in ref.samples]).tobytes(), msg
     assert mats.diverged_at[t] == (-1 if ref.diverged_at is None else ref.diverged_at), msg
     assert classifications[t] is ref.classification, msg
 
 
+def trial_arrays(mats) -> list[np.ndarray]:
+    """A run's per-trial arrays, read whole; the states where kept."""
+    return [a for a in (whole(mats, "dispersion"), whole(mats, "spread"), mats.diverged_at,
+                        whole(mats, "states")) if a is not None]
+
+
 def assert_same_matrices(got, want, msg=""):
     assert got.checkpoints == want.checkpoints
-    for a, b in zip(got.arrays(), want.arrays(), strict=True):
+    for a, b in zip(trial_arrays(got), trial_arrays(want), strict=True):
         assert a.tobytes() == b.tobytes(), msg
 
 
@@ -1096,7 +1104,7 @@ def test_kernel_path_builds_no_generator(monkeypatch):
     monkeypatch.setattr(montecarlo, "_trial_rng", refuse)
     cfg = make_config(validate(REF_ROWS), variant="asymmetric", trials=300, steps=50,
                       initial=InitialState(kind="uniform", low=-1.0, high=1.0))
-    assert np.isfinite(run_trials(cfg).dispersion).all()
+    assert np.isfinite(whole(run_trials(cfg), "dispersion")).all()
 
 
 @settings(max_examples=150)
@@ -1355,13 +1363,13 @@ def test_blocked_aggregation_has_the_whole_matrix_bits(case):
 def test_freeze_case_actually_freezes(ref_matrix):
     cfg = parity_cases(ref_matrix)[-1]
     mats = run_trials(cfg)
-    assert mats.states is None  # kept only when asked for
+    assert whole(mats, "states") is None  # kept only when asked for
     assert (mats.diverged_at >= 0).all()
-    assert np.isfinite(mats.dispersion).all()
+    assert np.isfinite(whole(mats, "dispersion")).all()
     # every checkpoint after the freeze repeats the frozen value
     for t in range(cfg.trials):
         frozen_from = mats.diverged_at[t]
-        vals = mats.spread[t][np.array(cfg.checkpoints) >= frozen_from]
+        vals = whole(mats, "spread")[t][np.array(cfg.checkpoints) >= frozen_from]
         assert len(set(vals.tolist())) == 1
 
 
