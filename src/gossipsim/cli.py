@@ -65,7 +65,7 @@ from .montecarlo import (
 from .theory import (
     DEFAULT_HORIZON,
     TheoryReport,
-    expected_second_moment_matrix,
+    one_slot_expectation,
     one_slot_expectation_enumerated,
     theory_report,
 )
@@ -411,12 +411,10 @@ def _cmd_oracle(args) -> int:
     max_diff = 0.0
     count = 0
     for matrix, probs, t, s in cases:
-        em = expected_second_moment_matrix(matrix, probs, t, s)
         for _ in range(args.states):
             x = rng.normal(0.0, 3.0, matrix.n)
             ref = float(x.mean()) if count % 2 == 0 else float(rng.normal())
-            xc = x - ref
-            closed = float(xc @ em @ xc)
+            closed = one_slot_expectation(matrix, probs, t, s, x, ref)
             brute = one_slot_expectation_enumerated(matrix, probs, t, s, x, ref)
             max_diff = max(max_diff, abs(closed - brute))
             count += 1
@@ -471,8 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="analytic report for a config")
     _add_common(p, with_trials=False)
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
-                   help="numeric horizon for partial sums and grid searches")
+    p.add_argument("--horizon", type=int, default=None,
+                   help="numeric horizon for partial sums and grid searches, at least n "
+                        f"(default: the larger of {DEFAULT_HORIZON} and n)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(func=_cmd_check)
 

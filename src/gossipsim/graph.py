@@ -9,11 +9,11 @@ with arc directions ignored: i and j exchange values once either picks the other
 A matrix is held as its stored entries, those whose bits are not +0.0
 (`SelectionMatrix`), in O(nonzeros) memory, and `validate_entries` checks
 it in that form; `validate` checks a dense array by its stored entries.
-Two functions build a dense (n, n) array: `laplacian`, for the closed-form
-second moment and the oracle, and `SelectionMatrix.entries`, on each
-access; the config hash and the manifest (which record the stored
-entries), the engine's partner tables (`SelectionMatrix.partner_tables`)
-and the spectral solve (`spectral`) work from the stored form.
+`generate` draws a topology on per-node neighbour sets. The config hash
+and the manifest (which record the stored entries), the engine's partner
+tables (`SelectionMatrix.partner_tables`) and the spectral solve
+(`spectral`) work from the stored form; only the exports build dense rows
+(`SelectionMatrix.rows`), one row at a time.
 
 The spectral quantities that drive the contraction analysis are the extreme
 eigenvalues lambda2 and lambda_n of the symmetrized Laplacian D - (A + A^T),
@@ -53,7 +53,6 @@ __all__ = [
     "validate",
     "validate_entries",
     "is_weakly_connected",
-    "laplacian",
     "spectral",
     "generate",
     "allocate",
@@ -116,16 +115,6 @@ class SelectionMatrix:
     def __post_init__(self) -> None:
         for a in (self.indptr, self.indices, self.values):
             a.setflags(write=False)
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense (n, n) array, read-only, built anew on each access: for
-        tests, small matrices and the exports. The commands never build it;
-        `laplacian` fills its own array, and `montecarlo.config_to_dict`
-        records the stored entries."""
-        a = self.rows(0, self.n)
-        a.setflags(write=False)
-        return a
 
     def _tails(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """The row, counted from `lo`, of each stored entry of rows [lo, hi)."""
@@ -360,25 +349,6 @@ def is_weakly_connected(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
             return False
         count = grown
     return True
-
-
-def laplacian(matrix: SelectionMatrix) -> np.ndarray:
-    """The symmetrized Laplacian D - (A + A^T) in one (n, n) array, for the
-    closed-form second moment (`theory.expected_second_moment_matrix`) and
-    the tests; `spectral` does not build it. Filled from the stored entries,
-    with the bits of `np.diag(d) - (A + A^T)` on the dense A: off the
-    diagonal 0.0 - x is -x, and 0.0 - -0.0 is 0.0 whichever of a_ij and
-    a_ji holds the -0.0; a sum d of positive weight reads the same with
-    -0.0 or 0.0 terms; on the diagonal (0.0 - (-0.0 + -0.0)) + d is d.
-    Symmetric positive semidefinite."""
-    tails, heads, values = matrix._tails(), matrix.indices, matrix.values
-    lap = np.zeros((matrix.n, matrix.n))
-    lap[tails, heads] = values
-    lap[heads, tails] += values  # a_ji + a_ij: each (j, i) once
-    d = lap.sum(axis=1)
-    np.subtract(0.0, lap, out=lap)
-    lap[np.diag_indices_from(lap)] += d
-    return lap
 
 
 def spectral(matrix: SelectionMatrix) -> SpectralData:
@@ -885,81 +855,101 @@ def allocate(shape, dtype=float) -> np.ndarray:
         raise MemoryError(f"an array of shape {shape} exceeds the address space") from None
 
 
-def _complete(adj: np.ndarray) -> None:
-    adj.fill(True)
-    np.fill_diagonal(adj, False)
+def _complete(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The complete graph's arcs, row-major. Read row-major, the off-diagonal
+    cells of an n x n array fall into n - 1 runs of n: run r starts at
+    (r, r + 1) and holds the columns r + 1, r + 2, ... mod n."""
+    heads = allocate((n - 1, n), np.int32)
+    heads[:] = np.arange(n, dtype=np.int32)
+    heads += np.arange(1, n, dtype=np.int32)[:, None]
+    heads %= n
+    return np.repeat(np.arange(n), n - 1), heads.reshape(-1)
 
 
-def _ring_lattice(adj: np.ndarray, half_k: int) -> None:
-    """Join each node to its `half_k` nearest neighbors on either side."""
-    nodes = np.arange(adj.shape[0])
-    for j in range(1, half_k + 1):
-        targets = np.roll(nodes, -j)
-        adj[nodes, targets] = adj[targets, nodes] = True
+def _ring(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cycle's arcs, row-major: node i's neighbours i - 1 and i + 1."""
+    heads = allocate((n, 2), np.int32)
+    heads[:] = (np.arange(n)[:, None] + [-1, 1]) % n
+    heads.sort(axis=1)
+    return np.repeat(np.arange(n), 2), heads.reshape(-1)
 
 
-def _gnp(adj: np.ndarray, rnd: random.Random, p: float) -> None:
+def _gnp(n: int, rnd: random.Random, p: float) -> list[set[int]]:
     """networkx's `gnp_random_graph(n, p, seed=rnd)`: one draw per pair."""
     if p >= 1.0:
-        _complete(adj)
-        return
+        return [set(range(n)) - {u} for u in range(n)]
+    nbrs = [set() for _ in range(n)]
     if p <= 0.0:
-        return
+        return nbrs
     draw = rnd.random
-    for u, v in itertools.combinations(range(adj.shape[0]), 2):
+    for u, v in itertools.combinations(range(n), 2):
         if draw() < p:
-            adj[u, v] = adj[v, u] = True
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return nbrs
 
 
-def _watts_strogatz(adj: np.ndarray, rnd: random.Random, k_nn: int, p_rewire: float) -> None:
+def _watts_strogatz(n: int, rnd: random.Random, k_nn: int, p_rewire: float) -> list[set[int]]:
     """networkx's `watts_strogatz_graph(n, k_nn, p_rewire, seed=rnd)`: the
     ring lattice, then each lattice edge (u, u + j), j outer and u inner,
     is moved to a uniform new endpoint with probability `p_rewire`."""
-    n = adj.shape[0]
-    _ring_lattice(adj, k_nn // 2)
-    degree = [k_nn] * n
+    half = k_nn // 2
+    nbrs = [{(u + j) % n for j in range(-half, half + 1) if j} for u in range(n)]
     draw, choice, nodes = rnd.random, rnd.choice, range(n)
-    for j in range(1, k_nn // 2 + 1):
+    for j in range(1, half + 1):
         for u in nodes:
             if draw() < p_rewire:
+                near = nbrs[u]
                 w = choice(nodes)
-                while w == u or adj[u, w]:
+                while w == u or w in near:
                     w = choice(nodes)
-                    if degree[u] >= n - 1:
+                    if len(near) >= n - 1:
                         break  # u is joined to every node: keep the edge
                 else:
                     v = (u + j) % n
-                    adj[u, v] = adj[v, u] = False
-                    adj[u, w] = adj[w, u] = True
-                    degree[v] -= 1
-                    degree[w] += 1
+                    near.remove(v)
+                    nbrs[v].remove(u)
+                    near.add(w)
+                    nbrs[w].add(u)
+    return nbrs
 
 
-def _barabasi_albert(adj: np.ndarray, rnd: random.Random, m: int) -> None:
+def _barabasi_albert(n: int, rnd: random.Random, m: int) -> list[set[int]]:
     """networkx's `barabasi_albert_graph(n, m, seed=rnd)`: a star on nodes
     0..m, then each new node joins m distinct nodes drawn in proportion to
     their degree. The targets are gathered in a set, and the set's
     iteration order decides the order of `repeated` and so later draws."""
-    adj[0, 1:m + 1] = adj[1:m + 1, 0] = True
+    nbrs = [set(range(1, m + 1)), *({0} for _ in range(m)), *(set() for _ in range(m + 1, n))]
     repeated = [0] * m + list(range(1, m + 1))  # each node once per edge end
     choice = rnd.choice
-    for source in range(m + 1, adj.shape[0]):
+    for source in range(m + 1, n):
         targets = set()
         while len(targets) < m:
             targets.add(choice(repeated))
         ordered = list(targets)
-        adj[source, ordered] = adj[ordered, source] = True
+        nbrs[source] = targets
+        for target in ordered:
+            nbrs[target].add(source)
         repeated.extend(ordered)
         repeated.extend([source] * m)
+    return nbrs
+
+
+def _arcs(nbrs: list[set[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(tails, heads) of the arcs u -> w, w in nbrs[u], row-major: each
+    node's neighbours in ascending order."""
+    deg = np.fromiter(map(len, nbrs), np.int64, len(nbrs))
+    heads = np.fromiter(itertools.chain.from_iterable(map(sorted, nbrs)), np.int32,
+                        int(deg.sum()))
+    return np.repeat(np.arange(len(nbrs)), deg), heads
 
 
 def _normalize_rows(n: int, tails: np.ndarray, heads: np.ndarray) -> SelectionMatrix:
     """The matrix whose row i picks i's neighbours uniformly, weight
-    1 / degree each, from the arcs tails[k] -> heads[k] in row-major order,
-    as `np.nonzero` of an adjacency gives them; a node with no arc keeps a
-    row of zeros."""
+    1 / degree each, from the arcs tails[k] -> heads[k] in row-major order;
+    a node with no arc keeps a row of zeros."""
     deg = np.bincount(tails, minlength=n)
-    return SelectionMatrix(n, np.r_[0, np.cumsum(deg)], heads.astype(np.int32),
+    return SelectionMatrix(n, np.r_[0, np.cumsum(deg)], heads.astype(np.int32, copy=False),
                            1.0 / deg[tails])
 
 
@@ -1049,13 +1039,14 @@ def _attempt_seeds(seed: int | None) -> Iterator[int]:
 
 
 def _random_draw(kind: str, n: int, params: dict):
-    """The checked draw of a random kind: a function of (adj, rnd) that fills
-    a cleared adjacency from `rnd`."""
+    """The checked draw of a random kind: (draw, arcs), `draw` a function
+    of `rnd` that returns the neighbour sets it draws from `rnd`, and `arcs`
+    the number of arcs it stores (the expected number for erdos_renyi)."""
     if kind == "erdos_renyi":
         p = params.get("p")
         if p is None or not 0.0 <= p <= 1.0:
             raise BadParameterError(f"erdos_renyi needs p in [0, 1], got {p}")
-        return lambda adj, rnd: _gnp(adj, rnd, p)
+        return (lambda rnd: _gnp(n, rnd, p)), round(p * n * (n - 1))
     if kind == "watts_strogatz":
         k_nn = params.get("k_nn")
         p_rewire = params.get("p_rewire")
@@ -1067,12 +1058,12 @@ def _random_draw(kind: str, n: int, params: dict):
             raise BadParameterError(
                 f"watts_strogatz needs p_rewire in [0, 1], got {p_rewire}"
             )
-        return lambda adj, rnd: _watts_strogatz(adj, rnd, k_nn, p_rewire)
+        return (lambda rnd: _watts_strogatz(n, rnd, k_nn, p_rewire)), n * k_nn
     if kind == "barabasi_albert":
         m = params.get("m")
         if m is None or not 1 <= m < n:
             raise BadParameterError(f"barabasi_albert needs 1 <= m < n, got {m}")
-        return lambda adj, rnd: _barabasi_albert(adj, rnd, m)
+        return (lambda rnd: _barabasi_albert(n, rnd, m)), 2 * m * (n - m)
     raise BadParameterError(f"unknown topology kind {kind!r}")
 
 
@@ -1081,9 +1072,10 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
 
     The undirected graph is converted to selection weights by uniform row
     normalization over each node's neighbors. Random topologies are redrawn
-    until connected (at most 100 attempts). The graph is drawn on an (n, n)
-    boolean adjacency, n^2 bytes, and the matrix is built from its arcs
-    without a dense float array.
+    until connected (at most 100 attempts). A random graph is drawn on
+    per-node neighbour sets and the matrix is built from their arcs, so
+    memory and time grow with the arcs, not with n^2; the complete graph
+    and the ring are built as arcs directly.
 
     The random kinds reproduce networkx 3.6.1's `gnp_random_graph`,
     `watts_strogatz_graph` and `barabasi_albert_graph` draw for draw without
@@ -1116,27 +1108,24 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
     DisconnectedAfterRetriesError
         No connected draw within the retry budget.
     MemoryError
-        The n x n adjacency does not fit in memory; raised before any draw.
+        The matrix's stored entries, a column and a weight for each arc
+        (for erdos_renyi its expected arcs, p n (n - 1)), do not fit in
+        memory; raised before any draw, whose loop would otherwise run for
+        hours at such a size.
     """
     if n < 3:
         raise MatrixTooSmallError(f"need at least 3 nodes, got {n}")
     if kind in ("complete", "ring"):
-        adj = allocate((n, n), bool)
-        adj.fill(False)
-        if kind == "complete":
-            _complete(adj)
-        else:
-            _ring_lattice(adj, 1)
-        return _normalize_rows(n, *np.nonzero(adj))
+        return _normalize_rows(n, *(_complete(n) if kind == "complete" else _ring(n)))
 
-    draw = _random_draw(kind, n, params)
+    draw, arcs = _random_draw(kind, n, params)
     if seed is not None and seed < 0:
         raise BadParameterError(f"matrix seed must be a nonnegative integer, got {seed}")
-    adj = allocate((n, n), bool)
+    # the stored entries, an int32 column and a float64 weight an arc, must
+    # fit: fail here, not after a draw loop that would run for hours
+    allocate((arcs, 12), np.uint8)
     for attempt_seed in itertools.islice(_attempt_seeds(seed), GENERATOR_MAX_RETRIES):
-        adj.fill(False)
-        draw(adj, random.Random(attempt_seed))
-        tails, heads = np.nonzero(adj)
+        tails, heads = _arcs(draw(random.Random(attempt_seed)))
         if is_weakly_connected(n, tails, heads):
             return _normalize_rows(n, tails, heads)
     raise DisconnectedAfterRetriesError(

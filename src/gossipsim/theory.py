@@ -35,7 +35,7 @@ import numpy as np
 
 from .dynamics import EventProbabilities, Schedule
 from .errors import BadHorizonError, InternalInconsistencyError, UnsupportedScheduleError
-from .graph import SelectionMatrix, SpectralData, laplacian, spectral
+from .graph import SelectionMatrix, SpectralData, spectral
 
 if TYPE_CHECKING:  # pragma: no cover
     from .montecarlo import ExperimentConfig
@@ -51,7 +51,7 @@ __all__ = [
     "EXPECTED_DIVERGENCE",
     "EXPECTED_OSCILLATION",
     "critical_measure",
-    "expected_second_moment_matrix",
+    "one_slot_expectation",
     "one_slot_expectation_enumerated",
     "contraction",
     "evaluate_condition",
@@ -188,16 +188,18 @@ def critical_measure(schedule_t: Schedule, schedule_s: Schedule,
     return 0.0 - _coefficient(t, s, probs.alpha, probs.gamma)
 
 
-def expected_second_moment_matrix(matrix: SelectionMatrix, probs: EventProbabilities,
-                                  t_k: float, s_k: float) -> np.ndarray:
-    """E of the squared one-slot update matrix under coupled events.
-
-    Returns I - 2*(t(1-t)*alpha - s(1+s)*gamma)*(1/n)*(D - (A + A^T)).
-    The conditional expectation of the next dispersion is the quadratic form
-    of this matrix on the deviation vector.
-    """
+def one_slot_expectation(matrix: SelectionMatrix, probs: EventProbabilities,
+                         t_k: float, s_k: float, x: np.ndarray, reference: float) -> float:
+    """E[L(k+1) | x] under coupled events, in closed form: the quadratic
+    form of E = I - 2c/n (D - (A + A^T)), c = t(1-t)*alpha - s(1+s)*gamma,
+    on the deviation x_c = x - reference, summed over the arcs:
+    |x_c|^2 - (2c/n) sum_ij a_ij (x_i - x_j)^2."""
+    tails, heads, weights = matrix.positive_entries()
+    x = np.asarray(x, dtype=float)
+    xc = x - reference
+    diff = x[tails] - x[heads]
     coeff = _coefficient(t_k, s_k, probs.alpha, probs.gamma)
-    return np.eye(matrix.n) - 2.0 * coeff / matrix.n * laplacian(matrix)
+    return float((xc * xc).sum()) - 2.0 * coeff / matrix.n * float((weights * diff * diff).sum())
 
 
 def one_slot_expectation_enumerated(matrix: SelectionMatrix, probs: EventProbabilities,
@@ -205,31 +207,27 @@ def one_slot_expectation_enumerated(matrix: SelectionMatrix, probs: EventProbabi
                                     reference: float) -> float:
     """Exact E[L(k+1) | x] by enumerating every pair and event outcome.
 
-    Deliberately avoids the closed-form matrix above: ordered pairs (i, j)
-    carry probability a_ij / n, each pair branches into the three coupled
+    Deliberately avoids the closed form above: ordered pairs (i, j) carry
+    probability a_ij / n, each pair branches into the three coupled
     events, and each branch's dispersion is evaluated directly. Used as the
-    independent cross-check of `expected_second_moment_matrix`.
+    independent cross-check of `one_slot_expectation`.
     """
-    a = matrix.entries
     n = matrix.n
     x = np.asarray(x, dtype=float)
     l_neglect = float(((x - reference) ** 2).sum())
     total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if a[i, j] <= 0.0:
-                continue
-            p_pair = a[i, j] / n
-            y = x.copy()
-            y[i] = (1.0 - t_k) * x[i] + t_k * x[j]
-            y[j] = (1.0 - t_k) * x[j] + t_k * x[i]
-            l_att = float(((y - reference) ** 2).sum())
-            z = x.copy()
-            z[i] = (1.0 + s_k) * x[i] - s_k * x[j]
-            z[j] = (1.0 + s_k) * x[j] - s_k * x[i]
-            l_rep = float(((z - reference) ** 2).sum())
-            total += p_pair * (probs.alpha * l_att + probs.beta * l_neglect
-                               + probs.gamma * l_rep)
+    for i, j, a_ij in zip(*(e.tolist() for e in matrix.positive_entries())):
+        p_pair = a_ij / n
+        y = x.copy()
+        y[i] = (1.0 - t_k) * x[i] + t_k * x[j]
+        y[j] = (1.0 - t_k) * x[j] + t_k * x[i]
+        l_att = float(((y - reference) ** 2).sum())
+        z = x.copy()
+        z[i] = (1.0 + s_k) * x[i] - s_k * x[j]
+        z[j] = (1.0 + s_k) * x[j] - s_k * x[i]
+        l_rep = float(((z - reference) ** 2).sum())
+        total += p_pair * (probs.alpha * l_att + probs.beta * l_neglect
+                           + probs.gamma * l_rep)
     return total
 
 
@@ -304,7 +302,9 @@ class _Inputs:
 
 
 def _inputs(cfg, horizon) -> _Inputs:
-    """Check the horizon and evaluate the schedules over it."""
+    """Check the horizon and evaluate the schedules over it; with `horizon`
+    None, over max(`DEFAULT_HORIZON`, n) slots."""
+    horizon = max(DEFAULT_HORIZON, cfg.matrix.n) if horizon is None else horizon
     if not isinstance(horizon, (int, np.integer)) or horizon < max(cfg.matrix.n, 2):
         raise BadHorizonError(f"horizon must be an integer >= {max(cfg.matrix.n, 2)}")
     st, ss, pr = cfg.schedule_t, cfg.schedule_s, cfg.probabilities
@@ -766,12 +766,13 @@ def _evaluate(cid: ConditionId, inp: _Inputs) -> Verdict:
 
 
 def evaluate_condition(config: "ExperimentConfig", condition: ConditionId | str,
-                       horizon: int = DEFAULT_HORIZON) -> Verdict:
+                       horizon: int | None = None) -> Verdict:
     """Evaluate one named condition for a config.
 
     `horizon` bounds the numeric partial sums/products reported in the
     verdict detail and the grid searches; analytic decisions for closed-form
-    schedules do not depend on it. `TAU_GRID` and `Z_MAX` bound the searches
+    schedules do not depend on it. It must be at least n; None takes
+    max(`DEFAULT_HORIZON`, n). `TAU_GRID` and `Z_MAX` bound the searches
     for an almost-sure divergence certificate.
     """
     if isinstance(condition, str):
@@ -780,8 +781,9 @@ def evaluate_condition(config: "ExperimentConfig", condition: ConditionId | str,
 
 
 def theory_report(config: "ExperimentConfig",
-                  horizon: int = DEFAULT_HORIZON) -> TheoryReport:
-    """Evaluate every condition applicable to the config's update mode.
+                  horizon: int | None = None) -> TheoryReport:
+    """Evaluate every condition applicable to the config's update mode,
+    over `horizon` slots as `evaluate_condition` reads it.
 
     Raises InternalInconsistencyError when two verdicts contradict each
     other (an agreement guarantee next to any divergence verdict, or a

@@ -21,7 +21,9 @@ which point the upper bound no longer applies.
 The module also keeps aggregation's formulas over a whole trial matrix,
 numpy's mean and var and the excess kurtosis on whole-matrix temporaries,
 which `montecarlo.aggregate_trials`, summing in blocks of rows, must match
-bit for bit.
+bit for bit; and the dense (n, n) forms of the symmetrized Laplacian and of
+the expected second-moment matrix, which the tests hold `graph.spectral` and
+`theory.one_slot_expectation` to.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from gossipsim.errors import BadHorizonError, BadParameterError, RuntimeFailure
 from gossipsim.graph import SelectionMatrix
 from gossipsim.montecarlo import HEAVY_TAIL_KURTOSIS, Classification, ExperimentConfig, \
     _trial_rng
+from gossipsim.theory import _coefficient
 
 
 class NonFiniteStateError(RuntimeFailure):
@@ -57,7 +60,7 @@ def row_cdfs(matrix: SelectionMatrix) -> np.ndarray:
     with positive weight; zero-weight entries occupy zero-width intervals
     and can never be selected.
     """
-    entries = matrix.entries
+    entries = matrix.rows(0, matrix.n)
     cdfs = np.cumsum(entries, axis=1)
     # every row sums to one, so it has a positive entry
     last = matrix.n - 1 - np.argmax(entries[:, ::-1] > 0.0, axis=1)
@@ -367,3 +370,34 @@ def column_stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         var = matrix.var(axis=0, ddof=1) if size > 1 else np.zeros(ncp)
     kurt = excess_kurtosis(matrix) if size > 3 else np.zeros(ncp)
     return mean, var, kurt
+
+
+# ---------------------------------------------------------------------------
+# dense second moments
+# ---------------------------------------------------------------------------
+
+def laplacian(matrix: SelectionMatrix) -> np.ndarray:
+    """The symmetrized Laplacian D - (A + A^T) in one (n, n) array, filled
+    from the stored entries with the bits of `np.diag(d) - (A + A^T)` on
+    the dense A: off the diagonal 0.0 - x is -x, and 0.0 - -0.0 is 0.0
+    whichever of a_ij and a_ji holds the -0.0; a sum d of positive weight
+    reads the same with -0.0 or 0.0 terms; on the diagonal
+    (0.0 - (-0.0 + -0.0)) + d is d. Symmetric positive semidefinite."""
+    tails, heads, values = matrix._tails(), matrix.indices, matrix.values
+    lap = np.zeros((matrix.n, matrix.n))
+    lap[tails, heads] = values
+    lap[heads, tails] += values  # a_ji + a_ij: each (j, i) once
+    d = lap.sum(axis=1)
+    np.subtract(0.0, lap, out=lap)
+    lap[np.diag_indices_from(lap)] += d
+    return lap
+
+
+def expected_second_moment_matrix(matrix: SelectionMatrix, probs: EventProbabilities,
+                                  t_k: float, s_k: float) -> np.ndarray:
+    """E of the squared one-slot update matrix under coupled events:
+    I - 2*(t(1-t)*alpha - s(1+s)*gamma)*(1/n)*(D - (A + A^T)). The
+    conditional expectation of the next dispersion is the quadratic form
+    of this matrix on the deviation vector."""
+    coeff = _coefficient(t_k, s_k, probs.alpha, probs.gamma)
+    return np.eye(matrix.n) - 2.0 * coeff / matrix.n * laplacian(matrix)

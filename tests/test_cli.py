@@ -427,9 +427,8 @@ def test_a_large_run_holds_its_matrix_once(tmp_path, command, twin):
 def test_a_run_holds_no_n_by_n_float_array(twin):
     """`config_from_dict` and `run_trials` on a 1000-node Watts-Strogatz
     network peak below 3 MiB, well under the 7.6 MiB of one (n, n) float
-    array: the matrix is held as its 6,000 stored entries, the engine reads
-    partner tables of the widest row, and only the generator's boolean
-    adjacency, 1 MB, is n^2 bytes."""
+    array: the matrix is held as its 6,000 stored entries, drawn on
+    neighbour sets, and the engine reads partner tables of the widest row."""
     with numpy_engine() if twin else nullcontext():
         tracemalloc.start()
         try:
@@ -445,16 +444,32 @@ def test_a_run_holds_no_n_by_n_float_array(twin):
                          ids=["generated", "explicit"])
 @pytest.mark.parametrize("command", ["check", "experiment", "simulate", "sweep"])
 def test_commands_never_build_the_dense_matrix(tmp_path, monkeypatch, command, matrix):
-    """No command reads `SelectionMatrix.entries`, which builds the dense
-    (n, n) array: they work from the stored entries, and `check` fills its
-    Laplacian from them."""
+    """No command calls `SelectionMatrix.rows`, the one builder of dense
+    rows, which the exports use: the commands work from the stored
+    entries."""
     reads = []
-    monkeypatch.setattr(SelectionMatrix, "entries", property(
-        lambda m: reads.append(m) or pytest.fail("a command built the dense matrix")))
+    monkeypatch.setattr(SelectionMatrix, "rows", lambda m, lo, hi: reads.append(m) or pytest.fail(
+        "a command built dense rows"))
     cfg = write_config(tmp_path, matrix=matrix, steps=10, trials=2)
     extra = ["--axis", "schedules.S.value", "--values", "0.02,0.2"] if command == "sweep" else []
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "run"), *extra]) == 0
     assert reads == []
+
+
+def test_a_network_above_the_default_horizon_runs(tmp_path, capsys):
+    """Without `--horizon` the theory report reads max(4096, n) slots, so
+    `sweep` and `check` run a 5000-node network; a horizon below n is
+    still a config error."""
+    cfg = write_config(tmp_path, matrix={"kind": "watts_strogatz", "n": 5000, "kNn": 6,
+                                         "pRewire": 0.1, "seed": 7}, trials=4, steps=16)
+    runs = {"sweep": ["--axis", "schedules.S.value", "--values", "0.02,0.2"], "check": []}
+    for command, extra in runs.items():
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+    capsys.readouterr()
+    assert cli.main(["check", "--config", str(cfg), "--horizon", "4999"]) == 2
+    assert "horizon must be an integer >= 5000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,fmt", [
@@ -471,7 +486,7 @@ def test_csv_stdout_matches_run_directory(tmp_path, capsys, command, fmt):
     assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 0
     name = {"experiment": "aggregate", "simulate": "trajectory",
             "sweep": "sweep", "check": "theory"}[command]
-    assert (tmp_path / "run" / f"{name}.{fmt}").read_bytes() == printed.encode()
+    assert_same_text((tmp_path / "run" / f"{name}.{fmt}").read_bytes(), printed.encode(), name)
 
 
 def test_negative_k0_is_a_config_error(tmp_path, capsys):

@@ -145,11 +145,11 @@ def test_sample_pair_support_and_consumption(ref_matrix):
     for _ in range(2000):
         i, j = sample_pair(ref_matrix, rng)
         assert i != j
-        assert ref_matrix.entries[i, j] > 0.0
+        assert ref_matrix.rows(0, 4)[i, j] > 0.0
         seen.add((i, j))
     # every positive entry shows up
     assert seen == {(i, j) for i in range(4) for j in range(4)
-                    if ref_matrix.entries[i, j] > 0.0}
+                    if ref_matrix.rows(0, 4)[i, j] > 0.0}
 
     # exactly two uniforms per call: a parallel generator kept in lockstep by
     # discarding two draws must produce the same third draw
@@ -167,7 +167,7 @@ def test_sample_pair_distribution(ref_matrix):
     for _ in range(draws):
         i, j = sample_pair(ref_matrix, rng)
         counts[i, j] += 1
-    probs = ref_matrix.entries / n
+    probs = ref_matrix.rows(0, n) / n
     se = np.sqrt(probs * (1 - probs) / draws)
     assert np.all(np.abs(counts / draws - probs) <= 4 * se + 1e-12)
 

@@ -28,7 +28,6 @@ from gossipsim.graph import (
     import_matrix_csv,
     import_matrix_json,
     is_weakly_connected,
-    laplacian,
     spectral,
     validate,
     validate_entries,
@@ -36,9 +35,9 @@ from gossipsim.graph import (
 from gossipsim.montecarlo import config_to_dict
 from gossipsim.theory import theory_report
 
-from conftest import A_STAR, LAMBDA2, LAMBDA_N, REF_ROWS, SPECTRUM, exponent_rows, \
-    make_config, numpy_engine, on_paths
-from reference import row_cdfs
+from conftest import A_STAR, LAMBDA2, LAMBDA_N, REF_ROWS, SPECTRUM, assert_same_text, \
+    exponent_rows, make_config, numpy_engine, on_paths
+from reference import laplacian, row_cdfs
 
 
 def two_triangles():
@@ -52,7 +51,7 @@ def two_triangles():
 
 def test_validate_accepts_reference_matrix(ref_matrix):
     assert ref_matrix.n == 4
-    assert np.array_equal(ref_matrix.entries, np.array(REF_ROWS))
+    assert np.array_equal(ref_matrix.rows(0, 4), np.array(REF_ROWS))
 
 
 def test_validate_rejects_bad_matrices():
@@ -159,9 +158,10 @@ def test_validate_entries_rejects_malformed_entries(case, error):
 def row_cdfs_by_row(matrix):
     """The row CDFs one row at a time: the tail from each row's last
     positive entry on set to 1.0."""
-    cdfs = np.cumsum(matrix.entries, axis=1)
+    dense = matrix.rows(0, matrix.n)
+    cdfs = np.cumsum(dense, axis=1)
     for i in range(matrix.n):
-        cdfs[i, np.nonzero(matrix.entries[i] > 0.0)[0][-1]:] = 1.0
+        cdfs[i, np.nonzero(dense[i] > 0.0)[0][-1]:] = 1.0
     return cdfs
 
 
@@ -177,7 +177,7 @@ def test_row_cdfs_are_the_row_by_row_cdfs():
     rows[11, :3] = [0.1, 0.2, 0.7]  # zeros after column 2 of the last row
     for m in (validate(rows), validate(REF_ROWS),
               generate("watts_strogatz", 300, seed=2, k_nn=4, p_rewire=0.3)):
-        assert row_cdfs(m).tobytes() == row_cdfs_by_row(m).tobytes()
+        assert_same_text(row_cdfs(m).tobytes(), row_cdfs_by_row(m).tobytes(), "row CDFs")
 
 
 def test_normalize_rows_is_the_row_by_row_division():
@@ -189,7 +189,8 @@ def test_normalize_rows_is_the_row_by_row_division():
     for i in range(40):
         if adj[i].any():
             want[i, adj[i]] = 1.0 / adj[i].sum()
-    assert graph._normalize_rows(*arcs(adj)).entries.tobytes() == want.tobytes()
+    m = graph._normalize_rows(*arcs(adj))
+    assert_same_text(m.rows(0, m.n).tobytes(), want.tobytes(), "normalized rows")
 
 
 def test_row_cdfs_skip_zero_entries(ref_matrix):
@@ -200,13 +201,13 @@ def test_row_cdfs_skip_zero_entries(ref_matrix):
     # searchsorted-right can therefore never return a zero-weight partner
     for u in np.linspace(0.0, 1.0 - 1e-12, 97):
         j = int(np.searchsorted(cdfs[0], u, side="right"))
-        assert ref_matrix.entries[0, j] > 0.0
+        assert ref_matrix.rows(0, 1)[0, j] > 0.0
 
 
 def test_induced_graph_arc_direction(ref_matrix):
     """a_20 > 0 but a_02 == 0: node 2 picks node 0, never the reverse. The
     symmetrized Laplacian joins 0 and 2 both ways by a_20."""
-    a = ref_matrix.entries
+    a = ref_matrix.rows(0, 4)
     assert a[2, 0] > 0.0 and a[0, 2] == 0.0
     lap = laplacian(ref_matrix)
     assert lap[0, 2] == lap[2, 0] == -a[2, 0]
@@ -257,7 +258,7 @@ def test_spectral_pinned_reference_values(ref_matrix):
 
 def test_spectral_structure(ref_matrix):
     sp = spectral(ref_matrix)
-    a = ref_matrix.entries
+    a = ref_matrix.rows(0, 4)
     lap = laplacian(ref_matrix)
     np.testing.assert_allclose(np.diagonal(lap), (a + a.T).sum(axis=1), atol=1e-15)
     np.testing.assert_allclose(lap, lap.T, atol=0)
@@ -268,7 +269,7 @@ def test_spectral_structure(ref_matrix):
 
 def laplacian_by_diag(matrix):
     """D - (A + A^T) as `np.diag(d) - (A + A^T)`, in three (n, n) arrays."""
-    a = matrix.entries
+    a = matrix.rows(0, matrix.n)
     sym = a + a.T
     return np.diag(sym.sum(axis=1)) - sym
 
@@ -292,7 +293,7 @@ def ring_matrix(n):
 
 LAPLACIAN_CASES = {
     "reference": REF_ROWS,
-    "generated-300": generate("watts_strogatz", 300, seed=2, k_nn=4, p_rewire=0.3).entries,
+    "generated-300": generate("watts_strogatz", 300, seed=2, k_nn=4, p_rewire=0.3).rows(0, 300),
     "negative-zero-diagonal": exponent_rows(30, 1, distinct=True),
     "negative-zero-repeated": exponent_rows(12, 6, distinct=False),
     "ring-300": ring_rows(300),
@@ -324,10 +325,10 @@ def test_laplacian_is_the_diag_construction(rows):
     a ring's tiny gap and a near-double lambda2."""
     m = validate(rows)
     want = laplacian_by_diag(m)
-    assert laplacian(m).tobytes() == want.tobytes()
+    assert_same_text(laplacian(m).tobytes(), want.tobytes(), "Laplacian")
     assert_lambdas_within_bound(m, np.linalg.eigvalsh(want))
     if rows is LAPLACIAN_CASES["negative-zero-diagonal"]:
-        assert np.signbit(np.diagonal(m.entries)).any()
+        assert np.signbit(np.diagonal(m.rows(0, m.n))).any()
 
 
 def arrays_in(obj):
@@ -392,13 +393,14 @@ def test_spectral_memory_on_a_ring_of_2000():
 
 def test_a_matrix_holds_its_stored_entries():
     """A 1000-node Watts-Strogatz matrix holds its 6,000 stored entries in
-    fewer than n^2 bytes (80 KB; 7.6 MiB dense), and builds its dense form
-    anew, read-only, on each access."""
+    fewer than n^2 bytes (80 KB; 7.6 MiB dense), read-only, and builds dense
+    rows anew on each call."""
     m = generate("watts_strogatz", 1000, seed=1, k_nn=6, p_rewire=0.1)
     assert len(m.values) == 6000
     assert sum(a.nbytes for a in arrays_in(m)) < m.n ** 2
-    dense = m.entries
-    assert m.entries is not dense and not dense.flags.writeable
+    assert not any(a.flags.writeable for a in arrays_in(m))
+    dense = m.rows(0, m.n)
+    assert m.rows(0, m.n) is not dense
     assert (dense > 0.0).sum() == 6000
 
 
@@ -418,9 +420,8 @@ def test_spectral_is_solved_once_per_matrix(monkeypatch):
 
 
 def test_generate_memory_at_n_1000():
-    """`generate` validates its freshly normalized array without copying
-    it: a 1000-node Watts-Strogatz draw peaks below 1.5 (n, n) float arrays
-    (11.4 MiB; 17.2 MiB with the copy)."""
+    """A 1000-node Watts-Strogatz draw peaks below 1.5 (n, n) float arrays,
+    11.4 MiB."""
     tracemalloc.start()
     try:
         generate("watts_strogatz", 1000, seed=1, k_nn=6, p_rewire=0.1)
@@ -430,11 +431,25 @@ def test_generate_memory_at_n_1000():
     assert peak < 1.5 * 1000 * 1000 * 8, f"{peak / 2 ** 20:.1f} MiB"
 
 
+def test_generate_memory_grows_with_the_entries():
+    """A 20000-node Watts-Strogatz draw peaks under 400 bytes a stored
+    entry, of which it has 120,000: drawn on neighbour sets, not on an
+    n x n boolean adjacency (3,399 bytes an entry)."""
+    tracemalloc.start()
+    try:
+        m = generate("watts_strogatz", 20000, seed=7, k_nn=6, p_rewire=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * len(m.values), f"{peak / len(m.values):.0f} bytes an entry"
+
+
 def test_validate_copies_the_callers_array():
     a = np.array(REF_ROWS)
     m = validate(a)
-    assert a.flags.writeable and not np.shares_memory(a, m.entries)
-    assert not m.entries.flags.writeable
+    assert a.flags.writeable
+    assert not any(np.shares_memory(a, x) or x.flags.writeable
+                   for x in (m.indptr, m.indices, m.values))
 
 
 def test_spectral_disconnected_has_zero_lambda2():
@@ -554,18 +569,18 @@ def test_generate_valid_and_connected(kind, params):
 def test_generate_deterministic_with_seed():
     a = generate("erdos_renyi", 12, seed=11, p=0.3)
     b = generate("erdos_renyi", 12, seed=11, p=0.3)
-    assert np.array_equal(a.entries, b.entries)
+    assert a.same_entries(b, bits=True)
     for seed in (np.int64(11), np.uint64(11)):  # numpy integers name the same graph
-        assert np.array_equal(generate("erdos_renyi", 12, seed=seed, p=0.3).entries, a.entries)
+        assert generate("erdos_renyi", 12, seed=seed, p=0.3).same_entries(a, bits=True)
     with pytest.raises(TypeError):
         generate("erdos_renyi", 12, seed=11.0, p=0.3)
 
 
 def test_generate_structure():
     ring = generate("ring", 6)
-    np.testing.assert_allclose(np.sort(ring.entries, axis=1)[:, -2:], 0.5)
+    np.testing.assert_allclose(np.sort(ring.rows(0, 6), axis=1)[:, -2:], 0.5)
     comp = generate("complete", 5)
-    off = comp.entries[~np.eye(5, dtype=bool)]
+    off = comp.rows(0, 5)[~np.eye(5, dtype=bool)]
     np.testing.assert_allclose(off, 0.25)
 
 
@@ -606,7 +621,7 @@ def test_generate_without_a_seed(kind, params):
     assert all(isinstance(s, int) and 0 <= s < 2**31 - 1 for s in seeds)
     assert len(set(seeds)) > 990
     m = generate(kind, 10, seed=None, **params)
-    assert validate(m.entries).n == 10
+    assert validate(m.rows(0, m.n)).n == 10
     assert connected(m)
 
 
@@ -654,10 +669,11 @@ def nx_draw(nx, kind, n, seed, params):
         g = nx.watts_strogatz_graph(n, params["k_nn"], params["p_rewire"], seed=seed)
     else:
         g = nx.barabasi_albert_graph(n, params["m"], seed=seed)
-    adj = np.zeros((n, n), dtype=bool)
+    nbrs = [set() for _ in range(n)]
     for u, v in g.edges:
-        adj[u, v] = adj[v, u] = True
-    return adj, nx.is_connected(g)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs, nx.is_connected(g)
 
 
 @st.composite
@@ -692,20 +708,22 @@ def test_generate_matches_networkx(nx, topology, seed):
     kind, n, params = topology
     rng = np.random.default_rng(seed)
     want = None
+    draw, _ = graph._random_draw(kind, n, params)
     for _ in range(graph.GENERATOR_MAX_RETRIES):
         attempt_seed = int(rng.integers(0, 2**31 - 1))
-        adj = np.zeros((n, n), dtype=bool)
-        graph._random_draw(kind, n, params)(adj, random.Random(attempt_seed))
-        nx_adj, connected = nx_draw(nx, kind, n, attempt_seed, params)
-        assert np.array_equal(adj, nx_adj)
+        nbrs = draw(random.Random(attempt_seed))
+        nx_nbrs, connected = nx_draw(nx, kind, n, attempt_seed, params)
+        assert nbrs == nx_nbrs
         if connected:
-            want = adj
+            want = nbrs
             break
     if want is None:
         with pytest.raises(DisconnectedAfterRetriesError):
             generate(kind, n, seed=seed, **params)
     else:
-        assert np.array_equal(generate(kind, n, seed=seed, **params).entries > 0.0, want)
+        tails, heads, _ = generate(kind, n, seed=seed, **params).positive_entries()
+        assert list(zip(tails.tolist(), heads.tolist())) == \
+            [(u, w) for u in range(n) for w in sorted(want[u])]
 
 
 def test_matrix_roundtrip_csv_json(tmp_path, ref_matrix):
@@ -713,15 +731,15 @@ def test_matrix_roundtrip_csv_json(tmp_path, ref_matrix):
     p_json = tmp_path / "m.json"
     export_matrix_csv(ref_matrix, p_csv)
     export_matrix_json(ref_matrix, p_json)
-    assert np.array_equal(import_matrix_csv(p_csv).entries, ref_matrix.entries)
-    assert np.array_equal(import_matrix_json(p_json).entries, ref_matrix.entries)
+    assert import_matrix_csv(p_csv).same_entries(ref_matrix, bits=True)
+    assert import_matrix_json(p_json).same_entries(ref_matrix, bits=True)
 
 
 @pytest.mark.parametrize("rows,twin", on_paths([
     (REF_ROWS,),
     (exponent_rows(30, 1, distinct=True),),
     (exponent_rows(30, 2, distinct=False),),
-    (generate("watts_strogatz", 200, seed=5, k_nn=4, p_rewire=0.2).entries.tolist(),),
+    (generate("watts_strogatz", 200, seed=5, k_nn=4, p_rewire=0.2).rows(0, 200).tolist(),),
     ([[-0.0 if i == j else 0.25 for j in range(5)] for i in range(5)],),
 ], ["reference", "distinct-exponents", "repeated-exponents", "generated-200",
     "every-entry-stored"]))
@@ -736,7 +754,8 @@ def test_matrix_text_is_json_text(tmp_path, rows, twin):
         m = validate(rows)
         p = tmp_path / "m.json"
         export_matrix_json(m, p)
-        assert p.read_text() == json.dumps({"n": m.n, "rows": rows}, indent=2) + "\n"
+        assert_same_text(p.read_text(), json.dumps({"n": m.n, "rows": rows}, indent=2) + "\n",
+                         "exported matrix")
         record = config_to_dict(make_config(m))["matrix"]
     a = np.array(rows)
     i, j = np.nonzero(a.view(np.uint64) != 0)

@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REF_ROWS, exponent_rows, fnv1a64_reference, make_config, numpy_engine, \
-    on_paths, whole
+from conftest import REF_ROWS, assert_same_text, exponent_rows, fnv1a64_reference, \
+    make_config, numpy_engine, on_paths, whole
 from gossipsim import _native, graph, montecarlo
 from gossipsim.dynamics import OVERFLOW_LIMIT, EventProbabilities, Schedule, S_CLIP, T_CLIP, \
     UpdateMode
@@ -46,8 +46,8 @@ from gossipsim.montecarlo import (
     set_by_path,
     sweep,
 )
-from gossipsim.theory import expected_second_moment_matrix
-from reference import _partner_from_uniform, column_stats, column_sums, row_cdfs, run_trial
+from reference import _partner_from_uniform, column_stats, column_sums, \
+    expected_second_moment_matrix, row_cdfs, run_trial
 
 TWO_TRIANGLES = [
     [0.0, 0.5, 0.5, 0.0, 0.0, 0.0],
@@ -264,7 +264,7 @@ def dense_digest(cfg: ExperimentConfig) -> str:
     """The digest of `cfg`'s canonical text with the matrix as dense rows,
     as `PINNED_HASHES` records it."""
     doc = {**config_to_dict(cfg),
-           "matrix": {"kind": "explicit", "rows": cfg.matrix.entries.tolist()}}
+           "matrix": {"kind": "explicit", "rows": cfg.matrix.rows(0, cfg.matrix.n).tolist()}}
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return f"{fnv1a64_reference(text.encode()):016x}"
 
@@ -480,12 +480,12 @@ def assert_trial_matches_scalar_path(cfg, mats, classifications, t):
     bit: every checkpoint's state, L, spread, freeze slot and class."""
     ref = run_trial(cfg, t)
     msg = f"trial {t} seed {cfg.base_seed}"
-    assert whole(mats, "states")[t].tobytes() == \
-        np.array([st.x for st in ref.states]).tobytes(), msg
-    assert whole(mats, "dispersion")[t].tobytes() == np.array(
-        [s.dispersion for s in ref.samples]).tobytes(), msg
-    assert whole(mats, "spread")[t].tobytes() == \
-        np.array([s.spread for s in ref.samples]).tobytes(), msg
+    assert_same_text(whole(mats, "states")[t].tobytes(),
+                     np.array([st.x for st in ref.states]).tobytes(), f"states, {msg}")
+    assert_same_text(whole(mats, "dispersion")[t].tobytes(),
+                     np.array([s.dispersion for s in ref.samples]).tobytes(), f"L, {msg}")
+    assert_same_text(whole(mats, "spread")[t].tobytes(),
+                     np.array([s.spread for s in ref.samples]).tobytes(), f"spread, {msg}")
     assert mats.diverged_at[t] == (-1 if ref.diverged_at is None else ref.diverged_at), msg
     assert classifications[t] is ref.classification, msg
 
@@ -499,7 +499,7 @@ def trial_arrays(mats) -> list[np.ndarray]:
 def assert_same_matrices(got, want, msg=""):
     assert got.checkpoints == want.checkpoints
     for a, b in zip(trial_arrays(got), trial_arrays(want), strict=True):
-        assert a.tobytes() == b.tobytes(), msg
+        assert_same_text(a.tobytes(), b.tobytes(), msg)
 
 
 def on_both_paths(run):
@@ -698,7 +698,7 @@ def test_shared_pass_refuses_configs_with_other_draws(ref_matrix):
 def freezing_ring_config(trials, steps=4096):
     """Ring-12, asymmetric with a uniform active rule, S = 3 and uniform
     starts: 4 draws a slot, and trials freeze at different slots."""
-    return make_config(validate(graph.generate("ring", 12).entries), variant="asymmetric",
+    return make_config(graph.generate("ring", 12), variant="asymmetric",
                        active_rule="uniform", t=0.25, s=3.0, steps=steps, trials=trials,
                        seed=5, initial=InitialState(kind="uniform"))
 
@@ -1074,7 +1074,7 @@ def test_kernel_stream_is_numpys_philox(count):
         slots = kernel(streams, InitialState(kind="uniform", low=0.0, high=1.0),
                        dense_tables(np.ones((count, count))), (0.0, 1.0), UpdateMode(), out)
         for row, x, gen in zip(streams, slots.x[0], gens):
-            assert x.tobytes() == gen.random(count).tobytes()
+            assert_same_text(x.tobytes(), gen.random(count).tobytes(), "uniform start")
             assert_stream_is(row, gen)
     slots.run(np.ones((5, 1, 4)), 0)  # thresholds (0.0, 1.0): every slot neglects
     for row, gen in zip(streams, gens):
@@ -1089,7 +1089,7 @@ def test_kernel_stream_is_numpys_philox(count):
     slots = kernel(streams, InitialState(kind="uniform", low=0.0, high=1.0),
                    dense_tables(np.ones((count, count))), (0.0, 1.0), UpdateMode(),
                    chunk_out(1, 1, 1))
-    assert slots.x[0, 0].tobytes() == gen.random(count).tobytes()
+    assert_same_text(slots.x[0, 0].tobytes(), gen.random(count).tobytes(), "uniform start")
     assert_stream_is(streams[0], gen)
 
 
@@ -1187,7 +1187,7 @@ def test_kernel_segments_match_the_numpy_loop(seed, n, trials, npts, blocks, pre
             outs.append([started, slots.x, slots.alive, slots.refs,
                          *(a for a in vars(out).values() if a is not None)])
     for got, want in zip(*outs, strict=True):
-        assert got.tobytes() == want.tobytes()
+        assert_same_text(got.tobytes(), want.tobytes(), "chunk arrays")
 
 
 def assert_same_measures(got, want):
@@ -1196,7 +1196,7 @@ def assert_same_measures(got, want):
     which picks between two nans."""
     both_nan = np.isnan(got) & np.isnan(want)
     assert np.array_equal(np.isnan(got), np.isnan(want))
-    assert got[~both_nan].tobytes() == want[~both_nan].tobytes()
+    assert_same_text(got[~both_nan].tobytes(), want[~both_nan].tobytes(), "measures")
 
 
 @st.composite
@@ -1234,7 +1234,7 @@ def test_kernel_measures_are_numpys(case):
     with np.errstate(over="ignore", invalid="ignore"):
         assert_same_measures(out.dispersion[:, :, 0], ((x - refs[:, None]) ** 2).sum(axis=2))
         assert_same_measures(out.spread[:, :, 0], x.max(axis=2) - x.min(axis=2))
-    assert out.states[:, :, 0].tobytes() == x.tobytes()
+    assert_same_text(out.states[:, :, 0].tobytes(), x.tobytes(), "states")
 
 
 def exact_kurtosis(columns):
@@ -1591,7 +1591,7 @@ def test_sweep_copies_only_its_axis_path(monkeypatch, axis, values):
 def assert_same_result(got, want):
     for name in ("mean_l", "var_l", "ci_l", "mean_spread", "var_spread", "ci_spread",
                  "diverged_at"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert_same_text(getattr(got, name).tobytes(), getattr(want, name).tobytes(), name)
     for name in ("config_hash", "checkpoints", "trials", "counts", "classifications",
                  "heavy_tail_checkpoints"):
         assert getattr(got, name) == getattr(want, name), name

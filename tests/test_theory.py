@@ -27,10 +27,11 @@ from gossipsim.theory import (
     contraction,
     critical_measure,
     evaluate_condition,
-    expected_second_moment_matrix,
+    one_slot_expectation,
     one_slot_expectation_enumerated,
     theory_report,
 )
+from reference import expected_second_moment_matrix
 
 PROBS_THIRDS = EventProbabilities(alpha=1 / 3, beta=1 / 3, gamma=1 / 3)
 
@@ -91,7 +92,7 @@ def test_critical_measure_needs_constant_schedules():
 
 def second_moment_enumerated(matrix, probs, t, s):
     """Entrywise oracle: average the squared per-event update matrices."""
-    a = matrix.entries
+    a = matrix.rows(0, matrix.n)
     n = matrix.n
     acc = np.zeros((n, n))
     p_selected = 0.0
@@ -155,7 +156,8 @@ def test_second_moment_matches_enumeration_entrywise(t, s, alpha, frac):
 def test_one_slot_expectation_matches_quadratic_form(seed, t, s, ref):
     # E[L(k+1) | x] with any fixed reference equals the quadratic form of the
     # second-moment matrix on the deviation vector: coupled updates keep row
-    # sums at one, so the deviation evolves linearly too.
+    # sums at one, so the deviation evolves linearly too. The package's
+    # closed form, a sum over the arcs, is that form.
     matrix = validate(REF_ROWS)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-10.0, 10.0, size=4)
@@ -164,6 +166,8 @@ def test_one_slot_expectation_matches_quadratic_form(seed, t, s, ref):
     dev = x - ref
     form = float(dev @ m @ dev)
     assert enumerated == pytest.approx(form, rel=1e-12, abs=1e-12)
+    closed = one_slot_expectation(matrix, PROBS_THIRDS, t, s, x, ref)
+    assert closed == pytest.approx(form, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
