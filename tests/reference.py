@@ -401,3 +401,27 @@ def expected_second_moment_matrix(matrix: SelectionMatrix, probs: EventProbabili
     of this matrix on the deviation vector."""
     coeff = _coefficient(t_k, s_k, probs.alpha, probs.gamma)
     return np.eye(matrix.n) - 2.0 * coeff / matrix.n * laplacian(matrix)
+
+
+# ---------------------------------------------------------------------------
+# connectivity
+# ---------------------------------------------------------------------------
+
+def is_weakly_connected(n: int, tails, heads) -> bool:
+    """Breadth-first search from node 0 over the arcs taken both ways."""
+    neighbours = [[] for _ in range(n)]
+    for u, v in zip(tails, heads):
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    seen = [False] * n
+    seen[0] = True
+    frontier = [0]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v in neighbours[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    reached.append(v)
+        frontier = reached
+    return all(seen)

@@ -427,8 +427,8 @@ def test_a_large_run_holds_its_matrix_once(tmp_path, command, twin):
 def test_a_run_holds_no_n_by_n_float_array(twin):
     """`config_from_dict` and `run_trials` on a 1000-node Watts-Strogatz
     network peak below 3 MiB, well under the 7.6 MiB of one (n, n) float
-    array: the matrix is held as its 6,000 stored entries, drawn on
-    neighbour sets, and the engine reads partner tables of the widest row."""
+    array: the matrix is held as its 6,000 stored entries, drawn as an
+    edge set, and the engine reads partner tables of the widest row."""
     with numpy_engine() if twin else nullcontext():
         tracemalloc.start()
         try:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 from contextlib import nullcontext
 
@@ -37,6 +38,7 @@ from gossipsim.theory import theory_report
 
 from conftest import A_STAR, LAMBDA2, LAMBDA_N, REF_ROWS, SPECTRUM, assert_same_text, \
     exponent_rows, make_config, numpy_engine, on_paths
+import reference
 from reference import laplacian, row_cdfs
 
 
@@ -245,6 +247,54 @@ def test_weak_connectivity_on_a_plain_adjacency():
     assert not is_weakly_connected(*arcs(np.zeros((3, 3), dtype=bool)))
 
 
+@st.composite
+def directed_graphs(draw):
+    """(n, tails, heads) of up to 40 nodes in up to four groups, each a
+    one-way chain through its nodes in a drawn order with random arcs
+    inside it; a group of one node is an isolated node. A few arcs are then
+    dropped, which may split a group."""
+    n = draw(st.integers(1, 40))
+    group = draw(st.lists(st.integers(0, draw(st.integers(0, 3))), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    arcs = []
+    for g in set(group):
+        nodes = [u for u in order if group[u] == g]
+        arcs += zip(nodes, nodes[1:])
+        inside = st.sampled_from(nodes)
+        arcs += draw(st.lists(st.tuples(inside, inside), max_size=len(nodes)))
+    dropped = draw(st.sets(st.integers(0, max(len(arcs) - 1, 0)), max_size=3))
+    arcs = [arc for k, arc in enumerate(arcs) if k not in dropped]
+    tails, heads = np.array(arcs, dtype=np.int64).reshape(-1, 2).T
+    return n, tails, heads
+
+
+@given(graph_=directed_graphs())
+@example(graph_=(6, np.arange(5), np.full(5, 5)))  # a star whose hub is labelled last
+@example(graph_=(5, np.array([4, 3, 2, 1]), np.array([3, 2, 1, 0])))  # a falling chain
+@example(graph_=(4, np.array([1, 2]), np.array([2, 3])))  # node 0 alone
+def test_weak_connectivity_matches_breadth_first_search(graph_):
+    assert is_weakly_connected(*graph_) == reference.is_weakly_connected(*graph_)
+
+
+@pytest.mark.parametrize("shape", ["ring", "path", "star"])
+def test_weak_connectivity_of_200000_nodes_in_seconds(shape):
+    """A 2 x 10^5-node ring, a one-way path and a star whose hub is
+    labelled last, each whole and with two arcs removed, are decided in
+    under 5 s. A search from node 0 takes a pass over the arcs a hop
+    (minutes on the ring and the path), and hooking larger roots to
+    smaller ones alone a pass a leaf of the star."""
+    n = 200_000
+    nodes = np.arange(n)
+    tails, heads = {"ring": (nodes, (nodes + 1) % n), "path": (nodes[:-1], nodes[1:]),
+                    "star": (nodes[:-1], np.full(n - 1, n - 1))}[shape]
+    keep = np.ones(len(tails), dtype=bool)
+    keep[[0, n // 2]] = False
+    start = time.perf_counter()
+    assert is_weakly_connected(n, tails, heads)
+    assert not is_weakly_connected(n, tails[keep], heads[keep])
+    assert time.perf_counter() - start < 5.0
+
+
 def test_spectral_pinned_reference_values(ref_matrix):
     sp = spectral(ref_matrix)
     assert sp.lambda2 == pytest.approx(LAMBDA2, abs=1e-10)
@@ -419,29 +469,40 @@ def test_spectral_is_solved_once_per_matrix(monkeypatch):
     assert len(solves) == 2
 
 
-def test_generate_memory_at_n_1000():
-    """A 1000-node Watts-Strogatz draw peaks below 1.5 (n, n) float arrays,
-    11.4 MiB."""
+# The most a draw may hold at its peak, in bytes a stored entry: its edges
+# as a set of keys (the Watts-Strogatz rewiring's) or appended, and the
+# arcs. Per-node neighbour sets took about 169, an n x n adjacency 3,399.
+GENERATE_BYTES_AN_ENTRY = 100
+
+
+def generate_peak(kind, n, **params):
+    """(`tracemalloc` peak of `generate`, its matrix's stored entries)."""
     tracemalloc.start()
     try:
-        generate("watts_strogatz", 1000, seed=1, k_nn=6, p_rewire=0.1)
+        m = generate(kind, n, seed=7, **params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 1000 * 1000 * 8, f"{peak / 2 ** 20:.1f} MiB"
+    return peak, len(m.values)
+
+
+def test_generate_memory_at_n_1000():
+    """A 1000-node Watts-Strogatz draw of 6,000 stored entries peaks under
+    `GENERATE_BYTES_AN_ENTRY` bytes an entry."""
+    peak, entries = generate_peak("watts_strogatz", 1000, k_nn=6, p_rewire=0.1)
+    assert peak < GENERATE_BYTES_AN_ENTRY * entries, f"{peak / entries:.0f} bytes an entry"
 
 
 def test_generate_memory_grows_with_the_entries():
-    """A 20000-node Watts-Strogatz draw peaks under 400 bytes a stored
-    entry, of which it has 120,000: drawn on neighbour sets, not on an
-    n x n boolean adjacency (3,399 bytes an entry)."""
-    tracemalloc.start()
-    try:
-        m = generate("watts_strogatz", 20000, seed=7, k_nn=6, p_rewire=0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 400 * len(m.values), f"{peak / len(m.values):.0f} bytes an entry"
+    """Each random kind, at about 40,000 to 120,000 stored entries, peaks
+    under `GENERATE_BYTES_AN_ENTRY` bytes an entry: drawn as edges, not on
+    per-node neighbour sets nor on an n x n boolean adjacency."""
+    for kind, n, params in (("watts_strogatz", 20000, {"k_nn": 6, "p_rewire": 0.1}),
+                            ("erdos_renyi", 2000, {"p": 0.01}),
+                            ("barabasi_albert", 20000, {"m": 3})):
+        peak, entries = generate_peak(kind, n, **params)
+        assert peak < GENERATE_BYTES_AN_ENTRY * entries, \
+            f"{kind}: {peak / entries:.0f} bytes an entry"
 
 
 def test_validate_copies_the_callers_array():
@@ -669,11 +730,7 @@ def nx_draw(nx, kind, n, seed, params):
         g = nx.watts_strogatz_graph(n, params["k_nn"], params["p_rewire"], seed=seed)
     else:
         g = nx.barabasi_albert_graph(n, params["m"], seed=seed)
-    nbrs = [set() for _ in range(n)]
-    for u, v in g.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    return nbrs, nx.is_connected(g)
+    return {(min(u, v), max(u, v)) for u, v in g.edges}, nx.is_connected(g)
 
 
 @st.composite
@@ -711,11 +768,12 @@ def test_generate_matches_networkx(nx, topology, seed):
     draw, _ = graph._random_draw(kind, n, params)
     for _ in range(graph.GENERATOR_MAX_RETRIES):
         attempt_seed = int(rng.integers(0, 2**31 - 1))
-        nbrs = draw(random.Random(attempt_seed))
-        nx_nbrs, connected = nx_draw(nx, kind, n, attempt_seed, params)
-        assert nbrs == nx_nbrs
+        keys = draw(random.Random(attempt_seed))
+        edges = {divmod(key, n) for key in keys.tolist()}
+        nx_edges, connected = nx_draw(nx, kind, n, attempt_seed, params)
+        assert len(keys) == len(edges) and edges == nx_edges
         if connected:
-            want = nbrs
+            want = edges
             break
     if want is None:
         with pytest.raises(DisconnectedAfterRetriesError):
@@ -723,7 +781,7 @@ def test_generate_matches_networkx(nx, topology, seed):
     else:
         tails, heads, _ = generate(kind, n, seed=seed, **params).positive_entries()
         assert list(zip(tails.tolist(), heads.tolist())) == \
-            [(u, w) for u in range(n) for w in sorted(want[u])]
+            sorted(want | {(w, u) for u, w in want})
 
 
 def test_matrix_roundtrip_csv_json(tmp_path, ref_matrix):
