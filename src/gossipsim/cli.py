@@ -223,9 +223,9 @@ def write_trajectory_csv(mats: TrialMatrices, path: Path | None) -> None:
     """Every trial's checkpoint states and measures, as CSV."""
     header = ["trial", "k", *(f"x_{i + 1}" for i in range(mats.stored["states"].shape[2])),
               "H", "h", "spread", "L"]
-    _write(path, ([t, k, *xk, *measures]
+    _write(path, ([t, k, *xk.tolist(), *measures]
                   for t, x, rows in _trajectories(mats)
-                  for xk, (k, *measures) in zip(x.tolist(), rows)), header)
+                  for xk, (k, *measures) in zip(x, rows)), header)
 
 
 def theory_json_dict(report: TheoryReport) -> dict:

@@ -64,6 +64,9 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-9
 GENERATOR_MAX_RETRIES = 100
+# erdos_renyi draws once per node pair, 12-13 M pairs/s on a 2-core host;
+# more pairs than this (n >= 44,722: over a minute an attempt) are refused
+ERDOS_RENYI_MAX_PAIRS = 10 ** 9
 # The spectral solve stops once each extreme Ritz value is within this share
 # of itself of an eigenvalue (Parlett's residual bound; see `spectral`).
 SPECTRAL_RTOL = 1e-10
@@ -1140,7 +1143,7 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
     Raises
     ------
     BadParameterError
-        Unknown kind or out-of-range parameter.
+        Unknown kind, or an out-of-range parameter or erdos_renyi pair count.
     DisconnectedAfterRetriesError
         No connected draw within the retry budget.
     MemoryError
@@ -1160,6 +1163,9 @@ def generate(kind: str, n: int, seed: int | None = None, **params) -> SelectionM
     # the stored entries, an int32 column and a float64 weight an arc, must
     # fit: fail here, not after a draw loop that would run for hours
     allocate((arcs, 12), np.uint8)
+    if kind == "erdos_renyi" and (pairs := n * (n - 1) // 2) > ERDOS_RENYI_MAX_PAIRS:
+        raise BadParameterError(f"erdos_renyi draws once per node pair, and n={n} has "
+                                f"{pairs} pairs, more than {ERDOS_RENYI_MAX_PAIRS}")
     for attempt_seed in itertools.islice(_attempt_seeds(seed), GENERATOR_MAX_RETRIES):
         tails, heads = _arcs(n, draw(random.Random(attempt_seed)))
         if is_weakly_connected(n, tails, heads):

@@ -99,8 +99,8 @@ CHUNK_TRIALS = 256
 # slots whose weights a chunk evaluates at once, (slots, configs, 4)
 # floats, and whose draws the numpy twin makes at once
 WEIGHT_BLOCK = 1024
-# a shared pass's batched state, configs x CHUNK_TRIALS x n floats, stays
-# within this many bytes (6 MiB: 768 configs of 4 nodes, 3 of 1000)
+# a chunk's batched state, configs x CHUNK_TRIALS x n floats, and its states
+# stay within this many bytes (6 MiB: 768 configs of 4 nodes, 3 of 1000)
 BATCH_STATE_BYTES = 6 << 20
 # the numpy twin's presampled pairs, in slots at a time
 PRESAMPLE_STEPS = 64
@@ -455,19 +455,21 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """64-bit FNV-1a over the canonical compact JSON form,
+    """BLAKE2b with an 8-byte digest over the canonical compact JSON form,
     `json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))`
     in UTF-8, as 16 hex digits. The text is written in pieces from
-    `config_record` (`_jsontext.pieces`) and hashed as they come
-    (`_native.fnv1a64_pieces`, in numpy), so it is never held whole.
+    `config_record` (`_jsontext.pieces`) and fed to one hash object as they
+    come, so it is never held whole.
 
     The digest is computed on the first call and kept on the config, so a
     command that hashes its config for the manifest and for the results
     walks the canonical form once.
     """
     if cfg._hash is None:
-        text = _jsontext.pieces(config_record(cfg), sort_keys=True)
-        cfg._hash = f"{_native.fnv1a64_pieces(text):016x}"
+        digest = _native.blake2b(digest_size=8)
+        for piece in _jsontext.pieces(config_record(cfg), sort_keys=True):
+            digest.update(piece.encode())
+        cfg._hash = digest.hexdigest()
     return cfg._hash
 
 
@@ -1010,10 +1012,10 @@ def _run_batch(configs: list[ExperimentConfig], tables: tuple[np.ndarray, np.nda
     while any config's matrices are held.
 
     The chunks run on every usable core (`_workers`), one chunk at a time
-    per worker, and are sized so that each worker gets one. A chunk writes
-    only its own rows, in `diverged_at` and at their place in the file, so
-    the results do not depend on the number of workers. The numpy twin runs
-    on one worker: its per-slot numpy holds the GIL.
+    per worker, sized so that each worker gets one and, with `states`, its
+    states fit in BATCH_STATE_BYTES. A chunk writes only its own rows, so
+    the results do not depend on the chunks. The numpy twin runs on one
+    worker: its per-slot numpy holds the GIL.
     """
     first = configs[0]
     trials, ncp, n = first.trials, len(first.checkpoints), first.matrix.n
@@ -1033,6 +1035,8 @@ def _run_batch(configs: list[ExperimentConfig], tables: tuple[np.ndarray, np.nda
     slots = _NumpySlots if _native.library() is None else _KernelSlots
     workers = 1 if slots is _NumpySlots else _workers()
     size = min(CHUNK_TRIALS, -(-trials // workers))
+    if states:  # configs x chunk x checkpoints x n floats
+        size = max(1, min(size, BATCH_STATE_BYTES // (len(configs) * ncp * n * 8)))
 
     def run_chunk(lo: int) -> None:
         hi = min(lo + size, trials)

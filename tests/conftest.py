@@ -79,8 +79,9 @@ def rng_for(seed):
 
 
 def fnv1a64_reference(data: bytes) -> int:
-    """FNV-1a-64 one byte at a time, the definition `config_hash`'s numpy
-    hash must match."""
+    """FNV-1a-64 one byte at a time: the digest the pinned hash tables of
+    `test_montecarlo` were recorded with, which pin the generators' draws
+    and the canonical config text."""
     h = 0xCBF29CE484222325
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import hashlib
 import importlib.util
 import io
 import json
@@ -13,18 +14,20 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from contextlib import nullcontext
 from copy import deepcopy
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import LAMBDA2, LAMBDA_N, REF_ROWS, S_CRIT, assert_same_text, exponent_rows, \
-    fnv1a64_reference, make_config, numpy_engine, on_paths
+    make_config, numpy_engine, on_paths
 from gossipsim import _native, cli, montecarlo
 from gossipsim.errors import BadAxisError, RuntimeFailure
 from gossipsim.graph import SelectionMatrix, export_matrix_csv, generate
@@ -220,26 +223,20 @@ def test_manifest_finalized_in_place_is_the_full_dump(tmp_path, monkeypatch, err
 
 
 def test_experiment_hashes_its_config_once(tmp_path, monkeypatch):
-    """One hash per `experiment --out`, over the canonical compact form of
-    the config, giving the digest of the per-byte FNV-1a loop."""
-    fnv = _native.fnv1a64_pieces
-    calls = []
-
-    def hashed(pieces):
-        calls.append("".join(pieces).encode())
-        return fnv([calls[-1].decode()])
-
-    monkeypatch.setattr(_native, "fnv1a64_pieces", hashed)
+    """One hash object per `experiment --out`, giving the BLAKE2b-64 digest
+    of the canonical compact form of the config."""
+    _native.library()  # loaded, so the hash of its build is not counted
+    blake2b = mock.Mock(wraps=_native.blake2b)
+    monkeypatch.setattr(_native, "blake2b", blake2b)
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
     assert cli.main(["experiment", "--config", str(cfg), "--format", "json",
                      "--out", str(out)]) == 0
-    assert len(calls) == 1
+    assert blake2b.call_count == 1
     manifest = json.loads((out / "manifest.json").read_text())
     canonical = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
-    assert calls[0] == canonical.encode()
     assert json.loads((out / "aggregate.json").read_text())["configHash"] \
-        == manifest["configHash"] == f"{fnv1a64_reference(calls[0]):016x}"
+        == manifest["configHash"] == hashlib.blake2b(canonical.encode(), digest_size=8).hexdigest()
 
 
 @pytest.mark.parametrize("matrix,twin", on_paths([
@@ -250,7 +247,7 @@ def test_experiment_hashes_its_config_once(tmp_path, monkeypatch):
 def test_manifest_is_the_indented_dump_at_scale(tmp_path, matrix, twin):
     """On the compiled engine and on its twin, the manifest holds the bytes
     of json's indented dump, its config records the matrix as its stored
-    entries, and `configHash` is the digest of the per-byte loop; entries
+    entries, and `configHash` is its text's BLAKE2b-64 digest; entries
     such as 3.0000000000000004e-07 and -0.0 keep their text."""
     cfg = write_config(tmp_path, matrix=matrix, steps=5, trials=2)
     out = tmp_path / "run"
@@ -260,7 +257,7 @@ def test_manifest_is_the_indented_dump_at_scale(tmp_path, matrix, twin):
     doc = json.loads(raw)
     assert raw == (json.dumps(doc, indent=2) + "\n").encode()
     canonical = json.dumps(doc["config"], sort_keys=True, separators=(",", ":"))
-    assert doc["configHash"] == f"{fnv1a64_reference(canonical.encode()):016x}"
+    assert doc["configHash"] == hashlib.blake2b(canonical.encode(), digest_size=8).hexdigest()
     if matrix["kind"] == "explicit":
         a = np.array(matrix["rows"])
         i, j = np.nonzero(a.view(np.uint64) != 0)
@@ -664,18 +661,27 @@ def test_simulate_matches_the_scalar_path(tmp_path, capsys, case):
         assert_same_text((out / f"trajectory.{fmt}").read_bytes(), want.encode(), fmt)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_simulate_reads_its_states_a_block_of_trials_at_a_time(tmp_path, monkeypatch, fmt):
-    """`simulate --out` of 256 trials on a 128-node ring at 21 checkpoints,
-    in chunks of 32 trials, has 5.5 MB of states, which the pass writes to
-    its temporary file and the writer reads back a block of trials at a
+@pytest.mark.parametrize("fmt,n,trials,chunk", [
+    ("csv", 128, 256, 32), ("json", 128, 256, 32), ("csv", 2000, 64, None),
+    ("json", 2000, 64, None)], ids=["csv", "json", "byte-budget-csv", "byte-budget-json"])
+def test_simulate_reads_its_states_a_block_of_trials_at_a_time(tmp_path, monkeypatch, fmt,
+                                                               n, trials, chunk):
+    """`simulate --out` at 21 checkpoints writes its states to the pass's
+    temporary file, and the writer reads them back a block of trials at a
     time. Its traced peak, from loading the config to the last row, stays
-    within two workers' chunk state buffers (2 x 32 trials, 1.4 MB) and
-    1 MiB (1.5 MiB here). Reading the states whole adds 5.5 MB (6.4 MiB),
-    and the JSON document as Python objects many times that (109 MiB)."""
+    within two workers' chunk state buffers and 1 MiB.
+
+    On a 128-node ring, 256 trials in chunks of 32 have 5.5 MB of states,
+    and the two buffers take 1.4 MB (the peak read 1.5 MiB). Reading the
+    states whole adds 5.5 MB (6.4 MiB), and the JSON document as Python
+    objects many times that (109 MiB). On a 2000-node ring, 64 trials have
+    21.5 MB of states; BATCH_STATE_BYTES bounds a chunk to 18 trials, whose
+    two buffers take 12.1 MB, where chunks of 32 trials, a half of the trials
+    each, took 21.5 MB."""
     monkeypatch.setattr(montecarlo, "_workers", lambda: 2)  # chunk buffers on any host
-    monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 32)  # several chunks per worker
-    cfg = write_config(tmp_path, matrix={"kind": "ring", "n": 128}, steps=200, trials=256,
+    if chunk is not None:
+        monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", chunk)  # several chunks per worker
+    cfg = write_config(tmp_path, matrix={"kind": "ring", "n": n}, steps=200, trials=trials,
                        checkpoints=list(range(0, 201, 10)))
     args = ["simulate", "--config", str(cfg), "--format", fmt]
     assert cli.main([*args, "--trials", "4", "--out", str(tmp_path / "warm")]) == 0
@@ -690,7 +696,8 @@ def test_simulate_reads_its_states_a_block_of_trials_at_a_time(tmp_path, monkeyp
     resolved = config_from_dict(json.loads(cfg.read_text()))
     row = len(resolved.checkpoints) * resolved.matrix.n * 8
     assert resolved.trials * row >= 5_000_000
-    chunks = 2 * montecarlo.CHUNK_TRIALS * row
+    chunks = 2 * min(montecarlo.CHUNK_TRIALS, -(-resolved.trials // 2),
+                     montecarlo.BATCH_STATE_BYTES // row) * row
     assert peak < chunks + (1 << 20), \
         f"peak {peak / 2 ** 20:.2f} MiB, chunk state buffers {chunks / 2 ** 20:.2f} MiB"
 
@@ -747,6 +754,29 @@ def test_trajectory_csv_layout(ref_matrix, tmp_path):
     assert len(rows) == 1 + 3 * 3
     assert rows[1][:2] == ["0", "0"]
     assert [float(v) for v in rows[1][2:6]] == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_trajectory_csv_turns_one_row_of_states_into_floats_at_a_time(tmp_path):
+    """The CSV writer makes Python floats of one checkpoint's states at a
+    time, not of a whole trial's. On a 20000-node ring at 21 checkpoints a
+    trial's states take 3.2 MiB, and the writer's traced peak stays within
+    three trials' states: two blocks of one trial (the next is read while
+    the last is held), the header's names and a row (8.3 MiB here). A
+    whole trial as floats took 18.5 MiB."""
+    cfg = config_from_dict(json.loads(write_config(
+        tmp_path, matrix={"kind": "ring", "n": 20000}, steps=20, trials=2,
+        checkpoints=list(range(21))).read_text()))
+    mats = run_trials(cfg, states=True)
+    cli.write_trajectory_csv(mats, tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli.write_trajectory_csv(mats, tmp_path / "trajectory.csv")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    trial = len(cfg.checkpoints) * cfg.matrix.n * 8
+    assert peak < 3 * trial, f"peak {peak / 2 ** 20:.2f} MiB, a trial {trial / 2 ** 20:.2f} MiB"
 
 
 def test_report_json_shape(ref_matrix):
@@ -1053,6 +1083,19 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_erdos_renyi_beyond_its_pair_budget_is_refused_at_once(tmp_path, capsys):
+    """An erdos_renyi draw takes one draw per node pair: at n = 10^6 and
+    p = 1e-6 its stored entries fit in 12 MB, but its 5e11 pairs would take
+    hours, so `check` exits 2 within a second, naming the pair count."""
+    cfg = write_config(tmp_path, matrix={"kind": "erdos_renyi", "n": 10 ** 6, "p": 1e-6,
+                                         "seed": 1})
+    start = time.perf_counter()
+    assert cli.main(["check", "--config", str(cfg)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "499999500000 pairs" in err, err
+
+
 # The bundled critical config, with the horizon and trials scaled down so a
 # run takes milliseconds
 FUZZ_BASE = {**json.loads((CONFIGS / "paper_5_3_crit.json").read_text()),
@@ -1179,13 +1222,15 @@ def test_cli_runs_without_networkx(tmp_path, mode):
     assert proc.returncode == 0, proc.stderr
 
 
-# Runs one CLI command in a fresh interpreter and fails if it exits nonzero
-# or if numpy.random was loaded.
+# Runs one CLI command in a fresh interpreter and fails if it exits nonzero,
+# or if numpy.random or OpenSSL's hashes (`_hashlib`, which `import hashlib`
+# loads) were loaded.
 WITHOUT_NUMPY_RANDOM = """
 import json, sys
 from gossipsim import cli
 assert cli.main(json.loads(sys.argv[1])) == 0
 assert "numpy.random" not in sys.modules, "numpy.random was loaded"
+assert "_hashlib" not in sys.modules, "_hashlib was loaded"
 """
 
 
@@ -1194,7 +1239,8 @@ def test_generated_runs_do_not_load_numpy_random(tmp_path, command):
     """Generating a Watts-Strogatz network draws its attempt seeds without
     numpy.random, and `check --out` needs nothing else from it. So does
     `experiment --out` on the compiled engine; its twin draws from numpy's
-    Philox."""
+    Philox. Neither loads OpenSSL's `_hashlib`: `configHash` is the
+    interpreter's builtin BLAKE2b."""
     if command == "experiment" and _native.library() is None:
         pytest.skip("no slot kernel here: the engine's twin loads numpy.random")
     cfg = write_config(tmp_path, matrix={"kind": "watts_strogatz", "n": 30, "kNn": 4,

@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -668,6 +669,19 @@ def test_generate_allocates_before_drawing():
         generate("erdos_renyi", 3_000_000, seed=1, p=0.5)
     with pytest.raises(MemoryError):
         generate("ring", 10 ** 20)
+
+
+def test_generate_refuses_erdos_renyi_beyond_its_pair_budget(monkeypatch):
+    """An erdos_renyi n of more node pairs than ERDOS_RENYI_MAX_PAIRS is
+    refused before any draw; an n of as many pairs draws."""
+    monkeypatch.setattr(graph, "ERDOS_RENYI_MAX_PAIRS", 66)  # the pairs of 12 nodes
+    with mock.patch.object(graph, "_gnp", wraps=graph._gnp) as draws:
+        generate("erdos_renyi", 12, seed=7, p=0.35)
+        assert draws.call_count > 0
+        draws.reset_mock()
+        with pytest.raises(BadParameterError, match="n=13 has 78 pairs"):
+            generate("erdos_renyi", 13, seed=7, p=0.35)
+        assert draws.call_count == 0
 
 
 @pytest.mark.parametrize("kind,params", [

@@ -6,6 +6,7 @@ for every update mode, including frozen (overflowed) trials.
 """
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -242,8 +243,10 @@ PINNED_HASHES = {
     "paper_5_3_high.json": "3eefaa0c2ad83d95",
     "paper_5_3_low.json": "05a8b3b2616caa5b",
 }
-# `config_hash` of the same configs, recorded with a per-byte FNV-1a loop
-# over `json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))`
+# Digests of the canonical text of the same configs, `json.dumps(
+# config_to_dict(cfg), sort_keys=True, separators=(",", ":"))`, recorded with
+# a per-byte FNV-1a loop (`entries_digest`): they pin the canonical text,
+# whose `config_hash` is its BLAKE2b-64 (`blake2b_digest`)
 ENTRIES_HASHES = {
     "paper_5_3_crit.json": "55d50645e0f97119",
     "paper_5_3_high.json": "1303284fa798833e",
@@ -269,10 +272,21 @@ def dense_digest(cfg: ExperimentConfig) -> str:
     return f"{fnv1a64_reference(text.encode()):016x}"
 
 
+def canonical_text(cfg: ExperimentConfig) -> bytes:
+    """`cfg`'s canonical compact text, in UTF-8."""
+    return json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":")).encode()
+
+
 def entries_digest(cfg: ExperimentConfig) -> str:
-    """The per-byte FNV-1a digest of `cfg`'s canonical text."""
-    text = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-    return f"{fnv1a64_reference(text.encode()):016x}"
+    """The per-byte FNV-1a digest of `cfg`'s canonical text, as
+    `ENTRIES_HASHES` records it."""
+    return f"{fnv1a64_reference(canonical_text(cfg)):016x}"
+
+
+def blake2b_digest(cfg: ExperimentConfig) -> str:
+    """BLAKE2b-64 of `cfg`'s canonical text, `config_hash`'s definition,
+    by hashlib."""
+    return hashlib.blake2b(canonical_text(cfg), digest_size=8).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
@@ -280,18 +294,20 @@ def test_config_hash_is_pinned(name):
     path = CONFIGS / name
     cfg = config_from_dict(json.loads(path.read_text()), base_dir=path.parent)
     assert dense_digest(cfg) == PINNED_HASHES[name]
-    assert config_hash(cfg) == entries_digest(cfg) == ENTRIES_HASHES[name]
+    assert entries_digest(cfg) == ENTRIES_HASHES[name]
+    assert config_hash(cfg) == blake2b_digest(cfg)
 
 
 def test_config_hash_is_pinned_on_a_generated_network():
     cfg = config_from_dict(WS1000)
     assert dense_digest(cfg) == "28c56404f7e29e72"
-    assert config_hash(cfg) == entries_digest(cfg) == "75a15d359b685a94"
+    assert entries_digest(cfg) == "75a15d359b685a94"
+    assert config_hash(cfg) == blake2b_digest(cfg)
 
 
 # Digests recorded with networkx 3.6.1 drawing the matrix, as
-# `PINNED_HASHES` records them (`dense_digest`); the digest of the
-# canonical text (`config_hash`); and the attempt that drew the first
+# `PINNED_HASHES` records them (`dense_digest`); the FNV-1a digest of the
+# canonical text (`entries_digest`); and the attempt that drew the first
 # connected graph
 GENERATED_HASHES = {
     "erdos-renyi-12": ({"kind": "erdos_renyi", "n": 12, "p": 0.35, "seed": 7},
@@ -312,49 +328,9 @@ def test_config_hash_is_pinned_on_generated_networks(matrix, dense, digest, atte
                            wraps=graph.is_weakly_connected) as connected:
         cfg = config_from_dict({**WS1000, "matrix": matrix})
     assert dense_digest(cfg) == dense
-    assert config_hash(cfg) == entries_digest(cfg) == digest
+    assert entries_digest(cfg) == digest
+    assert config_hash(cfg) == blake2b_digest(cfg)
     assert connected.call_count == attempts
-
-
-@given(data=st.binary(max_size=300), block=st.sampled_from([1, 8, 9, 61]))
-def test_vectorized_fnv_matches_the_byte_loop(data, block):
-    assert _native._fnv1a64(data) == fnv1a64_reference(data)
-    with mock.patch.object(_native, "FNV_BLOCK", block):
-        assert _native._fnv1a64(data) == fnv1a64_reference(data)
-
-
-@pytest.mark.parametrize("block", sorted({8, 13, _native.FNV_BLOCK, 1 << 14, 1 << 16}))
-def test_vectorized_fnv_matches_the_byte_loop_at_block_boundaries(monkeypatch, block):
-    monkeypatch.setattr(_native, "FNV_BLOCK", block)
-    rng = np.random.default_rng(block)
-    lengths = {0, 1, 2, 7, 8, 9} | {k * block + d for k in (1, 2) for d in (-1, 0, 1)}
-    for n in sorted(lengths):
-        data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
-        assert _native._fnv1a64(data) == fnv1a64_reference(data), n
-    high = bytes(range(0x80, 0x100)) * (block // 128 + 2)
-    assert _native._fnv1a64(high) == fnv1a64_reference(high)
-    assert _native._fnv1a64(b"") == 0xCBF29CE484222325
-
-
-@given(data=st.binary(max_size=200), block=st.sampled_from([1, 8, 9, 61]))
-def test_chained_fnv_matches_the_byte_loop_at_every_cut(data, block):
-    """The hash of a text's tail from the hash of its head is the hash of
-    the whole text, wherever the text is cut and whatever the block size."""
-    want = fnv1a64_reference(data)
-    with mock.patch.object(_native, "FNV_BLOCK", block):
-        for cut in range(len(data) + 1):
-            assert _native._fnv1a64(data[cut:], _native._fnv1a64(data[:cut])) == want, cut
-
-
-@given(text=st.text(st.characters(max_codepoint=127), max_size=300),
-       cuts=st.lists(st.integers(0, 300), max_size=8), block=st.sampled_from([1, 8, 9, 61]))
-def test_hash_of_pieces_is_the_hash_of_their_text(text, cuts, block):
-    """`fnv1a64_pieces` gives the digest of the per-byte loop over the text
-    its pieces join to, however the pieces fall against the blocks."""
-    bounds = [0, *sorted(min(c, len(text)) for c in cuts), len(text)]
-    pieces = [text[a:b] for a, b in zip(bounds, bounds[1:])]
-    with mock.patch.object(_native, "FNV_BLOCK", block):
-        assert _native.fnv1a64_pieces(pieces) == fnv1a64_reference(text.encode())
 
 
 def test_library_build_removes_stale_builds(tmp_path, monkeypatch):
