@@ -383,9 +383,13 @@ def spectral(matrix: SelectionMatrix) -> SpectralData:
     number of threads or cores. A graph solved before the basis first
     fills takes plain Lanczos's steps exactly.
 
-    Error bound. The solve stops when Parlett's residual bound
-    r = ||L y - theta y|| of the unit Ritz vector y is at most
-    `SPECTRAL_RTOL` * theta for both extreme Ritz values theta, or at
+    Error bound. The extreme Ritz values theta, and a unit vector
+    y = V s / ||s|| of the basis V for each, come from Rayleigh quotient
+    steps on T = V^T L V (`_ritz_pairs`). The last step's twisted
+    factorization at rho gives Parlett's residual
+    ||L y - rho y|| = sqrt(gamma^2 + (beta s_k)^2) / ||s||, and
+    r = that + |theta - rho| bounds ||L y - theta y||. The solve stops
+    when r is at most `SPECTRAL_RTOL` * theta for both extremes, or at
     breakdown (the next Lanczos vector's norm beta is at most
     n * eps * 2 max_i d_i), or, while no restart has happened, after n - 1
     steps, when the Krylov space is all of 1-perp. Once the solve has
@@ -487,14 +491,14 @@ def _sturm_count(t: _Projection, x: float, pivmin: float) -> int:
     return count
 
 
-def _bisect(t: _Projection, lo: float, hi: float, index: int, pivmin: float,
-            width: float = 0.0) -> tuple[float, float]:
+def _bisect(t: _Projection, lo: float, hi: float, index: int,
+            pivmin: float) -> tuple[float, float]:
     """[lo, hi], with at most `index` eigenvalues of T below lo and more
-    below hi, shrunk by bisection to `width` or to two adjacent floats:
-    eigenvalue `index` (counted from the smallest, from 0) lies in it."""
+    below hi, shrunk by bisection to two adjacent floats: eigenvalue
+    `index` (counted from the smallest, from 0) lies in it."""
     while True:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi or hi - lo <= width:
+        if not lo < mid < hi:
             return lo, hi
         if _sturm_count(t, mid, pivmin) > index:
             hi = mid
@@ -502,7 +506,7 @@ def _bisect(t: _Projection, lo: float, hi: float, index: int, pivmin: float,
             lo = mid
 
 
-def _twist(t: _Projection, theta: float, pivmin: float) -> tuple:
+def _twist(t: _Projection, theta: float, pivmin: float) -> tuple[float, list[float]]:
     """The twisted factorization of T - theta I, zero pivots taken as
     pivmin: the tridiagonal's pivots from the top, `down`, the arrow's rows
     eliminated first (`_sturm_count`), and from the bottom, `up`; the
@@ -512,12 +516,14 @@ def _twist(t: _Projection, theta: float, pivmin: float) -> tuple:
     tridiagonal gamma_r = down_r + up_r - (a_r - theta). On the arrow's row
     i it is d_i - sigma_i^2 / g, with g the tridiagonal's first pivot once
     every other row is eliminated: up_0 less the other rows' sigma_j^2 / d_j.
-    The vector s with s_r = 1 and (T - theta I) s = gamma_r e_r follows
-    (`_twisted`, `_ritz_vector`). Returns (r, gamma_r, down, up, d, g), g 0
-    unless r is an arrow's row."""
-    b2 = t.b2
+    Returns (gamma_r, s), s with its signs, s_r = 1 and (T - theta I) s =
+    gamma_r e_r: from the twist outwards by the pivots along the
+    tridiagonal, and s_i = -sigma_i s_0 / d_i on the arrow but at the twist.
+    At an eigenvalue of T, s is its eigenvector."""
+    b, b2 = t.b, t.b2
     a = [aj - theta for aj in t.a]
     d = [tj - theta or pivmin for tj in t.theta]
+    k = len(d)
     arrow = [sj2 / dj for sj2, dj in zip(t.sigma2, d)]
     q = a[0] - sum(arrow, 0.0) or pivmin
     down = [q]
@@ -533,7 +539,7 @@ def _twist(t: _Projection, theta: float, pivmin: float) -> tuple:
     gammas = [dn + u - aj for dn, u, aj in zip(down, up, a)]
     sizes = list(map(abs, gammas))
     r = sizes.index(min(sizes))
-    best, r, g = gammas[r], len(d) + r, 0.0
+    best, r, g = gammas[r], k + r, 0.0
     after = list(itertools.accumulate(reversed(arrow), initial=0.0))[::-1]
     before = 0.0
     for i, (di, ci, si2) in enumerate(zip(d, arrow, t.sigma2)):
@@ -542,84 +548,25 @@ def _twist(t: _Projection, theta: float, pivmin: float) -> tuple:
         if abs(gamma) < abs(best):
             best, r, g = gamma, i, gi
         before += ci
-    return r, best, down, up, d, g
-
-
-def _twisted(t: _Projection, twist: tuple) -> tuple[float, float]:
-    """(||s||^2, s_k^2) of the vector s of the twisted factorization
-    `twist` (`_twist`), s_k its last entry."""
-    a, b2, sigma2 = t.a, t.b2, t.sigma2
-    r, _, down, up, d, g = twist
-    k = len(d)
-    if r >= k:  # on the tridiagonal: s_j^2 from s_r = 1 outwards
-        total = s2 = 1.0
-        for j in range(r - k - 1, -1, -1):
-            s2 *= b2[j + 1] / (down[j] * down[j])
-            total += s2
-        head = s2  # s_0^2
-        s2 = 1.0
-        start = r - k + 1
-    else:  # on the arrow's row r: s_r = 1, the tridiagonal's s_0^2 is sigma_r^2 / g^2
-        head = s2 = sigma2[r] / (g * g)
-        total = 1.0 + head
-        start = 1
-    for j in range(start, len(a)):
-        s2 *= b2[j] / (up[j] * up[j])
-        total += s2
-    if k:  # the arrow's s_i = -sigma_i s_0 / d_i, but at the twist
-        total += head * sum(si2 / (di * di) for i, (si2, di) in enumerate(zip(sigma2, d))
-                            if i != r)
-    return total, s2
-
-
-def _ritz_vector(t: _Projection, twist: tuple) -> list[float]:
-    """The vector s of the twisted factorization `twist` (`_twist`), with
-    its signs, at unit length: at an eigenvalue of T, its eigenvector."""
-    a, b = t.a, t.b
-    r, _, down, up, d, g = twist
-    k = len(d)
-    s = [0.0] * len(a)
-    if r >= k:
-        s[r - k] = 1.0
-        for j in range(r - k - 1, -1, -1):
-            s[j] = -b[j] * s[j + 1] / down[j]
-        start = r - k + 1
-    else:
-        s[0] = -t.sigma[r] / g
-        start = 1
-    for j in range(start, len(a)):
-        s[j] = -b[j - 1] * s[j - 1] / up[j]
+    p, first = (r - k, 1.0) if r >= k else (0, -t.sigma[r] / g)  # s_p on the tridiagonal
+    above = itertools.accumulate([-bj / dj for bj, dj in zip(reversed(b[:p]), reversed(down[:p]))],
+                                 operator.mul, initial=first)
+    below = itertools.accumulate([-bj / uj for bj, uj in zip(b[p:], up[p + 1:])],
+                                 operator.mul, initial=first)
+    s = [*above][::-1] + [*below][1:]
     head = [-si * s[0] / di for si, di in zip(t.sigma, d)]
     if r < k:
         head[r] = 1.0
-    s = head + s
-    norm = math.sqrt(math.fsum(x * x for x in s))
-    if not 0.0 < norm < math.inf:
-        raise EigenFailureError("a Ritz vector is not finite")
-    return [x / norm for x in s]
-
-
-def _residual(t: _Projection, beta: float, theta: float, pivmin: float) -> float:
-    """||L y - theta y|| for the unit vector y = V s / ||s|| of the Lanczos
-    basis V, s from the twisted factorization of T - theta I (`_twist`).
-    As L V = V T + beta v e_k^T with v orthogonal to V, the norm is
-    sqrt(gamma^2 + (beta s_k)^2) / ||s||: Parlett's bound |beta s_k| at a
-    Ritz value theta. An eigenvalue of L lies within it of theta, whatever
-    theta and s are, so a poor s only delays the stop."""
-    twist = _twist(t, theta, pivmin)
-    total, s2 = _twisted(t, twist)
-    if total == math.inf:
-        return math.inf
-    return math.sqrt((twist[1] ** 2 + beta * beta * s2) / total)
+    return best, head + s
 
 
 def _ritz_pairs(t: _Projection, indices: list[int], span: float,
-                pivmin: float) -> list[tuple[float, list[float]]]:
+                pivmin: float) -> list[tuple[float, list[float], float, float]]:
     """Eigenvalues `indices` (ascending, counted from the smallest, from 0)
-    of T, whose eigenvalues lie in [-span, span], with their unit
-    eigenvectors. One bisection serves them all until each lies alone in
-    its bracket, which Rayleigh quotient iteration then shrinks
-    (`_ritz_pair`)."""
+    of T, whose eigenvalues lie in [-span, span], each with a unit vector
+    and the bounds of `_ritz_pair`. One bisection serves them all until
+    each lies alone in its bracket, which Rayleigh quotient iteration then
+    shrinks (`_ritz_pair`)."""
     found = {}
     brackets = [(-span, span, 0, t.size)]  # (lo, hi, count below lo, below hi)
     while brackets:
@@ -637,72 +584,56 @@ def _ritz_pairs(t: _Projection, indices: list[int], span: float,
 
 
 def _ritz_pair(t: _Projection, lo: float, hi: float, index: int, span: float,
-               pivmin: float) -> tuple[float, list[float]]:
-    """Eigenvalue `index` of T, alone in [lo, hi], and its unit eigenvector:
+               pivmin: float) -> tuple[float, list[float], float, float]:
+    """Eigenvalue `index` of T, alone in [lo, hi], as (theta, y, r, step):
     Rayleigh quotient iteration, rho <- rho + gamma / ||s||^2 on the
-    twisted factorization (`_twist`), which converges cubically, from the
-    middle of the bracket until a step is within the rounding of T,
-    eps * span; bisection to two adjacent floats (`_bisect`) where an
-    iterate leaves the bracket or `LANCZOS_RQI_STEPS` do not settle."""
+    twisted factorization at rho (`_twist`), which converges cubically,
+    from the middle of the bracket until a step is within the rounding of
+    T, eps * span; bisection to two adjacent floats (`_bisect`), and a step
+    of 0, where an iterate leaves the bracket or `LANCZOS_RQI_STEPS` do not
+    settle. y = s / ||s|| is the unit vector of the last factorization,
+    T's eigenvector at an eigenvalue of T, r = |gamma| / ||s|| is
+    ||T y - rho y||, and theta = rho + step, so ||T y - theta y|| is at most
+    r + |step|."""
+
+    def pair(rho: float, step: float, gamma: float, s: list[float], norm: float):
+        if not 0.0 < norm < math.inf:
+            raise EigenFailureError("a Ritz vector is not finite")
+        return rho + step, [x / norm for x in s], abs(gamma) / norm, abs(step)
+
     rho = 0.5 * (lo + hi)
     for _ in range(LANCZOS_RQI_STEPS):
-        twist = _twist(t, rho, pivmin)
-        step = twist[1] / _twisted(t, twist)[0]
+        gamma, s = _twist(t, rho, pivmin)
+        norm = math.hypot(*s)
+        step = gamma / (norm * norm)
         if not lo <= rho + step <= hi:
             break
         if abs(step) <= _EPS * span:
-            return rho + step, _ritz_vector(t, twist)
+            return pair(rho, step, gamma, s, norm)
         rho += step
     lo, hi = _bisect(t, lo, hi, index, pivmin)
     rho = 0.5 * (lo + hi)
-    return rho, _ritz_vector(t, _twist(t, rho, pivmin))
+    gamma, s = _twist(t, rho, pivmin)
+    return pair(rho, 0.0, gamma, s, math.hypot(*s))
 
 
 class _RitzEnd:
-    """The smallest (`top` False) or the largest Ritz value of the growing
-    T: a bracket [lo, hi] of it, its midpoint `theta`, and `bound`, the
-    distance from theta within which L has an eigenvalue."""
+    """How fast the residual bound of the smallest or the largest Ritz
+    value falls: `bound` at the last check, the steps taken then, `steps`,
+    and `left`, the steps until `bound` meets the tolerance."""
 
-    def __init__(self, top: bool) -> None:
-        self.top = top
-        self.lo = self.hi = self.theta = math.nan
+    def __init__(self) -> None:
         self.bound = math.inf
-        self.tries: list[float] = []  # distances out to try the outer end at
-        self.steps = 0                # the steps taken at the last update
-        self.left = math.inf          # steps until `bound` meets the tolerance
+        self.steps = 0
+        self.left = math.inf
 
-    def update(self, t: _Projection, beta: float, span: float, pivmin: float, steps: int,
-               floor: float) -> None:
-        """Bisect the Ritz value of T, whose eigenvalues lie in
-        [-span, span], to a thousandth of its last bound, and bound it with
-        `beta`, the norm of the next Lanczos vector: its residual
-        (`_residual`) at theta plus the bracket's width, which covers the
-        Ritz value wherever it lies. The tolerance is `SPECTRAL_RTOL` *
+    def update(self, theta: float, bound: float, steps: int, floor: float) -> None:
+        """Take `bound`, the distance from the Ritz value theta within which
+        L has an eigenvalue, at `steps`. The tolerance is `SPECTRAL_RTOL` *
         theta, or `floor` where that is larger. `left` becomes the steps the
         bound needs to meet it at the rate it fell since the last update
-        (0 once it meets it, inf if it did not fall).
-
-        As T grows the smallest Ritz value only falls and the largest only
-        rises, also across a restart, whose T holds the kept Ritz values on
-        its diagonal; so the inner end of the last bracket stays good. The
-        outer end is tried twice the last move of theta out, then twice the
-        last bound out, and else at `span`: late checks bisect a short
-        bracket."""
-        index, out = (t.size - 1, 1.0) if self.top else (0, -1.0)
-        kept = -out * span if math.isnan(self.theta) else (self.lo if self.top else self.hi)
-        for step in self.tries:
-            end = kept + out * step
-            if abs(end) < span and (_sturm_count(t, end, pivmin) > index) == self.top:
-                break
-        else:
-            end = out * span
-        width = 1e-3 * min(self.bound, span)
-        self.lo, self.hi = _bisect(t, min(kept, end), max(kept, end), index, pivmin, width)
-        theta = 0.5 * (self.lo + self.hi)
-        last, self.bound = self.bound, _residual(t, beta, theta, pivmin) + (self.hi - self.lo)
-        moved = abs(theta - self.theta) if not math.isnan(self.theta) else math.inf
-        self.tries = [2.0 * moved + 4.0 * math.ulp(theta), 2.0 * self.bound]
-        self.theta = theta
+        (0 once it meets it, inf if it did not fall)."""
+        last, self.bound = self.bound, bound
         target = SPECTRAL_RTOL * theta
         if floor:
             target = max(target, floor)
@@ -714,13 +645,6 @@ class _RitzEnd:
         else:
             self.left = math.inf
         self.steps = steps
-
-    def refine(self, t: _Projection, pivmin: float) -> float:
-        """The Ritz value, bisected on to two adjacent floats; it stays
-        within `bound` of an eigenvalue of L."""
-        index = t.size - 1 if self.top else 0
-        lo, hi = _bisect(t, self.lo, self.hi, index, pivmin)
-        return 0.5 * (lo + hi)
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -753,21 +677,18 @@ def _laplacian_product(matrix: SelectionMatrix):
         2.0 * float(degree.max())
 
 
-def _restart(t: _Projection, basis: np.ndarray, beta: float, span: float,
-             pivmin: float) -> _Projection:
+def _restart(t: _Projection, basis: np.ndarray, beta: float,
+             pairs: list[tuple[float, list[float], float, float]]) -> _Projection:
     """Thick restart (Wu and Simon, 2000) of the full basis: keep the Ritz
-    vectors y = V s of T's `LANCZOS_KEEP` smallest and largest Ritz values,
-    into the basis's first rows, and return T anew as their Ritz values
-    with the arrow sigma_i = beta s_i,last, the coupling of y_i to the next
-    Lanczos vector (L y_i = theta_i y_i + sigma_i v). The pairs come from
-    `_ritz_pairs`; Gram-Schmidt twice keeps the s of close values
+    vectors y = V s of `pairs`, T's `LANCZOS_KEEP` smallest and largest
+    Ritz values from `_ritz_pairs`, into the basis's first rows, and return
+    T anew as their Ritz values with the arrow sigma_i = beta s_i,last, the
+    coupling of y_i to the next Lanczos vector (L y_i = theta_i y_i +
+    sigma_i v). Gram-Schmidt twice keeps the s of close values
     orthonormal, so the basis stays so, and drops an s that copies one
     kept before it. Y = V S runs in einsum's loops, no
     BLAS, a block of `LANCZOS_COLUMNS` columns at a time, in place."""
-    size = t.size
-    low, high = LANCZOS_KEEP
-    pairs = _ritz_pairs(t, [*range(low), *range(size - high, size)], span, pivmin)
-    s = np.array([vector for _, vector in pairs])
+    s = np.array([vector for _, vector, *_ in pairs])
     kept: list[int] = []
     for i in range(len(s)):
         _orthogonalize(s[kept], s[i])
@@ -777,7 +698,7 @@ def _restart(t: _Projection, basis: np.ndarray, beta: float, span: float,
             kept.append(i)
     s = s[kept]
     thetas = [pairs[i][0] for i in kept]
-    v = basis[1:1 + size]
+    v = basis[1:1 + t.size]
     for c in range(0, v.shape[1], LANCZOS_COLUMNS):
         block = v[:, c:c + LANCZOS_COLUMNS]
         block[:len(s)] = np.einsum("ki,ij->kj", s, block)
@@ -795,12 +716,14 @@ def _lanczos(matrix: SelectionMatrix) -> tuple[float, float]:
     stay on 1-perp, where lambda2 is the smallest eigenvalue. The basis
     holds at most `LANCZOS_VECTORS` vectors besides 1 / sqrt(n); once it is
     full, `_restart` keeps the Ritz vectors of both ends and the steps go on
-    from the last Lanczos vector. At each check, and at each restart, the
-    extreme eigenvalues of T are bisected by Sturm counts in Python floats,
-    from brackets kept between checks, and their residual bounds tested
-    (`_RitzEnd`). Checks are `LANCZOS_CHECK_STEPS` apart or more: while the
-    bounds are far from the tolerance, half the steps they need at their
-    last rate of fall, up to a quarter of the steps so far."""
+    from the last Lanczos vector. At each check one `_ritz_pairs` call
+    solves T for the extreme Ritz values, and at a full basis also for the
+    pairs `_restart` keeps; the residual bound of each extreme is
+    Parlett's, from the last Rayleigh quotient step's factorization, and
+    `_RitzEnd` follows how fast it falls. Checks are `LANCZOS_CHECK_STEPS`
+    apart or more: while the bounds are far from the tolerance, half the
+    steps they need at their last rate of fall, up to a quarter of the
+    steps so far."""
     n = matrix.n
     product, scale = _laplacian_product(matrix)
     breakdown = n * _EPS * scale
@@ -814,7 +737,7 @@ def _lanczos(matrix: SelectionMatrix) -> tuple[float, float]:
     steps = 0
     floor = 0.0  # the rounding level, the tolerance's least once restarted
     prev, beta = None, 0.0
-    extremes = (_RitzEnd(top=False), _RitzEnd(top=True))
+    extremes = (_RitzEnd(), _RitzEnd())
     check = LANCZOS_CHECK_STEPS  # the step of the next test of the stopping rule
     while True:
         basis[used] = v
@@ -841,11 +764,15 @@ def _lanczos(matrix: SelectionMatrix) -> tuple[float, float]:
         small = beta <= _SQRT_EPS * scale
         full = used == len(basis)
         if last or steps == check or small or full:
-            span = t.span()
-            for x in extremes:
-                x.update(t, beta, span, pivmin, steps, floor)
+            size = t.size
+            low, high = LANCZOS_KEEP if full and not last else (1, 1)
+            pairs = _ritz_pairs(t, [*range(low), *range(size - high, size)], t.span(), pivmin)
+            for x, (theta, y, r, step) in zip(extremes, (pairs[0], pairs[-1])):
+                # L V y = V T y + beta v y_k, with V and v orthonormal: Parlett's
+                # bound at the last step's rho, widened by the step to theta
+                x.update(theta, math.hypot(r, beta * y[-1]) + step, steps, floor)
             if last or all(x.left == 0.0 for x in extremes):
-                thetas = tuple(x.refine(t, pivmin) for x in extremes)
+                thetas = (pairs[0][0], pairs[-1][0])
                 if not all(map(math.isfinite, thetas)):
                     raise EigenFailureError("the Lanczos eigenvalues are not finite")
                 return thetas
@@ -853,7 +780,7 @@ def _lanczos(matrix: SelectionMatrix) -> tuple[float, float]:
             wait = 0 if small else min(max(x.left for x in extremes) / 2.0, steps // 4)
             check = steps + max(LANCZOS_CHECK_STEPS, int(wait))
             if full:
-                t = _restart(t, basis, beta, span, pivmin)
+                t = _restart(t, basis, beta, pairs)
                 used = 1 + len(t.theta)
                 floor = _EPS * scale
                 prev, v = None, w / beta

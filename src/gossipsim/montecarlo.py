@@ -99,8 +99,10 @@ CHUNK_TRIALS = 256
 # slots whose weights a chunk evaluates at once, (slots, configs, 4)
 # floats, and whose draws the numpy twin makes at once
 WEIGHT_BLOCK = 1024
-# a chunk's batched state, configs x CHUNK_TRIALS x n floats, and its states
-# stay within this many bytes (6 MiB: 768 configs of 4 nodes, 3 of 1000)
+# a chunk's batched state, configs x trials x n floats, and its states when
+# kept, configs x trials x checkpoints x n, stay within this many bytes (6 MiB:
+# CHUNK_TRIALS trials of 768 configs of 4 nodes or of 3 of 1000 nodes, and 7
+# trials of one config of 10^5 nodes)
 BATCH_STATE_BYTES = 6 << 20
 # the numpy twin's presampled pairs, in slots at a time
 PRESAMPLE_STEPS = 64
@@ -546,7 +548,8 @@ class _Spill:
 class _Spilled:
     """A C-ordered float64 array of `shape` that a pass writes to its
     spill file at `offset`. A slice of its rows, `stored[lo:hi]`, reads
-    them into a fresh array; `shape`, `itemsize` and `len` are an array's."""
+    them into a fresh array, and `read` into a given one; `shape`,
+    `itemsize` and `len` are an array's."""
 
     itemsize = 8
 
@@ -559,8 +562,11 @@ class _Spilled:
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         lo, hi, _ = rows.indices(len(self))
-        return self.spill.read(self.offset + lo * self.row_bytes,
-                               np.empty((hi - lo, *self.shape[1:])))
+        return self.read(lo, np.empty((hi - lo, *self.shape[1:])))
+
+    def read(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """Rows [lo, lo + len(out)) into `out`, C-contiguous."""
+        return self.spill.read(self.offset + lo * self.row_bytes, out)
 
 
 class TrialMatrices:
@@ -582,10 +588,15 @@ class TrialMatrices:
         """The arrays `names`, a block of trials at a time in trial order:
         each block's slice of trials and its rows of each array, read from
         the pass's file. A block holds AGGREGATE_BLOCK bytes of the widest
-        array's rows, or one trial where such a row is wider."""
+        array's rows, or one trial where such a row is wider. Every block is
+        read into the first block's arrays, so the consumer holds one block
+        at a time and copies what it keeps past its turn."""
         arrays = [self.stored[name] for name in names]
+        buffers: list[np.ndarray] = []
         for rows in _row_blocks(max(arrays, key=lambda a: a.row_bytes)):
-            yield rows, [a[rows] for a in arrays]
+            lo, hi, _ = rows.indices(len(self.diverged_at))
+            buffers = buffers or [np.empty((hi - lo, *a.shape[1:])) for a in arrays]
+            yield rows, [a.read(lo, b[:hi - lo]) for a, b in zip(arrays, buffers)]
 
 
 @dataclass
@@ -931,10 +942,12 @@ def run_shared_trials(configs: list[ExperimentConfig],
     config's matrices in turn, equal to `run_trials` on that config alone.
 
     Trials are split into fixed chunks. The configs are carried as extra
-    state rows, in consecutive batches small enough that a chunk's batched
-    state, configs x CHUNK_TRIALS x n floats, stays within
-    BATCH_STATE_BYTES. With `states`, the matrices also hold every trial's
-    state at every checkpoint, trials x checkpoints x n floats.
+    state rows, in consecutive batches small enough that a chunk of
+    CHUNK_TRIALS trials' batched state, configs x CHUNK_TRIALS x n floats,
+    stays within BATCH_STATE_BYTES; past that one config a batch, the
+    chunks shrink (`_run_batch`). With `states`, the matrices also hold
+    every trial's state at every checkpoint, trials x checkpoints x n
+    floats.
 
     Each batch is one pass (`_run_batch`) with its own temporary file, from
     which the matrices it yields read their rows, also once the pass has
@@ -1012,10 +1025,11 @@ def _run_batch(configs: list[ExperimentConfig], tables: tuple[np.ndarray, np.nda
     while any config's matrices are held.
 
     The chunks run on every usable core (`_workers`), one chunk at a time
-    per worker, sized so that each worker gets one and, with `states`, its
-    states fit in BATCH_STATE_BYTES. A chunk writes only its own rows, so
-    the results do not depend on the chunks. The numpy twin runs on one
-    worker: its per-slot numpy holds the GIL.
+    per worker, sized so that each worker gets one and a chunk's state,
+    and with `states` its states, fit in BATCH_STATE_BYTES, at least one
+    trial a chunk. A chunk writes only its own rows, so the results do not
+    depend on the chunks. The numpy twin runs on one worker: its per-slot
+    numpy holds the GIL.
     """
     first = configs[0]
     trials, ncp, n = first.trials, len(first.checkpoints), first.matrix.n
@@ -1034,9 +1048,10 @@ def _run_batch(configs: list[ExperimentConfig], tables: tuple[np.ndarray, np.nda
         stored.append(own)
     slots = _NumpySlots if _native.library() is None else _KernelSlots
     workers = 1 if slots is _NumpySlots else _workers()
-    size = min(CHUNK_TRIALS, -(-trials // workers))
-    if states:  # configs x chunk x checkpoints x n floats
-        size = max(1, min(size, BATCH_STATE_BYTES // (len(configs) * ncp * n * 8)))
+    # a chunk's state, configs x chunk x n floats, and with `states` its
+    # states, configs x chunk x checkpoints x n, within BATCH_STATE_BYTES
+    row = len(configs) * n * 8 * (1 + ncp if states else 1)
+    size = max(1, min(CHUNK_TRIALS, -(-trials // workers), BATCH_STATE_BYTES // row))
 
     def run_chunk(lo: int) -> None:
         hi = min(lo + size, trials)

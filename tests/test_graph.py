@@ -620,6 +620,75 @@ def test_spectral_raises_on_a_non_finite_entry():
         spectral(bad)
 
 
+def dense_projection(t):
+    """The projected matrix T of a `graph._Projection` as an array: the
+    arrow's rows first, each coupled to the tridiagonal's first row alone,
+    then the tridiagonal."""
+    k, size = len(t.theta), t.size
+    dense = np.zeros((size, size))
+    dense[range(k), range(k)] = t.theta
+    dense[k, :k] = dense[:k, k] = t.sigma
+    j = np.arange(k, size)
+    dense[j, j] = t.a
+    dense[j[:-1], j[1:]] = dense[j[1:], j[:-1]] = t.b
+    return dense
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 16), st.integers(1, 64))
+def test_ritz_pairs_are_eighs_on_random_projections(seed, arrow, rows):
+    """`_ritz_pairs` on a random T: an arrow of `arrow` kept values (none
+    before a restart) with couplings over 12 decades, and a tridiagonal of
+    `rows` rows whose off-diagonal spans 8 decades (near-double values).
+    Each requested eigenvalue is `eigvalsh`'s on the dense T within a few
+    eps * span, its unit vector y has ||T y - theta y|| of that order, and
+    r + |step|, the bound the stopping rule widens, covers that residual."""
+    rng = np.random.default_rng(seed)
+    t = graph._Projection(rng.uniform(0.0, 4.0, arrow).tolist(),
+                          (rng.uniform(-1.0, 1.0, arrow)
+                           * 10.0 ** -rng.integers(0, 12, arrow)).tolist())
+    b = rng.uniform(0.0, 1.0, rows - 1) * 10.0 ** -rng.integers(0, 8, rows - 1)
+    t.a += rng.uniform(0.0, 4.0, rows).tolist()
+    t.b += b.tolist()
+    t.b2 += (b * b).tolist()
+    dense = dense_projection(t)
+    values = np.linalg.eigvalsh(dense)
+    span = t.span()
+    unit = np.finfo(float).eps * span
+    indices = sorted({0, t.size - 1, *rng.integers(0, t.size, 4).tolist()})
+    pairs = graph._ritz_pairs(t, indices, span, graph._EPS * unit)
+    for i, (theta, y, r, step) in zip(indices, pairs):
+        y = np.array(y)
+        residual = np.linalg.norm(dense @ y - theta * y)
+        assert abs(theta - values[i]) <= 16 * unit, (i, theta, values[i])
+        assert abs(np.linalg.norm(y) - 1.0) <= 1e-14
+        assert residual <= 4 * unit, (i, residual / unit)
+        assert residual <= r + step + unit, (i, residual, r, step)
+
+
+@pytest.mark.parametrize("case", ["ring-300", "generated-300", "split-4-cycle"])
+def test_every_stopping_bound_covers_an_eigenvalue(monkeypatch, case):
+    """Every bound the stopping rule tests, at every check of the solve, on
+    a ring (restarts and a tiny gap), a Watts-Strogatz network and the
+    split 4-cycle (lambda2 and lambda3 1e-8 apart): an eigenvalue of the
+    dense Laplacian on 1-perp lies within it of its Ritz value, up to
+    `eigvalsh`'s rounding."""
+    bounds = []
+    update = graph._RitzEnd.update
+
+    def recorded(self, theta, bound, steps, floor):
+        bounds.append((theta, bound))
+        update(self, theta, bound, steps, floor)
+
+    monkeypatch.setattr(graph._RitzEnd, "update", recorded)
+    m = validate(LAPLACIAN_CASES[case])
+    spectral(m)
+    spectrum = np.linalg.eigvalsh(laplacian(m))[1:]
+    rounding = 8 * np.finfo(float).eps * spectrum[-1]
+    assert len(bounds) >= 2
+    for theta, bound in bounds:
+        assert np.abs(spectrum - theta).min() <= bound + rounding, (theta, bound)
+
+
 @pytest.mark.parametrize("kind,params", GENERATORS)
 def test_generate_valid_and_connected(kind, params):
     m = generate(kind, 10, seed=3, **params)

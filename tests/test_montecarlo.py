@@ -1709,6 +1709,33 @@ def test_an_experiment_holds_no_trial_matrix(monkeypatch, twin):
     assert peak < 0.5 * one + (1 << 20), f"peak {peak / one:.2f} x its matrices' {one} bytes"
 
 
+def test_a_chunks_state_stays_within_its_byte_budget(monkeypatch):
+    """A chunk's state, trials x n floats, stays within BATCH_STATE_BYTES
+    also without states: on a 50000-node ring, 64 trials on 2 workers run
+    in chunks of 15 trials, 6 MB each, where halves of 32 trials took
+    12.8 MB each. With both workers' first chunks held at once, the traced
+    peak of `run_trials` stays within two budgets, five n-vectors (the
+    partner tables and each chunk's initial state) and 1 MiB: 13.4 MiB
+    here, against 26.3 MiB for halves."""
+    kernel = compiled_kernel()
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    n = 50000
+    m = graph.generate("ring", n)
+    run_trials(make_config(m, trials=2, steps=2))  # loads what the run loads
+    barrier, opens = threading.Barrier(2), iter(range(2))
+    opened = kernel._open
+
+    def meet(self):
+        opened(self)
+        if next(opens, None) is not None:  # the first two chunks are alive at once
+            barrier.wait(timeout=30)
+
+    monkeypatch.setattr(kernel, "_open", meet)
+    peak = traced_peak(lambda: run_trials(make_config(m, trials=64, steps=2)))
+    limit = 2 * montecarlo.BATCH_STATE_BYTES + 5 * n * 8 + (1 << 20)
+    assert peak < limit, f"peak {peak / 2 ** 20:.2f} MiB, limit {limit / 2 ** 20:.2f} MiB"
+
+
 @pytest.mark.parametrize("axis, values, overrides, fails", [
     ("schedules.S.value", [0.02, 0.1, 0.2], {}, False),
     ("schedules.S.value", [0.02, 0.1, 0.2], {"bigM": 1.0}, True),
